@@ -11,7 +11,7 @@ instead: use that only for same-machine A/B comparisons (two builds
 benched back to back on one host), where the noise a cross-machine
 comparison has to tolerate does not apply. The comparison is skipped
 with a notice when the two files measured different configurations
-(cycle cap, grid size, or engine), since those numbers are not
+(cycle cap, grid size, or backend), since those numbers are not
 comparable.
 """
 
@@ -20,8 +20,7 @@ import json
 import sys
 
 # A fresh result must match the baseline on these fields for the
-# throughput comparison to mean anything. "shards" keeps a sharded run
-# from being compared against the serial baseline, "policy" keeps a
+# throughput comparison to mean anything. "policy" keeps a
 # --policy sieve run from being compared against the default-LRU
 # baseline, and "cryptoBackend" keeps a --crypto scalar A/B run from
 # being compared against the dispatched (aesni/vaes) baseline (absent
@@ -39,10 +38,9 @@ import sys
 # "adaptEpoch" scope bench-self grids recorded with --schemes /
 # --adapt-epoch (the SHM_adaptive perf-smoke baseline), so an
 # adaptive-grid run never compares against the classic 3x3.
-CONFIG_KEYS = ("benchmark", "gpu", "kernel_loop", "policy",
-               "max_cycles_per_kernel", "cells", "shards",
-               "cryptoBackend", "resultsDir", "zipf", "scenario",
-               "tenants", "schemes", "adaptEpoch")
+CONFIG_KEYS = ("benchmark", "gpu", "policy", "max_cycles_per_kernel",
+               "cells", "cryptoBackend", "resultsDir", "zipf",
+               "scenario", "tenants", "schemes", "adaptEpoch")
 
 
 def load(path):

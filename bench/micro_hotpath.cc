@@ -5,10 +5,9 @@
  * std::unordered_map on the MSHR churn pattern, DaryHeap vs.
  * std::priority_queue on the completion-retirement pattern, the
  * timing-wheel CalendarQueue vs. DaryHeap on the kernel engine's SM
- * ready-event pattern, the shift/mask address mapping, and the
- * transaction layer's SPSC ring enqueue/drain against the direct
- * partition call it replaces. These isolate the per-structure wins
- * (and costs) that `shmgpu bench-self` measures end to end.
+ * ready-event pattern, and the shift/mask address mapping. These
+ * isolate the per-structure wins (and costs) that `shmgpu bench-self`
+ * measures end to end.
  */
 
 #include <benchmark/benchmark.h>
@@ -22,10 +21,8 @@
 #include "common/calendar_queue.hh"
 #include "common/dary_heap.hh"
 #include "common/flat_map.hh"
-#include "common/spsc_ring.hh"
 #include "mem/addr_map.hh"
 #include "mem/cache.hh"
-#include "mem/request.hh"
 
 using namespace shmgpu;
 
@@ -202,77 +199,6 @@ BM_AddressMapToLocal(benchmark::State &state)
     }
 }
 BENCHMARK(BM_AddressMapToLocal);
-
-namespace
-{
-
-/**
- * Stand-in for Partition::serve on the sharded path: enough arithmetic
- * on the transaction fields that the compiler cannot collapse the loop,
- * roughly the cost of the bank-select and latency math the real serve
- * does before touching the L2.
- */
-inline Cycle
-pseudoServe(const mem::Transaction &t)
-{
-    auto bank = static_cast<std::uint32_t>(t.local >> 7) & 3u;
-    return t.issue + 28 + bank + (t.type == mem::AccessType::Read ? 1 : 0);
-}
-
-/** Transactions per simulated epoch: 30 SMs, ~1 access each. */
-constexpr std::uint32_t epochTxns = 30;
-
-} // namespace
-
-static void
-BM_SpscRingTxnEnqueueDrain(benchmark::State &state)
-{
-    // The shard engine's per-transaction path: submit into the inbox
-    // ring during the SM phase, drain it (and post replies) at the
-    // barrier. One iteration = one transaction through both rings.
-    SpscRing<mem::Transaction> inbox(epochTxns + 1);
-    SpscRing<mem::TxnReply> outbox(epochTxns + 1);
-    Cycle now = 0;
-    for (auto _ : state) {
-        mem::Transaction t;
-        t.phys = now * 128;
-        t.local = now * 128;
-        t.issue = now;
-        t.sm = static_cast<SmId>(now % epochTxns);
-        t.bytes = 32;
-        inbox.tryPush(t);
-        if (++now % epochTxns == 0) { // the epoch barrier drains
-            mem::Transaction got;
-            while (inbox.tryPop(got))
-                outbox.tryPush({pseudoServe(got), got.sm});
-            mem::TxnReply r;
-            while (outbox.tryPop(r))
-                benchmark::DoNotOptimize(r.complete);
-        }
-    }
-}
-BENCHMARK(BM_SpscRingTxnEnqueueDrain);
-
-static void
-BM_DirectCallTxn(benchmark::State &state)
-{
-    // The serial engine's equivalent: build the same transaction and
-    // serve it synchronously, no rings. The gap between this and
-    // BM_SpscRingTxnEnqueueDrain is the pure messaging overhead a
-    // shard has to amortize with parallelism.
-    Cycle now = 0;
-    for (auto _ : state) {
-        mem::Transaction t;
-        t.phys = now * 128;
-        t.local = now * 128;
-        t.issue = now;
-        t.sm = static_cast<SmId>(now % epochTxns);
-        t.bytes = 32;
-        benchmark::DoNotOptimize(pseudoServe(t));
-        ++now;
-    }
-}
-BENCHMARK(BM_DirectCallTxn);
 
 static void
 BM_CacheAccessHitHot(benchmark::State &state)

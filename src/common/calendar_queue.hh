@@ -137,8 +137,8 @@ class CalendarQueue
 
     /**
      * The cycle of the earliest pending event, without removing it.
-     * The queue must not be empty. Used by the shard engine to decide
-     * whether the next event still falls inside the current epoch.
+     * The queue must not be empty. Used to stop a drain at a time
+     * slice boundary.
      */
     Cycle
     minCycle() const

@@ -23,21 +23,6 @@ Histogram::sample(double v)
     total += v;
 }
 
-void
-Histogram::merge(const Histogram &other)
-{
-    shm_assert(buckets.size() == other.buckets.size() && lo == other.lo &&
-                   hi == other.hi,
-               "merging histograms with different geometries "
-               "({} buckets [{}, {}) vs {} buckets [{}, {}))",
-               buckets.size(), lo, hi, other.buckets.size(), other.lo,
-               other.hi);
-    for (std::size_t b = 0; b < buckets.size(); ++b)
-        buckets[b] += other.buckets[b];
-    count += other.count;
-    total += other.total;
-}
-
 StatGroup::StatGroup(StatGroup *parent_group, std::string group_name)
     : groupName(std::move(group_name)), parent(parent_group)
 {
@@ -81,38 +66,6 @@ StatGroup::resetAll()
         e.stat->reset();
     for (auto *child : children)
         child->resetAll();
-}
-
-void
-StatGroup::mergeFrom(const StatGroup &other)
-{
-    for (const auto &[n, e] : other.scalars) {
-        auto it = scalars.find(n);
-        shm_assert(it != scalars.end(),
-                   "mergeFrom: scalar '{}' missing from target group "
-                   "'{}'", n, groupName);
-        *it->second.stat += e.stat->value();
-    }
-    for (const auto &[n, e] : other.histograms) {
-        auto it = histograms.find(n);
-        shm_assert(it != histograms.end(),
-                   "mergeFrom: histogram '{}' missing from target group "
-                   "'{}'", n, groupName);
-        it->second.stat->merge(*e.stat);
-    }
-    for (const auto *other_child : other.children) {
-        StatGroup *mine = nullptr;
-        for (auto *child : children) {
-            if (child->name() == other_child->name()) {
-                mine = child;
-                break;
-            }
-        }
-        shm_assert(mine != nullptr,
-                   "mergeFrom: child group '{}' missing from '{}'",
-                   other_child->name(), groupName);
-        mine->mergeFrom(*other_child);
-    }
 }
 
 void

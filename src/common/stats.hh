@@ -60,15 +60,6 @@ class Histogram
 
     void sample(double v);
 
-    /**
-     * Fold another histogram with identical geometry into this one
-     * (bucket-wise add). Bucket counts are integers and `total` is a
-     * sum of sampled values, so merging is associative and — as long
-     * as the sampled values are integral, as every latency histogram
-     * here is — exact in any merge order.
-     */
-    void merge(const Histogram &other);
-
     std::uint64_t samples() const { return count; }
     double mean() const { return count ? total / count : 0; }
     const std::vector<std::uint64_t> &data() const { return buckets; }
@@ -119,18 +110,6 @@ class StatGroup
 
     /** Reset every statistic in this group and its children. */
     void resetAll();
-
-    /**
-     * Fold a structurally identical group into this one: every scalar
-     * adds its value, every histogram merges bucket-wise, children
-     * merge recursively by name. This is the shard-safety mechanism:
-     * each shard accumulates into a private tree and the simulation
-     * thread merges the trees at epoch barriers in partition-id order.
-     * All merged quantities are integer-valued (counts and cycle
-     * sums), so double addition is exact and the final tree is
-     * independent of merge order (tests/test_stats.cc asserts it).
-     */
-    void mergeFrom(const StatGroup &other);
 
     /** Write "path.name value # desc" lines to @p os. */
     void dump(std::ostream &os, const std::string &prefix = "") const;

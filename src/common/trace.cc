@@ -24,7 +24,6 @@ kindName(EventKind kind)
       case EventKind::TxnEnqueue: return "TxnEnqueue";
       case EventKind::TxnDequeue: return "TxnDequeue";
       case EventKind::CalendarSkip: return "CalendarSkip";
-      case EventKind::EpochBarrier: return "EpochBarrier";
       case EventKind::L2Hit: return "L2Hit";
       case EventKind::L2Miss: return "L2Miss";
       case EventKind::VictimFill: return "VictimFill";
@@ -106,17 +105,8 @@ Tracer::Tracer(std::uint32_t num_lanes, const TraceParams &params)
 {
     shm_assert(num_lanes > 0, "a tracer needs at least one lane");
     lanes.resize(num_lanes);
-    for (std::uint32_t i = 0; i < num_lanes; ++i) {
-        lanes[i].ring =
-            std::make_unique<SpscRing<Event>>(config.ringCapacity);
+    for (std::uint32_t i = 0; i < num_lanes; ++i)
         lanes[i].name = "lane " + std::to_string(i);
-    }
-}
-
-void
-Tracer::setLaneShared(std::uint32_t lane, bool shared)
-{
-    lanes[lane].shared = shared;
 }
 
 void
@@ -125,37 +115,12 @@ Tracer::setLaneName(std::uint32_t lane, std::string name)
     lanes[lane].name = std::move(name);
 }
 
-void
-Tracer::drainLane(Lane &lane)
-{
-    Event e;
-    while (lane.ring->tryPop(e))
-        lane.events.push_back(e);
-}
-
-void
-Tracer::drainAll()
-{
-    for (Lane &lane : lanes)
-        drainLane(lane);
-}
-
 std::uint64_t
-Tracer::totalRecorded()
+Tracer::totalRecorded() const
 {
-    drainAll();
     std::uint64_t total = 0;
     for (const Lane &lane : lanes)
         total += lane.events.size();
-    return total;
-}
-
-std::uint64_t
-Tracer::totalDropped() const
-{
-    std::uint64_t total = 0;
-    for (const Lane &lane : lanes)
-        total += lane.dropped;
     return total;
 }
 
@@ -210,9 +175,8 @@ appendJsonString(std::string &out, const std::string &s)
 } // namespace
 
 std::vector<Event>
-Tracer::collectSorted()
+Tracer::collectSorted() const
 {
-    drainAll();
     std::vector<Event> all;
     std::size_t total = 0;
     for (const Lane &lane : lanes)
@@ -230,9 +194,8 @@ Tracer::collectSorted()
 }
 
 void
-Tracer::writeChromeJson(std::ostream &os)
+Tracer::writeChromeJson(std::ostream &os) const
 {
-    drainAll();
     std::string buf;
     buf.reserve(1 << 16);
     os << "{\"traceEvents\":[\n";
@@ -285,13 +248,11 @@ Tracer::writeChromeJson(std::ostream &os)
         os << buf;
     }
     os << "\n],\"displayTimeUnit\":\"ns\",\"otherData\":{"
-          "\"tool\":\"shmgpu\",\"time_unit\":\"cycles\","
-          "\"dropped_events\":\""
-       << totalDropped() << "\"}}\n";
+          "\"tool\":\"shmgpu\",\"time_unit\":\"cycles\"}}\n";
 }
 
 void
-Tracer::writeText(std::ostream &os)
+Tracer::writeText(std::ostream &os) const
 {
     std::vector<Event> all = collectSorted();
     std::string buf;
@@ -312,8 +273,7 @@ Tracer::writeText(std::ostream &os)
         buf += '\n';
         os << buf;
     }
-    os << "# events=" << all.size() << " dropped=" << totalDropped()
-       << '\n';
+    os << "# events=" << all.size() << '\n';
 }
 
 } // namespace shmgpu::trace

@@ -6,32 +6,12 @@
  * Components that can emit events hold a `Tracer *` that is null when
  * tracing is off, so the fast path is one predictable branch and the
  * instrumented build costs nothing in normal runs. When tracing is on,
- * each emission is a class-mask test plus a push into a per-lane
- * SPSC ring (common/spsc_ring.hh): one lane per memory partition plus
- * one lane for the SM scheduler, so the sharded engine's workers and
- * the simulation thread never contend on a shared buffer.
+ * each emission is a class-mask test plus an append to a per-lane
+ * vector: one lane per memory partition plus one lane for the SM
+ * scheduler. Every producer runs on the simulation thread.
  *
- * Lane ownership mirrors the shard engine's threading contract:
- *  - the SM lane's producer is always the simulation thread;
- *  - a partition lane's producer is the simulation thread in serial
- *    runs, or the one worker that owns the partition's domain in
- *    sharded runs. Producers alternate between epochs (worker) and
- *    kernel boundaries (simulation thread); the ShardPool barrier's
- *    release/acquire edges order the handoff.
- *
- * Overflow policy: a lane whose producer is the simulation thread
- * itself ("non-shared") drains inline when full, so serial runs never
- * lose events. A lane owned by a worker ("shared") cannot drain — the
- * consumer is another thread — so overflowing events are counted and
- * dropped; the drop count is reported in every export. Rings are
- * drained at epoch barriers and at end of run.
- *
- * Export: lane-major concatenation followed by a stable sort on cycle.
- * Per-lane sequences are identical across --shards values (FIFO rings
- * replay the serial service order), so the exported stream is
- * bit-identical for every shard count — except the Engine class
- * (calendar skips, epoch barriers), which describes the engine itself
- * and legitimately differs between kernel loops.
+ * Export: lane-major concatenation followed by a stable sort on cycle,
+ * so the exported stream is deterministic for a given run.
  */
 
 #ifndef SHMGPU_COMMON_TRACE_HH
@@ -39,12 +19,10 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
 
-#include "common/spsc_ring.hh"
 #include "common/types.hh"
 
 namespace shmgpu::trace
@@ -60,7 +38,6 @@ enum class EventKind : std::uint8_t
     TxnEnqueue,     //!< Txn: transaction entered the interconnect
     TxnDequeue,     //!< Txn: transaction began service at its partition
     CalendarSkip,   //!< Engine: idle cycles skipped (payload = count)
-    EpochBarrier,   //!< Engine: sharded epoch barrier (payload = in-flight)
     L2Hit,          //!< L2: data access hit (payload = local addr)
     L2Miss,         //!< L2: data access missed (payload = local addr)
     VictimFill,     //!< L2: line installed in the victim cache
@@ -81,7 +58,7 @@ enum class EventClass : std::uint8_t
 {
     Sm,     //!< SM issue/retire and kernel boundaries
     Txn,    //!< interconnect transactions
-    Engine, //!< engine internals: calendar skips, epoch barriers
+    Engine, //!< engine internals: calendar skips
     L2,     //!< L2 data-side hits/misses/victim fills
     Mee,    //!< MEE metadata traffic
     Detect, //!< detector transitions
@@ -110,7 +87,6 @@ classOf(EventKind kind)
             EventClass::Txn,    // TxnEnqueue
             EventClass::Txn,    // TxnDequeue
             EventClass::Engine, // CalendarSkip
-            EventClass::Engine, // EpochBarrier
             EventClass::L2,     // L2Hit
             EventClass::L2,     // L2Miss
             EventClass::L2,     // VictimFill
@@ -153,11 +129,9 @@ struct Event
 struct TraceParams
 {
     std::uint32_t classMask = allClassesMask;
-    std::size_t ringCapacity = std::size_t{1} << 16;
 };
 
-/** A multi-lane event recorder. See the file comment for the
- *  threading contract. */
+/** A multi-lane event recorder (see the file comment). */
 class Tracer
 {
   public:
@@ -170,90 +144,47 @@ class Tracer
 
     const TraceParams &params() const { return config; }
 
-    /**
-     * Mark @p lane as produced by a thread other than the one that
-     * drains (sharded workers): overflow drops instead of draining
-     * inline. Call before the producers start.
-     */
-    void setLaneShared(std::uint32_t lane, bool shared);
-
     /** Display name for the exported thread metadata. */
     void setLaneName(std::uint32_t lane, std::string name);
 
     /**
      * Stamp subsequent events with tenant @p id (scenario runs set it
-     * at every context switch / tenant dispatch). Only meaningful when
-     * all producers run on the simulation thread — the scenario engine
-     * clamps the shard engine to one shard, so that holds.
+     * at every context switch / tenant dispatch).
      */
     void setActiveTenant(std::uint16_t id) { activeTenant = id; }
 
-    /**
-     * Record one event on @p lane. Producer-side; safe from the lane's
-     * single current producer only.
-     */
+    /** Record one event on @p lane. */
     void
     record(std::uint32_t lane, EventKind kind, Cycle cycle,
            std::uint16_t component, std::uint64_t payload)
     {
         if (!(config.classMask & classBit(classOf(kind))))
             return;
-        Lane &l = lanes[lane];
-        const Event e{cycle, payload, component, kind, activeTenant};
-        if (l.ring->tryPush(e))
-            return;
-        if (l.shared) {
-            // Consumer is another thread: count the loss, keep going.
-            ++l.dropped;
-            return;
-        }
-        // Producer == consumer: make room and retry (cannot fail).
-        drainLane(l);
-        l.ring->tryPush(e);
+        lanes[lane].events.push_back(
+            {cycle, payload, component, kind, activeTenant});
     }
 
-    /**
-     * Move every ring's contents into lane storage. Consumer-side;
-     * call only when all producers are quiescent (epoch barrier, end
-     * of run).
-     */
-    void drainAll();
-
-    /** Events accumulated so far (drains first). */
-    std::uint64_t totalRecorded();
-
-    /** Events lost to shared-lane ring overflow. */
-    std::uint64_t totalDropped() const;
-
-    /** Per-lane drop count (for tests and the export trailer). */
-    std::uint64_t droppedOn(std::uint32_t lane) const
-    {
-        return lanes[lane].dropped;
-    }
+    /** Events accumulated so far. */
+    std::uint64_t totalRecorded() const;
 
     /**
      * All events, lane-major then stable-sorted by cycle — the
-     * deterministic export order. Drains first.
+     * deterministic export order.
      */
-    std::vector<Event> collectSorted();
+    std::vector<Event> collectSorted() const;
 
     /** Chrome trace_event JSON (chrome://tracing / Perfetto). */
-    void writeChromeJson(std::ostream &os);
+    void writeChromeJson(std::ostream &os) const;
 
     /** Deterministic line-per-event text dump. */
-    void writeText(std::ostream &os);
+    void writeText(std::ostream &os) const;
 
   private:
     struct Lane
     {
-        std::unique_ptr<SpscRing<Event>> ring;
         std::vector<Event> events;
-        std::uint64_t dropped = 0;
-        bool shared = false;
         std::string name;
     };
-
-    void drainLane(Lane &lane);
 
     TraceParams config;
     std::vector<Lane> lanes;

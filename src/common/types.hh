@@ -40,6 +40,13 @@ constexpr Addr invalidAddr = std::numeric_limits<Addr>::max();
 /** Sentinel for "no cycle" / unscheduled. */
 constexpr Cycle invalidCycle = std::numeric_limits<Cycle>::max();
 
+/** @p base + @p delta, saturating at invalidCycle instead of wrapping. */
+constexpr Cycle
+saturatingAdd(Cycle base, Cycle delta)
+{
+    return delta > invalidCycle - base ? invalidCycle : base + delta;
+}
+
 /**
  * GPU memory spaces, mirroring the CUDA/OpenCL programming models
  * (Table I of the paper). On-chip spaces (registers, shared memory,

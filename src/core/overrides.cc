@@ -24,14 +24,8 @@ applyGpuOverrides(Config &config, gpu::GpuParams &p)
         config.getU64("gpu.l2_assoc", p.l2Assoc));
     p.l2HitLatency = config.getU64("gpu.l2_hit_latency", p.l2HitLatency);
     p.icntLatency = config.getU64("gpu.icnt_latency", p.icntLatency);
-    p.shards = static_cast<std::uint32_t>(
-        config.getU64("gpu.shards", p.shards));
-    p.shardSpin = static_cast<std::uint32_t>(
-        config.getU64("gpu.shard_spin", p.shardSpin));
     p.victimMissRateThreshold = config.getDouble(
         "gpu.victim_threshold", p.victimMissRateThreshold);
-    p.referenceKernelLoop = config.getBool("gpu.reference_loop",
-                                           p.referenceKernelLoop);
     // Fatal on unknown names, listing the valid set.
     p.l2Policy = mem::policyFromName(config.getString(
         "cache.policy", mem::policyName(p.l2Policy)));
@@ -121,8 +115,6 @@ applyTraceOverrides(Config &config, trace::TraceParams &p)
     std::string classes = config.getString("trace.classes", "");
     if (!classes.empty())
         p.classMask = trace::parseClassMask(classes);
-    p.ringCapacity = static_cast<std::size_t>(
-        config.getU64("trace.ring_capacity", p.ringCapacity));
 }
 
 void

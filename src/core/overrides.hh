@@ -20,7 +20,6 @@
  *   mee.adapt_epoch        = 50000 # SHM_adaptive reclassify period
  *   mee.adapt_thresholds   = 4,16,0.9  # roMinReads,streamMinReads,
  *                                      # macOnlyMissRate
- *   gpu.shard_spin         = 4096  # barrier spin-then-futex threshold
  *   crypto.backend         = auto  # auto/scalar/aesni/vaes
  *
  * Unknown keys are fatal (Config::assertConsumed); so are unknown
@@ -53,8 +52,7 @@ mee::AdaptThresholds parseAdaptThresholds(const std::string &text);
 
 /**
  * Apply "trace.*" keys to @p params:
- *   trace.classes       = sm,txn,engine,l2,mee,detect (or "all")
- *   trace.ring_capacity = 65536
+ *   trace.classes = sm,txn,engine,l2,mee,detect (or "all")
  */
 void applyTraceOverrides(Config &config, trace::TraceParams &params);
 

@@ -55,15 +55,6 @@ addGpuParams(Fingerprint &h, const gpu::GpuParams &p)
     h.u64(p.dram.schedulerRowWindow);
     h.u64(p.dram.writeQueueCycles);
     h.u64(p.maxCyclesPerKernel);
-    // Engine-parallelism and barrier knobs are proven bit-identical
-    // for every value (test_shard_diff / test_kernel_loop_diff), but
-    // they stay in the key anyway: the cache's contract is "same key
-    // == same effective config", not "same key == bits we currently
-    // believe are equivalent". A cheap always-hash beats a stale
-    // equivalence argument.
-    h.u64(p.shards);
-    h.u64(p.shardSpin);
-    h.boolean(p.referenceKernelLoop);
     h.f64(p.victimMissRateThreshold);
     h.u64(p.victimSampleRatio);
     h.u64(p.victimSampleWarmup);

@@ -21,10 +21,8 @@
  *
  * Determinism contract: a scenario cell's bytes depend only on its
  * fingerprint inputs — never on --jobs (slot-indexed results, solo
- * references memoized by content hash with call_once) or --shards
- * (the scenario engine is serial by construction; the ctor clamps the
- * shard count) — which is what lets CI byte-compare scenario runs
- * across parallelism settings.
+ * references memoized by content hash with call_once) — which is what
+ * lets CI byte-compare scenario runs across parallelism settings.
  */
 
 #ifndef SHMGPU_CORE_SCENARIO_HH

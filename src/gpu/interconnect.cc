@@ -49,8 +49,6 @@ Interconnect::reply(PartitionId partition, std::uint32_t bytes, Cycle now)
 Cycle
 Interconnect::serveNow(const mem::Transaction &t, Partition &part)
 {
-    // Mirror the sharded path's emission points (submit/drainDomain)
-    // so the Txn event stream is identical for every --shards value.
     if (tracer)
         tracer->record(smLane, trace::EventKind::TxnEnqueue, t.issue,
                        static_cast<std::uint16_t>(t.sm), txnPayload(t));
@@ -72,82 +70,6 @@ Interconnect::serveNow(const mem::Transaction &t, Partition &part)
                        txnPayload(t));
     part.serve(t, arrive);
     return arrive;
-}
-
-void
-Interconnect::buildTransactionLayer(std::vector<Partition *> parts,
-                                    std::vector<std::uint32_t> domain_of,
-                                    std::uint32_t num_domains,
-                                    std::size_t ring_capacity)
-{
-    shm_assert(domains.empty(), "transaction layer built twice");
-    shm_assert(parts.size() == toPartition.size() &&
-                   domain_of.size() == parts.size(),
-               "transaction layer over {} partitions but the crossbar "
-               "has {}",
-               parts.size(), toPartition.size());
-    shm_assert(num_domains > 0, "need at least one domain");
-    for (std::uint32_t d : domain_of)
-        shm_assert(d < num_domains, "partition mapped to domain {} of {}",
-                   d, num_domains);
-
-    partitions = std::move(parts);
-    domainOfPartition = std::move(domain_of);
-    domains.reserve(num_domains);
-    for (std::uint32_t d = 0; d < num_domains; ++d)
-        domains.push_back(std::make_unique<DomainState>(ring_capacity));
-}
-
-void
-Interconnect::drainDomain(std::uint32_t domain)
-{
-    DomainState &dom = *domains[domain];
-    mem::Transaction t;
-    while (dom.inbox.tryPop(t)) {
-        Partition &part = *partitions[t.partition];
-        if (t.type == mem::AccessType::Read) {
-            // Mirrors request(): header-sized message toward the
-            // partition, stats into the domain's private replica.
-            ++dom.requests;
-            dom.requestBytes += config.requestBytes;
-            Cycle arrive = traverse(toPartition[t.partition],
-                                    config.requestBytes, t.issue);
-            if (tracer)
-                tracer->record(t.partition, trace::EventKind::TxnDequeue,
-                               arrive,
-                               static_cast<std::uint16_t>(t.partition),
-                               txnPayload(t));
-            Cycle ready = part.serve(t, arrive);
-            // Mirrors reply().
-            ++dom.replies;
-            dom.replyBytes += t.bytes;
-            Cycle complete = traverse(toSm[t.partition], t.bytes, ready);
-            bool ok = dom.outbox.tryPush({complete, t.sm});
-            shm_assert(ok, "domain {} outbox overflow ({} slots)", domain,
-                       dom.outbox.capacity());
-        } else {
-            std::uint32_t bytes = config.requestBytes + t.bytes;
-            ++dom.requests;
-            dom.requestBytes += bytes;
-            Cycle arrive =
-                traverse(toPartition[t.partition], bytes, t.issue);
-            if (tracer)
-                tracer->record(t.partition, trace::EventKind::TxnDequeue,
-                               arrive,
-                               static_cast<std::uint16_t>(t.partition),
-                               txnPayload(t));
-            part.serve(t, arrive);
-        }
-    }
-}
-
-void
-Interconnect::mergeShardStats()
-{
-    for (auto &dom : domains) {
-        statGroup.mergeFrom(dom->group);
-        dom->group.resetAll();
-    }
 }
 
 void

@@ -9,39 +9,17 @@
  * Queueing uses the same analytic busy-until technique as the GDDR
  * channel.
  *
- * The interconnect also hosts the explicit transaction layer that
- * decouples the SM loop from the partitions. Partitions are grouped
- * into *domains* — the unit of independent state. With local metadata
- * addressing every partition is its own domain; when metadata crosses
- * partitions (Naive / CommonCtr physical addressing) all partitions
- * collapse into a single domain whose one FIFO inbox preserves the
- * serial global interleaving. Each domain owns
- *
- *   - an inbox ring of mem::Transaction (SM thread produces, the
- *     domain's worker consumes),
- *   - an outbox ring of mem::TxnReply (worker produces, SM thread
- *     consumes at epoch barriers),
- *   - a private replica of the four crossbar scalars, merged into the
- *     main stats tree at barriers in domain-id order (the only icnt
- *     state shared across domains; link busy-until state is
- *     partition-indexed and therefore domain-confined).
- *
- * drainDomain() replays exactly the arithmetic the serial engine runs
- * inline (request traversal -> Partition::serve -> reply traversal),
- * so per-partition results are bit-identical; serveNow() is the thin
- * synchronous adapter the serial engine uses so `--shards 1` does not
- * even change the call order.
+ * Each SM memory op reaches a partition as one mem::Transaction:
+ * serveNow() runs its request traversal, Partition::serve and, for
+ * reads, the reply traversal.
  */
 
 #ifndef SHMGPU_GPU_INTERCONNECT_HH
 #define SHMGPU_GPU_INTERCONNECT_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "common/logging.hh"
-#include "common/spsc_ring.hh"
 #include "common/stats.hh"
 #include "common/trace.hh"
 #include "common/types.hh"
@@ -83,115 +61,23 @@ class Interconnect
     Cycle reply(PartitionId partition, std::uint32_t bytes, Cycle now);
 
     /**
-     * Serve @p t synchronously against @p part: request traversal,
-     * Partition::serve, reply traversal for reads. This is the serial
-     * engine's thin adapter over the transaction message — identical
-     * arithmetic, call order, and stats accounting as the historical
-     * inline path. Returns the SM-side completion cycle for reads,
-     * the partition arrival cycle for writes.
+     * Serve @p t against @p part: request traversal,
+     * Partition::serve, reply traversal for reads. Returns the SM-side
+     * completion cycle for reads, the partition arrival cycle for
+     * writes.
      */
     Cycle serveNow(const mem::Transaction &t, Partition &part);
 
     /**
-     * Build the asynchronous transaction layer for the shard engine.
-     * @p parts maps partition id -> partition, @p domain_of maps
-     * partition id -> domain id (dense, < @p num_domains), and
-     * @p ring_capacity bounds the transactions one domain can receive
-     * per epoch (rings round it up to a power of two).
-     */
-    void buildTransactionLayer(std::vector<Partition *> parts,
-                               std::vector<std::uint32_t> domain_of,
-                               std::uint32_t num_domains,
-                               std::size_t ring_capacity);
-
-    /**
      * Attach the flight recorder. TxnEnqueue lands on @p sm_lane (the
      * SM thread emits it); TxnDequeue lands on the serving partition's
-     * lane (emitted by whichever thread runs the service — the SM
-     * thread via serveNow, or the domain's worker via drainDomain).
+     * lane.
      */
     void
     setTracer(trace::Tracer *t, std::uint32_t sm_lane)
     {
         tracer = t;
         smLane = sm_lane;
-    }
-
-    /**
-     * Stage @p t for its owning domain without touching the shared
-     * ring (SM thread only). One epoch's transactions accumulate in a
-     * plain per-domain vector; flushStaged() publishes each domain's
-     * batch with a single release store. Versus pushing every
-     * transaction straight into the shared ring this cuts the SM-side
-     * synchronization cost from one published index update (and
-     * potential cross-core cache-line bounce) per transaction to one
-     * per domain per epoch. FIFO order is exactly submit order, and
-     * workers only read between the flush and the next barrier, so
-     * results are bit-identical.
-     */
-    void
-    stageSubmit(const mem::Transaction &t)
-    {
-        if (tracer)
-            tracer->record(smLane, trace::EventKind::TxnEnqueue, t.issue,
-                           static_cast<std::uint16_t>(t.sm),
-                           txnPayload(t));
-        domains[domainOfPartition[t.partition]]->staged.push_back(t);
-    }
-
-    /** Publish all staged transactions (SM thread, before runEpoch). */
-    void
-    flushStaged()
-    {
-        for (auto &dom : domains) {
-            if (dom->staged.empty())
-                continue;
-            bool ok = dom->inbox.tryPushBulk(dom->staged.data(),
-                                             dom->staged.size());
-            shm_assert(ok, "domain inbox overflow ({} staged, {} "
-                           "slots) — ring capacity must cover one "
-                           "epoch of SM issue",
-                       dom->staged.size(), dom->inbox.capacity());
-            dom->staged.clear();
-        }
-    }
-
-    /**
-     * Drain one domain's inbox to exhaustion (that domain's worker
-     * thread only): serve each transaction in FIFO order and post a
-     * TxnReply per read. Crossbar stats land in the domain's private
-     * scalars.
-     */
-    void drainDomain(std::uint32_t domain);
-
-    /**
-     * Deliver every pending reply, domains in ascending id, each
-     * domain's replies in FIFO order (SM thread, at an epoch barrier —
-     * all workers quiesced). @p fn receives each mem::TxnReply.
-     */
-    template <typename Fn>
-    void
-    forEachReply(Fn &&fn)
-    {
-        mem::TxnReply r;
-        for (auto &dom : domains)
-            while (dom->outbox.tryPop(r))
-                fn(r);
-    }
-
-    /**
-     * Fold the domains' private crossbar scalars into the main stats
-     * tree, domains in ascending id (SM thread, at an epoch barrier).
-     * All four are integer-valued counts, so the merge matches the
-     * serial temporal accumulation bit for bit.
-     */
-    void mergeShardStats();
-
-    /** Domains in the transaction layer (0 before build). */
-    std::uint32_t
-    numDomains() const
-    {
-        return static_cast<std::uint32_t>(domains.size());
     }
 
     void regStats(stats::StatGroup *parent);
@@ -202,30 +88,6 @@ class Interconnect
     struct Link
     {
         Cycle busyUntil = 0;
-    };
-
-    /** Per-domain mailboxes and stat replicas (see file comment). */
-    struct DomainState
-    {
-        explicit DomainState(std::size_t ring_capacity)
-            : inbox(ring_capacity), outbox(ring_capacity),
-              group(nullptr, "icnt")
-        {
-            group.addScalar("requests", &requests, "");
-            group.addScalar("replies", &replies, "");
-            group.addScalar("request_bytes", &requestBytes, "");
-            group.addScalar("reply_bytes", &replyBytes, "");
-        }
-
-        SpscRing<mem::Transaction> inbox;
-        SpscRing<mem::TxnReply> outbox;
-        /** SM-thread staging area for one epoch (see stageSubmit). */
-        std::vector<mem::Transaction> staged;
-        stats::StatGroup group;
-        stats::Scalar requests;
-        stats::Scalar replies;
-        stats::Scalar requestBytes;
-        stats::Scalar replyBytes;
     };
 
     Cycle traverse(Link &link, std::uint32_t bytes, Cycle now);
@@ -242,12 +104,6 @@ class Interconnect
     InterconnectParams config;
     std::vector<Link> toPartition;
     std::vector<Link> toSm;
-
-    /** @{ Transaction layer (empty until buildTransactionLayer). */
-    std::vector<std::unique_ptr<DomainState>> domains;
-    std::vector<Partition *> partitions;       //!< by partition id
-    std::vector<std::uint32_t> domainOfPartition;
-    /** @} */
 
     trace::Tracer *tracer = nullptr;
     std::uint32_t smLane = 0;

@@ -25,7 +25,7 @@ l2CacheParams(const GpuParams &params, PartitionId partition,
     cp.fetchOnWriteMiss = false; // GPU write-validate
     cp.policy = params.l2Policy;
     // Per-bank random stream, derived from position only so results
-    // are independent of shard count and sweep job placement.
+    // are independent of sweep job placement.
     cp.policySeed ^= (static_cast<std::uint64_t>(partition) *
                           params.l2BanksPerPartition +
                       bank_index + 1) *

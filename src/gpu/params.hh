@@ -60,40 +60,6 @@ struct GpuParams
     /** Per-kernel simulated-cycle budget (runaway protection). */
     Cycle maxCyclesPerKernel = 120000;
 
-    /**
-     * Worker threads ticking the memory partitions (`--shards N` /
-     * `gpu.shards`). 1 (the default) keeps the fully serial engine.
-     * N>1 runs the epoch-barriered shard engine: partitions are
-     * grouped into independent domains (one per partition for
-     * local-metadata schemes; a single domain when metadata crosses
-     * partitions) and domain work is spread over min(N, domains)
-     * threads, one of them the simulation thread itself. Results are
-     * bit-identical for every value (tests/test_shard_diff.cc). This
-     * parallelism multiplies with sweep --jobs: a sweep runs
-     * jobs x shards threads, so size the product to the machine.
-     */
-    std::uint32_t shards = 1;
-
-    /**
-     * Shard-engine barrier tuning (`gpu.shard_spin`): iterations each
-     * side of the epoch barrier spins on its atomic before parking on
-     * a futex wait. Larger values favour dedicated cores (a worker
-     * finishing within a few hundred nanoseconds is caught without a
-     * syscall); smaller values yield the timeslice sooner on
-     * oversubscribed or low-core-count machines. Purely a wall-clock
-     * knob — simulated results are bit-identical for every value.
-     */
-    std::uint32_t shardSpin = 1u << 12;
-
-    /**
-     * Drive the kernel loop with the per-cycle reference engine
-     * instead of the event-driven calendar. Both produce bit-identical
-     * statistics (tests/test_kernel_loop_diff.cc proves it on
-     * randomized workloads); the reference engine exists as that
-     * test's oracle and for A/B timing via `--reference-loop`.
-     */
-    bool referenceKernelLoop = false;
-
     /** @{ L2-victim-cache controls (Section IV-D). */
     double victimMissRateThreshold = 0.90;
     /** 1-in-N set sampling ratio for the data-miss-rate monitor. */

@@ -3,11 +3,9 @@
  * The multi-tenant context/stream engine.
  *
  * A scenario multiplexes N tenant contexts over one GpuSimulator. The
- * engine is deliberately serial (the constructor clamps the shard
- * engine to one shard), which makes --shards/--jobs determinism
- * trivial and lets the time-sliced mode save and restore a tenant's
- * whole execution context — SM units, pending calendar events, the
- * remaining kernel cycle budget — with two vector swaps.
+ * engine is serial, which lets the time-sliced mode save and restore a
+ * tenant's whole execution context — SM units, pending calendar
+ * events, the remaining kernel cycle budget — with two vector swaps.
  *
  * Time-sliced mode: a round-robin scheduler gives the whole GPU to one
  * tenant per quantum. Preemption freezes the tenant's progress: its
@@ -26,12 +24,12 @@
  * spaces — and with local metadata addressing, the metadata
  * geometries — are fully disjoint.
  *
- * The per-kernel arithmetic in stepSmEvent/computeKernelTail is the
- * event engine's (simulator.cc eventKernelLoop) verbatim, with the
- * loop locals lifted into TenantContext so a kernel can pause at a
- * slice boundary. A single-tenant scenario never switches, so its
- * event sequence — and every statistic and trace byte — is identical
- * to the legacy path (tests/test_scenario.cc pins this).
+ * Every tenant drives its kernels through the same kernel engine as a
+ * legacy run (simulator.cc: beginKernel, stepSmEvent, drainCalendar,
+ * kernelTail) over the KernelContext embedded in its TenantContext,
+ * so a kernel can pause at a slice boundary. A single-tenant scenario
+ * never switches, so its event sequence — and every statistic — is
+ * identical to the legacy path (tests/test_scenario.cc pins this).
  */
 
 #include "gpu/simulator.hh"
@@ -47,27 +45,6 @@ namespace shmgpu::gpu
 
 namespace
 {
-
-/** Package one SM memory op as an explicit transaction message. */
-mem::Transaction
-makeTxn(const workload::TraceOp &op, const mem::PartitionAddr &pa,
-        SmId sm, Cycle now)
-{
-    return {.phys = op.addr,
-            .local = pa.local,
-            .issue = now,
-            .partition = pa.partition,
-            .sm = sm,
-            .bytes = op.bytes,
-            .type = op.type,
-            .space = op.space};
-}
-
-Cycle
-saturatingAdd(Cycle base, Cycle delta)
-{
-    return delta > invalidCycle - base ? invalidCycle : base + delta;
-}
 
 /** Round @p value up to a multiple of @p align (any align, not just
  *  powers of two — a 12-partition GPU's stride is not one). */
@@ -115,16 +92,17 @@ GpuSimulator::initScenario()
         tenantOfSm.assign(gpuConfig.numSms, 0);
         for (std::uint32_t i = 0; i < n; ++i) {
             TenantContext &t = tenants[i];
-            t.smLo = sm_cursor;
-            t.smHi = sm_cursor + sm_base + (i < sm_rem ? 1 : 0);
-            sm_cursor = t.smHi;
-            t.partLo = part_cursor;
+            KernelContext &k = t.kernel;
+            k.smLo = sm_cursor;
+            k.smHi = sm_cursor + sm_base + (i < sm_rem ? 1 : 0);
+            sm_cursor = k.smHi;
+            k.partLo = part_cursor;
             t.partHi = static_cast<PartitionId>(
                 part_cursor + part_base + (i < part_rem ? 1 : 0));
             part_cursor = t.partHi;
             t.ownedMap = std::make_unique<mem::AddressMap>(
                 t.numParts(), gpuConfig.interleaveBytes);
-            t.addrMap = t.ownedMap.get();
+            k.addrMap = t.ownedMap.get();
             t.bufferBases = workload::layoutBuffers(t.spec->workload);
             const Addr footprint =
                 workload::footprintBytes(t.spec->workload);
@@ -133,11 +111,11 @@ GpuSimulator::initScenario()
                        "tenant '{}' ({} B) exceeds its partition slice's "
                        "protected space",
                        t.spec->name, footprint);
-            for (std::uint32_t s = t.smLo; s < t.smHi; ++s)
+            for (std::uint32_t s = k.smLo; s < k.smHi; ++s)
                 tenantOfSm[s] = t.id;
             // Static ownership: stamp the tenant once so the shadow
             // tallies attribute every access for the whole run.
-            for (PartitionId p = t.partLo; p < t.partHi; ++p)
+            for (PartitionId p = k.partLo; p < t.partHi; ++p)
                 partitions[p]->mee().setActiveTenant(t.id);
         }
         return;
@@ -158,11 +136,11 @@ GpuSimulator::initScenario()
     Addr base = 0;
     for (std::uint32_t i = 0; i < n; ++i) {
         TenantContext &t = tenants[i];
-        t.smLo = 0;
-        t.smHi = gpuConfig.numSms;
-        t.partLo = 0;
+        t.kernel.smLo = 0;
+        t.kernel.smHi = gpuConfig.numSms;
+        t.kernel.partLo = 0;
         t.partHi = static_cast<PartitionId>(gpuConfig.numPartitions);
-        t.addrMap = &map;
+        t.kernel.addrMap = &map;
         t.bufferBases = workload::layoutBuffers(t.spec->workload, base);
         const Addr end = base + workload::footprintBytes(t.spec->workload);
         shm_assert(end <= gpuConfig.protectedBytesPerPartition *
@@ -296,19 +274,15 @@ GpuSimulator::runPartitioned()
 
         const auto [now, sm] = calendar.popMin();
         TenantContext &t = tenants[tenantOfSm[sm]];
-        --t.eventsPending;
-        if (now != t.cursor) {
-            t.cursor = now;
-            ++t.busyCycles;
-        }
         if (tracer)
             tracer->setActiveTenant(t.id);
-        stepSmEvent(t, static_cast<SmId>(sm), now);
+        noteEvent(t.kernel, now, sm);
+        stepSmEvent(t.kernel, *t.source, static_cast<SmId>(sm), now);
 
-        if (t.kernelActive && t.eventsPending == 0) {
+        if (t.kernelActive && t.kernel.eventsPending == 0) {
             // The tenant's slice went quiet: compute where its kernel
             // actually ends and park it until then.
-            const Cycle fin = computeKernelTail(t);
+            const Cycle fin = kernelTail(t.kernel);
             t.state = State::Draining;
             t.wake = fin;
             wakes.emplace_back(fin, static_cast<std::uint32_t>(t.id));
@@ -340,12 +314,11 @@ GpuSimulator::runTenantSlice(TenantContext &t, Cycle now, Cycle slice_end)
     }
 
     while (t.state == State::Running) {
-        if (!calendar.empty() && calendar.minCycle() < slice_end)
-            processTenantEvents(t, slice_end);
+        drainCalendar(t.kernel, *t.source, slice_end);
         if (!calendar.empty())
             return slice_end; // preempted mid-kernel by the quantum
 
-        const Cycle fin = computeKernelTail(t);
+        const Cycle fin = kernelTail(t.kernel);
         if (fin > slice_end) {
             t.state = State::Draining;
             t.wake = fin;
@@ -357,143 +330,6 @@ GpuSimulator::runTenantSlice(TenantContext &t, Cycle now, Cycle slice_end)
         // Next kernel launched at fin; keep running inside the slice.
     }
     return slice_end;
-}
-
-void
-GpuSimulator::processTenantEvents(TenantContext &t, Cycle limit)
-{
-    while (!calendar.empty() && calendar.minCycle() < limit) {
-        const auto [now, sm] = calendar.popMin();
-        --t.eventsPending;
-        if (now != t.cursor) {
-            if (tracer && t.cursor != invalidCycle && now > t.cursor + 1)
-                tracer->record(smLane, trace::EventKind::CalendarSkip,
-                               now, static_cast<std::uint16_t>(sm),
-                               now - t.cursor - 1);
-            t.cursor = now;
-            ++t.busyCycles;
-        }
-        stepSmEvent(t, static_cast<SmId>(sm), now);
-    }
-}
-
-/**
- * One calendar event for one SM — eventKernelLoop's loop body with the
- * kernel locals living in the tenant context. Any divergence here
- * breaks the single-tenant bit-identity pin.
- */
-void
-GpuSimulator::stepSmEvent(TenantContext &t, SmId sm, Cycle now)
-{
-    SmUnit &u = sms[sm];
-
-    // Retire this SM's completed loads before its window check.
-    while (!u.inflight.empty() && u.inflight.top() <= now) {
-        u.inflight.pop();
-        shm_assert(u.outstanding > 0, "spurious completion");
-        --u.outstanding;
-    }
-
-    if (!u.hasOp) {
-        if (!t.source->next(static_cast<SmId>(sm - t.smLo), u.op)) {
-            u.drained = true;
-            ++t.drained;
-            t.lastDrain = now;
-            return;
-        }
-        u.hasOp = true;
-        u.pa = t.addrMap->toLocal(u.op.addr);
-        // A partitioned tenant's private map yields slice-relative
-        // partition indices; lift them to global ids (partLo is 0 in
-        // time-sliced mode, so this is the legacy math there).
-        u.pa.partition =
-            static_cast<PartitionId>(u.pa.partition + t.partLo);
-        if (u.op.computeInstrs > 0) {
-            Cycle n = u.op.computeInstrs;
-            Cycle avail = t.capEnd - now; // >= 1 by the invariant
-            u.instructions += std::min(n, avail);
-            if (tracer)
-                tracer->record(smLane, trace::EventKind::SmRetire, now,
-                               static_cast<std::uint16_t>(sm),
-                               std::min(n, avail));
-            if (n < avail) {
-                calendar.push(now + n, sm);
-                ++t.eventsPending;
-            }
-            return;
-        }
-        // computeInstrs == 0: the fetch cycle issues the memory op.
-    }
-
-    const mem::PartitionAddr pa = u.pa;
-    Partition &part = *partitions[pa.partition];
-
-    if (u.op.type == mem::AccessType::Read) {
-        if (u.outstanding >= t.window) {
-            Cycle retry =
-                u.inflight.empty() ? t.capEnd : u.inflight.top();
-            u.windowStalls += std::min(retry, t.capEnd) - now;
-            if (retry < t.capEnd) {
-                calendar.push(retry, sm);
-                ++t.eventsPending;
-            }
-            return;
-        }
-        if (tracer)
-            tracer->record(smLane, trace::EventKind::SmIssue, now,
-                           static_cast<std::uint16_t>(sm), u.op.addr);
-        Cycle complete = icnt.serveNow(makeTxn(u.op, pa, sm, now), part);
-        u.inflight.push(complete);
-        t.maxCompletion = std::max(t.maxCompletion, complete);
-        ++u.outstanding;
-    } else {
-        if (tracer)
-            tracer->record(smLane, trace::EventKind::SmIssue, now,
-                           static_cast<std::uint16_t>(sm),
-                           u.op.addr | (1ull << 63));
-        icnt.serveNow(makeTxn(u.op, pa, sm, now), part);
-    }
-    ++u.instructions;
-    u.hasOp = false;
-    if (now + 1 < t.capEnd) {
-        calendar.push(now + 1, sm); // back-to-back issue
-        ++t.eventsPending;
-    }
-}
-
-/**
- * The tenant's calendar went quiet: wind forward to where the kernel
- * actually ends, exactly as eventKernelLoop's epilogue does.
- */
-Cycle
-GpuSimulator::computeKernelTail(TenantContext &t)
-{
-    Cycle final_cycle;
-    bool cap_hit;
-    if (t.drained == t.numSms()) {
-        const Cycle done = std::max(t.lastDrain, t.maxCompletion);
-        cap_hit = done >= t.capEnd;
-        final_cycle = cap_hit ? t.capEnd : done + 1;
-    } else {
-        // Some SM was frozen by the cap mid-compute or mid-stall.
-        cap_hit = true;
-        final_cycle = t.capEnd;
-    }
-    if (cap_hit)
-        ++statCycleCapHits;
-    for (std::uint32_t s = t.smLo; s < t.smHi; ++s) {
-        sms[s].inflight.clear();
-        sms[s].outstanding = 0;
-    }
-
-    const std::uint64_t advanced = final_cycle - t.kernelStart;
-    cyclesSkipped += advanced - t.busyCycles;
-    if (profile::enabled()) {
-        profile::addCount(profile::Counter::KernelCycles, advanced);
-        profile::addCount(profile::Counter::CyclesSkipped,
-                          advanced - t.busyCycles);
-    }
-    return final_cycle;
 }
 
 void
@@ -510,42 +346,20 @@ GpuSimulator::startTenantKernel(TenantContext &t, Cycle at)
                             copy.declaredReadOnly);
 
     t.source = std::make_unique<workload::KernelTrace>(
-        wl, t.bufferBases, t.nextKernel, t.numSms());
-    t.window = kspec.maxOutstanding
-                   ? std::min(kspec.maxOutstanding, gpuConfig.smWindow)
-                   : gpuConfig.smWindow;
+        wl, t.bufferBases, t.nextKernel, t.kernel.numSms());
 
-    t.kernelTraceIdx = static_cast<std::uint64_t>(statKernelsRun.value());
-    if (tracer) {
+    if (tracer)
         tracer->setActiveTenant(t.id);
-        tracer->record(smLane, trace::EventKind::KernelBegin, at, 0,
-                       t.kernelTraceIdx);
-    }
-
+    t.kernelTraceIdx = openKernel(at);
     t.kernelActive = true;
-    t.kernelStart = at;
-    t.capEnd = saturatingAdd(at, gpuConfig.maxCyclesPerKernel);
-    t.maxCompletion = 0;
-    t.lastDrain = at;
-    t.cursor = invalidCycle;
-    t.busyCycles = 0;
-    t.drained = 0;
-    for (std::uint32_t s = t.smLo; s < t.smHi; ++s) {
-        SmUnit &u = sms[s];
-        u.hasOp = false;
-        u.computeLeft = 0;
-        u.drained = false;
-        shm_assert(u.inflight.empty(), "in-flight loads across kernels");
-        calendar.push(at, s);
-        ++t.eventsPending;
-    }
+    beginKernel(t.kernel, at, kernelWindow(kspec));
     ++t.nextKernel;
 }
 
 /**
  * Retire the current kernel at @p at (its precomputed end, or the
  * dispatch cycle of a drain-preempted tenant) and launch the next one
- * — the same boundary sequence as the legacy runKernelLoop.
+ * — the same boundary sequence as a legacy run's forEachKernel.
  */
 void
 GpuSimulator::advanceTenantKernel(TenantContext &t, Cycle at)
@@ -553,17 +367,10 @@ GpuSimulator::advanceTenantKernel(TenantContext &t, Cycle at)
     using State = TenantContext::State;
 
     currentCycle = at;
-    for (PartitionId p = t.partLo; p < t.partHi; ++p)
-        partitions[p]->kernelBoundary(at);
-    ++statKernelsRun;
-    ++t.kernelsRun;
-    if (tracer) {
+    if (tracer)
         tracer->setActiveTenant(t.id);
-        tracer->record(smLane, trace::EventKind::KernelEnd, at, 0,
-                       t.kernelTraceIdx);
-        // Producers are quiescent between kernels: bank everything.
-        tracer->drainAll();
-    }
+    closeKernel(t.kernel.partLo, t.partHi, at, t.kernelTraceIdx);
+    ++t.kernelsRun;
     t.kernelActive = false;
     t.source.reset();
 
@@ -575,7 +382,7 @@ GpuSimulator::advanceTenantKernel(TenantContext &t, Cycle at)
         t.state = State::Finished;
         t.finishCycle = at;
         // Harvest the tenant's SM counters while it still owns them.
-        for (std::uint32_t s = t.smLo; s < t.smHi; ++s) {
+        for (std::uint32_t s = t.kernel.smLo; s < t.kernel.smHi; ++s) {
             t.instructions += sms[s].instructions;
             t.windowStalls += sms[s].windowStalls;
         }
@@ -611,7 +418,7 @@ GpuSimulator::contextSwitchTo(std::uint32_t pick, Cycle now)
             old.savedEvents.emplace_back(at - now, id);
         }
         if (old.kernelActive)
-            old.capLeft = old.capEnd - now; // capEnd > now invariant
+            old.capLeft = old.kernel.capEnd - now; // capEnd > now
     }
 
     TenantContext &t = tenants[pick];
@@ -621,7 +428,7 @@ GpuSimulator::contextSwitchTo(std::uint32_t pick, Cycle now)
         calendar.push(saturatingAdd(now, delta), id);
     t.savedEvents.clear();
     if (t.kernelActive)
-        t.capEnd = saturatingAdd(now, t.capLeft);
+        t.kernel.capEnd = saturatingAdd(now, t.capLeft);
 
     activeTenant = static_cast<int>(pick);
     ++t.dispatches;
@@ -634,7 +441,7 @@ GpuSimulator::contextSwitchTo(std::uint32_t pick, Cycle now)
     // the detector's region bits, and the InputReadOnlyReset path is
     // what re-establishes cheap RO treatment without re-encryption.
     for (const auto &r : t.armedRanges)
-        for (PartitionId p = t.partLo; p < t.partHi; ++p)
+        for (PartitionId p = t.kernel.partLo; p < t.partHi; ++p)
             partitions[p]->hostCopy(r.lo, r.len, r.declared);
 
     // Oracle schemes (SHM_upper_bound): the switch-out flush also
@@ -642,7 +449,7 @@ GpuSimulator::contextSwitchTo(std::uint32_t pick, Cycle now)
     // tenant's partitions — command-processor work, free like the
     // re-arm above.
     if (primedProfile)
-        for (PartitionId p = t.partLo; p < t.partHi; ++p)
+        for (PartitionId p = t.kernel.partLo; p < t.partHi; ++p)
             partitions[p]->mee().primeFromProfile(*primedProfile);
 }
 
@@ -664,7 +471,7 @@ GpuSimulator::applyTenantHostCopy(TenantContext &t, Addr base,
         divCeil(base + bytes, stride) * gpuConfig.interleaveBytes;
     hi = std::min<LocalAddr>(hi, gpuConfig.protectedBytesPerPartition);
     lo = std::min(lo, hi);
-    for (PartitionId p = t.partLo; p < t.partHi; ++p)
+    for (PartitionId p = t.kernel.partLo; p < t.partHi; ++p)
         partitions[p]->hostCopy(lo, hi - lo, declared_read_only);
 
     if (scenario->policy == workload::SharePolicy::TimeSliced &&
@@ -711,7 +518,7 @@ GpuSimulator::gatherScenarioMetrics() const
                             static_cast<double>(span)
                       : 0;
 
-        for (PartitionId p = t.partLo; p < t.partHi; ++p) {
+        for (PartitionId p = t.kernel.partLo; p < t.partHi; ++p) {
             const mee::TenantMeeTally &tally =
                 partitions[p]->mee().tenantTally(t.id);
             tm.memReads += tally.reads;

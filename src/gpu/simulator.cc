@@ -1,7 +1,6 @@
 #include "gpu/simulator.hh"
 
 #include <algorithm>
-#include <thread>
 
 #include "common/bitops.hh"
 #include "common/logging.hh"
@@ -19,35 +18,6 @@ makeIcntParams(const GpuParams &gp)
     InterconnectParams p = gp.icnt;
     p.latency = gp.icntLatency;
     return p;
-}
-
-/** Package one SM memory op as an explicit transaction message. */
-mem::Transaction
-makeTxn(const workload::TraceOp &op, const mem::PartitionAddr &pa,
-        SmId sm, Cycle now)
-{
-    return {.phys = op.addr,
-            .local = pa.local,
-            .issue = now,
-            .partition = pa.partition,
-            .sm = sm,
-            .bytes = op.bytes,
-            .type = op.type,
-            .space = op.space};
-}
-
-/**
- * Scenario runs use the serial context/stream engine: one simulation
- * thread multiplexes tenant contexts, so the shard engine is clamped
- * off (results are then trivially identical for every --shards value)
- * and the per-cycle reference loop does not apply.
- */
-GpuParams
-clampForScenario(GpuParams gp)
-{
-    gp.shards = 1;
-    gp.referenceKernelLoop = false;
-    return gp;
 }
 
 } // namespace
@@ -85,7 +55,7 @@ GpuSimulator::GpuSimulator(const GpuParams &gpu_params,
 GpuSimulator::GpuSimulator(const GpuParams &gpu_params,
                            const mee::MeeParams &mee_params,
                            const workload::ScenarioSpec &scenario_spec)
-    : gpuConfig(clampForScenario(gpu_params)), meeConfig(mee_params),
+    : gpuConfig(gpu_params), meeConfig(mee_params),
       scenario(&scenario_spec),
       map(gpu_params.numPartitions, gpu_params.interleaveBytes),
       icnt(makeIcntParams(gpu_params), gpu_params.numPartitions)
@@ -141,56 +111,10 @@ GpuSimulator::init()
     }
 
     sms.resize(gpuConfig.numSms);
-    // Worst case every SM fills its load window.
-    completions.reserve(static_cast<std::size_t>(gpuConfig.numSms) *
-                        gpuConfig.smWindow);
     for (auto &u : sms)
         u.inflight.reserve(gpuConfig.smWindow);
     calendar = CalendarQueue(gpuConfig.numSms);
     calendar.reserve(gpuConfig.numSms); // each SM has at most one event
-
-    // Shard engine. The epoch length is the minimum SM->partition->SM
-    // feedback distance: a request serializes for >= 1 cycle and
-    // traverses the crossbar each way, and even an L2 hit pays
-    // l2HitLatency, so a read issued at cycle c completes no earlier
-    // than c + 2*(icntLatency+1) + l2HitLatency. Epochs never exceed
-    // that distance, which is what lets barriers defer completion
-    // delivery without any SM noticing.
-    epochLength = 2 * (gpuConfig.icntLatency + 1) + gpuConfig.l2HitLatency;
-    // Partitions are independent domains unless the MEE routes
-    // metadata by physical address (secure Naive/CommonCtr), which
-    // crosses partitions and shares one CommonCounterTable — then
-    // everything collapses into a single domain and sharding cannot
-    // help, so the serial engine runs instead (bit-identical either
-    // way; the speedup exists exactly where the paper's PSSM
-    // decomposition applies).
-    const bool coupled =
-        meeConfig.secure && !meeConfig.localMetadataAddressing;
-    const std::uint32_t num_domains =
-        coupled ? 1u : gpuConfig.numPartitions;
-    effectiveShards = std::min(gpuConfig.shards > 0 ? gpuConfig.shards : 1,
-                               num_domains);
-    if (gpuConfig.referenceKernelLoop)
-        effectiveShards = 1;
-    if (effectiveShards > 1) {
-        std::vector<Partition *> parts;
-        parts.reserve(partitions.size());
-        for (auto &p : partitions)
-            parts.push_back(p.get());
-        std::vector<std::uint32_t> domain_of(gpuConfig.numPartitions);
-        for (PartitionId p = 0; p < gpuConfig.numPartitions; ++p)
-            domain_of[p] = coupled ? 0 : p;
-        // An SM submits at most one transaction per cycle, so one
-        // epoch bounds each domain's inbox depth.
-        std::size_t ring_cap =
-            static_cast<std::size_t>(gpuConfig.numSms) * epochLength + 1;
-        icnt.buildTransactionLayer(std::move(parts), std::move(domain_of),
-                                   num_domains, ring_cap);
-        shardPool = std::make_unique<ShardPool>(
-            effectiveShards, num_domains,
-            [this](std::uint32_t d) { icnt.drainDomain(d); },
-            gpuConfig.shardSpin);
-    }
 
     rootStats.attach(nullptr, "sim");
     rootStats.addScalar("cycles", &statCycles, "simulated cycles");
@@ -211,6 +135,20 @@ GpuSimulator::init()
 
 GpuSimulator::~GpuSimulator() = default;
 
+mem::Transaction
+GpuSimulator::makeTxn(const workload::TraceOp &op,
+                      const mem::PartitionAddr &pa, SmId sm, Cycle now)
+{
+    return {.phys = op.addr,
+            .local = pa.local,
+            .issue = now,
+            .partition = pa.partition,
+            .sm = sm,
+            .bytes = op.bytes,
+            .type = op.type,
+            .space = op.space};
+}
+
 void
 GpuSimulator::attachTracer(trace::Tracer *t)
 {
@@ -221,12 +159,8 @@ GpuSimulator::attachTracer(trace::Tracer *t)
                    "tracer has {} lanes, simulator needs {} (one per "
                    "partition plus the SM scheduler lane)",
                    tracer->numLanes(), gpuConfig.numPartitions + 1);
-        for (PartitionId p = 0; p < gpuConfig.numPartitions; ++p) {
+        for (PartitionId p = 0; p < gpuConfig.numPartitions; ++p)
             tracer->setLaneName(p, "partition " + std::to_string(p));
-            // The sharded engine's workers produce on partition lanes;
-            // the sim thread drains them at epoch barriers only.
-            tracer->setLaneShared(p, effectiveShards > 1);
-        }
         tracer->setLaneName(smLane, "sm scheduler");
     }
     icnt.setTracer(tracer, smLane);
@@ -290,79 +224,38 @@ GpuSimulator::applyHostCopyRange(Addr base, std::uint64_t bytes,
         p->hostCopy(lo, hi - lo, declared_read_only);
 }
 
-template <typename Source>
-void
-GpuSimulator::tickSm(SmId sm, Source &source, Cycle now)
+std::uint32_t
+GpuSimulator::kernelWindow(const workload::KernelSpec &kspec) const
 {
-    SmUnit &u = sms[sm];
-    if (u.drained)
-        return;
-
-    if (!u.hasOp) {
-        if (!source.next(sm, u.op)) {
-            u.drained = true;
-            ++drainedCount;
-            return;
-        }
-        u.hasOp = true;
-        u.computeLeft = u.op.computeInstrs;
-        u.pa = map.toLocal(u.op.addr);
-    }
-
-    if (u.computeLeft > 0) {
-        --u.computeLeft;
-        ++u.instructions;
-        return;
-    }
-
-    const mem::PartitionAddr pa = u.pa;
-    Partition &part = *partitions[pa.partition];
-
-    if (u.op.type == mem::AccessType::Read) {
-        if (u.outstanding >= currentWindow) {
-            ++u.windowStalls;
-            return; // retry next cycle
-        }
-        completions.emplace(icnt.serveNow(makeTxn(u.op, pa, sm, now),
-                                          part),
-                            sm);
-        ++u.outstanding;
-    } else {
-        icnt.serveNow(makeTxn(u.op, pa, sm, now), part);
-    }
-    ++u.instructions;
-    u.hasOp = false;
+    return kspec.maxOutstanding
+               ? std::min(kspec.maxOutstanding, gpuConfig.smWindow)
+               : gpuConfig.smWindow;
 }
 
-template <typename Source>
-void
-GpuSimulator::runKernelLoop(Source &source, std::uint32_t window)
+std::uint64_t
+GpuSimulator::openKernel(Cycle at)
 {
-    const std::uint64_t kernel_idx =
+    const auto kernel_idx =
         static_cast<std::uint64_t>(statKernelsRun.value());
     if (tracer)
-        tracer->record(smLane, trace::EventKind::KernelBegin,
-                       currentCycle, 0, kernel_idx);
-
-    if (gpuConfig.referenceKernelLoop)
-        referenceKernelLoop(source, window);
-    else if (effectiveShards > 1)
-        shardedKernelLoop(source, window);
-    else
-        eventKernelLoop(source, window);
-
-    for (auto &p : partitions)
-        p->kernelBoundary(currentCycle);
-    ++statKernelsRun;
-    if (tracer) {
-        tracer->record(smLane, trace::EventKind::KernelEnd, currentCycle,
-                       0, kernel_idx);
-        // Producers are quiescent between kernels: bank everything.
-        tracer->drainAll();
-    }
+        tracer->record(smLane, trace::EventKind::KernelBegin, at, 0,
+                       kernel_idx);
+    return kernel_idx;
 }
 
-/**
+void
+GpuSimulator::closeKernel(PartitionId lo, PartitionId hi, Cycle at,
+                          std::uint64_t kernel_idx)
+{
+    for (PartitionId p = lo; p < hi; ++p)
+        partitions[p]->kernelBoundary(at);
+    ++statKernelsRun;
+    if (tracer)
+        tracer->record(smLane, trace::EventKind::KernelEnd, at, 0,
+                       kernel_idx);
+}
+
+/*
  * The event-driven kernel engine.
  *
  * Nothing in the model needs densely enumerated cycles — the memory
@@ -374,502 +267,224 @@ GpuSimulator::runKernelLoop(Source &source, std::uint32_t window)
  *   - op fetch at cycle c with N compute instructions retires the
  *     whole batch at once and schedules the memory issue at c + N;
  *   - a window-stalled read schedules its retry at the SM's earliest
- *     in-flight completion cycle (the only cycle the per-cycle loop's
+ *     in-flight completion cycle (the only cycle a per-cycle loop's
  *     one-stall-per-cycle retry could succeed at);
  *   - an issued memory op schedules the next fetch at c + 1
- *     (back-to-back issue, as before).
+ *     (back-to-back issue).
  *
- * Bit-identical to referenceKernelLoop by construction: the calendar
- * pops events in (cycle, SM-id) order — the reference loop's SM
+ * This is bit-identical to ticking every SM every cycle: the calendar
+ * pops events in (cycle, SM-id) order — a per-cycle loop's SM
  * iteration order — every icnt/partition call receives the same `now`
  * it would have received there, and completions retire before the
  * owning SM's window check (retirement has no cross-SM effect, so
- * per-SM lazy retirement is equivalent to the reference loop's global
- * retire-before-issue phase). tests/test_kernel_loop_diff.cc holds
- * the two engines equal on randomized workloads.
+ * per-SM lazy retirement is equivalent to a global retire-before-issue
+ * phase). tests/test_kernel_loop_diff.cc holds the engine equal to the
+ * per-cycle oracle in tests/reference_kernel_loop.hh on randomized
+ * workloads.
  */
+
+void
+GpuSimulator::beginKernel(KernelContext &k, Cycle at, std::uint32_t window)
+{
+    k.window = window;
+    k.kernelStart = at;
+    k.capEnd = saturatingAdd(at, gpuConfig.maxCyclesPerKernel);
+    k.maxCompletion = 0;
+    k.lastDrain = at;
+    k.cursor = invalidCycle;
+    k.busyCycles = 0;
+    k.drained = 0;
+    for (std::uint32_t s = k.smLo; s < k.smHi; ++s) {
+        SmUnit &u = sms[s];
+        u.hasOp = false;
+        shm_assert(u.inflight.empty(), "in-flight loads across kernels");
+        calendar.push(at, s);
+        ++k.eventsPending;
+    }
+}
+
+void
+GpuSimulator::noteEvent(KernelContext &k, Cycle now, std::uint32_t sm)
+{
+    --k.eventsPending;
+    if (now == k.cursor)
+        return;
+    if (tracer && k.cursor != invalidCycle && now > k.cursor + 1)
+        tracer->record(smLane, trace::EventKind::CalendarSkip, now,
+                       static_cast<std::uint16_t>(sm), now - k.cursor - 1);
+    k.cursor = now;
+    ++k.busyCycles;
+}
+
 template <typename Source>
 void
-GpuSimulator::eventKernelLoop(Source &source, std::uint32_t window)
+GpuSimulator::stepSmEvent(KernelContext &k, Source &source, SmId sm,
+                          Cycle now)
 {
-    profile::ScopedTimer timer(profile::Phase::KernelLoop);
+    SmUnit &u = sms[sm];
 
-    currentWindow = window;
-    const Cycle kernel_start = currentCycle;
-    // Saturate so a huge cycle budget cannot wrap the cap.
-    const Cycle cap_end =
-        gpuConfig.maxCyclesPerKernel > invalidCycle - kernel_start
-            ? invalidCycle
-            : kernel_start + gpuConfig.maxCyclesPerKernel;
-
-    calendar.clear(kernel_start);
-    for (auto &u : sms) {
-        u.hasOp = false;
-        u.computeLeft = 0;
-        u.drained = false;
-        shm_assert(u.inflight.empty(), "in-flight loads across kernels");
+    // Retire this SM's completed loads before its window check.
+    while (!u.inflight.empty() && u.inflight.top() <= now) {
+        u.inflight.pop();
+        shm_assert(u.outstanding > 0, "spurious completion");
+        --u.outstanding;
     }
-    for (SmId sm = 0; sm < gpuConfig.numSms; ++sm)
-        calendar.push(kernel_start, sm);
-    drainedCount = 0;
 
-    std::uint64_t outstanding_total = 0;
-    Cycle max_completion = 0;    //!< latest load completion ever pushed
-    Cycle last_drain = kernel_start;
-    Cycle cursor = invalidCycle; //!< cycle of the last processed event
-    std::uint64_t busy_cycles = 0;
-
-    // Only events strictly before the cap are ever scheduled, so the
-    // calendar draining means every SM is drained or frozen by the cap.
-    while (!calendar.empty()) {
-        auto [now, sm] = calendar.popMin();
-        if (now != cursor) { // events < cap_end <= invalidCycle
-            if (tracer && cursor != invalidCycle && now > cursor + 1)
-                tracer->record(smLane, trace::EventKind::CalendarSkip,
-                               now, static_cast<std::uint16_t>(sm),
-                               now - cursor - 1);
-            cursor = now;
-            ++busy_cycles;
+    if (!u.hasOp) {
+        if (!source.next(static_cast<SmId>(sm - k.smLo), u.op)) {
+            ++k.drained;
+            k.lastDrain = now;
+            return;
         }
-        SmUnit &u = sms[sm];
-
-        // Retire this SM's completed loads before its window check;
-        // the reference loop retires all completions <= now before
-        // ticking any SM, and retirement only touches the owner.
-        while (!u.inflight.empty() && u.inflight.top() <= now) {
-            u.inflight.pop();
-            shm_assert(u.outstanding > 0, "spurious completion");
-            --u.outstanding;
-            --outstanding_total;
-        }
-
-        if (!u.hasOp) {
-            if (!source.next(sm, u.op)) {
-                u.drained = true;
-                ++drainedCount;
-                last_drain = now;
-                continue;
-            }
-            u.hasOp = true;
-            u.pa = map.toLocal(u.op.addr);
-            if (u.op.computeInstrs > 0) {
-                // The reference loop retires one compute instruction
-                // per cycle over [now, now + N); batch them, clamped
-                // to the cycles that exist before the cap.
-                Cycle n = u.op.computeInstrs;
-                Cycle avail = cap_end - now; // >= 1 by the invariant
-                u.instructions += std::min(n, avail);
-                if (tracer)
-                    tracer->record(smLane, trace::EventKind::SmRetire,
-                                   now, static_cast<std::uint16_t>(sm),
-                                   std::min(n, avail));
-                if (n < avail)
-                    calendar.push(now + n, sm);
-                continue;
-            }
-            // computeInstrs == 0: the fetch cycle issues the memory op.
-        }
-
-        const mem::PartitionAddr pa = u.pa;
-        Partition &part = *partitions[pa.partition];
-
-        if (u.op.type == mem::AccessType::Read) {
-            if (u.outstanding >= currentWindow) {
-                // Window full: the reference loop burns one stall per
-                // cycle until this SM's earliest completion retires
-                // (nothing else shrinks its window). A zero window
-                // never unstalls — it spins to the cap.
-                Cycle retry = u.inflight.empty() ? cap_end
-                                                 : u.inflight.top();
-                u.windowStalls += std::min(retry, cap_end) - now;
-                if (retry < cap_end)
-                    calendar.push(retry, sm);
-                continue;
-            }
+        u.hasOp = true;
+        u.pa = k.addrMap->toLocal(u.op.addr);
+        // A partitioned tenant's private map yields slice-relative
+        // partition indices; lift them to global ids.
+        u.pa.partition = static_cast<PartitionId>(u.pa.partition + k.partLo);
+        if (u.op.computeInstrs > 0) {
+            // One compute instruction retires per cycle over
+            // [now, now + N); batch them, clamped to the cycles that
+            // exist before the cap.
+            Cycle n = u.op.computeInstrs;
+            Cycle avail = k.capEnd - now; // >= 1 by the invariant
+            u.instructions += std::min(n, avail);
             if (tracer)
-                tracer->record(smLane, trace::EventKind::SmIssue, now,
-                               static_cast<std::uint16_t>(sm), u.op.addr);
-            Cycle complete =
-                icnt.serveNow(makeTxn(u.op, pa, sm, now), part);
-            u.inflight.push(complete);
-            max_completion = std::max(max_completion, complete);
-            ++u.outstanding;
-            ++outstanding_total;
-        } else {
-            if (tracer)
-                tracer->record(smLane, trace::EventKind::SmIssue, now,
+                tracer->record(smLane, trace::EventKind::SmRetire, now,
                                static_cast<std::uint16_t>(sm),
-                               u.op.addr | (1ull << 63));
-            icnt.serveNow(makeTxn(u.op, pa, sm, now), part);
+                               std::min(n, avail));
+            if (n < avail) {
+                calendar.push(now + n, sm);
+                ++k.eventsPending;
+            }
+            return;
         }
-        ++u.instructions;
-        u.hasOp = false;
-        if (now + 1 < cap_end)
-            calendar.push(now + 1, sm); // back-to-back issue
+        // computeInstrs == 0: the fetch cycle issues the memory op.
     }
 
-    // Wind the clock to where the reference loop would have stopped:
-    // one past the last event if everything drained and landed before
-    // the cap, the cap itself (with the cap-hit bookkeeping) if not.
+    const mem::PartitionAddr pa = u.pa;
+    Partition &part = *partitions[pa.partition];
+
+    if (u.op.type == mem::AccessType::Read) {
+        if (u.outstanding >= k.window) {
+            // Window full: a per-cycle loop burns one stall per cycle
+            // until this SM's earliest completion retires (nothing
+            // else shrinks its window). A zero window never unstalls —
+            // it spins to the cap.
+            Cycle retry = u.inflight.empty() ? k.capEnd : u.inflight.top();
+            u.windowStalls += std::min(retry, k.capEnd) - now;
+            if (retry < k.capEnd) {
+                calendar.push(retry, sm);
+                ++k.eventsPending;
+            }
+            return;
+        }
+        if (tracer)
+            tracer->record(smLane, trace::EventKind::SmIssue, now,
+                           static_cast<std::uint16_t>(sm), u.op.addr);
+        Cycle complete = icnt.serveNow(makeTxn(u.op, pa, sm, now), part);
+        u.inflight.push(complete);
+        k.maxCompletion = std::max(k.maxCompletion, complete);
+        ++u.outstanding;
+    } else {
+        if (tracer)
+            tracer->record(smLane, trace::EventKind::SmIssue, now,
+                           static_cast<std::uint16_t>(sm),
+                           u.op.addr | (1ull << 63));
+        icnt.serveNow(makeTxn(u.op, pa, sm, now), part);
+    }
+    ++u.instructions;
+    u.hasOp = false;
+    if (now + 1 < k.capEnd) {
+        calendar.push(now + 1, sm); // back-to-back issue
+        ++k.eventsPending;
+    }
+}
+
+template <typename Source>
+void
+GpuSimulator::drainCalendar(KernelContext &k, Source &source, Cycle limit)
+{
+    while (!calendar.empty() && calendar.minCycle() < limit) {
+        const auto [now, sm] = calendar.popMin();
+        noteEvent(k, now, sm);
+        stepSmEvent(k, source, static_cast<SmId>(sm), now);
+    }
+}
+
+template void GpuSimulator::stepSmEvent(KernelContext &,
+                                        workload::KernelTrace &, SmId,
+                                        Cycle);
+template void GpuSimulator::drainCalendar(KernelContext &,
+                                          workload::KernelTrace &, Cycle);
+
+Cycle
+GpuSimulator::kernelTail(KernelContext &k)
+{
+    // Wind the clock to where a per-cycle loop would have stopped: one
+    // past the last event if everything drained and landed before the
+    // cap, the cap itself (with the cap-hit bookkeeping) if not.
     Cycle final_cycle;
     bool cap_hit;
-    if (drainedCount == gpuConfig.numSms) {
-        Cycle done = std::max(last_drain, max_completion);
-        cap_hit = done >= cap_end;
-        final_cycle = cap_hit ? cap_end : done + 1;
+    if (k.drained == k.numSms()) {
+        const Cycle done = std::max(k.lastDrain, k.maxCompletion);
+        cap_hit = done >= k.capEnd;
+        final_cycle = cap_hit ? k.capEnd : done + 1;
     } else {
         // Some SM was frozen by the cap mid-compute or mid-stall.
         cap_hit = true;
-        final_cycle = cap_end;
+        final_cycle = k.capEnd;
     }
     if (cap_hit)
         ++statCycleCapHits;
-    // Drain the bookkeeping. On a cap hit the outstanding loads are
-    // abandoned (as in the reference loop); on a normal exit every
-    // completion is <= final_cycle but was never lazily popped if its
-    // SM drained first — either way the heaps end the kernel empty.
-    for (auto &u : sms) {
-        u.inflight.clear();
-        u.outstanding = 0;
+    // On a cap hit the outstanding loads are abandoned; on a normal
+    // exit every completion is <= final_cycle but was never lazily
+    // popped if its SM drained first — either way the heaps end the
+    // kernel empty.
+    for (std::uint32_t s = k.smLo; s < k.smHi; ++s) {
+        sms[s].inflight.clear();
+        sms[s].outstanding = 0;
     }
-    outstanding_total = 0;
-    currentCycle = final_cycle;
 
-    std::uint64_t advanced = final_cycle - kernel_start;
-    cyclesSkipped += advanced - busy_cycles;
+    const std::uint64_t advanced = final_cycle - k.kernelStart;
+    cyclesSkipped += advanced - k.busyCycles;
     if (profile::enabled()) {
         profile::addCount(profile::Counter::KernelCycles, advanced);
         profile::addCount(profile::Counter::CyclesSkipped,
-                          advanced - busy_cycles);
+                          advanced - k.busyCycles);
     }
-}
-
-/**
- * The sharded kernel engine: eventKernelLoop cut into epochs no longer
- * than the minimum SM->partition->SM round trip (epochLength).
- *
- * Inside an epoch the SM loop runs exactly the event engine's event
- * sequence, but memory ops become transactions in the domains'
- * inboxes instead of synchronous partition calls. At the epoch
- * barrier the ShardPool drains every domain — each domain's inbox is
- * its partitions' serial call sequence in the serial order, replayed
- * with the recorded issue cycles against partition-confined state, so
- * the arithmetic is bit-identical — and the replies come home before
- * any SM could need them: a read issued inside the epoch completes at
- * or after the epoch's end by the round-trip bound.
- *
- * The one place the serial engine peeks at a completion mid-epoch is
- * a window-stalled SM's retry cycle (its earliest in-flight
- * completion). If a delivered completion earlier than the epoch limit
- * exists it is authoritative (undelivered ones land at or after the
- * limit); otherwise the SM parks and the barrier resolves the retry
- * with the serial loop's exact stall accounting, charged from the
- * original stall cycle.
- */
-template <typename Source>
-void
-GpuSimulator::shardedKernelLoop(Source &source, std::uint32_t window)
-{
-    profile::ScopedTimer timer(profile::Phase::KernelLoop);
-
-    currentWindow = window;
-    const Cycle kernel_start = currentCycle;
-    const Cycle cap_end =
-        gpuConfig.maxCyclesPerKernel > invalidCycle - kernel_start
-            ? invalidCycle
-            : kernel_start + gpuConfig.maxCyclesPerKernel;
-
-    calendar.clear(kernel_start);
-    for (auto &u : sms) {
-        u.hasOp = false;
-        u.computeLeft = 0;
-        u.drained = false;
-        shm_assert(u.inflight.empty(), "in-flight loads across kernels");
-    }
-    for (SmId sm = 0; sm < gpuConfig.numSms; ++sm)
-        calendar.push(kernel_start, sm);
-    drainedCount = 0;
-    parked.clear();
-    pendingTxns = 0;
-
-    Cycle max_completion = 0;
-    Cycle last_drain = kernel_start;
-    Cycle cursor = invalidCycle;
-    std::uint64_t busy_cycles = 0;
-    Cycle epoch_base = kernel_start;
-
-    while (!calendar.empty() || pendingTxns > 0 || !parked.empty()) {
-        const Cycle epoch_lim =
-            epochLength > cap_end - epoch_base ? cap_end
-                                               : epoch_base + epochLength;
-
-        while (!calendar.empty() && calendar.minCycle() < epoch_lim) {
-            auto [now, sm] = calendar.popMin();
-            if (now != cursor) {
-                if (tracer && cursor != invalidCycle && now > cursor + 1)
-                    tracer->record(smLane, trace::EventKind::CalendarSkip,
-                                   now, static_cast<std::uint16_t>(sm),
-                                   now - cursor - 1);
-                cursor = now;
-                ++busy_cycles;
-            }
-            SmUnit &u = sms[sm];
-
-            while (!u.inflight.empty() && u.inflight.top() <= now) {
-                u.inflight.pop();
-                shm_assert(u.outstanding > 0, "spurious completion");
-                --u.outstanding;
-            }
-
-            if (!u.hasOp) {
-                if (!source.next(sm, u.op)) {
-                    u.drained = true;
-                    ++drainedCount;
-                    last_drain = now;
-                    continue;
-                }
-                u.hasOp = true;
-                u.pa = map.toLocal(u.op.addr);
-                if (u.op.computeInstrs > 0) {
-                    Cycle n = u.op.computeInstrs;
-                    Cycle avail = cap_end - now;
-                    u.instructions += std::min(n, avail);
-                    if (tracer)
-                        tracer->record(smLane, trace::EventKind::SmRetire,
-                                       now,
-                                       static_cast<std::uint16_t>(sm),
-                                       std::min(n, avail));
-                    if (n < avail)
-                        calendar.push(now + n, sm);
-                    continue;
-                }
-            }
-
-            const mem::PartitionAddr pa = u.pa;
-
-            if (u.op.type == mem::AccessType::Read) {
-                if (u.outstanding >= currentWindow) {
-                    if (!u.inflight.empty() &&
-                        u.inflight.top() < epoch_lim) {
-                        // Delivered and earlier than anything still in
-                        // flight: the serial retry cycle.
-                        Cycle retry = u.inflight.top();
-                        u.windowStalls += retry - now;
-                        calendar.push(retry, sm);
-                    } else {
-                        parked.push_back({sm, now});
-                    }
-                    continue;
-                }
-                if (tracer)
-                    tracer->record(smLane, trace::EventKind::SmIssue, now,
-                                   static_cast<std::uint16_t>(sm),
-                                   u.op.addr);
-                icnt.stageSubmit(makeTxn(u.op, pa, sm, now));
-                ++pendingTxns;
-                ++u.outstanding;
-            } else {
-                if (tracer)
-                    tracer->record(smLane, trace::EventKind::SmIssue, now,
-                                   static_cast<std::uint16_t>(sm),
-                                   u.op.addr | (1ull << 63));
-                icnt.stageSubmit(makeTxn(u.op, pa, sm, now));
-                ++pendingTxns;
-            }
-            ++u.instructions;
-            u.hasOp = false;
-            if (now + 1 < cap_end)
-                calendar.push(now + 1, sm); // back-to-back issue
-        }
-
-        // Epoch barrier: every domain drains its inbox (on the pool's
-        // workers), then replies and the domain-private crossbar stats
-        // merge back in ascending domain order.
-        if (pendingTxns > 0) {
-            icnt.flushStaged();
-            shardPool->runEpoch();
-            // The domain-private crossbar stat shadows are NOT merged
-            // here: they are four integer-valued counts per domain, so
-            // letting them accumulate across epochs and summing once
-            // at kernel teardown produces the same bits while taking
-            // the merge walk off the per-epoch barrier path.
-            icnt.forEachReply([&](const mem::TxnReply &r) {
-                sms[r.sm].inflight.push(r.complete);
-                max_completion = std::max(max_completion, r.complete);
-            });
-            if (tracer) {
-                tracer->record(smLane, trace::EventKind::EpochBarrier,
-                               epoch_lim, 0, pendingTxns);
-                // The workers are quiescent until the next runEpoch()
-                // (the barrier's release/acquire edges order their ring
-                // writes before this drain), so the shared partition
-                // lanes can be emptied here — bounding drops to one
-                // epoch's worth of events per lane.
-                tracer->drainAll();
-            }
-            pendingTxns = 0;
-        }
-        // Parked SMs now see every in-flight completion; resolve their
-        // retries exactly as the serial stall path would have.
-        for (const ParkedSm &pk : parked) {
-            SmUnit &u = sms[pk.sm];
-            Cycle retry =
-                u.inflight.empty() ? cap_end : u.inflight.top();
-            u.windowStalls += std::min(retry, cap_end) - pk.stallCycle;
-            if (retry < cap_end)
-                calendar.push(retry, pk.sm);
-        }
-        parked.clear();
-
-        if (!calendar.empty())
-            epoch_base = std::max(epoch_lim, calendar.minCycle());
-    }
-
-    // Identical tail to eventKernelLoop: wind the clock to where the
-    // reference loop would have stopped. The loop above only exits
-    // after a barrier with nothing pending, so max_completion covers
-    // every reply.
-    Cycle final_cycle;
-    bool cap_hit;
-    if (drainedCount == gpuConfig.numSms) {
-        Cycle done = std::max(last_drain, max_completion);
-        cap_hit = done >= cap_end;
-        final_cycle = cap_hit ? cap_end : done + 1;
-    } else {
-        cap_hit = true;
-        final_cycle = cap_end;
-    }
-    if (cap_hit)
-        ++statCycleCapHits;
-    for (auto &u : sms) {
-        u.inflight.clear();
-        u.outstanding = 0;
-    }
-    currentCycle = final_cycle;
-
-    // Kernel teardown: fold the accumulated per-domain stat shadows
-    // into the global counters, overlapped with the trace-lane export
-    // when a tracer is attached. The two touch disjoint data (domain
-    // StatGroups vs the SPSC ring lanes) and the pool workers are
-    // quiescent after the final barrier, so running them concurrently
-    // is race-free; the sum itself is order-independent (integer
-    // counts), keeping results bit-identical to the serial merge.
-    if (tracer) {
-        std::thread merger([this] { icnt.mergeShardStats(); });
-        tracer->drainAll();
-        merger.join();
-    } else {
-        icnt.mergeShardStats();
-    }
-
-    std::uint64_t advanced = final_cycle - kernel_start;
-    cyclesSkipped += advanced - busy_cycles;
-    if (profile::enabled()) {
-        profile::addCount(profile::Counter::KernelCycles, advanced);
-        profile::addCount(profile::Counter::CyclesSkipped,
-                          advanced - busy_cycles);
-    }
+    return final_cycle;
 }
 
 template <typename Source>
 void
-GpuSimulator::referenceKernelLoop(Source &source, std::uint32_t window)
+GpuSimulator::runKernel(Source &source, std::uint32_t window)
 {
     profile::ScopedTimer timer(profile::Phase::KernelLoop);
 
-    currentWindow = window;
-    for (auto &u : sms) {
-        u.hasOp = false;
-        u.computeLeft = 0;
-        u.drained = false;
-    }
-    drainedCount = 0;
-
-    Cycle kernel_start = currentCycle;
-    std::uint64_t outstanding_total = 0;
-
-    while (true) {
-        // Retire completed loads first so their SMs can issue again.
-        while (!completions.empty() &&
-               completions.top().first <= currentCycle) {
-            SmId sm = completions.top().second;
-            completions.pop();
-            shm_assert(sms[sm].outstanding > 0, "spurious completion");
-            --sms[sm].outstanding;
-            --outstanding_total;
-        }
-
-        for (SmId sm = 0; sm < gpuConfig.numSms; ++sm) {
-            if (sms[sm].drained)
-                continue; // nothing left to issue; outstanding unchanged
-            std::uint32_t prev = sms[sm].outstanding;
-            tickSm(sm, source, currentCycle);
-            outstanding_total += sms[sm].outstanding - prev;
-        }
-
-        // All SMs drained but loads are still in flight: every cycle
-        // until the next completion (or the cycle cap) is a no-op, so
-        // jump straight to it. Identical outcome, fewer iterations.
-        if (drainedCount == gpuConfig.numSms && outstanding_total > 0 &&
-            !completions.empty()) {
-            Cycle target =
-                std::min(completions.top().first,
-                         kernel_start + gpuConfig.maxCyclesPerKernel);
-            if (target > currentCycle + 1)
-                currentCycle = target - 1;
-        }
-
-        ++currentCycle;
-
-        if (drainedCount == gpuConfig.numSms && outstanding_total == 0)
-            break;
-        if (currentCycle - kernel_start >= gpuConfig.maxCyclesPerKernel) {
-            ++statCycleCapHits;
-            // Drain the bookkeeping: outstanding loads are abandoned.
-            completions.clear();
-            for (auto &u : sms)
-                u.outstanding = 0;
-            break;
-        }
-    }
-}
-
-void
-GpuSimulator::runKernel(std::uint32_t kernel_idx)
-{
-    workload::KernelTrace source(*spec, bufferBases, kernel_idx,
-                                 gpuConfig.numSms);
-    const auto &kspec = spec->kernels[kernel_idx];
-    std::uint32_t window = kspec.maxOutstanding
-                               ? std::min(kspec.maxOutstanding,
-                                          gpuConfig.smWindow)
-                               : gpuConfig.smWindow;
-    runKernelLoop(source, window);
+    KernelContext k{.smLo = 0,
+                    .smHi = gpuConfig.numSms,
+                    .partLo = 0,
+                    .addrMap = &map};
+    calendar.clear(currentCycle);
+    beginKernel(k, currentCycle, window);
+    // Only events strictly before the cap are ever scheduled, so the
+    // calendar draining means every SM is drained or frozen by the cap.
+    drainCalendar(k, source, invalidCycle);
+    currentCycle = kernelTail(k);
 }
 
 RunMetrics
 GpuSimulator::run()
 {
-    if (trace) {
-        for (std::uint32_t k = 0; k < trace->kernels.size(); ++k) {
-            for (const auto &copy : trace->kernels[k].copies)
-                applyHostCopyRange(copy.base, copy.bytes,
-                                   copy.declaredReadOnly);
-            workload::TraceReplay source(*trace, k);
-            runKernelLoop(source, gpuConfig.smWindow);
-        }
-    } else {
-        for (std::uint32_t k = 0; k < spec->kernels.size(); ++k) {
-            for (const auto &copy : spec->kernels[k].preCopies)
-                applyHostCopyRange(
-                    bufferBases.at(copy.buffer),
-                    copy.marksReadOnly
-                        ? spec->buffers.at(copy.buffer).bytes
-                        : 0,
-                    copy.declaredReadOnly);
-            runKernel(k);
-        }
-    }
+    forEachKernel([this](auto &source, std::uint32_t window) {
+        runKernel(source, window);
+    });
+    return finishRun();
+}
+
+RunMetrics
+GpuSimulator::finishRun()
+{
     if (collector)
         collector->finalize(currentCycle);
 

@@ -26,7 +26,6 @@
 #include "gpu/params.hh"
 #include "gpu/interconnect.hh"
 #include "gpu/partition.hh"
-#include "gpu/shard_pool.hh"
 #include "mee/engine.hh"
 #include "mem/addr_map.hh"
 #include "meta/counters.hh"
@@ -35,6 +34,11 @@
 #include "workload/scenario.hh"
 #include "workload/trace.hh"
 #include "workload/trace_file.hh"
+
+namespace shmgpu::test
+{
+struct ReferenceKernelLoop;
+} // namespace shmgpu::test
 
 namespace shmgpu::gpu
 {
@@ -61,9 +65,7 @@ class GpuSimulator : public mee::DramRouter
      * one GPU by the scenario's share policy — time-sliced context
      * switching (per-quantum ownership of every SM and partition,
      * detector state flushed/re-armed at each switch) or MIG-style
-     * static SM/partition splits. Drive with runScenario(); the
-     * engine is serial (the shard engine is clamped to one shard), so
-     * results are bit-identical for every --shards/--jobs value.
+     * static SM/partition splits. Drive with runScenario().
      */
     GpuSimulator(const GpuParams &gpu_params,
                  const mee::MeeParams &mee_params,
@@ -83,9 +85,8 @@ class GpuSimulator : public mee::DramRouter
     /**
      * Attach a flight recorder (see common/trace.hh). The tracer must
      * have numPartitions + 1 lanes: one per partition plus the SM
-     * scheduler lane; this call names the lanes and marks the
-     * partition lanes shared when the sharded engine will run. Call
-     * before run(); pass null to detach.
+     * scheduler lane; this call names the lanes. Call before run();
+     * pass null to detach.
      */
     void attachTracer(trace::Tracer *t);
 
@@ -105,6 +106,10 @@ class GpuSimulator : public mee::DramRouter
     stats::StatGroup &statsRoot() { return rootStats; }
 
   private:
+    /** The per-cycle oracle tests/reference_kernel_loop.hh drives
+     *  through forEachKernel()/finishRun(). */
+    friend struct test::ReferenceKernelLoop;
+
     struct SmUnit
     {
         workload::TraceOp op;
@@ -112,23 +117,46 @@ class GpuSimulator : public mee::DramRouter
          *  window-stall retries do not redo the address math. */
         mem::PartitionAddr pa;
         bool hasOp = false;
-        std::uint32_t computeLeft = 0;
         std::uint32_t outstanding = 0;
-        bool drained = false;
         std::uint64_t instructions = 0;
         std::uint64_t windowStalls = 0;
-        /** Completion cycles of this SM's in-flight loads (event
-         *  engine); the earliest one is a stalled SM's retry cycle. */
+        /** Completion cycles of this SM's in-flight loads; the
+         *  earliest one is a stalled SM's retry cycle. */
         DaryHeap<Cycle> inflight;
     };
 
     /**
+     * One kernel in flight on a slice of the GPU: SMs [smLo, smHi)
+     * issuing through addrMap onto the partitions from partLo. A
+     * legacy run is the single-tenant case (the whole GPU, the global
+     * map); every scenario tenant embeds one, so a kernel can pause at
+     * a slice boundary and resume with the same arithmetic.
+     */
+    struct KernelContext
+    {
+        /** @{ Resource slice. */
+        std::uint32_t smLo = 0, smHi = 0;
+        PartitionId partLo = 0;
+        const mem::AddressMap *addrMap = nullptr;
+        /** @} */
+
+        std::uint32_t window = 0; //!< per-kernel occupancy cap
+        Cycle kernelStart = 0;
+        Cycle capEnd = 0;        //!< events are only scheduled before it
+        Cycle maxCompletion = 0; //!< latest load completion issued
+        Cycle lastDrain = 0;     //!< cycle the last SM ran dry
+        Cycle cursor = invalidCycle; //!< cycle of the last event
+        std::uint64_t busyCycles = 0; //!< distinct event cycles
+        std::uint32_t drained = 0;    //!< SMs whose trace is exhausted
+        std::uint64_t eventsPending = 0; //!< this kernel's calendar load
+
+        std::uint32_t numSms() const { return smHi - smLo; }
+    };
+
+    /**
      * One tenant's execution context in a scenario run. Owns the
-     * tenant's address layout and — in time-sliced mode — the saved
-     * SM/calendar state between dispatches. The per-kernel fields
-     * mirror eventKernelLoop's locals; the scenario engine keeps them
-     * here so a kernel can pause at a slice boundary and resume with
-     * the exact arithmetic the serial loop would have run.
+     * tenant's address layout, its KernelContext and — in time-sliced
+     * mode — the saved SM/calendar state between dispatches.
      */
     struct TenantContext
     {
@@ -144,14 +172,13 @@ class GpuSimulator : public mee::DramRouter
         std::uint16_t id = 0;
         std::vector<Addr> bufferBases;
 
-        /** @{ Resource slice. Time-sliced: the whole GPU and the
-         *  global address map. Partitioned: contiguous SM/partition
-         *  ranges and a private map over the tenant's partitions. */
-        std::uint32_t smLo = 0, smHi = 0;
-        PartitionId partLo = 0, partHi = 0;
-        const mem::AddressMap *addrMap = nullptr;
+        /** Time-sliced: the whole GPU and the global address map.
+         *  Partitioned: contiguous SM/partition ranges and a private
+         *  map over the tenant's partitions (kernel.smLo/smHi/partLo
+         *  and partHi). */
+        KernelContext kernel;
+        PartitionId partHi = 0;
         std::unique_ptr<mem::AddressMap> ownedMap;
-        /** @} */
 
         State state = State::NotArrived;
         Cycle wake = 0; //!< earliest useful dispatch (NotArrived/Draining)
@@ -159,17 +186,8 @@ class GpuSimulator : public mee::DramRouter
         /** @{ Current kernel. */
         std::uint32_t nextKernel = 0;
         std::unique_ptr<workload::KernelTrace> source;
-        std::uint32_t window = 0;
         bool kernelActive = false;
         std::uint64_t kernelTraceIdx = 0;
-        Cycle kernelStart = 0;
-        Cycle capEnd = 0;
-        Cycle maxCompletion = 0;
-        Cycle lastDrain = 0;
-        Cycle cursor = invalidCycle;
-        std::uint64_t busyCycles = 0;
-        std::uint32_t drained = 0;
-        std::uint64_t eventsPending = 0;
         /** @} */
 
         /** @{ Saved context between time-sliced dispatches: the SM
@@ -201,10 +219,9 @@ class GpuSimulator : public mee::DramRouter
         std::uint64_t dispatches = 0;
         /** @} */
 
-        std::uint32_t numSms() const { return smHi - smLo; }
         std::uint32_t numParts() const
         {
-            return static_cast<std::uint32_t>(partHi - partLo);
+            return static_cast<std::uint32_t>(partHi - kernel.partLo);
         }
     };
 
@@ -216,43 +233,93 @@ class GpuSimulator : public mee::DramRouter
      *  for switch-in re-arming when it marks regions read-only). */
     void applyTenantHostCopy(TenantContext &t, Addr base,
                              std::uint64_t bytes, bool declared_read_only);
+
+    /** @{ The kernel engine (simulator.cc), shared by run() and the
+     *  scenario engine. */
+    /** Start a kernel on @p k's SMs at @p at: reset the units and
+     *  schedule each SM's first event. */
+    void beginKernel(KernelContext &k, Cycle at, std::uint32_t window);
+    /** Account one popped calendar event of @p k's kernel. */
+    void noteEvent(KernelContext &k, Cycle now, std::uint32_t sm);
+    /** One calendar event for one SM: retire its completed loads,
+     *  then fetch, batch compute, stall or issue one memory op. */
+    template <typename Source>
+    void stepSmEvent(KernelContext &k, Source &source, SmId sm,
+                     Cycle now);
+    /** Pop and step every event before @p limit (all of them belong to
+     *  @p k's kernel). */
+    template <typename Source>
+    void drainCalendar(KernelContext &k, Source &source, Cycle limit);
+    /** @p k's events are exhausted: return the cycle its kernel ends
+     *  at, with the cap-hit and cycles-skipped bookkeeping. */
+    Cycle kernelTail(KernelContext &k);
+    /** Trace a kernel launch; returns its kernel index. */
+    std::uint64_t openKernel(Cycle at);
+    /** Retire a kernel at @p at on partitions [lo, hi). */
+    void closeKernel(PartitionId lo, PartitionId hi, Cycle at,
+                     std::uint64_t kernel_idx);
+    /** The event engine over one whole-GPU kernel. */
+    template <typename Source>
+    void runKernel(Source &source, std::uint32_t window);
+    /** @} */
+
+    /**
+     * Run every kernel of the workload or trace in order: apply its
+     * host copies, open it, hand @p kernel_loop its source and load
+     * window, and retire it. run() passes the event engine.
+     */
+    template <typename KernelLoop>
+    void
+    forEachKernel(KernelLoop &&kernel_loop)
+    {
+        auto one = [&](auto &source, std::uint32_t window) {
+            const std::uint64_t idx = openKernel(currentCycle);
+            kernel_loop(source, window);
+            closeKernel(0, static_cast<PartitionId>(partitions.size()),
+                        currentCycle, idx);
+        };
+        if (trace) {
+            for (std::uint32_t k = 0; k < trace->kernels.size(); ++k) {
+                for (const auto &copy : trace->kernels[k].copies)
+                    applyHostCopyRange(copy.base, copy.bytes,
+                                       copy.declaredReadOnly);
+                workload::TraceReplay source(*trace, k);
+                one(source, gpuConfig.smWindow);
+            }
+            return;
+        }
+        for (std::uint32_t k = 0; k < spec->kernels.size(); ++k) {
+            const auto &kspec = spec->kernels[k];
+            for (const auto &copy : kspec.preCopies)
+                applyHostCopyRange(
+                    bufferBases.at(copy.buffer),
+                    copy.marksReadOnly
+                        ? spec->buffers.at(copy.buffer).bytes
+                        : 0,
+                    copy.declaredReadOnly);
+            workload::KernelTrace source(*spec, bufferBases, k,
+                                         gpuConfig.numSms);
+            one(source, kernelWindow(kspec));
+        }
+    }
+    /** Package one SM memory op as a transaction message. */
+    static mem::Transaction makeTxn(const workload::TraceOp &op,
+                                    const mem::PartitionAddr &pa,
+                                    SmId sm, Cycle now);
+    /** The outstanding-load window of a kernel. */
+    std::uint32_t kernelWindow(const workload::KernelSpec &kspec) const;
+    /** Close a legacy run: final stats and the metrics. */
+    RunMetrics finishRun();
+
     /** @{ Scenario engine (scenario_run.cc). */
     void runTimeSliced();
     void runPartitioned();
     Cycle runTenantSlice(TenantContext &t, Cycle now, Cycle slice_end);
-    void processTenantEvents(TenantContext &t, Cycle limit);
-    void stepSmEvent(TenantContext &t, SmId sm, Cycle now);
-    Cycle computeKernelTail(TenantContext &t);
     void startTenantKernel(TenantContext &t, Cycle at);
     void advanceTenantKernel(TenantContext &t, Cycle at);
     void contextSwitchTo(std::uint32_t pick, Cycle now);
     ScenarioMetrics gatherScenarioMetrics() const;
     /** @} */
-    void runKernel(std::uint32_t kernel_idx);
-    template <typename Source>
-    void runKernelLoop(Source &source, std::uint32_t window);
-    /** Event-driven engine: jumps between SM ready cycles. */
-    template <typename Source>
-    void eventKernelLoop(Source &source, std::uint32_t window);
-    /**
-     * Sharded engine (`--shards N`, N > 1): the event engine split
-     * into fixed epochs. SM events inside an epoch enqueue
-     * transactions instead of calling the partitions; at the epoch
-     * barrier the ShardPool workers drain every domain and the
-     * replies come back before any SM could observe them (the epoch
-     * never exceeds the minimum SM->partition->SM round trip), so the
-     * event sequence — and every statistic — is bit-identical to
-     * eventKernelLoop (tests/test_shard_diff.cc).
-     */
-    template <typename Source>
-    void shardedKernelLoop(Source &source, std::uint32_t window);
-    /** Per-cycle reference engine (the original loop); selected by
-     *  GpuParams::referenceKernelLoop, kept as the differential-test
-     *  oracle the event engine must match bit for bit. */
-    template <typename Source>
-    void referenceKernelLoop(Source &source, std::uint32_t window);
-    template <typename Source>
-    void tickSm(SmId sm, Source &source, Cycle now);
     RunMetrics gatherMetrics() const;
 
     GpuParams gpuConfig;
@@ -283,33 +350,9 @@ class GpuSimulator : public mee::DramRouter
     std::vector<std::unique_ptr<Partition>> partitions;
     std::vector<SmUnit> sms;
 
-    using Completion = std::pair<Cycle, SmId>;
-    /** Min-heap of in-flight load completions (reference engine);
-     *  pop order matches the std::priority_queue<...,
-     *  std::greater<>> it replaced. */
-    DaryHeap<Completion> completions;
-    /** Ready-cycle calendar of SM events (event engine); sized for
-     *  numSms ids in init(). */
+    /** Ready-cycle calendar of SM events; sized for numSms ids in
+     *  init(). */
     CalendarQueue calendar{1};
-
-    /** @{ Shard engine (built in init() when gpu.shards > 1 buys
-     *  anything; see the coupling discussion there). */
-    std::unique_ptr<ShardPool> shardPool;
-    std::uint32_t effectiveShards = 1;
-    /** Epoch length: the minimum SM->partition->SM feedback distance,
-     *  2 * (icntLatency + 1) + l2HitLatency. */
-    Cycle epochLength = 0;
-    /** An SM whose window-stall retry cycle is unknowable mid-epoch
-     *  (its earliest completion is still in flight); resolved at the
-     *  next barrier with the serial loop's exact stall accounting. */
-    struct ParkedSm
-    {
-        SmId sm;
-        Cycle stallCycle;
-    };
-    std::vector<ParkedSm> parked;
-    std::uint64_t pendingTxns = 0; //!< submitted since the last barrier
-    /** @} */
 
     /** Flight recorder; null (the default) means tracing is off. The
      *  SM scheduler emits on lane smLane = numPartitions. */
@@ -317,8 +360,6 @@ class GpuSimulator : public mee::DramRouter
     std::uint32_t smLane = 0;
 
     Cycle currentCycle = 0;
-    std::uint32_t currentWindow = 0; //!< per-kernel occupancy cap
-    std::uint32_t drainedCount = 0;  //!< SMs whose trace is exhausted
     /** Cycles the event engine advanced over without enumerating. */
     std::uint64_t cyclesSkipped = 0;
     detect::AccessProfile *collector = nullptr;

@@ -36,8 +36,8 @@ namespace
 /**
  * Stamp the shared MDC policy into one metadata cache's params with a
  * per-partition, per-role random-stream seed (a function of position
- * only, so metadata replacement is identical across shard counts and
- * sweep job placement).
+ * only, so metadata replacement is identical across sweep job
+ * placement).
  */
 mem::CacheParams
 withMdcPolicy(mem::CacheParams cp, mem::PolicyKind policy,

@@ -169,7 +169,7 @@ class VictimCacheIf
  * Per-tenant shadow counters for scenario runs. Incremented beside
  * the engine's regular statistics for whichever tenant is active
  * (setActiveTenant); plain integers because the scenario engine is
- * serial (the shard engine is clamped to one shard under scenarios).
+ * serial.
  */
 struct TenantMeeTally
 {
@@ -403,7 +403,7 @@ class MeeEngine
     /** Epoch-boundary check; reclassifies when @p now crossed one.
      *  Driven from onRead/onWrite only, so the decision sequence is a
      *  pure function of the per-partition access stream and therefore
-     *  bit-identical across shard counts. */
+     *  independent of the kernel loop driving it. */
     void adaptTick(Cycle now);
     void adaptReclassify(Cycle now);
     /** Every chunk of the region predicted streaming? */

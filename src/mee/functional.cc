@@ -235,20 +235,20 @@ SecureMemoryContext::writeWithPerBlockCounter(
     if (roDetector.recordWrite(block)) {
         // Read-only -> not-read-only transition (Fig. 8): propagate
         // the shared counter into every counter block of the predictor
-        // region, so untouched blocks keep decrypting correctly.
-        roRegionBases.erase(regionBase(block));
-        std::uint64_t region_bytes = roDetector.params().regionBytes;
-        std::uint64_t cover =
-            static_cast<std::uint64_t>(
-                metaLayout.params().blocksPerCounterBlock) *
-            kBlock;
-        LocalAddr base = block / region_bytes * region_bytes;
-        LocalAddr end = std::min<LocalAddr>(
-            base + region_bytes, metaLayout.params().dataBytes);
-        for (LocalAddr a = base; a < end; a += cover) {
-            counterStore.setRegionMajor(a, shared.value());
-            bmt.updatePath(metaLayout.counterBlockIndex(a));
-        }
+        // region, so untouched blocks keep decrypting correctly. The
+        // tagless detector entry is shared by every aliasing region
+        // (R + k * entries * regionBytes); the ones still encrypted
+        // under the shared counter now read through per-block
+        // counters too, so they get the same treatment.
+        const std::uint64_t region_bytes = roDetector.params().regionBytes;
+        const std::uint64_t alias_stride =
+            static_cast<std::uint64_t>(roDetector.params().entries) *
+            region_bytes;
+        const LocalAddr written = regionBase(block);
+        for (LocalAddr rb = written % alias_stride;
+             rb < metaLayout.params().dataBytes; rb += alias_stride)
+            if (roRegionBases.erase(rb) > 0 || rb == written)
+                propagateSharedCounter(rb);
     }
 
     if (counterStore.read(block).minor + 1 >= counterStore.minorLimit())
@@ -266,6 +266,22 @@ SecureMemoryContext::writeWithPerBlockCounter(
                      macEngine.blockMac(cipher, s.address, s.major,
                                         s.minor, s.partition));
     refreshChunkMac(block);
+}
+
+void
+SecureMemoryContext::propagateSharedCounter(LocalAddr region_base)
+{
+    const std::uint64_t cover =
+        static_cast<std::uint64_t>(
+            metaLayout.params().blocksPerCounterBlock) *
+        kBlock;
+    const LocalAddr end =
+        std::min<LocalAddr>(region_base + roDetector.params().regionBytes,
+                            metaLayout.params().dataBytes);
+    for (LocalAddr a = region_base; a < end; a += cover) {
+        counterStore.setRegionMajor(a, shared.value());
+        bmt.updatePath(metaLayout.counterBlockIndex(a));
+    }
 }
 
 void

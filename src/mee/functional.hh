@@ -205,6 +205,9 @@ class SecureMemoryContext
     crypto::Mac storedBlockMacOrInit(LocalAddr addr);
     void writeWithPerBlockCounter(LocalAddr addr,
                                   const crypto::DataBlock &plaintext);
+    /** Set every counter block of one read-only predictor region to
+     *  the shared counter's value (its read-only -> written step). */
+    void propagateSharedCounter(LocalAddr region_base);
     /** Split-counter minor overflow: re-encrypt the 8 KB region. */
     void reencryptRegion(LocalAddr addr);
     /** hostWrite body without the op-sequence advance (shared with

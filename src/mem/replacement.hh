@@ -38,8 +38,7 @@
  * Determinism: every policy is a pure function of its per-set
  * operation sequence (Random draws from an Rng owned by the cache and
  * seeded from CacheParams::policySeed), so replacement decisions are
- * bit-reproducible across runs, platforms, job counts, and shard
- * counts.
+ * bit-reproducible across runs, platforms, and job counts.
  */
 
 #ifndef SHMGPU_MEM_REPLACEMENT_HH

@@ -37,16 +37,9 @@ const char *trafficClassName(TrafficClass c);
 /**
  * One SM-side memory operation as an explicit message to a partition.
  *
- * The transaction layer decouples the SM loop from the synchronous
- * `Partition::read/write` call path: instead of calling into the
- * partition and getting a completion cycle back, the SM loop enqueues
- * a Transaction into the owning domain's inbox ring and the partition
- * (possibly on another worker thread) serves it later, posting a
- * TxnReply for reads. Everything the partition needs to reproduce the
- * synchronous call bit for bit travels in the message: the kind, the
- * sector address in both address spaces, the memory space, the SM
- * issue cycle (the `now` the interconnect request would have been
- * given), and the reply slot (the requesting SM).
+ * Everything the partition needs to serve the op travels in the
+ * message: the kind, the sector address in both address spaces, the
+ * memory space, the SM issue cycle, and the requesting SM.
  */
 struct Transaction
 {
@@ -54,18 +47,10 @@ struct Transaction
     LocalAddr local = 0;     //!< partition-local sector address
     Cycle issue = 0;         //!< SM-side issue cycle
     PartitionId partition = 0;
-    SmId sm = 0;             //!< reply slot: the requesting SM
+    SmId sm = 0;             //!< the requesting SM
     std::uint32_t bytes = 0; //!< payload bytes (reply size for reads)
     AccessType type = AccessType::Read;
     MemSpace space = MemSpace::Global;
-};
-
-/** Completion message for a read Transaction: the cycle the data
- *  arrives back at the requesting SM. Writes are fire-and-forget. */
-struct TxnReply
-{
-    Cycle complete = 0;
-    SmId sm = 0;
 };
 
 /**

@@ -76,24 +76,38 @@ using namespace shmgpu;
 namespace
 {
 
-/** Minimal --flag=value / --flag value parser. */
+/**
+ * Minimal --flag=value / --flag value parser. Each subcommand declares
+ * the flags its usage line lists; any other flag is fatal, naming the
+ * flag and the subcommand, so a typo never runs silently.
+ */
 class Args
 {
   public:
-    Args(int argc, char **argv, int start)
+    Args(int argc, char **argv, int start, const std::string &command,
+         std::initializer_list<const char *> allowed)
     {
         for (int i = start; i < argc; ++i) {
             std::string arg = argv[i];
             if (arg.rfind("--", 0) != 0)
                 shm_fatal("unexpected argument '{}'", arg);
+            std::string key, value = "1";
             auto eq = arg.find('=');
             if (eq != std::string::npos) {
-                values[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
-            } else if (i + 1 < argc && argv[i + 1][0] != '-') {
-                values[arg.substr(2)] = argv[++i];
+                key = arg.substr(2, eq - 2);
+                value = arg.substr(eq + 1);
             } else {
-                values[arg.substr(2)] = "1";
+                key = arg.substr(2);
+                if (i + 1 < argc && argv[i + 1][0] != '-')
+                    value = argv[++i];
             }
+            if (std::find_if(allowed.begin(), allowed.end(),
+                             [&](const char *f) { return key == f; }) ==
+                allowed.end())
+                shm_fatal("unknown flag '--{}' for 'shmgpu {}' (run "
+                          "'shmgpu' for the usage)",
+                          key, command);
+            values[key] = value;
         }
     }
 
@@ -119,17 +133,17 @@ usage()
               "  shmgpu list\n"
               "  shmgpu run (--workload NAME | --spec FILE |"
               " --scenario FILE) [--scheme SHM]"
-              " [--gpu turing|big|test] [--cycles N] [--shards N]"
+              " [--gpu turing|big|test] [--cycles N]"
               " [--policy lru|fifo|random|s3fifo|sieve]"
               " [--crypto auto|scalar|aesni|vaes]"
               " [--overrides CFG]"
               " [--adapt-epoch N] [--adapt-thresholds R,S,M]"
               " [--stats FILE] [--json FILE] [--accuracy] [--profile]"
-              " [--reference-loop] [--no-solo]"
+              " [--no-solo]"
               " [--trace OUT.json] [--trace-text OUT.txt]\n"
               "  shmgpu sweep [--workloads a,b,c|all] [--schemes X,Y|all]"
               " [--jobs N] [--gpu turing|big|test] [--cycles N]"
-              " [--shards N] [--policy P] [--policies P,Q|all]"
+              " [--policy P] [--policies P,Q|all]"
               " [--adapt-epoch N] [--adapt-thresholds R,S,M]"
               " [--adapt-epochs E1,E2,...]"
               " [--zipf-footprints S1,S2,... [--zipf-alphas A1,A2,...]]"
@@ -137,19 +151,19 @@ usage()
               " [--share timeslice,partitioned] [--tenants N1,N2,...]"
               " [--no-solo]]"
               " [--results-dir DIR] [--resume] [--cancel-after N]"
-              " [--overrides CFG] [--out FILE] [--quiet]"
-              " [--trace DIR]\n"
+              " [--crypto auto|scalar|aesni|vaes] [--overrides CFG]"
+              " [--out FILE] [--quiet] [--accuracy] [--trace DIR]\n"
               "  shmgpu trace record --workload NAME --out FILE"
               " [--sms N]\n"
               "  shmgpu trace run --in FILE [--scheme SHM] [--cycles N]\n"
               "  shmgpu trace info --in FILE\n"
               "  shmgpu trace-info --in TRACE.json\n"
               "  shmgpu bench-self [--quick] [--cycles N] [--reps N]"
-              " [--gpu turing|big|test] [--shards N] [--policy P]"
+              " [--gpu turing|big|test] [--policy P]"
               " [--schemes X,Y] [--adapt-epoch N]"
               " [--crypto auto|scalar|aesni|vaes] [--overrides CFG]"
               " [--out BENCH_hotpath.json]"
-              " [--profile] [--reference-loop]\n"
+              " [--profile]\n"
               "  shmgpu bench-sweep [--side N] [--cycles N] [--jobs N]"
               " [--gpu turing|big|test] [--scheme SHM]"
               " [--results-dir DIR] [--out BENCH_sweepcache.json]\n"
@@ -189,66 +203,59 @@ cmdList()
     return 0;
 }
 
+/**
+ * The one config builder behind run, sweep and bench-self: the --gpu
+ * preset (its cycle cap replaced by @p default_cycles when nonzero),
+ * then the --overrides file, then the flags, which win over the file.
+ * @p opts (core::RunOptions or core::ScenarioRunOptions) receives the
+ * per-run knobs the file or the flags set: trace classes, the
+ * metadata-cache policy, and the adaptive epoch and thresholds.
+ */
+template <typename Options = core::RunOptions>
 gpu::GpuParams
-gpuParamsFrom(const Args &args, trace::TraceParams *trace_params = nullptr,
-              mem::PolicyKind *mdc_policy = nullptr,
-              std::optional<Cycle> *adapt_epoch = nullptr,
-              std::optional<mee::AdaptThresholds> *adapt_thresholds =
-                  nullptr)
+gpuParamsFrom(const Args &args, Options *opts = nullptr,
+              Cycle default_cycles = 0)
 {
     gpu::GpuParams gp = gpu::presetByName(args.get("gpu", "turing"));
+    if (default_cycles)
+        gp.maxCyclesPerKernel = default_cycles;
+    Options scratch;
+    Options &o = opts ? *opts : scratch;
     std::string overrides = args.get("overrides");
     if (!overrides.empty()) {
-        mee::MeeParams scratch; // GPU keys (+ mdc policy) in this path
-        trace::TraceParams trace_scratch;
+        mee::MeeParams mee; // the per-run MEE knobs carry over below
         Config config = Config::fromFile(overrides);
         // Presence-tested before applyMeeOverrides consumes them: only
-        // keys the file actually sets become RunOptions overrides.
+        // keys the file actually sets become run-option overrides.
         bool had_adapt_epoch = config.has("mee.adapt_epoch");
         bool had_adapt_thresholds = config.has("mee.adapt_thresholds");
         core::applyGpuOverrides(config, gp);
-        core::applyMeeOverrides(config, scratch);
-        core::applyTraceOverrides(
-            config, trace_params ? *trace_params : trace_scratch);
+        core::applyMeeOverrides(config, mee);
+        core::applyTraceOverrides(config, o.traceParams);
         core::applyCryptoOverrides(config);
         config.assertConsumed();
-        if (mdc_policy)
-            *mdc_policy = scratch.mdcPolicy;
-        if (adapt_epoch && had_adapt_epoch)
-            *adapt_epoch = scratch.adaptEpoch;
-        if (adapt_thresholds && had_adapt_thresholds)
-            *adapt_thresholds = scratch.adaptThresholds;
+        o.mdcPolicy = mee.mdcPolicy;
+        if (had_adapt_epoch)
+            o.adaptEpoch = mee.adaptEpoch;
+        if (had_adapt_thresholds)
+            o.adaptThresholds = mee.adaptThresholds;
     }
-    // --policy switches L2 and metadata caches together, overriding
-    // any cache.policy / mee.mdc_policy from the file.
+    // --policy switches L2 and metadata caches together.
     std::string policy = args.get("policy");
     if (!policy.empty()) {
         mem::PolicyKind kind = mem::policyFromName(policy);
         gpu::applyCachePolicy(gp, kind);
-        if (mdc_policy)
-            *mdc_policy = kind;
+        o.mdcPolicy = kind;
     }
-    // --adapt-epoch / --adapt-thresholds win over the file, like
-    // --policy above.
     std::string epoch_arg = args.get("adapt-epoch");
-    if (!epoch_arg.empty() && adapt_epoch)
-        *adapt_epoch = static_cast<Cycle>(std::stoull(epoch_arg));
+    if (!epoch_arg.empty())
+        o.adaptEpoch = static_cast<Cycle>(std::stoull(epoch_arg));
     std::string th_arg = args.get("adapt-thresholds");
-    if (!th_arg.empty() && adapt_thresholds)
-        *adapt_thresholds = core::parseAdaptThresholds(th_arg);
+    if (!th_arg.empty())
+        o.adaptThresholds = core::parseAdaptThresholds(th_arg);
     std::string cycles = args.get("cycles");
     if (!cycles.empty())
         gp.maxCyclesPerKernel = std::stoull(cycles);
-    // Worker threads per simulation (also gpu.shards override). Note
-    // a sweep runs --jobs x --shards threads: --jobs parallelizes
-    // across grid cells, --shards inside one simulation.
-    std::string shards = args.get("shards");
-    if (!shards.empty())
-        gp.shards = static_cast<std::uint32_t>(std::stoul(shards));
-    // A/B escape hatch: drive the per-cycle reference engine instead
-    // of the event-driven calendar (also gpu.reference_loop override).
-    if (args.has("reference-loop"))
-        gp.referenceKernelLoop = true;
     // Software crypto backend (also crypto.backend override): the
     // batched kernels are bit-identical, so this only moves wall
     // clock — auto (cpuid best), scalar, aesni, vaes.
@@ -308,9 +315,7 @@ cmdRunScenario(const Args &args)
     auto scheme = schemes::schemeFromName(args.get("scheme", "SHM"));
 
     core::ScenarioRunOptions opts;
-    gpu::GpuParams gp = gpuParamsFrom(args, &opts.traceParams,
-                                      &opts.mdcPolicy, &opts.adaptEpoch,
-                                      &opts.adaptThresholds);
+    gpu::GpuParams gp = gpuParamsFrom(args, &opts);
     opts.withSolo = !args.has("no-solo");
     opts.tracePath = args.get("trace");
     opts.traceTextPath = args.get("trace-text");
@@ -339,7 +344,7 @@ cmdRunScenario(const Args &args)
             mp.adaptEpoch = *opts.adaptEpoch;
         if (opts.adaptThresholds)
             mp.adaptThresholds = *opts.adaptThresholds;
-        gpu::GpuSimulator sim(gpuParamsFrom(args), mp, scn);
+        gpu::GpuSimulator sim(gp, mp, scn);
         sim.runScenario();
         std::ofstream out(args.get("stats"));
         sim.statsRoot().dump(out);
@@ -372,9 +377,7 @@ cmdRun(const Args &args)
     }
 
     core::RunOptions opts;
-    gpu::GpuParams gp = gpuParamsFrom(args, &opts.traceParams,
-                                      &opts.mdcPolicy, &opts.adaptEpoch,
-                                      &opts.adaptThresholds);
+    gpu::GpuParams gp = gpuParamsFrom(args, &opts);
     core::Experiment exp(gp);
     opts.collectAccuracy = args.has("accuracy");
     opts.tracePath = args.get("trace");
@@ -410,7 +413,7 @@ cmdRun(const Args &args)
             mp.adaptEpoch = *opts.adaptEpoch;
         if (opts.adaptThresholds)
             mp.adaptThresholds = *opts.adaptThresholds;
-        gpu::GpuSimulator sim(gpuParamsFrom(args), mp, w);
+        gpu::GpuSimulator sim(gp, mp, w);
         sim.run();
         if (args.has("stats")) {
             std::ofstream out(args.get("stats"));
@@ -543,10 +546,7 @@ cmdSweepScenario(const Args &args)
     core::ScenarioSweepOptions opts;
     opts.jobs = static_cast<unsigned>(std::stoul(args.get("jobs", "1")));
     opts.run.withSolo = !args.has("no-solo");
-    gpu::GpuParams gp = gpuParamsFrom(args, &opts.run.traceParams,
-                                      &opts.run.mdcPolicy,
-                                      &opts.run.adaptEpoch,
-                                      &opts.run.adaptThresholds);
+    gpu::GpuParams gp = gpuParamsFrom(args, &opts.run);
 
     // Owned variant storage, fully built before cells take pointers.
     std::vector<workload::ScenarioSpec> variants;
@@ -643,10 +643,7 @@ cmdSweep(const Args &args)
     if (args.has("quiet"))
         log_detail::setVerbose(false);
 
-    gpu::GpuParams gp = gpuParamsFrom(args, &sweep_opts.run.traceParams,
-                                      &sweep_opts.run.mdcPolicy,
-                                      &sweep_opts.run.adaptEpoch,
-                                      &sweep_opts.run.adaptThresholds);
+    gpu::GpuParams gp = gpuParamsFrom(args, &sweep_opts.run);
 
     // --adapt-epochs: epoch-major extra axis for the adaptive scheme.
     // Each value fingerprints its own cache cells, so epoch grids are
@@ -782,8 +779,6 @@ cmdBenchSelf(const Args &args)
     shm_assert(!designs.empty(), "bench-self needs at least one scheme");
 
     bool quick = args.has("quick");
-    std::uint64_t cycles =
-        std::stoull(args.get("cycles", quick ? "10000" : "50000"));
     unsigned reps = static_cast<unsigned>(
         std::stoul(args.get("reps", quick ? "1" : "3")));
     shm_assert(reps > 0, "bench-self needs at least one repetition");
@@ -795,35 +790,10 @@ cmdBenchSelf(const Args &args)
     }
     log_detail::setVerbose(false);
 
-    gpu::GpuParams gp = gpu::presetByName(args.get("gpu", "turing"));
-    gp.maxCyclesPerKernel = cycles;
-    std::string shards = args.get("shards");
-    if (!shards.empty())
-        gp.shards = static_cast<std::uint32_t>(std::stoul(shards));
-    if (args.has("reference-loop"))
-        gp.referenceKernelLoop = true;
-    // --overrides reaches the engine knobs bench-self exercises
-    // (gpu.shard_spin, crypto.backend, cache.policy, ...); --crypto
-    // and --policy below still win over the file, like cmdRun.
-    std::string overrides = args.get("overrides");
-    if (!overrides.empty()) {
-        mee::MeeParams mee_scratch;
-        core::applyOverridesFile(overrides, gp, mee_scratch);
-    }
-    std::string backend = args.get("crypto");
-    if (!backend.empty())
-        crypto::setBackend(crypto::backendFromName(backend));
-
     core::RunOptions run_opts;
-    std::string policy_name = args.get("policy");
-    if (!policy_name.empty()) {
-        mem::PolicyKind kind = mem::policyFromName(policy_name);
-        gpu::applyCachePolicy(gp, kind);
-        run_opts.mdcPolicy = kind;
-    }
-    std::string epoch_arg = args.get("adapt-epoch");
-    if (!epoch_arg.empty())
-        run_opts.adaptEpoch = static_cast<Cycle>(std::stoull(epoch_arg));
+    gpu::GpuParams gp =
+        gpuParamsFrom(args, &run_opts, quick ? 10000 : 50000);
+    const std::uint64_t cycles = gp.maxCyclesPerKernel;
 
     std::vector<const workload::WorkloadSpec *> workloads;
     for (const auto &name : workload_names)
@@ -859,9 +829,7 @@ cmdBenchSelf(const Args &args)
     json::Value doc = json::Value::object();
     doc["benchmark"] = "bench-self";
     doc["gpu"] = args.get("gpu", "turing");
-    doc["kernel_loop"] = gp.referenceKernelLoop ? "reference" : "event";
     doc["policy"] = mem::policyName(gp.l2Policy);
-    doc["shards"] = static_cast<std::uint64_t>(gp.shards);
     doc["cryptoBackend"] =
         crypto::backendName(crypto::activeBackend());
     doc["max_cycles_per_kernel"] = cycles;
@@ -1000,9 +968,7 @@ cmdBenchSweep(const Args &args)
     json::Value doc = json::Value::object();
     doc["benchmark"] = "bench-sweep";
     doc["gpu"] = args.get("gpu", "test");
-    doc["kernel_loop"] = gp.referenceKernelLoop ? "reference" : "event";
     doc["policy"] = mem::policyName(gp.l2Policy);
-    doc["shards"] = static_cast<std::uint64_t>(gp.shards);
     doc["cryptoBackend"] = crypto::backendName(crypto::activeBackend());
     doc["max_cycles_per_kernel"] = cycles;
     doc["cells"] = static_cast<std::uint64_t>(cells);
@@ -1146,9 +1112,7 @@ cmdBenchTenants(const Args &args)
     json::Value doc = json::Value::object();
     doc["benchmark"] = "bench-tenants";
     doc["gpu"] = args.get("gpu", "test");
-    doc["kernel_loop"] = gp.referenceKernelLoop ? "reference" : "event";
     doc["policy"] = mem::policyName(gp.l2Policy);
-    doc["shards"] = static_cast<std::uint64_t>(gp.shards);
     doc["cryptoBackend"] = crypto::backendName(crypto::activeBackend());
     doc["max_cycles_per_kernel"] = cycles;
     doc["cells"] = static_cast<std::uint64_t>(cells);
@@ -1235,13 +1199,7 @@ cmdTraceInfo(const Args &args)
         }
     }
 
-    std::string dropped = "0";
-    if (doc.contains("otherData") &&
-        doc.at("otherData").contains("dropped_events"))
-        dropped = doc.at("otherData").at("dropped_events").asString();
-
-    std::printf("%llu events (%s dropped)\n",
-                static_cast<unsigned long long>(total), dropped.c_str());
+    std::printf("%llu events\n", static_cast<unsigned long long>(total));
     if (have_span)
         std::printf("cycle span: %.0f .. %.0f\n", first_ts, last_ts);
     std::puts("per class:");
@@ -1282,52 +1240,53 @@ cmdTraceInfo(const Args &args)
 }
 
 int
-cmdTrace(const Args &args, const std::string &sub)
+cmdTraceRecord(const Args &args)
 {
-    if (sub == "record") {
-        std::string workload_name = args.get("workload");
-        std::string out = args.get("out");
-        if (workload_name.empty() || out.empty())
-            shm_fatal("trace record needs --workload and --out");
-        const auto &w = workload::findWorkload(workload_name);
-        std::uint32_t sms = static_cast<std::uint32_t>(
-            std::stoul(args.get("sms", "30")));
-        workload::Trace trace = workload::generateTrace(w, sms);
-        workload::writeTrace(trace, out);
-        std::printf("recorded %llu ops over %zu kernels (%u SMs) "
-                    "to %s\n",
-                    static_cast<unsigned long long>(trace.totalOps()),
-                    trace.kernels.size(), trace.numSms, out.c_str());
-        return 0;
-    }
-    if (sub == "info") {
-        workload::Trace trace = workload::readTrace(args.get("in"));
-        std::printf("SMs: %u, kernels: %zu, total ops: %llu\n",
-                    trace.numSms, trace.kernels.size(),
-                    static_cast<unsigned long long>(trace.totalOps()));
-        for (std::size_t k = 0; k < trace.kernels.size(); ++k)
-            std::printf("  kernel %zu: %zu ops, %zu host copies\n", k,
-                        trace.kernels[k].records.size(),
-                        trace.kernels[k].copies.size());
-        return 0;
-    }
-    if (sub == "run") {
-        workload::Trace trace = workload::readTrace(args.get("in"));
-        auto scheme = schemes::schemeFromName(args.get("scheme", "SHM"));
-        gpu::GpuParams gp = gpuParamsFrom(args);
-        gp.numSms = trace.numSms;
+    std::string workload_name = args.get("workload");
+    std::string out = args.get("out");
+    if (workload_name.empty() || out.empty())
+        shm_fatal("trace record needs --workload and --out");
+    const auto &w = workload::findWorkload(workload_name);
+    std::uint32_t sms =
+        static_cast<std::uint32_t>(std::stoul(args.get("sms", "30")));
+    workload::Trace trace = workload::generateTrace(w, sms);
+    workload::writeTrace(trace, out);
+    std::printf("recorded %llu ops over %zu kernels (%u SMs) to %s\n",
+                static_cast<unsigned long long>(trace.totalOps()),
+                trace.kernels.size(), trace.numSms, out.c_str());
+    return 0;
+}
 
-        gpu::GpuSimulator sim(gp, schemes::makeMeeParams(scheme), trace);
-        gpu::RunMetrics m = sim.run();
-        std::printf("trace replay under %s: cycles=%llu ipc=%.2f "
-                    "util=%.1f%% mdOverhead=%.2f%%\n",
-                    schemes::schemeName(scheme),
-                    static_cast<unsigned long long>(m.cycles), m.ipc,
-                    100 * m.bandwidthUtilization,
-                    100 * m.metadataOverhead());
-        return 0;
-    }
-    return usage();
+int
+cmdTraceFileInfo(const Args &args)
+{
+    workload::Trace trace = workload::readTrace(args.get("in"));
+    std::printf("SMs: %u, kernels: %zu, total ops: %llu\n", trace.numSms,
+                trace.kernels.size(),
+                static_cast<unsigned long long>(trace.totalOps()));
+    for (std::size_t k = 0; k < trace.kernels.size(); ++k)
+        std::printf("  kernel %zu: %zu ops, %zu host copies\n", k,
+                    trace.kernels[k].records.size(),
+                    trace.kernels[k].copies.size());
+    return 0;
+}
+
+int
+cmdTraceRun(const Args &args)
+{
+    workload::Trace trace = workload::readTrace(args.get("in"));
+    auto scheme = schemes::schemeFromName(args.get("scheme", "SHM"));
+    gpu::GpuParams gp = gpuParamsFrom(args);
+    gp.numSms = trace.numSms;
+
+    gpu::GpuSimulator sim(gp, schemes::makeMeeParams(scheme), trace);
+    gpu::RunMetrics m = sim.run();
+    std::printf("trace replay under %s: cycles=%llu ipc=%.2f "
+                "util=%.1f%% mdOverhead=%.2f%%\n",
+                schemes::schemeName(scheme),
+                static_cast<unsigned long long>(m.cycles), m.ipc,
+                100 * m.bandwidthUtilization, 100 * m.metadataOverhead());
+    return 0;
 }
 
 } // namespace
@@ -1337,28 +1296,56 @@ main(int argc, char **argv)
 {
     if (argc < 2)
         return usage();
-    std::string cmd = argv[1];
+    const std::string cmd = argv[1];
+    auto args = [&](std::initializer_list<const char *> allowed) {
+        return Args(argc, argv, 2, cmd, allowed);
+    };
 
-    if (cmd == "list")
+    if (cmd == "list") {
+        args({});
         return cmdList();
+    }
     if (cmd == "run")
-        return cmdRun(Args(argc, argv, 2));
+        return cmdRun(args(
+            {"workload", "spec", "scenario", "scheme", "gpu", "cycles",
+             "policy", "crypto", "overrides", "adapt-epoch",
+             "adapt-thresholds", "stats", "json", "accuracy", "profile",
+             "no-solo", "trace", "trace-text"}));
     if (cmd == "sweep")
-        return cmdSweep(Args(argc, argv, 2));
+        return cmdSweep(args(
+            {"workloads", "schemes", "jobs", "gpu", "cycles", "policy",
+             "policies", "adapt-epoch", "adapt-thresholds", "adapt-epochs",
+             "zipf-footprints", "zipf-alphas", "scenario", "quantums",
+             "share", "tenants", "no-solo", "results-dir", "resume",
+             "cancel-after", "crypto", "overrides", "out", "quiet",
+             "accuracy", "trace"}));
     if (cmd == "bench-self")
-        return cmdBenchSelf(Args(argc, argv, 2));
+        return cmdBenchSelf(args({"quick", "cycles", "reps", "gpu",
+                                  "policy", "schemes", "adapt-epoch",
+                                  "crypto", "overrides", "out",
+                                  "profile"}));
     if (cmd == "bench-sweep")
-        return cmdBenchSweep(Args(argc, argv, 2));
+        return cmdBenchSweep(args({"side", "cycles", "jobs", "gpu",
+                                   "scheme", "results-dir", "out"}));
     if (cmd == "bench-tenants")
-        return cmdBenchTenants(Args(argc, argv, 2));
+        return cmdBenchTenants(args({"scenario", "scheme", "gpu",
+                                     "cycles", "reps", "quantums",
+                                     "out"}));
     // Check before "trace": that prefix names the workload-trace
     // subcommands, while trace-info summarizes a --trace export.
     if (cmd == "trace-info")
-        return cmdTraceInfo(Args(argc, argv, 2));
-    if (cmd == "trace") {
-        if (argc < 3)
-            return usage();
-        return cmdTrace(Args(argc, argv, 3), argv[2]);
+        return cmdTraceInfo(args({"in"}));
+    if (cmd == "trace" && argc >= 3) {
+        const std::string sub = argv[2];
+        const std::string command = "trace " + sub;
+        if (sub == "record")
+            return cmdTraceRecord(Args(argc, argv, 3, command,
+                                       {"workload", "out", "sms"}));
+        if (sub == "info")
+            return cmdTraceFileInfo(Args(argc, argv, 3, command, {"in"}));
+        if (sub == "run")
+            return cmdTraceRun(Args(argc, argv, 3, command,
+                                    {"in", "scheme", "cycles"}));
     }
     return usage();
 }

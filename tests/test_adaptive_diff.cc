@@ -3,7 +3,7 @@
  * Differential fuzzing of the adaptive protection scheme
  * (Scheme::ShmAdaptive): mispredicted demotions must never break
  * integrity, and the adaptive timing engine must stay bit-identical
- * across shard counts.
+ * to the per-cycle kernel oracle.
  *
  * Three properties, each fuzzed over random workloads, controller
  * threshold mixes and seeds:
@@ -23,21 +23,23 @@
  *     freshness walk, so this is the proof the generation bump leaves
  *     exactly one authenticatable version.
  *
- *  3. Full-simulator determinism: SHM_adaptive runs (curated micros
- *     and random specs, several epochs and threshold settings) must
- *     produce bit-identical metrics and stats trees at shards 1/2/4.
+ *  3. Kernel-engine equivalence: SHM_adaptive runs (curated micros and
+ *     random specs, several epochs and threshold settings) must
+ *     produce bit-identical metrics and stats trees under the event
+ *     engine and the per-cycle oracle (tests/reference_kernel_loop.hh),
+ *     so the controller's epoch boundaries see the same `now`s.
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/rng.hh"
 #include "gpu/presets.hh"
 #include "gpu/simulator.hh"
+#include "reference_kernel_loop.hh"
 #include "mee/functional.hh"
 #include "schemes/schemes.hh"
 #include "workload/benchmarks.hh"
@@ -367,44 +369,38 @@ TEST_P(AdaptiveDiff, TamperAfterDemotionAlwaysDetected)
 namespace
 {
 
-/** Shard-diff harness specialized for the adaptive scheme: requires
- *  the full stats tree (which includes every adapt_* stat and the
- *  mode-residency histogram) plus the adaptive tallies to match. */
+/** Kernel-loop diff harness specialized for the adaptive scheme:
+ *  requires the full stats tree (which includes every adapt_* stat and
+ *  the mode-residency histogram, minus the event engine's own
+ *  cycles_skipped) plus the adaptive tallies to match. */
 void
-expectAdaptiveIdentical(const gpu::GpuParams &base,
+expectAdaptiveIdentical(const gpu::GpuParams &gp,
                         const mee::MeeParams &mp,
                         const workload::WorkloadSpec &w,
                         const std::string &what)
 {
     SCOPED_TRACE(what);
-    auto run = [&](std::uint32_t shards) {
-        gpu::GpuParams gp = base;
-        gp.shards = shards;
+    auto run = [&](bool reference_loop) {
         gpu::GpuSimulator sim(gp, mp, w);
-        auto metrics = sim.run();
-        std::ostringstream os;
-        sim.statsRoot().dump(os);
-        return std::pair<gpu::RunMetrics, std::string>(metrics,
-                                                       os.str());
+        auto metrics = reference_loop
+                           ? test::ReferenceKernelLoop::run(sim)
+                           : sim.run();
+        return std::pair<gpu::RunMetrics, std::string>(
+            metrics, test::comparableStats(sim));
     };
-    auto [serial_metrics, serial_stats] = run(1);
-    for (std::uint32_t shards : {2u, 4u}) {
-        SCOPED_TRACE("shards=" + std::to_string(shards));
-        auto [metrics, stats] = run(shards);
-        EXPECT_EQ(metrics.cycles, serial_metrics.cycles);
-        EXPECT_EQ(metrics.ipc, serial_metrics.ipc);
-        EXPECT_EQ(metrics.bytesExtra, serial_metrics.bytesExtra);
-        EXPECT_EQ(metrics.adaptDemotions, serial_metrics.adaptDemotions);
-        EXPECT_EQ(metrics.adaptPromotions,
-                  serial_metrics.adaptPromotions);
-        EXPECT_EQ(metrics.adaptReencBytes,
-                  serial_metrics.adaptReencBytes);
-        EXPECT_EQ(stats, serial_stats);
-    }
+    auto [event_metrics, event_stats] = run(false);
+    auto [metrics, stats] = run(true);
+    EXPECT_EQ(metrics.cycles, event_metrics.cycles);
+    EXPECT_EQ(metrics.ipc, event_metrics.ipc);
+    EXPECT_EQ(metrics.bytesExtra, event_metrics.bytesExtra);
+    EXPECT_EQ(metrics.adaptDemotions, event_metrics.adaptDemotions);
+    EXPECT_EQ(metrics.adaptPromotions, event_metrics.adaptPromotions);
+    EXPECT_EQ(metrics.adaptReencBytes, event_metrics.adaptReencBytes);
+    EXPECT_EQ(stats, event_stats);
 }
 
-/** Random spec shaped like test_shard_diff's generator, biased toward
- *  read-heavy streams so demotions actually fire. */
+/** Random spec shaped like test_kernel_loop_diff's generator, biased
+ *  toward read-heavy streams so demotions actually fire. */
 workload::WorkloadSpec
 randomAdaptiveSpec(Rng &rng, unsigned idx)
 {
@@ -458,7 +454,7 @@ randomAdaptiveSpec(Rng &rng, unsigned idx)
 
 } // namespace
 
-TEST(AdaptiveShardDiff, MicrosAcrossEpochsAndThresholds)
+TEST(AdaptiveKernelLoopDiff, MicrosAcrossEpochsAndThresholds)
 {
     gpu::GpuParams gp = gpu::testConfig();
     gp.numSms = 8;
@@ -487,7 +483,7 @@ TEST(AdaptiveShardDiff, MicrosAcrossEpochsAndThresholds)
     }
 }
 
-TEST(AdaptiveShardDiff, RandomizedSpecs)
+TEST(AdaptiveKernelLoopDiff, RandomizedSpecs)
 {
     gpu::GpuParams gp = gpu::testConfig();
     gp.numSms = 8;

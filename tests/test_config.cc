@@ -10,7 +10,6 @@
 #include "common/config.hh"
 #include "core/overrides.hh"
 #include "crypto/dispatch.hh"
-#include "gpu/shard_pool.hh"
 #include "mem/replacement.hh"
 
 using namespace shmgpu;
@@ -159,20 +158,6 @@ TEST(Overrides, DefaultsUntouchedWithoutKeys)
     EXPECT_EQ(gp.numSms, 8u);
     EXPECT_EQ(gp.numPartitions, 12u);
     EXPECT_EQ(mp.macBytes, 8u);
-}
-
-TEST(Overrides, ShardSpinKey)
-{
-    Config c = parse("gpu.shard_spin = 64\n");
-    gpu::GpuParams gp;
-    core::applyGpuOverrides(c, gp);
-    c.assertConsumed();
-    EXPECT_EQ(gp.shardSpin, 64u);
-
-    Config empty = parse("");
-    gpu::GpuParams gp2;
-    core::applyGpuOverrides(empty, gp2);
-    EXPECT_EQ(gp2.shardSpin, gpu::ShardPool::defaultSpinLimit);
 }
 
 TEST(Overrides, CryptoBackendKey)

@@ -3,7 +3,7 @@
  * Golden pins for the adaptive scheme (Scheme::ShmAdaptive): a 3
  * workload x 2 epoch grid's metrics — including the controller
  * tallies (demotions, promotions, re-encrypted bytes) — are pinned in
- * tests/golden/golden_adaptive.json, serially and at --shards 4.
+ * tests/golden/golden_adaptive.json.
  * The controller's decision sequence is part of the simulated
  * machine, so any change to the classification rules or transition
  * costs shows up here rather than drifting silently.
@@ -19,7 +19,6 @@
 
 #include <cstdlib>
 #include <fstream>
-#include <functional>
 
 #include "core/sweep.hh"
 
@@ -44,12 +43,10 @@ goldenPath()
 /** The pinned grid: the three micros at a fast and a slow
  *  reclassification epoch. Changing it invalidates the golden file. */
 std::vector<ExperimentResult>
-runPinnedGrid(const std::function<void(gpu::GpuParams &)> &mutate = {})
+runPinnedGrid()
 {
     gpu::GpuParams params;
     params.maxCyclesPerKernel = 20000;
-    if (mutate)
-        mutate(params);
 
     workload::WorkloadSpec stream = workload::makeStreamingMicro();
     workload::WorkloadSpec random = workload::makeRandomMicro();
@@ -150,16 +147,6 @@ TEST(GoldenAdaptive, PinnedGridMatchesGoldenFile)
     }
 
     expectMatchesGolden(results);
-}
-
-TEST(GoldenAdaptive, ShardedGridMatchesGoldenFile)
-{
-    // The controller's decisions are driven from per-partition access
-    // streams, never from shard scheduling, so --shards 4 must
-    // reproduce the committed numbers bit for bit. This variant never
-    // regenerates — the serial test owns the file.
-    expectMatchesGolden(
-        runPinnedGrid([](gpu::GpuParams &p) { p.shards = 4; }));
 }
 
 TEST(GoldenAdaptive, GoldenFileIsSelfConsistent)

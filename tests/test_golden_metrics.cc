@@ -17,7 +17,6 @@
 
 #include <cstdlib>
 #include <fstream>
-#include <functional>
 
 #include "core/sweep.hh"
 #include "mem/replacement.hh"
@@ -48,17 +47,12 @@ goldenPoliciesPath()
 
 /**
  * The pinned grid. Changing it invalidates the golden file.
- * @p mutate adjusts *engine* knobs (shard count, kernel loop) that by
- * contract cannot move any metric — those variants are checked against
- * the very same golden numbers.
  */
 std::vector<ExperimentResult>
-runPinnedGrid(const std::function<void(gpu::GpuParams &)> &mutate = {})
+runPinnedGrid()
 {
     gpu::GpuParams params;
     params.maxCyclesPerKernel = 20000;
-    if (mutate)
-        mutate(params);
 
     const std::vector<schemes::Scheme> designs = {
         schemes::Scheme::Naive, schemes::Scheme::Pssm,
@@ -158,13 +152,10 @@ expectMatchesGolden(const std::vector<ExperimentResult> &results)
  * from drifting silently — golden_metrics.json only guards LRU.
  */
 std::vector<ExperimentResult>
-runPolicyPinnedGrid(const std::function<void(gpu::GpuParams &)>
-                        &mutate = {})
+runPolicyPinnedGrid()
 {
     gpu::GpuParams params;
     params.maxCyclesPerKernel = 20000;
-    if (mutate)
-        mutate(params);
 
     workload::WorkloadSpec stream = workload::makeStreamingMicro();
     workload::WorkloadSpec mixed = workload::makeMixedMicro();
@@ -192,23 +183,6 @@ TEST(GoldenMetrics, SeedGridMatchesGoldenFile)
     expectMatchesGolden(results);
 }
 
-TEST(GoldenMetrics, ShardedGridMatchesGoldenFile)
-{
-    // The sharded engine is a pure parallelization: --shards 4 must
-    // reproduce the committed numbers bit for bit. This tier never
-    // regenerates — the serial test owns the file.
-    expectMatchesGolden(
-        runPinnedGrid([](gpu::GpuParams &p) { p.shards = 4; }));
-}
-
-TEST(GoldenMetrics, ReferenceLoopGridMatchesGoldenFile)
-{
-    // Same contract for the per-cycle reference engine: both kernel
-    // loops simulate the same machine.
-    expectMatchesGolden(runPinnedGrid(
-        [](gpu::GpuParams &p) { p.referenceKernelLoop = true; }));
-}
-
 TEST(GoldenMetrics, PolicyGridMatchesGoldenFile)
 {
     auto results = runPolicyPinnedGrid();
@@ -224,16 +198,6 @@ TEST(GoldenMetrics, PolicyGridMatchesGoldenFile)
     }
 
     expectMatchesGoldenFile(results, goldenPoliciesPath(), true);
-}
-
-TEST(GoldenMetrics, PolicyGridShardedMatchesGoldenFile)
-{
-    // Replacement decisions are position-seeded, never thread-seeded,
-    // so the sharded engine must reproduce the pinned SIEVE/S3FIFO
-    // numbers bit for bit too.
-    expectMatchesGoldenFile(
-        runPolicyPinnedGrid([](gpu::GpuParams &p) { p.shards = 4; }),
-        goldenPoliciesPath(), true);
 }
 
 TEST(GoldenMetrics, GoldenFileIsSelfConsistent)

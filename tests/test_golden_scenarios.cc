@@ -19,7 +19,6 @@
 
 #include <cstdlib>
 #include <fstream>
-#include <functional>
 
 #include "core/scenario.hh"
 #include "gpu/presets.hh"
@@ -45,13 +44,11 @@ goldenPath()
 
 /** The pinned grid. Changing it invalidates the golden file. */
 std::vector<ScenarioExperimentResult>
-runPinnedGrid(const std::function<void(gpu::GpuParams &)> &mutate = {})
+runPinnedGrid()
 {
     gpu::GpuParams gp = gpu::testConfig();
     gp.numSms = 8;
     gp.numPartitions = 6;
-    if (mutate)
-        mutate(gp);
 
     auto mix = [](workload::SharePolicy policy, Cycle quantum,
                   bool flush) {
@@ -214,15 +211,6 @@ TEST(GoldenScenarios, PinnedGridMatchesGoldenFile)
     }
 
     expectMatchesGolden(results);
-}
-
-TEST(GoldenScenarios, ShardedGridMatchesGoldenFile)
-{
-    // The scenario engine is serial by construction, so any --shards
-    // value must reproduce the committed numbers bit for bit. This
-    // tier never regenerates — the serial test owns the file.
-    expectMatchesGolden(
-        runPinnedGrid([](gpu::GpuParams &p) { p.shards = 4; }));
 }
 
 TEST(GoldenScenarios, GoldenFileIsSelfConsistent)

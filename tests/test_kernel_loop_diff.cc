@@ -3,25 +3,24 @@
  * Differential test of the event-driven kernel engine against the
  * per-cycle reference loop.
  *
- * The event engine (GpuSimulator::eventKernelLoop) claims bit-identical
- * behaviour to the original per-cycle loop, which survives as
- * referenceKernelLoop behind GpuParams::referenceKernelLoop. This test
- * is the proof: it runs randomized workload specs — every pattern,
- * every scheme, small and cap-hitting cycle budgets, zero and tiny
- * outstanding-load windows — through both engines and requires the
- * full RunMetrics and the whole stats tree to match exactly (only the
- * event engine's own cycles_skipped counter is excluded, since the
- * reference loop never skips).
+ * The event engine (GpuSimulator::run) claims bit-identical behaviour
+ * to a per-cycle loop, which lives in tests/reference_kernel_loop.hh
+ * as the oracle. This test is the proof: it runs randomized workload
+ * specs — every pattern, every scheme, small and cap-hitting cycle
+ * budgets, zero and tiny outstanding-load windows — through both
+ * engines and requires the full RunMetrics and the whole stats tree to
+ * match exactly (only the event engine's own cycles_skipped counter is
+ * excluded, since the reference loop never skips).
  */
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 
 #include "common/rng.hh"
 #include "gpu/presets.hh"
 #include "gpu/simulator.hh"
+#include "reference_kernel_loop.hh"
 #include "schemes/schemes.hh"
 #include "workload/benchmarks.hh"
 #include "workload/spec.hh"
@@ -32,23 +31,6 @@ using namespace shmgpu::gpu;
 namespace
 {
 
-/** Stats dump minus the event-engine-only cycles_skipped line. */
-std::string
-comparableStats(GpuSimulator &sim)
-{
-    std::ostringstream raw;
-    sim.statsRoot().dump(raw);
-    std::istringstream in(raw.str());
-    std::string out, line;
-    while (std::getline(in, line)) {
-        if (line.find("cycles_skipped") != std::string::npos)
-            continue;
-        out += line;
-        out += '\n';
-    }
-    return out;
-}
-
 struct EngineResult
 {
     RunMetrics metrics;
@@ -56,15 +38,14 @@ struct EngineResult
 };
 
 EngineResult
-runEngine(bool reference_loop, const GpuParams &base,
+runEngine(bool reference_loop, const GpuParams &gp,
           const mee::MeeParams &mp, const workload::WorkloadSpec &w)
 {
-    GpuParams gp = base;
-    gp.referenceKernelLoop = reference_loop;
     GpuSimulator sim(gp, mp, w);
     EngineResult r;
-    r.metrics = sim.run();
-    r.stats = comparableStats(sim);
+    r.metrics = reference_loop ? test::ReferenceKernelLoop::run(sim)
+                               : sim.run();
+    r.stats = test::comparableStats(sim);
     return r;
 }
 

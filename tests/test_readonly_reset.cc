@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "detect/readonly.hh"
 #include "detect/streaming.hh"
 #include "mee/functional.hh"
@@ -164,4 +167,51 @@ TEST(ReadOnlyReset, FunctionalResetThenReuseWithFreshCopy)
     auto r2 = ctx.deviceRead(0x10000);
     EXPECT_EQ(r2.status, mee::VerifyStatus::Ok);
     EXPECT_EQ(r2.data, side);
+}
+
+TEST(ReadOnlyReset, AliasedRegionSurvivesResetElsewhere)
+{
+    // A 32 MiB context is twice the default detector's coverage, so
+    // regions R and R + coverage share one tagless detector entry. A
+    // kernel write to R clears that entry for both; a later
+    // InputReadOnlyReset of an unrelated range raises the shared
+    // counter. The untouched aliased region must read back before and
+    // after.
+    const detect::ReadOnlyDetectorParams ro;
+    const std::uint64_t coverage =
+        static_cast<std::uint64_t>(ro.entries) * ro.regionBytes;
+    meta::LayoutParams lp;
+    lp.dataBytes = 2 * coverage;
+    SecureMemoryContext ctx(lp, 2027);
+
+    constexpr std::uint64_t kPiece = 64 * 1024;
+    constexpr std::size_t kReads = 32;
+    const LocalAddr written = 0, aliased = coverage, reset = coverage / 2;
+    std::vector<std::uint8_t> data(3 * kPiece);
+    for (std::size_t i = 0; i < data.size(); ++i)
+        data[i] = static_cast<std::uint8_t>(i * 131 + i / 251);
+    ctx.hostWriteRange(written, data.data(), kPiece, true);
+    ctx.hostWriteRange(aliased, data.data() + kPiece, kPiece, true);
+    ctx.hostWriteRange(reset, data.data() + 2 * kPiece, kPiece, true);
+    ctx.deviceWrite(written, pattern(5));
+    ASSERT_FALSE(ctx.isReadOnly(aliased)) << "regions should alias";
+
+    auto aliased_reads_back = [&] {
+        LocalAddr addrs[kReads];
+        mee::FunctionalReadResult out[kReads];
+        for (std::size_t i = 0; i < kReads; ++i)
+            addrs[i] = aliased + i * 128;
+        ctx.deviceReadBatch(addrs, out, kReads);
+        std::size_t ok = 0;
+        for (std::size_t i = 0; i < kReads; ++i)
+            ok += out[i].status == mee::VerifyStatus::Ok &&
+                  std::equal(out[i].data.begin(), out[i].data.end(),
+                             data.begin() + kPiece + i * 128);
+        return ok;
+    };
+    EXPECT_EQ(aliased_reads_back(), kReads);
+
+    ctx.inputReadOnlyReset(reset, kPiece, /*reencrypt=*/false);
+    ctx.hostWriteRange(reset, data.data(), kPiece, true);
+    EXPECT_EQ(aliased_reads_back(), kReads);
 }

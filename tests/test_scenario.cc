@@ -2,7 +2,7 @@
  * @file
  * The multi-tenant scenario engine and the core scenario-experiment
  * layer: single-tenant equivalence with the legacy run path,
- * determinism across repeats and shard counts, time-slice/partition
+ * determinism across repeats, time-slice/partition
  * semantics, accuracy attribution, and the JSON / result-cache
  * round trips.
  */
@@ -139,24 +139,6 @@ TEST(Scenario, RepeatedRunIsDeterministic)
     ScenarioRun a = runScenario(gp, schemes::Scheme::Shm, scn);
     ScenarioRun b = runScenario(gp, schemes::Scheme::Shm, scn);
     EXPECT_EQ(a.stats, b.stats);
-}
-
-// --shards must never change a scenario's bytes: the engine is serial
-// by construction (the ctor clamps the shard count), which is what
-// lets CI byte-compare scenario runs across parallelism settings.
-TEST(Scenario, ShardCountDoesNotChangeStats)
-{
-    const auto scn =
-        twoTenantMix(workload::SharePolicy::TimeSliced, 2000);
-    gpu::GpuParams gp = scnConfig();
-    ScenarioRun serial = runScenario(gp, schemes::Scheme::Shm, scn);
-    for (std::uint32_t shards : {2u, 4u}) {
-        gp.shards = shards;
-        ScenarioRun sharded =
-            runScenario(gp, schemes::Scheme::Shm, scn);
-        EXPECT_EQ(sharded.stats, serial.stats)
-            << "shards=" << shards;
-    }
 }
 
 TEST(Scenario, ArrivalDelaysFirstDispatch)

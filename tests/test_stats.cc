@@ -136,99 +136,3 @@ TEST(Stats, JsonDump)
     EXPECT_EQ(std::count(out.begin(), out.end(), '{'),
               std::count(out.begin(), out.end(), '}'));
 }
-
-namespace
-{
-
-/** A small tree shaped like one shard's private stats: a scalar, a
- *  histogram, and a nested child, all integer-valued. */
-struct ShardTree
-{
-    StatGroup root{nullptr, "sim"};
-    StatGroup child{&root, "p0"};
-    Scalar requests;
-    Scalar bytes;
-    Histogram latency;
-
-    ShardTree()
-    {
-        latency.init(0, 64, 8);
-        root.addScalar("requests", &requests);
-        child.addScalar("bytes", &bytes);
-        child.addHistogram("latency", &latency);
-    }
-
-    void
-    accumulate(double reqs, double nbytes, double lat_sample)
-    {
-        requests += reqs;
-        bytes += nbytes;
-        latency.sample(lat_sample);
-    }
-
-    std::string
-    dump() const
-    {
-        std::ostringstream os;
-        root.dump(os);
-        return os.str();
-    }
-};
-
-} // namespace
-
-TEST(Stats, MergeFromFoldsScalarsHistogramsAndChildren)
-{
-    ShardTree target, shard;
-    target.accumulate(1, 100, 3);
-    shard.accumulate(2, 50, 40);
-
-    target.root.mergeFrom(shard.root);
-    EXPECT_DOUBLE_EQ(target.requests.value(), 3);
-    EXPECT_DOUBLE_EQ(target.bytes.value(), 150);
-    EXPECT_EQ(target.latency.samples(), 2u);
-    EXPECT_DOUBLE_EQ(target.latency.mean(), (3.0 + 40.0) / 2.0);
-    // The source is untouched; the shard engine resets it separately.
-    EXPECT_DOUBLE_EQ(shard.requests.value(), 2);
-}
-
-TEST(Stats, MergeFromIsOrderIndependent)
-{
-    // The shard engine merges per-shard trees at epoch barriers in
-    // partition-id order and claims the result equals the serial
-    // temporal accumulation: with integer-valued stats the merge must
-    // commute. Fold the same three shards in two different orders and
-    // in one interleaved "temporal" order and require identical dumps.
-    ShardTree shards[3];
-    shards[0].accumulate(7, 1024, 5);
-    shards[0].accumulate(1, 32, 9);
-    shards[1].accumulate(3, 4096, 60);
-    shards[2].accumulate(11, 64, 17);
-
-    ShardTree fwd, rev, temporal;
-    for (int i : {0, 1, 2})
-        fwd.root.mergeFrom(shards[i].root);
-    for (int i : {2, 1, 0})
-        rev.root.mergeFrom(shards[i].root);
-    temporal.accumulate(3, 4096, 60);
-    temporal.accumulate(7, 1024, 5);
-    temporal.accumulate(11, 64, 17);
-    temporal.accumulate(1, 32, 9);
-
-    EXPECT_EQ(fwd.dump(), rev.dump());
-    EXPECT_EQ(fwd.dump(), temporal.dump());
-}
-
-TEST(Stats, HistogramMergeChecksGeometry)
-{
-    Histogram a, b;
-    a.init(0, 10, 5);
-    b.init(0, 10, 5);
-    a.sample(1);
-    b.sample(9);
-    a.merge(b);
-    EXPECT_EQ(a.samples(), 2u);
-    EXPECT_EQ(a.data()[0], 1u);
-    EXPECT_EQ(a.data()[4], 1u);
-    EXPECT_DOUBLE_EQ(a.mean(), 5.0);
-}

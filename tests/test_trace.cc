@@ -1,8 +1,7 @@
 /**
  * @file
- * Structured event tracer tests: overflow accounting, class filtering,
- * deterministic export ordering (including across shard counts), and
- * the Chrome trace_event JSON schema.
+ * Structured event tracer tests: class filtering, deterministic export
+ * ordering, and the Chrome trace_event JSON schema.
  */
 
 #include <gtest/gtest.h>
@@ -64,30 +63,13 @@ TEST(Tracer, ClassFilterSkipsRecording)
     EXPECT_EQ(events[0].kind, EventKind::SmIssue);
 }
 
-TEST(Tracer, SharedLaneOverflowDropsAndCounts)
+TEST(Tracer, LaneKeepsEveryEvent)
 {
     TraceParams params;
-    params.ringCapacity = 8;
-    Tracer tracer(1, params);
-    tracer.setLaneShared(0, true);
-    const std::uint64_t emitted = 100;
-    for (std::uint64_t i = 0; i < emitted; ++i)
-        tracer.record(0, EventKind::TxnEnqueue, i, 0, i);
-    EXPECT_GT(tracer.totalDropped(), 0u);
-    EXPECT_EQ(tracer.droppedOn(0), tracer.totalDropped());
-    // Conservation: every emission was either stored or counted.
-    EXPECT_EQ(tracer.totalRecorded() + tracer.totalDropped(), emitted);
-}
-
-TEST(Tracer, NonSharedLaneDrainsInlineAndNeverDrops)
-{
-    TraceParams params;
-    params.ringCapacity = 8;
     Tracer tracer(1, params);
     const std::uint64_t emitted = 1000;
     for (std::uint64_t i = 0; i < emitted; ++i)
         tracer.record(0, EventKind::SmIssue, i, 0, i);
-    EXPECT_EQ(tracer.totalDropped(), 0u);
     EXPECT_EQ(tracer.totalRecorded(), emitted);
 }
 
@@ -152,7 +134,6 @@ TEST(Tracer, ChromeJsonIsValidAndCarriesSchema)
 
     const json::Value &other = doc.at("otherData");
     EXPECT_EQ(other.at("time_unit").asString(), "cycles");
-    EXPECT_EQ(other.at("dropped_events").asString(), "0");
 
     // Payloads export as hex strings: u64 values would lose precision
     // as JSON doubles.
@@ -184,7 +165,7 @@ TEST(Tracer, TextDumpIsDeterministic)
     std::string a = dump(), b = dump();
     EXPECT_EQ(a, b);
     EXPECT_NE(a.find("cycle=3 class=l2 kind=L2Hit"), std::string::npos);
-    EXPECT_NE(a.find("# events=3 dropped=0"), std::string::npos);
+    EXPECT_NE(a.find("# events=3\n"), std::string::npos);
 }
 
 namespace
@@ -195,13 +176,10 @@ namespace
  * the deterministic A/B format.
  */
 std::string
-tracedRun(const workload::WorkloadSpec &w, std::uint32_t shards,
-          std::uint32_t class_mask)
+tracedRun(const workload::WorkloadSpec &w)
 {
     gpu::GpuParams gp = gpu::testConfig();
-    gp.shards = shards;
     TraceParams params;
-    params.classMask = class_mask;
     Tracer tracer(gp.numPartitions + 1, params);
     gpu::GpuSimulator sim(
         gp, schemes::makeMeeParams(schemes::Scheme::Shm), w);
@@ -214,31 +192,18 @@ tracedRun(const workload::WorkloadSpec &w, std::uint32_t shards,
 
 } // namespace
 
-TEST(TracerSimulation, ExportIsIdenticalAcrossShardCounts)
-{
-    // The Engine class (calendar skips, epoch barriers) describes the
-    // engine itself and legitimately differs between shard counts;
-    // every architectural class must match bit for bit.
-    std::uint32_t mask = allClassesMask & ~classBit(EventClass::Engine);
-    workload::WorkloadSpec w = workload::makeMixedMicro();
-    std::string serial = tracedRun(w, 1, mask);
-    std::string sharded = tracedRun(w, 2, mask);
-    EXPECT_GT(serial.size(), 100u) << "trace suspiciously empty";
-    EXPECT_EQ(serial, sharded);
-}
-
 TEST(TracerSimulation, RepeatRunsAreBitIdentical)
 {
     workload::WorkloadSpec w = workload::makeStreamingMicro(1 << 18, 256);
-    std::string a = tracedRun(w, 1, allClassesMask);
-    std::string b = tracedRun(w, 1, allClassesMask);
+    std::string a = tracedRun(w);
+    std::string b = tracedRun(w);
     EXPECT_EQ(a, b);
 }
 
 TEST(TracerSimulation, EmitsEveryArchitecturalClass)
 {
     workload::WorkloadSpec w = workload::makeMixedMicro();
-    std::string dump = tracedRun(w, 1, allClassesMask);
+    std::string dump = tracedRun(w);
     EXPECT_NE(dump.find("class=sm"), std::string::npos);
     EXPECT_NE(dump.find("class=txn"), std::string::npos);
     EXPECT_NE(dump.find("class=l2"), std::string::npos);
