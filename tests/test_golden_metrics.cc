@@ -45,6 +45,38 @@ goldenPoliciesPath()
     return std::string(SHMGPU_GOLDEN_DIR) + "/golden_policies.json";
 }
 
+std::string
+goldenUpperBoundPath()
+{
+    return std::string(SHMGPU_GOLDEN_DIR) + "/golden_upper_bound.json";
+}
+
+/** The Fig. 10/11 tallies a collectAccuracy run fills in. */
+constexpr const char *kAccuracyMetrics[] = {
+    "roCorrect",      "roMpInit",       "roMpAliasing",
+    "strCorrect",     "strMpInit",      "strMpAliasing",
+    "strMpRuntimeRo", "strMpRuntimeNonRo"};
+
+double
+accuracyMetric(const gpu::RunMetrics &m, const std::string &name)
+{
+    if (name == "roCorrect")
+        return m.roCorrect;
+    if (name == "roMpInit")
+        return m.roMpInit;
+    if (name == "roMpAliasing")
+        return m.roMpAliasing;
+    if (name == "strCorrect")
+        return m.strCorrect;
+    if (name == "strMpInit")
+        return m.strMpInit;
+    if (name == "strMpAliasing")
+        return m.strMpAliasing;
+    if (name == "strMpRuntimeRo")
+        return m.strMpRuntimeRo;
+    return m.strMpRuntimeNonRo;
+}
+
 /**
  * The pinned grid. Changing it invalidates the golden file.
  */
@@ -67,7 +99,7 @@ runPinnedGrid()
 
 json::Value
 goldenFromResults(const std::vector<ExperimentResult> &results,
-                  bool with_policy = false)
+                  bool with_policy = false, bool with_accuracy = false)
 {
     json::Value doc = json::Value::object();
     doc["comment"] = json::Value(
@@ -88,6 +120,11 @@ goldenFromResults(const std::vector<ExperimentResult> &results,
         cell["metadataOverhead"] =
             json::Value(r.metrics.metadataOverhead());
         cell["baselineIpc"] = json::Value(r.baseline.ipc);
+        if (with_accuracy) {
+            for (const char *metric : kAccuracyMetrics)
+                cell[metric] =
+                    json::Value(accuracyMetric(r.metrics, metric));
+        }
         arr.append(std::move(cell));
     }
     doc["cells"] = std::move(arr);
@@ -106,9 +143,11 @@ updateRequested()
 void
 expectMatchesGoldenFile(const std::vector<ExperimentResult> &results,
                         const std::string &path,
-                        bool with_policy = false)
+                        bool with_policy = false,
+                        bool with_accuracy = false)
 {
-    json::Value current = goldenFromResults(results, with_policy);
+    json::Value current =
+        goldenFromResults(results, with_policy, with_accuracy);
     json::Value golden = json::Value::parseFile(path);
     const auto &want = golden.at("cells");
     const auto &got = current.at("cells");
@@ -131,6 +170,14 @@ expectMatchesGoldenFile(const std::vector<ExperimentResult> &results,
         for (const char *metric :
              {"normalizedIpc", "overhead", "normalizedEnergyPerInstr",
               "metadataOverhead", "baselineIpc"}) {
+            EXPECT_NEAR(g.at(metric).asNumber(),
+                        w.at(metric).asNumber(), kTolerance)
+                << metric << " drifted beyond 1e-9 — if intentional, "
+                << "regenerate with SHMGPU_UPDATE_GOLDEN=1";
+        }
+        if (!with_accuracy)
+            continue;
+        for (const char *metric : kAccuracyMetrics) {
             EXPECT_NEAR(g.at(metric).asNumber(),
                         w.at(metric).asNumber(), kTolerance)
                 << metric << " drifted beyond 1e-9 — if intentional, "
@@ -163,6 +210,29 @@ runPolicyPinnedGrid()
         params, {mem::PolicyKind::Sieve, mem::PolicyKind::S3Fifo},
         {schemes::Scheme::Naive, schemes::Scheme::Shm},
         {&stream, &mixed}, {});
+}
+
+/**
+ * The pinned profiled grid: SHM and SHM_upper_bound with the Fig.
+ * 10/11 accuracy tallies on four Table VII workloads. These are the
+ * only cells that run the profiling pass and its unlimited-MAT
+ * oracle, which the other golden files never reach.
+ */
+std::vector<ExperimentResult>
+runUpperBoundPinnedGrid()
+{
+    gpu::GpuParams params;
+    params.maxCyclesPerKernel = 20000;
+
+    std::vector<const workload::WorkloadSpec *> specs;
+    for (const char *name : {"atax", "bfs", "kmeans", "lbm"})
+        specs.push_back(&workload::findWorkload(name));
+
+    SweepOptions options;
+    options.run.collectAccuracy = true;
+    SweepRunner runner(params);
+    return runner.run({schemes::Scheme::Shm, schemes::Scheme::ShmUpperBound},
+                      specs, options);
 }
 
 } // namespace
@@ -198,6 +268,23 @@ TEST(GoldenMetrics, PolicyGridMatchesGoldenFile)
     }
 
     expectMatchesGoldenFile(results, goldenPoliciesPath(), true);
+}
+
+TEST(GoldenMetrics, UpperBoundAndAccuracyMatchesGoldenFile)
+{
+    auto results = runUpperBoundPinnedGrid();
+
+    if (updateRequested()) {
+        json::Value current = goldenFromResults(results, false, true);
+        std::ofstream os(goldenUpperBoundPath(), std::ios::binary);
+        ASSERT_TRUE(os) << "cannot write " << goldenUpperBoundPath();
+        current.write(os, 2);
+        os << "\n";
+        GTEST_SKIP() << "golden file regenerated at "
+                     << goldenUpperBoundPath();
+    }
+
+    expectMatchesGoldenFile(results, goldenUpperBoundPath(), false, true);
 }
 
 TEST(GoldenMetrics, GoldenFileIsSelfConsistent)
