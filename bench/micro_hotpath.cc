@@ -5,7 +5,8 @@
  * std::unordered_map on the MSHR churn pattern, DaryHeap vs.
  * std::priority_queue on the completion-retirement pattern, the
  * timing-wheel CalendarQueue vs. DaryHeap on the kernel engine's SM
- * ready-event pattern, and the shift/mask address mapping. These
+ * ready-event pattern, the shift/mask address mapping, and the
+ * unlimited-MAT oracle detector at growing tracker pools. These
  * isolate the per-structure wins (and costs) that `shmgpu bench-self`
  * measures end to end.
  */
@@ -21,6 +22,7 @@
 #include "common/calendar_queue.hh"
 #include "common/dary_heap.hh"
 #include "common/flat_map.hh"
+#include "detect/streaming.hh"
 #include "mem/addr_map.hh"
 #include "mem/cache.hh"
 
@@ -275,5 +277,33 @@ BM_CacheFillEvictByPolicy(benchmark::State &state)
         mem::allPolicies()[static_cast<std::size_t>(state.range(0))]));
 }
 BENCHMARK(BM_CacheFillEvictByPolicy)->DenseRange(0, 4);
+
+static void
+BM_OracleDetectorAccess(benchmark::State &state)
+{
+    // The profiling pass's oracle (trackers = 0) on a rotation of
+    // range(0) chunks, one sector access per simulated cycle. The
+    // timeout is scaled so every phase sees 8 touches and then times
+    // out: exactly range(0) trackers are live, and the phase churn is
+    // the same at every pool size. Per-access cost should not grow
+    // with the pool.
+    const std::uint64_t chunks = static_cast<std::uint64_t>(state.range(0));
+    detect::StreamingDetectorParams params;
+    params.trackers = 0;
+    params.entries = 1 << 16; // SHM_upper_bound's predictor
+    params.timeoutCycles = 8 * chunks;
+    detect::StreamingDetector detector(params);
+    std::vector<detect::DetectionEvent> events;
+    std::uint64_t i = 0;
+    for (auto _ : state) {
+        std::uint64_t chunk = i % chunks;
+        std::uint64_t sector = (i / chunks) % 124; // never block 31
+        detector.access(chunk * params.chunkBytes + sector * 32, false, i,
+                        events);
+        events.clear();
+        ++i;
+    }
+}
+BENCHMARK(BM_OracleDetectorAccess)->Arg(8)->Arg(512)->Arg(4096);
 
 BENCHMARK_MAIN();

@@ -1,9 +1,29 @@
 #include "detect/oracle.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace shmgpu::detect
 {
+
+namespace
+{
+
+/** @p map's keys in ascending order (FlatMap iterates in slot order). */
+template <typename V>
+std::vector<std::uint64_t>
+sortedKeys(const FlatMap<V> &map)
+{
+    std::vector<std::uint64_t> keys;
+    keys.reserve(map.size());
+    for (const auto &[key, value] : map)
+        keys.push_back(key);
+    std::sort(keys.begin(), keys.end());
+    return keys;
+}
+
+} // namespace
 
 AccessProfile::AccessProfile(unsigned num_partitions,
                              std::uint64_t region_bytes,
@@ -94,11 +114,11 @@ AccessProfile::chunkStreamingStats(const ChunkStats &cs) const
 bool
 AccessProfile::chunkStreaming(PartitionId partition, LocalAddr addr) const
 {
-    const auto &chunks = partitions.at(partition).chunks;
-    auto it = chunks.find(addr / chunkSize);
-    if (it == chunks.end())
+    const ChunkStats *cs = partitions.at(partition).chunks.find(
+        addr / chunkSize);
+    if (!cs)
         return true; // never profiled: keep the eager default
-    return chunkStreamingStats(it->second);
+    return chunkStreamingStats(*cs);
 }
 
 void
@@ -106,9 +126,9 @@ AccessProfile::forEachChunk(
     PartitionId partition,
     const std::function<void(std::uint64_t, bool)> &fn) const
 {
-    const auto &prof = partitions.at(partition);
-    for (const auto &[chunk, cs] : prof.chunks)
-        fn(chunk, chunkStreamingStats(cs));
+    const auto &chunks = partitions.at(partition).chunks;
+    for (std::uint64_t chunk : sortedKeys(chunks))
+        fn(chunk, chunkStreamingStats(*chunks.find(chunk)));
 }
 
 AccessProfile::Ratios
@@ -142,11 +162,9 @@ AccessProfile::forEachWrittenRegion(
     PartitionId partition,
     const std::function<void(std::uint64_t)> &fn) const
 {
-    for (const auto &[region, written] :
-         partitions.at(partition).regionWritten) {
-        if (written)
-            fn(region);
-    }
+    for (std::uint64_t region :
+         sortedKeys(partitions.at(partition).regionWritten))
+        fn(region);
 }
 
 } // namespace shmgpu::detect

@@ -17,9 +17,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.hh"
 #include "common/types.hh"
 #include "detect/streaming.hh"
 
@@ -49,13 +49,18 @@ class AccessProfile
     /** Majority oracle classification of the chunk of @p addr. */
     bool chunkStreaming(PartitionId partition, LocalAddr addr) const;
 
-    /** Visit every profiled chunk (for predictor priming). */
+    /**
+     * Visit every profiled chunk in ascending chunk order (for
+     * predictor priming: where chunks alias in a small predictor, the
+     * highest chunk id primes the shared entry last).
+     */
     void forEachChunk(
         PartitionId partition,
         const std::function<void(std::uint64_t chunk, bool streaming)> &fn)
         const;
 
-    /** Visit every written region (for read-only priming). */
+    /** Visit every written region in ascending order (read-only
+     *  priming). */
     void forEachWrittenRegion(
         PartitionId partition,
         const std::function<void(std::uint64_t region)> &fn) const;
@@ -84,9 +89,9 @@ class AccessProfile
 
     struct PartitionProfile
     {
-        std::unordered_map<std::uint64_t, bool> regionWritten;
-        std::unordered_map<std::uint64_t, std::uint64_t> regionAccesses;
-        std::unordered_map<std::uint64_t, ChunkStats> chunks;
+        FlatMap<bool> regionWritten;
+        FlatMap<std::uint64_t> regionAccesses;
+        FlatMap<ChunkStats> chunks;
         std::vector<DetectionEvent> events;
     };
 

@@ -1,5 +1,7 @@
 #include "detect/streaming.hh"
 
+#include <algorithm>
+
 #include "common/bitops.hh"
 #include "common/logging.hh"
 
@@ -38,6 +40,8 @@ StreamingDetector::confirmedStreaming(LocalAddr addr, Cycle now) const
     // engine may serve it at chunk granularity and defer verification
     // to the detection event — with the Table III/IV costs if the
     // phase turns out random.
+    if (oracle())
+        return liveSlot.contains(chunk);
     for (const auto &t : trackers)
         if (t.valid && t.chunk == chunk)
             return true;
@@ -62,6 +66,11 @@ StreamingDetector::finalize(Tracker &t, std::vector<DetectionEvent> &events,
     events.push_back({t.chunk, streaming, t.predictedStreaming,
                       t.writeFlag, t.accessMask, exit});
     t.valid = false;
+    if (oracle()) {
+        liveSlot.erase(t.chunk);
+        freeSlots.push(static_cast<std::uint32_t>(&t - trackers.data()));
+        ++t.generation;
+    }
 
     if (exit == PhaseExit::Coverage && !cooldown.empty()) {
         // Remember the chunk briefly so straggling sector accesses do
@@ -84,6 +93,10 @@ StreamingDetector::inCooldown(std::uint64_t chunk, Cycle now) const
 StreamingDetector::Tracker *
 StreamingDetector::findTracker(std::uint64_t chunk)
 {
+    if (oracle()) {
+        const std::uint32_t *slot = liveSlot.find(chunk);
+        return slot ? &trackers[*slot] : nullptr;
+    }
     for (auto &t : trackers)
         if (t.valid && t.chunk == chunk)
             return &t;
@@ -91,16 +104,23 @@ StreamingDetector::findTracker(std::uint64_t chunk)
 }
 
 StreamingDetector::Tracker *
-StreamingDetector::allocTracker(Cycle now,
+StreamingDetector::allocTracker(std::uint64_t chunk, Cycle now,
                                 std::vector<DetectionEvent> &events)
 {
-    if (config.trackers == 0) {
-        // Oracle mode: unlimited trackers.
-        for (auto &t : trackers)
-            if (!t.valid)
-                return &t;
-        trackers.push_back({});
-        return &trackers.back();
+    if (oracle()) {
+        // Unlimited trackers: the lowest free slot, else a new one.
+        std::uint32_t slot;
+        if (freeSlots.empty()) {
+            slot = static_cast<std::uint32_t>(trackers.size());
+            trackers.push_back({});
+        } else {
+            slot = freeSlots.top();
+            freeSlots.pop();
+        }
+        liveSlot[chunk] = slot;
+        deadlines.push({now + config.timeoutCycles, slot,
+                        trackers[slot].generation});
+        return &trackers[slot];
     }
     for (auto &t : trackers)
         if (!t.valid)
@@ -116,16 +136,42 @@ StreamingDetector::allocTracker(Cycle now,
 }
 
 void
+StreamingDetector::expireTimedOut(Cycle now,
+                                  std::vector<DetectionEvent> &events)
+{
+    if (!oracle()) {
+        for (auto &t : trackers) {
+            if (t.valid && now >= t.started + config.timeoutCycles) {
+                ++statTimeoutExits;
+                finalize(t, events, now, PhaseExit::Timeout);
+            }
+        }
+        return;
+    }
+    // Every deadline due by now; one whose tracker finalized since
+    // (its generation moved on) is stale and dropped.
+    expiredSlots.clear();
+    while (!deadlines.empty() && now >= deadlines.top().at) {
+        const Deadline d = deadlines.top();
+        deadlines.pop();
+        if (trackers[d.slot].generation == d.generation)
+            expiredSlots.push_back(d.slot);
+    }
+    // Slot order, the order a scan of the pool finalizes them in:
+    // SHM_upper_bound's own MEE consumes these events in order.
+    std::sort(expiredSlots.begin(), expiredSlots.end());
+    for (std::uint32_t slot : expiredSlots) {
+        ++statTimeoutExits;
+        finalize(trackers[slot], events, now, PhaseExit::Timeout);
+    }
+}
+
+void
 StreamingDetector::access(LocalAddr addr, bool is_write, Cycle now,
                           std::vector<DetectionEvent> &events)
 {
     // Lazily expire timed-out monitoring phases.
-    for (auto &t : trackers) {
-        if (t.valid && now >= t.started + config.timeoutCycles) {
-            ++statTimeoutExits;
-            finalize(t, events, now, PhaseExit::Timeout);
-        }
-    }
+    expireTimedOut(now, events);
 
     std::uint64_t chunk = chunkOf(addr);
     std::uint32_t block_in_chunk = static_cast<std::uint32_t>(
@@ -137,8 +183,7 @@ StreamingDetector::access(LocalAddr addr, bool is_write, Cycle now,
             ++statCooldownAbsorbed;
             return; // straggler after a completed phase
         }
-        if (!entries[indexOf(chunk)].streaming &&
-            config.trackers != 0) {
+        if (!entries[indexOf(chunk)].streaming && !oracle()) {
             if (++remonitorTick % config.randomRemonitorPeriod != 0) {
                 ++statRemonitorSkipped;
                 return; // pace re-monitoring of random chunks
@@ -151,7 +196,7 @@ StreamingDetector::access(LocalAddr addr, bool is_write, Cycle now,
                 return; // keep MATs free for the streaming fronts
             }
         }
-        t = allocTracker(now, events);
+        t = allocTracker(chunk, now, events);
         if (!t) {
             ++statNoTrackerFree;
             return; // all MATs busy: chunk goes unmonitored
@@ -194,6 +239,17 @@ StreamingDetector::finalizeAll(Cycle now, std::vector<DetectionEvent> &events)
     for (auto &t : trackers)
         if (t.valid)
             finalize(t, events, now, PhaseExit::Timeout);
+    if (oracle())
+        clearOraclePool(); // every phase is closed
+}
+
+void
+StreamingDetector::clearOraclePool()
+{
+    trackers.clear();
+    liveSlot.clear();
+    freeSlots.clear();
+    deadlines.clear();
 }
 
 void
@@ -201,11 +257,11 @@ StreamingDetector::reset()
 {
     for (Entry &e : entries)
         e = Entry{};
-    if (config.trackers > 0) {
+    if (oracle()) {
+        clearOraclePool(); // oracle mode grows the pool on demand
+    } else {
         for (Tracker &t : trackers)
             t = Tracker{};
-    } else {
-        trackers.clear(); // oracle mode grows the pool on demand
     }
     for (CooldownEntry &c : cooldown)
         c = CooldownEntry{};

@@ -15,6 +15,15 @@
  *
  * Detection events are returned to the caller (the MEE), which charges
  * the Table III/IV misprediction bandwidth and swaps MAC granularity.
+ *
+ * With trackers = 0 (the paper's unlimited-MAT oracle, used by the
+ * profiling pass and SHM_upper_bound) the pool grows to thousands of
+ * live trackers, so that mode indexes it: a chunk -> slot map, a
+ * min-heap of free slots (allocation takes the lowest, as a scan
+ * would) and a deadline heap for lazy timeout expiry. Phases that
+ * expire together finalize in ascending slot order, so the event
+ * stream is the one a linear scan of the pool produces. Bounded-MAT
+ * mode (the Table IX hardware) scans its 8 or 16 trackers.
  */
 
 #ifndef SHMGPU_DETECT_STREAMING_HH
@@ -23,6 +32,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/dary_heap.hh"
+#include "common/flat_map.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -175,6 +186,18 @@ class StreamingDetector
         std::uint64_t accessMask = 0; //!< one bit per block in chunk
         std::uint32_t accesses = 0;
         Cycle started = 0;
+        /** Bumped by finalize: retires the slot's oracle deadline. */
+        std::uint32_t generation = 0;
+    };
+
+    /** Oracle-mode timeout of one phase; ordered by expiry cycle. */
+    struct Deadline
+    {
+        Cycle at = 0;
+        std::uint32_t slot = 0;
+        std::uint32_t generation = 0;
+
+        bool operator<(const Deadline &o) const { return at < o.at; }
     };
 
     struct Entry
@@ -195,10 +218,15 @@ class StreamingDetector
                                           config.blockBytes);
     }
 
+    bool oracle() const { return config.trackers == 0; }
+
     void finalize(Tracker &t, std::vector<DetectionEvent> &events,
                   Cycle now, PhaseExit exit);
     Tracker *findTracker(std::uint64_t chunk);
-    Tracker *allocTracker(Cycle now, std::vector<DetectionEvent> &events);
+    Tracker *allocTracker(std::uint64_t chunk, Cycle now,
+                          std::vector<DetectionEvent> &events);
+    void expireTimedOut(Cycle now, std::vector<DetectionEvent> &events);
+    void clearOraclePool();
     bool inCooldown(std::uint64_t chunk, Cycle now) const;
 
     struct CooldownEntry
@@ -213,6 +241,13 @@ class StreamingDetector
     std::vector<CooldownEntry> cooldown; //!< ring of finalized chunks
     std::uint32_t cooldownNext = 0;
     std::uint32_t remonitorTick = 0; //!< random-chunk re-monitor pacing
+
+    /** @{ Oracle-mode indexes over `trackers` (empty when bounded). */
+    FlatMap<std::uint32_t> liveSlot;  //!< chunk -> slot of its tracker
+    DaryHeap<std::uint32_t> freeSlots; //!< invalid slots, lowest on top
+    DaryHeap<Deadline> deadlines;      //!< may hold retired entries
+    std::vector<std::uint32_t> expiredSlots; //!< scratch for access()
+    /** @} */
 
     stats::StatGroup statGroup;
     stats::Scalar statPhasesStarted;

@@ -10,6 +10,7 @@
 #include <memory>
 #include <vector>
 
+#include "detect/oracle.hh"
 #include "mee/engine.hh"
 #include "mem/addr_map.hh"
 #include "meta/counters.hh"
@@ -576,4 +577,42 @@ TEST_F(MeeEngineTest, MacWidthShrinksMacFootprint)
     std::uint64_t narrow = run_with(4);
     EXPECT_LT(narrow, wide);
     EXPECT_NEAR(static_cast<double>(narrow) / wide, 0.5, 0.2);
+}
+
+TEST_F(MeeEngineTest, AliasedPrimingIsInsertionOrderIndependent)
+{
+    // Chunks 0..63 alias 16 ways onto a 4-entry predictor; even chunks
+    // stream, odd ones are probed once (random). Two profiles record
+    // them in opposite orders: priming must leave identical entries,
+    // each set by the highest chunk mapping to it.
+    auto profile = [](bool ascending) {
+        auto p = std::make_unique<detect::AccessProfile>(1);
+        Cycle now = 0;
+        for (std::uint64_t i = 0; i < 64; ++i) {
+            std::uint64_t chunk = ascending ? i : 63 - i;
+            std::uint64_t blocks = chunk % 2 == 0 ? 32 : 1;
+            for (std::uint64_t b = 0; b < blocks; ++b)
+                p->recordAccess(0, chunk * 4096 + b * 128, false, now++);
+        }
+        p->finalize(now + 100000);
+        return p;
+    };
+
+    MeeParams params;
+    params.streamDetector.entries = 4;
+    auto up = makeEngine(params);
+    auto down = makeEngine(params);
+    up->primeFromProfile(*profile(true));
+    down->primeFromProfile(*profile(false));
+
+    const auto &a = up->streamingDetector();
+    const auto &b = down->streamingDetector();
+    for (std::uint64_t entry = 0; entry < 4; ++entry) {
+        SCOPED_TRACE(entry);
+        EXPECT_EQ(a.predictStreaming(entry * 4096),
+                  b.predictStreaming(entry * 4096));
+        EXPECT_EQ(a.entryLastUpdater(entry), b.entryLastUpdater(entry));
+        EXPECT_EQ(a.entryLastUpdater(entry), 60 + entry);
+        EXPECT_EQ(a.predictStreaming(entry * 4096), entry % 2 == 0);
+    }
 }

@@ -126,6 +126,52 @@ TEST(AccessProfile, ForEachWrittenRegion)
     EXPECT_EQ(regions, (std::vector<std::uint64_t>{0, 2}));
 }
 
+TEST(AccessProfile, ForEachChunkVisitsAscending)
+{
+    // Record chunks in a scrambled order; priming must not depend on
+    // it (or on any hash-table layout).
+    AccessProfile p(1);
+    std::vector<std::uint64_t> recorded;
+    for (std::uint64_t i = 0; i < 300; ++i)
+        recorded.push_back((i * 7919) % 1000 + 1000 * (i % 3));
+    Cycle now = 0;
+    for (std::uint64_t chunk : recorded)
+        p.recordAccess(0, chunk * 4096, false, now++);
+    p.finalize(now + 10000);
+
+    std::vector<std::uint64_t> visited;
+    p.forEachChunk(0, [&](std::uint64_t chunk, bool) {
+        visited.push_back(chunk);
+    });
+    std::sort(recorded.begin(), recorded.end());
+    recorded.erase(std::unique(recorded.begin(), recorded.end()),
+                   recorded.end());
+    EXPECT_EQ(visited, recorded);
+}
+
+TEST(AccessProfile, ForEachWrittenRegionVisitsAscending)
+{
+    AccessProfile p(1);
+    std::vector<std::uint64_t> written;
+    Cycle now = 0;
+    for (std::uint64_t i = 0; i < 300; ++i) {
+        std::uint64_t region = (i * 104729) % 5000;
+        written.push_back(region);
+        p.recordAccess(0, region * 16 * 1024, true, now++);
+        // Reads of other regions are not visited.
+        p.recordAccess(0, (region + 100000) * 16 * 1024, false, now++);
+    }
+
+    std::vector<std::uint64_t> visited;
+    p.forEachWrittenRegion(0, [&](std::uint64_t r) {
+        visited.push_back(r);
+    });
+    std::sort(written.begin(), written.end());
+    written.erase(std::unique(written.begin(), written.end()),
+                  written.end());
+    EXPECT_EQ(visited, written);
+}
+
 TEST(AccessProfile, AccessRatiosAggregateAcrossPartitions)
 {
     AccessProfile p(2);
