@@ -35,12 +35,12 @@ import sys
 # run's cost scales with the mix, so only identically-shaped scenario
 # benches compare — and the keys keep a bench-tenants file from ever
 # being compared against a single-workload baseline. "schemes" and
-# "adaptEpoch" scope bench-self grids recorded with --schemes /
-# --adapt-epoch (the SHM_adaptive perf-smoke baseline), so an
-# adaptive-grid run never compares against the classic 3x3.
+# "mdcPolicy" scope bench-self grids recorded with --schemes or with a
+# metadata-cache policy (mee.mdc_policy) that differs from the L2's,
+# so a reshaped grid never compares against the classic 3x3.
 CONFIG_KEYS = ("benchmark", "gpu", "policy", "max_cycles_per_kernel",
                "cells", "cryptoBackend", "resultsDir", "zipf",
-               "scenario", "tenants", "schemes", "adaptEpoch")
+               "scenario", "tenants", "schemes", "mdcPolicy")
 
 
 def load(path):

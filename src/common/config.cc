@@ -125,15 +125,22 @@ Config::getString(const std::string &key, const std::string &fallback)
     return it->second;
 }
 
+std::vector<std::string>
+Config::unconsumedKeys() const
+{
+    std::vector<std::string> keys;
+    for (const auto &[key, value] : values)
+        if (!consumed.contains(key))
+            keys.push_back(key);
+    return keys;
+}
+
 void
 Config::assertConsumed() const
 {
-    for (const auto &[key, value] : values) {
-        if (!consumed.contains(key))
-            shm_fatal("{}: unknown configuration key '{}' "
-                      "(possible typo)",
-                      origin, key);
-    }
+    for (const std::string &key : unconsumedKeys())
+        shm_fatal("{}: unknown configuration key '{}' (possible typo)",
+                  origin, key);
 }
 
 } // namespace shmgpu

@@ -16,6 +16,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 namespace shmgpu
 {
@@ -40,6 +41,9 @@ class Config
     std::string getString(const std::string &key,
                           const std::string &fallback);
     /** @} */
+
+    /** Keys no getter has consumed yet, in sorted order. */
+    std::vector<std::string> unconsumedKeys() const;
 
     /** Fatal if any key was never consumed (likely a typo). */
     void assertConsumed() const;

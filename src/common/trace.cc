@@ -35,7 +35,6 @@ kindName(EventKind kind)
       case EventKind::RoTransition: return "RoTransition";
       case EventKind::StreamClassify: return "StreamClassify";
       case EventKind::TrackerTimeout: return "TrackerTimeout";
-      case EventKind::AdaptSwitch: return "AdaptSwitch";
       case EventKind::NumKinds: break;
     }
     shm_panic("unknown event kind {}", static_cast<int>(kind));

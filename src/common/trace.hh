@@ -49,7 +49,6 @@ enum class EventKind : std::uint8_t
     RoTransition,   //!< Detect: read-only region first written
     StreamClassify, //!< Detect: monitoring phase classified a chunk
     TrackerTimeout, //!< Detect: monitoring phase timed out
-    AdaptSwitch,    //!< Detect: adaptive region changed protection mode
     NumKinds
 };
 
@@ -98,7 +97,6 @@ classOf(EventKind kind)
             EventClass::Detect, // RoTransition
             EventClass::Detect, // StreamClassify
             EventClass::Detect, // TrackerTimeout
-            EventClass::Detect, // AdaptSwitch
         };
     return table[static_cast<std::size_t>(kind)];
 }

@@ -81,14 +81,6 @@ Experiment::run(schemes::Scheme scheme,
 
     mee::MeeParams mee_params = schemes::makeMeeParams(scheme);
     mee_params.mdcPolicy = options.mdcPolicy;
-    if (options.adaptEpoch)
-        mee_params.adaptEpoch = *options.adaptEpoch;
-    if (options.adaptThresholds)
-        mee_params.adaptThresholds = *options.adaptThresholds;
-    result.adaptEpoch =
-        mee_params.adaptive
-            ? static_cast<std::uint64_t>(mee_params.adaptEpoch)
-            : 0;
 
     std::optional<detect::AccessProfile> profile;
     bool want_profile = options.collectAccuracy ||

@@ -23,14 +23,12 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 
 #include "common/trace.hh"
 #include "gpu/energy.hh"
 #include "gpu/metrics.hh"
 #include "gpu/params.hh"
-#include "mee/adapt.hh"
 #include "schemes/schemes.hh"
 #include "workload/benchmarks.hh"
 
@@ -80,16 +78,6 @@ struct RunOptions
      * metadata caches to steer).
      */
     mem::PolicyKind mdcPolicy = mem::PolicyKind::Lru;
-
-    /**
-     * Adaptive-scheme controls (`mee.adapt_epoch` /
-     * `mee.adapt_thresholds`, `--adapt-epochs`), carried here for the
-     * same registry-owns-MeeParams reason as mdcPolicy. Unset keeps
-     * the scheme defaults; an explicit adaptEpoch of 0 freezes every
-     * region at Full protection. Ignored by non-adaptive schemes.
-     */
-    std::optional<Cycle> adaptEpoch;
-    std::optional<mee::AdaptThresholds> adaptThresholds;
 };
 
 /** One (scheme, workload) result, normalized to the baseline. */
@@ -100,9 +88,6 @@ struct ExperimentResult
     /** Replacement policies the cell ran under ("lru", "sieve", ...). */
     std::string l2Policy;
     std::string mdcPolicy;
-    /** Effective reclassification epoch the cell ran under (0 for
-     *  non-adaptive schemes; distinguishes --adapt-epochs cells). */
-    std::uint64_t adaptEpoch = 0;
     gpu::RunMetrics metrics;
     gpu::RunMetrics baseline;
 

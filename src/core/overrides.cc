@@ -79,34 +79,6 @@ applyMeeOverrides(Config &config, mee::MeeParams &p)
         config.getU64("mee.ro_entries", p.roDetector.entries));
     p.roDetector.regionBytes =
         config.getU64("mee.ro_region_bytes", p.roDetector.regionBytes);
-
-    // Adaptive-scheme knobs (Scheme::ShmAdaptive). The thresholds
-    // pack into one comma list: "roMinReads,streamMinReads,
-    // macOnlyMissRate".
-    p.adaptEpoch = config.getU64("mee.adapt_epoch", p.adaptEpoch);
-    std::string th = config.getString("mee.adapt_thresholds", "");
-    if (!th.empty())
-        p.adaptThresholds = parseAdaptThresholds(th);
-}
-
-mee::AdaptThresholds
-parseAdaptThresholds(const std::string &text)
-{
-    mee::AdaptThresholds th;
-    unsigned long long ro = 0, stream = 0;
-    double miss = 0;
-    char tail = 0;
-    if (std::sscanf(text.c_str(), "%llu,%llu,%lf%c", &ro, &stream,
-                    &miss, &tail) != 3 ||
-        miss < 0.0 || miss > 1.0)
-        shm_fatal("bad adapt thresholds '{}': expected "
-                  "'roMinReads,streamMinReads,macOnlyMissRate' with the "
-                  "miss rate in [0,1]",
-                  text);
-    th.roMinReads = ro;
-    th.streamMinReads = stream;
-    th.macOnlyMissRate = miss;
-    return th;
 }
 
 void

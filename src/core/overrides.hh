@@ -1,8 +1,9 @@
 /**
  * @file
- * Configuration-file overrides for the GPU and MEE parameters, so the
- * CLI (and downstream embedders) can explore the design space without
- * recompiling:
+ * Configuration-file overrides for the GPU and MEE parameters, so
+ * design-space exploration needs no recompiling. The CLI's
+ * `--overrides` file takes the GPU, trace and crypto keys plus the
+ * metadata-cache policy:
  *
  *   # turing.cfg
  *   gpu.num_sms            = 30
@@ -10,17 +11,21 @@
  *   gpu.max_cycles         = 100000
  *   cache.policy           = lru   # L2: lru/fifo/random/s3fifo/sieve
  *   dram.bytes_per_cycle   = 16
+ *   mee.mdc_policy         = lru   # metadata caches, same value set
+ *   trace.classes          = mee,detect
+ *   crypto.backend         = auto  # auto/scalar/aesni/vaes
+ *
+ * The rest of the MEE structure comes from the CLI's --scheme, so
+ * the CLI rejects every other `mee.*` key. Library embedders that
+ * build their own MeeParams apply the full set with
+ * applyMeeOverrides:
+ *
  *   mee.chunk_bytes        = 4096
  *   mee.mats               = 16
  *   mee.mdc_bytes          = 2048
- *   mee.mdc_policy         = lru   # metadata caches, same value set
  *   mee.mac_bytes          = 8
  *   mee.bmt_arity          = 16
  *   mee.static_space_hints = true
- *   mee.adapt_epoch        = 50000 # SHM_adaptive reclassify period
- *   mee.adapt_thresholds   = 4,16,0.9  # roMinReads,streamMinReads,
- *                                      # macOnlyMissRate
- *   crypto.backend         = auto  # auto/scalar/aesni/vaes
  *
  * Unknown keys are fatal (Config::assertConsumed); so are unknown
  * policy names, which list the valid set in the error.
@@ -42,13 +47,6 @@ void applyGpuOverrides(Config &config, gpu::GpuParams &params);
 
 /** Apply "mee.*" keys to @p params. */
 void applyMeeOverrides(Config &config, mee::MeeParams &params);
-
-/**
- * Parse the packed "roMinReads,streamMinReads,macOnlyMissRate" form
- * of `mee.adapt_thresholds` (also the CLI's --adapt-thresholds).
- * Fatal on malformed input or a miss rate outside [0,1].
- */
-mee::AdaptThresholds parseAdaptThresholds(const std::string &text);
 
 /**
  * Apply "trace.*" keys to @p params:

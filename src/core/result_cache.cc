@@ -73,22 +73,6 @@ addEnergyParams(Fingerprint &h, const gpu::EnergyParams &p)
 }
 
 void
-addAdaptKnobs(Fingerprint &h, std::optional<Cycle> epoch,
-              std::optional<mee::AdaptThresholds> thresholds)
-{
-    // Unset and explicitly-default must key differently from each
-    // other only in the has_value bit, never collide with a changed
-    // value.
-    h.boolean(epoch.has_value());
-    h.u64(epoch.value_or(0));
-    h.boolean(thresholds.has_value());
-    mee::AdaptThresholds th = thresholds.value_or(mee::AdaptThresholds{});
-    h.u64(th.roMinReads);
-    h.u64(th.streamMinReads);
-    h.f64(th.macOnlyMissRate);
-}
-
-void
 addRunOptions(Fingerprint &h, const RunOptions &o)
 {
     // Only the metrics-relevant members: collectAccuracy switches the
@@ -98,9 +82,6 @@ addRunOptions(Fingerprint &h, const RunOptions &o)
     // cache for identical results.
     h.boolean(o.collectAccuracy);
     h.str(mem::policyName(o.mdcPolicy));
-    // The adaptive knobs move the SHM_adaptive controller (and are
-    // inert everywhere else, but see the always-hash note above).
-    addAdaptKnobs(h, o.adaptEpoch, o.adaptThresholds);
 }
 
 } // namespace
@@ -126,8 +107,6 @@ cellKey(const gpu::GpuParams &gpu, const gpu::EnergyParams &energy,
 std::uint64_t
 scenarioCellKey(const gpu::GpuParams &gpu, const gpu::EnergyParams &energy,
                 bool with_solo, mem::PolicyKind mdc_policy,
-                std::optional<Cycle> adapt_epoch,
-                std::optional<mee::AdaptThresholds> adapt_thresholds,
                 schemes::Scheme scheme,
                 const workload::ScenarioSpec &scenario,
                 crypto::Backend backend, const std::string &code_version)
@@ -142,7 +121,6 @@ scenarioCellKey(const gpu::GpuParams &gpu, const gpu::EnergyParams &energy,
     addEnergyParams(h, energy);
     h.boolean(with_solo);
     h.str(mem::policyName(mdc_policy));
-    addAdaptKnobs(h, adapt_epoch, adapt_thresholds);
     h.str(schemes::schemeName(scheme));
     h.str(crypto::backendName(backend));
     h.u64(workload::contentHash(scenario));
@@ -288,9 +266,6 @@ runMetricsFromJson(const json::Value &v, gpu::RunMetrics *m)
     m->dualMacFallbacks = v.at("dualMacFallbacks").asNumber();
     m->victimHits = v.at("victimHits").asNumber();
     m->victimInserts = v.at("victimInserts").asNumber();
-    m->adaptDemotions = v.at("adaptDemotions").asNumber();
-    m->adaptPromotions = v.at("adaptPromotions").asNumber();
-    m->adaptReencBytes = v.at("adaptReencBytes").asNumber();
 
     const json::Value &e = v.at("energy");
     auto eu64 = [&](const char *key) {
@@ -313,8 +288,6 @@ resultFromJson(const json::Value &v)
     r.scheme = v.at("scheme").asString();
     r.l2Policy = v.at("l2Policy").asString();
     r.mdcPolicy = v.at("mdcPolicy").asString();
-    r.adaptEpoch =
-        static_cast<std::uint64_t>(v.at("adaptEpoch").asNumber());
     r.normalizedIpc = v.at("normalizedIpc").asNumber();
     r.normalizedEnergyPerInstr =
         v.at("normalizedEnergyPerInstr").asNumber();

@@ -82,8 +82,7 @@ std::uint64_t cellKey(const gpu::GpuParams &gpu,
  * tenant's workload, arrivals, share policy, quantum, MDC-flush flag
  * and key seed), the metrics-relevant scenario run options
  * (withSolo adds the solo-reference fields to the cell; mdcPolicy
- * steers the metadata caches; the adaptive knobs move the
- * SHM_adaptive controller), and a "scenario" domain tag so a
+ * steers the metadata caches), and a "scenario" domain tag so a
  * scenario cell can never collide with a single-workload cell of the
  * same configuration.
  */
@@ -91,9 +90,6 @@ std::uint64_t scenarioCellKey(const gpu::GpuParams &gpu,
                               const gpu::EnergyParams &energy,
                               bool with_solo,
                               mem::PolicyKind mdc_policy,
-                              std::optional<Cycle> adapt_epoch,
-                              std::optional<mee::AdaptThresholds>
-                                  adapt_thresholds,
                               schemes::Scheme scheme,
                               const workload::ScenarioSpec &scenario,
                               crypto::Backend backend,
@@ -105,8 +101,9 @@ class ResultCache
 {
   public:
     /** Cell-file schema; bump when the serialized shape changes.
-     *  v2: RunMetrics carries the adaptive-controller tallies. */
-    static constexpr int kSchemaVersion = 2;
+     *  v2: RunMetrics carries the adaptive-controller tallies.
+     *  v3: those tallies and the per-cell epoch are gone. */
+    static constexpr int kSchemaVersion = 3;
 
     /**
      * Open (creating if needed) the cache directory @p dir. Fatal

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <exception>
 #include <fstream>
+#include <optional>
 #include <ostream>
 #include <thread>
 
@@ -27,26 +28,37 @@ accuracyOf(std::uint64_t correct, std::uint64_t mispredicts)
                  : 0.0;
 }
 
+/**
+ * Fatal when @p scheme cannot run @p scenario. A MIG-style split
+ * hands each tenant its own partitions with private local address
+ * maps; metadata built from physical addresses would alias the
+ * tenants' overlapping spaces, so only local metadata addressing
+ * can follow the split.
+ */
+void
+checkSchemeFitsScenario(schemes::Scheme scheme,
+                        const workload::ScenarioSpec &scenario)
+{
+    const mee::MeeParams p = schemes::makeMeeParams(scheme);
+    if (scenario.policy == workload::SharePolicy::Partitioned &&
+        p.secure && !p.localMetadataAddressing)
+        shm_fatal("scheme {} cannot run scenario '{}' under share "
+                  "partitioned: physical metadata addressing cannot be "
+                  "partitioned (use share timeslice, or a scheme with "
+                  "local metadata addressing)",
+                  schemes::schemeName(scheme), scenario.name);
+}
+
 /** The memoization key of one solo reference. */
 std::uint64_t
 soloKey(schemes::Scheme scheme, const workload::WorkloadSpec &spec,
-        std::uint64_t key_seed, mem::PolicyKind mdc_policy,
-        std::optional<Cycle> adapt_epoch,
-        std::optional<mee::AdaptThresholds> adapt_thresholds)
+        std::uint64_t key_seed, mem::PolicyKind mdc_policy)
 {
     Fingerprint h;
     h.str(schemes::schemeName(scheme));
     h.u64(workload::contentHash(spec));
     h.u64(key_seed);
     h.str(mem::policyName(mdc_policy));
-    h.boolean(adapt_epoch.has_value());
-    h.u64(adapt_epoch.value_or(0));
-    h.boolean(adapt_thresholds.has_value());
-    mee::AdaptThresholds th =
-        adapt_thresholds.value_or(mee::AdaptThresholds{});
-    h.u64(th.roMinReads);
-    h.u64(th.streamMinReads);
-    h.f64(th.macOnlyMissRate);
     return h.value();
 }
 
@@ -79,18 +91,12 @@ collectScenarioProfile(const gpu::GpuParams &gpu_params,
 gpu::TenantRunMetrics
 simulateSolo(const gpu::GpuParams &gpu_params, schemes::Scheme scheme,
              const workload::WorkloadSpec &spec, std::uint64_t key_seed,
-             mem::PolicyKind mdc_policy,
-             std::optional<Cycle> adapt_epoch,
-             std::optional<mee::AdaptThresholds> adapt_thresholds)
+             mem::PolicyKind mdc_policy)
 {
     workload::ScenarioSpec solo = workload::singleTenantScenario(spec);
     solo.keySeed = key_seed;
     mee::MeeParams mee_params = schemes::makeMeeParams(scheme);
     mee_params.mdcPolicy = mdc_policy;
-    if (adapt_epoch)
-        mee_params.adaptEpoch = *adapt_epoch;
-    if (adapt_thresholds)
-        mee_params.adaptThresholds = *adapt_thresholds;
     gpu::GpuSimulator sim(gpu_params, mee_params, solo);
     detect::AccessProfile profile =
         collectScenarioProfile(gpu_params, mee_params, solo);
@@ -112,13 +118,9 @@ const gpu::TenantRunMetrics &
 ScenarioSoloCache::soloFor(schemes::Scheme scheme,
                            const workload::WorkloadSpec &spec,
                            std::uint64_t key_seed,
-                           mem::PolicyKind mdc_policy,
-                           std::optional<Cycle> adapt_epoch,
-                           std::optional<mee::AdaptThresholds>
-                               adapt_thresholds)
+                           mem::PolicyKind mdc_policy)
 {
-    const std::uint64_t key = soloKey(scheme, spec, key_seed, mdc_policy,
-                                      adapt_epoch, adapt_thresholds);
+    const std::uint64_t key = soloKey(scheme, spec, key_seed, mdc_policy);
     Entry *entry = nullptr;
     {
         std::lock_guard<std::mutex> lock(mutex);
@@ -131,8 +133,7 @@ ScenarioSoloCache::soloFor(schemes::Scheme scheme,
     // threads needing this reference (same shape as BaselineCache).
     std::call_once(entry->once, [&] {
         entry->metrics =
-            simulateSolo(gpuConfig, scheme, spec, key_seed, mdc_policy,
-                         adapt_epoch, adapt_thresholds);
+            simulateSolo(gpuConfig, scheme, spec, key_seed, mdc_policy);
     });
     return entry->metrics;
 }
@@ -144,6 +145,7 @@ runScenarioExperiment(const gpu::GpuParams &gpu_params,
                       const ScenarioRunOptions &options)
 {
     workload::validateScenario(scenario);
+    checkSchemeFitsScenario(scheme, scenario);
 
     ScenarioExperimentResult r;
     r.scenario = scenario.name;
@@ -154,10 +156,6 @@ runScenarioExperiment(const gpu::GpuParams &gpu_params,
 
     mee::MeeParams mee_params = schemes::makeMeeParams(scheme);
     mee_params.mdcPolicy = options.mdcPolicy;
-    if (options.adaptEpoch)
-        mee_params.adaptEpoch = *options.adaptEpoch;
-    if (options.adaptThresholds)
-        mee_params.adaptThresholds = *options.adaptThresholds;
     gpu::GpuSimulator sim(gpu_params, mee_params, scenario);
 
     // Detector accuracy is the scenario headline, so attribution is
@@ -209,9 +207,7 @@ runScenarioExperiment(const gpu::GpuParams &gpu_params,
         if (options.withSolo) {
             const gpu::TenantRunMetrics &solo =
                 solos->soloFor(scheme, scenario.tenants[i].workload,
-                               scenario.keySeed, options.mdcPolicy,
-                               options.adaptEpoch,
-                               options.adaptThresholds);
+                               scenario.keySeed, options.mdcPolicy);
             t.soloIpc = solo.ipc;
             t.soloMdcHitRate = solo.mdcHitRate;
             t.soloRoAccuracy =
@@ -243,6 +239,10 @@ runScenarioCells(const gpu::GpuParams &gpu_params,
     std::vector<ScenarioExperimentResult> results(n);
     if (n == 0)
         return results;
+    // Reject unsupported combinations before any cell simulates.
+    for (const ScenarioCell &cell : cells)
+        if (cell.scenario)
+            checkSchemeFitsScenario(cell.scheme, *cell.scenario);
 
     unsigned jobs =
         options.jobs != 0
@@ -280,8 +280,6 @@ runScenarioCells(const gpu::GpuParams &gpu_params,
                 if (options.cache) {
                     key = scenarioCellKey(gpu_params, energy,
                                           run.withSolo, run.mdcPolicy,
-                                          run.adaptEpoch,
-                                          run.adaptThresholds,
                                           cells[i].scheme,
                                           *cells[i].scenario, backend,
                                           code_version);

@@ -108,10 +108,7 @@ class ScenarioSoloCache
      *  first use. Valid for the cache's lifetime. */
     const gpu::TenantRunMetrics &
     soloFor(schemes::Scheme scheme, const workload::WorkloadSpec &spec,
-            std::uint64_t key_seed, mem::PolicyKind mdc_policy,
-            std::optional<Cycle> adapt_epoch = std::nullopt,
-            std::optional<mee::AdaptThresholds> adapt_thresholds =
-                std::nullopt);
+            std::uint64_t key_seed, mem::PolicyKind mdc_policy);
 
     const gpu::GpuParams &gpuParams() const { return gpuConfig; }
 
@@ -138,11 +135,6 @@ struct ScenarioRunOptions
     /** Replacement policy for the MEE metadata caches (matches
      *  RunOptions::mdcPolicy). */
     mem::PolicyKind mdcPolicy = mem::PolicyKind::Lru;
-
-    /** Adaptive-scheme controls (match RunOptions::adaptEpoch /
-     *  adaptThresholds; unset keeps the scheme defaults). */
-    std::optional<Cycle> adaptEpoch;
-    std::optional<mee::AdaptThresholds> adaptThresholds;
 
     /** Optional shared solo-reference store (not owned; must outlive
      *  the call). Without one, solo runs are memoized only within the

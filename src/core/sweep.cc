@@ -202,9 +202,6 @@ runMetricsToJson(const gpu::RunMetrics &m)
     v["dualMacFallbacks"] = json::Value(m.dualMacFallbacks);
     v["victimHits"] = json::Value(m.victimHits);
     v["victimInserts"] = json::Value(m.victimInserts);
-    v["adaptDemotions"] = json::Value(m.adaptDemotions);
-    v["adaptPromotions"] = json::Value(m.adaptPromotions);
-    v["adaptReencBytes"] = json::Value(m.adaptReencBytes);
 
     json::Value energy = json::Value::object();
     energy["cycles"] =
@@ -227,7 +224,6 @@ resultToJson(const ExperimentResult &result)
     v["scheme"] = json::Value(result.scheme);
     v["l2Policy"] = json::Value(result.l2Policy);
     v["mdcPolicy"] = json::Value(result.mdcPolicy);
-    v["adaptEpoch"] = json::Value(result.adaptEpoch);
     v["normalizedIpc"] = json::Value(result.normalizedIpc);
     v["overhead"] = json::Value(result.overhead());
     v["normalizedEnergyPerInstr"] =

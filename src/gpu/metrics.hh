@@ -74,12 +74,6 @@ struct RunMetrics
     double victimInserts = 0;
     /** @} */
 
-    /** @{ SHM_adaptive controller activity (zero for static schemes). */
-    double adaptDemotions = 0;
-    double adaptPromotions = 0;
-    double adaptReencBytes = 0;
-    /** @} */
-
     EnergyActivity energy;
 };
 

@@ -167,21 +167,6 @@ Partition::victimActive() const
     return true;
 }
 
-double
-Partition::victimMissRate() const
-{
-    // The same sampled signal victimActive() thresholds, exported raw
-    // for the adaptive controller: 0 until every bank's window is
-    // warm, else the mean sampled data miss rate across banks.
-    double sum = 0;
-    for (const auto &b : banks) {
-        if (!b->sampleWarm())
-            return 0;
-        sum += b->sampledMissRate();
-    }
-    return banks.empty() ? 0 : sum / static_cast<double>(banks.size());
-}
-
 bool
 Partition::victimProbe(Addr meta_addr)
 {

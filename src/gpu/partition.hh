@@ -86,7 +86,6 @@ class Partition : public mee::VictimCacheIf
     {
         return gpuConfig.l2HitLatency;
     }
-    double victimMissRate() const override;
     /** @} */
 
     mem::DramChannel &channel() { return dram; }

@@ -541,9 +541,6 @@ GpuSimulator::gatherMetrics() const
         m.dualMacFallbacks += mee.dualMacFallbacks();
         m.victimHits += mee.victimHits();
         m.victimInserts += mee.victimInserts();
-        m.adaptDemotions += mee.adaptDemotions();
-        m.adaptPromotions += mee.adaptPromotions();
-        m.adaptReencBytes += mee.adaptReencBytes();
 
         m.energy.mdcAccesses += static_cast<std::uint64_t>(
             mee.counterCache().accesses() + mee.macCache().accesses() +

@@ -76,168 +76,6 @@ MeeEngine::MeeEngine(const MeeParams &params, PartitionId partition,
                "local metadata addressing");
     shm_assert(!config.commonCounters || commonTable != nullptr,
                "common-counter schemes need a table");
-    shm_assert(!config.adaptive ||
-                   (config.readOnlyOpt && config.dualGranularityMac &&
-                    config.commonCounters &&
-                    config.localMetadataAddressing),
-               "the adaptive scheme switches between the SHM modes and "
-               "needs all of them configured");
-    if (config.adaptive) {
-        std::uint64_t region_bytes = config.roDetector.regionBytes;
-        std::uint64_t regions =
-            (layout->params().dataBytes + region_bytes - 1) / region_bytes;
-        adaptRegions.resize(regions);
-    }
-    // Initialized unconditionally so stat-shadow merges always see
-    // matching histogram geometry.
-    histAdaptModeCycles.init(0, 1 << 20, 32);
-}
-
-AdaptMode
-MeeEngine::adaptModeOf(LocalAddr local) const
-{
-    std::uint64_t region = local / config.roDetector.regionBytes;
-    if (region >= adaptRegions.size())
-        return AdaptMode::Full;
-    return adaptRegions[region].mode;
-}
-
-void
-MeeEngine::adaptTick(Cycle now)
-{
-    if (config.adaptEpoch == 0)
-        return;
-    if (adaptNextEpoch == 0)
-        adaptNextEpoch = config.adaptEpoch;
-    if (now < adaptNextEpoch)
-        return;
-    adaptReclassify(now);
-    ++statAdaptEpochs;
-    // One reclassification per crossing; idle epochs are skipped so a
-    // long-quiet partition doesn't replay every missed boundary.
-    adaptNextEpoch += config.adaptEpoch;
-    if (adaptNextEpoch <= now)
-        adaptNextEpoch =
-            now - (now % config.adaptEpoch) + config.adaptEpoch;
-}
-
-bool
-MeeEngine::adaptRegionStreaming(LocalAddr region_base) const
-{
-    std::uint64_t chunk_bytes = config.streamDetector.chunkBytes;
-    LocalAddr end =
-        std::min<LocalAddr>(region_base + config.roDetector.regionBytes,
-                            layout->params().dataBytes);
-    for (LocalAddr a = region_base; a < end; a += chunk_bytes)
-        if (!streamDetector.predictStreaming(a))
-            return false;
-    return true;
-}
-
-void
-MeeEngine::adaptReclassify(Cycle now)
-{
-    const std::uint64_t region_bytes = config.roDetector.regionBytes;
-    const AdaptThresholds &th = config.adaptThresholds;
-    bool mdc_pressure =
-        victim && victim->victimMissRate() >= th.macOnlyMissRate;
-
-    for (std::uint64_t r = 0; r < adaptRegions.size(); ++r) {
-        AdaptRegion &ar = adaptRegions[r];
-        std::uint64_t reads = ar.epochReads;
-        std::uint64_t writes = ar.epochWrites;
-        ar.epochReads = 0;
-        ar.epochWrites = 0;
-        // Demoted regions only move back via the promotion triggers
-        // (a write or a detector misprediction); the boundary never
-        // hops a region between two demoted modes, so every demotion
-        // epoch has exactly one valid ciphertext version.
-        if (ar.mode != AdaptMode::Full)
-            continue;
-        if (writes != 0 || reads == 0)
-            continue;
-        LocalAddr base = r * region_bytes;
-        AdaptMode target = AdaptMode::Full;
-        if (reads >= th.roMinReads && roDetector.isReadOnly(base)) {
-            target = AdaptMode::RoElide;
-        } else if (reads >= th.streamMinReads &&
-                   adaptRegionStreaming(base)) {
-            // Streaming read traffic: under MDC pressure drop the
-            // counter machinery entirely, otherwise fold the region's
-            // counters into the common table.
-            target = mdc_pressure ? AdaptMode::MacOnly
-                                  : AdaptMode::CommonCtr;
-        }
-        if (target != AdaptMode::Full)
-            adaptSwitch(r, target, now, true);
-    }
-}
-
-void
-MeeEngine::adaptSwitch(std::uint64_t region, AdaptMode to, Cycle now,
-                       bool charge)
-{
-    AdaptRegion &ar = adaptRegions[region];
-    if (ar.mode == to)
-        return;
-    AdaptMode from = ar.mode;
-    histAdaptModeCycles.sample(static_cast<double>(now - ar.modeSince));
-    ar.mode = to;
-    ar.modeSince = now;
-
-    if (to == AdaptMode::Full)
-        ++statAdaptPromotions;
-    else
-        ++statAdaptDemotions;
-    switch (to) {
-      case AdaptMode::Full: ++statAdaptToFull; break;
-      case AdaptMode::RoElide: ++statAdaptToRoElide; break;
-      case AdaptMode::CommonCtr: ++statAdaptToCommonCtr; break;
-      case AdaptMode::MacOnly: ++statAdaptToMacOnly; break;
-    }
-
-    if (charge) {
-        // Every transition re-encrypts and re-MACs the region under
-        // its new mode (the functional model's generation bump): the
-        // data streams through the MEE once in chunk-sized bursts,
-        // read plus write, charged as Extra traffic.
-        std::uint64_t region_bytes = config.roDetector.regionBytes;
-        std::uint64_t chunk_bytes = config.streamDetector.chunkBytes;
-        LocalAddr base = region * region_bytes;
-        LocalAddr end = std::min<LocalAddr>(
-            base + region_bytes, layout->params().dataBytes);
-        for (LocalAddr a = base; a < end; a += chunk_bytes) {
-            std::uint32_t bytes = static_cast<std::uint32_t>(
-                std::min<LocalAddr>(chunk_bytes, end - a));
-            statAdaptReencBytes += 2.0 * bytes;
-            routeMeta(a, bytes, mem::AccessType::Read,
-                      mem::TrafficClass::Extra, now);
-            routeMeta(a, bytes, mem::AccessType::Write,
-                      mem::TrafficClass::Extra, now);
-        }
-    }
-
-    if (tracer)
-        tracer->record(partitionId, trace::EventKind::AdaptSwitch, now,
-                       static_cast<std::uint16_t>(partitionId),
-                       region |
-                           (static_cast<std::uint64_t>(from) << 56) |
-                           (static_cast<std::uint64_t>(to) << 60));
-}
-
-void
-MeeEngine::adaptReset(Cycle now)
-{
-    // Context switch: the incoming tenant starts from the power-on
-    // classification, mirroring the detector resets. No per-region
-    // charge — the outgoing tenant's data keeps its modes' ciphertext
-    // (tenants occupy disjoint ranges), and the reset itself is part
-    // of the modeled switch cost.
-    for (AdaptRegion &ar : adaptRegions) {
-        ar = AdaptRegion{};
-        ar.modeSince = now;
-    }
-    adaptNextEpoch = config.adaptEpoch ? now + config.adaptEpoch : 0;
 }
 
 namespace
@@ -455,19 +293,8 @@ MeeEngine::handleDetection(const detect::DetectionEvent &ev, Cycle now)
         ++statDetectStream;
     else
         ++statDetectRandom;
-    if (ev.detectedStreaming != ev.predictedStreaming) {
+    if (ev.detectedStreaming != ev.predictedStreaming)
         ++statDetectMismatch;
-        // A misprediction invalidates the classification the adaptive
-        // controller demoted on: promote the region back to Full (and
-        // pay the re-encrypt) before charging the Table III/IV costs.
-        if (config.adaptive) {
-            std::uint64_t region =
-                chunk_base / config.roDetector.regionBytes;
-            if (region < adaptRegions.size() &&
-                adaptRegions[region].mode != AdaptMode::Full)
-                adaptSwitch(region, AdaptMode::Full, now, true);
-        }
-    }
 
     if (ev.detectedStreaming == ev.predictedStreaming) {
         if (ev.detectedStreaming && ev.sawWrite) {
@@ -609,13 +436,6 @@ MeeEngine::onRead(LocalAddr local, Addr phys, Cycle now, MemSpace space)
 
     Addr key = metaSpaceAddr(local, phys);
 
-    if (config.adaptive) {
-        adaptTick(now);
-        std::uint64_t region = local / config.roDetector.regionBytes;
-        if (region < adaptRegions.size())
-            ++adaptRegions[region].epochReads;
-    }
-
     // Table I: constant/texture/instruction memory is architecturally
     // read-only during kernel execution, so with static hints it is
     // served by the shared counter without consulting the detector.
@@ -636,23 +456,14 @@ MeeEngine::onRead(LocalAddr local, Addr phys, Cycle now, MemSpace space)
                                   streamDetector.predictStreaming(local));
 
     // --- Counter (on the critical path: decryption needs the seed) ---
-    // Read the adaptive mode after detector processing: a detection
-    // event above may just have promoted this region, and the access
-    // must see the post-promotion protection.
-    AdaptMode amode =
-        config.adaptive ? adaptModeOf(local) : AdaptMode::Full;
     Cycle ctr_ready = now;
-    bool ro = static_ro || amode == AdaptMode::RoElide ||
+    bool ro = static_ro ||
               (config.readOnlyOpt && roDetector.isReadOnly(local));
     if (static_ro)
         ++statStaticSpaceReads;
-    if (amode == AdaptMode::MacOnly) {
-        // Freshness dropped by the controller: no counter fetch, no
-        // BMT — the block MAC below is the region's only protection.
-    } else if (ro) {
+    if (ro) {
         ++statSharedCtrReads;
-    } else if (amode == AdaptMode::CommonCtr ||
-               (config.commonCounters && commonTable->isCommon(key))) {
+    } else if (config.commonCounters && commonTable->isCommon(key)) {
         ++statCommonCtrHits;
     } else {
         Addr ctr_entry = layout->counterAddr(key);
@@ -728,9 +539,6 @@ MeeEngine::onWrite(LocalAddr local, Addr phys, Cycle now, MemSpace space)
 
     Addr key = metaSpaceAddr(local, phys);
 
-    if (config.adaptive)
-        adaptTick(now);
-
     if (config.dualGranularityMac) {
         streamDetector.access(local, true, now, eventScratch);
         for (const auto &ev : eventScratch)
@@ -742,19 +550,6 @@ MeeEngine::onWrite(LocalAddr local, Addr phys, Cycle now, MemSpace space)
     if (config.dualGranularityMac)
         attributeStreamPrediction(local,
                                   streamDetector.predictStreaming(local));
-
-    // --- Adaptive promotion: a write-back lands in a demoted region,
-    // so its cheap mode's single-version assumption is about to break;
-    // promote to Full (re-encrypt charged) before the write proceeds
-    // under full protection below. ---
-    if (config.adaptive) {
-        std::uint64_t region = local / config.roDetector.regionBytes;
-        if (region < adaptRegions.size()) {
-            ++adaptRegions[region].epochWrites;
-            if (adaptRegions[region].mode != AdaptMode::Full)
-                adaptSwitch(region, AdaptMode::Full, now, true);
-        }
-    }
 
     // --- Read-only -> not-read-only transition (Fig. 8) ---
     if (config.readOnlyOpt && roDetector.recordWrite(local)) {
@@ -862,8 +657,6 @@ MeeEngine::contextSwitch(Cycle now, bool flush_mdc)
         roDetector.reset();
     if (config.commonCounters)
         commonTable->kernelBoundary();
-    if (config.adaptive)
-        adaptReset(now);
 
     std::uint64_t flushed = 0;
     if (flush_mdc) {
@@ -961,24 +754,6 @@ MeeEngine::regStats(stats::StatGroup *parent)
                         "metadata misses served by the L2 victim space");
     statGroup.addScalar("victim_inserts", &statVictimInserts,
                         "metadata evictions absorbed by the L2");
-    statGroup.addScalar("adapt_demotions", &statAdaptDemotions,
-                        "adaptive regions demoted to a cheaper mode");
-    statGroup.addScalar("adapt_promotions", &statAdaptPromotions,
-                        "adaptive regions promoted back to Full");
-    statGroup.addScalar("adapt_epochs", &statAdaptEpochs,
-                        "adaptive reclassification boundaries crossed");
-    statGroup.addScalar("adapt_reenc_bytes", &statAdaptReencBytes,
-                        "bytes re-encrypted/re-MACed at transitions");
-    statGroup.addScalar("adapt_to_full", &statAdaptToFull,
-                        "transitions into Full");
-    statGroup.addScalar("adapt_to_ro_elide", &statAdaptToRoElide,
-                        "transitions into RoElide");
-    statGroup.addScalar("adapt_to_common_ctr", &statAdaptToCommonCtr,
-                        "transitions into CommonCtr");
-    statGroup.addScalar("adapt_to_mac_only", &statAdaptToMacOnly,
-                        "transitions into MacOnly");
-    statGroup.addHistogram("adapt_mode_cycles", &histAdaptModeCycles,
-                           "cycles a region spent in a mode it left");
     statGroup.addScalar("pred_ro_correct", &predStats.roCorrect, "");
     statGroup.addScalar("pred_ro_mp_init", &predStats.roMpInit, "");
     statGroup.addScalar("pred_ro_mp_aliasing", &predStats.roMpAliasing,

@@ -28,7 +28,6 @@
 #include "common/types.hh"
 #include "detect/oracle.hh"
 #include "detect/readonly.hh"
-#include "mee/adapt.hh"
 #include "detect/streaming.hh"
 #include "mem/addr_map.hh"
 #include "mem/cache.hh"
@@ -73,20 +72,6 @@ struct MeeParams
      * support; the ablation bench quantifies what it is worth.
      */
     bool programmingModelHints = false;
-
-    /**
-     * Online per-region protection switching (SHM_adaptive): every
-     * region starts at Full and is re-classified each adaptEpoch
-     * cycles from the detectors' and the L2 monitor's signals; any
-     * write or detector misprediction promotes it straight back.
-     * Requires readOnlyOpt + dualGranularityMac + commonCounters +
-     * local metadata addressing (the modes it switches between).
-     */
-    bool adaptive = false;
-    /** Reclassification period in cycles; 0 freezes every region at
-     *  Full (adaptive becomes plain SHM_cctr timing). */
-    Cycle adaptEpoch = 50000;
-    AdaptThresholds adaptThresholds;
 
     mem::CacheParams counterCache;
     mem::CacheParams macCache;
@@ -158,11 +143,6 @@ class VictimCacheIf
                               mem::TrafficClass cls, Cycle now) = 0;
 
     virtual Cycle victimHitLatency() const = 0;
-
-    /** Sampled L2 data miss rate (averaged across banks; 0 until the
-     *  sampling window is warm). The adaptive controller's MDC-
-     *  pressure signal; default for hosts without an L2. */
-    virtual double victimMissRate() const { return 0.0; }
 };
 
 /**
@@ -319,13 +299,6 @@ class MeeEngine
     double commonCtrHits() const { return statCommonCtrHits.value(); }
     double victimHits() const { return statVictimHits.value(); }
     double victimInserts() const { return statVictimInserts.value(); }
-    /** Current protection mode of the region covering @p local
-     *  (always Full outside the adaptive scheme). */
-    AdaptMode adaptModeOf(LocalAddr local) const;
-    double adaptDemotions() const { return statAdaptDemotions.value(); }
-    double adaptPromotions() const { return statAdaptPromotions.value(); }
-    double adaptReencBytes() const { return statAdaptReencBytes.value(); }
-    double adaptEpochs() const { return statAdaptEpochs.value(); }
     /** @} */
 
   private:
@@ -391,30 +364,6 @@ class MeeEngine
         return chunkMacStates[chunk];
     }
 
-    /** One adaptive region's mode plus its epoch access counters. */
-    struct AdaptRegion
-    {
-        AdaptMode mode = AdaptMode::Full;
-        std::uint64_t epochReads = 0;
-        std::uint64_t epochWrites = 0;
-        Cycle modeSince = 0;
-    };
-
-    /** Epoch-boundary check; reclassifies when @p now crossed one.
-     *  Driven from onRead/onWrite only, so the decision sequence is a
-     *  pure function of the per-partition access stream and therefore
-     *  independent of the kernel loop driving it. */
-    void adaptTick(Cycle now);
-    void adaptReclassify(Cycle now);
-    /** Every chunk of the region predicted streaming? */
-    bool adaptRegionStreaming(LocalAddr region_base) const;
-    /** Move a region to @p to; charges the re-encrypt/re-MAC sweep
-     *  (Extra traffic) when @p charge. */
-    void adaptSwitch(std::uint64_t region, AdaptMode to, Cycle now,
-                     bool charge);
-    /** Drop all classification state back to Full (context switch). */
-    void adaptReset(Cycle now);
-
     MeeParams config;
     PartitionId partitionId;
     const meta::MetadataLayout *layout;
@@ -432,10 +381,6 @@ class MeeEngine
     detect::StreamingDetector streamDetector;
     std::vector<detect::DetectionEvent> eventScratch;
     FlatMap<ChunkMacState> chunkMacStates;
-
-    /** Adaptive-controller state; empty outside SHM_adaptive. */
-    std::vector<AdaptRegion> adaptRegions;
-    Cycle adaptNextEpoch = 0;
 
     /** Scenario-mode shadow tallies; empty outside scenario runs. */
     std::vector<TenantMeeTally> tenantTallies;
@@ -461,15 +406,6 @@ class MeeEngine
     stats::Scalar statDetectMismatch;
     stats::Scalar statUnconfirmedMacReads;
     stats::Scalar statStaticSpaceReads;
-    stats::Scalar statAdaptDemotions;
-    stats::Scalar statAdaptPromotions;
-    stats::Scalar statAdaptEpochs;
-    stats::Scalar statAdaptReencBytes;
-    stats::Scalar statAdaptToFull;
-    stats::Scalar statAdaptToRoElide;
-    stats::Scalar statAdaptToCommonCtr;
-    stats::Scalar statAdaptToMacOnly;
-    stats::Histogram histAdaptModeCycles;
 };
 
 } // namespace shmgpu::mee

@@ -25,52 +25,14 @@ SecureMemoryContext::SecureMemoryContext(
 {
 }
 
-LocalAddr
-SecureMemoryContext::tweakedAddr(LocalAddr block) const
-{
-    // Data addresses are far below 2^48, so the adaptive generation
-    // lives in the top bits of the seed/MAC address tweak. Generation
-    // 0 (every region outside the adaptive scheme) leaves the address
-    // unchanged — bit-compatibility with the static schemes.
-    return block |
-           (static_cast<LocalAddr>(regionGeneration(block) & 0xFFFF)
-            << 48);
-}
-
-std::uint32_t
-SecureMemoryContext::regionGeneration(LocalAddr addr) const
-{
-    auto it = adaptStates.find(regionBase(addr));
-    return it == adaptStates.end() ? 0 : it->second.generation;
-}
-
-AdaptMode
-SecureMemoryContext::regionMode(LocalAddr addr) const
-{
-    auto it = adaptStates.find(regionBase(addr));
-    return it == adaptStates.end() ? AdaptMode::Full : it->second.mode;
-}
-
-bool
-SecureMemoryContext::needsFreshness(LocalAddr block, bool read_only) const
-{
-    if (read_only)
-        return false; // shared-counter blocks carry no off-chip counter
-    AdaptMode mode = regionMode(block);
-    // RoElide and MacOnly are exactly the modes whose demotion elides
-    // the freshness walk; safe because their generation bump left one
-    // valid ciphertext version (see applyModeTransition).
-    return mode != AdaptMode::RoElide && mode != AdaptMode::MacOnly;
-}
-
 crypto::Seed
 SecureMemoryContext::seedFor(LocalAddr addr, bool read_only) const
 {
     LocalAddr block = addr / kBlock * kBlock;
     if (read_only)
-        return {tweakedAddr(block), shared.value(), 0, tenantTag};
+        return {block, shared.value(), 0, tenantTag};
     meta::CounterValue cv = counterStore.read(block);
-    return {tweakedAddr(block), cv.major, cv.minor, tenantTag};
+    return {block, cv.major, cv.minor, tenantTag};
 }
 
 crypto::Mac
@@ -116,22 +78,7 @@ SecureMemoryContext::hostWrite(LocalAddr addr,
                                const crypto::DataBlock &plaintext,
                                bool mark_read_only)
 {
-    hostWriteBlock(addr, plaintext, mark_read_only);
-    ++opCounter;
-}
-
-void
-SecureMemoryContext::hostWriteBlock(LocalAddr addr,
-                                    const crypto::DataBlock &plaintext,
-                                    bool mark_read_only)
-{
     LocalAddr block = addr / kBlock * kBlock;
-
-    // Any write into a demoted region voids its single-version
-    // assumption, so promote (and generation-bump) first — the same
-    // rule deviceWrite applies.
-    if (regionMode(block) != AdaptMode::Full)
-        applyModeTransition(block, AdaptMode::Full);
 
     // Marking a region read-only is only sound while its sibling
     // blocks still decrypt under (shared, 0): a region that has
@@ -182,18 +129,10 @@ SecureMemoryContext::hostWriteRange(LocalAddr base, const void *data,
         for (std::size_t off = 0; off < len; off += kBlock) {
             crypto::DataBlock plain;
             std::memcpy(plain.data(), src + off, kBlock);
-            hostWriteBlock(base + off, plain, mark_read_only);
+            hostWrite(base + off, plain, mark_read_only);
         }
-        ++opCounter;
         return;
     }
-
-    // Promote any demoted region the copy touches before the burst,
-    // mirroring the per-block slow path.
-    for (LocalAddr rb = regionBase(base); rb < base + len;
-         rb += roDetector.params().regionBytes)
-        if (regionMode(rb) != AdaptMode::Full)
-            applyModeTransition(rb, AdaptMode::Full);
 
     std::size_t n = len / kBlock;
     std::vector<crypto::DataBlock> blocks(n);
@@ -223,7 +162,6 @@ SecureMemoryContext::hostWriteRange(LocalAddr base, const void *data,
     for (LocalAddr c = base / chunk_bytes * chunk_bytes; c < base + len;
          c += chunk_bytes)
         refreshChunkMac(c);
-    ++opCounter;
 }
 
 void
@@ -258,8 +196,7 @@ SecureMemoryContext::writeWithPerBlockCounter(
     shm_assert(!inc.minorOverflow, "overflow after re-encryption");
     bmt.updatePath(metaLayout.counterBlockIndex(block));
 
-    crypto::Seed s{tweakedAddr(block), inc.value.major, inc.value.minor,
-                   tenantTag};
+    crypto::Seed s{block, inc.value.major, inc.value.minor, tenantTag};
     crypto::DataBlock cipher = ctrEngine.transformed(plaintext, s);
     store.writeBlock(block, cipher);
     macs.setBlockMac(block,
@@ -288,14 +225,7 @@ void
 SecureMemoryContext::deviceWrite(LocalAddr addr,
                                  const crypto::DataBlock &plaintext)
 {
-    // A kernel store into a demoted region breaks its single-version
-    // assumption: the timing engine promotes such regions back to
-    // Full before the write-back lands, and the functional model
-    // mirrors that (re-encrypt under the next generation, then write).
-    if (regionMode(addr) != AdaptMode::Full)
-        applyModeTransition(addr, AdaptMode::Full);
     writeWithPerBlockCounter(addr, plaintext);
-    ++opCounter;
 }
 
 void
@@ -355,12 +285,11 @@ SecureMemoryContext::deviceRead(LocalAddr addr)
     crypto::Mac stored = storedBlockMacOrInit(block);
 
     FunctionalReadResult res;
-    ++opCounter;
     if (expected != stored) {
         res.status = VerifyStatus::MacMismatch;
         return res;
     }
-    if (needsFreshness(block, ro)) {
+    if (!ro) {
         // Counters came from off-chip state: check freshness.
         auto verdict =
             bmt.verifyPath(metaLayout.counterBlockIndex(block));
@@ -406,7 +335,7 @@ SecureMemoryContext::deviceReadBatch(const LocalAddr *addrs,
             out[i].status = VerifyStatus::MacMismatch;
             continue;
         }
-        if (needsFreshness(block, roDetector.isReadOnly(block)) &&
+        if (!roDetector.isReadOnly(block) &&
             !bmt.verifyPath(metaLayout.counterBlockIndex(block)).ok) {
             out[i].status = VerifyStatus::BmtMismatch;
             continue;
@@ -424,7 +353,6 @@ SecureMemoryContext::deviceReadBatch(const LocalAddr *addrs,
                              pass.size());
     for (std::size_t p = 0; p < pass.size(); ++p)
         out[pass[p]].data = plains[p];
-    ++opCounter;
 }
 
 void
@@ -443,7 +371,7 @@ SecureMemoryContext::reencryptSharedRegion(LocalAddr region_base,
     for (std::size_t i = 0; i < n; ++i) {
         LocalAddr b = region_base + i * kBlock;
         blocks[i] = store.readBlock(b);
-        seeds[i] = crypto::Seed{tweakedAddr(b), old_shared, 0, tenantTag};
+        seeds[i] = crypto::Seed{b, old_shared, 0, tenantTag};
     }
     ctrEngine.transformBatch(blocks.data(), seeds.data(), n);
     for (std::size_t i = 0; i < n; ++i)
@@ -455,70 +383,6 @@ SecureMemoryContext::reencryptSharedRegion(LocalAddr region_base,
     for (std::size_t i = 0; i < n; ++i)
         jobs[i] = {&blocks[i], seeds[i].address, seeds[i].major, 0,
                    seeds[i].partition};
-    macEngine.blockMacBatch(jobs, tags.data());
-    for (std::size_t i = 0; i < n; ++i) {
-        store.writeBlock(region_base + i * kBlock, blocks[i]);
-        macs.setBlockMac(region_base + i * kBlock, tags[i]);
-    }
-    std::uint64_t chunk_bytes = metaLayout.params().chunkBytes;
-    for (LocalAddr c = region_base; c < end; c += chunk_bytes)
-        refreshChunkMac(c);
-}
-
-void
-SecureMemoryContext::applyModeTransition(LocalAddr region_base,
-                                         AdaptMode to)
-{
-    region_base = regionBase(region_base);
-    AdaptRegionState &st = adaptStates[region_base];
-    AdaptMode from = st.mode;
-    if (from == to)
-        return;
-    // The re-encrypt sweep bumps the region generation *before* the
-    // mode flips, so by the time a demoted mode starts skipping the
-    // freshness walk every pre-transition ciphertext/MAC pair is
-    // already unauthenticatable.
-    reencryptAdaptRegion(region_base);
-    st.mode = to;
-    adaptLog.push_back({opCounter, region_base, from, to});
-}
-
-void
-SecureMemoryContext::reencryptAdaptRegion(LocalAddr region_base)
-{
-    LocalAddr end = std::min<LocalAddr>(
-        region_base + roDetector.params().regionBytes,
-        metaLayout.params().dataBytes);
-    std::size_t n = (end - region_base) / kBlock;
-
-    // Decrypt under the outgoing generation's seeds, one batched AES
-    // sweep. The per-block read-only status is unaffected by the
-    // transition, so the same flag selects both the old and new seed.
-    std::vector<crypto::DataBlock> blocks(n);
-    std::vector<crypto::Seed> seeds(n);
-    std::vector<bool> ro(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        LocalAddr b = region_base + i * kBlock;
-        ro[i] = roDetector.isReadOnly(b);
-        blocks[i] = store.readBlock(b);
-        seeds[i] = seedFor(b, ro[i]);
-    }
-    ctrEngine.transformBatch(blocks.data(), seeds.data(), n);
-
-    ++adaptStates[region_base].generation;
-
-    // Re-encrypt and re-MAC everything under the new tweak: one AES
-    // burst plus one interleaved-SipHash burst, like the shared-region
-    // re-encryption above.
-    for (std::size_t i = 0; i < n; ++i)
-        seeds[i] = seedFor(region_base + i * kBlock, ro[i]);
-    ctrEngine.transformBatch(blocks.data(), seeds.data(), n);
-
-    std::vector<crypto::BlockMacInput> jobs(n);
-    std::vector<crypto::Mac> tags(n);
-    for (std::size_t i = 0; i < n; ++i)
-        jobs[i] = {&blocks[i], seeds[i].address, seeds[i].major,
-                   seeds[i].minor, seeds[i].partition};
     macEngine.blockMacBatch(jobs, tags.data());
     for (std::size_t i = 0; i < n; ++i) {
         store.writeBlock(region_base + i * kBlock, blocks[i]);
@@ -568,8 +432,7 @@ SecureMemoryContext::inputReadOnlyReset(LocalAddr base,
         }
         ctrEngine.transformBatch(blocks.data(), seeds.data(), n);
         for (std::size_t i = 0; i < n; ++i)
-            seeds[i] = crypto::Seed{tweakedAddr(todo[i]), shared.value(),
-                                    0, tenantTag};
+            seeds[i] = crypto::Seed{todo[i], shared.value(), 0, tenantTag};
         ctrEngine.transformBatch(blocks.data(), seeds.data(), n);
 
         std::vector<crypto::BlockMacInput> jobs(n);
@@ -593,7 +456,6 @@ SecureMemoryContext::inputReadOnlyReset(LocalAddr base,
     for (LocalAddr rb = regionBase(base); rb < end;
          rb += roDetector.params().regionBytes)
         roRegionBases.insert(rb);
-    ++opCounter;
 }
 
 VerifyStatus
@@ -629,7 +491,7 @@ SecureMemoryContext::verifyChunk(LocalAddr chunk_base)
     if (macEngine.chunkMac(block_macs, base, tenantTag) != *stored)
         return VerifyStatus::MacMismatch;
 
-    if (any_not_ro && needsFreshness(base, false)) {
+    if (any_not_ro) {
         auto verdict = bmt.verifyPath(metaLayout.counterBlockIndex(base));
         if (!verdict.ok)
             return VerifyStatus::BmtMismatch;

@@ -17,7 +17,6 @@
 #define SHMGPU_MEE_FUNCTIONAL_HH
 
 #include <cstdint>
-#include <map>
 #include <set>
 #include <vector>
 
@@ -26,7 +25,6 @@
 #include "crypto/keygen.hh"
 #include "crypto/mac.hh"
 #include "detect/readonly.hh"
-#include "mee/adapt.hh"
 #include "mem/backing_store.hh"
 #include "meta/bmt.hh"
 #include "meta/counters.hh"
@@ -117,37 +115,6 @@ class SecureMemoryContext
     /** Verify a whole chunk against its chunk-level MAC. */
     VerifyStatus verifyChunk(LocalAddr chunk_base);
 
-    /**
-     * @{ Adaptive-scheme hooks (Scheme::ShmAdaptive).
-     *
-     * A mode transition re-encrypts and re-MACs the whole region under
-     * the next per-region *generation* — a tweak mixed into every
-     * encryption seed and MAC of the region — so ciphertext/MAC pairs
-     * captured before the transition can never authenticate after it.
-     * Demoted modes elide freshness verification (RoElide/MacOnly skip
-     * the BMT walk), which is safe precisely because the generation
-     * bump leaves exactly one valid version of each block: any replay
-     * of pre-transition state fails the MAC. Mispredicted demotions
-     * are therefore always *detected*, never silently corrupting —
-     * the property tests/test_adaptive_diff.cc fuzzes.
-     *
-     * Every applied transition is appended to transitionLog() with the
-     * current opSeq(), so an oracle context replaying the same
-     * operation stream plus the recorded schedule reproduces the
-     * adaptive state byte-for-byte.
-     */
-    void applyModeTransition(LocalAddr region_base, AdaptMode to);
-    AdaptMode regionMode(LocalAddr addr) const;
-    const std::vector<AdaptTransition> &transitionLog() const
-    {
-        return adaptLog;
-    }
-    /** Public operations completed so far (each host/device read or
-     *  write call advances it once). */
-    std::uint64_t opSeq() const { return opCounter; }
-    std::uint32_t regionGeneration(LocalAddr addr) const;
-    /** @} */
-
     /** @{ Attack surface for tests. */
     mem::BackingStore &memory() { return store; }
     meta::MacStore &macStore() { return macs; }
@@ -210,19 +177,6 @@ class SecureMemoryContext
     void propagateSharedCounter(LocalAddr region_base);
     /** Split-counter minor overflow: re-encrypt the 8 KB region. */
     void reencryptRegion(LocalAddr addr);
-    /** hostWrite body without the op-sequence advance (shared with
-     *  hostWriteRange's per-block slow path). */
-    void hostWriteBlock(LocalAddr addr, const crypto::DataBlock &plaintext,
-                        bool mark_read_only);
-    /** The seed/MAC address tweak: the block address with the
-     *  region's adaptive generation folded into the high bits. */
-    LocalAddr tweakedAddr(LocalAddr block) const;
-    /** Freshness verification required for @p block? (Shared-counter
-     *  blocks and RoElide/MacOnly regions skip the BMT walk.) */
-    bool needsFreshness(LocalAddr block, bool read_only) const;
-    /** Adaptive transition sweep: re-encrypt + re-MAC one region
-     *  under its next generation (batch machinery). */
-    void reencryptAdaptRegion(LocalAddr region_base);
 
     meta::MetadataLayout metaLayout;
     /** Tenant id shifted past the partition-id range, used as the
@@ -245,18 +199,6 @@ class SecureMemoryContext
      * the paper's option (b) applied to every affected region.
      */
     std::set<LocalAddr> roRegionBases;
-
-    /** One adaptive region's protection mode + seed generation.
-     *  Absent entries mean {Full, 0}, which keeps the construction
-     *  bit-compatible with the non-adaptive schemes. */
-    struct AdaptRegionState
-    {
-        AdaptMode mode = AdaptMode::Full;
-        std::uint32_t generation = 0;
-    };
-    std::map<LocalAddr, AdaptRegionState> adaptStates;
-    std::vector<AdaptTransition> adaptLog;
-    std::uint64_t opCounter = 0;
 };
 
 } // namespace shmgpu::mee

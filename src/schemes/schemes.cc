@@ -19,7 +19,6 @@ schemeName(Scheme scheme)
       case Scheme::ShmCctr: return "SHM_cctr";
       case Scheme::ShmVL2: return "SHM_vL2";
       case Scheme::ShmUpperBound: return "SHM_upper_bound";
-      case Scheme::ShmAdaptive: return "SHM_adaptive";
     }
     return "unknown";
 }
@@ -48,7 +47,6 @@ allSchemes()
         Scheme::Naive,       Scheme::CommonCtr, Scheme::Pssm,
         Scheme::PssmCctr,    Scheme::Shm,       Scheme::ShmReadOnly,
         Scheme::ShmCctr,     Scheme::ShmVL2,    Scheme::ShmUpperBound,
-        Scheme::ShmAdaptive,
     };
     return schemes;
 }
@@ -110,16 +108,6 @@ makeMeeParams(Scheme scheme)
         p.streamDetector.trackers = 0;
         p.streamDetector.entries = 1u << 16;
         p.roDetector.entries = 1u << 16;
-        break;
-      case Scheme::ShmAdaptive:
-        // SHM base, plus the common-counter table so demotions have a
-        // cheap counter mode to land in, plus the adaptive controller
-        // that re-classifies regions at epoch boundaries.
-        p.readOnlyOpt = true;
-        p.dualGranularityMac = true;
-        p.commonCounters = true;
-        p.adaptive = true;
-        size_mats();
         break;
     }
     return p;

@@ -27,8 +27,7 @@ enum class Scheme
     ShmReadOnly,   //!< SHM with only the read-only/shared-counter part
     ShmCctr,       //!< SHM + common counters
     ShmVL2,        //!< SHM + L2 as victim cache for metadata
-    ShmUpperBound, //!< SHM with oracle (unlimited, profile-primed)
-    ShmAdaptive    //!< SHM with online per-region protection switching
+    ShmUpperBound  //!< SHM with oracle (unlimited, profile-primed)
 };
 
 /** The paper's label for a scheme (Table VIII). */

@@ -137,15 +137,12 @@ usage()
               " [--policy lru|fifo|random|s3fifo|sieve]"
               " [--crypto auto|scalar|aesni|vaes]"
               " [--overrides CFG]"
-              " [--adapt-epoch N] [--adapt-thresholds R,S,M]"
               " [--stats FILE] [--json FILE] [--accuracy] [--profile]"
               " [--no-solo]"
               " [--trace OUT.json] [--trace-text OUT.txt]\n"
               "  shmgpu sweep [--workloads a,b,c|all] [--schemes X,Y|all]"
               " [--jobs N] [--gpu turing|big|test] [--cycles N]"
               " [--policy P] [--policies P,Q|all]"
-              " [--adapt-epoch N] [--adapt-thresholds R,S,M]"
-              " [--adapt-epochs E1,E2,...]"
               " [--zipf-footprints S1,S2,... [--zipf-alphas A1,A2,...]]"
               " [--scenario FILE [--quantums Q1,Q2,...]"
               " [--share timeslice,partitioned] [--tenants N1,N2,...]"
@@ -160,7 +157,7 @@ usage()
               "  shmgpu trace-info --in TRACE.json\n"
               "  shmgpu bench-self [--quick] [--cycles N] [--reps N]"
               " [--gpu turing|big|test] [--policy P]"
-              " [--schemes X,Y] [--adapt-epoch N]"
+              " [--schemes X,Y]"
               " [--crypto auto|scalar|aesni|vaes] [--overrides CFG]"
               " [--out BENCH_hotpath.json]"
               " [--profile]\n"
@@ -208,8 +205,9 @@ cmdList()
  * preset (its cycle cap replaced by @p default_cycles when nonzero),
  * then the --overrides file, then the flags, which win over the file.
  * @p opts (core::RunOptions or core::ScenarioRunOptions) receives the
- * per-run knobs the file or the flags set: trace classes, the
- * metadata-cache policy, and the adaptive epoch and thresholds.
+ * per-run knobs the file or the flags set: trace classes and the
+ * metadata-cache policy. The rest of the MEE comes from --scheme, so
+ * the file's other mee.* keys are fatal.
  */
 template <typename Options = core::RunOptions>
 gpu::GpuParams
@@ -223,22 +221,19 @@ gpuParamsFrom(const Args &args, Options *opts = nullptr,
     Options &o = opts ? *opts : scratch;
     std::string overrides = args.get("overrides");
     if (!overrides.empty()) {
-        mee::MeeParams mee; // the per-run MEE knobs carry over below
         Config config = Config::fromFile(overrides);
-        // Presence-tested before applyMeeOverrides consumes them: only
-        // keys the file actually sets become run-option overrides.
-        bool had_adapt_epoch = config.has("mee.adapt_epoch");
-        bool had_adapt_thresholds = config.has("mee.adapt_thresholds");
         core::applyGpuOverrides(config, gp);
-        core::applyMeeOverrides(config, mee);
         core::applyTraceOverrides(config, o.traceParams);
         core::applyCryptoOverrides(config);
+        o.mdcPolicy = mem::policyFromName(config.getString(
+            "mee.mdc_policy", mem::policyName(o.mdcPolicy)));
+        for (const std::string &key : config.unconsumedKeys())
+            if (key.starts_with("mee."))
+                shm_fatal("{}: '{}' cannot be overridden here: the MEE "
+                          "structure comes from --scheme (the only MEE "
+                          "key accepted is mee.mdc_policy)",
+                          overrides, key);
         config.assertConsumed();
-        o.mdcPolicy = mee.mdcPolicy;
-        if (had_adapt_epoch)
-            o.adaptEpoch = mee.adaptEpoch;
-        if (had_adapt_thresholds)
-            o.adaptThresholds = mee.adaptThresholds;
     }
     // --policy switches L2 and metadata caches together.
     std::string policy = args.get("policy");
@@ -247,12 +242,6 @@ gpuParamsFrom(const Args &args, Options *opts = nullptr,
         gpu::applyCachePolicy(gp, kind);
         o.mdcPolicy = kind;
     }
-    std::string epoch_arg = args.get("adapt-epoch");
-    if (!epoch_arg.empty())
-        o.adaptEpoch = static_cast<Cycle>(std::stoull(epoch_arg));
-    std::string th_arg = args.get("adapt-thresholds");
-    if (!th_arg.empty())
-        o.adaptThresholds = core::parseAdaptThresholds(th_arg);
     std::string cycles = args.get("cycles");
     if (!cycles.empty())
         gp.maxCyclesPerKernel = std::stoull(cycles);
@@ -340,10 +329,6 @@ cmdRunScenario(const Args &args)
     if (args.has("stats")) {
         mee::MeeParams mp = schemes::makeMeeParams(scheme);
         mp.mdcPolicy = opts.mdcPolicy;
-        if (opts.adaptEpoch)
-            mp.adaptEpoch = *opts.adaptEpoch;
-        if (opts.adaptThresholds)
-            mp.adaptThresholds = *opts.adaptThresholds;
         gpu::GpuSimulator sim(gp, mp, scn);
         sim.runScenario();
         std::ofstream out(args.get("stats"));
@@ -409,10 +394,6 @@ cmdRun(const Args &args)
     if (args.has("stats") || args.has("json")) {
         mee::MeeParams mp = schemes::makeMeeParams(scheme);
         mp.mdcPolicy = opts.mdcPolicy;
-        if (opts.adaptEpoch)
-            mp.adaptEpoch = *opts.adaptEpoch;
-        if (opts.adaptThresholds)
-            mp.adaptThresholds = *opts.adaptThresholds;
         gpu::GpuSimulator sim(gp, mp, w);
         sim.run();
         if (args.has("stats")) {
@@ -645,18 +626,6 @@ cmdSweep(const Args &args)
 
     gpu::GpuParams gp = gpuParamsFrom(args, &sweep_opts.run);
 
-    // --adapt-epochs: epoch-major extra axis for the adaptive scheme.
-    // Each value fingerprints its own cache cells, so epoch grids are
-    // resumable like every other axis.
-    std::vector<std::optional<Cycle>> adapt_epochs;
-    std::string epoch_list = args.get("adapt-epochs");
-    if (epoch_list.empty()) {
-        adapt_epochs.push_back(sweep_opts.run.adaptEpoch);
-    } else {
-        for (const auto &tok : splitList(epoch_list))
-            adapt_epochs.push_back(static_cast<Cycle>(std::stoull(tok)));
-    }
-
     // Persistent cell store: cells load instead of simulating on key
     // hits and flush to disk the moment they finish, which is what
     // makes interrupted sweeps resumable.
@@ -691,21 +660,11 @@ cmdSweep(const Args &args)
             }
             if (policies.empty())
                 shm_fatal("sweep selects no policies");
-            for (auto epoch : adapt_epochs) {
-                sweep_opts.run.adaptEpoch = epoch;
-                auto part = core::runPolicyGrid(gp, policies, designs,
-                                                workloads, sweep_opts);
-                results.insert(results.end(), part.begin(), part.end());
-            }
+            results = core::runPolicyGrid(gp, policies, designs,
+                                          workloads, sweep_opts);
         } else {
-            // One runner across the epoch axis: the baselines are
-            // epoch-independent and shared.
             core::SweepRunner runner(gp);
-            for (auto epoch : adapt_epochs) {
-                sweep_opts.run.adaptEpoch = epoch;
-                auto part = runner.run(designs, workloads, sweep_opts);
-                results.insert(results.end(), part.begin(), part.end());
-            }
+            results = runner.run(designs, workloads, sweep_opts);
         }
     } catch (const core::SweepCancelled &cancelled) {
         // Completed cells are kept, not discarded: with a results dir
@@ -769,9 +728,8 @@ int
 cmdBenchSelf(const Args &args)
 {
     const std::vector<std::string> workload_names = {"atax", "mvt", "bfs"};
-    // --schemes reshapes the measured grid (perf-smoke uses it to pin
-    // a separate SHM_adaptive baseline); the default stays the classic
-    // 3x3.
+    // --schemes reshapes the measured grid; the default stays the
+    // classic 3x3.
     std::vector<schemes::Scheme> designs;
     for (const auto &name :
          splitList(args.get("schemes", "Naive,PSSM,SHM")))
@@ -837,9 +795,10 @@ cmdBenchSelf(const Args &args)
     doc["cells"] = static_cast<std::uint64_t>(cells);
     // Top-level config identity for compare_baseline.py: the nested
     // grid object is informational, but the comparison script only
-    // matches flat keys, so the scheme list (and the adaptive epoch,
-    // when pinned) are repeated here to keep an SHM_adaptive baseline
-    // from ever being compared against the classic 3x3.
+    // matches flat keys, so the scheme list (and the metadata-cache
+    // policy, when it differs from the L2's) are repeated here to keep
+    // a reshaped grid from ever being compared against the classic
+    // 3x3.
     {
         std::string joined;
         for (auto scheme : designs) {
@@ -849,9 +808,8 @@ cmdBenchSelf(const Args &args)
         }
         doc["schemes"] = joined;
     }
-    if (run_opts.adaptEpoch)
-        doc["adaptEpoch"] =
-            static_cast<std::uint64_t>(*run_opts.adaptEpoch);
+    if (run_opts.mdcPolicy != gp.l2Policy)
+        doc["mdcPolicy"] = mem::policyName(run_opts.mdcPolicy);
     json::Value grid = json::Value::object();
     json::Value wl = json::Value::array();
     for (const auto &name : workload_names)
@@ -1308,22 +1266,19 @@ main(int argc, char **argv)
     if (cmd == "run")
         return cmdRun(args(
             {"workload", "spec", "scenario", "scheme", "gpu", "cycles",
-             "policy", "crypto", "overrides", "adapt-epoch",
-             "adapt-thresholds", "stats", "json", "accuracy", "profile",
-             "no-solo", "trace", "trace-text"}));
+             "policy", "crypto", "overrides", "stats", "json",
+             "accuracy", "profile", "no-solo", "trace", "trace-text"}));
     if (cmd == "sweep")
         return cmdSweep(args(
             {"workloads", "schemes", "jobs", "gpu", "cycles", "policy",
-             "policies", "adapt-epoch", "adapt-thresholds", "adapt-epochs",
-             "zipf-footprints", "zipf-alphas", "scenario", "quantums",
-             "share", "tenants", "no-solo", "results-dir", "resume",
-             "cancel-after", "crypto", "overrides", "out", "quiet",
-             "accuracy", "trace"}));
+             "policies", "zipf-footprints", "zipf-alphas", "scenario",
+             "quantums", "share", "tenants", "no-solo", "results-dir",
+             "resume", "cancel-after", "crypto", "overrides", "out",
+             "quiet", "accuracy", "trace"}));
     if (cmd == "bench-self")
         return cmdBenchSelf(args({"quick", "cycles", "reps", "gpu",
-                                  "policy", "schemes", "adapt-epoch",
-                                  "crypto", "overrides", "out",
-                                  "profile"}));
+                                  "policy", "schemes", "crypto",
+                                  "overrides", "out", "profile"}));
     if (cmd == "bench-sweep")
         return cmdBenchSweep(args({"side", "cycles", "jobs", "gpu",
                                    "scheme", "results-dir", "out"}));

@@ -43,6 +43,16 @@ delta = hello
     c.assertConsumed();
 }
 
+TEST(Config, UnconsumedKeysShrinkAsGettersRead)
+{
+    Config c = parse("b = 2\na = 1\n");
+    EXPECT_EQ(c.unconsumedKeys(), (std::vector<std::string>{"a", "b"}));
+    c.getU64("a", 0);
+    EXPECT_EQ(c.unconsumedKeys(), std::vector<std::string>{"b"});
+    c.getU64("b", 0);
+    EXPECT_TRUE(c.unconsumedKeys().empty());
+}
+
 TEST(Config, FallbacksForMissingKeys)
 {
     Config c = parse("x = 1\n");

@@ -78,9 +78,6 @@ runPinnedGrid()
 
     ScenarioSweepOptions opts;
     opts.jobs = 1;
-    // A fast reclassification epoch so the adaptive cells below see
-    // several epochs per quantum. Inert for the non-adaptive schemes.
-    opts.run.adaptEpoch = 1000;
     std::vector<ScenarioCell> cells;
     for (const auto &scn : scenarios)
         for (auto scheme :
@@ -92,12 +89,6 @@ runPinnedGrid()
                 continue;
             cells.push_back({scheme, &scn});
         }
-    // Adaptive tenants in timeslice mixes: the short-quantum flush
-    // variant (every switch drops the classification back to Full
-    // alongside the detector flush) and the long quantum where
-    // demotions survive long enough to pay off.
-    cells.push_back({schemes::Scheme::ShmAdaptive, &scenarios[1]});
-    cells.push_back({schemes::Scheme::ShmAdaptive, &scenarios[2]});
     return runScenarioCells(gp, cells, opts);
 }
 
@@ -219,7 +210,7 @@ TEST(GoldenScenarios, GoldenFileIsSelfConsistent)
     // ranges — catches hand-edits that would silently weaken the tier.
     json::Value golden = json::Value::parseFile(goldenPath());
     const auto &cells = golden.at("cells");
-    ASSERT_EQ(cells.size(), 11u);
+    ASSERT_EQ(cells.size(), 9u);
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const auto &c = cells.at(i);
         EXPECT_GT(c.at("meanSlowdown").asNumber(), 0.0);

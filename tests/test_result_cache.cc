@@ -118,61 +118,6 @@ TEST(CellKey, EveryAxisMovesTheKey)
               base);
 }
 
-TEST(CellKey, AdaptiveKnobsMoveTheKey)
-{
-    // The adaptive controls change the simulated machine, so every
-    // distinct setting — including "explicitly 0" vs "unset" (scheme
-    // default) — needs its own cell.
-    auto spec = workload::makeStreamingMicro();
-    const std::uint64_t base = keyWith(quickParams(), RunOptions{}, spec);
-
-    RunOptions epoch;
-    epoch.adaptEpoch = 10000;
-    EXPECT_NE(keyWith(quickParams(), epoch, spec), base);
-
-    RunOptions frozen;
-    frozen.adaptEpoch = 0; // freezes at Full != scheme default
-    EXPECT_NE(keyWith(quickParams(), frozen, spec), base);
-    EXPECT_NE(keyWith(quickParams(), frozen, spec),
-              keyWith(quickParams(), epoch, spec));
-
-    RunOptions th;
-    th.adaptThresholds = mee::AdaptThresholds{};
-    EXPECT_NE(keyWith(quickParams(), th, spec), base);
-    RunOptions th2 = th;
-    th2.adaptThresholds->roMinReads += 1;
-    EXPECT_NE(keyWith(quickParams(), th2, spec),
-              keyWith(quickParams(), th, spec));
-    RunOptions th3 = th;
-    th3.adaptThresholds->macOnlyMissRate = 0.5;
-    EXPECT_NE(keyWith(quickParams(), th3, spec),
-              keyWith(quickParams(), th, spec));
-}
-
-TEST(ScenarioKey, AdaptiveKnobsMoveTheScenarioKey)
-{
-    auto scn = workload::singleTenantScenario(
-        workload::makeStreamingMicro());
-    auto key = [&](std::optional<Cycle> epoch,
-                   std::optional<mee::AdaptThresholds> th) {
-        return scenarioCellKey(quickParams(), gpu::EnergyParams{},
-                               /*with_solo=*/true, mem::PolicyKind::Lru,
-                               epoch, th, schemes::Scheme::ShmAdaptive,
-                               scn, crypto::Backend::Scalar, "v-test");
-    };
-    const std::uint64_t base = key(std::nullopt, std::nullopt);
-    EXPECT_EQ(base, key(std::nullopt, std::nullopt));
-    EXPECT_NE(key(Cycle{10000}, std::nullopt), base);
-    EXPECT_NE(key(Cycle{0}, std::nullopt), base);
-    EXPECT_NE(key(Cycle{0}, std::nullopt),
-              key(Cycle{10000}, std::nullopt));
-    mee::AdaptThresholds th;
-    EXPECT_NE(key(std::nullopt, th), base);
-    th.streamMinReads += 8;
-    EXPECT_NE(key(std::nullopt, th),
-              key(std::nullopt, mee::AdaptThresholds{}));
-}
-
 TEST(CellKey, TraceOptionsDoNotSplitTheCache)
 {
     // Tracing observes a run without changing its results, so traced

@@ -22,10 +22,9 @@ TEST(Schemes, UnknownNameIsFatal)
     EXPECT_DEATH(schemeFromName("SGX"), "unknown scheme");
 }
 
-TEST(Schemes, TableVIIIListsNineDesignsPlusAdaptive)
+TEST(Schemes, TableVIIIListsNineDesigns)
 {
-    // Table VIII's nine designs plus the SHM_adaptive meta-scheme.
-    EXPECT_EQ(allSchemes().size(), 10u);
+    EXPECT_EQ(allSchemes().size(), 9u);
 }
 
 TEST(Schemes, BaselineDisablesSecurity)
@@ -77,19 +76,6 @@ TEST(Schemes, UpperBoundUsesOracle)
     EXPECT_GT(p.streamDetector.entries, 2048u);
     EXPECT_TRUE(needsProfilePass(Scheme::ShmUpperBound));
     EXPECT_FALSE(needsProfilePass(Scheme::Shm));
-}
-
-TEST(Schemes, AdaptiveBundlesItsPrerequisites)
-{
-    auto p = makeMeeParams(Scheme::ShmAdaptive);
-    EXPECT_TRUE(p.adaptive);
-    EXPECT_TRUE(p.readOnlyOpt);
-    EXPECT_TRUE(p.dualGranularityMac);
-    EXPECT_TRUE(p.commonCounters);
-    EXPECT_TRUE(p.localMetadataAddressing);
-    EXPECT_GT(p.adaptEpoch, 0u);
-    EXPECT_FALSE(needsProfilePass(Scheme::ShmAdaptive));
-    EXPECT_EQ(schemeFromName("SHM_adaptive"), Scheme::ShmAdaptive);
 }
 
 TEST(Schemes, TableVIMdcDefaults)
