@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <fstream>
 
 #include "common/logging.hh"
 
@@ -273,6 +274,22 @@ Tracer::writeText(std::ostream &os) const
         os << buf;
     }
     os << "# events=" << all.size() << '\n';
+}
+
+void
+exportTrace(const Tracer &tracer, const std::string &chrome_path,
+            const std::string &text_path)
+{
+    auto write = [](const std::string &path, auto &&emit) {
+        if (path.empty())
+            return;
+        std::ofstream os(path, std::ios::binary);
+        if (!os)
+            shm_fatal("cannot open trace file '{}' for writing", path);
+        emit(os);
+    };
+    write(chrome_path, [&](std::ostream &os) { tracer.writeChromeJson(os); });
+    write(text_path, [&](std::ostream &os) { tracer.writeText(os); });
 }
 
 } // namespace shmgpu::trace

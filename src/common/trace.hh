@@ -189,6 +189,14 @@ class Tracer
     std::uint16_t activeTenant = 0;
 };
 
+/**
+ * Write @p tracer's Chrome trace_event JSON to @p chrome_path and its
+ * text dump to @p text_path, skipping an empty path. Fatal, naming the
+ * path, when a file cannot be opened.
+ */
+void exportTrace(const Tracer &tracer, const std::string &chrome_path,
+                 const std::string &text_path);
+
 } // namespace shmgpu::trace
 
 #endif // SHMGPU_COMMON_TRACE_HH

@@ -1,7 +1,6 @@
 #include "core/experiment.hh"
 
 #include <cmath>
-#include <fstream>
 #include <optional>
 
 #include "common/logging.hh"
@@ -19,32 +18,13 @@ BaselineCache::BaselineCache(const gpu::GpuParams &gpu_params)
 const gpu::RunMetrics &
 BaselineCache::metricsFor(const workload::WorkloadSpec &spec)
 {
-    const std::uint64_t key = workload::contentHash(spec);
-    Entry *entry = nullptr;
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        auto &slot = entries[key];
-        if (!slot)
-            slot = std::make_unique<Entry>();
-        entry = slot.get();
-    }
-    // Simulate outside the map lock so unrelated lookups proceed;
-    // call_once serializes exactly the threads needing this spec.
-    std::call_once(entry->once, [&] {
+    return entries.get(workload::contentHash(spec), [&] {
         gpu::GpuSimulator sim(gpuConfig,
                               schemes::makeMeeParams(
                                   schemes::Scheme::Baseline),
                               spec);
-        entry->metrics = sim.run();
+        return sim.run();
     });
-    return entry->metrics;
-}
-
-std::size_t
-BaselineCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    return entries.size();
 }
 
 Experiment::Experiment(const gpu::GpuParams &gpu_params,
@@ -116,20 +96,8 @@ Experiment::run(schemes::Scheme scheme,
 
     result.metrics = sim.run();
 
-    if (tracer && !trace_path.empty()) {
-        std::ofstream os(trace_path, std::ios::binary);
-        if (!os)
-            shm_fatal("cannot open trace file '{}' for writing",
-                      trace_path);
-        tracer->writeChromeJson(os);
-    }
-    if (tracer && !options.traceTextPath.empty()) {
-        std::ofstream os(options.traceTextPath, std::ios::binary);
-        if (!os)
-            shm_fatal("cannot open trace file '{}' for writing",
-                      options.traceTextPath);
-        tracer->writeText(os);
-    }
+    if (tracer)
+        trace::exportTrace(*tracer, trace_path, options.traceTextPath);
 
     result.normalizedIpc =
         result.baseline.ipc > 0 ? result.metrics.ipc / result.baseline.ipc

@@ -20,11 +20,10 @@
 #ifndef SHMGPU_CORE_EXPERIMENT_HH
 #define SHMGPU_CORE_EXPERIMENT_HH
 
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 
+#include "common/once_map.hh"
 #include "common/trace.hh"
 #include "gpu/energy.hh"
 #include "gpu/metrics.hh"
@@ -103,9 +102,7 @@ struct ExperimentResult
  * Thread-safe store of no-security baseline metrics, keyed by
  * workload::contentHash so distinct specs sharing a name (regenerated
  * parameter sweeps) never alias. Each unique spec is simulated
- * exactly once even under concurrent lookups: the entry's once_flag
- * lets other threads wait for the in-flight simulation instead of
- * duplicating it.
+ * exactly once even under concurrent lookups (a OnceMap).
  */
 class BaselineCache
 {
@@ -117,22 +114,13 @@ class BaselineCache
     const gpu::RunMetrics &metricsFor(const workload::WorkloadSpec &spec);
 
     /** Number of distinct specs simulated so far. */
-    std::size_t size() const;
+    std::size_t size() const { return entries.size(); }
 
     const gpu::GpuParams &gpuParams() const { return gpuConfig; }
 
   private:
-    struct Entry
-    {
-        std::once_flag once;
-        gpu::RunMetrics metrics;
-    };
-
     gpu::GpuParams gpuConfig;
-    mutable std::mutex mutex;
-    /** unique_ptr entries: node-stable addresses survive rehash-free
-     *  map growth while other threads hold references. */
-    std::map<std::uint64_t, std::unique_ptr<Entry>> entries;
+    OnceMap<gpu::RunMetrics> entries;
 };
 
 /** Runs experiments against a (possibly shared) baseline cache. */

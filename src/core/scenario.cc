@@ -1,11 +1,7 @@
 #include "core/scenario.hh"
 
-#include <atomic>
-#include <exception>
-#include <fstream>
+#include <map>
 #include <optional>
-#include <ostream>
-#include <thread>
 
 #include "common/fingerprint.hh"
 #include "common/logging.hh"
@@ -87,26 +83,6 @@ collectScenarioProfile(const gpu::GpuParams &gpu_params,
     return profile;
 }
 
-/** One tenant's workload run alone on the whole GPU. */
-gpu::TenantRunMetrics
-simulateSolo(const gpu::GpuParams &gpu_params, schemes::Scheme scheme,
-             const workload::WorkloadSpec &spec, std::uint64_t key_seed,
-             mem::PolicyKind mdc_policy)
-{
-    workload::ScenarioSpec solo = workload::singleTenantScenario(spec);
-    solo.keySeed = key_seed;
-    mee::MeeParams mee_params = schemes::makeMeeParams(scheme);
-    mee_params.mdcPolicy = mdc_policy;
-    gpu::GpuSimulator sim(gpu_params, mee_params, solo);
-    detect::AccessProfile profile =
-        collectScenarioProfile(gpu_params, mee_params, solo);
-    if (schemes::needsProfilePass(scheme))
-        sim.primeFromProfile(profile);
-    sim.attributeAgainst(&profile);
-    gpu::ScenarioMetrics m = sim.runScenario();
-    return m.tenants.at(0);
-}
-
 } // namespace
 
 ScenarioSoloCache::ScenarioSoloCache(const gpu::GpuParams &gpu_params)
@@ -120,22 +96,17 @@ ScenarioSoloCache::soloFor(schemes::Scheme scheme,
                            std::uint64_t key_seed,
                            mem::PolicyKind mdc_policy)
 {
-    const std::uint64_t key = soloKey(scheme, spec, key_seed, mdc_policy);
-    Entry *entry = nullptr;
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        auto &slot = entries[key];
-        if (!slot)
-            slot = std::make_unique<Entry>();
-        entry = slot.get();
-    }
-    // Simulate outside the map lock; call_once serializes exactly the
-    // threads needing this reference (same shape as BaselineCache).
-    std::call_once(entry->once, [&] {
-        entry->metrics =
-            simulateSolo(gpuConfig, scheme, spec, key_seed, mdc_policy);
+    return entries.get(soloKey(scheme, spec, key_seed, mdc_policy), [&] {
+        // The solo reference is the degenerate one-tenant scenario
+        // under the same scheme, key seed and MDC policy.
+        workload::ScenarioSpec solo = workload::singleTenantScenario(spec);
+        solo.keySeed = key_seed;
+        ScenarioRunOptions options;
+        options.withSolo = false;
+        options.mdcPolicy = mdc_policy;
+        return runScenarioExperiment(gpuConfig, scheme, solo, options)
+            .metrics.tenants.at(0);
     });
-    return entry->metrics;
 }
 
 ScenarioExperimentResult
@@ -177,20 +148,9 @@ runScenarioExperiment(const gpu::GpuParams &gpu_params,
 
     r.metrics = sim.runScenario();
 
-    if (tracer && !options.tracePath.empty()) {
-        std::ofstream os(options.tracePath, std::ios::binary);
-        if (!os)
-            shm_fatal("cannot open trace file '{}' for writing",
-                      options.tracePath);
-        tracer->writeChromeJson(os);
-    }
-    if (tracer && !options.traceTextPath.empty()) {
-        std::ofstream os(options.traceTextPath, std::ios::binary);
-        if (!os)
-            shm_fatal("cannot open trace file '{}' for writing",
-                      options.traceTextPath);
-        tracer->writeText(os);
-    }
+    if (tracer)
+        trace::exportTrace(*tracer, options.tracePath,
+                           options.traceTextPath);
 
     // Solo references: one run per distinct workload (tenants often
     // share a spec). A caller-provided cache extends the memoization
@@ -235,20 +195,10 @@ runScenarioCells(const gpu::GpuParams &gpu_params,
                  const std::vector<ScenarioCell> &cells,
                  const ScenarioSweepOptions &options)
 {
-    const std::size_t n = cells.size();
-    std::vector<ScenarioExperimentResult> results(n);
-    if (n == 0)
-        return results;
     // Reject unsupported combinations before any cell simulates.
     for (const ScenarioCell &cell : cells)
         if (cell.scenario)
             checkSchemeFitsScenario(cell.scheme, *cell.scenario);
-
-    unsigned jobs =
-        options.jobs != 0
-            ? options.jobs
-            : std::max(1u, std::thread::hardware_concurrency());
-    jobs = static_cast<unsigned>(std::min<std::size_t>(jobs, n));
 
     // Solo references are shared across the whole grid: a quantum
     // sweep over one scenario pays for each tenant's solo run once.
@@ -261,66 +211,28 @@ runScenarioCells(const gpu::GpuParams &gpu_params,
     const crypto::Backend backend = crypto::activeBackend();
     const gpu::EnergyParams energy{};
 
-    std::atomic<std::size_t> next_cell{0};
-    std::atomic<bool> stop{false};
-    std::atomic<std::size_t> n_simulated{0};
-    std::atomic<std::size_t> n_cached{0};
-    std::vector<std::exception_ptr> errors(n);
-
-    auto worker = [&] {
-        while (true) {
-            const std::size_t i = next_cell.fetch_add(1);
-            if (i >= n || stop.load())
-                return;
-            try {
-                shm_assert(cells[i].scenario != nullptr,
-                           "scenario cell without a scenario");
-                std::uint64_t key = 0;
-                bool hit = false;
-                if (options.cache) {
-                    key = scenarioCellKey(gpu_params, energy,
-                                          run.withSolo, run.mdcPolicy,
-                                          cells[i].scheme,
-                                          *cells[i].scenario, backend,
-                                          code_version);
-                    hit = loadScenarioCell(*options.cache, key,
-                                           &results[i]);
-                }
-                if (!hit) {
-                    results[i] = runScenarioExperiment(
-                        gpu_params, cells[i].scheme, *cells[i].scenario,
-                        run);
-                    if (options.cache)
-                        storeScenarioCell(*options.cache, key,
-                                          results[i]);
-                }
-                (hit ? n_cached : n_simulated).fetch_add(1);
-            } catch (...) {
-                errors[i] = std::current_exception();
-                stop.store(true);
-            }
+    SweepOptions pool;
+    pool.jobs = options.jobs;
+    pool.tally = options.tally;
+    std::vector<ScenarioExperimentResult> results(cells.size());
+    runCellPool(cells.size(), pool, [&](std::size_t i) {
+        shm_assert(cells[i].scenario != nullptr,
+                   "scenario cell without a scenario");
+        std::uint64_t key = 0;
+        if (options.cache) {
+            key = scenarioCellKey(gpu_params, energy, run.withSolo,
+                                  run.mdcPolicy, cells[i].scheme,
+                                  *cells[i].scenario, backend,
+                                  code_version);
+            if (loadScenarioCell(*options.cache, key, &results[i]))
+                return true;
         }
-    };
-
-    if (jobs == 1) {
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(jobs);
-        for (unsigned t = 0; t < jobs; ++t)
-            pool.emplace_back(worker);
-        for (auto &t : pool)
-            t.join();
-    }
-
-    if (options.tally) {
-        options.tally->simulated = n_simulated.load();
-        options.tally->cached = n_cached.load();
-    }
-    for (const auto &err : errors) {
-        if (err)
-            std::rethrow_exception(err);
-    }
+        results[i] = runScenarioExperiment(gpu_params, cells[i].scheme,
+                                           *cells[i].scenario, run);
+        if (options.cache)
+            storeScenarioCell(*options.cache, key, results[i]);
+        return false;
+    });
     return results;
 }
 
@@ -489,14 +401,6 @@ scenarioSweepToJson(const std::vector<ScenarioExperimentResult> &results)
     }
     doc["meanSlowdownByScheme"] = std::move(summary);
     return doc;
-}
-
-void
-writeScenarioSweepJson(std::ostream &os,
-                       const std::vector<ScenarioExperimentResult> &results)
-{
-    scenarioSweepToJson(results).write(os, 2);
-    os << "\n";
 }
 
 bool

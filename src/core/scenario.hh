@@ -28,14 +28,11 @@
 #ifndef SHMGPU_CORE_SCENARIO_HH
 #define SHMGPU_CORE_SCENARIO_HH
 
-#include <iosfwd>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/json.hh"
+#include "common/once_map.hh"
 #include "common/trace.hh"
 #include "core/experiment.hh"
 #include "core/sweep.hh"
@@ -93,11 +90,11 @@ struct ScenarioExperimentResult
 
 /**
  * Memoized solo references shared across scenario cells: one
- * whole-GPU single-tenant simulation per distinct (scheme, workload
- * content hash, key seed, MDC policy), simulated exactly once even
- * under concurrent lookups (same call_once discipline as
- * BaselineCache). A quantum sweep over one scenario re-uses its
- * tenants' solo runs across every cell.
+ * whole-GPU single-tenant scenario experiment per distinct (scheme,
+ * workload content hash, key seed, MDC policy), simulated exactly
+ * once even under concurrent lookups (a OnceMap, as BaselineCache).
+ * A quantum sweep over one scenario re-uses its tenants' solo runs
+ * across every cell.
  */
 class ScenarioSoloCache
 {
@@ -110,18 +107,14 @@ class ScenarioSoloCache
     soloFor(schemes::Scheme scheme, const workload::WorkloadSpec &spec,
             std::uint64_t key_seed, mem::PolicyKind mdc_policy);
 
+    /** Number of distinct solo references simulated so far. */
+    std::size_t size() const { return entries.size(); }
+
     const gpu::GpuParams &gpuParams() const { return gpuConfig; }
 
   private:
-    struct Entry
-    {
-        std::once_flag once;
-        gpu::TenantRunMetrics metrics;
-    };
-
     gpu::GpuParams gpuConfig;
-    std::mutex mutex;
-    std::map<std::uint64_t, std::unique_ptr<Entry>> entries;
+    OnceMap<gpu::TenantRunMetrics> entries;
 };
 
 /** Options for one scenario experiment. */
@@ -184,10 +177,10 @@ struct ScenarioSweepOptions
 };
 
 /**
- * Run a list of scenario cells on a worker pool. Results are in cell
- * order regardless of the job count, and bit-identical for any
- * --jobs value (same discipline as SweepRunner::runCells). The first
- * cell failure is rethrown after the pool drains.
+ * Run a list of scenario cells on the sweep worker pool
+ * (runCellPool). Results are in cell order regardless of the job
+ * count, and bit-identical for any --jobs value. The first cell
+ * failure is rethrown after the pool drains.
  */
 std::vector<ScenarioExperimentResult>
 runScenarioCells(const gpu::GpuParams &gpu_params,
@@ -209,11 +202,6 @@ ScenarioExperimentResult scenarioResultFromJson(const json::Value &v);
  */
 json::Value
 scenarioSweepToJson(const std::vector<ScenarioExperimentResult> &results);
-
-/** Serialize scenarioSweepToJson with a trailing newline. */
-void
-writeScenarioSweepJson(std::ostream &os,
-                       const std::vector<ScenarioExperimentResult> &results);
 
 /** @{ Scenario cells in a ResultCache (key from scenarioCellKey);
  *  same miss-never-error and atomic-publish semantics as the sweep

@@ -42,22 +42,18 @@ SweepRunner::run(const std::vector<schemes::Scheme> &schemes,
     return runCells(cells, options);
 }
 
-std::vector<ExperimentResult>
-SweepRunner::runCells(const std::vector<SweepCell> &cells,
-                      const SweepOptions &options) const
+bool
+runCellPool(std::size_t n, const SweepOptions &options,
+            const std::function<bool(std::size_t)> &body)
 {
-    const std::size_t n = cells.size();
-    std::vector<ExperimentResult> results(n);
     if (n == 0)
-        return results;
+        return false;
 
     unsigned jobs = options.jobs != 0
                         ? options.jobs
                         : std::max(1u, std::thread::hardware_concurrency());
-    jobs = static_cast<unsigned>(
-        std::min<std::size_t>(jobs, n));
+    jobs = static_cast<unsigned>(std::min<std::size_t>(jobs, n));
 
-    const Experiment experiment(baselines, energyConfig);
     std::atomic<std::size_t> next_cell{0};
     std::atomic<bool> stop{false};
     std::atomic<bool> auto_cancel{false};
@@ -65,16 +61,11 @@ SweepRunner::runCells(const std::vector<SweepCell> &cells,
     std::atomic<std::size_t> n_simulated{0};
     std::atomic<std::size_t> n_cached{0};
     std::vector<std::exception_ptr> errors(n);
-    // Which slots hold finished results — what SweepCancelled keeps.
-    std::vector<std::atomic<bool>> finished(n);
 
     auto cancelled = [&] {
         return (options.cancel && options.cancel->load()) ||
                auto_cancel.load();
     };
-
-    const std::string &code_version = codeVersion();
-    const crypto::Backend backend = crypto::activeBackend();
 
     auto worker = [&] {
         while (true) {
@@ -82,24 +73,7 @@ SweepRunner::runCells(const std::vector<SweepCell> &cells,
             if (i >= n || stop.load() || cancelled())
                 return;
             try {
-                std::uint64_t key = 0;
-                bool hit = false;
-                if (options.cache) {
-                    key = cellKey(baselines->gpuParams(), energyConfig,
-                                  options.run, cells[i].scheme,
-                                  *cells[i].spec, backend, code_version);
-                    hit = options.cache->load(key, &results[i]);
-                }
-                if (!hit) {
-                    results[i] =
-                        runCell(experiment, cells[i], options.run);
-                    // Publish the moment the cell finishes: a sweep
-                    // killed one cell later resumes from here.
-                    if (options.cache)
-                        options.cache->store(key, results[i]);
-                }
-                (hit ? n_cached : n_simulated).fetch_add(1);
-                finished[i].store(true);
+                (body(i) ? n_cached : n_simulated).fetch_add(1);
                 const std::size_t completed = done.fetch_add(1) + 1;
                 if (options.cancelAfter != 0 &&
                     completed >= options.cancelAfter)
@@ -127,13 +101,49 @@ SweepRunner::runCells(const std::vector<SweepCell> &cells,
         options.tally->cached = n_cached.load();
     }
 
-    // Rethrow the failure with the lowest grid index so the caller
+    // Rethrow the failure with the lowest cell index so the caller
     // sees the same error no matter how cells were scheduled.
     for (const auto &err : errors) {
         if (err)
             std::rethrow_exception(err);
     }
-    if (cancelled()) {
+    return cancelled();
+}
+
+std::vector<ExperimentResult>
+SweepRunner::runCells(const std::vector<SweepCell> &cells,
+                      const SweepOptions &options) const
+{
+    const std::size_t n = cells.size();
+    std::vector<ExperimentResult> results(n);
+    // Which slots hold finished results — what SweepCancelled keeps.
+    // One writer per slot; read only after the pool has joined.
+    std::vector<char> finished(n, 0);
+    const Experiment experiment(baselines, energyConfig);
+    const std::string &code_version = codeVersion();
+    const crypto::Backend backend = crypto::activeBackend();
+
+    const bool cancelled = runCellPool(n, options, [&](std::size_t i) {
+        std::uint64_t key = 0;
+        bool hit = false;
+        if (options.cache) {
+            key = cellKey(baselines->gpuParams(), energyConfig,
+                          options.run, cells[i].scheme, *cells[i].spec,
+                          backend, code_version);
+            hit = options.cache->load(key, &results[i]);
+        }
+        if (!hit) {
+            results[i] = runCell(experiment, cells[i], options.run);
+            // Publish the moment the cell finishes: a sweep killed one
+            // cell later resumes from here.
+            if (options.cache)
+                options.cache->store(key, results[i]);
+        }
+        finished[i] = 1;
+        return hit;
+    });
+
+    if (cancelled) {
         // Hand the finished cells back (grid order, gaps removed):
         // with a cache attached they are already flushed to disk, so
         // the caller can report "partial, resumable" instead of
@@ -141,7 +151,7 @@ SweepRunner::runCells(const std::vector<SweepCell> &cells,
         SweepCancelled ex;
         ex.totalCells = n;
         for (std::size_t i = 0; i < n; ++i) {
-            if (finished[i].load())
+            if (finished[i])
                 ex.partial.push_back(std::move(results[i]));
         }
         throw ex;

@@ -25,6 +25,7 @@
 #define SHMGPU_CORE_SWEEP_HH
 
 #include <atomic>
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <stdexcept>
@@ -107,6 +108,24 @@ struct SweepOptions
      */
     std::size_t cancelAfter = 0;
 };
+
+/**
+ * The worker pool behind every grid (SweepRunner::runCells and
+ * runScenarioCells): run @p body(i) for each cell index i < @p n on
+ * options.jobs threads. The body fills slot i of the caller's
+ * pre-sized result vector, so results land in cell order whatever the
+ * completion order, and returns true when the cell was loaded from a
+ * cache rather than simulated (counted into options.tally).
+ *
+ * The first failure stops workers from claiming further cells; once
+ * the pool drains, the failure with the lowest index is rethrown, so
+ * the caller sees the same error at any job count. options.cancel and
+ * options.cancelAfter stop workers at the next cell boundary (cells in
+ * flight finish); the return value is then true. options.run and
+ * options.cache are the body's business and are not read here.
+ */
+bool runCellPool(std::size_t n, const SweepOptions &options,
+                 const std::function<bool(std::size_t)> &body);
 
 /** Thread-pool executor for experiment grids. */
 class SweepRunner

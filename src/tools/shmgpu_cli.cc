@@ -1,50 +1,16 @@
 /**
  * @file
- * The shmgpu command-line driver.
+ * The shmgpu command-line tool: list, run, sweep, trace, trace-info
+ * and the bench-self / bench-sweep / bench-tenants benchmarks.
  *
- *   shmgpu list
- *       Print the available workloads and secure-memory schemes.
- *
- *   shmgpu run --workload NAME [--scheme NAME] [--cycles N]
- *              [--stats FILE] [--json FILE] [--accuracy]
- *       Simulate one (scheme, workload) pair and print the paper-style
- *       summary; optionally dump the full statistics tree.
- *
- *   shmgpu trace record --workload NAME --out FILE [--sms N]
- *       Record the workload's per-SM access trace to a file.
- *
- *   shmgpu trace run --in FILE [--scheme NAME] [--cycles N]
- *       Replay a recorded trace through the full simulator.
- *
- *   shmgpu trace info --in FILE
- *       Print a trace file's header and per-kernel op counts.
- *
- *   shmgpu trace-info --in TRACE.json
- *       Summarize a structured event trace produced by --trace:
- *       event counts per class/kind and first/last detector events.
- *
- *   shmgpu sweep [--workloads a,b,c] [--schemes X,Y] [--jobs N]
- *                [--cycles N] [--out results.json]
- *                [--policy P | --policies P,Q|all]
- *                [--zipf-footprints S,... [--zipf-alphas A,...]]
- *                [--results-dir DIR] [--resume] [--cancel-after N]
- *       Run a (scheme x workload) grid on a worker pool and emit the
- *       structured JSON results sink. Output is bit-identical for any
- *       --jobs value. --policies adds the cache replacement policy
- *       (L2 + metadata caches) as a third, policy-major grid axis,
- *       with a fresh baseline per policy. --zipf-footprints /
- *       --zipf-alphas add a generated footprint x alpha Zipf grid.
- *       --results-dir makes the sweep incremental: finished cells
- *       persist one-file-each the moment they complete and later
- *       sweeps load matching cells instead of re-simulating, so an
- *       interrupted sweep resumes where it stopped (docs/SWEEP.md).
- *
- *   shmgpu bench-sweep [--side N] [--cycles N] [--out FILE]
- *       Time a Zipf grid cold / warm / half-resumed against one
- *       results directory (the result-cache benchmark).
+ * usage() prints one line per mode with every flag it accepts; run
+ * and sweep each have a workload mode and a --scenario mode with
+ * their own flag sets. docs/SWEEP.md covers the sweep modes and the
+ * result cache, docs/SIMULATOR.md the simulator they drive.
  */
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -54,6 +20,9 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <vector>
 
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -76,16 +45,35 @@ using namespace shmgpu;
 namespace
 {
 
+/** Split a comma list, dropping empty items. */
+std::vector<std::string>
+splitList(const std::string &csv)
+{
+    std::vector<std::string> out;
+    std::size_t start = 0;
+    while (start <= csv.size()) {
+        std::size_t comma = csv.find(',', start);
+        if (comma == std::string::npos)
+            comma = csv.size();
+        if (comma > start)
+            out.push_back(csv.substr(start, comma - start));
+        start = comma + 1;
+    }
+    return out;
+}
+
 /**
- * Minimal --flag=value / --flag value parser. Each subcommand declares
- * the flags its usage line lists; any other flag is fatal, naming the
- * flag and the subcommand, so a typo never runs silently.
+ * Minimal --flag=value / --flag value parser. Each mode declares the
+ * flags its usage line lists; any other flag is fatal, naming the flag
+ * and the mode, so a typo never runs silently. Numeric getters must
+ * consume the whole token, so '10k' is an error rather than 10.
  */
 class Args
 {
   public:
-    Args(int argc, char **argv, int start, const std::string &command,
+    Args(int argc, char **argv, int start, std::string command,
          std::initializer_list<const char *> allowed)
+        : mode(std::move(command))
     {
         for (int i = start; i < argc; ++i) {
             std::string arg = argv[i];
@@ -106,7 +94,7 @@ class Args
                 allowed.end())
                 shm_fatal("unknown flag '--{}' for 'shmgpu {}' (run "
                           "'shmgpu' for the usage)",
-                          key, command);
+                          key, mode);
             values[key] = value;
         }
     }
@@ -120,9 +108,93 @@ class Args
 
     bool has(const std::string &key) const { return values.contains(key); }
 
+    /** The mode these flags belong to ("sweep --scenario", ...). */
+    const std::string &command() const { return mode; }
+
+    /** The comma list under @p key (or @p fallback when absent). */
+    std::vector<std::string>
+    list(const std::string &key, const std::string &fallback = "") const
+    {
+        return splitList(get(key, fallback));
+    }
+
+    /** @p key parsed as a T, or @p fallback when absent. */
+    template <typename T>
+    T
+    number(const std::string &key, T fallback) const
+    {
+        auto it = values.find(key);
+        return it == values.end() ? fallback : parse<T>(key, it->second);
+    }
+
+    /** The comma list under @p key, each item parsed as a T. */
+    template <typename T>
+    std::vector<T>
+    numbers(const std::string &key, std::vector<T> fallback) const
+    {
+        if (!has(key))
+            return fallback;
+        std::vector<T> out;
+        for (const auto &token : list(key))
+            out.push_back(parse<T>(key, token));
+        return out;
+    }
+
   private:
+    template <typename T>
+    T
+    parse(const std::string &key, const std::string &token) const
+    {
+        T value{};
+        const char *end = token.data() + token.size();
+        auto [ptr, ec] = std::from_chars(token.data(), end, value);
+        if (ec != std::errc() || ptr != end)
+            shm_fatal("--{} expects {}, got '{}' (in 'shmgpu {}')", key,
+                      std::is_floating_point_v<T> ? "a number"
+                                                  : "an unsigned integer",
+                      token, mode);
+        return value;
+    }
+
+    std::string mode;
     std::map<std::string, std::string> values;
 };
+
+/** The --schemes list ("all" = every secure scheme); fatal if empty. */
+std::vector<schemes::Scheme>
+schemeList(const Args &args, const std::string &fallback)
+{
+    const std::string names = args.get("schemes", fallback);
+    std::vector<schemes::Scheme> designs;
+    if (names == "all") {
+        designs = schemes::allSchemes();
+    } else {
+        for (const auto &name : splitList(names))
+            designs.push_back(schemes::schemeFromName(name));
+    }
+    if (designs.empty())
+        shm_fatal("'shmgpu {}' selects no schemes", args.command());
+    return designs;
+}
+
+/** @p path opened for writing; fatal, naming it, when it cannot be. */
+std::ofstream
+openOut(const std::string &path)
+{
+    std::ofstream os(path, std::ios::binary);
+    if (!os)
+        shm_fatal("cannot open '{}' for writing", path);
+    return os;
+}
+
+/** Write @p doc to @p path, indented, with a trailing newline. */
+void
+writeJsonFile(const std::string &path, const json::Value &doc)
+{
+    std::ofstream os = openOut(path);
+    doc.write(os, 2);
+    os << "\n";
+}
 
 int
 usage()
@@ -131,25 +203,30 @@ usage()
               " <list|run|sweep|trace|trace-info|bench-self|bench-sweep"
               "|bench-tenants> [flags]\n"
               "  shmgpu list\n"
-              "  shmgpu run (--workload NAME | --spec FILE |"
-              " --scenario FILE) [--scheme SHM]"
+              "  shmgpu run (--workload NAME | --spec FILE) [--scheme SHM]"
               " [--gpu turing|big|test] [--cycles N]"
               " [--policy lru|fifo|random|s3fifo|sieve]"
-              " [--crypto auto|scalar|aesni|vaes]"
-              " [--overrides CFG]"
+              " [--crypto auto|scalar|aesni|vaes] [--overrides CFG]"
               " [--stats FILE] [--json FILE] [--accuracy] [--profile]"
-              " [--no-solo]"
+              " [--trace OUT.json] [--trace-text OUT.txt]\n"
+              "  shmgpu run --scenario FILE [--scheme SHM]"
+              " [--gpu turing|big|test] [--cycles N] [--policy P]"
+              " [--crypto auto|scalar|aesni|vaes] [--overrides CFG]"
+              " [--stats FILE] [--json FILE] [--no-solo]"
               " [--trace OUT.json] [--trace-text OUT.txt]\n"
               "  shmgpu sweep [--workloads a,b,c|all] [--schemes X,Y|all]"
               " [--jobs N] [--gpu turing|big|test] [--cycles N]"
               " [--policy P] [--policies P,Q|all]"
               " [--zipf-footprints S1,S2,... [--zipf-alphas A1,A2,...]]"
-              " [--scenario FILE [--quantums Q1,Q2,...]"
-              " [--share timeslice,partitioned] [--tenants N1,N2,...]"
-              " [--no-solo]]"
               " [--results-dir DIR] [--resume] [--cancel-after N]"
               " [--crypto auto|scalar|aesni|vaes] [--overrides CFG]"
               " [--out FILE] [--quiet] [--accuracy] [--trace DIR]\n"
+              "  shmgpu sweep --scenario FILE [--schemes X,Y|all]"
+              " [--quantums Q1,Q2,...] [--share timeslice,partitioned]"
+              " [--tenants N1,N2,...] [--no-solo] [--jobs N]"
+              " [--gpu turing|big|test] [--cycles N] [--policy P]"
+              " [--results-dir DIR] [--crypto auto|scalar|aesni|vaes]"
+              " [--overrides CFG] [--out FILE] [--quiet]\n"
               "  shmgpu trace record --workload NAME --out FILE"
               " [--sms N]\n"
               "  shmgpu trace run --in FILE [--scheme SHM] [--cycles N]\n"
@@ -201,9 +278,10 @@ cmdList()
 }
 
 /**
- * The one config builder behind run, sweep and bench-self: the --gpu
- * preset (its cycle cap replaced by @p default_cycles when nonzero),
- * then the --overrides file, then the flags, which win over the file.
+ * The one config builder behind every simulating subcommand: the --gpu
+ * preset (@p default_gpu when absent; its cycle cap replaced by
+ * @p default_cycles when nonzero), then the --overrides file, then the
+ * flags, which win over the file.
  * @p opts (core::RunOptions or core::ScenarioRunOptions) receives the
  * per-run knobs the file or the flags set: trace classes and the
  * metadata-cache policy. The rest of the MEE comes from --scheme, so
@@ -212,9 +290,10 @@ cmdList()
 template <typename Options = core::RunOptions>
 gpu::GpuParams
 gpuParamsFrom(const Args &args, Options *opts = nullptr,
-              Cycle default_cycles = 0)
+              Cycle default_cycles = 0,
+              const std::string &default_gpu = "turing")
 {
-    gpu::GpuParams gp = gpu::presetByName(args.get("gpu", "turing"));
+    gpu::GpuParams gp = gpu::presetByName(args.get("gpu", default_gpu));
     if (default_cycles)
         gp.maxCyclesPerKernel = default_cycles;
     Options scratch;
@@ -242,9 +321,8 @@ gpuParamsFrom(const Args &args, Options *opts = nullptr,
         gpu::applyCachePolicy(gp, kind);
         o.mdcPolicy = kind;
     }
-    std::string cycles = args.get("cycles");
-    if (!cycles.empty())
-        gp.maxCyclesPerKernel = std::stoull(cycles);
+    gp.maxCyclesPerKernel =
+        args.number<Cycle>("cycles", gp.maxCyclesPerKernel);
     // Software crypto backend (also crypto.backend override): the
     // batched kernels are bit-identical, so this only moves wall
     // clock — auto (cpuid best), scalar, aesni, vaes.
@@ -318,11 +396,7 @@ cmdRunScenario(const Args &args)
     // and interference deltas); --stats the full simulator stats tree
     // of a fresh identical run (the determinism byte-compare vehicle).
     if (args.has("json")) {
-        std::ofstream out(args.get("json"), std::ios::binary);
-        if (!out)
-            shm_fatal("cannot open '{}' for writing", args.get("json"));
-        core::scenarioResultToJson(r).write(out, 2);
-        out << "\n";
+        writeJsonFile(args.get("json"), core::scenarioResultToJson(r));
         std::printf("scenario json written to %s\n",
                     args.get("json").c_str());
     }
@@ -331,7 +405,7 @@ cmdRunScenario(const Args &args)
         mp.mdcPolicy = opts.mdcPolicy;
         gpu::GpuSimulator sim(gp, mp, scn);
         sim.runScenario();
-        std::ofstream out(args.get("stats"));
+        std::ofstream out = openOut(args.get("stats"));
         sim.statsRoot().dump(out);
         std::printf("stats written to %s\n", args.get("stats").c_str());
     }
@@ -341,8 +415,6 @@ cmdRunScenario(const Args &args)
 int
 cmdRun(const Args &args)
 {
-    if (args.has("scenario"))
-        return cmdRunScenario(args);
     std::string workload_name = args.get("workload");
     std::string spec_file = args.get("spec");
     if (workload_name.empty() && spec_file.empty())
@@ -397,13 +469,13 @@ cmdRun(const Args &args)
         gpu::GpuSimulator sim(gp, mp, w);
         sim.run();
         if (args.has("stats")) {
-            std::ofstream out(args.get("stats"));
+            std::ofstream out = openOut(args.get("stats"));
             sim.statsRoot().dump(out);
             std::printf("stats written to %s\n",
                         args.get("stats").c_str());
         }
         if (args.has("json")) {
-            std::ofstream out(args.get("json"));
+            std::ofstream out = openOut(args.get("json"));
             sim.statsRoot().dumpJson(out);
             out << "\n";
             std::printf("json stats written to %s\n",
@@ -411,22 +483,6 @@ cmdRun(const Args &args)
         }
     }
     return 0;
-}
-
-std::vector<std::string>
-splitList(const std::string &csv)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start <= csv.size()) {
-        std::size_t comma = csv.find(',', start);
-        if (comma == std::string::npos)
-            comma = csv.size();
-        if (comma > start)
-            out.push_back(csv.substr(start, comma - start));
-        start = comma + 1;
-    }
-    return out;
 }
 
 /**
@@ -444,11 +500,10 @@ zipfGrid(const Args &args)
         return specs;
     }
     std::vector<std::uint64_t> sizes;
-    for (const auto &tok : splitList(footprints))
+    for (const auto &tok : args.list("zipf-footprints"))
         sizes.push_back(workload::parseSize(tok));
-    std::vector<double> alphas;
-    for (const auto &tok : splitList(args.get("zipf-alphas", "0.8")))
-        alphas.push_back(std::stod(tok));
+    const std::vector<double> alphas =
+        args.numbers<double>("zipf-alphas", {0.8});
     specs.reserve(sizes.size() * alphas.size());
     for (auto fp : sizes)
         for (double a : alphas)
@@ -492,40 +547,26 @@ cmdSweepScenario(const Args &args)
     const workload::ScenarioSpec base =
         workload::parseScenarioFile(args.get("scenario"));
 
-    std::vector<schemes::Scheme> designs;
-    std::string scheme_list = args.get("schemes", "SHM");
-    if (scheme_list == "all") {
-        designs = schemes::allSchemes();
-    } else {
-        for (const auto &name : splitList(scheme_list))
-            designs.push_back(schemes::schemeFromName(name));
-    }
-    if (designs.empty())
-        shm_fatal("sweep selects no schemes");
+    const std::vector<schemes::Scheme> designs = schemeList(args, "SHM");
 
     std::vector<workload::SharePolicy> shares;
-    for (const auto &name : splitList(
-             args.get("share", workload::sharePolicyName(base.policy))))
+    for (const auto &name :
+         args.list("share", workload::sharePolicyName(base.policy)))
         shares.push_back(workload::sharePolicyFromName(name));
 
-    std::vector<Cycle> quantums;
-    for (const auto &tok : splitList(
-             args.get("quantums", std::to_string(base.quantumCycles))))
-        quantums.push_back(std::stoull(tok));
-
-    std::vector<unsigned> tenant_counts;
-    for (const auto &tok : splitList(
-             args.get("tenants", std::to_string(base.tenants.size()))))
-        tenant_counts.push_back(
-            static_cast<unsigned>(std::stoul(tok)));
+    const std::vector<Cycle> quantums =
+        args.numbers<Cycle>("quantums", {base.quantumCycles});
+    const std::vector<unsigned> tenant_counts = args.numbers<unsigned>(
+        "tenants", {static_cast<unsigned>(base.tenants.size())});
     for (unsigned n : tenant_counts)
-        shm_assert(n > 0, "--tenants needs positive counts");
+        if (n == 0)
+            shm_fatal("--tenants needs positive counts");
 
     if (args.has("quiet"))
         log_detail::setVerbose(false);
 
     core::ScenarioSweepOptions opts;
-    opts.jobs = static_cast<unsigned>(std::stoul(args.get("jobs", "1")));
+    opts.jobs = args.number<unsigned>("jobs", 1);
     opts.run.withSolo = !args.has("no-solo");
     gpu::GpuParams gp = gpuParamsFrom(args, &opts.run);
 
@@ -568,10 +609,7 @@ cmdSweepScenario(const Args &args)
 
     std::string out = args.get("out");
     if (!out.empty()) {
-        std::ofstream os(out, std::ios::binary);
-        if (!os)
-            shm_fatal("cannot open '{}' for writing", out);
-        core::writeScenarioSweepJson(os, results);
+        writeJsonFile(out, core::scenarioSweepToJson(results));
         std::printf("scenario sweep results written to %s (%zu cells)\n",
                     out.c_str(), results.size());
     }
@@ -581,8 +619,6 @@ cmdSweepScenario(const Args &args)
 int
 cmdSweep(const Args &args)
 {
-    if (args.has("scenario"))
-        return cmdSweepScenario(args);
     // Owned storage for the generated Zipf axes; fully built before
     // any pointer is taken so `workloads` never dangles.
     const std::vector<workload::WorkloadSpec> zipf_specs = zipfGrid(args);
@@ -604,20 +640,10 @@ cmdSweep(const Args &args)
     if (workloads.empty())
         shm_fatal("sweep selects no workloads");
 
-    std::vector<schemes::Scheme> designs;
-    std::string scheme_list = args.get("schemes", "all");
-    if (scheme_list == "all") {
-        designs = schemes::allSchemes();
-    } else {
-        for (const auto &name : splitList(scheme_list))
-            designs.push_back(schemes::schemeFromName(name));
-    }
-    if (designs.empty())
-        shm_fatal("sweep selects no schemes");
+    const std::vector<schemes::Scheme> designs = schemeList(args, "all");
 
     core::SweepOptions sweep_opts;
-    sweep_opts.jobs = static_cast<unsigned>(
-        std::stoul(args.get("jobs", "1")));
+    sweep_opts.jobs = args.number<unsigned>("jobs", 1);
     sweep_opts.run.collectAccuracy = args.has("accuracy");
     sweep_opts.run.traceDir = args.get("trace");
 
@@ -640,9 +666,7 @@ cmdSweep(const Args &args)
     }
     core::SweepTally tally;
     sweep_opts.tally = &tally;
-    std::string cancel_after = args.get("cancel-after");
-    if (!cancel_after.empty())
-        sweep_opts.cancelAfter = std::stoull(cancel_after);
+    sweep_opts.cancelAfter = args.number<std::size_t>("cancel-after", 0);
 
     std::vector<core::ExperimentResult> results;
     std::string policy_list = args.get("policies");
@@ -704,10 +728,7 @@ cmdSweep(const Args &args)
 
     std::string out = args.get("out");
     if (!out.empty()) {
-        std::ofstream os(out, std::ios::binary);
-        if (!os)
-            shm_fatal("cannot open '{}' for writing", out);
-        core::writeSweepJson(os, results);
+        writeJsonFile(out, core::sweepToJson(results));
         std::printf("sweep results written to %s (%zu cells)\n",
                     out.c_str(), results.size());
     }
@@ -730,15 +751,11 @@ cmdBenchSelf(const Args &args)
     const std::vector<std::string> workload_names = {"atax", "mvt", "bfs"};
     // --schemes reshapes the measured grid; the default stays the
     // classic 3x3.
-    std::vector<schemes::Scheme> designs;
-    for (const auto &name :
-         splitList(args.get("schemes", "Naive,PSSM,SHM")))
-        designs.push_back(schemes::schemeFromName(name));
-    shm_assert(!designs.empty(), "bench-self needs at least one scheme");
+    const std::vector<schemes::Scheme> designs =
+        schemeList(args, "Naive,PSSM,SHM");
 
     bool quick = args.has("quick");
-    unsigned reps = static_cast<unsigned>(
-        std::stoul(args.get("reps", quick ? "1" : "3")));
+    unsigned reps = args.number<unsigned>("reps", quick ? 1 : 3);
     shm_assert(reps > 0, "bench-self needs at least one repetition");
     std::string out = args.get("out", "BENCH_hotpath.json");
 
@@ -826,11 +843,7 @@ cmdBenchSelf(const Args &args)
     doc["rep_seconds"] = std::move(secs);
     doc["best_cells_per_second"] = best;
 
-    std::ofstream os(out, std::ios::binary);
-    if (!os)
-        shm_fatal("cannot open '{}' for writing", out);
-    doc.write(os, 2);
-    os << "\n";
+    writeJsonFile(out, doc);
     std::printf("benchmark results written to %s\n", out.c_str());
 
     if (args.has("profile"))
@@ -850,20 +863,17 @@ cmdBenchSelf(const Args &args)
 int
 cmdBenchSweep(const Args &args)
 {
-    const unsigned side = static_cast<unsigned>(
-        std::stoul(args.get("side", "32")));
+    const unsigned side = args.number<unsigned>("side", 32);
     shm_assert(side > 0, "bench-sweep needs a positive --side");
-    std::uint64_t cycles = std::stoull(args.get("cycles", "2000"));
-    unsigned jobs = static_cast<unsigned>(
-        std::stoul(args.get("jobs", "1")));
+    unsigned jobs = args.number<unsigned>("jobs", 1);
     std::string out = args.get("out", "BENCH_sweepcache.json");
     std::string dir = args.get("results-dir", "bench-sweep-cache");
     auto scheme = schemes::schemeFromName(args.get("scheme", "SHM"));
 
     log_detail::setVerbose(false);
 
-    gpu::GpuParams gp = gpu::presetByName(args.get("gpu", "test"));
-    gp.maxCyclesPerKernel = cycles;
+    const gpu::GpuParams gp = gpuParamsFrom<core::RunOptions>(args, nullptr, 2000, "test");
+    const std::uint64_t cycles = gp.maxCyclesPerKernel;
 
     // The footprint x alpha grid: footprints step up from 64K,
     // alphas sweep the near-uniform..strongly-skewed band.
@@ -952,11 +962,7 @@ cmdBenchSweep(const Args &args)
     doc["best_cells_per_second"] =
         static_cast<double>(cells) / warm_secs;
 
-    std::ofstream os(out, std::ios::binary);
-    if (!os)
-        shm_fatal("cannot open '{}' for writing", out);
-    doc.write(os, 2);
-    os << "\n";
+    writeJsonFile(out, doc);
     std::printf("benchmark results written to %s\n", out.c_str());
     return 0;
 }
@@ -972,14 +978,13 @@ cmdBenchSweep(const Args &args)
 int
 cmdBenchTenants(const Args &args)
 {
-    std::uint64_t cycles = std::stoull(args.get("cycles", "20000"));
     std::string out = args.get("out", "BENCH_tenants.json");
     auto scheme = schemes::schemeFromName(args.get("scheme", "SHM"));
 
     log_detail::setVerbose(false);
 
-    gpu::GpuParams gp = gpu::presetByName(args.get("gpu", "test"));
-    gp.maxCyclesPerKernel = cycles;
+    const gpu::GpuParams gp = gpuParamsFrom<core::RunOptions>(args, nullptr, 20000, "test");
+    const std::uint64_t cycles = gp.maxCyclesPerKernel;
 
     // The measured mix: a scenario file, or the default atax+mvt
     // two-tenant time-sliced pair (self-contained, path-free).
@@ -999,10 +1004,8 @@ cmdBenchTenants(const Args &args)
         base.tenants.push_back(std::move(b));
     }
 
-    std::vector<Cycle> quantums;
-    for (const auto &tok :
-         splitList(args.get("quantums", "2000,5000,20000")))
-        quantums.push_back(std::stoull(tok));
+    const std::vector<Cycle> quantums =
+        args.numbers<Cycle>("quantums", {2000, 5000, 20000});
 
     core::ScenarioSoloCache solos(gp);
     core::ScenarioRunOptions run_opts;
@@ -1013,8 +1016,7 @@ cmdBenchTenants(const Args &args)
         solos.soloFor(scheme, t.workload, base.keySeed,
                       run_opts.mdcPolicy);
 
-    unsigned reps =
-        static_cast<unsigned>(std::stoul(args.get("reps", "3")));
+    unsigned reps = args.number<unsigned>("reps", 3);
     shm_assert(reps > 0, "bench-tenants needs at least one repetition");
 
     using clock = std::chrono::steady_clock;
@@ -1082,11 +1084,7 @@ cmdBenchTenants(const Args &args)
     doc["best_cells_per_second"] =
         total_secs > 0 ? static_cast<double>(cells) / total_secs : 0.0;
 
-    std::ofstream os(out, std::ios::binary);
-    if (!os)
-        shm_fatal("cannot open '{}' for writing", out);
-    doc.write(os, 2);
-    os << "\n";
+    writeJsonFile(out, doc);
     std::printf("benchmark results written to %s\n", out.c_str());
     return 0;
 }
@@ -1205,8 +1203,7 @@ cmdTraceRecord(const Args &args)
     if (workload_name.empty() || out.empty())
         shm_fatal("trace record needs --workload and --out");
     const auto &w = workload::findWorkload(workload_name);
-    std::uint32_t sms =
-        static_cast<std::uint32_t>(std::stoul(args.get("sms", "30")));
+    const auto sms = args.number<std::uint32_t>("sms", 30);
     workload::Trace trace = workload::generateTrace(w, sms);
     workload::writeTrace(trace, out);
     std::printf("recorded %llu ops over %zu kernels (%u SMs) to %s\n",
@@ -1258,21 +1255,42 @@ main(int argc, char **argv)
     auto args = [&](std::initializer_list<const char *> allowed) {
         return Args(argc, argv, 2, cmd, allowed);
     };
+    // run and sweep each have a workload mode and a scenario mode,
+    // told apart before any flag is parsed so each mode accepts only
+    // the flags it reads.
+    bool scenario = false;
+    for (int i = 2; i < argc; ++i) {
+        const std::string_view arg = argv[i];
+        scenario = scenario || arg == "--scenario" ||
+                   arg.starts_with("--scenario=");
+    }
+    auto scenarioArgs = [&](std::initializer_list<const char *> allowed) {
+        return Args(argc, argv, 2, cmd + " --scenario", allowed);
+    };
 
     if (cmd == "list") {
         args({});
         return cmdList();
     }
+    if (cmd == "run" && scenario)
+        return cmdRunScenario(scenarioArgs(
+            {"scenario", "scheme", "gpu", "cycles", "policy", "crypto",
+             "overrides", "stats", "json", "no-solo", "trace",
+             "trace-text"}));
     if (cmd == "run")
         return cmdRun(args(
-            {"workload", "spec", "scenario", "scheme", "gpu", "cycles",
-             "policy", "crypto", "overrides", "stats", "json",
-             "accuracy", "profile", "no-solo", "trace", "trace-text"}));
+            {"workload", "spec", "scheme", "gpu", "cycles", "policy",
+             "crypto", "overrides", "stats", "json", "accuracy",
+             "profile", "trace", "trace-text"}));
+    if (cmd == "sweep" && scenario)
+        return cmdSweepScenario(scenarioArgs(
+            {"scenario", "schemes", "quantums", "share", "tenants",
+             "no-solo", "jobs", "gpu", "cycles", "policy", "results-dir",
+             "crypto", "overrides", "out", "quiet"}));
     if (cmd == "sweep")
         return cmdSweep(args(
             {"workloads", "schemes", "jobs", "gpu", "cycles", "policy",
-             "policies", "zipf-footprints", "zipf-alphas", "scenario",
-             "quantums", "share", "tenants", "no-solo", "results-dir",
+             "policies", "zipf-footprints", "zipf-alphas", "results-dir",
              "resume", "cancel-after", "crypto", "overrides", "out",
              "quiet", "accuracy", "trace"}));
     if (cmd == "bench-self")

@@ -346,6 +346,40 @@ TEST(ScenarioExperiment, JobCountDoesNotChangeResults)
             << "cell " << i;
 }
 
+// One solo cache shared across a quantum grid: the quantum never
+// changes a tenant's solo run, so a two-tenant mix needs exactly two
+// solo simulations however many cells and workers read them.
+TEST(ScenarioExperiment, SharedSoloCacheSimulatesEachSoloOnce)
+{
+    const gpu::GpuParams gp = scnConfig();
+    std::vector<workload::ScenarioSpec> grid;
+    for (Cycle q : {2000, 4000, 8000})
+        grid.push_back(twoTenantMix(workload::SharePolicy::TimeSliced, q));
+    std::vector<ScenarioCell> cells;
+    for (const auto &scn : grid)
+        cells.push_back({schemes::Scheme::Shm, &scn});
+
+    for (unsigned jobs : {1u, 4u}) {
+        ScenarioSoloCache solos(gp);
+        ScenarioSweepOptions opts;
+        opts.jobs = jobs;
+        opts.run.soloCache = &solos;
+        auto results = runScenarioCells(gp, cells, opts);
+        EXPECT_EQ(solos.size(), 2u) << "jobs " << jobs;
+
+        ASSERT_EQ(results.size(), 3u);
+        for (std::size_t t = 0; t < 2; ++t) {
+            const auto &solo = solos.soloFor(
+                schemes::Scheme::Shm, grid[0].tenants[t].workload,
+                grid[0].keySeed, opts.run.mdcPolicy);
+            for (const auto &r : results)
+                EXPECT_EQ(r.tenants.at(t).soloIpc, solo.ipc)
+                    << "jobs " << jobs << " tenant " << t;
+        }
+        EXPECT_EQ(solos.size(), 2u) << "jobs " << jobs;
+    }
+}
+
 TEST(ScenarioExperiment, SweepDocumentIsDeterministic)
 {
     const auto scn =
