@@ -19,8 +19,9 @@ double
 normalizedIpc(const bench::BenchOptions &opts, const mee::MeeParams &mp,
               const workload::WorkloadSpec &w, double baseline_ipc)
 {
-    gpu::GpuSimulator sim(opts.gpuParams(), mp, w);
-    return sim.run().ipc / baseline_ipc;
+    gpu::GpuSimulator sim(opts.gpuParams(), mp,
+                          workload::singleTenantScenario(w));
+    return sim.run().total.ipc / baseline_ipc;
 }
 
 } // namespace

@@ -25,8 +25,9 @@ double
 normIpc(const bench::BenchOptions &opts, const mee::MeeParams &mp,
         const workload::WorkloadSpec &w, double base)
 {
-    gpu::GpuSimulator sim(opts.gpuParams(), mp, w);
-    return sim.run().ipc / base;
+    gpu::GpuSimulator sim(opts.gpuParams(), mp,
+                          workload::singleTenantScenario(w));
+    return sim.run().total.ipc / base;
 }
 
 workload::WorkloadSpec

@@ -39,9 +39,10 @@ main(int argc, char **argv)
                 mp.counterCache.sizeBytes = size;
                 mp.macCache.sizeBytes = size;
                 mp.bmtCache.sizeBytes = size;
-                gpu::GpuSimulator sim(opts.gpuParams(), mp, *w);
+                gpu::GpuSimulator sim(opts.gpuParams(), mp,
+                                      workload::singleTenantScenario(*w));
                 row.push_back(
-                    TextTable::num(sim.run().ipc / base, 3));
+                    TextTable::num(sim.run().total.ipc / base, 3));
             }
             table.addRow(row);
         }

@@ -25,9 +25,10 @@ main(int argc, char **argv)
         gpu::GpuParams gp = opts.gpuParams();
         detect::AccessProfile profile(gp.numPartitions);
         gpu::GpuSimulator sim(
-            gp, schemes::makeMeeParams(schemes::Scheme::Baseline), *w);
+            gp, schemes::makeMeeParams(schemes::Scheme::Baseline),
+            workload::singleTenantScenario(*w));
         sim.collectProfile(&profile);
-        gpu::RunMetrics m = sim.run();
+        gpu::RunMetrics m = sim.run().total;
         auto ratios = profile.accessRatios();
 
         bool in_band = m.bandwidthUtilization >= w->bwUtilLo * 0.8 &&

@@ -28,7 +28,8 @@ main(int argc, char **argv)
         gpu::GpuParams gp = opts.gpuParams();
         detect::AccessProfile profile(gp.numPartitions);
         gpu::GpuSimulator sim(
-            gp, schemes::makeMeeParams(schemes::Scheme::Baseline), *w);
+            gp, schemes::makeMeeParams(schemes::Scheme::Baseline),
+            workload::singleTenantScenario(*w));
         sim.collectProfile(&profile);
         sim.run();
 

@@ -100,8 +100,9 @@ BM_FullSimulation(benchmark::State &state)
     gpu::GpuParams gp;
     gp.maxCyclesPerKernel = 20000;
     for (auto _ : state) {
-        gpu::GpuSimulator sim(
-            gp, schemes::makeMeeParams(schemes::Scheme::Shm), w);
+        gpu::GpuSimulator sim(gp,
+                              schemes::makeMeeParams(schemes::Scheme::Shm),
+                              workload::singleTenantScenario(w));
         auto m = sim.run();
         benchmark::DoNotOptimize(m);
     }

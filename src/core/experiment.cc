@@ -19,11 +19,9 @@ const gpu::RunMetrics &
 BaselineCache::metricsFor(const workload::WorkloadSpec &spec)
 {
     return entries.get(workload::contentHash(spec), [&] {
-        gpu::GpuSimulator sim(gpuConfig,
-                              schemes::makeMeeParams(
-                                  schemes::Scheme::Baseline),
-                              spec);
-        return sim.run();
+        return measure(gpuConfig, schemes::Scheme::Baseline,
+                       workload::singleTenantScenario(spec))
+            .total;
     });
 }
 
@@ -47,10 +45,63 @@ Experiment::baselineFor(const workload::WorkloadSpec &spec) const
     return baselines->metricsFor(spec);
 }
 
+gpu::ScenarioMetrics
+measure(const gpu::GpuParams &gpu_params, schemes::Scheme scheme,
+        const workload::ScenarioSpec &scenario,
+        const MeasureOptions &options)
+{
+    mee::MeeParams mee_params = schemes::makeMeeParams(scheme);
+    mee_params.mdcPolicy = options.mdcPolicy;
+
+    // Ground truth: one Baseline pass over the identical schedule
+    // collects the per-address access profile the predictions are
+    // judged against. Tenants keep their private address windows
+    // across context switches, so one address-keyed profile holds
+    // every tenant's truth at once.
+    const bool prime = schemes::needsProfilePass(scheme);
+    std::optional<detect::AccessProfile> truth;
+    if (options.attribute || prime) {
+        truth.emplace(gpu_params.numPartitions,
+                      mee_params.roDetector.regionBytes,
+                      mee_params.streamDetector.chunkBytes);
+        gpu::GpuSimulator pass(gpu_params,
+                               schemes::makeMeeParams(
+                                   schemes::Scheme::Baseline),
+                               scenario);
+        pass.collectProfile(&*truth);
+        pass.run();
+    }
+
+    // The oracle scheme starts with perfect knowledge, and every
+    // context switch re-primes the incoming tenant's partitions after
+    // the switch-time detector flush.
+    gpu::GpuSimulator sim(gpu_params, mee_params, scenario);
+    if (prime)
+        sim.primeFromProfile(*truth);
+    if (truth)
+        sim.attributeAgainst(&*truth);
+
+    std::optional<trace::Tracer> tracer;
+    if (!options.tracePath.empty() || !options.traceTextPath.empty()) {
+        tracer.emplace(gpu_params.numPartitions + 1, options.traceParams);
+        sim.attachTracer(&*tracer);
+    }
+
+    gpu::ScenarioMetrics metrics = sim.run();
+
+    if (tracer)
+        trace::exportTrace(*tracer, options.tracePath,
+                           options.traceTextPath);
+    if (options.inspect)
+        options.inspect(sim);
+    return metrics;
+}
+
 ExperimentResult
 Experiment::run(schemes::Scheme scheme,
                 const workload::WorkloadSpec &spec,
-                const RunOptions &options) const
+                const RunOptions &options,
+                const SimulatorHook &inspect) const
 {
     ExperimentResult result;
     result.workload = spec.name;
@@ -59,45 +110,20 @@ Experiment::run(schemes::Scheme scheme,
     result.mdcPolicy = mem::policyName(options.mdcPolicy);
     result.baseline = baselineFor(spec);
 
-    mee::MeeParams mee_params = schemes::makeMeeParams(scheme);
-    mee_params.mdcPolicy = options.mdcPolicy;
-
-    std::optional<detect::AccessProfile> profile;
-    bool want_profile = options.collectAccuracy ||
-                        schemes::needsProfilePass(scheme);
-    if (want_profile) {
-        profile.emplace(gpuParams().numPartitions,
-                        mee_params.roDetector.regionBytes,
-                        mee_params.streamDetector.chunkBytes);
-        gpu::GpuSimulator pass1(gpuParams(),
-                                schemes::makeMeeParams(
-                                    schemes::Scheme::Baseline),
-                                spec);
-        pass1.collectProfile(&*profile);
-        pass1.run();
-    }
-
-    gpu::GpuSimulator sim(gpuParams(), mee_params, spec);
-    if (schemes::needsProfilePass(scheme))
-        sim.primeFromProfile(*profile);
-    if (profile)
-        sim.attributeAgainst(&*profile);
-
-    std::string trace_path = options.tracePath;
-    if (trace_path.empty() && !options.traceDir.empty())
-        trace_path = options.traceDir + "/" + result.workload + "_" +
-                     result.scheme + ".trace.json";
-    std::optional<trace::Tracer> tracer;
-    if (!trace_path.empty() || !options.traceTextPath.empty()) {
-        tracer.emplace(gpuParams().numPartitions + 1,
-                       options.traceParams);
-        sim.attachTracer(&*tracer);
-    }
-
-    result.metrics = sim.run();
-
-    if (tracer)
-        trace::exportTrace(*tracer, trace_path, options.traceTextPath);
+    MeasureOptions measured;
+    measured.attribute = options.collectAccuracy;
+    measured.mdcPolicy = options.mdcPolicy;
+    measured.tracePath = options.tracePath;
+    if (measured.tracePath.empty() && !options.traceDir.empty())
+        measured.tracePath = options.traceDir + "/" + result.workload +
+                             "_" + result.scheme + ".trace.json";
+    measured.traceTextPath = options.traceTextPath;
+    measured.traceParams = options.traceParams;
+    measured.inspect = inspect;
+    result.metrics = measure(gpuParams(), scheme,
+                             workload::singleTenantScenario(spec),
+                             measured)
+                         .total;
 
     result.normalizedIpc =
         result.baseline.ipc > 0 ? result.metrics.ipc / result.baseline.ipc

@@ -20,6 +20,7 @@
 #ifndef SHMGPU_CORE_EXPERIMENT_HH
 #define SHMGPU_CORE_EXPERIMENT_HH
 
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -30,9 +31,55 @@
 #include "gpu/params.hh"
 #include "schemes/schemes.hh"
 #include "workload/benchmarks.hh"
+#include "workload/scenario.hh"
+
+namespace shmgpu::gpu
+{
+class GpuSimulator;
+} // namespace shmgpu::gpu
 
 namespace shmgpu::core
 {
+
+/** Called with a finished measured simulator, e.g. to dump its stats
+ *  tree. */
+using SimulatorHook = std::function<void(gpu::GpuSimulator &)>;
+
+/** How one measured simulation is set up and observed. */
+struct MeasureOptions
+{
+    /**
+     * Run a Baseline truth pass over the same scenario first and
+     * attribute every prediction against it (the Fig. 10/11 tallies).
+     * Schemes that prime from a profile (SHM_upper_bound) run the
+     * pass regardless.
+     */
+    bool attribute = false;
+    /** Replacement policy of the measured run's metadata caches. */
+    mem::PolicyKind mdcPolicy = mem::PolicyKind::Lru;
+    /** @{ Trace exports of the measured run (never the truth pass);
+     *  an empty path skips that format. */
+    std::string tracePath;
+    std::string traceTextPath;
+    trace::TraceParams traceParams;
+    /** @} */
+    /** Called with the finished simulator. */
+    SimulatorHook inspect;
+};
+
+/**
+ * The one measured-run path: simulate @p scenario under @p scheme —
+ * after the Baseline truth pass when attribution or priming needs it,
+ * with the tracer attached when an export is requested — and return
+ * its metrics. A single workload or trace is the one-tenant scenario
+ * (workload::singleTenantScenario). Every experiment entry point
+ * (Experiment::run, BaselineCache, runScenarioExperiment and its solo
+ * references) and the CLI's trace replay go through here.
+ */
+gpu::ScenarioMetrics measure(const gpu::GpuParams &gpu_params,
+                             schemes::Scheme scheme,
+                             const workload::ScenarioSpec &scenario,
+                             const MeasureOptions &options = {});
 
 /** Options for one experiment run. */
 struct RunOptions
@@ -134,10 +181,12 @@ class Experiment
     Experiment(std::shared_ptr<BaselineCache> baselines,
                const gpu::EnergyParams &energy_params = {});
 
-    /** Simulate @p scheme on @p spec (baseline simulated on demand). */
+    /** Simulate @p scheme on @p spec (baseline simulated on demand);
+     *  @p inspect sees the measured simulator once it has run. */
     ExperimentResult run(schemes::Scheme scheme,
                          const workload::WorkloadSpec &spec,
-                         const RunOptions &options = {}) const;
+                         const RunOptions &options = {},
+                         const SimulatorHook &inspect = {}) const;
 
     /** The no-security metrics for @p spec, cached by content hash. */
     const gpu::RunMetrics &

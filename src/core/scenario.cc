@@ -1,13 +1,10 @@
 #include "core/scenario.hh"
 
 #include <map>
-#include <optional>
 
 #include "common/fingerprint.hh"
 #include "common/logging.hh"
 #include "core/result_cache.hh"
-#include "detect/oracle.hh"
-#include "gpu/simulator.hh"
 
 namespace shmgpu::core
 {
@@ -58,31 +55,6 @@ soloKey(schemes::Scheme scheme, const workload::WorkloadSpec &spec,
     return h.value();
 }
 
-/**
- * Ground truth for detector-accuracy attribution: one Baseline-scheme
- * pass over the identical schedule collects the per-address access
- * profile the measured run's predictions are judged against (same
- * two-pass flow as Experiment::run's collectAccuracy). Tenants keep
- * their private address windows across context switches, so a single
- * address-keyed profile holds every tenant's truth simultaneously.
- */
-detect::AccessProfile
-collectScenarioProfile(const gpu::GpuParams &gpu_params,
-                       const mee::MeeParams &mee_params,
-                       const workload::ScenarioSpec &scenario)
-{
-    detect::AccessProfile profile(gpu_params.numPartitions,
-                                  mee_params.roDetector.regionBytes,
-                                  mee_params.streamDetector.chunkBytes);
-    gpu::GpuSimulator pass1(gpu_params,
-                            schemes::makeMeeParams(
-                                schemes::Scheme::Baseline),
-                            scenario);
-    pass1.collectProfile(&profile);
-    pass1.runScenario();
-    return profile;
-}
-
 } // namespace
 
 ScenarioSoloCache::ScenarioSoloCache(const gpu::GpuParams &gpu_params)
@@ -113,7 +85,8 @@ ScenarioExperimentResult
 runScenarioExperiment(const gpu::GpuParams &gpu_params,
                       schemes::Scheme scheme,
                       const workload::ScenarioSpec &scenario,
-                      const ScenarioRunOptions &options)
+                      const ScenarioRunOptions &options,
+                      const SimulatorHook &inspect)
 {
     workload::validateScenario(scenario);
     checkSchemeFitsScenario(scheme, scenario);
@@ -125,32 +98,16 @@ runScenarioExperiment(const gpu::GpuParams &gpu_params,
     r.quantumCycles = scenario.quantumCycles;
     r.flushMdcOnSwitch = scenario.flushMdcOnSwitch;
 
-    mee::MeeParams mee_params = schemes::makeMeeParams(scheme);
-    mee_params.mdcPolicy = options.mdcPolicy;
-    gpu::GpuSimulator sim(gpu_params, mee_params, scenario);
-
     // Detector accuracy is the scenario headline, so attribution is
-    // always on. The oracle scheme additionally starts each run with
-    // perfect knowledge, and every context switch re-primes the
-    // incoming tenant's partitions after the switch-time detector
-    // flush (command-processor work, like the RO re-arm).
-    detect::AccessProfile profile =
-        collectScenarioProfile(gpu_params, mee_params, scenario);
-    if (schemes::needsProfilePass(scheme))
-        sim.primeFromProfile(profile);
-    sim.attributeAgainst(&profile);
-
-    std::optional<trace::Tracer> tracer;
-    if (!options.tracePath.empty() || !options.traceTextPath.empty()) {
-        tracer.emplace(gpu_params.numPartitions + 1, options.traceParams);
-        sim.attachTracer(&*tracer);
-    }
-
-    r.metrics = sim.runScenario();
-
-    if (tracer)
-        trace::exportTrace(*tracer, options.tracePath,
-                           options.traceTextPath);
+    // always on.
+    MeasureOptions measured;
+    measured.attribute = true;
+    measured.mdcPolicy = options.mdcPolicy;
+    measured.tracePath = options.tracePath;
+    measured.traceTextPath = options.traceTextPath;
+    measured.traceParams = options.traceParams;
+    measured.inspect = inspect;
+    r.metrics = measure(gpu_params, scheme, scenario, measured);
 
     // Solo references: one run per distinct workload (tenants often
     // share a spec). A caller-provided cache extends the memoization
@@ -165,9 +122,14 @@ runScenarioExperiment(const gpu::GpuParams &gpu_params,
         ScenarioTenantResult t;
         t.shared = r.metrics.tenants.at(i);
         if (options.withSolo) {
+            // A trace tenant always runs alone: the shared run is
+            // its solo reference.
+            const workload::TenantSpec &tenant = scenario.tenants[i];
             const gpu::TenantRunMetrics &solo =
-                solos->soloFor(scheme, scenario.tenants[i].workload,
-                               scenario.keySeed, options.mdcPolicy);
+                tenant.trace ? t.shared
+                             : solos->soloFor(scheme, tenant.workload,
+                                              scenario.keySeed,
+                                              options.mdcPolicy);
             t.soloIpc = solo.ipc;
             t.soloMdcHitRate = solo.mdcHitRate;
             t.soloRoAccuracy =

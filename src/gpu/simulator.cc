@@ -24,43 +24,13 @@ makeIcntParams(const GpuParams &gp)
 
 GpuSimulator::GpuSimulator(const GpuParams &gpu_params,
                            const mee::MeeParams &mee_params,
-                           const workload::WorkloadSpec &workload)
-    : gpuConfig(gpu_params), meeConfig(mee_params), spec(&workload),
-      bufferBases(workload::layoutBuffers(workload)),
-      map(gpu_params.numPartitions, gpu_params.interleaveBytes),
-      icnt(makeIcntParams(gpu_params), gpu_params.numPartitions)
-{
-    workload::validateSpec(workload);
-    Addr footprint = workload::footprintBytes(workload);
-    shm_assert(footprint <= gpuConfig.protectedBytesPerPartition *
-                                gpuConfig.numPartitions,
-               "workload '{}' ({} B) exceeds the protected space",
-               workload.name, footprint);
-    init();
-}
-
-GpuSimulator::GpuSimulator(const GpuParams &gpu_params,
-                           const mee::MeeParams &mee_params,
-                           const workload::Trace &input_trace)
-    : gpuConfig(gpu_params), meeConfig(mee_params), trace(&input_trace),
-      map(gpu_params.numPartitions, gpu_params.interleaveBytes),
-      icnt(makeIcntParams(gpu_params), gpu_params.numPartitions)
-{
-    shm_assert(trace->numSms == gpuConfig.numSms,
-               "trace was recorded for {} SMs, GPU has {}",
-               trace->numSms, gpuConfig.numSms);
-    init();
-}
-
-GpuSimulator::GpuSimulator(const GpuParams &gpu_params,
-                           const mee::MeeParams &mee_params,
                            const workload::ScenarioSpec &scenario_spec)
     : gpuConfig(gpu_params), meeConfig(mee_params),
-      scenario(&scenario_spec),
+      scenario(scenario_spec),
       map(gpu_params.numPartitions, gpu_params.interleaveBytes),
       icnt(makeIcntParams(gpu_params), gpu_params.numPartitions)
 {
-    workload::validateScenario(scenario_spec);
+    workload::validateScenario(scenario);
     init();
     initScenario();
 }
@@ -202,34 +172,11 @@ GpuSimulator::enqueueMeta(PartitionId target, Addr bank_addr,
         .complete;
 }
 
-void
-GpuSimulator::applyHostCopyRange(Addr base, std::uint64_t bytes,
-                                 bool declared_read_only)
-{
-    if (bytes == 0)
-        return; // a copy that does not mark read-only regions
-
-    // An interleaved physical range covers one roughly contiguous
-    // local window in every partition.
-    std::uint64_t stride =
-        gpuConfig.interleaveBytes * gpuConfig.numPartitions;
-    LocalAddr lo = base / stride * gpuConfig.interleaveBytes;
-    LocalAddr hi = divCeil(base + bytes, stride) *
-                   gpuConfig.interleaveBytes;
-    // Clamp both ends to the protected space: a copy that starts past
-    // it would otherwise make lo > hi and the length underflow.
-    hi = std::min<LocalAddr>(hi, gpuConfig.protectedBytesPerPartition);
-    lo = std::min(lo, hi);
-    for (auto &p : partitions)
-        p->hostCopy(lo, hi - lo, declared_read_only);
-}
-
 std::uint32_t
-GpuSimulator::kernelWindow(const workload::KernelSpec &kspec) const
+GpuSimulator::kernelWindow(std::uint32_t max_outstanding) const
 {
-    return kspec.maxOutstanding
-               ? std::min(kspec.maxOutstanding, gpuConfig.smWindow)
-               : gpuConfig.smWindow;
+    return max_outstanding ? std::min(max_outstanding, gpuConfig.smWindow)
+                           : gpuConfig.smWindow;
 }
 
 std::uint64_t
@@ -414,8 +361,13 @@ GpuSimulator::drainCalendar(KernelContext &k, Source &source, Cycle limit)
 template void GpuSimulator::stepSmEvent(KernelContext &,
                                         workload::KernelTrace &, SmId,
                                         Cycle);
+template void GpuSimulator::stepSmEvent(KernelContext &,
+                                        workload::TraceReplay &, SmId,
+                                        Cycle);
 template void GpuSimulator::drainCalendar(KernelContext &,
                                           workload::KernelTrace &, Cycle);
+template void GpuSimulator::drainCalendar(KernelContext &,
+                                          workload::TraceReplay &, Cycle);
 
 Cycle
 GpuSimulator::kernelTail(KernelContext &k)
@@ -453,123 +405,6 @@ GpuSimulator::kernelTail(KernelContext &k)
                           advanced - k.busyCycles);
     }
     return final_cycle;
-}
-
-template <typename Source>
-void
-GpuSimulator::runKernel(Source &source, std::uint32_t window)
-{
-    profile::ScopedTimer timer(profile::Phase::KernelLoop);
-
-    KernelContext k{.smLo = 0,
-                    .smHi = gpuConfig.numSms,
-                    .partLo = 0,
-                    .addrMap = &map};
-    calendar.clear(currentCycle);
-    beginKernel(k, currentCycle, window);
-    // Only events strictly before the cap are ever scheduled, so the
-    // calendar draining means every SM is drained or frozen by the cap.
-    drainCalendar(k, source, invalidCycle);
-    currentCycle = kernelTail(k);
-}
-
-RunMetrics
-GpuSimulator::run()
-{
-    forEachKernel([this](auto &source, std::uint32_t window) {
-        runKernel(source, window);
-    });
-    return finishRun();
-}
-
-RunMetrics
-GpuSimulator::finishRun()
-{
-    if (collector)
-        collector->finalize(currentCycle);
-
-    statCycles.set(static_cast<double>(currentCycle));
-    std::uint64_t instructions = 0;
-    std::uint64_t window_stalls = 0;
-    for (const auto &u : sms) {
-        instructions += u.instructions;
-        window_stalls += u.windowStalls;
-    }
-    statInstructions.set(static_cast<double>(instructions));
-    statWindowStalls.set(static_cast<double>(window_stalls));
-    statCyclesSkipped.set(static_cast<double>(cyclesSkipped));
-
-    return gatherMetrics();
-}
-
-RunMetrics
-GpuSimulator::gatherMetrics() const
-{
-    RunMetrics m;
-    m.cycles = currentCycle;
-    for (const auto &u : sms)
-        m.instructions += u.instructions;
-    m.ipc = m.cycles ? static_cast<double>(m.instructions) /
-                           static_cast<double>(m.cycles)
-                     : 0;
-
-    double l2_accesses = 0;
-    double l2_misses = 0;
-    for (const auto &p : partitions) {
-        const auto &ch = p->channel();
-        m.bytesData += ch.bytesMoved(mem::TrafficClass::Data);
-        m.bytesCounter += ch.bytesMoved(mem::TrafficClass::Counter);
-        m.bytesMac += ch.bytesMoved(mem::TrafficClass::Mac);
-        m.bytesBmt += ch.bytesMoved(mem::TrafficClass::Bmt);
-        m.bytesExtra += ch.bytesMoved(mem::TrafficClass::Extra);
-
-        const auto &mee = p->mee();
-        const auto &ps = mee.predictionStats();
-        m.roCorrect += ps.roCorrect.value();
-        m.roMpInit += ps.roMpInit.value();
-        m.roMpAliasing += ps.roMpAliasing.value();
-        m.strCorrect += ps.strCorrect.value();
-        m.strMpInit += ps.strMpInit.value();
-        m.strMpAliasing += ps.strMpAliasing.value();
-        m.strMpRuntimeRo += ps.strMpRuntimeRo.value();
-        m.strMpRuntimeNonRo += ps.strMpRuntimeNonRo.value();
-        m.sharedCtrReads += mee.sharedCounterReads();
-        m.commonCtrHits += mee.commonCtrHits();
-        m.roTransitions += mee.roTransitions();
-        m.chunkMacAccesses += mee.chunkMacAccesses();
-        m.blockMacAccesses += mee.blockMacAccesses();
-        m.dualMacFallbacks += mee.dualMacFallbacks();
-        m.victimHits += mee.victimHits();
-        m.victimInserts += mee.victimInserts();
-
-        m.energy.mdcAccesses += static_cast<std::uint64_t>(
-            mee.counterCache().accesses() + mee.macCache().accesses() +
-            mee.bmtCache().accesses());
-        m.energy.aesBlocks += static_cast<std::uint64_t>(
-            meeConfig.secure ? mee.counterCache().accesses() : 0);
-        m.energy.hashes += static_cast<std::uint64_t>(
-            mee.chunkMacAccesses() + mee.blockMacAccesses());
-
-        for (std::uint32_t b = 0; b < gpuConfig.l2BanksPerPartition;
-             ++b) {
-            l2_accesses += p->bank(b).accesses();
-            l2_misses += p->bank(b).misses();
-        }
-    }
-    std::uint64_t total_bytes = m.bytesData + m.bytesCounter + m.bytesMac +
-                                m.bytesBmt + m.bytesExtra;
-    double peak = gpuConfig.dram.bytesPerCycle *
-                  static_cast<double>(gpuConfig.numPartitions) *
-                  static_cast<double>(m.cycles);
-    m.bandwidthUtilization =
-        peak > 0 ? static_cast<double>(total_bytes) / peak : 0;
-    m.l2MissRate = l2_accesses > 0 ? l2_misses / l2_accesses : 0;
-
-    m.energy.cycles = m.cycles;
-    m.energy.instructions = m.instructions;
-    m.energy.l2Accesses = static_cast<std::uint64_t>(l2_accesses);
-    m.energy.dramBytes = total_bytes;
-    return m;
 }
 
 } // namespace shmgpu::gpu

@@ -15,6 +15,7 @@
 #define SHMGPU_GPU_SIMULATOR_HH
 
 #include <memory>
+#include <variant>
 #include <vector>
 
 #include "common/calendar_queue.hh"
@@ -43,30 +44,20 @@ struct ReferenceKernelLoop;
 namespace shmgpu::gpu
 {
 
-/** A full GPU + secure-memory simulation of one workload. */
+/**
+ * A full GPU + secure-memory simulation of one scenario: N tenant
+ * contexts multiplexed over one GPU by the scenario's share policy —
+ * time-sliced context switching (per-quantum ownership of every SM and
+ * partition, detector state flushed/re-armed at each switch) or
+ * MIG-style static SM/partition splits. A single workload or a
+ * recorded trace runs as the one-tenant scenario
+ * (workload::singleTenantScenario).
+ */
 class GpuSimulator : public mee::DramRouter
 {
   public:
-    GpuSimulator(const GpuParams &gpu_params,
-                 const mee::MeeParams &mee_params,
-                 const workload::WorkloadSpec &workload);
-
-    /**
-     * Trace-driven mode (Accel-Sim style): replay a recorded trace
-     * through the full memory system instead of generating accesses
-     * from a workload model.
-     */
-    GpuSimulator(const GpuParams &gpu_params,
-                 const mee::MeeParams &mee_params,
-                 const workload::Trace &trace);
-
-    /**
-     * Multi-tenant scenario mode: N tenant contexts multiplexed over
-     * one GPU by the scenario's share policy — time-sliced context
-     * switching (per-quantum ownership of every SM and partition,
-     * detector state flushed/re-armed at each switch) or MIG-style
-     * static SM/partition splits. Drive with runScenario().
-     */
+    /** Copies @p scenario; fatal when it is invalid or does not fit
+     *  the GPU. */
     GpuSimulator(const GpuParams &gpu_params,
                  const mee::MeeParams &mee_params,
                  const workload::ScenarioSpec &scenario);
@@ -90,24 +81,20 @@ class GpuSimulator : public mee::DramRouter
      */
     void attachTracer(trace::Tracer *t);
 
-    /** Run every kernel of the workload; returns the metrics. */
-    RunMetrics run();
-
-    /** Run a multi-tenant scenario (scenario constructor only). */
-    ScenarioMetrics runScenario();
+    /** Run every tenant's kernels to completion; returns the whole-GPU
+     *  totals and the per-tenant attribution. */
+    ScenarioMetrics run();
 
     /** mee::DramRouter: metadata transactions from the MEEs. */
     Cycle enqueueMeta(PartitionId target, Addr bank_addr,
                       std::uint32_t bytes, mem::AccessType type,
                       mem::TrafficClass cls, Cycle now) override;
 
-    Partition &partition(PartitionId p) { return *partitions.at(p); }
-    const mem::AddressMap &addressMap() const { return map; }
     stats::StatGroup &statsRoot() { return rootStats; }
 
   private:
     /** The per-cycle oracle tests/reference_kernel_loop.hh drives
-     *  through forEachKernel()/finishRun(). */
+     *  tenant 0 through startTenantKernel()/advanceTenantKernel(). */
     friend struct test::ReferenceKernelLoop;
 
     struct SmUnit
@@ -127,10 +114,9 @@ class GpuSimulator : public mee::DramRouter
 
     /**
      * One kernel in flight on a slice of the GPU: SMs [smLo, smHi)
-     * issuing through addrMap onto the partitions from partLo. A
-     * legacy run is the single-tenant case (the whole GPU, the global
-     * map); every scenario tenant embeds one, so a kernel can pause at
-     * a slice boundary and resume with the same arithmetic.
+     * issuing through addrMap onto the partitions from partLo. Every
+     * tenant embeds one, so a kernel can pause at a slice boundary and
+     * resume with the same arithmetic.
      */
     struct KernelContext
     {
@@ -183,9 +169,12 @@ class GpuSimulator : public mee::DramRouter
         State state = State::NotArrived;
         Cycle wake = 0; //!< earliest useful dispatch (NotArrived/Draining)
 
-        /** @{ Current kernel. */
+        /** @{ Current kernel: generated from the workload or replayed
+         *  from the trace. */
         std::uint32_t nextKernel = 0;
-        std::unique_ptr<workload::KernelTrace> source;
+        std::variant<std::monostate, workload::KernelTrace,
+                     workload::TraceReplay>
+            source;
         bool kernelActive = false;
         std::uint64_t kernelTraceIdx = 0;
         /** @} */
@@ -223,19 +212,35 @@ class GpuSimulator : public mee::DramRouter
         {
             return static_cast<std::uint32_t>(partHi - kernel.partLo);
         }
+
+        std::uint32_t numKernels() const
+        {
+            return static_cast<std::uint32_t>(
+                spec->trace ? spec->trace->kernels.size()
+                            : spec->workload.kernels.size());
+        }
     };
+
+    /** Call @p f with @p t's current kernel source: the source type is
+     *  resolved once per call, never per op. */
+    template <typename F>
+    static void
+    withSource(TenantContext &t, F &&f)
+    {
+        if (auto *gen = std::get_if<workload::KernelTrace>(&t.source))
+            f(*gen);
+        else
+            f(std::get<workload::TraceReplay>(t.source));
+    }
 
     void init();
     void initScenario();
-    void applyHostCopyRange(Addr base, std::uint64_t bytes,
-                            bool declared_read_only);
     /** Host copy over a tenant's partition slice (records the range
      *  for switch-in re-arming when it marks regions read-only). */
     void applyTenantHostCopy(TenantContext &t, Addr base,
                              std::uint64_t bytes, bool declared_read_only);
 
-    /** @{ The kernel engine (simulator.cc), shared by run() and the
-     *  scenario engine. */
+    /** @{ The kernel engine (simulator.cc) under the scenario engine. */
     /** Start a kernel on @p k's SMs at @p at: reset the units and
      *  schedule each SM's first event. */
     void beginKernel(KernelContext &k, Cycle at, std::uint32_t window);
@@ -258,80 +263,35 @@ class GpuSimulator : public mee::DramRouter
     /** Retire a kernel at @p at on partitions [lo, hi). */
     void closeKernel(PartitionId lo, PartitionId hi, Cycle at,
                      std::uint64_t kernel_idx);
-    /** The event engine over one whole-GPU kernel. */
-    template <typename Source>
-    void runKernel(Source &source, std::uint32_t window);
     /** @} */
 
-    /**
-     * Run every kernel of the workload or trace in order: apply its
-     * host copies, open it, hand @p kernel_loop its source and load
-     * window, and retire it. run() passes the event engine.
-     */
-    template <typename KernelLoop>
-    void
-    forEachKernel(KernelLoop &&kernel_loop)
-    {
-        auto one = [&](auto &source, std::uint32_t window) {
-            const std::uint64_t idx = openKernel(currentCycle);
-            kernel_loop(source, window);
-            closeKernel(0, static_cast<PartitionId>(partitions.size()),
-                        currentCycle, idx);
-        };
-        if (trace) {
-            for (std::uint32_t k = 0; k < trace->kernels.size(); ++k) {
-                for (const auto &copy : trace->kernels[k].copies)
-                    applyHostCopyRange(copy.base, copy.bytes,
-                                       copy.declaredReadOnly);
-                workload::TraceReplay source(*trace, k);
-                one(source, gpuConfig.smWindow);
-            }
-            return;
-        }
-        for (std::uint32_t k = 0; k < spec->kernels.size(); ++k) {
-            const auto &kspec = spec->kernels[k];
-            for (const auto &copy : kspec.preCopies)
-                applyHostCopyRange(
-                    bufferBases.at(copy.buffer),
-                    copy.marksReadOnly
-                        ? spec->buffers.at(copy.buffer).bytes
-                        : 0,
-                    copy.declaredReadOnly);
-            workload::KernelTrace source(*spec, bufferBases, k,
-                                         gpuConfig.numSms);
-            one(source, kernelWindow(kspec));
-        }
-    }
     /** Package one SM memory op as a transaction message. */
     static mem::Transaction makeTxn(const workload::TraceOp &op,
                                     const mem::PartitionAddr &pa,
                                     SmId sm, Cycle now);
-    /** The outstanding-load window of a kernel. */
-    std::uint32_t kernelWindow(const workload::KernelSpec &kspec) const;
-    /** Close a legacy run: final stats and the metrics. */
-    RunMetrics finishRun();
+    /** The outstanding-load window of a kernel whose spec or trace
+     *  asks for @p max_outstanding (0 = the GPU's smWindow). */
+    std::uint32_t kernelWindow(std::uint32_t max_outstanding) const;
 
     /** @{ Scenario engine (scenario_run.cc). */
     void runTimeSliced();
+    /** All tenants draw from one Source type (a trace tenant is
+     *  alone), so the partitioned loop is instantiated per type. */
+    template <typename Source>
     void runPartitioned();
     Cycle runTenantSlice(TenantContext &t, Cycle now, Cycle slice_end);
     void startTenantKernel(TenantContext &t, Cycle at);
     void advanceTenantKernel(TenantContext &t, Cycle at);
     void contextSwitchTo(std::uint32_t pick, Cycle now);
-    ScenarioMetrics gatherScenarioMetrics() const;
+    ScenarioMetrics gatherMetrics() const;
     /** @} */
-    RunMetrics gatherMetrics() const;
 
     GpuParams gpuConfig;
     mee::MeeParams meeConfig;
-    const workload::WorkloadSpec *spec = nullptr;
-    const workload::Trace *trace = nullptr;
-    const workload::ScenarioSpec *scenario = nullptr;
-    std::vector<Addr> bufferBases;
+    workload::ScenarioSpec scenario;
 
-    /** @{ Scenario state (empty outside scenario mode). Plain members,
-     *  not stats scalars, so a single-tenant scenario's stats tree is
-     *  byte-identical to the legacy path's. */
+    /** @{ Scenario state. Plain members, not stats scalars, so the
+     *  stats tree has the same shape for one tenant or many. */
     std::vector<TenantContext> tenants;
     std::vector<std::uint16_t> tenantOfSm; //!< partitioned-mode lookup
     int activeTenant = -1;

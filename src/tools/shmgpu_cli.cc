@@ -332,6 +332,19 @@ gpuParamsFrom(const Args &args, Options *opts = nullptr,
     return gp;
 }
 
+/** Dump @p sim's stats tree to @p path, as text or as JSON. */
+void
+writeStats(gpu::GpuSimulator &sim, const std::string &path, bool as_json)
+{
+    std::ofstream out = openOut(path);
+    if (as_json) {
+        sim.statsRoot().dumpJson(out);
+        out << "\n";
+    } else {
+        sim.statsRoot().dump(out);
+    }
+}
+
 void
 printScenario(const core::ScenarioExperimentResult &r)
 {
@@ -387,28 +400,25 @@ cmdRunScenario(const Args &args)
     opts.tracePath = args.get("trace");
     opts.traceTextPath = args.get("trace-text");
 
-    auto r = core::runScenarioExperiment(gp, scheme, scn, opts);
+    // --stats gets the full stats tree of the measured shared run
+    // (the determinism byte-compare vehicle); --json the structured
+    // scenario result (per-tenant metrics and interference deltas).
+    auto r = core::runScenarioExperiment(
+        gp, scheme, scn, opts, [&](gpu::GpuSimulator &sim) {
+            if (args.has("stats"))
+                writeStats(sim, args.get("stats"), false);
+        });
     if (!opts.tracePath.empty())
         std::printf("trace written to %s\n", opts.tracePath.c_str());
     printScenario(r);
 
-    // --json gets the structured scenario result (per-tenant metrics
-    // and interference deltas); --stats the full simulator stats tree
-    // of a fresh identical run (the determinism byte-compare vehicle).
     if (args.has("json")) {
         writeJsonFile(args.get("json"), core::scenarioResultToJson(r));
         std::printf("scenario json written to %s\n",
                     args.get("json").c_str());
     }
-    if (args.has("stats")) {
-        mee::MeeParams mp = schemes::makeMeeParams(scheme);
-        mp.mdcPolicy = opts.mdcPolicy;
-        gpu::GpuSimulator sim(gp, mp, scn);
-        sim.runScenario();
-        std::ofstream out = openOut(args.get("stats"));
-        sim.statsRoot().dump(out);
+    if (args.has("stats"))
         std::printf("stats written to %s\n", args.get("stats").c_str());
-    }
     return 0;
 }
 
@@ -439,7 +449,14 @@ cmdRun(const Args &args)
     opts.collectAccuracy = args.has("accuracy");
     opts.tracePath = args.get("trace");
     opts.traceTextPath = args.get("trace-text");
-    auto r = exp.run(scheme, w, opts);
+    // Stats dumps are of the measured run itself (primed and
+    // attributed exactly as the result printed below).
+    auto r = exp.run(scheme, w, opts, [&](gpu::GpuSimulator &sim) {
+        if (args.has("stats"))
+            writeStats(sim, args.get("stats"), false);
+        if (args.has("json"))
+            writeStats(sim, args.get("json"), true);
+    });
     if (!opts.tracePath.empty())
         std::printf("trace written to %s\n", opts.tracePath.c_str());
     printSummary(r);
@@ -461,27 +478,11 @@ cmdRun(const Args &args)
             std::printf("streaming prediction accuracy : %.2f%%\n",
                         100 * r.metrics.strCorrect / str_total);
     }
-
-    // Stats dumps run the simulation once more with a retained tree.
-    if (args.has("stats") || args.has("json")) {
-        mee::MeeParams mp = schemes::makeMeeParams(scheme);
-        mp.mdcPolicy = opts.mdcPolicy;
-        gpu::GpuSimulator sim(gp, mp, w);
-        sim.run();
-        if (args.has("stats")) {
-            std::ofstream out = openOut(args.get("stats"));
-            sim.statsRoot().dump(out);
-            std::printf("stats written to %s\n",
-                        args.get("stats").c_str());
-        }
-        if (args.has("json")) {
-            std::ofstream out = openOut(args.get("json"));
-            sim.statsRoot().dumpJson(out);
-            out << "\n";
-            std::printf("json stats written to %s\n",
-                        args.get("json").c_str());
-        }
-    }
+    if (args.has("stats"))
+        std::printf("stats written to %s\n", args.get("stats").c_str());
+    if (args.has("json"))
+        std::printf("json stats written to %s\n",
+                    args.get("json").c_str());
     return 0;
 }
 
@@ -1229,13 +1230,17 @@ cmdTraceFileInfo(const Args &args)
 int
 cmdTraceRun(const Args &args)
 {
-    workload::Trace trace = workload::readTrace(args.get("in"));
+    auto trace = std::make_shared<const workload::Trace>(
+        workload::readTrace(args.get("in")));
     auto scheme = schemes::schemeFromName(args.get("scheme", "SHM"));
     gpu::GpuParams gp = gpuParamsFrom(args);
-    gp.numSms = trace.numSms;
+    gp.numSms = trace->numSms;
 
-    gpu::GpuSimulator sim(gp, schemes::makeMeeParams(scheme), trace);
-    gpu::RunMetrics m = sim.run();
+    // The same measured-run path as a workload: SHM_upper_bound is
+    // primed from a Baseline pass over the trace itself.
+    const gpu::RunMetrics m =
+        core::measure(gp, scheme, workload::singleTenantScenario(trace))
+            .total;
     std::printf("trace replay under %s: cycles=%llu ipc=%.2f "
                 "util=%.1f%% mdOverhead=%.2f%%\n",
                 schemes::schemeName(scheme),

@@ -89,7 +89,17 @@ validateScenario(const ScenarioSpec &scenario)
         shm_assert(names.insert(tenant.name).second,
                    "scenario '{}': duplicate tenant name '{}'",
                    scenario.name, tenant.name);
-        validateSpec(tenant.workload);
+        if (!tenant.trace) {
+            validateSpec(tenant.workload);
+            continue;
+        }
+        shm_assert(scenario.tenants.size() == 1,
+                   "scenario '{}': trace tenant '{}' must be the only "
+                   "tenant (trace addresses are absolute)",
+                   scenario.name, tenant.name);
+        shm_assert(!tenant.trace->kernels.empty(),
+                   "scenario '{}': trace tenant '{}' has no kernels",
+                   scenario.name, tenant.name);
     }
 }
 
@@ -107,6 +117,7 @@ contentHash(const ScenarioSpec &scenario)
         fp.str(tenant.name);
         fp.u64(tenant.arrivalCycle);
         fp.u64(contentHash(tenant.workload));
+        fp.u64(tenant.trace ? contentHash(*tenant.trace) : 0);
     }
     return fp.value();
 }
@@ -121,6 +132,19 @@ singleTenantScenario(const WorkloadSpec &spec)
     tenant.name = spec.name;
     tenant.workload = spec;
     tenant.arrivalCycle = 0;
+    scenario.tenants.push_back(std::move(tenant));
+    return scenario;
+}
+
+ScenarioSpec
+singleTenantScenario(std::shared_ptr<const Trace> trace,
+                     const std::string &name)
+{
+    ScenarioSpec scenario;
+    scenario.name = name;
+    TenantSpec tenant;
+    tenant.name = name;
+    tenant.trace = std::move(trace);
     scenario.tenants.push_back(std::move(tenant));
     return scenario;
 }

@@ -28,10 +28,12 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "workload/spec.hh"
+#include "workload/trace_file.hh"
 
 namespace shmgpu::workload
 {
@@ -59,7 +61,8 @@ const char *sharePolicyName(SharePolicy policy);
 /** Parse a share-policy name; fatal on unknown name. */
 SharePolicy sharePolicyFromName(const std::string &name);
 
-/** One tenant: a workload plus its scheduling identity. */
+/** One tenant: a workload (or a recorded trace) plus its scheduling
+ *  identity. */
 struct TenantSpec
 {
     /** Display alias (defaults to the workload name). */
@@ -68,6 +71,12 @@ struct TenantSpec
     WorkloadSpec workload;
     /** Cycle at which the tenant's first kernel may start. */
     Cycle arrivalCycle = 0;
+    /**
+     * A recorded trace replayed in place of the workload (shared and
+     * read-only; null for a workload tenant). Trace addresses are
+     * absolute, so a trace tenant must be its scenario's only tenant.
+     */
+    std::shared_ptr<const Trace> trace;
 };
 
 /** A full sharing scenario. */
@@ -88,26 +97,31 @@ struct ScenarioSpec
 /**
  * Validate a scenario's internal consistency (at least one tenant,
  * positive quantum, per-tenant workload validity, unique tenant
- * names); fatal with a precise message on the first violation.
+ * names, a trace tenant alone and with kernels); fatal with a precise
+ * message on the first violation.
  */
 void validateScenario(const ScenarioSpec &scenario);
 
 /**
  * FNV-1a hash over every simulation-relevant field of @p scenario,
- * including each tenant's full workload contentHash, arrival cycle,
- * the share policy, quantum, MDC-flush flag, and key seed. Feeds the
- * result-cache cell key, so it follows the fingerprint contract: new
- * fields are fed unconditionally (common/fingerprint.hh).
+ * including each tenant's full workload and trace contentHash,
+ * arrival cycle, the share policy, quantum, MDC-flush flag, and key
+ * seed. Feeds the result-cache cell key, so it follows the
+ * fingerprint contract: new fields are fed unconditionally
+ * (common/fingerprint.hh).
  */
 std::uint64_t contentHash(const ScenarioSpec &scenario);
 
 /**
  * Wrap a single workload as the degenerate scenario (one tenant,
- * arrival 0, time-sliced full sharing). Running this must be
- * bit-identical to running the workload through the legacy
- * single-tenant path — pinned by the golden tier.
+ * arrival 0, time-sliced full sharing): how every single-workload run
+ * reaches the simulator.
  */
 ScenarioSpec singleTenantScenario(const WorkloadSpec &spec);
+
+/** The same degenerate scenario over a recorded trace. */
+ScenarioSpec singleTenantScenario(std::shared_ptr<const Trace> trace,
+                                  const std::string &name = "trace");
 
 /**
  * Parse a scenario description; fatal with file/line on errors.

@@ -55,8 +55,6 @@ class KernelTrace
     /** True once every SM has drained. */
     bool done() const;
 
-    const KernelSpec &kernel() const { return kernelSpec; }
-
   private:
     struct SmState
     {

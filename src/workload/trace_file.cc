@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "common/fingerprint.hh"
 #include "common/logging.hh"
 
 namespace shmgpu::workload
@@ -12,7 +13,7 @@ namespace
 {
 
 constexpr char kMagic[4] = {'S', 'H', 'M', 'T'};
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;
 
 void
 putBytes(std::FILE *f, const void *data, std::size_t len)
@@ -116,8 +117,8 @@ class TraceReader
 /** Serialized sizes of the variable-length elements. */
 constexpr std::uint64_t kCopyBytes = 8 + 8 + 1;
 constexpr std::uint64_t kRecordBytes = 8 + 1 + 1 + 1 + 1 + 4;
-/** Minimum per-kernel footprint: the two count fields. */
-constexpr std::uint64_t kKernelHeaderBytes = 4 + 8;
+/** Minimum per-kernel footprint: the two counts and the window. */
+constexpr std::uint64_t kKernelHeaderBytes = 4 + 4 + 8;
 
 } // namespace
 
@@ -128,12 +129,9 @@ generateTrace(const WorkloadSpec &spec, std::uint32_t num_sms)
     trace.numSms = num_sms;
     std::vector<Addr> bases = layoutBuffers(spec);
 
-    std::uint64_t stride = 256 * 12; // documentation only; copies keep
-                                     // physical ranges in the trace
-    (void)stride;
-
     for (std::uint32_t k = 0; k < spec.kernels.size(); ++k) {
         TraceKernel out;
+        out.window = spec.kernels[k].maxOutstanding;
         for (const auto &copy : spec.kernels[k].preCopies) {
             if (!copy.marksReadOnly)
                 continue;
@@ -159,6 +157,33 @@ generateTrace(const WorkloadSpec &spec, std::uint32_t num_sms)
     return trace;
 }
 
+std::uint64_t
+contentHash(const Trace &trace)
+{
+    Fingerprint fp;
+    fp.u64(trace.numSms);
+    fp.u64(trace.kernels.size());
+    for (const auto &kernel : trace.kernels) {
+        fp.u64(kernel.copies.size());
+        for (const auto &copy : kernel.copies) {
+            fp.u64(copy.base);
+            fp.u64(copy.bytes);
+            fp.boolean(copy.declaredReadOnly);
+        }
+        fp.u64(kernel.window);
+        fp.u64(kernel.records.size());
+        for (const auto &rec : kernel.records) {
+            fp.u64(rec.op.addr);
+            fp.u64(rec.sm);
+            fp.u64(rec.op.computeInstrs);
+            fp.u64(static_cast<std::uint64_t>(rec.op.type));
+            fp.u64(static_cast<std::uint64_t>(rec.op.space));
+            fp.u64(rec.op.bytes);
+        }
+    }
+    return fp.value();
+}
+
 void
 writeTrace(const Trace &trace, const std::string &path)
 {
@@ -180,6 +205,7 @@ writeTrace(const Trace &trace, const std::string &path)
             putPod<std::uint64_t>(f, copy.bytes);
             putPod<std::uint8_t>(f, copy.declaredReadOnly ? 1 : 0);
         }
+        putPod<std::uint32_t>(f, kernel.window);
         putPod<std::uint64_t>(f, kernel.records.size());
         for (const auto &rec : kernel.records) {
             putPod<std::uint64_t>(f, rec.op.addr);
@@ -253,6 +279,8 @@ tryReadTrace(const std::string &path, Trace &out, std::string &error)
             copy.declaredReadOnly = declared_ro != 0;
             kernel.copies.push_back(copy);
         }
+        if (!in.readPod(kernel.window, "a load window"))
+            return false;
 
         std::uint64_t records = 0;
         if (!in.readPod(records, "an op count"))

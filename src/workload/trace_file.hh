@@ -9,11 +9,15 @@
  * interleaving (round-robin) is frozen into the file; replay returns
  * exactly the recorded streams.
  *
- * Format (little-endian):
+ * Format (little-endian, version 2):
  *   header : "SHMT" u32-version u32-numSms u32-numKernels
  *   kernel : u32-numCopies { u64 base, u64 bytes, u8 declaredRO }...
+ *            u32-window
  *            u64-numOps { u64 addr, u8 sm, u8 computeInstrs,
  *                         u8 type, u8 space, u32 bytes }...
+ *
+ * Version 1 lacked the per-kernel load window; such files are
+ * rejected rather than replayed at the wrong occupancy.
  */
 
 #ifndef SHMGPU_WORKLOAD_TRACE_FILE_HH
@@ -48,6 +52,9 @@ struct TraceRecord
 struct TraceKernel
 {
     std::vector<TraceCopy> copies;
+    /** The kernel's outstanding-load window (KernelSpec::maxOutstanding;
+     *  0 = the GPU's smWindow). */
+    std::uint32_t window = 0;
     std::vector<TraceRecord> records;
 };
 
@@ -73,6 +80,10 @@ struct Trace
  * when nothing stalls).
  */
 Trace generateTrace(const WorkloadSpec &spec, std::uint32_t num_sms);
+
+/** FNV-1a hash over every field of @p trace (fingerprint contract,
+ *  common/fingerprint.hh). */
+std::uint64_t contentHash(const Trace &trace);
 
 /** Serialize @p trace to @p path; fatal on I/O failure. */
 void writeTrace(const Trace &trace, const std::string &path);
@@ -106,11 +117,6 @@ class TraceReplay
     bool next(SmId sm, TraceOp &op);
 
     bool done() const { return drained == cursors.size(); }
-
-    const std::vector<TraceCopy> &copies() const
-    {
-        return kernel->copies;
-    }
 
   private:
     const TraceKernel *kernel;

@@ -32,15 +32,35 @@ namespace shmgpu::test
 
 struct ReferenceKernelLoop
 {
-    /** Run every kernel of @p sim's workload through the per-cycle
-     *  loop; the counterpart of GpuSimulator::run(). */
-    static gpu::RunMetrics
+    /**
+     * Run every kernel of @p sim's lone tenant (a workload or a trace)
+     * through the per-cycle loop; the counterpart of
+     * GpuSimulator::run(). The tenant is dispatched and its kernels
+     * started and retired through the scenario engine's own calls, so
+     * only the loop between them differs.
+     */
+    static gpu::ScenarioMetrics
     run(gpu::GpuSimulator &sim)
     {
-        sim.forEachKernel([&](auto &source, std::uint32_t window) {
-            kernel(sim, source, window);
-        });
-        return sim.finishRun();
+        using State = gpu::GpuSimulator::TenantContext::State;
+        shm_assert(sim.tenants.size() == 1,
+                   "the reference loop drives one tenant");
+        auto &t = sim.tenants[0];
+        sim.contextSwitchTo(0, 0);
+        t.state = State::Running;
+        sim.startTenantKernel(t, 0);
+        while (t.state == State::Running) {
+            // The loop ticks every SM itself: drop the events
+            // startTenantKernel scheduled for the event engine.
+            sim.calendar.clear(sim.currentCycle);
+            gpu::GpuSimulator::withSource(t, [&](auto &source) {
+                kernel(sim, source, t.kernel.window);
+            });
+            sim.advanceTenantKernel(t, sim.currentCycle);
+        }
+        // Every tenant has finished, so run() only closes the run:
+        // final stats and metrics.
+        return sim.run();
     }
 
   private:
@@ -109,8 +129,6 @@ struct ReferenceKernelLoop
         st.window = window;
         st.computeLeft.assign(num_sms, 0);
         st.smDrained.assign(num_sms, false);
-        for (auto &u : sim.sms)
-            u.hasOp = false;
 
         Cycle &now = sim.currentCycle;
         const Cycle kernel_start = now;

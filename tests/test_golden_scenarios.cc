@@ -4,9 +4,8 @@
  * per-tenant IPC, slowdown, detector accuracy, MDC hit rate and the
  * context-switch counts — for a small share-policy x quantum x scheme
  * grid, stored in tests/golden/golden_scenarios.json. The grid
- * includes the degenerate single-tenant scenario, so the
- * scenario-equals-legacy contract is pinned here alongside the
- * sharing numbers.
+ * includes the degenerate single-tenant scenario — the form every
+ * single-workload run takes — alongside the sharing numbers.
  *
  * Regenerate after an *intentional* behaviour change with:
  *
@@ -58,9 +57,9 @@ runPinnedGrid()
         scn.quantumCycles = quantum;
         scn.flushMdcOnSwitch = flush;
         scn.tenants.push_back(
-            {"stream", workload::makeStreamingMicro(), 0});
+            {"stream", workload::makeStreamingMicro(), 0, nullptr});
         scn.tenants.push_back(
-            {"random", workload::makeRandomMicro(), 3000});
+            {"random", workload::makeRandomMicro(), 3000, nullptr});
         return scn;
     };
 

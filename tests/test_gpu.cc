@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 
 #include "gpu/presets.hh"
@@ -30,8 +31,9 @@ RunMetrics
 runScheme(schemes::Scheme s, const workload::WorkloadSpec &w,
           GpuParams gp = quickParams())
 {
-    GpuSimulator sim(gp, schemes::makeMeeParams(s), w);
-    return sim.run();
+    GpuSimulator sim(gp, schemes::makeMeeParams(s),
+                     workload::singleTenantScenario(w));
+    return sim.run().total;
 }
 
 } // namespace
@@ -126,7 +128,7 @@ TEST(GpuSimulator, ProfileCollectionSeesTraffic)
     detect::AccessProfile profile(12);
     GpuSimulator sim(quickParams(),
                      schemes::makeMeeParams(schemes::Scheme::Baseline),
-                     w);
+                     workload::singleTenantScenario(w));
     sim.collectProfile(&profile);
     sim.run();
 
@@ -143,17 +145,18 @@ TEST(GpuSimulator, UpperBoundPrimingWorks)
     {
         GpuSimulator pass1(
             quickParams(),
-            schemes::makeMeeParams(schemes::Scheme::Baseline), w);
+            schemes::makeMeeParams(schemes::Scheme::Baseline),
+            workload::singleTenantScenario(w));
         pass1.collectProfile(&profile);
         pass1.run();
     }
     GpuSimulator sim(quickParams(),
                      schemes::makeMeeParams(
                          schemes::Scheme::ShmUpperBound),
-                     w);
+                     workload::singleTenantScenario(w));
     sim.primeFromProfile(profile);
     sim.attributeAgainst(&profile);
-    RunMetrics m = sim.run();
+    RunMetrics m = sim.run().total;
     // Primed predictors on a random workload: block MACs dominate.
     EXPECT_GT(m.blockMacAccesses, m.chunkMacAccesses);
     // And the accuracy tallies are populated.
@@ -197,7 +200,8 @@ TEST(GpuSimulator, OversizedWorkloadIsFatal)
     GpuParams gp = quickParams();
     EXPECT_DEATH(
         { GpuSimulator sim(gp, schemes::makeMeeParams(
-                                   schemes::Scheme::Shm), w); },
+                                   schemes::Scheme::Shm),
+                           workload::singleTenantScenario(w)); },
         "exceeds the protected space");
 }
 
@@ -205,7 +209,8 @@ TEST(GpuSimulator, StatsTreeDumps)
 {
     auto w = workload::makeMixedMicro();
     GpuSimulator sim(quickParams(),
-                     schemes::makeMeeParams(schemes::Scheme::Shm), w);
+                     schemes::makeMeeParams(schemes::Scheme::Shm),
+                     workload::singleTenantScenario(w));
     sim.run();
     std::ostringstream os;
     sim.statsRoot().dump(os);
@@ -270,8 +275,9 @@ TEST(GpuPresets, TestConfigRunsQuickly)
 {
     auto w = workload::makeMixedMicro();
     GpuSimulator sim(presetByName("test"),
-                     schemes::makeMeeParams(schemes::Scheme::Shm), w);
-    RunMetrics m = sim.run();
+                     schemes::makeMeeParams(schemes::Scheme::Shm),
+                     workload::singleTenantScenario(w));
+    RunMetrics m = sim.run().total;
     EXPECT_GT(m.instructions, 0u);
     EXPECT_GT(m.metadataBytes(), 0u);
 }
@@ -293,11 +299,11 @@ TEST(GpuSimulator, HostCopyPastProtectedSpaceIsClamped)
 {
     // A trace can carry a host copy whose base lies beyond the
     // per-partition protected space. The clamped local window must
-    // come out empty — before applyHostCopyRange clamped `lo` as well
+    // come out empty — before the host-copy path clamped `lo` as well
     // as `hi`, the u64 length underflowed to ~2^64 bytes.
     GpuParams gp = testConfig();
-    workload::Trace tr;
-    tr.numSms = gp.numSms;
+    auto tr = std::make_shared<workload::Trace>();
+    tr->numSms = gp.numSms;
     workload::TraceKernel k;
     k.copies.push_back({/*base=*/1ull << 30, /*bytes=*/4096,
                         /*declaredReadOnly=*/true});
@@ -308,11 +314,11 @@ TEST(GpuSimulator, HostCopyPastProtectedSpaceIsClamped)
         r.op.computeInstrs = 1;
         k.records.push_back(r);
     }
-    tr.kernels.push_back(k);
+    tr->kernels.push_back(k);
 
     GpuSimulator sim(gp, schemes::makeMeeParams(schemes::Scheme::Shm),
-                     tr);
-    RunMetrics m = sim.run();
+                     workload::singleTenantScenario(tr));
+    RunMetrics m = sim.run().total;
     EXPECT_GT(m.cycles, 0u);
     EXPECT_EQ(m.instructions, 2ull * gp.numSms); // compute + read each
 }

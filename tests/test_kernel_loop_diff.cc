@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 
 #include "common/rng.hh"
@@ -23,7 +24,9 @@
 #include "reference_kernel_loop.hh"
 #include "schemes/schemes.hh"
 #include "workload/benchmarks.hh"
+#include "workload/scenario.hh"
 #include "workload/spec.hh"
+#include "workload/trace_file.hh"
 
 using namespace shmgpu;
 using namespace shmgpu::gpu;
@@ -39,12 +42,13 @@ struct EngineResult
 
 EngineResult
 runEngine(bool reference_loop, const GpuParams &gp,
-          const mee::MeeParams &mp, const workload::WorkloadSpec &w)
+          const mee::MeeParams &mp, const workload::ScenarioSpec &scn)
 {
-    GpuSimulator sim(gp, mp, w);
+    GpuSimulator sim(gp, mp, scn);
     EngineResult r;
-    r.metrics = reference_loop ? test::ReferenceKernelLoop::run(sim)
-                               : sim.run();
+    r.metrics = (reference_loop ? test::ReferenceKernelLoop::run(sim)
+                                : sim.run())
+                    .total;
     r.stats = test::comparableStats(sim);
     return r;
 }
@@ -57,10 +61,10 @@ runEngine(bool reference_loop, const GpuParams &gp,
  */
 void
 expectIdentical(const GpuParams &gp, const mee::MeeParams &mp,
-                const workload::WorkloadSpec &w, const std::string &what)
+                const workload::ScenarioSpec &scn, const std::string &what)
 {
-    EngineResult ev = runEngine(false, gp, mp, w);
-    EngineResult ref = runEngine(true, gp, mp, w);
+    EngineResult ev = runEngine(false, gp, mp, scn);
+    EngineResult ref = runEngine(true, gp, mp, scn);
     SCOPED_TRACE(what);
 
     EXPECT_EQ(ev.metrics.cycles, ref.metrics.cycles);
@@ -83,6 +87,13 @@ expectIdentical(const GpuParams &gp, const mee::MeeParams &mp,
     EXPECT_EQ(ev.metrics.victimHits, ref.metrics.victimHits);
     EXPECT_EQ(ev.metrics.victimInserts, ref.metrics.victimInserts);
     EXPECT_EQ(ev.stats, ref.stats);
+}
+
+void
+expectIdentical(const GpuParams &gp, const mee::MeeParams &mp,
+                const workload::WorkloadSpec &w, const std::string &what)
+{
+    expectIdentical(gp, mp, workload::singleTenantScenario(w), what);
 }
 
 /**
@@ -205,4 +216,21 @@ TEST(KernelLoopDiff, ZeroWindowSpinsToCapIdentically)
         k.maxOutstanding = 1;
     expectIdentical(gp, schemes::makeMeeParams(schemes::Scheme::Shm), w,
                     "window=1 streaming");
+}
+
+TEST(KernelLoopDiff, TraceTenantsUnderAllSchemes)
+{
+    // A recorded trace replays through the same engine from a
+    // TraceReplay source, with its recorded load windows.
+    GpuParams gp = testConfig();
+    for (const auto &w : {workload::makeMixedMicro(),
+                          workload::makeMultiKernelMicro()}) {
+        const auto scn = workload::singleTenantScenario(
+            std::make_shared<const workload::Trace>(
+                workload::generateTrace(w, gp.numSms)));
+        for (auto s : schemes::allSchemes())
+            expectIdentical(gp, schemes::makeMeeParams(s), scn,
+                            "trace " + w.name + " / " +
+                                schemes::schemeName(s));
+    }
 }

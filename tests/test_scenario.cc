@@ -1,15 +1,15 @@
 /**
  * @file
  * The multi-tenant scenario engine and the core scenario-experiment
- * layer: single-tenant equivalence with the legacy run path,
- * determinism across repeats, time-slice/partition
- * semantics, accuracy attribution, and the JSON / result-cache
+ * layer: determinism across repeats, time-slice/partition semantics,
+ * trace tenants, accuracy attribution, and the JSON / result-cache
  * round trips.
  */
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <memory>
 #include <sstream>
 #include <unistd.h>
 
@@ -20,6 +20,7 @@
 #include "schemes/schemes.hh"
 #include "workload/benchmarks.hh"
 #include "workload/scenario.hh"
+#include "workload/trace_file.hh"
 
 using namespace shmgpu;
 using namespace shmgpu::core;
@@ -47,8 +48,8 @@ twoTenantMix(workload::SharePolicy policy, Cycle quantum,
     scn.policy = policy;
     scn.quantumCycles = quantum;
     scn.flushMdcOnSwitch = flush_mdc;
-    scn.tenants.push_back({"stream", workload::makeStreamingMicro(), 0});
-    scn.tenants.push_back({"random", workload::makeRandomMicro(), 3000});
+    scn.tenants.push_back({"stream", workload::makeStreamingMicro(), 0, nullptr});
+    scn.tenants.push_back({"random", workload::makeRandomMicro(), 3000, nullptr});
     return scn;
 }
 
@@ -64,7 +65,7 @@ runScenario(const gpu::GpuParams &gp, schemes::Scheme scheme,
 {
     gpu::GpuSimulator sim(gp, schemes::makeMeeParams(scheme), scn);
     ScenarioRun r;
-    r.metrics = sim.runScenario();
+    r.metrics = sim.run();
     std::ostringstream os;
     sim.statsRoot().dump(os);
     r.stats = os.str();
@@ -98,37 +99,31 @@ dumpJson(const json::Value &v)
 
 } // namespace
 
-// The satellite contract: wrapping a workload as the degenerate
-// scenario must reproduce the legacy single-workload run bit for bit —
-// the entire stats tree, not just the headline metrics.
-TEST(Scenario, SingleTenantMatchesLegacyRun)
+TEST(Scenario, TraceTenantMustRunAlone)
 {
-    const gpu::GpuParams gp = scnConfig();
-    const workload::WorkloadSpec spec = workload::makeMixedMicro();
-    const mee::MeeParams mp =
-        schemes::makeMeeParams(schemes::Scheme::Shm);
+    // Trace addresses are absolute: a second tenant would overlap them.
+    auto scn = workload::singleTenantScenario(
+        std::make_shared<const workload::Trace>(workload::generateTrace(
+            workload::makeMixedMicro(), scnConfig().numSms)));
+    scn.tenants.push_back({"other", workload::makeRandomMicro(), 0, nullptr});
+    EXPECT_DEATH(workload::validateScenario(scn),
+                 "trace tenant 'trace' must be the only tenant");
+}
 
-    gpu::GpuSimulator legacy(gp, mp, spec);
-    gpu::RunMetrics lm = legacy.run();
-    std::ostringstream legacy_stats;
-    legacy.statsRoot().dump(legacy_stats);
-
-    // The simulator keeps a pointer to the scenario, so it must
-    // outlive the run.
-    const workload::ScenarioSpec solo =
-        workload::singleTenantScenario(spec);
-    gpu::GpuSimulator scn(gp, mp, solo);
-    gpu::ScenarioMetrics sm = scn.runScenario();
-    std::ostringstream scn_stats;
-    scn.statsRoot().dump(scn_stats);
-
-    EXPECT_EQ(scn_stats.str(), legacy_stats.str());
-    EXPECT_EQ(sm.total.cycles, lm.cycles);
-    EXPECT_EQ(sm.total.instructions, lm.instructions);
-    EXPECT_DOUBLE_EQ(sm.total.ipc, lm.ipc);
-    EXPECT_EQ(sm.contextSwitches, 0u);
-    ASSERT_EQ(sm.tenants.size(), 1u);
-    EXPECT_EQ(sm.tenants[0].instructions, lm.instructions);
+TEST(Scenario, ContentHashCoversTheTrace)
+{
+    const auto w = workload::makeMixedMicro();
+    auto trace = std::make_shared<workload::Trace>(
+        workload::generateTrace(w, scnConfig().numSms));
+    const auto h0 =
+        workload::contentHash(workload::singleTenantScenario(trace));
+    trace->kernels[0].window += 1;
+    EXPECT_NE(workload::contentHash(workload::singleTenantScenario(trace)),
+              h0);
+    trace->kernels[0].window -= 1;
+    trace->kernels[0].records[0].op.addr += 32;
+    EXPECT_NE(workload::contentHash(workload::singleTenantScenario(trace)),
+              h0);
 }
 
 TEST(Scenario, RepeatedRunIsDeterministic)

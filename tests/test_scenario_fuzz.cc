@@ -91,7 +91,7 @@ statsOf(const gpu::GpuParams &gp, schemes::Scheme scheme,
         const workload::ScenarioSpec &scn)
 {
     gpu::GpuSimulator sim(gp, schemes::makeMeeParams(scheme), scn);
-    sim.runScenario();
+    sim.run();
     std::ostringstream os;
     sim.statsRoot().dump(os);
     return os.str();

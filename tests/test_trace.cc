@@ -181,8 +181,9 @@ tracedRun(const workload::WorkloadSpec &w)
     gpu::GpuParams gp = gpu::testConfig();
     TraceParams params;
     Tracer tracer(gp.numPartitions + 1, params);
-    gpu::GpuSimulator sim(
-        gp, schemes::makeMeeParams(schemes::Scheme::Shm), w);
+    gpu::GpuSimulator sim(gp,
+                          schemes::makeMeeParams(schemes::Scheme::Shm),
+                          workload::singleTenantScenario(w));
     sim.attachTracer(&tracer);
     sim.run();
     std::ostringstream os;
@@ -219,12 +220,13 @@ TEST(TracerSimulation, DetachedTracerChangesNothing)
     gpu::GpuParams gp = gpu::testConfig();
     auto run = [&](bool traced) {
         gpu::GpuSimulator sim(
-            gp, schemes::makeMeeParams(schemes::Scheme::Pssm), w);
+            gp, schemes::makeMeeParams(schemes::Scheme::Pssm),
+            workload::singleTenantScenario(w));
         TraceParams params;
         Tracer tracer(gp.numPartitions + 1, params);
         if (traced)
             sim.attachTracer(&tracer);
-        return sim.run();
+        return sim.run().total;
     };
     gpu::RunMetrics off = run(false);
     gpu::RunMetrics on = run(true);

@@ -10,13 +10,17 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <unistd.h>
 #include <vector>
 
 #include "common/rng.hh"
+#include "core/experiment.hh"
 #include "gpu/simulator.hh"
 #include "schemes/schemes.hh"
+#include "workload/benchmarks.hh"
+#include "workload/scenario.hh"
 #include "workload/trace_file.hh"
 
 using namespace shmgpu;
@@ -74,6 +78,8 @@ TEST_F(TraceFileTest, FileRoundTripIsLossless)
     for (std::size_t k = 0; k < original.kernels.size(); ++k) {
         const auto &a = original.kernels[k];
         const auto &b = loaded.kernels[k];
+        EXPECT_EQ(a.window, b.window);
+        EXPECT_EQ(a.window, w.kernels[k].maxOutstanding);
         ASSERT_EQ(a.records.size(), b.records.size());
         ASSERT_EQ(a.copies.size(), b.copies.size());
         for (std::size_t i = 0; i < a.records.size(); ++i) {
@@ -122,36 +128,44 @@ TEST_F(TraceFileTest, TraceDrivenSimulationMatchesTraceVolume)
     WorkloadSpec w = makeMixedMicro();
     Trace trace = generateTrace(w, 30);
     writeTrace(trace, path);
-    Trace loaded = readTrace(path);
+    auto loaded = std::make_shared<const Trace>(readTrace(path));
 
     gpu::GpuParams gp;
     gp.maxCyclesPerKernel = 60000;
-    gpu::GpuSimulator sim(gp,
-                          schemes::makeMeeParams(schemes::Scheme::Shm),
-                          loaded);
-    gpu::RunMetrics m = sim.run();
-    EXPECT_GT(m.cycles, 0u);
     // Every recorded op retires one memory instruction plus its
     // compute instructions.
     std::uint64_t expected = 0;
-    for (const auto &k : loaded.kernels)
+    for (const auto &k : loaded->kernels)
         for (const auto &rec : k.records)
             expected += 1 + rec.op.computeInstrs;
-    EXPECT_EQ(m.instructions, expected);
-    EXPECT_GT(m.sharedCtrReads, 0.0) << "host copies were replayed";
+    // A lone tenant owns the whole GPU under either share policy.
+    for (auto policy :
+         {SharePolicy::TimeSliced, SharePolicy::Partitioned}) {
+        ScenarioSpec scn = singleTenantScenario(loaded);
+        scn.policy = policy;
+        gpu::GpuSimulator sim(
+            gp, schemes::makeMeeParams(schemes::Scheme::Shm), scn);
+        gpu::RunMetrics m = sim.run().total;
+        EXPECT_GT(m.cycles, 0u);
+        EXPECT_EQ(m.instructions, expected) << sharePolicyName(policy);
+        EXPECT_GT(m.sharedCtrReads, 0.0)
+            << "host copies were replayed under "
+            << sharePolicyName(policy);
+    }
 }
 
 TEST_F(TraceFileTest, TraceDrivenRunIsDeterministic)
 {
     WorkloadSpec w = makeRandomMicro(1 << 20, 512);
-    Trace trace = generateTrace(w, 30);
+    const auto scn = singleTenantScenario(
+        std::make_shared<const Trace>(generateTrace(w, 30)));
 
     gpu::GpuParams gp;
     gp.maxCyclesPerKernel = 60000;
     auto run = [&] {
         gpu::GpuSimulator sim(
-            gp, schemes::makeMeeParams(schemes::Scheme::Pssm), trace);
-        return sim.run();
+            gp, schemes::makeMeeParams(schemes::Scheme::Pssm), scn);
+        return sim.run().total;
     };
     gpu::RunMetrics a = run();
     gpu::RunMetrics b = run();
@@ -162,14 +176,55 @@ TEST_F(TraceFileTest, TraceDrivenRunIsDeterministic)
 TEST_F(TraceFileTest, SmCountMismatchIsFatal)
 {
     WorkloadSpec w = makeMixedMicro();
-    Trace trace = generateTrace(w, 4);
+    const auto scn = singleTenantScenario(
+        std::make_shared<const Trace>(generateTrace(w, 4)));
     gpu::GpuParams gp; // 30 SMs
     EXPECT_DEATH(
         {
             gpu::GpuSimulator sim(
-                gp, schemes::makeMeeParams(schemes::Scheme::Shm), trace);
+                gp, schemes::makeMeeParams(schemes::Scheme::Shm), scn);
         },
         "recorded for 4 SMs");
+}
+
+TEST_F(TraceFileTest, ReplayRetiresWhatTheLiveRunRetires)
+{
+    // Each kernel replays at its recorded load window, so under a
+    // common cycle cap a replay retires what the live run retires. The
+    // remaining gap is the round-robin SM interleaving frozen at record
+    // time.
+    gpu::GpuParams gp;
+    gp.maxCyclesPerKernel = 20000;
+    for (const WorkloadSpec &w : allWorkloads()) {
+        const gpu::RunMetrics live =
+            core::measure(gp, schemes::Scheme::Baseline,
+                          singleTenantScenario(w))
+                .total;
+        const gpu::RunMetrics replay =
+            core::measure(gp, schemes::Scheme::Baseline,
+                          singleTenantScenario(std::make_shared<const Trace>(
+                              generateTrace(w, gp.numSms))))
+                .total;
+        const double live_instr = static_cast<double>(live.instructions);
+        EXPECT_NEAR(static_cast<double>(replay.instructions), live_instr,
+                    0.03 * live_instr)
+            << w.name;
+    }
+}
+
+TEST_F(TraceFileTest, UpperBoundReplayIsPrimedFromTheTrace)
+{
+    // SHM_upper_bound replays primed from a Baseline pass over the same
+    // trace, so the oracle never trails the learning detectors.
+    gpu::GpuParams gp;
+    gp.maxCyclesPerKernel = 20000;
+    const auto scn = singleTenantScenario(std::make_shared<const Trace>(
+        generateTrace(findWorkload("bfs"), gp.numSms)));
+    const double shm =
+        core::measure(gp, schemes::Scheme::Shm, scn).total.ipc;
+    const double upper =
+        core::measure(gp, schemes::Scheme::ShmUpperBound, scn).total.ipc;
+    EXPECT_GE(upper, shm);
 }
 
 TEST_F(TraceFileTest, CorruptFileIsFatal)
@@ -202,6 +257,7 @@ randomTrace(Rng &rng)
             kernel.copies.push_back({rng.below(1 << 20) * 128,
                                      (1 + rng.below(64)) * 128,
                                      rng.chance(0.5)});
+        kernel.window = static_cast<std::uint32_t>(rng.below(16));
         std::size_t records = rng.below(200);
         for (std::size_t r = 0; r < records; ++r) {
             TraceRecord rec;
@@ -229,6 +285,7 @@ tracesEqual(const Trace &a, const Trace &b)
         const auto &ka = a.kernels[k];
         const auto &kb = b.kernels[k];
         if (ka.copies.size() != kb.copies.size() ||
+            ka.window != kb.window ||
             ka.records.size() != kb.records.size())
             return false;
         for (std::size_t c = 0; c < ka.copies.size(); ++c)
@@ -328,9 +385,10 @@ TEST_F(TraceFileTest, CorruptCountFieldsFailWithoutHugeAllocation)
     writeTrace(original, path);
     std::vector<char> intact = fileBytes(path);
 
-    // The op count of kernel 0 sits after the header and its copies.
+    // The op count of kernel 0 sits after the header, its copies and
+    // its load window.
     std::size_t count_off = 4 + 4 + 4 + 4 + 4 +
-                            original.kernels[0].copies.size() * 17;
+                            original.kernels[0].copies.size() * 17 + 4;
     ASSERT_LT(count_off + 8, intact.size());
     std::vector<char> evil = intact;
     for (int i = 0; i < 8; ++i)
@@ -384,9 +442,10 @@ TEST_F(TraceFileTest, OutOfRangeSmAndSpaceAreRejected)
     writeTrace(trace, path);
     std::vector<char> intact = fileBytes(path);
 
-    // Record layout after the 16 B header + 8 B op count:
+    // Record layout after the 16 B header, the copy count, the load
+    // window and the 8 B op count:
     // u64 addr, u8 sm, u8 compute, u8 type, u8 space, u32 bytes.
-    std::size_t rec_off = 4 + 4 + 4 + 4 + 4 + 8;
+    std::size_t rec_off = 4 + 4 + 4 + 4 + 4 + 4 + 8;
     {
         std::vector<char> evil = intact;
         evil[rec_off + 8] = 9; // SM 9 of 2
@@ -421,4 +480,22 @@ TEST_F(TraceFileTest, TrailingGarbageIsRejected)
     std::string error;
     EXPECT_FALSE(tryReadTrace(path, out, error));
     EXPECT_NE(error.find("trailing garbage"), std::string::npos);
+}
+
+TEST_F(TraceFileTest, VersionOneFileIsRejected)
+{
+    // Version 1 carried no load windows; replaying one would run every
+    // kernel at the GPU's full window, so it is refused.
+    Rng rng(5);
+    writeTrace(randomTrace(rng), path);
+    std::vector<char> bytes = fileBytes(path);
+    bytes[4] = 1; // the u32 version follows the 4 B magic
+    writeFileBytes(path, bytes);
+
+    Trace out;
+    std::string error;
+    EXPECT_FALSE(tryReadTrace(path, out, error));
+    EXPECT_NE(error.find("unsupported version 1 (expected 2)"),
+              std::string::npos)
+        << error;
 }
