@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/fingerprint.hh"
+#include "common/rng.hh"
 #include "mee/functional.hh"
 
 using namespace shmgpu;
@@ -338,4 +342,78 @@ TEST_F(FunctionalMeeTest, ChunkVerifyAfterCounterReplay)
 
     ctx.replayBlock(snap);
     EXPECT_NE(ctx.verifyChunk(0), VerifyStatus::Ok);
+}
+
+TEST_F(FunctionalMeeTest, StateDigestIsPinned)
+{
+    // A fixed script through every state-changing path of the context,
+    // then one fingerprint over all off-chip state and the read
+    // results. The constant was recorded before the functional stores
+    // went dense and SipHash went word-at-a-time: any change to a
+    // ciphertext, MAC, chunk MAC or BMT digest moves it.
+    constexpr std::uint64_t kBytes = 1 << 20;
+    constexpr std::uint64_t kRegion = 16 * 1024;
+    Rng rng(2026);
+    std::vector<std::uint8_t> buf(64 * 1024);
+    for (auto &byte : buf)
+        byte = static_cast<std::uint8_t>(rng.next());
+    auto random_block = [&] { return rng.below(kBytes / 128) * 128; };
+
+    // Host copies: the all-fresh batched path, then the per-block
+    // fallback (a copy not marked read-only).
+    ctx.hostWriteRange(0, buf.data(), 64 * 1024);
+    ctx.hostWriteRange(0x20000, buf.data(), 8 * 1024,
+                       /*mark_read_only=*/false);
+
+    // Kernel writes: a read-only -> not-read-only transition, a
+    // read-only copy over the devolved region (per-block fallback),
+    // a minor-counter overflow into reencryptRegion, scattered stores.
+    ctx.deviceWrite(0x1080, pattern(1));
+    ctx.hostWriteRange(0, buf.data() + 4096, 4096);
+    for (int i = 0; i < 130; ++i)
+        ctx.deviceWrite(0x20080, pattern(static_cast<std::uint8_t>(i)));
+    for (int i = 0; i < 200; ++i)
+        ctx.deviceWrite(random_block(),
+                        pattern(static_cast<std::uint8_t>(rng.next())));
+
+    // InputReadOnlyReset with re-encryption, and without it followed
+    // by a fresh copy of half the region (the other half goes stale).
+    ctx.inputReadOnlyReset(0x20000, kRegion, /*reencrypt=*/true);
+    ctx.inputReadOnlyReset(0x4000, kRegion, /*reencrypt=*/false);
+    ctx.hostWriteRange(0x4000, buf.data() + 8192, kRegion / 2);
+
+    Fingerprint fp;
+    std::vector<LocalAddr> addrs;
+    for (LocalAddr a = 0x4000; a < 0x4000 + kRegion; a += 1024)
+        addrs.push_back(a);
+    for (int i = 0; i < 80; ++i)
+        addrs.push_back(random_block());
+    std::vector<FunctionalReadResult> reads(addrs.size());
+    ctx.deviceReadBatch(addrs.data(), reads.data(), addrs.size());
+    std::size_t ok = 0;
+    for (const auto &r : reads) {
+        ok += r.status == VerifyStatus::Ok;
+        fp.u64(static_cast<std::uint64_t>(r.status));
+        fp.bytes(r.data.data(), r.data.size());
+    }
+    EXPECT_GT(ok, addrs.size() / 2);
+    for (LocalAddr chunk : std::vector<LocalAddr>{
+             0, 0x4000, 0x5000, 0x20000, 0x80000, kBytes - 4096})
+        fp.u64(static_cast<std::uint64_t>(ctx.verifyChunk(chunk)));
+
+    for (LocalAddr a = 0; a < kBytes; a += 128) {
+        DataBlock cipher = ctx.memory().readBlock(a);
+        fp.bytes(cipher.data(), cipher.size());
+        auto mac = ctx.macStore().blockMac(a);
+        fp.boolean(mac.has_value());
+        fp.u64(mac.value_or(0));
+    }
+    for (LocalAddr a = 0; a < kBytes; a += 4096) {
+        auto mac = ctx.macStore().chunkMac(a);
+        fp.boolean(mac.has_value());
+        fp.u64(mac.value_or(0));
+    }
+    fp.u64(ctx.tree().root());
+    EXPECT_EQ(fp.value(), 0x3138607798671d00ull)
+        << std::hex << fp.value();
 }
