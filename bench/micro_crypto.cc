@@ -1,7 +1,8 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the crypto substrate: AES-128,
- * SipHash MACs, CTR-mode block transforms and BMT path updates. These
+ * SipHash MACs, CTR-mode block transforms, BMT path updates and the
+ * functional MEE's read burst and single-block write. These
  * bound the functional-mode throughput (the timing model charges
  * fixed engine latencies instead).
  *
@@ -180,6 +181,33 @@ BM_MeeReadBurst(benchmark::State &state)
     state.SetLabel(backendName(backend));
 }
 BENCHMARK(BM_MeeReadBurst)->Arg(0)->Arg(1)->Arg(2);
+
+static void
+BM_MeeDeviceWrite(benchmark::State &state)
+{
+    // Functional-MEE single-block kernel store: counter increment, BMT
+    // path update, CTR encrypt, block MAC and the chunk-MAC refresh
+    // over the chunk's 32 block MACs. Stores walk the whole 1 MiB
+    // context, every block written once beforehand, so each one finds
+    // its chunk's MACs stored and its minor counter far from overflow.
+    meta::LayoutParams lp;
+    lp.dataBytes = 1 << 20;
+    mee::SecureMemoryContext ctx(lp, 42);
+    const std::uint64_t blocks = lp.dataBytes / 128;
+    DataBlock plain{};
+    for (std::uint64_t b = 0; b < blocks; ++b)
+        ctx.deviceWrite(b * 128, plain);
+    std::uint64_t i = 0;
+    for (auto _ : state) {
+        plain[0] = static_cast<std::uint8_t>(i);
+        ctx.deviceWrite(i % blocks * 128, plain);
+        benchmark::ClobberMemory();
+        ++i;
+    }
+    state.SetBytesProcessed(
+        static_cast<std::int64_t>(state.iterations()) * 128);
+}
+BENCHMARK(BM_MeeDeviceWrite);
 
 static void
 BM_ChunkMac(benchmark::State &state)

@@ -1,5 +1,9 @@
 #include "crypto/siphash.hh"
 
+#include <algorithm>
+#include <bit>
+#include <cstring>
+
 #include "common/logging.hh"
 
 namespace shmgpu::crypto
@@ -14,13 +18,21 @@ rotl(std::uint64_t x, int b)
     return (x << b) | (x >> (64 - b));
 }
 
+/** Swap a word between native and little-endian byte order. */
+inline std::uint64_t
+toLe64(std::uint64_t v)
+{
+    if constexpr (std::endian::native == std::endian::big)
+        return __builtin_bswap64(v);
+    return v;
+}
+
 inline std::uint64_t
 readLe64(const std::uint8_t *p)
 {
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i)
-        v = (v << 8) | p[i];
-    return v;
+    std::uint64_t v;
+    std::memcpy(&v, p, sizeof(v));
+    return toLe64(v);
 }
 
 } // namespace
@@ -55,26 +67,40 @@ SipHasher &
 SipHasher::update(const void *data, std::size_t len)
 {
     shm_assert(!finalized, "SipHasher reused after digest()");
+    if (len == 0)
+        return *this;
     const auto *p = static_cast<const std::uint8_t *>(data);
     totalLen += len;
-    while (len > 0) {
-        buf[bufLen++] = *p++;
-        --len;
-        if (bufLen == 8) {
-            compress(readLe64(buf));
-            bufLen = 0;
-        }
+    if (bufLen > 0) {
+        const std::size_t take = std::min(len, 8 - bufLen);
+        std::memcpy(buf + bufLen, p, take);
+        bufLen += take;
+        p += take;
+        len -= take;
+        if (bufLen < 8)
+            return *this;
+        compress(readLe64(buf));
+        bufLen = 0;
     }
+    for (; len >= 8; p += 8, len -= 8)
+        compress(readLe64(p));
+    std::memcpy(buf, p, len);
+    bufLen = len;
     return *this;
 }
 
 SipHasher &
 SipHasher::updateU64(std::uint64_t v)
 {
-    std::uint8_t b[8];
-    for (int i = 0; i < 8; ++i)
-        b[i] = static_cast<std::uint8_t>(v >> (8 * i));
-    return update(b, 8);
+    if (bufLen > 0) {
+        const std::uint64_t le = toLe64(v);
+        return update(&le, sizeof(le));
+    }
+    // Word-aligned: the word is the next message block as is.
+    shm_assert(!finalized, "SipHasher reused after digest()");
+    totalLen += 8;
+    compress(v);
+    return *this;
 }
 
 std::uint64_t

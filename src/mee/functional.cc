@@ -21,7 +21,8 @@ SecureMemoryContext::SecureMemoryContext(
       keys(crypto::generateTenantKeys(context_seed, tenant_id)),
       ctrEngine(keys.encryptionKey), macEngine(keys.macKey),
       counterStore(metaLayout), macs(metaLayout),
-      bmt(metaLayout, counterStore, keys.treeKey), roDetector(ro_params)
+      bmt(metaLayout, counterStore, keys.treeKey), roDetector(ro_params),
+      store(metaLayout.params().dataBytes)
 {
 }
 
@@ -66,11 +67,10 @@ SecureMemoryContext::refreshChunkMac(LocalAddr addr)
     LocalAddr base = addr / chunk_bytes * chunk_bytes;
     LocalAddr end = std::min<LocalAddr>(base + chunk_bytes,
                                         metaLayout.params().dataBytes);
-    std::vector<crypto::Mac> block_macs;
     for (LocalAddr b = base; b < end; b += kBlock)
-        block_macs.push_back(storedBlockMacOrInit(b));
-    macs.setChunkMac(base,
-                     macEngine.chunkMac(block_macs, base, tenantTag));
+        storedBlockMacOrInit(b);
+    macs.setChunkMac(base, macEngine.chunkMac(macs.chunkBlockMacs(base),
+                                              base, tenantTag));
 }
 
 void

@@ -2,62 +2,71 @@
 
 #include <cstring>
 
+#include "common/bitops.hh"
+#include "common/logging.hh"
+
 namespace shmgpu::mem
 {
+
+namespace
+{
+constexpr Addr kBlock = 128;
+
+Addr
+align(Addr addr)
+{
+    return addr & ~(kBlock - 1);
+}
+} // namespace
+
+BackingStore::BackingStore(std::uint64_t bytes)
+    : image(alignUp(bytes, kBlock))
+{
+}
+
+void
+BackingStore::checkRange(Addr addr, std::uint64_t len) const
+{
+    shm_assert(addr < size() && len <= size() - addr,
+               "backing-store access of {} bytes at address {} beyond "
+               "its {} bytes", len, addr, size());
+}
 
 crypto::DataBlock
 BackingStore::readBlock(Addr addr) const
 {
-    if (const crypto::DataBlock *data = blocks.find(align(addr)))
-        return *data;
-    return crypto::DataBlock{}; // zero-filled
+    checkRange(align(addr), kBlock);
+    crypto::DataBlock data;
+    std::memcpy(data.data(), image.data() + align(addr), kBlock);
+    return data;
 }
 
 void
 BackingStore::writeBlock(Addr addr, const crypto::DataBlock &data)
 {
-    blocks[align(addr)] = data;
+    checkRange(align(addr), kBlock);
+    std::memcpy(image.data() + align(addr), data.data(), kBlock);
 }
 
 void
 BackingStore::read(Addr addr, void *out, std::size_t len) const
 {
-    auto *dst = static_cast<std::uint8_t *>(out);
-    while (len > 0) {
-        Addr block = align(addr);
-        std::size_t offset = addr - block;
-        std::size_t take = std::min(len, std::size_t{128} - offset);
-        crypto::DataBlock data = readBlock(block);
-        std::memcpy(dst, data.data() + offset, take);
-        dst += take;
-        addr += take;
-        len -= take;
-    }
+    checkRange(addr, len);
+    std::memcpy(out, image.data() + addr, len);
 }
 
 void
 BackingStore::write(Addr addr, const void *in, std::size_t len)
 {
-    const auto *src = static_cast<const std::uint8_t *>(in);
-    while (len > 0) {
-        Addr block = align(addr);
-        std::size_t offset = addr - block;
-        std::size_t take = std::min(len, std::size_t{128} - offset);
-        crypto::DataBlock data = readBlock(block);
-        std::memcpy(data.data() + offset, src, take);
-        blocks[block] = data;
-        src += take;
-        addr += take;
-        len -= take;
-    }
+    checkRange(addr, len);
+    std::memcpy(image.data() + addr, in, len);
 }
 
 void
 BackingStore::corruptByte(Addr addr, std::uint8_t xor_mask)
 {
-    crypto::DataBlock data = readBlock(addr);
-    data[addr - align(addr)] ^= xor_mask;
-    blocks[align(addr)] = data;
+    checkRange(addr, 1);
+    image[addr] ^= xor_mask;
 }
 
 } // namespace shmgpu::mem

@@ -1,6 +1,6 @@
 /**
  * @file
- * Sparse byte-addressable backing store for functional-mode simulation.
+ * Dense byte-addressable backing store for functional-mode simulation.
  *
  * The functional MEE path really encrypts data into this store and
  * really verifies MACs read back from it, which lets tests mount
@@ -12,17 +12,23 @@
 
 #include <cstdint>
 
-#include "common/flat_map.hh"
+#include "common/demand_zero.hh"
 #include "common/types.hh"
 #include "crypto/ctr_mode.hh"
 
 namespace shmgpu::mem
 {
 
-/** Sparse 128B-block-granular memory image. Unwritten blocks read 0. */
+/**
+ * A demand-zero image of [0, bytes), 128B-block granular. Unwritten
+ * bytes read 0; an access at or beyond the size panics.
+ */
 class BackingStore
 {
   public:
+    /** An all-zero image of @p bytes (rounded up to whole blocks). */
+    explicit BackingStore(std::uint64_t bytes);
+
     /** Read the 128 B block containing @p addr. */
     crypto::DataBlock readBlock(Addr addr) const;
 
@@ -36,13 +42,14 @@ class BackingStore
     /** XOR a byte — the canonical physical-tampering primitive. */
     void corruptByte(Addr addr, std::uint8_t xor_mask = 0xFF);
 
-    /** Number of materialized blocks (for memory accounting). */
-    std::size_t blocksAllocated() const { return blocks.size(); }
+    /** Size of the image in bytes. */
+    std::uint64_t size() const { return image.size(); }
 
   private:
-    static Addr align(Addr addr) { return addr & ~Addr{127}; }
+    /** Panic unless [addr, addr + len) lies inside the image. */
+    void checkRange(Addr addr, std::uint64_t len) const;
 
-    FlatMap<crypto::DataBlock> blocks;
+    DemandZeroArray<std::uint8_t> image;
 };
 
 } // namespace shmgpu::mem

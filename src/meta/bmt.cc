@@ -14,26 +14,32 @@ BonsaiTree::BonsaiTree(const MetadataLayout &meta_layout,
 
     // Default digests for untouched (all-zero) counter state, so the
     // tree is lazily materialized.
-    std::vector<std::uint8_t> zero_block =
-        CounterStore(layout).serializeCounterBlock(0);
+    const CounterStore::CounterBlockImage zero_block{};
     defaultLeaf = crypto::siphash24(key, zero_block.data(),
                                     zero_block.size());
 
     std::uint64_t below = defaultLeaf;
+    std::array<std::uint64_t, kMaxBmtArity> kids{};
     for (unsigned level = 0; level < layout.bmtLevels(); ++level) {
-        std::vector<std::uint64_t> kids(layout.params().bmtArity, below);
-        below = hashChildren(kids, level);
+        kids.fill(below);
+        below = hashChildren(
+            std::span(kids).first(layout.params().bmtArity), level);
         defaultNode.push_back(below);
     }
-    // Root digest covers the single top stored node.
-    crypto::SipHasher h(key);
-    h.updateU64(defaultNode.back());
-    h.updateU64(0xB047ull); // root domain separator
-    rootDigest = h.digest();
+    rootDigest = rootOf(defaultNode.back());
 }
 
 std::uint64_t
-BonsaiTree::hashChildren(const std::vector<std::uint64_t> &kids,
+BonsaiTree::rootOf(std::uint64_t top) const
+{
+    crypto::SipHasher h(key);
+    h.updateU64(top);
+    h.updateU64(0xB047ull); // root domain separator
+    return h.digest();
+}
+
+std::uint64_t
+BonsaiTree::hashChildren(std::span<const std::uint64_t> kids,
                          unsigned level) const
 {
     crypto::SipHasher h(key);
@@ -46,7 +52,7 @@ BonsaiTree::hashChildren(const std::vector<std::uint64_t> &kids,
 std::uint64_t
 BonsaiTree::leafDigestOf(std::uint64_t counter_block_idx) const
 {
-    std::vector<std::uint8_t> bytes =
+    const CounterStore::CounterBlockImage bytes =
         counters.serializeCounterBlock(counter_block_idx);
     return crypto::siphash24(key, bytes.data(), bytes.size());
 }
@@ -66,37 +72,41 @@ BonsaiTree::storedNode(unsigned level, std::uint64_t idx) const
     return digest ? *digest : defaultNode[level];
 }
 
+std::span<const std::uint64_t>
+BonsaiTree::gatherChildren(
+    unsigned level, std::uint64_t node_idx,
+    std::array<std::uint64_t, kMaxBmtArity> &kids) const
+{
+    const unsigned arity = layout.params().bmtArity;
+    for (unsigned k = 0; k < arity; ++k) {
+        std::uint64_t kid = node_idx * arity + k;
+        if (level == 0) {
+            kids[k] = kid < layout.numCounterBlocks() ? storedLeaf(kid)
+                                                      : defaultLeaf;
+        } else {
+            kids[k] = kid < layout.bmtNodesAt(level - 1)
+                          ? storedNode(level - 1, kid)
+                          : defaultNode[level - 1];
+        }
+    }
+    return std::span(kids).first(arity);
+}
+
 void
 BonsaiTree::updatePath(std::uint64_t counter_block_idx)
 {
     const unsigned arity = layout.params().bmtArity;
     leafDigests[counter_block_idx] = leafDigestOf(counter_block_idx);
 
+    std::array<std::uint64_t, kMaxBmtArity> kids{};
     std::uint64_t child_idx = counter_block_idx;
     for (unsigned level = 0; level < layout.bmtLevels(); ++level) {
         std::uint64_t node_idx = child_idx / arity;
-        std::vector<std::uint64_t> kids;
-        kids.reserve(arity);
-        for (unsigned k = 0; k < arity; ++k) {
-            std::uint64_t kid = node_idx * arity + k;
-            if (level == 0) {
-                kids.push_back(kid < layout.numCounterBlocks()
-                                   ? storedLeaf(kid)
-                                   : defaultLeaf);
-            } else {
-                kids.push_back(kid < layout.bmtNodesAt(level - 1)
-                                   ? storedNode(level - 1, kid)
-                                   : defaultNode[level - 1]);
-            }
-        }
-        nodes[level][node_idx] = hashChildren(kids, level);
+        nodes[level][node_idx] =
+            hashChildren(gatherChildren(level, node_idx, kids), level);
         child_idx = node_idx;
     }
-
-    crypto::SipHasher h(key);
-    h.updateU64(storedNode(layout.bmtLevels() - 1, 0));
-    h.updateU64(0xB047ull);
-    rootDigest = h.digest();
+    rootDigest = rootOf(storedNode(layout.bmtLevels() - 1, 0));
 }
 
 BmtVerifyResult
@@ -109,33 +119,18 @@ BonsaiTree::verifyPath(std::uint64_t counter_block_idx) const
         return {false, 0};
 
     // Depths 1..L: each stored node must hash its stored children.
+    std::array<std::uint64_t, kMaxBmtArity> kids{};
     std::uint64_t child_idx = counter_block_idx;
     for (unsigned level = 0; level < layout.bmtLevels(); ++level) {
         std::uint64_t node_idx = child_idx / arity;
-        std::vector<std::uint64_t> kids;
-        kids.reserve(arity);
-        for (unsigned k = 0; k < arity; ++k) {
-            std::uint64_t kid = node_idx * arity + k;
-            if (level == 0) {
-                kids.push_back(kid < layout.numCounterBlocks()
-                                   ? storedLeaf(kid)
-                                   : defaultLeaf);
-            } else {
-                kids.push_back(kid < layout.bmtNodesAt(level - 1)
-                                   ? storedNode(level - 1, kid)
-                                   : defaultNode[level - 1]);
-            }
-        }
-        if (hashChildren(kids, level) != storedNode(level, node_idx))
+        if (hashChildren(gatherChildren(level, node_idx, kids), level) !=
+            storedNode(level, node_idx))
             return {false, level + 1};
         child_idx = node_idx;
     }
 
     // Depth L+1: the on-chip root covers the top stored node.
-    crypto::SipHasher h(key);
-    h.updateU64(storedNode(layout.bmtLevels() - 1, 0));
-    h.updateU64(0xB047ull);
-    if (h.digest() != rootDigest)
+    if (rootOf(storedNode(layout.bmtLevels() - 1, 0)) != rootDigest)
         return {false, layout.bmtLevels() + 1};
 
     return {true, 0};

@@ -16,7 +16,9 @@
 #ifndef SHMGPU_META_BMT_HH
 #define SHMGPU_META_BMT_HH
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/flat_map.hh"
@@ -73,8 +75,15 @@ class BonsaiTree
     std::uint64_t leafDigestOf(std::uint64_t counter_block_idx) const;
     std::uint64_t storedLeaf(std::uint64_t idx) const;
     std::uint64_t storedNode(unsigned level, std::uint64_t idx) const;
-    std::uint64_t hashChildren(const std::vector<std::uint64_t> &kids,
+    /** The stored digests of node @p node_idx's children at stored
+     *  level @p level, in order (defaults past the level's end). */
+    std::span<const std::uint64_t>
+    gatherChildren(unsigned level, std::uint64_t node_idx,
+                   std::array<std::uint64_t, kMaxBmtArity> &kids) const;
+    std::uint64_t hashChildren(std::span<const std::uint64_t> kids,
                                unsigned level) const;
+    /** The on-chip root over the top stored node. */
+    std::uint64_t rootOf(std::uint64_t top) const;
 
     const MetadataLayout &layout;
     const CounterStore &counters;

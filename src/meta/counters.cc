@@ -115,18 +115,17 @@ CounterStore::restore(LocalAddr data_addr, const CounterValue &value)
         static_cast<std::uint8_t>(value.minor);
 }
 
-std::vector<std::uint8_t>
+CounterStore::CounterBlockImage
 CounterStore::serializeCounterBlock(std::uint64_t counter_block_idx) const
 {
-    std::vector<std::uint8_t> out;
-    out.reserve(8 + 64);
+    CounterBlockImage out;
     const CounterBlock *blk = find(counter_block_idx);
     CounterBlock zero;
     if (!blk)
         blk = &zero;
     for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<std::uint8_t>(blk->major >> (8 * i)));
-    out.insert(out.end(), blk->minors.begin(), blk->minors.end());
+        out[i] = static_cast<std::uint8_t>(blk->major >> (8 * i));
+    std::copy(blk->minors.begin(), blk->minors.end(), out.begin() + 8);
     return out;
 }
 

@@ -20,7 +20,6 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "common/flat_map.hh"
 #include "common/types.hh"
@@ -94,8 +93,12 @@ class CounterStore
      */
     void restore(LocalAddr data_addr, const CounterValue &value);
 
+    /** One serialized counter block: the little-endian major, then
+     *  the 64 minors. */
+    using CounterBlockImage = std::array<std::uint8_t, 8 + 64>;
+
     /** Serialize one counter block to bytes (for BMT leaf hashing). */
-    std::vector<std::uint8_t>
+    CounterBlockImage
     serializeCounterBlock(std::uint64_t counter_block_idx) const;
 
     /** Number of materialized (non-default) counter blocks. */

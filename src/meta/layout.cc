@@ -13,7 +13,9 @@ MetadataLayout::MetadataLayout(const LayoutParams &params) : config(params)
     shm_assert(isPowerOf2(config.chunkBytes), "chunk size must be pow2");
     shm_assert(config.chunkBytes >= config.blockBytes,
                "chunk smaller than block");
-    shm_assert(config.bmtArity >= 2, "BMT arity must be >= 2");
+    shm_assert(config.bmtArity >= 2 && config.bmtArity <= kMaxBmtArity,
+               "BMT arity {} outside [2, {}]", config.bmtArity,
+               kMaxBmtArity);
 
     blocks = divCeil(config.dataBytes, config.blockBytes);
     chunks = divCeil(config.dataBytes, config.chunkBytes);

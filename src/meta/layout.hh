@@ -29,6 +29,10 @@
 namespace shmgpu::meta
 {
 
+/** Largest BMT arity a layout accepts (the functional tree gathers a
+ *  node's children on the stack). */
+constexpr std::uint32_t kMaxBmtArity = 64;
+
 /** Static geometry parameters of the metadata layout. */
 struct LayoutParams
 {
@@ -38,7 +42,7 @@ struct LayoutParams
     std::uint64_t chunkBytes = 4096;      //!< coarse-MAC chunk size
     std::uint32_t blocksPerCounterBlock = 64;
     std::uint32_t macBytes = 8;
-    std::uint32_t bmtArity = 16;
+    std::uint32_t bmtArity = 16;          //!< in [2, kMaxBmtArity]
 };
 
 /** Address layout of all metadata regions for one protected space. */

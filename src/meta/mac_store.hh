@@ -11,8 +11,10 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 
-#include "common/flat_map.hh"
+#include "common/demand_zero.hh"
+#include "common/logging.hh"
 #include "common/types.hh"
 #include "crypto/mac.hh"
 #include "meta/layout.hh"
@@ -20,7 +22,11 @@
 namespace shmgpu::meta
 {
 
-/** Off-chip MAC value storage (block- and chunk-granularity). */
+/**
+ * Off-chip MAC value storage (block- and chunk-granularity): dense
+ * demand-zero arrays indexed by block and by chunk, each entry with a
+ * stored flag. An address at or beyond the protected size panics.
+ */
 class MacStore
 {
   public:
@@ -28,8 +34,23 @@ class MacStore
 
     /** @{ Block-level MACs, keyed by data address. */
     void setBlockMac(LocalAddr data_addr, crypto::Mac mac);
-    std::optional<crypto::Mac> blockMac(LocalAddr data_addr) const;
+
+    std::optional<crypto::Mac>
+    blockMac(LocalAddr data_addr) const
+    {
+        const std::uint64_t i = blockIndex(data_addr);
+        if (!blockStored[i])
+            return std::nullopt;
+        return blockMacs[i];
+    }
     /** @} */
+
+    /**
+     * The block MACs of every block in @p data_addr's chunk, in
+     * address order. Entries never stored read 0: callers store the
+     * whole run first.
+     */
+    std::span<const crypto::Mac> chunkBlockMacs(LocalAddr data_addr) const;
 
     /** @{ Chunk-level MACs, keyed by any data address in the chunk. */
     void setChunkMac(LocalAddr data_addr, crypto::Mac mac);
@@ -40,13 +61,41 @@ class MacStore
     void corruptBlockMac(LocalAddr data_addr, std::uint64_t xor_mask);
     void corruptChunkMac(LocalAddr data_addr, std::uint64_t xor_mask);
 
-    std::size_t blockMacsStored() const { return blockMacs.size(); }
-    std::size_t chunkMacsStored() const { return chunkMacs.size(); }
+    std::size_t blockMacsStored() const { return blocksStored; }
+    std::size_t chunkMacsStored() const { return chunksStored; }
 
   private:
+    /** Panic unless @p data_addr lies in the protected space. */
+    void
+    checkAddr(LocalAddr data_addr) const
+    {
+        shm_assert(data_addr < layout.params().dataBytes,
+                   "MAC-store access at address {} beyond its {} "
+                   "protected bytes", data_addr,
+                   layout.params().dataBytes);
+    }
+
+    std::uint64_t
+    blockIndex(LocalAddr data_addr) const
+    {
+        checkAddr(data_addr);
+        return data_addr / layout.params().blockBytes;
+    }
+
+    std::uint64_t
+    chunkIndex(LocalAddr data_addr) const
+    {
+        checkAddr(data_addr);
+        return data_addr / layout.params().chunkBytes;
+    }
+
     const MetadataLayout &layout;
-    FlatMap<crypto::Mac> blockMacs;
-    FlatMap<crypto::Mac> chunkMacs;
+    DemandZeroArray<crypto::Mac> blockMacs;
+    DemandZeroArray<bool> blockStored;
+    DemandZeroArray<crypto::Mac> chunkMacs;
+    DemandZeroArray<bool> chunkStored;
+    std::size_t blocksStored = 0;
+    std::size_t chunksStored = 0;
 };
 
 } // namespace shmgpu::meta

@@ -70,3 +70,38 @@ TEST_F(MacStoreTest, CorruptingUnsetMacPanics)
     EXPECT_DEATH(store.corruptBlockMac(0, 1), "never stored");
     EXPECT_DEATH(store.corruptChunkMac(0, 1), "never stored");
 }
+
+TEST_F(MacStoreTest, ChunkBlockMacsIsTheChunksRun)
+{
+    for (LocalAddr a = 0x1000; a < 0x2000; a += 128)
+        store.setBlockMac(a, a);
+    auto run = store.chunkBlockMacs(0x1FFF);
+    ASSERT_EQ(run.size(), 32u);
+    for (std::size_t i = 0; i < run.size(); ++i)
+        EXPECT_EQ(run[i], 0x1000 + i * 128);
+    EXPECT_EQ(store.blockMacsStored(), 32u);
+}
+
+TEST(MacStore, LastChunkRunIsClipped)
+{
+    LayoutParams p;
+    p.dataBytes = 4096 + 3 * 128;
+    MetadataLayout layout(p);
+    MacStore store(layout);
+    EXPECT_EQ(store.chunkBlockMacs(4096).size(), 3u);
+    EXPECT_EQ(store.chunkBlockMacs(0).size(), 32u);
+}
+
+TEST_F(MacStoreTest, AccessBeyondSizePanics)
+{
+    const LocalAddr end = 1 << 20;
+    EXPECT_DEATH(store.setBlockMac(end, 1),
+                 "address 1048576 beyond its 1048576");
+    EXPECT_DEATH(store.blockMac(end + 128), "beyond its 1048576");
+    EXPECT_DEATH(store.setChunkMac(end, 1), "beyond its 1048576");
+    EXPECT_DEATH(store.chunkMac(end), "beyond its 1048576");
+    EXPECT_DEATH(store.chunkBlockMacs(end), "beyond its 1048576");
+    EXPECT_DEATH(store.corruptBlockMac(end, 1), "beyond its 1048576");
+    store.setBlockMac(end - 1, 7);
+    EXPECT_EQ(store.blockMac(end - 128), 7u);
+}
