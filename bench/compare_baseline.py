@@ -11,7 +11,7 @@ instead: use that only for same-machine A/B comparisons (two builds
 benched back to back on one host), where the noise a cross-machine
 comparison has to tolerate does not apply. The comparison is skipped
 with a notice when the two files measured different configurations
-(cycle cap, grid size, or backend), since those numbers are not
+(cycle cap, grid size, or policy), since those numbers are not
 comparable.
 """
 
@@ -22,11 +22,11 @@ import sys
 # A fresh result must match the baseline on these fields for the
 # throughput comparison to mean anything. "policy" keeps a
 # --policy sieve run from being compared against the default-LRU
-# baseline, and "cryptoBackend" keeps a --crypto scalar A/B run from
-# being compared against the dispatched (aesni/vaes) baseline (absent
-# in baselines recorded before the field existed, which .get() treats
-# as None — re-record the baseline to compare). "resultsDir" and
-# "zipf" scope bench-sweep results (BENCH_sweepcache.json): the cache
+# baseline. "cryptoBackend" is deliberately not among them: the crypto
+# kernel is the host CPU's pick, and none of the bench-* commands
+# times functional crypto (the timing simulator never calls it), so
+# the field is recorded for context but never skips a comparison.
+# "resultsDir" and "zipf" scope bench-sweep results (BENCH_sweepcache.json): the cache
 # state the bench started from and the Zipf grid shape both move its
 # timings, so runs recorded against different values are not
 # comparable. Both are absent from bench-self files on each side, so
@@ -39,8 +39,8 @@ import sys
 # metadata-cache policy (mee.mdc_policy) that differs from the L2's,
 # so a reshaped grid never compares against the classic 3x3.
 CONFIG_KEYS = ("benchmark", "gpu", "policy", "max_cycles_per_kernel",
-               "cells", "cryptoBackend", "resultsDir", "zipf",
-               "scenario", "tenants", "schemes", "mdcPolicy")
+               "cells", "resultsDir", "zipf", "scenario", "tenants",
+               "schemes", "mdcPolicy")
 
 
 def load(path):

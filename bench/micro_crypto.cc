@@ -6,12 +6,10 @@
  * bound the functional-mode throughput (the timing model charges
  * fixed engine latencies instead).
  *
- * The *Batch benchmarks sweep batch size (1/4/8 blocks) per software
- * backend — arg 0 is the Backend enum value (0 scalar, 1 aesni,
- * 2 vaes), arg 1 the batch size — so the committed BENCH_crypto.json
- * records the scalar-vs-dispatched speedup the runtime dispatcher
- * buys. Backends the host cannot run are skipped with an error note
- * rather than silently measuring the wrong kernel.
+ * The *Batch benchmarks sweep batch size (1/4/8 blocks) on the AES
+ * kernel this CPU dispatches to, named in each row's label; BM_Aes128Block
+ * and BM_CtrModeCacheLine time the scalar reference cipher and the
+ * dispatched single-line pad beside them.
  */
 
 #include <benchmark/benchmark.h>
@@ -62,13 +60,8 @@ BENCHMARK(BM_CtrModeCacheLine);
 static void
 BM_AesBatchEncrypt(benchmark::State &state)
 {
-    auto backend = static_cast<Backend>(state.range(0));
-    if (!backendSupported(backend)) {
-        state.SkipWithError("backend not supported on this host");
-        return;
-    }
-    std::size_t lanes = static_cast<std::size_t>(state.range(1));
-    Aes128Batch aes(generateKeys(7).encryptionKey, backend);
+    std::size_t lanes = static_cast<std::size_t>(state.range(0));
+    Aes128Batch aes(generateKeys(7).encryptionKey);
     std::vector<Block16> blocks(lanes);
     for (auto _ : state) {
         aes.encryptBlocks(blocks.data(), blocks.data(), lanes);
@@ -77,20 +70,15 @@ BM_AesBatchEncrypt(benchmark::State &state)
     }
     state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(lanes) * 16);
-    state.SetLabel(backendName(backend));
+    state.SetLabel(backendName(activeBackend()));
 }
-BENCHMARK(BM_AesBatchEncrypt)->ArgsProduct({{0, 1, 2}, {1, 4, 8}});
+BENCHMARK(BM_AesBatchEncrypt)->Arg(1)->Arg(4)->Arg(8);
 
 static void
 BM_CtrPadBatch(benchmark::State &state)
 {
-    auto backend = static_cast<Backend>(state.range(0));
-    if (!backendSupported(backend)) {
-        state.SkipWithError("backend not supported on this host");
-        return;
-    }
-    std::size_t lines = static_cast<std::size_t>(state.range(1));
-    CtrModeEngine engine(generateKeys(8).encryptionKey, backend);
+    std::size_t lines = static_cast<std::size_t>(state.range(0));
+    CtrModeEngine engine(generateKeys(8).encryptionKey);
     std::vector<Seed> seeds(lines);
     std::vector<DataBlock> pads(lines);
     std::uint64_t minor = 0;
@@ -103,9 +91,9 @@ BM_CtrPadBatch(benchmark::State &state)
     }
     state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(lines) * 128);
-    state.SetLabel(backendName(backend));
+    state.SetLabel(backendName(activeBackend()));
 }
-BENCHMARK(BM_CtrPadBatch)->ArgsProduct({{0, 1, 2}, {1, 4, 8}});
+BENCHMARK(BM_CtrPadBatch)->Arg(1)->Arg(4)->Arg(8);
 
 static void
 BM_SipHashBlockMac(benchmark::State &state)
@@ -123,45 +111,13 @@ BM_SipHashBlockMac(benchmark::State &state)
 BENCHMARK(BM_SipHashBlockMac);
 
 static void
-BM_SipHashBlockMacBatch(benchmark::State &state)
-{
-    // Interleaved-lane SipHash over blockMac-shaped 160 B messages;
-    // batch 1 is the scalar absorb path for reference.
-    std::size_t lanes = static_cast<std::size_t>(state.range(0));
-    MacEngine engine(generateKeys(9).macKey);
-    std::vector<DataBlock> cts(lanes);
-    std::vector<BlockMacInput> jobs(lanes);
-    std::vector<Mac> out(lanes);
-    std::uint64_t minor = 0;
-    for (auto _ : state) {
-        for (std::size_t i = 0; i < lanes; ++i)
-            jobs[i] = {&cts[i], 0x2000 + i * 128, 1, minor++, 0};
-        engine.blockMacBatch(jobs, out.data());
-        benchmark::DoNotOptimize(out.data());
-        benchmark::ClobberMemory();
-    }
-    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(lanes) * 128);
-}
-BENCHMARK(BM_SipHashBlockMacBatch)->Arg(1)->Arg(4)->Arg(8);
-
-static void
 BM_MeeReadBurst(benchmark::State &state)
 {
     // Functional-MEE end to end: verified+decrypted 32-block bursts
-    // through deviceReadBatch, per software backend. This is the
-    // number the dispatched-vs-scalar acceptance ratio is taken from.
-    auto backend = static_cast<Backend>(state.range(0));
-    if (!backendSupported(backend)) {
-        state.SkipWithError("backend not supported on this host");
-        return;
-    }
-    Backend saved = activeBackend();
-    setBackend(backend);
+    // through deviceReadBatch on the dispatched AES kernel.
     meta::LayoutParams lp;
     lp.dataBytes = 1 << 20;
     mee::SecureMemoryContext ctx(lp, 42);
-    setBackend(saved);
 
     constexpr std::size_t burst = 32;
     std::vector<LocalAddr> addrs(burst);
@@ -178,9 +134,9 @@ BM_MeeReadBurst(benchmark::State &state)
     }
     state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                             burst * 128);
-    state.SetLabel(backendName(backend));
+    state.SetLabel(backendName(activeBackend()));
 }
-BENCHMARK(BM_MeeReadBurst)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_MeeReadBurst);
 
 static void
 BM_MeeDeviceWrite(benchmark::State &state)

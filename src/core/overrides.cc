@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "common/logging.hh"
-#include "crypto/dispatch.hh"
 
 namespace shmgpu::core
 {
@@ -90,14 +89,6 @@ applyTraceOverrides(Config &config, trace::TraceParams &p)
 }
 
 void
-applyCryptoOverrides(Config &config)
-{
-    std::string name = config.getString("crypto.backend", "");
-    if (!name.empty())
-        crypto::setBackend(crypto::backendFromName(name));
-}
-
-void
 applyOverridesFile(const std::string &path, gpu::GpuParams &gpu,
                    mee::MeeParams &mee)
 {
@@ -106,7 +97,6 @@ applyOverridesFile(const std::string &path, gpu::GpuParams &gpu,
     applyMeeOverrides(config, mee);
     trace::TraceParams scratch;
     applyTraceOverrides(config, scratch);
-    applyCryptoOverrides(config);
     config.assertConsumed();
 }
 

@@ -2,7 +2,7 @@
  * @file
  * Configuration-file overrides for the GPU and MEE parameters, so
  * design-space exploration needs no recompiling. The CLI's
- * `--overrides` file takes the GPU, trace and crypto keys plus the
+ * `--overrides` file takes the GPU and trace keys plus the
  * metadata-cache policy:
  *
  *   # turing.cfg
@@ -13,7 +13,6 @@
  *   dram.bytes_per_cycle   = 16
  *   mee.mdc_policy         = lru   # metadata caches, same value set
  *   trace.classes          = mee,detect
- *   crypto.backend         = auto  # auto/scalar/aesni/vaes
  *
  * The rest of the MEE structure comes from the CLI's --scheme, so
  * the CLI rejects every other `mee.*` key. Library embedders that
@@ -53,17 +52,6 @@ void applyMeeOverrides(Config &config, mee::MeeParams &params);
  *   trace.classes = sm,txn,engine,l2,mee,detect (or "all")
  */
 void applyTraceOverrides(Config &config, trace::TraceParams &params);
-
-/**
- * Apply "crypto.*" keys to the process-wide crypto dispatch:
- *   crypto.backend = auto | scalar | aesni | vaes
- * "auto" (the default) probes cpuid for the best supported kernel;
- * "scalar" forces the portable reference path (useful to A/B the
- * batched backends — every backend is bit-identical, so this is a
- * wall-clock knob only). Unsupported names are fatal and list the
- * valid set; requesting a backend the host cannot run is fatal too.
- */
-void applyCryptoOverrides(Config &config);
 
 /**
  * Apply everything from a file to both parameter sets and fail on

@@ -16,9 +16,9 @@
  *   - the scheme (which determines mee::MeeParams via the registry),
  *   - workload::contentHash of the spec (not its name: regenerated
  *     parameter sweeps reusing a name cannot alias),
- *   - the active software crypto backend (bit-identical by
- *     construction, hashed anyway so a backend A/B never reads the
- *     other backend's cells),
+ *   - the host's crypto backend (bit-identical by construction,
+ *     hashed anyway so hosts sharing a results directory never read
+ *     each other's cells),
  *   - a code-version stamp baked in at build time, so rebuilding a
  *     changed simulator invalidates every cached cell at once.
  *

@@ -1,7 +1,5 @@
 #include "crypto/aes128_batch.hh"
 
-#include "common/logging.hh"
-
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
 #define SHMGPU_X86 1
@@ -19,7 +17,7 @@ namespace
  * Pipelined AES-NI: groups of 8 (then 4) states walk the ten rounds
  * in lockstep, so the ~4-cycle aesenc latency overlaps across lanes
  * instead of serializing. Round keys come from the scalar schedule —
- * one expansion, every backend.
+ * one expansion, both paths.
  */
 __attribute__((target("aes,sse2"))) void
 encryptAesNi(const std::uint8_t *rk_bytes, const Block16 *in,
@@ -76,60 +74,13 @@ encryptAesNi(const std::uint8_t *rk_bytes, const Block16 *in,
     }
 }
 
-/**
- * VAES: two blocks per ymm register, four registers per group of 8.
- * Ragged tails fall through to the AES-NI kernel (the probe already
- * guaranteed it runs wherever VAES does).
- */
-__attribute__((target("vaes,avx2"))) void
-encryptVaes(const std::uint8_t *rk_bytes, const Block16 *in,
-            Block16 *out, std::size_t n)
-{
-    __m256i rk[11];
-    for (unsigned r = 0; r < 11; ++r)
-        rk[r] = _mm256_broadcastsi128_si256(_mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(rk_bytes + 16 * r)));
-
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        __m256i s[4];
-        for (unsigned l = 0; l < 4; ++l)
-            s[l] = _mm256_xor_si256(
-                _mm256_loadu_si256(reinterpret_cast<const __m256i *>(
-                    in[i + 2 * l].data())),
-                rk[0]);
-        for (unsigned r = 1; r < 10; ++r)
-            for (unsigned l = 0; l < 4; ++l)
-                s[l] = _mm256_aesenc_epi128(s[l], rk[r]);
-        for (unsigned l = 0; l < 4; ++l)
-            s[l] = _mm256_aesenclast_epi128(s[l], rk[10]);
-        for (unsigned l = 0; l < 4; ++l)
-            _mm256_storeu_si256(
-                reinterpret_cast<__m256i *>(out[i + 2 * l].data()),
-                s[l]);
-    }
-    if (i < n)
-        encryptAesNi(rk_bytes, in + i, out + i, n - i);
-}
-
 #endif // SHMGPU_X86
 
 } // namespace
 
 Aes128Batch::Aes128Batch(const Block16 &key)
-    : Aes128Batch(key, activeBackend())
+    : scalar(key), impl(activeBackend())
 {
-}
-
-Aes128Batch::Aes128Batch(const Block16 &key, Backend backend)
-    : scalar(key), impl(backend)
-{
-    shm_assert(backendSupported(impl),
-               "crypto backend '{}' is not supported on this CPU",
-               backendName(impl));
-#ifndef SHMGPU_X86
-    impl = Backend::Scalar;
-#endif
 }
 
 void
@@ -137,10 +88,6 @@ Aes128Batch::encryptBlocks(const Block16 *in, Block16 *out,
                            std::size_t n) const
 {
 #ifdef SHMGPU_X86
-    if (impl == Backend::Vaes) {
-        encryptVaes(scalar.roundKeyBytes(), in, out, n);
-        return;
-    }
     if (impl == Backend::AesNi) {
         encryptAesNi(scalar.roundKeyBytes(), in, out, n);
         return;

@@ -2,14 +2,13 @@
  * @file
  * Batched AES-128 encryption with runtime CPU dispatch.
  *
- * Counter-mode pad generation and CMAC both encrypt many independent
- * blocks under one key, so the dominant cost is not one AES round but
- * the latency chain of ten rounds per block. Keeping 4 or 8 blocks in
- * flight hides that chain: the AES-NI path pipelines 8 xmm states
- * through each round, the VAES path packs 2 blocks per ymm register,
- * and the scalar path simply loops the reference T-table cipher. The
- * backend is chosen at runtime (crypto/dispatch.hh); every path
- * computes exactly FIPS-197 AES-128, which the differential fuzz in
+ * Counter-mode pad generation encrypts many independent blocks under
+ * one key, so the dominant cost is not one AES round but the latency
+ * chain of ten rounds per block. Keeping 4 or 8 blocks in flight hides
+ * that chain: the AES-NI path pipelines 8 xmm states through each
+ * round, and the scalar path simply loops the reference T-table
+ * cipher. The CPU picks the path (crypto/dispatch.hh); both compute
+ * exactly FIPS-197 AES-128, which the differential fuzz in
  * tests/test_crypto_batch.cc verifies byte for byte against the
  * scalar Aes128.
  */
@@ -29,11 +28,8 @@ namespace shmgpu::crypto
 class Aes128Batch
 {
   public:
-    /** Expand @p key once; kernels selected from activeBackend(). */
+    /** Expand @p key once; the kernel is activeBackend()'s. */
     explicit Aes128Batch(const Block16 &key);
-
-    /** Same, but force a specific @p backend (tests, benchmarks). */
-    Aes128Batch(const Block16 &key, Backend backend);
 
     /**
      * Encrypt @p n independent blocks from @p in to @p out (in == out
@@ -51,11 +47,6 @@ class Aes128Batch
         encryptBlocks(&in, &out, 1);
         return out;
     }
-
-    Backend backend() const { return impl; }
-
-    /** Batch size that fills the widest kernel's pipeline. */
-    static constexpr std::size_t preferredLanes = 8;
 
   private:
     Aes128 scalar; //!< reference cipher; owns the key schedule

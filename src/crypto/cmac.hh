@@ -29,27 +29,11 @@ class AesCmac
   public:
     explicit AesCmac(const Block16 &key);
 
-    /** Same, forcing a specific batch backend (tests, benchmarks). */
-    AesCmac(const Block16 &key, Backend backend);
-
     /** Full 128-bit tag over @p len bytes at @p data. */
     Block16 mac(const void *data, std::size_t len) const;
 
     /** First 64 bits of the tag (the 8 B format used off-chip). */
     std::uint64_t mac64(const void *data, std::size_t len) const;
-
-    /**
-     * Tags for @p n independent messages (lengths may differ): the
-     * per-message CBC chains are sequential, but across messages each
-     * encryption step batches through Aes128Batch, so 4/8 chains run
-     * in flight. Bit-identical to n mac() calls.
-     */
-    void macBatch(const void *const *msgs, const std::size_t *lens,
-                  std::size_t n, Block16 *tags) const;
-
-    /** 64-bit-truncated batched tags (see mac64). */
-    void mac64Batch(const void *const *msgs, const std::size_t *lens,
-                    std::size_t n, std::uint64_t *tags) const;
 
   private:
     Aes128Batch aes;

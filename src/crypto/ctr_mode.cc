@@ -36,16 +36,11 @@ CtrModeEngine::CtrModeEngine(const Block16 &key) : aes(key)
 {
 }
 
-CtrModeEngine::CtrModeEngine(const Block16 &key, Backend backend)
-    : aes(key, backend)
-{
-}
-
 DataBlock
 CtrModeEngine::generatePad(const Seed &seed) const
 {
-    // One cache line is eight chunk seeds — exactly the batched
-    // backend's preferred pipeline depth.
+    // One cache line is eight chunk seeds — exactly the AES-NI
+    // kernel's pipeline depth.
     std::array<Block16, chunksPerBlock> in, out;
     for (std::size_t chunk = 0; chunk < chunksPerBlock; ++chunk)
         in[chunk] = packChunkSeed(seed, chunk);

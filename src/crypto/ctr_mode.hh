@@ -57,9 +57,6 @@ class CtrModeEngine
   public:
     explicit CtrModeEngine(const Block16 &key);
 
-    /** Same, forcing a specific AES backend (tests, benchmarks). */
-    CtrModeEngine(const Block16 &key, Backend backend);
-
     /** Generate the 128 B one-time pad for @p seed. The eight chunk
      *  seeds go through one batched AES call. */
     DataBlock generatePad(const Seed &seed) const;
@@ -81,8 +78,6 @@ class CtrModeEngine
     /** In-place transform of @p n blocks, pads generated batched. */
     void transformBatch(DataBlock *blocks, const Seed *seeds,
                         std::size_t n) const;
-
-    Backend backend() const { return aes.backend(); }
 
   private:
     Aes128Batch aes;

@@ -1,12 +1,7 @@
 #include "crypto/dispatch.hh"
 
-#include <atomic>
-
-#include "common/logging.hh"
-
 #if defined(__x86_64__) || defined(__i386__)
 #include <cpuid.h>
-#include <immintrin.h>
 #define SHMGPU_X86 1
 #endif
 
@@ -16,58 +11,22 @@ namespace shmgpu::crypto
 namespace
 {
 
+Backend
+probeBackend()
+{
 #ifdef SHMGPU_X86
-
-// CPUID feature bits (Intel SDM vol. 2A, CPUID leaf 1 ECX and
-// leaf 7/0 EBX/ECX). Spelled out rather than relying on <cpuid.h>
-// macros, which differ between gcc and clang versions.
-constexpr unsigned leaf1EcxSse41 = 1u << 19;
-constexpr unsigned leaf1EcxAes = 1u << 25;
-constexpr unsigned leaf1EcxOsxsave = 1u << 27;
-constexpr unsigned leaf1EcxAvx = 1u << 28;
-constexpr unsigned leaf7EbxAvx2 = 1u << 5;
-constexpr unsigned leaf7EcxVaes = 1u << 9;
-
-/** XCR0 via xgetbv; only call after confirming OSXSAVE. */
-__attribute__((target("xsave"))) std::uint64_t
-readXcr0()
-{
-    return _xgetbv(0);
-}
-
-Backend
-probeBackend()
-{
+    // CPUID leaf 1 ECX feature bits (Intel SDM vol. 2A), spelled out
+    // rather than relying on <cpuid.h> macros, which differ between
+    // gcc and clang versions.
+    constexpr unsigned leaf1EcxSse41 = 1u << 19;
+    constexpr unsigned leaf1EcxAes = 1u << 25;
     unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
-    if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx))
-        return Backend::Scalar;
-    if (!(ecx & leaf1EcxAes) || !(ecx & leaf1EcxSse41))
-        return Backend::Scalar;
-
-    // VAES needs the OS to have enabled YMM state (XCR0 bits 1|2) on
-    // top of AVX2 + the VAES extension itself.
-    if ((ecx & leaf1EcxOsxsave) && (ecx & leaf1EcxAvx) &&
-        (readXcr0() & 0x6) == 0x6) {
-        unsigned eax7 = 0, ebx7 = 0, ecx7 = 0, edx7 = 0;
-        if (__get_cpuid_count(7, 0, &eax7, &ebx7, &ecx7, &edx7) &&
-            (ebx7 & leaf7EbxAvx2) && (ecx7 & leaf7EcxVaes))
-            return Backend::Vaes;
-    }
-    return Backend::AesNi;
-}
-
-#else
-
-Backend
-probeBackend()
-{
+    if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) && (ecx & leaf1EcxAes) &&
+        (ecx & leaf1EcxSse41))
+        return Backend::AesNi;
+#endif
     return Backend::Scalar;
 }
-
-#endif // SHMGPU_X86
-
-/** -1 = not yet chosen; otherwise the Backend value. */
-std::atomic<int> g_active{-1};
 
 } // namespace
 
@@ -79,62 +38,15 @@ backendName(Backend backend)
         return "scalar";
     case Backend::AesNi:
         return "aesni";
-    case Backend::Vaes:
-        return "vaes";
     }
     return "?";
 }
 
 Backend
-backendFromName(const std::string &name)
-{
-    if (name == "auto")
-        return bestSupportedBackend();
-    if (name == "scalar")
-        return Backend::Scalar;
-    if (name == "aesni")
-        return Backend::AesNi;
-    if (name == "vaes")
-        return Backend::Vaes;
-    shm_fatal("unknown crypto backend '{}' (valid: auto, scalar, "
-              "aesni, vaes)",
-              name);
-}
-
-Backend
-bestSupportedBackend()
-{
-    static const Backend best = probeBackend();
-    return best;
-}
-
-bool
-backendSupported(Backend backend)
-{
-    return static_cast<int>(backend) <=
-           static_cast<int>(bestSupportedBackend());
-}
-
-Backend
 activeBackend()
 {
-    int current = g_active.load(std::memory_order_relaxed);
-    if (current >= 0)
-        return static_cast<Backend>(current);
-    Backend best = bestSupportedBackend();
-    g_active.store(static_cast<int>(best), std::memory_order_relaxed);
-    return best;
-}
-
-void
-setBackend(Backend backend)
-{
-    shm_assert(backendSupported(backend),
-               "crypto backend '{}' is not supported on this CPU "
-               "(best: '{}')",
-               backendName(backend),
-               backendName(bestSupportedBackend()));
-    g_active.store(static_cast<int>(backend), std::memory_order_relaxed);
+    static const Backend probed = probeBackend();
+    return probed;
 }
 
 } // namespace shmgpu::crypto

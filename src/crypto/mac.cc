@@ -1,34 +1,7 @@
 #include "crypto/mac.hh"
 
-#include <vector>
-
 namespace shmgpu::crypto
 {
-
-namespace
-{
-
-/** Flat message a blockMac hashes: ciphertext || addr || major ||
- *  minor || partition, little-endian u64 fields — byte-for-byte the
- *  sequence SipHasher absorbs in blockMac(). */
-constexpr std::size_t blockMacMsgBytes = blockBytes + 4 * 8;
-
-void
-packBlockMacMsg(std::uint8_t *msg, const BlockMacInput &job)
-{
-    for (std::size_t i = 0; i < blockBytes; ++i)
-        msg[i] = (*job.ciphertext)[i];
-    auto put_u64 = [&](std::size_t off, std::uint64_t v) {
-        for (int i = 0; i < 8; ++i)
-            msg[off + i] = static_cast<std::uint8_t>(v >> (8 * i));
-    };
-    put_u64(blockBytes, job.addr);
-    put_u64(blockBytes + 8, job.major);
-    put_u64(blockBytes + 16, job.minor);
-    put_u64(blockBytes + 24, job.partition);
-}
-
-} // namespace
 
 MacEngine::MacEngine(const SipKey &mac_key) : key(mac_key)
 {
@@ -52,15 +25,9 @@ void
 MacEngine::blockMacBatch(std::span<const BlockMacInput> jobs,
                          Mac *out) const
 {
-    std::vector<std::uint8_t> scratch(jobs.size() * blockMacMsgBytes);
-    std::vector<const void *> msgs(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        std::uint8_t *msg = scratch.data() + i * blockMacMsgBytes;
-        packBlockMacMsg(msg, jobs[i]);
-        msgs[i] = msg;
-    }
-    siphash24Batch(key, msgs.data(), blockMacMsgBytes, out,
-                   jobs.size());
+    for (const BlockMacInput &job : jobs)
+        *out++ = blockMac(*job.ciphertext, job.addr, job.major, job.minor,
+                          job.partition);
 }
 
 Mac

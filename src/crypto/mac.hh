@@ -50,10 +50,9 @@ class MacEngine
                  std::uint32_t partition) const;
 
     /**
-     * Batched block MACs: @p out[i] = blockMac(jobs[i]...), computed
-     * with 4-way interleaved SipHash rounds (siphash24Batch). The
-     * batch-aware MEE paths use this for the sectors of one epoch or
-     * transaction burst instead of issuing block-at-a-time.
+     * Block MACs for a burst: @p out[i] = blockMac(jobs[i]...), one
+     * after another. The MEE paths hand over the sectors of one epoch
+     * or transaction burst at once.
      */
     void blockMacBatch(std::span<const BlockMacInput> jobs,
                        Mac *out) const;

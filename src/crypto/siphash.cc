@@ -132,91 +132,4 @@ siphash24(const SipKey &key, const void *data, std::size_t len)
     return h.digest();
 }
 
-namespace
-{
-
-/** Four SipHash states advanced in lockstep (see siphash24Batch). */
-struct Sip4
-{
-    std::uint64_t v0[4], v1[4], v2[4], v3[4];
-
-    explicit Sip4(const SipKey &key)
-    {
-        for (int l = 0; l < 4; ++l) {
-            v0[l] = 0x736f6d6570736575ull ^ key.k0;
-            v1[l] = 0x646f72616e646f6dull ^ key.k1;
-            v2[l] = 0x6c7967656e657261ull ^ key.k0;
-            v3[l] = 0x7465646279746573ull ^ key.k1;
-        }
-    }
-
-    void
-    round()
-    {
-        for (int l = 0; l < 4; ++l) {
-            v0[l] += v1[l]; v1[l] = rotl(v1[l], 13);
-            v1[l] ^= v0[l]; v0[l] = rotl(v0[l], 32);
-            v2[l] += v3[l]; v3[l] = rotl(v3[l], 16); v3[l] ^= v2[l];
-            v0[l] += v3[l]; v3[l] = rotl(v3[l], 21); v3[l] ^= v0[l];
-            v2[l] += v1[l]; v1[l] = rotl(v1[l], 17);
-            v1[l] ^= v2[l]; v2[l] = rotl(v2[l], 32);
-        }
-    }
-
-    void
-    compress(const std::uint64_t m[4])
-    {
-        for (int l = 0; l < 4; ++l)
-            v3[l] ^= m[l];
-        round();
-        round();
-        for (int l = 0; l < 4; ++l)
-            v0[l] ^= m[l];
-    }
-};
-
-} // namespace
-
-void
-siphash24Batch(const SipKey &key, const void *const *msgs,
-               std::size_t len, std::uint64_t *out, std::size_t n)
-{
-    std::size_t i = 0;
-    const std::size_t words = len / 8;
-    const std::size_t rem = len % 8;
-    for (; i + 4 <= n; i += 4) {
-        const std::uint8_t *p[4];
-        for (int l = 0; l < 4; ++l)
-            p[l] = static_cast<const std::uint8_t *>(msgs[i + l]);
-
-        Sip4 s(key);
-        std::uint64_t m[4];
-        for (std::size_t w = 0; w < words; ++w) {
-            for (int l = 0; l < 4; ++l)
-                m[l] = readLe64(p[l] + 8 * w);
-            s.compress(m);
-        }
-        // Final block: zero pad, last byte = total length mod 256 —
-        // exactly SipHasher::digest()'s tail.
-        for (int l = 0; l < 4; ++l) {
-            std::uint8_t last[8] = {};
-            for (std::size_t b = 0; b < rem; ++b)
-                last[b] = p[l][8 * words + b];
-            last[7] = static_cast<std::uint8_t>(len & 0xff);
-            m[l] = readLe64(last);
-        }
-        s.compress(m);
-        for (int l = 0; l < 4; ++l)
-            s.v2[l] ^= 0xff;
-        s.round();
-        s.round();
-        s.round();
-        s.round();
-        for (int l = 0; l < 4; ++l)
-            out[i + l] = s.v0[l] ^ s.v1[l] ^ s.v2[l] ^ s.v3[l];
-    }
-    for (; i < n; ++i)
-        out[i] = siphash24(key, msgs[i], len);
-}
-
 } // namespace shmgpu::crypto

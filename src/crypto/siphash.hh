@@ -29,17 +29,6 @@ std::uint64_t siphash24(const SipKey &key, const void *data,
                         std::size_t len);
 
 /**
- * SipHash-2-4 of @p n independent equal-length messages under one
- * key, four lanes in lockstep: each SipRound runs the same operation
- * across four states before the next, so the per-lane dependency
- * chains overlap (and auto-vectorize to 4 x u64 vectors). Output is
- * bit-identical to @p n scalar siphash24 calls; ragged tails (n not a
- * multiple of 4) finish on the scalar path.
- */
-void siphash24Batch(const SipKey &key, const void *const *msgs,
-                    std::size_t len, std::uint64_t *out, std::size_t n);
-
-/**
  * Incremental variant for hashing several fields (address, counter,
  * ciphertext...) without building a contiguous buffer.
  */

@@ -31,7 +31,7 @@ schemeFromName(const std::string &name)
             return s;
     if (name == schemeName(Scheme::Baseline))
         return Scheme::Baseline;
-    // Name the valid set, like policyFromName/backendFromName do.
+    // Name the valid set, like policyFromName does.
     std::string known = schemeName(Scheme::Baseline);
     for (Scheme s : allSchemes()) {
         known += ", ";

@@ -205,28 +205,26 @@ usage()
               "  shmgpu list\n"
               "  shmgpu run (--workload NAME | --spec FILE) [--scheme SHM]"
               " [--gpu turing|big|test] [--cycles N]"
-              " [--policy lru|fifo|random|s3fifo|sieve]"
-              " [--crypto auto|scalar|aesni|vaes] [--overrides CFG]"
+              " [--policy lru|fifo|random|s3fifo|sieve] [--overrides CFG]"
               " [--stats FILE] [--json FILE] [--accuracy] [--profile]"
               " [--trace OUT.json] [--trace-text OUT.txt]\n"
               "  shmgpu run --scenario FILE [--scheme SHM]"
               " [--gpu turing|big|test] [--cycles N] [--policy P]"
-              " [--crypto auto|scalar|aesni|vaes] [--overrides CFG]"
-              " [--stats FILE] [--json FILE] [--no-solo]"
+              " [--overrides CFG] [--stats FILE] [--json FILE] [--no-solo]"
               " [--trace OUT.json] [--trace-text OUT.txt]\n"
               "  shmgpu sweep [--workloads a,b,c|all] [--schemes X,Y|all]"
               " [--jobs N] [--gpu turing|big|test] [--cycles N]"
               " [--policy P] [--policies P,Q|all]"
               " [--zipf-footprints S1,S2,... [--zipf-alphas A1,A2,...]]"
               " [--results-dir DIR] [--resume] [--cancel-after N]"
-              " [--crypto auto|scalar|aesni|vaes] [--overrides CFG]"
-              " [--out FILE] [--quiet] [--accuracy] [--trace DIR]\n"
+              " [--overrides CFG] [--out FILE] [--quiet] [--accuracy]"
+              " [--trace DIR]\n"
               "  shmgpu sweep --scenario FILE [--schemes X,Y|all]"
               " [--quantums Q1,Q2,...] [--share timeslice,partitioned]"
               " [--tenants N1,N2,...] [--no-solo] [--jobs N]"
               " [--gpu turing|big|test] [--cycles N] [--policy P]"
-              " [--results-dir DIR] [--crypto auto|scalar|aesni|vaes]"
-              " [--overrides CFG] [--out FILE] [--quiet]\n"
+              " [--results-dir DIR] [--overrides CFG] [--out FILE]"
+              " [--quiet]\n"
               "  shmgpu trace record --workload NAME --out FILE"
               " [--sms N]\n"
               "  shmgpu trace run --in FILE [--scheme SHM] [--cycles N]\n"
@@ -234,10 +232,8 @@ usage()
               "  shmgpu trace-info --in TRACE.json\n"
               "  shmgpu bench-self [--quick] [--cycles N] [--reps N]"
               " [--gpu turing|big|test] [--policy P]"
-              " [--schemes X,Y]"
-              " [--crypto auto|scalar|aesni|vaes] [--overrides CFG]"
-              " [--out BENCH_hotpath.json]"
-              " [--profile]\n"
+              " [--schemes X,Y] [--overrides CFG]"
+              " [--out BENCH_hotpath.json] [--profile]\n"
               "  shmgpu bench-sweep [--side N] [--cycles N] [--jobs N]"
               " [--gpu turing|big|test] [--scheme SHM]"
               " [--results-dir DIR] [--out BENCH_sweepcache.json]\n"
@@ -303,7 +299,6 @@ gpuParamsFrom(const Args &args, Options *opts = nullptr,
         Config config = Config::fromFile(overrides);
         core::applyGpuOverrides(config, gp);
         core::applyTraceOverrides(config, o.traceParams);
-        core::applyCryptoOverrides(config);
         o.mdcPolicy = mem::policyFromName(config.getString(
             "mee.mdc_policy", mem::policyName(o.mdcPolicy)));
         for (const std::string &key : config.unconsumedKeys())
@@ -323,12 +318,6 @@ gpuParamsFrom(const Args &args, Options *opts = nullptr,
     }
     gp.maxCyclesPerKernel =
         args.number<Cycle>("cycles", gp.maxCyclesPerKernel);
-    // Software crypto backend (also crypto.backend override): the
-    // batched kernels are bit-identical, so this only moves wall
-    // clock — auto (cpuid best), scalar, aesni, vaes.
-    std::string backend = args.get("crypto");
-    if (!backend.empty())
-        crypto::setBackend(crypto::backendFromName(backend));
     return gp;
 }
 
@@ -1279,29 +1268,28 @@ main(int argc, char **argv)
     }
     if (cmd == "run" && scenario)
         return cmdRunScenario(scenarioArgs(
-            {"scenario", "scheme", "gpu", "cycles", "policy", "crypto",
-             "overrides", "stats", "json", "no-solo", "trace",
-             "trace-text"}));
+            {"scenario", "scheme", "gpu", "cycles", "policy", "overrides",
+             "stats", "json", "no-solo", "trace", "trace-text"}));
     if (cmd == "run")
         return cmdRun(args(
             {"workload", "spec", "scheme", "gpu", "cycles", "policy",
-             "crypto", "overrides", "stats", "json", "accuracy",
-             "profile", "trace", "trace-text"}));
+             "overrides", "stats", "json", "accuracy", "profile", "trace",
+             "trace-text"}));
     if (cmd == "sweep" && scenario)
         return cmdSweepScenario(scenarioArgs(
             {"scenario", "schemes", "quantums", "share", "tenants",
              "no-solo", "jobs", "gpu", "cycles", "policy", "results-dir",
-             "crypto", "overrides", "out", "quiet"}));
+             "overrides", "out", "quiet"}));
     if (cmd == "sweep")
         return cmdSweep(args(
             {"workloads", "schemes", "jobs", "gpu", "cycles", "policy",
              "policies", "zipf-footprints", "zipf-alphas", "results-dir",
-             "resume", "cancel-after", "crypto", "overrides", "out",
-             "quiet", "accuracy", "trace"}));
+             "resume", "cancel-after", "overrides", "out", "quiet",
+             "accuracy", "trace"}));
     if (cmd == "bench-self")
         return cmdBenchSelf(args({"quick", "cycles", "reps", "gpu",
-                                  "policy", "schemes", "crypto",
-                                  "overrides", "out", "profile"}));
+                                  "policy", "schemes", "overrides",
+                                  "out", "profile"}));
     if (cmd == "bench-sweep")
         return cmdBenchSweep(args({"side", "cycles", "jobs", "gpu",
                                    "scheme", "results-dir", "out"}));

@@ -535,7 +535,7 @@ findWorkload(const std::string &name)
     for (const auto &w : allWorkloads())
         if (w.name == name)
             return w;
-    // Name the valid set, like policyFromName/backendFromName do:
+    // Name the valid set, like policyFromName does:
     // a typo in a sweep list should fail before any cell simulates.
     std::string known;
     for (const auto &w : allWorkloads()) {

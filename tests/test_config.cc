@@ -9,7 +9,6 @@
 
 #include "common/config.hh"
 #include "core/overrides.hh"
-#include "crypto/dispatch.hh"
 #include "mem/replacement.hh"
 
 using namespace shmgpu;
@@ -158,6 +157,39 @@ TEST(Overrides, MdcBytesSetsAllThreeCaches)
     EXPECT_EQ(mp.bmtCache.sizeBytes, 4096u);
 }
 
+// The crypto kernel is the CPU's pick, not a setting: no override
+// applier reads crypto.backend, so it is left for assertConsumed.
+TEST(Overrides, CryptoBackendKey)
+{
+    Config c = parse("crypto.backend = scalar\ngpu.num_sms = 8\n");
+    gpu::GpuParams gp;
+    mee::MeeParams mp;
+    trace::TraceParams tp;
+    core::applyGpuOverrides(c, gp);
+    core::applyMeeOverrides(c, mp);
+    core::applyTraceOverrides(c, tp);
+    EXPECT_EQ(gp.numSms, 8u);
+    EXPECT_EQ(c.unconsumedKeys(),
+              std::vector<std::string>{"crypto.backend"});
+}
+
+TEST(Overrides, UnknownCryptoBackendIsFatal)
+{
+    for (const char *text :
+         {"crypto.backend = neon\n", "crypto.backend = auto\n"}) {
+        EXPECT_DEATH(
+            {
+                Config c = parse(text);
+                gpu::GpuParams gp;
+                mee::MeeParams mp;
+                core::applyGpuOverrides(c, gp);
+                core::applyMeeOverrides(c, mp);
+                c.assertConsumed();
+            },
+            "unknown configuration key 'crypto.backend'");
+    }
+}
+
 TEST(Overrides, DefaultsUntouchedWithoutKeys)
 {
     Config c = parse("gpu.num_sms = 8\n");
@@ -168,37 +200,4 @@ TEST(Overrides, DefaultsUntouchedWithoutKeys)
     EXPECT_EQ(gp.numSms, 8u);
     EXPECT_EQ(gp.numPartitions, 12u);
     EXPECT_EQ(mp.macBytes, 8u);
-}
-
-TEST(Overrides, CryptoBackendKey)
-{
-    crypto::Backend saved = crypto::activeBackend();
-
-    Config c = parse("crypto.backend = scalar\n");
-    core::applyCryptoOverrides(c);
-    c.assertConsumed();
-    EXPECT_EQ(crypto::activeBackend(), crypto::Backend::Scalar);
-
-    // "auto" resolves to the best kernel the host supports.
-    Config autoc = parse("crypto.backend = auto\n");
-    core::applyCryptoOverrides(autoc);
-    EXPECT_EQ(crypto::activeBackend(), crypto::bestSupportedBackend());
-
-    // Absent key leaves the active backend untouched.
-    crypto::setBackend(crypto::Backend::Scalar);
-    Config empty = parse("");
-    core::applyCryptoOverrides(empty);
-    EXPECT_EQ(crypto::activeBackend(), crypto::Backend::Scalar);
-
-    crypto::setBackend(saved);
-}
-
-TEST(Overrides, UnknownCryptoBackendIsFatal)
-{
-    EXPECT_DEATH(
-        {
-            Config c = parse("crypto.backend = neon\n");
-            core::applyCryptoOverrides(c);
-        },
-        "unknown crypto backend 'neon'");
 }

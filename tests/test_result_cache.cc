@@ -351,7 +351,7 @@ TEST(ResultCacheFuzz, NoKeyCollisionsAcrossAConfigLattice)
                  {mem::PolicyKind::Lru, mem::PolicyKind::Sieve}) {
                 for (std::uint64_t cycles : {10000u, 20000u}) {
                     for (auto backend : {crypto::Backend::Scalar,
-                                         crypto::Backend::Vaes}) {
+                                         crypto::Backend::AesNi}) {
                         for (const char *ver : {"a", "b", "ab"}) {
                             gpu::GpuParams gp = quickParams();
                             gp.l2Policy = policy;
