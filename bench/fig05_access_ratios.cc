@@ -26,7 +26,8 @@ main(int argc, char **argv)
 
     for (const auto *w : opts.workloads()) {
         gpu::GpuParams gp = opts.gpuParams();
-        detect::AccessProfile profile(gp.numPartitions);
+        detect::AccessProfile profile(gp.numPartitions,
+                                      gp.protectedBytesPerPartition);
         gpu::GpuSimulator sim(
             gp, schemes::makeMeeParams(schemes::Scheme::Baseline),
             workload::singleTenantScenario(*w));

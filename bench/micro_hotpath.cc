@@ -5,8 +5,9 @@
  * std::unordered_map on the MSHR churn pattern, DaryHeap vs.
  * std::priority_queue on the completion-retirement pattern, the
  * timing-wheel CalendarQueue vs. DaryHeap on the kernel engine's SM
- * ready-event pattern, the shift/mask address mapping, and the
- * unlimited-MAT oracle detector at growing tracker pools. These
+ * ready-event pattern, the shift/mask address mapping, the
+ * unlimited-MAT oracle detector at growing tracker pools, and the
+ * profiling pass's per-chunk oracle on the same stream. These
  * isolate the per-structure wins (and costs) that `shmgpu bench-self`
  * measures end to end.
  */
@@ -22,6 +23,7 @@
 #include "common/calendar_queue.hh"
 #include "common/dary_heap.hh"
 #include "common/flat_map.hh"
+#include "detect/oracle.hh"
 #include "detect/streaming.hh"
 #include "mem/addr_map.hh"
 #include "mem/cache.hh"
@@ -305,5 +307,27 @@ BM_OracleDetectorAccess(benchmark::State &state)
     }
 }
 BENCHMARK(BM_OracleDetectorAccess)->Arg(8)->Arg(512)->Arg(4096);
+
+static void
+BM_ProfileRecordAccess(benchmark::State &state)
+{
+    // The profiling pass (AccessProfile, one partition) on
+    // BM_OracleDetectorAccess's stream: a rotation of range(0) chunks,
+    // one sector access per simulated cycle, block 31 never touched.
+    // The profile keeps the detector's 6000-cycle timeout, so phases
+    // end by budget at 8 chunks and by timeout at 512 and 4096, every
+    // few touches. Per-access cost should not grow with the chunks.
+    const std::uint64_t chunks = static_cast<std::uint64_t>(state.range(0));
+    detect::AccessProfile profile(1, chunks * 4096);
+    std::uint64_t i = 0;
+    for (auto _ : state) {
+        std::uint64_t chunk = i % chunks;
+        std::uint64_t sector = (i / chunks) % 124; // never block 31
+        profile.recordAccess(0, chunk * 4096 + sector * 32, false, i);
+        ++i;
+    }
+    benchmark::DoNotOptimize(profile.accessRatios());
+}
+BENCHMARK(BM_ProfileRecordAccess)->Arg(8)->Arg(512)->Arg(4096);
 
 BENCHMARK_MAIN();

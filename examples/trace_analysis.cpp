@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "detect/oracle.hh"
+#include "gpu/params.hh"
 #include "mem/addr_map.hh"
 #include "workload/benchmarks.hh"
 #include "workload/trace_file.hh"
@@ -30,9 +31,11 @@ main(int argc, char **argv)
 
     // Feed the recorded physical accesses through the partition map
     // into a ground-truth profile, per kernel.
-    mem::AddressMap map(12, 256);
+    const gpu::GpuParams gp;
+    mem::AddressMap map(gp.numPartitions, gp.interleaveBytes);
     for (std::size_t k = 0; k < trace.kernels.size(); ++k) {
-        detect::AccessProfile profile(12);
+        detect::AccessProfile profile(gp.numPartitions,
+                                      gp.protectedBytesPerPartition);
         Cycle now = 0;
         for (const auto &rec : trace.kernels[k].records) {
             mem::PartitionAddr pa = map.toLocal(rec.op.addr);
@@ -40,7 +43,7 @@ main(int argc, char **argv)
                                  rec.op.type == mem::AccessType::Write,
                                  now++);
         }
-        profile.finalize(now + 10000);
+        profile.finalize();
 
         auto ratios = profile.accessRatios();
         std::printf("kernel %zu (%s): %llu ops, %.1f%% streaming, "
@@ -53,7 +56,7 @@ main(int argc, char **argv)
         // What would the hardware predictors conclude? Count distinct
         // streaming vs. random chunks the oracle observed.
         std::uint64_t stream_chunks = 0, random_chunks = 0;
-        for (PartitionId p = 0; p < 12; ++p) {
+        for (PartitionId p = 0; p < gp.numPartitions; ++p) {
             profile.forEachChunk(p, [&](std::uint64_t, bool s) {
                 (s ? stream_chunks : random_chunks)++;
             });

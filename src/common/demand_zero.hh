@@ -17,6 +17,7 @@
 
 #include <cstddef>
 #include <type_traits>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -25,7 +26,8 @@ namespace shmgpu
 
 /**
  * A fixed-size array of @p T whose elements all start as zero bytes.
- * Not copyable; indexing is unchecked (callers bound their addresses).
+ * Movable, not copyable; indexing is unchecked (callers bound their
+ * addresses).
  */
 template <typename T>
 class DemandZeroArray
@@ -52,6 +54,12 @@ class DemandZeroArray
 
     DemandZeroArray(const DemandZeroArray &) = delete;
     DemandZeroArray &operator=(const DemandZeroArray &) = delete;
+
+    DemandZeroArray(DemandZeroArray &&o) noexcept
+        : elems(std::exchange(o.elems, nullptr)),
+          count(std::exchange(o.count, 0))
+    {
+    }
 
     T &operator[](std::size_t i) { return elems[i]; }
     const T &operator[](std::size_t i) const { return elems[i]; }

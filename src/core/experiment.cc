@@ -62,6 +62,7 @@ measure(const gpu::GpuParams &gpu_params, schemes::Scheme scheme,
     std::optional<detect::AccessProfile> truth;
     if (options.attribute || prime) {
         truth.emplace(gpu_params.numPartitions,
+                      gpu_params.protectedBytesPerPartition,
                       mee_params.roDetector.regionBytes,
                       mee_params.streamDetector.chunkBytes);
         gpu::GpuSimulator pass(gpu_params,

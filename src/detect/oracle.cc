@@ -2,61 +2,72 @@
 
 #include <algorithm>
 
-#include "common/logging.hh"
-
 namespace shmgpu::detect
 {
 
 namespace
 {
 
-/** @p map's keys in ascending order (FlatMap iterates in slot order). */
-template <typename V>
-std::vector<std::uint64_t>
-sortedKeys(const FlatMap<V> &map)
+/** Call @p fn on each of @p ids in ascending order. */
+template <typename Fn>
+void
+visitAscending(const std::vector<std::uint64_t> &ids, Fn &&fn)
 {
-    std::vector<std::uint64_t> keys;
-    keys.reserve(map.size());
-    for (const auto &[key, value] : map)
-        keys.push_back(key);
-    std::sort(keys.begin(), keys.end());
-    return keys;
+    // finalize() sorts in place; only ids recorded since need a copy.
+    if (std::is_sorted(ids.begin(), ids.end())) {
+        for (std::uint64_t id : ids)
+            fn(id);
+        return;
+    }
+    std::vector<std::uint64_t> sorted = ids;
+    std::sort(sorted.begin(), sorted.end());
+    for (std::uint64_t id : sorted)
+        fn(id);
 }
 
 } // namespace
 
+AccessProfile::PartitionProfile::PartitionProfile(
+    std::size_t regions, std::size_t chunks, std::size_t cooldown_entries)
+    : regions(regions), chunks(chunks), cooldown(cooldown_entries)
+{
+}
+
 AccessProfile::AccessProfile(unsigned num_partitions,
+                             std::uint64_t partition_bytes,
                              std::uint64_t region_bytes,
                              std::uint64_t chunk_bytes,
                              std::uint32_t block_bytes)
-    : regionSize(region_bytes), chunkSize(chunk_bytes),
-      blockSize(block_bytes)
+    : spanBytes(partition_bytes), regionSize(region_bytes),
+      chunkSize(chunk_bytes), blockSize(block_bytes)
 {
     shm_assert(num_partitions > 0, "need at least one partition");
-    partitions.resize(num_partitions);
+    shm_assert(chunk_bytes >= block_bytes, "chunk smaller than block");
+    const std::uint64_t blocks_per_chunk = chunk_bytes / block_bytes;
+    shm_assert(blocks_per_chunk <= 64, "access mask is 64 bits");
+    fullMask = blocks_per_chunk >= 64 ? ~0ull
+                                      : ((1ull << blocks_per_chunk) - 1);
+    accessBudget = phaseRules.monitorAccesses *
+                   (block_bytes / phaseRules.sectorBytes);
 
-    StreamingDetectorParams oracle_params;
-    oracle_params.entries = 1; // bit vector unused for truth collection
-    oracle_params.chunkBytes = chunk_bytes;
-    oracle_params.blockBytes = block_bytes;
-    oracle_params.trackers = 0; // unlimited
-    oracles.reserve(num_partitions);
+    const std::size_t regions = (partition_bytes + region_bytes - 1) /
+                                region_bytes;
+    const std::size_t chunks = (partition_bytes + chunk_bytes - 1) /
+                               chunk_bytes;
+    partitions.reserve(num_partitions);
     for (unsigned p = 0; p < num_partitions; ++p)
-        oracles.push_back(
-            std::make_unique<StreamingDetector>(oracle_params));
+        partitions.emplace_back(regions, chunks,
+                                phaseRules.cooldownEntries);
 }
 
-void
-AccessProfile::drainEvents(PartitionProfile &prof)
+bool
+AccessProfile::inCooldown(const PartitionProfile &prof,
+                          std::uint64_t chunk, Cycle now) const
 {
-    for (const auto &ev : prof.events) {
-        ChunkStats &cs = prof.chunks[ev.chunk];
-        if (ev.detectedStreaming)
-            ++cs.streamVotes;
-        else
-            ++cs.randomVotes;
-    }
-    prof.events.clear();
+    for (const auto &c : prof.cooldown)
+        if (c.until > now && c.chunk == chunk)
+            return true;
+    return false;
 }
 
 void
@@ -64,61 +75,102 @@ AccessProfile::recordAccess(PartitionId partition, LocalAddr addr,
                             bool is_write, Cycle now)
 {
     PartitionProfile &prof = partitions.at(partition);
+    checkAddr(addr);
+    shm_assert(now >= prof.lastAccess,
+               "partition {} access at cycle {} after one at cycle {}: "
+               "oracle phases expire lazily and need monotone time",
+               partition, now, prof.lastAccess);
+    prof.lastAccess = now;
 
-    if (is_write)
-        prof.regionWritten[addr / regionSize] = true;
+    const std::uint64_t region = addr / regionSize;
+    RegionRecord &r = prof.regions[region];
+    if (r.accesses++ == 0)
+        prof.touchedRegions.push_back(region);
+    r.written |= is_write;
 
-    ++prof.regionAccesses[addr / regionSize];
+    const std::uint64_t chunk = addr / chunkSize;
+    ChunkRecord &c = prof.chunks[chunk];
+    if (c.accesses++ == 0)
+        prof.touchedChunks.push_back(chunk);
+    const std::uint64_t block = 1ull << ((addr % chunkSize) / blockSize);
+    c.touchedMask |= block;
 
-    ChunkStats &cs = prof.chunks[addr / chunkSize];
-    ++cs.accesses;
-    std::uint32_t block_in_chunk = static_cast<std::uint32_t>(
-        (addr % chunkSize) / blockSize);
-    cs.touchedMask |= (1ull << block_in_chunk);
+    // The unlimited tracker: a timed-out phase closes as random (it
+    // cannot have full coverage, or it would have closed already).
+    if (c.live && now >= c.phaseStart + phaseRules.timeoutCycles) {
+        ++c.randomVotes;
+        c.live = false;
+    }
+    if (!c.live) {
+        if (inCooldown(prof, chunk, now))
+            return; // straggler after a completed phase
+        c.live = true;
+        c.phaseStart = now;
+        c.phaseMask = 0;
+        c.phaseAccesses = 0;
+    }
+    c.phaseMask |= block;
+    ++c.phaseAccesses;
 
-    oracles[partition]->access(addr, is_write, now, prof.events);
-    drainEvents(prof);
+    if ((c.phaseMask & fullMask) == fullMask) {
+        // Every block touched: streaming, and absorb the stragglers.
+        ++c.streamVotes;
+        c.live = false;
+        if (!prof.cooldown.empty()) {
+            prof.cooldown[prof.cooldownNext] = {
+                chunk, now + phaseRules.cooldownCycles};
+            prof.cooldownNext =
+                (prof.cooldownNext + 1) %
+                static_cast<std::uint32_t>(prof.cooldown.size());
+        }
+    } else if (c.phaseAccesses >= accessBudget) {
+        // The access budget ran out with gaps left: random.
+        ++c.randomVotes;
+        c.live = false;
+    }
 }
 
 void
-AccessProfile::finalize(Cycle now)
+AccessProfile::finalize()
 {
-    for (unsigned p = 0; p < partitions.size(); ++p) {
-        oracles[p]->finalizeAll(now, partitions[p].events);
-        drainEvents(partitions[p]);
+    for (PartitionProfile &prof : partitions) {
+        for (std::uint64_t chunk : prof.touchedChunks) {
+            ChunkRecord &c = prof.chunks[chunk];
+            if (c.live) {
+                ++c.randomVotes;
+                c.live = false;
+            }
+        }
+        std::sort(prof.touchedRegions.begin(), prof.touchedRegions.end());
+        std::sort(prof.touchedChunks.begin(), prof.touchedChunks.end());
     }
 }
 
 bool
 AccessProfile::regionReadOnly(PartitionId partition, LocalAddr addr) const
 {
-    const auto &written = partitions.at(partition).regionWritten;
-    return !written.contains(addr / regionSize);
+    checkAddr(addr);
+    return !partitions.at(partition).regions[addr / regionSize].written;
 }
 
 bool
-AccessProfile::chunkStreamingStats(const ChunkStats &cs) const
+AccessProfile::chunkStreamingRecord(const ChunkRecord &c) const
 {
-    if (cs.streamVotes || cs.randomVotes)
-        return cs.streamVotes >= cs.randomVotes;
+    if (c.streamVotes || c.randomVotes)
+        return c.streamVotes >= c.randomVotes;
     // Too few accesses for any oracle phase to complete: fall back to
     // whole-run block coverage.
-    std::uint32_t blocks_per_chunk =
-        static_cast<std::uint32_t>(chunkSize / blockSize);
-    std::uint64_t full = blocks_per_chunk >= 64
-                             ? ~0ull
-                             : ((1ull << blocks_per_chunk) - 1);
-    return (cs.touchedMask & full) == full;
+    return (c.touchedMask & fullMask) == fullMask;
 }
 
 bool
 AccessProfile::chunkStreaming(PartitionId partition, LocalAddr addr) const
 {
-    const ChunkStats *cs = partitions.at(partition).chunks.find(
-        addr / chunkSize);
-    if (!cs)
+    checkAddr(addr);
+    const ChunkRecord &c = partitions.at(partition).chunks[addr / chunkSize];
+    if (c.accesses == 0)
         return true; // never profiled: keep the eager default
-    return chunkStreamingStats(*cs);
+    return chunkStreamingRecord(c);
 }
 
 void
@@ -126,9 +178,22 @@ AccessProfile::forEachChunk(
     PartitionId partition,
     const std::function<void(std::uint64_t, bool)> &fn) const
 {
-    const auto &chunks = partitions.at(partition).chunks;
-    for (std::uint64_t chunk : sortedKeys(chunks))
-        fn(chunk, chunkStreamingStats(*chunks.find(chunk)));
+    const PartitionProfile &prof = partitions.at(partition);
+    visitAscending(prof.touchedChunks, [&](std::uint64_t chunk) {
+        fn(chunk, chunkStreamingRecord(prof.chunks[chunk]));
+    });
+}
+
+void
+AccessProfile::forEachWrittenRegion(
+    PartitionId partition,
+    const std::function<void(std::uint64_t)> &fn) const
+{
+    const PartitionProfile &prof = partitions.at(partition);
+    visitAscending(prof.touchedRegions, [&](std::uint64_t region) {
+        if (prof.regions[region].written)
+            fn(region);
+    });
 }
 
 AccessProfile::Ratios
@@ -138,14 +203,16 @@ AccessProfile::accessRatios() const
     std::uint64_t streaming = 0;
     std::uint64_t read_only = 0;
     for (const auto &prof : partitions) {
-        for (const auto &[chunk, cs] : prof.chunks) {
-            r.totalAccesses += cs.accesses;
-            if (chunkStreamingStats(cs))
-                streaming += cs.accesses;
+        for (std::uint64_t chunk : prof.touchedChunks) {
+            const ChunkRecord &c = prof.chunks[chunk];
+            r.totalAccesses += c.accesses;
+            if (chunkStreamingRecord(c))
+                streaming += c.accesses;
         }
-        for (const auto &[region, count] : prof.regionAccesses) {
-            if (!prof.regionWritten.contains(region))
-                read_only += count;
+        for (std::uint64_t region : prof.touchedRegions) {
+            const RegionRecord &rr = prof.regions[region];
+            if (!rr.written)
+                read_only += rr.accesses;
         }
     }
     if (r.totalAccesses) {
@@ -155,16 +222,6 @@ AccessProfile::accessRatios() const
                      static_cast<double>(r.totalAccesses);
     }
     return r;
-}
-
-void
-AccessProfile::forEachWrittenRegion(
-    PartitionId partition,
-    const std::function<void(std::uint64_t)> &fn) const
-{
-    for (std::uint64_t region :
-         sortedKeys(partitions.at(partition).regionWritten))
-        fn(region);
 }
 
 } // namespace shmgpu::detect

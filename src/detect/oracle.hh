@@ -9,6 +9,25 @@
  * seen by an unlimited-capacity memory access tracker (ground truth
  * for Fig. 11, and the predictor-priming source for the upper bound,
  * Table VIII).
+ *
+ * The unlimited tracker is not a StreamingDetector (whose oracle mode,
+ * trackers = 0, now serves SHM_upper_bound's own MEE only, which needs
+ * its ordered events): with every chunk owning a tracker, the profile
+ * only needs vote counts, so each chunk keeps its one open phase
+ * inline, next to its votes, and applies the detector's phase rules
+ * (coverage, access budget, timeout, and the partition's cooldown
+ * ring) itself. A phase that has timed out is closed lazily, on the
+ * chunk's next access or at finalize(), instead of on whichever access
+ * comes next. The votes are the same as an eager expiry's: they are
+ * counts, a timed-out phase never has full coverage (that would have
+ * closed it) and never enters the cooldown ring, and `now` never goes
+ * backwards within a partition (recordAccess asserts it). Queries are
+ * therefore exact after finalize(); before it, phases that have timed
+ * out but not been closed are not yet counted.
+ *
+ * Ground truth lives in two dense demand-zero arrays per partition, one
+ * record per region and one per chunk of the partition's local span,
+ * so the measured run's attribution lookups are direct indexing.
  */
 
 #ifndef SHMGPU_DETECT_ORACLE_HH
@@ -16,10 +35,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
-#include "common/flat_map.hh"
+#include "common/demand_zero.hh"
+#include "common/logging.hh"
 #include "common/types.hh"
 #include "detect/streaming.hh"
 
@@ -30,16 +49,22 @@ namespace shmgpu::detect
 class AccessProfile
 {
   public:
-    AccessProfile(unsigned num_partitions,
+    /**
+     * @param partition_bytes local address span of each partition
+     *        (the protected bytes per partition); every recorded or
+     *        queried address must lie below it.
+     */
+    AccessProfile(unsigned num_partitions, std::uint64_t partition_bytes,
                   std::uint64_t region_bytes = 16 * 1024,
                   std::uint64_t chunk_bytes = 4096,
                   std::uint32_t block_bytes = 128);
 
     /** @{ Collection interface (profiling pass). */
+    /** @p now must not go backwards within a partition. */
     void recordAccess(PartitionId partition, LocalAddr addr, bool is_write,
                       Cycle now);
-    /** Flush in-flight oracle monitoring phases (kernel boundary/end). */
-    void finalize(Cycle now);
+    /** Close every open oracle phase as timed out (end of the run). */
+    void finalize();
     /** @} */
 
     /** @{ Query interface. */
@@ -79,32 +104,71 @@ class AccessProfile
     std::uint64_t chunkBytes() const { return chunkSize; }
 
   private:
-    struct ChunkStats
+    struct RegionRecord
     {
-        std::uint32_t streamVotes = 0;
-        std::uint32_t randomVotes = 0;
-        std::uint64_t touchedMask = 0;
-        std::uint64_t accesses = 0;
+        std::uint64_t accesses;
+        bool written;
+    };
+
+    struct ChunkRecord
+    {
+        std::uint64_t accesses;     //!< whole run
+        std::uint64_t touchedMask;  //!< blocks touched, whole run
+        std::uint32_t streamVotes;
+        std::uint32_t randomVotes;
+        /** @{ The open oracle phase, valid while `live`. */
+        Cycle phaseStart;
+        std::uint64_t phaseMask;
+        std::uint32_t phaseAccesses;
+        bool live;
+        /** @} */
+    };
+
+    struct CooldownEntry
+    {
+        std::uint64_t chunk = 0;
+        Cycle until = 0;
     };
 
     struct PartitionProfile
     {
-        FlatMap<bool> regionWritten;
-        FlatMap<std::uint64_t> regionAccesses;
-        FlatMap<ChunkStats> chunks;
-        std::vector<DetectionEvent> events;
+        PartitionProfile(std::size_t regions, std::size_t chunks,
+                         std::size_t cooldown_entries);
+
+        DemandZeroArray<RegionRecord> regions;
+        DemandZeroArray<ChunkRecord> chunks;
+        /** Ids with at least one access, in first-access order until
+         *  finalize sorts them. */
+        std::vector<std::uint64_t> touchedRegions;
+        std::vector<std::uint64_t> touchedChunks;
+        /** Chunks that recently closed with full coverage. */
+        std::vector<CooldownEntry> cooldown;
+        std::uint32_t cooldownNext = 0;
+        Cycle lastAccess = 0;
     };
 
-    bool chunkStreamingStats(const ChunkStats &cs) const;
+    /** Panic unless @p addr lies in the partition span. */
+    void
+    checkAddr(LocalAddr addr) const
+    {
+        shm_assert(addr < spanBytes,
+                   "profiled address {} at or beyond the {}-byte "
+                   "partition span", addr, spanBytes);
+    }
 
-    void drainEvents(PartitionProfile &prof);
+    bool chunkStreamingRecord(const ChunkRecord &c) const;
+    bool inCooldown(const PartitionProfile &prof, std::uint64_t chunk,
+                    Cycle now) const;
 
+    std::uint64_t spanBytes;
     std::uint64_t regionSize;
     std::uint64_t chunkSize;
     std::uint32_t blockSize;
+    /** The unlimited tracker's phase rules (budget, timeout, cooldown). */
+    StreamingDetectorParams phaseRules;
+    std::uint64_t fullMask;
+    std::uint32_t accessBudget;
     std::vector<PartitionProfile> partitions;
-    /** One unlimited-MAT oracle detector per partition. */
-    std::vector<std::unique_ptr<StreamingDetector>> oracles;
 };
 
 } // namespace shmgpu::detect

@@ -16,9 +16,11 @@
  * Detection events are returned to the caller (the MEE), which charges
  * the Table III/IV misprediction bandwidth and swaps MAC granularity.
  *
- * With trackers = 0 (the paper's unlimited-MAT oracle, used by the
- * profiling pass and SHM_upper_bound) the pool grows to thousands of
- * live trackers, so that mode indexes it: a chunk -> slot map, a
+ * With trackers = 0 (the paper's unlimited-MAT oracle) the pool grows
+ * to thousands of live trackers. That mode now serves SHM_upper_bound's
+ * own MEE only, which consumes its ordered events; the profiling pass
+ * (detect/oracle.hh) keeps each chunk's phase inline instead. Oracle
+ * mode indexes the pool: a chunk -> slot map, a
  * min-heap of free slots (allocation takes the lowest, as a scan
  * would) and a deadline heap for lazy timeout expiry. Phases that
  * expire together finalize in ascending slot order, so the event

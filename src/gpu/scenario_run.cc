@@ -173,7 +173,7 @@ GpuSimulator::run()
         runPartitioned<workload::KernelTrace>();
 
     if (collector)
-        collector->finalize(currentCycle);
+        collector->finalize();
 
     const ScenarioMetrics metrics = gatherMetrics();
     statCycles.set(static_cast<double>(currentCycle));

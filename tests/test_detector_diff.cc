@@ -61,8 +61,8 @@ class DetectorDiff : public ::testing::TestWithParam<std::uint64_t>
 TEST_P(DetectorDiff, ReadOnlyPredictionIsOneSidedVsOracle)
 {
     Rng rng(GetParam());
-    AccessProfile oracle(kPartitions, kRegionBytes, kChunkBytes,
-                         kBlockBytes);
+    AccessProfile oracle(kPartitions, kSpaceBytes, kRegionBytes,
+                         kChunkBytes, kBlockBytes);
     // Deliberately tiny: 8 entries over a 64-region space forces
     // heavy aliasing, the misprediction source under test.
     ReadOnlyDetectorParams ro_params;
@@ -93,7 +93,7 @@ TEST_P(DetectorDiff, ReadOnlyPredictionIsOneSidedVsOracle)
             hw[part].recordWrite(addr);
         now += 1 + rng.below(4);
     }
-    oracle.finalize(now);
+    oracle.finalize();
 
     for (unsigned p = 0; p < kPartitions; ++p) {
         for (std::uint64_t r = 0; r < regions; ++r) {
@@ -122,7 +122,8 @@ TEST_P(DetectorDiff, ReadOnlyPredictionIsOneSidedVsOracle)
 TEST_P(DetectorDiff, OracleModeStreamingMatchesProfile)
 {
     Rng rng(GetParam() ^ 0xabcdef);
-    AccessProfile oracle(1, kRegionBytes, kChunkBytes, kBlockBytes);
+    AccessProfile oracle(1, kSpaceBytes, kRegionBytes, kChunkBytes,
+                         kBlockBytes);
     StreamingDetectorParams params;
     params.trackers = 0; // unlimited (oracle mode)
     params.chunkBytes = kChunkBytes;
@@ -160,7 +161,7 @@ TEST_P(DetectorDiff, OracleModeStreamingMatchesProfile)
         }
     }
     hw.finalizeAll(now, events);
-    oracle.finalize(now);
+    oracle.finalize();
 
     for (std::uint64_t c = 0; c < chunks; ++c) {
         LocalAddr probe = c * kChunkBytes;

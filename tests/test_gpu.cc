@@ -12,6 +12,7 @@
 #include "gpu/presets.hh"
 #include "gpu/simulator.hh"
 #include "schemes/schemes.hh"
+#include "workload/benchmarks.hh"
 
 using namespace shmgpu;
 using namespace shmgpu::gpu;
@@ -125,7 +126,8 @@ TEST(GpuSimulator, MultiKernelHostCopiesRearmReadOnly)
 TEST(GpuSimulator, ProfileCollectionSeesTraffic)
 {
     auto w = workload::makeMixedMicro();
-    detect::AccessProfile profile(12);
+    detect::AccessProfile profile(
+        12, quickParams().protectedBytesPerPartition);
     GpuSimulator sim(quickParams(),
                      schemes::makeMeeParams(schemes::Scheme::Baseline),
                      workload::singleTenantScenario(w));
@@ -138,10 +140,41 @@ TEST(GpuSimulator, ProfileCollectionSeesTraffic)
     EXPECT_GT(chunks, 0);
 }
 
+TEST(GpuSimulator, ProfileCollectionIsObserverOnly)
+{
+    // The truth pass is a Baseline run with a profile attached: the
+    // profile may watch the miss stream but never change it. Every
+    // Table VII workload dumps the same stats tree with and without.
+    GpuParams gp;
+    gp.maxCyclesPerKernel = 4000;
+    auto dump = [&](const workload::WorkloadSpec &w, bool collect) {
+        detect::AccessProfile profile(gp.numPartitions,
+                                      gp.protectedBytesPerPartition);
+        GpuSimulator sim(gp,
+                         schemes::makeMeeParams(schemes::Scheme::Baseline),
+                         workload::singleTenantScenario(w));
+        if (collect)
+            sim.collectProfile(&profile);
+        sim.run();
+        std::ostringstream os;
+        sim.statsRoot().dump(os);
+        if (collect) {
+            EXPECT_GT(profile.accessRatios().totalAccesses, 0u);
+        }
+        return os.str();
+    };
+    ASSERT_EQ(workload::allWorkloads().size(), 16u);
+    for (const auto &w : workload::allWorkloads()) {
+        SCOPED_TRACE(w.name);
+        EXPECT_EQ(dump(w, true), dump(w, false));
+    }
+}
+
 TEST(GpuSimulator, UpperBoundPrimingWorks)
 {
     auto w = workload::makeRandomMicro(4 << 20, 2048);
-    detect::AccessProfile profile(12);
+    detect::AccessProfile profile(
+        12, quickParams().protectedBytesPerPartition);
     {
         GpuSimulator pass1(
             quickParams(),

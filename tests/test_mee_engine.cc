@@ -412,12 +412,12 @@ TEST_F(MeeEngineTest, PredictionAccuracyAttribution)
     auto mee_ptr = makeEngine(p);
     MeeEngine &mee = *mee_ptr;
 
-    detect::AccessProfile profile(1);
+    detect::AccessProfile profile(1, 16 << 20);
     // Ground truth: partition-0 region 0 read-only, chunk 0 streaming.
     for (int s = 0; s < 128; ++s)
         profile.recordAccess(0, static_cast<LocalAddr>(s) * 32, false,
                              static_cast<Cycle>(s));
-    profile.finalize(10000);
+    profile.finalize();
     mee.setProfile(&profile);
 
     mee.hostCopy(0, 16 * 1024);
@@ -586,7 +586,7 @@ TEST_F(MeeEngineTest, AliasedPrimingIsInsertionOrderIndependent)
     // them in opposite orders: priming must leave identical entries,
     // each set by the highest chunk mapping to it.
     auto profile = [](bool ascending) {
-        auto p = std::make_unique<detect::AccessProfile>(1);
+        auto p = std::make_unique<detect::AccessProfile>(1, 16 << 20);
         Cycle now = 0;
         for (std::uint64_t i = 0; i < 64; ++i) {
             std::uint64_t chunk = ascending ? i : 63 - i;
@@ -594,7 +594,7 @@ TEST_F(MeeEngineTest, AliasedPrimingIsInsertionOrderIndependent)
             for (std::uint64_t b = 0; b < blocks; ++b)
                 p->recordAccess(0, chunk * 4096 + b * 128, false, now++);
         }
-        p->finalize(now + 100000);
+        p->finalize();
         return p;
     };
 

@@ -13,16 +13,24 @@
 using namespace shmgpu;
 using namespace shmgpu::detect;
 
+namespace
+{
+
+/** Local span of each partition: covers every address below. */
+constexpr std::uint64_t kSpan = 2ull << 30;
+
+} // namespace
+
 TEST(AccessProfile, RegionsDefaultToReadOnly)
 {
-    AccessProfile p(2);
+    AccessProfile p(2, kSpan);
     EXPECT_TRUE(p.regionReadOnly(0, 0));
     EXPECT_TRUE(p.regionReadOnly(1, 123456));
 }
 
 TEST(AccessProfile, WritesMarkRegions)
 {
-    AccessProfile p(2);
+    AccessProfile p(2, kSpan);
     p.recordAccess(0, 100, true, 0);
     EXPECT_FALSE(p.regionReadOnly(0, 0));
     EXPECT_FALSE(p.regionReadOnly(0, 16 * 1024 - 1));
@@ -32,27 +40,27 @@ TEST(AccessProfile, WritesMarkRegions)
 
 TEST(AccessProfile, ReadsDoNotMarkRegions)
 {
-    AccessProfile p(1);
+    AccessProfile p(1, kSpan);
     p.recordAccess(0, 0, false, 0);
     EXPECT_TRUE(p.regionReadOnly(0, 0));
 }
 
 TEST(AccessProfile, StreamedChunkClassifiedStreaming)
 {
-    AccessProfile p(1);
+    AccessProfile p(1, kSpan);
     Cycle now = 0;
     for (int s = 0; s < 128; ++s)
         p.recordAccess(0, static_cast<LocalAddr>(s) * 32, false, now++);
-    p.finalize(now);
+    p.finalize();
     EXPECT_TRUE(p.chunkStreaming(0, 0));
 }
 
 TEST(AccessProfile, SparseChunkClassifiedRandom)
 {
-    AccessProfile p(1);
+    AccessProfile p(1, kSpan);
     p.recordAccess(0, 0, false, 0);
     p.recordAccess(0, 17 * 128, false, 1);
-    p.finalize(10000);
+    p.finalize();
     EXPECT_FALSE(p.chunkStreaming(0, 0));
 }
 
@@ -60,18 +68,18 @@ TEST(AccessProfile, BlockGranularSweepIsStreaming)
 {
     // One access per block (write-back style) still counts as full
     // coverage for the oracle.
-    AccessProfile p(1);
+    AccessProfile p(1, kSpan);
     Cycle now = 0;
     for (int b = 0; b < 32; ++b)
         p.recordAccess(0, static_cast<LocalAddr>(b) * 128, true, now++);
-    p.finalize(now);
+    p.finalize();
     EXPECT_TRUE(p.chunkStreaming(0, 0));
 }
 
 TEST(AccessProfile, MajorityVoteAcrossPhases)
 {
     // A chunk streamed twice and random-probed once stays streaming.
-    AccessProfile p(1);
+    AccessProfile p(1, kSpan);
     Cycle now = 0;
     for (int pass = 0; pass < 2; ++pass)
         for (int s = 0; s < 128; ++s)
@@ -79,24 +87,24 @@ TEST(AccessProfile, MajorityVoteAcrossPhases)
                            now++);
     // Sparse probe, expired by finalize.
     p.recordAccess(0, 5 * 128, false, now);
-    p.finalize(now + 10000);
+    p.finalize();
     EXPECT_TRUE(p.chunkStreaming(0, 0));
 }
 
 TEST(AccessProfile, UnprofiledChunksKeepEagerDefault)
 {
-    AccessProfile p(1);
+    AccessProfile p(1, kSpan);
     EXPECT_TRUE(p.chunkStreaming(0, 999 * 4096));
 }
 
 TEST(AccessProfile, ForEachChunkVisitsAll)
 {
-    AccessProfile p(1);
+    AccessProfile p(1, kSpan);
     Cycle now = 0;
     for (int s = 0; s < 128; ++s)
         p.recordAccess(0, static_cast<LocalAddr>(s) * 32, false, now++);
     p.recordAccess(0, 10 * 4096, false, now);
-    p.finalize(now + 10000);
+    p.finalize();
 
     int chunks = 0;
     int streaming = 0;
@@ -113,7 +121,7 @@ TEST(AccessProfile, ForEachChunkVisitsAll)
 
 TEST(AccessProfile, ForEachWrittenRegion)
 {
-    AccessProfile p(1);
+    AccessProfile p(1, kSpan);
     p.recordAccess(0, 0, true, 0);
     p.recordAccess(0, 40 * 1024, true, 1);
     p.recordAccess(0, 90 * 1024, false, 2);
@@ -130,14 +138,14 @@ TEST(AccessProfile, ForEachChunkVisitsAscending)
 {
     // Record chunks in a scrambled order; priming must not depend on
     // it (or on any hash-table layout).
-    AccessProfile p(1);
+    AccessProfile p(1, kSpan);
     std::vector<std::uint64_t> recorded;
     for (std::uint64_t i = 0; i < 300; ++i)
         recorded.push_back((i * 7919) % 1000 + 1000 * (i % 3));
     Cycle now = 0;
     for (std::uint64_t chunk : recorded)
         p.recordAccess(0, chunk * 4096, false, now++);
-    p.finalize(now + 10000);
+    p.finalize();
 
     std::vector<std::uint64_t> visited;
     p.forEachChunk(0, [&](std::uint64_t chunk, bool) {
@@ -151,7 +159,7 @@ TEST(AccessProfile, ForEachChunkVisitsAscending)
 
 TEST(AccessProfile, ForEachWrittenRegionVisitsAscending)
 {
-    AccessProfile p(1);
+    AccessProfile p(1, kSpan);
     std::vector<std::uint64_t> written;
     Cycle now = 0;
     for (std::uint64_t i = 0; i < 300; ++i) {
@@ -174,7 +182,7 @@ TEST(AccessProfile, ForEachWrittenRegionVisitsAscending)
 
 TEST(AccessProfile, AccessRatiosAggregateAcrossPartitions)
 {
-    AccessProfile p(2);
+    AccessProfile p(2, kSpan);
     Cycle now = 0;
     // Partition 0: a fully streamed, read-only chunk (128 accesses).
     for (int s = 0; s < 128; ++s)
@@ -182,10 +190,35 @@ TEST(AccessProfile, AccessRatiosAggregateAcrossPartitions)
     // Partition 1: 64 sparse accesses incl. writes (random, written).
     for (int i = 0; i < 64; ++i)
         p.recordAccess(1, (i % 3) * 128, true, now++);
-    p.finalize(now + 10000);
+    p.finalize();
 
     auto r = p.accessRatios();
     EXPECT_EQ(r.totalAccesses, 192u);
     EXPECT_NEAR(r.streaming, 128.0 / 192.0, 1e-9);
     EXPECT_NEAR(r.readOnly, 128.0 / 192.0, 1e-9);
+}
+
+TEST(AccessProfile, AddressBeyondSpanPanics)
+{
+    AccessProfile p(1, 1 << 20);
+    const LocalAddr end = 1 << 20;
+    EXPECT_DEATH(p.recordAccess(0, end, false, 0),
+                 "address 1048576 at or beyond the 1048576-byte "
+                 "partition span");
+    EXPECT_DEATH(p.regionReadOnly(0, end + 4096), "partition span");
+    EXPECT_DEATH(p.chunkStreaming(0, end), "partition span");
+    p.recordAccess(0, end - 1, true, 0);
+    EXPECT_FALSE(p.regionReadOnly(0, end - 1));
+}
+
+TEST(AccessProfile, TimeGoingBackwardsPanics)
+{
+    AccessProfile p(2, kSpan);
+    p.recordAccess(0, 0, false, 100);
+    p.recordAccess(0, 128, false, 100); // equal cycles are fine
+    p.recordAccess(1, 0, false, 50);    // partitions keep their own time
+    EXPECT_DEATH(p.recordAccess(0, 4096, false, 99),
+                 "partition 0 access at cycle 99 after one at cycle 100");
+    p.finalize();
+    p.recordAccess(0, 4096, false, 100);
 }
