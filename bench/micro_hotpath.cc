@@ -8,8 +8,8 @@
  * ready-event pattern, the shift/mask address mapping, the
  * unlimited-MAT oracle detector at growing tracker pools, and the
  * profiling pass's per-chunk oracle on the same stream. These
- * isolate the per-structure wins (and costs) that `shmgpu bench-self`
- * measures end to end.
+ * isolate the per-structure wins (and costs) that perfbench's
+ * paper-grid workload measures end to end.
  */
 
 #include <benchmark/benchmark.h>

@@ -5,9 +5,9 @@
  * Three coarse phases cover a cell run: simulator construction
  * (Init), the per-kernel cycle loop (KernelLoop), and the MEE
  * metadata path inside it (MetaPath, a sub-interval of KernelLoop).
- * Timing is off by default; `shmgpu run --profile` and
- * `shmgpu bench-self --profile` enable it. When disabled, the only
- * hot-path cost is one relaxed atomic load per instrumented scope.
+ * Timing is off by default; `shmgpu run --profile` enables it. When
+ * disabled, the only hot-path cost is one relaxed atomic load per
+ * instrumented scope.
  *
  * Accumulators are process-global and atomic, so profiled sweeps with
  * --jobs > 1 aggregate across workers (wall-clock sums then exceed

@@ -1,7 +1,7 @@
 /**
  * @file
- * The shmgpu command-line tool: list, run, sweep, trace, trace-info
- * and the bench-self / bench-sweep / bench-tenants benchmarks.
+ * The shmgpu command-line tool: list, run, sweep, trace and
+ * trace-info. Its performance is measured by perfbench/.
  *
  * usage() prints one line per mode with every flag it accepts; run
  * and sweep each have a workload mode and a --scenario mode with
@@ -11,10 +11,7 @@
 
 #include <algorithm>
 #include <charconv>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -32,7 +29,6 @@
 #include "core/result_cache.hh"
 #include "core/scenario.hh"
 #include "core/sweep.hh"
-#include "crypto/dispatch.hh"
 #include "gpu/presets.hh"
 #include "gpu/simulator.hh"
 #include "mem/replacement.hh"
@@ -199,9 +195,7 @@ writeJsonFile(const std::string &path, const json::Value &doc)
 int
 usage()
 {
-    std::puts("usage: shmgpu"
-              " <list|run|sweep|trace|trace-info|bench-self|bench-sweep"
-              "|bench-tenants> [flags]\n"
+    std::puts("usage: shmgpu <list|run|sweep|trace|trace-info> [flags]\n"
               "  shmgpu list\n"
               "  shmgpu run (--workload NAME | --spec FILE) [--scheme SHM]"
               " [--gpu turing|big|test] [--cycles N]"
@@ -229,17 +223,7 @@ usage()
               " [--sms N]\n"
               "  shmgpu trace run --in FILE [--scheme SHM] [--cycles N]\n"
               "  shmgpu trace info --in FILE\n"
-              "  shmgpu trace-info --in TRACE.json\n"
-              "  shmgpu bench-self [--quick] [--cycles N] [--reps N]"
-              " [--gpu turing|big|test] [--policy P]"
-              " [--schemes X,Y] [--overrides CFG]"
-              " [--out BENCH_hotpath.json] [--profile]\n"
-              "  shmgpu bench-sweep [--side N] [--cycles N] [--jobs N]"
-              " [--gpu turing|big|test] [--scheme SHM]"
-              " [--results-dir DIR] [--out BENCH_sweepcache.json]\n"
-              "  shmgpu bench-tenants [--scenario FILE] [--scheme SHM]"
-              " [--gpu turing|big|test] [--cycles N] [--reps N]"
-              " [--quantums Q1,Q2,...] [--out BENCH_tenants.json]");
+              "  shmgpu trace-info --in TRACE.json");
     return 2;
 }
 
@@ -275,8 +259,7 @@ cmdList()
 
 /**
  * The one config builder behind every simulating subcommand: the --gpu
- * preset (@p default_gpu when absent; its cycle cap replaced by
- * @p default_cycles when nonzero), then the --overrides file, then the
+ * preset (turing when absent), then the --overrides file, then the
  * flags, which win over the file.
  * @p opts (core::RunOptions or core::ScenarioRunOptions) receives the
  * per-run knobs the file or the flags set: trace classes and the
@@ -285,13 +268,9 @@ cmdList()
  */
 template <typename Options = core::RunOptions>
 gpu::GpuParams
-gpuParamsFrom(const Args &args, Options *opts = nullptr,
-              Cycle default_cycles = 0,
-              const std::string &default_gpu = "turing")
+gpuParamsFrom(const Args &args, Options *opts = nullptr)
 {
-    gpu::GpuParams gp = gpu::presetByName(args.get("gpu", default_gpu));
-    if (default_cycles)
-        gp.maxCyclesPerKernel = default_cycles;
+    gpu::GpuParams gp = gpu::presetByName(args.get("gpu", "turing"));
     Options scratch;
     Options &o = opts ? *opts : scratch;
     std::string overrides = args.get("overrides");
@@ -729,357 +708,6 @@ cmdSweep(const Args &args)
 }
 
 /**
- * Self-measuring hot-path throughput benchmark: a pinned 3x3
- * (workload x scheme) grid timed in simulated cells per second.
- * Baselines are warmed untimed so the measurement covers exactly the
- * secure-scheme simulations; the best of --reps repetitions is the
- * reported figure (least-noise estimator on a shared machine).
- */
-int
-cmdBenchSelf(const Args &args)
-{
-    const std::vector<std::string> workload_names = {"atax", "mvt", "bfs"};
-    // --schemes reshapes the measured grid; the default stays the
-    // classic 3x3.
-    const std::vector<schemes::Scheme> designs =
-        schemeList(args, "Naive,PSSM,SHM");
-
-    bool quick = args.has("quick");
-    unsigned reps = args.number<unsigned>("reps", quick ? 1 : 3);
-    shm_assert(reps > 0, "bench-self needs at least one repetition");
-    std::string out = args.get("out", "BENCH_hotpath.json");
-
-    if (args.has("profile")) {
-        profile::setEnabled(true);
-        profile::reset();
-    }
-    log_detail::setVerbose(false);
-
-    core::RunOptions run_opts;
-    gpu::GpuParams gp =
-        gpuParamsFrom(args, &run_opts, quick ? 10000 : 50000);
-    const std::uint64_t cycles = gp.maxCyclesPerKernel;
-
-    std::vector<const workload::WorkloadSpec *> workloads;
-    for (const auto &name : workload_names)
-        workloads.push_back(&workload::findWorkload(name));
-
-    core::Experiment exp(gp);
-    // Warm the baseline cache so the timed region holds only the
-    // secure cells, not the shared no-security simulations.
-    for (const auto *w : workloads)
-        exp.baselineFor(*w);
-
-    const std::size_t cells = workloads.size() * designs.size();
-    using clock = std::chrono::steady_clock;
-    std::vector<double> rep_seconds;
-    double best = 0;
-    for (unsigned rep = 0; rep < reps; ++rep) {
-        auto t0 = clock::now();
-        for (const auto *w : workloads)
-            for (auto scheme : designs)
-                exp.run(scheme, *w, run_opts);
-        double secs = std::chrono::duration<double>(clock::now() - t0)
-                          .count();
-        rep_seconds.push_back(secs);
-        double rate = static_cast<double>(cells) / secs;
-        best = std::max(best, rate);
-        std::printf("rep %u/%u: %zu cells in %.3f s  (%.2f cells/s)\n",
-                    rep + 1, reps, cells, secs, rate);
-    }
-    std::printf("best throughput: %.2f cells/s (%zu-cell grid, "
-                "%llu-cycle kernel cap)\n",
-                best, cells, static_cast<unsigned long long>(cycles));
-
-    json::Value doc = json::Value::object();
-    doc["benchmark"] = "bench-self";
-    doc["gpu"] = args.get("gpu", "turing");
-    doc["policy"] = mem::policyName(gp.l2Policy);
-    doc["cryptoBackend"] =
-        crypto::backendName(crypto::activeBackend());
-    doc["max_cycles_per_kernel"] = cycles;
-    doc["reps"] = static_cast<std::uint64_t>(reps);
-    doc["cells"] = static_cast<std::uint64_t>(cells);
-    // Top-level config identity for compare_baseline.py: the nested
-    // grid object is informational, but the comparison script only
-    // matches flat keys, so the scheme list (and the metadata-cache
-    // policy, when it differs from the L2's) are repeated here to keep
-    // a reshaped grid from ever being compared against the classic
-    // 3x3.
-    {
-        std::string joined;
-        for (auto scheme : designs) {
-            if (!joined.empty())
-                joined += ",";
-            joined += schemes::schemeName(scheme);
-        }
-        doc["schemes"] = joined;
-    }
-    if (run_opts.mdcPolicy != gp.l2Policy)
-        doc["mdcPolicy"] = mem::policyName(run_opts.mdcPolicy);
-    json::Value grid = json::Value::object();
-    json::Value wl = json::Value::array();
-    for (const auto &name : workload_names)
-        wl.append(name);
-    json::Value sc = json::Value::array();
-    for (auto scheme : designs)
-        sc.append(schemes::schemeName(scheme));
-    grid["workloads"] = std::move(wl);
-    grid["schemes"] = std::move(sc);
-    doc["grid"] = std::move(grid);
-    json::Value secs = json::Value::array();
-    for (double s : rep_seconds)
-        secs.append(s);
-    doc["rep_seconds"] = std::move(secs);
-    doc["best_cells_per_second"] = best;
-
-    writeJsonFile(out, doc);
-    std::printf("benchmark results written to %s\n", out.c_str());
-
-    if (args.has("profile"))
-        profile::report(std::cout);
-    return 0;
-}
-
-/**
- * Result-cache benchmark: time one (side x side) Zipf grid three ways
- * against the same results directory — cold (starting empty), warm
- * (fully populated: every cell loads, nothing simulates), and
- * half-resumed (every other cell file deleted, the state an
- * interrupted sweep leaves behind) — and emit BENCH_sweepcache.json.
- * The warm/cold ratio is the headline number: it is what
- * `sweep --results-dir` buys a rerun of an already-computed grid.
- */
-int
-cmdBenchSweep(const Args &args)
-{
-    const unsigned side = args.number<unsigned>("side", 32);
-    shm_assert(side > 0, "bench-sweep needs a positive --side");
-    unsigned jobs = args.number<unsigned>("jobs", 1);
-    std::string out = args.get("out", "BENCH_sweepcache.json");
-    std::string dir = args.get("results-dir", "bench-sweep-cache");
-    auto scheme = schemes::schemeFromName(args.get("scheme", "SHM"));
-
-    log_detail::setVerbose(false);
-
-    const gpu::GpuParams gp = gpuParamsFrom<core::RunOptions>(args, nullptr, 2000, "test");
-    const std::uint64_t cycles = gp.maxCyclesPerKernel;
-
-    // The footprint x alpha grid: footprints step up from 64K,
-    // alphas sweep the near-uniform..strongly-skewed band.
-    std::vector<workload::WorkloadSpec> specs;
-    specs.reserve(static_cast<std::size_t>(side) * side);
-    for (unsigned i = 0; i < side; ++i) {
-        std::uint64_t footprint = (64ull + 16ull * i) << 10;
-        for (unsigned j = 0; j < side; ++j) {
-            double alpha = 0.05 * (j + 1);
-            specs.push_back(workload::makeZipfSpec(footprint, alpha));
-        }
-    }
-    std::vector<const workload::WorkloadSpec *> workloads;
-    workloads.reserve(specs.size());
-    for (const auto &s : specs)
-        workloads.push_back(&s);
-    const std::size_t cells = workloads.size();
-
-    // The bench owns its directory: always start cold.
-    std::filesystem::remove_all(dir);
-
-    using clock = std::chrono::steady_clock;
-    auto timed = [&](const char *label, core::SweepTally *tally) {
-        core::ResultCache cache(dir);
-        core::SweepOptions opts;
-        opts.jobs = jobs;
-        opts.cache = &cache;
-        opts.tally = tally;
-        core::SweepRunner runner(gp);
-        auto t0 = clock::now();
-        runner.run({scheme}, workloads, opts);
-        double secs =
-            std::chrono::duration<double>(clock::now() - t0).count();
-        std::printf("%-13s %zu cells in %8.3f s  "
-                    "(%zu simulated, %zu from cache)\n",
-                    label, cells, secs, tally->simulated,
-                    tally->cached);
-        return secs;
-    };
-
-    core::SweepTally cold_tally, warm_tally, half_tally;
-    double cold_secs = timed("cold", &cold_tally);
-    double warm_secs = timed("warm", &warm_tally);
-
-    // Interrupt simulation: drop every other cell file (sorted, so
-    // the survivors are the same set on every run).
-    std::vector<std::filesystem::path> files;
-    for (const auto &entry : std::filesystem::directory_iterator(dir))
-        files.push_back(entry.path());
-    std::sort(files.begin(), files.end());
-    for (std::size_t i = 0; i < files.size(); i += 2)
-        std::filesystem::remove(files[i]);
-    double half_secs = timed("half-resumed", &half_tally);
-
-    shm_assert(warm_tally.simulated == 0,
-               "warm pass simulated cells; the cache key is unstable");
-    std::printf("warm speedup: %.1fx  half-resume speedup: %.1fx\n",
-                cold_secs / warm_secs, cold_secs / half_secs);
-
-    json::Value doc = json::Value::object();
-    doc["benchmark"] = "bench-sweep";
-    doc["gpu"] = args.get("gpu", "test");
-    doc["policy"] = mem::policyName(gp.l2Policy);
-    doc["cryptoBackend"] = crypto::backendName(crypto::activeBackend());
-    doc["max_cycles_per_kernel"] = cycles;
-    doc["cells"] = static_cast<std::uint64_t>(cells);
-    doc["jobs"] = static_cast<std::uint64_t>(jobs);
-    // Config keys for compare_baseline.py: the bench always starts
-    // from an empty directory, and "zipf" pins the grid shape.
-    doc["resultsDir"] = "ephemeral";
-    char zdesc[32];
-    std::snprintf(zdesc, sizeof(zdesc), "%ux%u", side, side);
-    doc["zipf"] = zdesc;
-    doc["scheme"] = schemes::schemeName(scheme);
-    doc["cold_seconds"] = cold_secs;
-    doc["warm_seconds"] = warm_secs;
-    doc["half_resume_seconds"] = half_secs;
-    doc["warm_speedup"] = cold_secs / warm_secs;
-    doc["cold_simulated"] =
-        static_cast<std::uint64_t>(cold_tally.simulated);
-    doc["warm_cached"] = static_cast<std::uint64_t>(warm_tally.cached);
-    doc["half_resume_simulated"] =
-        static_cast<std::uint64_t>(half_tally.simulated);
-    // The warm pass is the comparable throughput figure (pure cache
-    // reads; no simulation noise).
-    doc["best_cells_per_second"] =
-        static_cast<double>(cells) / warm_secs;
-
-    writeJsonFile(out, doc);
-    std::printf("benchmark results written to %s\n", out.c_str());
-    return 0;
-}
-
-/**
- * Interleaving-overhead benchmark: run a two-tenant scenario (or
- * --scenario FILE) across a quantum ladder, timed, and record the
- * headline interference numbers — mean slowdown, context switches,
- * detector-accuracy and MDC-hit-rate deltas — to BENCH_tenants.json.
- * The config keys ("tenants" among them) scope compare_baseline.py
- * the same way bench-self/bench-sweep records are scoped.
- */
-int
-cmdBenchTenants(const Args &args)
-{
-    std::string out = args.get("out", "BENCH_tenants.json");
-    auto scheme = schemes::schemeFromName(args.get("scheme", "SHM"));
-
-    log_detail::setVerbose(false);
-
-    const gpu::GpuParams gp = gpuParamsFrom<core::RunOptions>(args, nullptr, 20000, "test");
-    const std::uint64_t cycles = gp.maxCyclesPerKernel;
-
-    // The measured mix: a scenario file, or the default atax+mvt
-    // two-tenant time-sliced pair (self-contained, path-free).
-    workload::ScenarioSpec base;
-    std::string scenario_file = args.get("scenario");
-    if (!scenario_file.empty()) {
-        base = workload::parseScenarioFile(scenario_file);
-    } else {
-        base.name = "bench-pair";
-        workload::TenantSpec a;
-        a.name = "atax";
-        a.workload = workload::findWorkload("atax");
-        workload::TenantSpec b;
-        b.name = "mvt";
-        b.workload = workload::findWorkload("mvt");
-        base.tenants.push_back(std::move(a));
-        base.tenants.push_back(std::move(b));
-    }
-
-    const std::vector<Cycle> quantums =
-        args.numbers<Cycle>("quantums", {2000, 5000, 20000});
-
-    core::ScenarioSoloCache solos(gp);
-    core::ScenarioRunOptions run_opts;
-    run_opts.soloCache = &solos;
-    // Warm the solo references untimed so the measured region holds
-    // only the shared runs (the interleaving cost itself).
-    for (const auto &t : base.tenants)
-        solos.soloFor(scheme, t.workload, base.keySeed,
-                      run_opts.mdcPolicy);
-
-    unsigned reps = args.number<unsigned>("reps", 3);
-    shm_assert(reps > 0, "bench-tenants needs at least one repetition");
-
-    using clock = std::chrono::steady_clock;
-    json::Value rows = json::Value::array();
-    double total_secs = 0;
-    std::size_t cells = 0;
-    for (Cycle q : quantums) {
-        workload::ScenarioSpec scn = base;
-        scn.policy = workload::SharePolicy::TimeSliced;
-        scn.quantumCycles = q;
-        // Best of --reps: results are deterministic across reps, only
-        // the wall clock varies.
-        core::ScenarioExperimentResult r;
-        double secs = 0;
-        for (unsigned rep = 0; rep < reps; ++rep) {
-            auto t0 = clock::now();
-            r = core::runScenarioExperiment(gp, scheme, scn, run_opts);
-            double s = std::chrono::duration<double>(clock::now() - t0)
-                           .count();
-            if (rep == 0 || s < secs)
-                secs = s;
-        }
-        total_secs += secs;
-        ++cells;
-
-        double ro_delta = 0, mdc_delta = 0;
-        for (const auto &t : r.tenants) {
-            ro_delta += t.roAccuracyDelta;
-            mdc_delta += t.mdcHitRateDelta;
-        }
-        ro_delta /= static_cast<double>(r.tenants.size());
-        mdc_delta /= static_cast<double>(r.tenants.size());
-
-        std::printf("quantum %-8llu switches=%-5llu "
-                    "meanSlowdown=%.3fx roAccDelta=%+.4f "
-                    "mdcHitDelta=%+.4f (%.3f s)\n",
-                    static_cast<unsigned long long>(q),
-                    static_cast<unsigned long long>(
-                        r.metrics.contextSwitches),
-                    r.meanSlowdown, ro_delta, mdc_delta, secs);
-
-        json::Value row = json::Value::object();
-        row["quantum"] = json::Value(static_cast<std::uint64_t>(q));
-        row["contextSwitches"] =
-            json::Value(r.metrics.contextSwitches);
-        row["meanSlowdown"] = json::Value(r.meanSlowdown);
-        row["meanRoAccuracyDelta"] = json::Value(ro_delta);
-        row["meanMdcHitRateDelta"] = json::Value(mdc_delta);
-        row["seconds"] = json::Value(secs);
-        rows.append(std::move(row));
-    }
-
-    json::Value doc = json::Value::object();
-    doc["benchmark"] = "bench-tenants";
-    doc["gpu"] = args.get("gpu", "test");
-    doc["policy"] = mem::policyName(gp.l2Policy);
-    doc["cryptoBackend"] = crypto::backendName(crypto::activeBackend());
-    doc["max_cycles_per_kernel"] = cycles;
-    doc["cells"] = static_cast<std::uint64_t>(cells);
-    doc["reps"] = static_cast<std::uint64_t>(reps);
-    doc["scheme"] = schemes::schemeName(scheme);
-    doc["scenario"] = base.name;
-    doc["tenants"] = static_cast<std::uint64_t>(base.tenants.size());
-    doc["quantums"] = std::move(rows);
-    doc["best_cells_per_second"] =
-        total_secs > 0 ? static_cast<double>(cells) / total_secs : 0.0;
-
-    writeJsonFile(out, doc);
-    std::printf("benchmark results written to %s\n", out.c_str());
-    return 0;
-}
-
-/**
  * Summarize an exported Chrome trace_event JSON file: event counts per
  * class and kind, the cycle span, and the first/last detector events
  * (the usual "when did classification settle" question, answerable
@@ -1286,17 +914,6 @@ main(int argc, char **argv)
              "policies", "zipf-footprints", "zipf-alphas", "results-dir",
              "resume", "cancel-after", "overrides", "out", "quiet",
              "accuracy", "trace"}));
-    if (cmd == "bench-self")
-        return cmdBenchSelf(args({"quick", "cycles", "reps", "gpu",
-                                  "policy", "schemes", "overrides",
-                                  "out", "profile"}));
-    if (cmd == "bench-sweep")
-        return cmdBenchSweep(args({"side", "cycles", "jobs", "gpu",
-                                   "scheme", "results-dir", "out"}));
-    if (cmd == "bench-tenants")
-        return cmdBenchTenants(args({"scenario", "scheme", "gpu",
-                                     "cycles", "reps", "quantums",
-                                     "out"}));
     // Check before "trace": that prefix names the workload-trace
     // subcommands, while trace-info summarizes a --trace export.
     if (cmd == "trace-info")
@@ -1313,5 +930,8 @@ main(int argc, char **argv)
             return cmdTraceRun(Args(argc, argv, 3, command,
                                     {"in", "scheme", "cycles"}));
     }
-    return usage();
+    const std::string unknown =
+        cmd == "trace" && argc >= 3 ? cmd + " " + argv[2] : cmd;
+    shm_fatal("unknown command '{}' (run 'shmgpu' for the usage)",
+              unknown);
 }

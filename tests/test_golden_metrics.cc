@@ -164,9 +164,10 @@ expectMatchesGoldenFile(const std::vector<ExperimentResult> &results,
         ASSERT_EQ(g.at("workload").asString(),
                   w.at("workload").asString());
         ASSERT_EQ(g.at("scheme").asString(), w.at("scheme").asString());
-        if (with_policy)
+        if (with_policy) {
             ASSERT_EQ(g.at("policy").asString(),
                       w.at("policy").asString());
+        }
         for (const char *metric :
              {"normalizedIpc", "overhead", "normalizedEnergyPerInstr",
               "metadataOverhead", "baselineIpc"}) {
