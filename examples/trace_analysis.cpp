@@ -68,7 +68,7 @@ main(int argc, char **argv)
                     stream_chunks >= random_chunks ? "chunk" : "block");
     }
 
-    std::printf("\n(compare with bench/fig05_access_ratios, which "
-                "derives the same mix from a live simulation)\n");
+    std::printf("\n(compare with `figures --figure fig05_access_ratios`, "
+                "which derives the same mix from a live simulation)\n");
     return 0;
 }

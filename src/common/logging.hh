@@ -67,6 +67,13 @@ formatStr(const char *fmt, Args &&...args)
 
 } // namespace log_detail
 
+/** "@p where: " to locate a message, or "" when @p where is empty. */
+inline std::string
+locationPrefix(const std::string &where)
+{
+    return where.empty() ? std::string() : where + ": ";
+}
+
 } // namespace shmgpu
 
 #define shm_panic(...)                                                      \

@@ -34,6 +34,8 @@ struct ReadOnlyDetectorParams
 {
     std::uint32_t entries = 1024;
     std::uint64_t regionBytes = 16 * 1024;
+
+    bool operator==(const ReadOnlyDetectorParams &) const = default;
 };
 
 /** Why a predictor entry currently reads 0 (not-read-only). */

@@ -84,6 +84,8 @@ struct StreamingDetectorParams
      * fronts of trackers.
      */
     std::uint32_t randomMonitorLimit = 2;
+
+    bool operator==(const StreamingDetectorParams &) const = default;
 };
 
 /** Why a monitoring phase ended. */

@@ -564,12 +564,7 @@ GpuSimulator::gatherMetrics() const
     m.l2MissRate = l2_accesses > 0 ? l2_misses / l2_accesses : 0;
 
     m.energy.cycles = m.cycles;
-    // Known defect, kept until a deliberate golden re-pin: the energy
-    // count sums the live SM units, so a time-sliced scenario with
-    // several tenants counts only the last-dispatched tenant's
-    // instructions here (one tenant, or a partitioned split, is exact).
-    for (const auto &u : sms)
-        m.energy.instructions += u.instructions;
+    m.energy.instructions = m.instructions;
     m.energy.l2Accesses = static_cast<std::uint64_t>(l2_accesses);
     m.energy.dramBytes = total_bytes;
 

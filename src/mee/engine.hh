@@ -56,8 +56,6 @@ struct MeeParams
     bool dualGranularityMac = false;
     /** Allow spilling metadata into the L2 victim cache (SHM_vL2). */
     bool victimL2 = false;
-    /** Unlimited MATs + profile-primed predictors (SHM_upper_bound). */
-    bool oracleDetectors = false;
     /**
      * Treat constant/texture/instruction spaces as statically
      * read-only (Table I): no freshness state regardless of the
@@ -106,6 +104,8 @@ struct MeeParams
     std::uint32_t macBytes = 8;
 
     MeeParams();
+
+    bool operator==(const MeeParams &) const = default;
 };
 
 /**

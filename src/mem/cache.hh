@@ -53,6 +53,8 @@ struct CacheParams
      * state — so replacement stays bit-reproducible.
      */
     std::uint64_t policySeed = 0x9E3779B97F4A7C15ull;
+
+    bool operator==(const CacheParams &) const = default;
 };
 
 /** Outcome classification of a cache access. */

@@ -103,7 +103,6 @@ makeMeeParams(Scheme scheme)
       case Scheme::ShmUpperBound:
         p.readOnlyOpt = true;
         p.dualGranularityMac = true;
-        p.oracleDetectors = true;
         // Unlimited MATs and effectively unaliased predictors.
         p.streamDetector.trackers = 0;
         p.streamDetector.entries = 1u << 16;

@@ -9,8 +9,6 @@
  * result cache, docs/SIMULATOR.md the simulator they drive.
  */
 
-#include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -18,9 +16,9 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <vector>
 
+#include "common/args.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/profile.hh"
@@ -41,121 +39,6 @@ using namespace shmgpu;
 namespace
 {
 
-/** Split a comma list, dropping empty items. */
-std::vector<std::string>
-splitList(const std::string &csv)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start <= csv.size()) {
-        std::size_t comma = csv.find(',', start);
-        if (comma == std::string::npos)
-            comma = csv.size();
-        if (comma > start)
-            out.push_back(csv.substr(start, comma - start));
-        start = comma + 1;
-    }
-    return out;
-}
-
-/**
- * Minimal --flag=value / --flag value parser. Each mode declares the
- * flags its usage line lists; any other flag is fatal, naming the flag
- * and the mode, so a typo never runs silently. Numeric getters must
- * consume the whole token, so '10k' is an error rather than 10.
- */
-class Args
-{
-  public:
-    Args(int argc, char **argv, int start, std::string command,
-         std::initializer_list<const char *> allowed)
-        : mode(std::move(command))
-    {
-        for (int i = start; i < argc; ++i) {
-            std::string arg = argv[i];
-            if (arg.rfind("--", 0) != 0)
-                shm_fatal("unexpected argument '{}'", arg);
-            std::string key, value = "1";
-            auto eq = arg.find('=');
-            if (eq != std::string::npos) {
-                key = arg.substr(2, eq - 2);
-                value = arg.substr(eq + 1);
-            } else {
-                key = arg.substr(2);
-                if (i + 1 < argc && argv[i + 1][0] != '-')
-                    value = argv[++i];
-            }
-            if (std::find_if(allowed.begin(), allowed.end(),
-                             [&](const char *f) { return key == f; }) ==
-                allowed.end())
-                shm_fatal("unknown flag '--{}' for 'shmgpu {}' (run "
-                          "'shmgpu' for the usage)",
-                          key, mode);
-            values[key] = value;
-        }
-    }
-
-    std::string
-    get(const std::string &key, const std::string &fallback = "") const
-    {
-        auto it = values.find(key);
-        return it == values.end() ? fallback : it->second;
-    }
-
-    bool has(const std::string &key) const { return values.contains(key); }
-
-    /** The mode these flags belong to ("sweep --scenario", ...). */
-    const std::string &command() const { return mode; }
-
-    /** The comma list under @p key (or @p fallback when absent). */
-    std::vector<std::string>
-    list(const std::string &key, const std::string &fallback = "") const
-    {
-        return splitList(get(key, fallback));
-    }
-
-    /** @p key parsed as a T, or @p fallback when absent. */
-    template <typename T>
-    T
-    number(const std::string &key, T fallback) const
-    {
-        auto it = values.find(key);
-        return it == values.end() ? fallback : parse<T>(key, it->second);
-    }
-
-    /** The comma list under @p key, each item parsed as a T. */
-    template <typename T>
-    std::vector<T>
-    numbers(const std::string &key, std::vector<T> fallback) const
-    {
-        if (!has(key))
-            return fallback;
-        std::vector<T> out;
-        for (const auto &token : list(key))
-            out.push_back(parse<T>(key, token));
-        return out;
-    }
-
-  private:
-    template <typename T>
-    T
-    parse(const std::string &key, const std::string &token) const
-    {
-        T value{};
-        const char *end = token.data() + token.size();
-        auto [ptr, ec] = std::from_chars(token.data(), end, value);
-        if (ec != std::errc() || ptr != end)
-            shm_fatal("--{} expects {}, got '{}' (in 'shmgpu {}')", key,
-                      std::is_floating_point_v<T> ? "a number"
-                                                  : "an unsigned integer",
-                      token, mode);
-        return value;
-    }
-
-    std::string mode;
-    std::map<std::string, std::string> values;
-};
-
 /** The --schemes list ("all" = every secure scheme); fatal if empty. */
 std::vector<schemes::Scheme>
 schemeList(const Args &args, const std::string &fallback)
@@ -169,7 +52,7 @@ schemeList(const Args &args, const std::string &fallback)
             designs.push_back(schemes::schemeFromName(name));
     }
     if (designs.empty())
-        shm_fatal("'shmgpu {}' selects no schemes", args.command());
+        shm_fatal("'{}' selects no schemes", args.command());
     return designs;
 }
 
@@ -875,7 +758,7 @@ main(int argc, char **argv)
         return usage();
     const std::string cmd = argv[1];
     auto args = [&](std::initializer_list<const char *> allowed) {
-        return Args(argc, argv, 2, cmd, allowed);
+        return Args(argc, argv, 2, "shmgpu " + cmd, allowed);
     };
     // run and sweep each have a workload mode and a scenario mode,
     // told apart before any flag is parsed so each mode accepts only
@@ -887,7 +770,8 @@ main(int argc, char **argv)
                    arg.starts_with("--scenario=");
     }
     auto scenarioArgs = [&](std::initializer_list<const char *> allowed) {
-        return Args(argc, argv, 2, cmd + " --scenario", allowed);
+        return Args(argc, argv, 2, "shmgpu " + cmd + " --scenario",
+                    allowed);
     };
 
     if (cmd == "list") {
@@ -920,7 +804,7 @@ main(int argc, char **argv)
         return cmdTraceInfo(args({"in"}));
     if (cmd == "trace" && argc >= 3) {
         const std::string sub = argv[2];
-        const std::string command = "trace " + sub;
+        const std::string command = "shmgpu trace " + sub;
         if (sub == "record")
             return cmdTraceRecord(Args(argc, argv, 3, command,
                                        {"workload", "out", "sms"}));

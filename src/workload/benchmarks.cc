@@ -530,7 +530,7 @@ allWorkloads()
 }
 
 const WorkloadSpec &
-findWorkload(const std::string &name)
+findWorkload(const std::string &name, const std::string &where)
 {
     for (const auto &w : allWorkloads())
         if (w.name == name)
@@ -543,7 +543,8 @@ findWorkload(const std::string &name)
             known += ", ";
         known += w.name;
     }
-    shm_fatal("unknown workload '{}' (expected one of: {})", name, known);
+    shm_fatal("{}unknown workload '{}' (expected one of: {})",
+              locationPrefix(where), name, known);
 }
 
 WorkloadSpec

@@ -24,8 +24,10 @@ namespace shmgpu::workload
 /** All sixteen paper workloads, in Table VII order. */
 const std::vector<WorkloadSpec> &allWorkloads();
 
-/** Look up a paper workload by name; fatal on unknown name. */
-const WorkloadSpec &findWorkload(const std::string &name);
+/** Look up a paper workload by name; fatal on unknown name, prefixed
+ *  with @p where when given. */
+const WorkloadSpec &findWorkload(const std::string &name,
+                                 const std::string &where = "");
 
 /** @{ Small deterministic workloads for unit/integration tests. */
 WorkloadSpec makeStreamingMicro(std::uint64_t buffer_bytes = 1 << 20,

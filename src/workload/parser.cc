@@ -1,5 +1,8 @@
 #include "workload/parser.hh"
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -13,43 +16,25 @@ namespace shmgpu::workload
 namespace
 {
 
-/** Tokenize one line, dropping comments. */
-std::vector<std::string>
-tokens(const std::string &line)
+/** @p tok as a finite real; fatal at @p where otherwise. */
+double
+parseReal(const std::string &tok, const std::string &where)
 {
-    std::vector<std::string> out;
-    std::istringstream is(line.substr(0, line.find('#')));
-    std::string tok;
-    while (is >> tok)
-        out.push_back(tok);
-    return out;
-}
-
-std::uint64_t
-parseUnsigned(const std::string &tok, const std::string &where)
-{
-    try {
-        std::size_t used = 0;
-        std::uint64_t v = std::stoull(tok, &used);
-        if (used != tok.size())
-            shm_fatal("{}: bad number '{}'", where, tok);
-        return v;
-    } catch (const std::exception &) {
+    double v = 0;
+    const char *end = tok.data() + tok.size();
+    auto [ptr, ec] = std::from_chars(tok.data(), end, v);
+    if (ec != std::errc() || ptr != end || !std::isfinite(v))
         shm_fatal("{}: bad number '{}'", where, tok);
-    }
+    return v;
 }
 
 double
 parseProb(const std::string &tok, const std::string &where)
 {
-    try {
-        double v = std::stod(tok);
-        if (v <= 0.0 || v > 1.0)
-            shm_fatal("{}: probability '{}' outside (0, 1]", where, tok);
-        return v;
-    } catch (const std::exception &) {
-        shm_fatal("{}: bad probability '{}'", where, tok);
-    }
+    double v = parseReal(tok, where);
+    if (v <= 0.0 || v > 1.0)
+        shm_fatal("{}: probability '{}' outside (0, 1]", where, tok);
+    return v;
 }
 
 MemSpace
@@ -68,8 +53,30 @@ parseSpace(const std::string &tok, const std::string &where)
 
 } // namespace
 
+std::vector<std::string>
+lineTokens(const std::string &line)
+{
+    std::vector<std::string> out;
+    std::istringstream is(line.substr(0, line.find('#')));
+    std::string tok;
+    while (is >> tok)
+        out.push_back(tok);
+    return out;
+}
+
 std::uint64_t
-parseSize(const std::string &token)
+parseUnsigned(const std::string &tok, const std::string &where)
+{
+    std::uint64_t v = 0;
+    const char *end = tok.data() + tok.size();
+    auto [ptr, ec] = std::from_chars(tok.data(), end, v);
+    if (ec != std::errc() || ptr != end)
+        shm_fatal("{}: bad number '{}'", where, tok);
+    return v;
+}
+
+std::uint64_t
+parseSize(const std::string &token, const std::string &where)
 {
     shm_assert(!token.empty(), "empty size token");
     std::uint64_t mult = 1;
@@ -82,7 +89,10 @@ parseSize(const std::string &token)
     }
     if (mult != 1)
         digits = token.substr(0, token.size() - 1);
-    return parseUnsigned(digits, "size") * mult;
+    const std::uint64_t v = parseUnsigned(digits, where);
+    if (v > UINT64_MAX / mult)
+        shm_fatal("{}: size '{}' overflows 64 bits", where, token);
+    return v * mult;
 }
 
 WorkloadSpec
@@ -97,7 +107,7 @@ parseWorkload(std::istream &in, const std::string &origin)
     while (std::getline(in, line)) {
         ++lineno;
         std::string where = origin + ":" + std::to_string(lineno);
-        auto toks = tokens(line);
+        auto toks = lineTokens(line);
         if (toks.empty())
             continue;
         const std::string &cmd = toks[0];
@@ -116,15 +126,15 @@ parseWorkload(std::istream &in, const std::string &origin)
             spec.seed = parseUnsigned(toks[1], where);
         } else if (cmd == "band") {
             need(3);
-            spec.bwUtilLo = std::stod(toks[1]) / 100.0;
-            spec.bwUtilHi = std::stod(toks[2]) / 100.0;
+            spec.bwUtilLo = parseReal(toks[1], where) / 100.0;
+            spec.bwUtilHi = parseReal(toks[2], where) / 100.0;
         } else if (cmd == "buffer") {
             need(3);
             if (buffer_ids.contains(toks[1]))
                 shm_fatal("{}: duplicate buffer '{}'", where, toks[1]);
             BufferSpec buf;
             buf.name = toks[1];
-            buf.bytes = parseSize(toks[2]);
+            buf.bytes = parseSize(toks[2], where);
             buf.space = toks.size() > 3 ? parseSpace(toks[3], where)
                                         : MemSpace::Global;
             buffer_ids[buf.name] =
@@ -185,8 +195,8 @@ parseWorkload(std::istream &in, const std::string &origin)
             } else if (pattern == "hot") {
                 need(5);
                 stream.pattern = Pattern::RandomHot;
-                stream.hotFraction = std::stod(toks[3]);
-                stream.hotProb = std::stod(toks[4]);
+                stream.hotFraction = parseReal(toks[3], where);
+                stream.hotProb = parseReal(toks[4], where);
                 next = 5;
             } else if (pattern == "strided") {
                 need(4);
@@ -196,7 +206,7 @@ parseWorkload(std::istream &in, const std::string &origin)
             } else if (pattern == "zipf") {
                 need(4);
                 stream.pattern = Pattern::Zipf;
-                stream.zipfAlpha = std::stod(toks[3]);
+                stream.zipfAlpha = parseReal(toks[3], where);
                 next = 4;
             } else {
                 shm_fatal("{}: unknown pattern '{}'", where, pattern);
@@ -215,7 +225,8 @@ parseWorkload(std::istream &in, const std::string &origin)
         }
     }
 
-    validateSpec(spec);
+    // Whole-file checks are located at the last line read.
+    validateSpec(spec, origin + ":" + std::to_string(std::max(lineno, 1)));
     return spec;
 }
 

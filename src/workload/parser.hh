@@ -25,6 +25,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <vector>
 
 #include "workload/spec.hh"
 
@@ -38,8 +39,18 @@ WorkloadSpec parseWorkload(std::istream &in,
 /** Parse a workload description file. */
 WorkloadSpec parseWorkloadFile(const std::string &path);
 
-/** Parse a size like "32M", "4096", "2G". */
-std::uint64_t parseSize(const std::string &token);
+/** Parse a size like "32M", "4096", "2G"; fatal at @p where when it
+ *  is not one. */
+std::uint64_t parseSize(const std::string &token,
+                        const std::string &where = "size");
+
+/** @{ Shared by the .wl and .scn readers. The tokens of one line with
+ *  its '#' comment dropped. */
+std::vector<std::string> lineTokens(const std::string &line);
+/** @p tok as a whole unsigned number; fatal at @p where otherwise. */
+std::uint64_t parseUnsigned(const std::string &tok,
+                            const std::string &where);
+/** @} */
 
 } // namespace shmgpu::workload
 

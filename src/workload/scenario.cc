@@ -1,5 +1,6 @@
 #include "workload/scenario.hh"
 
+#include <algorithm>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -15,32 +16,6 @@ namespace shmgpu::workload
 
 namespace
 {
-
-/** Tokenize one line, dropping comments. */
-std::vector<std::string>
-tokens(const std::string &line)
-{
-    std::vector<std::string> out;
-    std::istringstream is(line.substr(0, line.find('#')));
-    std::string tok;
-    while (is >> tok)
-        out.push_back(tok);
-    return out;
-}
-
-std::uint64_t
-parseUnsigned(const std::string &tok, const std::string &where)
-{
-    try {
-        std::size_t used = 0;
-        std::uint64_t v = std::stoull(tok, &used);
-        if (used != tok.size())
-            shm_fatal("{}: bad number '{}'", where, tok);
-        return v;
-    } catch (const std::exception &) {
-        shm_fatal("{}: bad number '{}'", where, tok);
-    }
-}
 
 /** Directory part of @p path ("" when there is none). */
 std::string
@@ -64,33 +39,36 @@ sharePolicyName(SharePolicy policy)
 }
 
 SharePolicy
-sharePolicyFromName(const std::string &name)
+sharePolicyFromName(const std::string &name, const std::string &where)
 {
     if (name == "timeslice")
         return SharePolicy::TimeSliced;
     if (name == "partitioned")
         return SharePolicy::Partitioned;
-    shm_fatal("unknown share policy '{}' (valid: timeslice, partitioned)",
-              name);
+    shm_fatal("{}unknown share policy '{}' (valid: timeslice, "
+              "partitioned)",
+              locationPrefix(where), name);
 }
 
 void
-validateScenario(const ScenarioSpec &scenario)
+validateScenario(const ScenarioSpec &scenario, const std::string &where)
 {
-    shm_assert(!scenario.tenants.empty(),
-               "scenario '{}' has no tenants", scenario.name);
-    shm_assert(scenario.quantumCycles > 0,
-               "scenario '{}': quantum must be positive", scenario.name);
+    const std::string at = locationPrefix(where);
+    if (scenario.tenants.empty())
+        shm_fatal("{}scenario '{}' has no tenants", at, scenario.name);
+    if (scenario.quantumCycles == 0)
+        shm_fatal("{}scenario '{}': quantum must be positive", at,
+                  scenario.name);
     std::set<std::string> names;
     for (const TenantSpec &tenant : scenario.tenants) {
-        shm_assert(!tenant.name.empty(),
-                   "scenario '{}': tenant with empty name",
-                   scenario.name);
-        shm_assert(names.insert(tenant.name).second,
-                   "scenario '{}': duplicate tenant name '{}'",
-                   scenario.name, tenant.name);
+        if (tenant.name.empty())
+            shm_fatal("{}scenario '{}': tenant with empty name", at,
+                      scenario.name);
+        if (!names.insert(tenant.name).second)
+            shm_fatal("{}scenario '{}': duplicate tenant name '{}'", at,
+                      scenario.name, tenant.name);
         if (!tenant.trace) {
-            validateSpec(tenant.workload);
+            validateSpec(tenant.workload, where);
             continue;
         }
         shm_assert(scenario.tenants.size() == 1,
@@ -160,7 +138,7 @@ parseScenario(std::istream &in, const std::string &origin)
     while (std::getline(in, line)) {
         ++lineno;
         std::string where = origin + ":" + std::to_string(lineno);
-        auto toks = tokens(line);
+        auto toks = lineTokens(line);
         if (toks.empty())
             continue;
         const std::string &cmd = toks[0];
@@ -176,7 +154,7 @@ parseScenario(std::istream &in, const std::string &origin)
             scenario.name = toks[1];
         } else if (cmd == "share") {
             need(2);
-            scenario.policy = sharePolicyFromName(toks[1]);
+            scenario.policy = sharePolicyFromName(toks[1], where);
         } else if (cmd == "quantum") {
             need(2);
             scenario.quantumCycles = parseUnsigned(toks[1], where);
@@ -200,9 +178,13 @@ parseScenario(std::istream &in, const std::string &origin)
                 std::string path = ref.substr(1);
                 if (!path.empty() && path[0] != '/')
                     path = dir + path;
-                tenant.workload = parseWorkloadFile(path);
+                std::ifstream spec_in(path);
+                if (!spec_in)
+                    shm_fatal("{}: cannot open workload file '{}'", where,
+                              path);
+                tenant.workload = parseWorkload(spec_in, path);
             } else {
-                tenant.workload = findWorkload(ref);
+                tenant.workload = findWorkload(ref, where);
             }
             tenant.name = tenant.workload.name;
             for (std::size_t i = 2; i < toks.size(); ++i) {
@@ -226,7 +208,8 @@ parseScenario(std::istream &in, const std::string &origin)
         }
     }
 
-    validateScenario(scenario);
+    // Whole-file checks are located at the last line read.
+    validateScenario(scenario, origin + ":" + std::to_string(std::max(lineno, 1)));
     return scenario;
 }
 

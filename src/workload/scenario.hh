@@ -58,8 +58,10 @@ enum class SharePolicy : std::uint8_t
 /** Name of a share policy ("timeslice" / "partitioned"). */
 const char *sharePolicyName(SharePolicy policy);
 
-/** Parse a share-policy name; fatal on unknown name. */
-SharePolicy sharePolicyFromName(const std::string &name);
+/** Parse a share-policy name; fatal on unknown name, prefixed with
+ *  @p where when given. */
+SharePolicy sharePolicyFromName(const std::string &name,
+                                const std::string &where = "");
 
 /** One tenant: a workload (or a recorded trace) plus its scheduling
  *  identity. */
@@ -98,9 +100,10 @@ struct ScenarioSpec
  * Validate a scenario's internal consistency (at least one tenant,
  * positive quantum, per-tenant workload validity, unique tenant
  * names, a trace tenant alone and with kernels); fatal with a precise
- * message on the first violation.
+ * message on the first violation, prefixed with @p where when given.
  */
-void validateScenario(const ScenarioSpec &scenario);
+void validateScenario(const ScenarioSpec &scenario,
+                      const std::string &where = "");
 
 /**
  * FNV-1a hash over every simulation-relevant field of @p scenario,

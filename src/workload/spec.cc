@@ -8,56 +8,57 @@ namespace shmgpu::workload
 {
 
 void
-validateSpec(const WorkloadSpec &spec)
+validateSpec(const WorkloadSpec &spec, const std::string &where)
 {
+    const std::string at = locationPrefix(where);
     if (spec.name.empty())
-        shm_fatal("workload has no name");
+        shm_fatal("{}workload has no name", at);
     if (spec.buffers.empty())
-        shm_fatal("workload '{}' declares no buffers", spec.name);
+        shm_fatal("{}workload '{}' declares no buffers", at, spec.name);
     if (spec.kernels.empty())
-        shm_fatal("workload '{}' declares no kernels", spec.name);
+        shm_fatal("{}workload '{}' declares no kernels", at, spec.name);
 
     for (const auto &buf : spec.buffers) {
         if (buf.bytes < 32)
-            shm_fatal("buffer '{}' in '{}' is smaller than a sector",
-                      buf.name, spec.name);
+            shm_fatal("{}buffer '{}' in '{}' is smaller than a sector",
+                      at, buf.name, spec.name);
     }
 
     for (const auto &k : spec.kernels) {
         if (k.streams.empty())
-            shm_fatal("kernel '{}' in '{}' has no streams", k.name,
+            shm_fatal("{}kernel '{}' in '{}' has no streams", at, k.name,
                       spec.name);
         for (const auto &st : k.streams) {
             if (st.buffer >= spec.buffers.size())
-                shm_fatal("kernel '{}' in '{}' references buffer {} "
+                shm_fatal("{}kernel '{}' in '{}' references buffer {} "
                           "(only {} declared)",
-                          k.name, spec.name, st.buffer,
+                          at, k.name, spec.name, st.buffer,
                           spec.buffers.size());
             if (st.prob <= 0.0 || st.prob > 1.0)
-                shm_fatal("kernel '{}' in '{}': stream probability {} "
+                shm_fatal("{}kernel '{}' in '{}': stream probability {} "
                           "outside (0, 1]",
-                          k.name, spec.name, st.prob);
+                          at, k.name, spec.name, st.prob);
             if (st.pattern == Pattern::RandomHot &&
                 (st.hotFraction <= 0.0 || st.hotFraction > 1.0 ||
                  st.hotProb < 0.0 || st.hotProb > 1.0)) {
-                shm_fatal("kernel '{}' in '{}': invalid hot-set "
+                shm_fatal("{}kernel '{}' in '{}': invalid hot-set "
                           "parameters",
-                          k.name, spec.name);
+                          at, k.name, spec.name);
             }
             if (st.pattern == Pattern::Strided && st.strideSectors == 0)
-                shm_fatal("kernel '{}' in '{}': zero stride", k.name,
+                shm_fatal("{}kernel '{}' in '{}': zero stride", at, k.name,
                           spec.name);
             if (st.pattern == Pattern::Zipf &&
                 (st.zipfAlpha < 0.0 || st.zipfAlpha > 8.0))
-                shm_fatal("kernel '{}' in '{}': zipf alpha {} outside "
+                shm_fatal("{}kernel '{}' in '{}': zipf alpha {} outside "
                           "[0, 8]",
-                          k.name, spec.name, st.zipfAlpha);
+                          at, k.name, spec.name, st.zipfAlpha);
         }
         for (const auto &copy : k.preCopies) {
             if (copy.buffer >= spec.buffers.size())
-                shm_fatal("kernel '{}' in '{}': host copy references "
+                shm_fatal("{}kernel '{}' in '{}': host copy references "
                           "buffer {}",
-                          k.name, spec.name, copy.buffer);
+                          at, k.name, spec.name, copy.buffer);
         }
     }
 }

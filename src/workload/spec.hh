@@ -123,9 +123,11 @@ struct WorkloadSpec
 /**
  * Validate a workload's internal consistency (buffer references,
  * probabilities, sizes); fatal with a precise message on the first
- * violation. The simulator runs it before constructing traces.
+ * violation, prefixed with @p where when given. The simulator runs it
+ * before constructing traces.
  */
-void validateSpec(const WorkloadSpec &spec);
+void validateSpec(const WorkloadSpec &spec,
+                  const std::string &where = "");
 
 /** Byte offset of each buffer in the flat device address space. */
 std::vector<Addr> layoutBuffers(const WorkloadSpec &spec,

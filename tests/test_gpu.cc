@@ -226,6 +226,28 @@ TEST(GpuSimulator, EnergyActivityPopulated)
     EXPECT_GT(m.energy.mdcAccesses, 0u);
 }
 
+// Time-sliced tenants take turns on the same SM units, so the energy
+// model must count every tenant's instructions, not only those of the
+// tenant holding the units when the run ends.
+TEST(GpuSimulator, EnergyCountsEveryTimeSlicedTenant)
+{
+    workload::ScenarioSpec scn;
+    scn.name = "mix";
+    scn.policy = workload::SharePolicy::TimeSliced;
+    scn.quantumCycles = 2000;
+    scn.tenants.push_back(
+        {"stream", workload::makeStreamingMicro(), 0, nullptr});
+    scn.tenants.push_back(
+        {"random", workload::makeRandomMicro(), 3000, nullptr});
+    GpuSimulator sim(testConfig(),
+                     schemes::makeMeeParams(schemes::Scheme::Shm), scn);
+    ScenarioMetrics sm = sim.run();
+    ASSERT_EQ(sm.tenants.size(), 2u);
+    EXPECT_GT(sm.tenants[0].instructions, 0u);
+    EXPECT_GT(sm.tenants[1].instructions, 0u);
+    EXPECT_EQ(sm.total.energy.instructions, sm.total.instructions);
+}
+
 TEST(GpuSimulator, OversizedWorkloadIsFatal)
 {
     workload::WorkloadSpec w = workload::makeStreamingMicro(1 << 20, 16);

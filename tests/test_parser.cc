@@ -136,6 +136,26 @@ TEST(Parser, ErrorsCarryFileAndLine)
 
 TEST(Parser, ValidatesResult)
 {
-    // Parses syntactically but fails semantic validation (no kernels).
-    EXPECT_DEATH(parse("workload w\nbuffer b 1M\n"), "no kernels");
+    // Parses syntactically but fails semantic validation (no kernels),
+    // located at the last line read.
+    EXPECT_DEATH(parse("workload w\nbuffer b 1M\n"),
+                 "<test>:2: workload 'w' declares no kernels");
+}
+
+// Every malformed number is a located error: no uncaught exception
+// from a real, no negative count wrapping, no silent size overflow.
+TEST(Parser, MalformedNumbersAreLocated)
+{
+    EXPECT_DEATH(parse("workload w\nband forty 60\n"),
+                 "<test>:2: bad number 'forty'");
+    EXPECT_DEATH(parse("workload w\nbuffer b 1M\nkernel k iters=1\n"
+                       "  read b hot x 0.5\n"),
+                 "<test>:4: bad number 'x'");
+    EXPECT_DEATH(parse("workload w\nbuffer b 1M\nkernel k iters=1\n"
+                       "  read b stream p=nan\n"),
+                 "<test>:4: bad number 'nan'");
+    EXPECT_DEATH(parse("workload w\nbuffer b 1M\nkernel k iters=-1\n"),
+                 "<test>:3: bad number '-1'");
+    EXPECT_DEATH(parse("workload w\nbuffer b 99999999999G\n"),
+                 "<test>:2: size '99999999999G' overflows 64 bits");
 }

@@ -110,6 +110,27 @@ TEST(Scenario, TraceTenantMustRunAlone)
                  "trace tenant 'trace' must be the only tenant");
 }
 
+// A scenario file's whole-file checks fail located and fatal (not as
+// a panic), like its per-line ones.
+TEST(Scenario, ParseErrorsAreLocated)
+{
+    auto parse = [](const std::string &text) {
+        std::istringstream in(text);
+        return workload::parseScenario(in, "<scn>");
+    };
+    EXPECT_DEATH(parse("scenario s\n"), "<scn>:1: scenario 's' has no tenants");
+    EXPECT_DEATH(parse("scenario s\nquantum 0\ntenant atax\n"),
+                 "<scn>:3: scenario 's': quantum must be positive");
+    EXPECT_DEATH(parse("scenario s\ntenant atax\ntenant atax\n"),
+                 "<scn>:3: scenario 's': duplicate tenant name 'atax'");
+    EXPECT_DEATH(parse("scenario s\ntenant nosuch\n"),
+                 "<scn>:2: unknown workload 'nosuch'");
+    EXPECT_DEATH(parse("scenario s\nshare sideways\n"),
+                 "<scn>:2: unknown share policy 'sideways'");
+    EXPECT_DEATH(parse("scenario s\ntenant @missing.wl\n"),
+                 "<scn>:2: cannot open workload file 'missing.wl'");
+}
+
 TEST(Scenario, ContentHashCoversTheTrace)
 {
     const auto w = workload::makeMixedMicro();

@@ -71,7 +71,6 @@ TEST(Schemes, VariantsDifferAsDocumented)
 TEST(Schemes, UpperBoundUsesOracle)
 {
     auto p = makeMeeParams(Scheme::ShmUpperBound);
-    EXPECT_TRUE(p.oracleDetectors);
     EXPECT_EQ(p.streamDetector.trackers, 0u) << "unlimited MATs";
     EXPECT_GT(p.streamDetector.entries, 2048u);
     EXPECT_TRUE(needsProfilePass(Scheme::ShmUpperBound));
