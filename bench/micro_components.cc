@@ -25,7 +25,7 @@ BM_CacheAccessHit(benchmark::State &state)
     p.sizeBytes = 128 * 1024;
     p.assoc = 16;
     mem::SectoredCache cache(p);
-    cache.fill(0, 0xF);
+    cache.insert(0, 0xF, 0);
     for (auto _ : state) {
         auto r = cache.access(0, 32, false);
         benchmark::DoNotOptimize(r);
@@ -42,9 +42,10 @@ BM_CacheMissFill(benchmark::State &state)
     mem::SectoredCache cache(p);
     Addr addr = 0;
     for (auto _ : state) {
+        // A cold block every time: the miss installs it, evicting
+        // once the cache has filled.
         auto r = cache.access(addr, 32, false);
         benchmark::DoNotOptimize(r);
-        cache.fill(addr, 0x1);
         addr += 128;
     }
 }

@@ -2,10 +2,11 @@
  * @file
  * google-benchmark microbenchmarks of the hot-path containers and
  * index math introduced by the performance rework: FlatMap vs.
- * std::unordered_map on the MSHR churn pattern, DaryHeap vs.
+ * std::unordered_map on an insert/find/erase churn pattern (the
+ * streaming detector's chunk-to-tracker slots), DaryHeap vs.
  * std::priority_queue on the completion-retirement pattern, the
  * timing-wheel CalendarQueue vs. DaryHeap on the kernel engine's SM
- * ready-event pattern, the shift/mask address mapping, the
+ * ready-event pattern, the division-free address mapping, the
  * unlimited-MAT oracle detector at growing tracker pools, and the
  * profiling pass's per-chunk oracle on the same stream. These
  * isolate the per-structure wins (and costs) that perfbench's
@@ -33,48 +34,48 @@ using namespace shmgpu;
 namespace
 {
 
-/** The MSHR lifecycle: insert, a few merging finds, erase. */
-struct MshrLike
+/** A slot's lifecycle: insert, a few finds, erase. */
+struct ChurnEntry
 {
-    std::uint32_t pendingMask = 0;
-    std::uint32_t merged = 0;
+    std::uint32_t slot = 0;
+    std::uint32_t touches = 0;
 };
 
-constexpr std::size_t liveEntries = 256; // an MSHR file's worth
+constexpr std::size_t liveEntries = 256; // a tracker pool's worth
 
 } // namespace
 
 static void
-BM_FlatMapMshrChurn(benchmark::State &state)
+BM_FlatMapChurn(benchmark::State &state)
 {
-    FlatMap<MshrLike> table;
+    FlatMap<ChurnEntry> table;
     table.reserve(liveEntries);
     std::uint64_t key = 0;
     for (auto _ : state) {
-        table.emplace(key, MshrLike{0xF, 1});
+        table.emplace(key, ChurnEntry{0xF, 1});
         for (int probe = 0; probe < 4; ++probe)
             benchmark::DoNotOptimize(table.find(key));
         table.erase(key);
         key += 128;
     }
 }
-BENCHMARK(BM_FlatMapMshrChurn);
+BENCHMARK(BM_FlatMapChurn);
 
 static void
-BM_UnorderedMapMshrChurn(benchmark::State &state)
+BM_UnorderedMapChurn(benchmark::State &state)
 {
-    std::unordered_map<std::uint64_t, MshrLike> table;
+    std::unordered_map<std::uint64_t, ChurnEntry> table;
     table.reserve(liveEntries);
     std::uint64_t key = 0;
     for (auto _ : state) {
-        table.emplace(key, MshrLike{0xF, 1});
+        table.emplace(key, ChurnEntry{0xF, 1});
         for (int probe = 0; probe < 4; ++probe)
             benchmark::DoNotOptimize(table.find(key));
         table.erase(key);
         key += 128;
     }
 }
-BENCHMARK(BM_UnorderedMapMshrChurn);
+BENCHMARK(BM_UnorderedMapChurn);
 
 static void
 BM_FlatMapHitLookup(benchmark::State &state)
@@ -213,7 +214,7 @@ BM_CacheAccessHitHot(benchmark::State &state)
     p.assoc = 16;
     mem::SectoredCache cache(p);
     for (Addr a = 0; a < 64 * 128; a += 128)
-        cache.fill(a, 0xF);
+        cache.insert(a, 0xF, 0);
     Addr addr = 0;
     for (auto _ : state) {
         auto r = cache.access(addr, 32, false);
@@ -247,7 +248,7 @@ BM_CacheHitByPolicy(benchmark::State &state)
     // Arg is the index into mem::allPolicies().
     mem::SectoredCache cache(policyBenchParams(state.range(0)));
     for (Addr a = 0; a < 64 * 128; a += 128)
-        cache.fill(a, 0xF);
+        cache.insert(a, 0xF, 0);
     Addr addr = 0;
     for (auto _ : state) {
         auto r = cache.access(addr, 32, false);
@@ -262,7 +263,7 @@ BENCHMARK(BM_CacheHitByPolicy)->DenseRange(0, 4);
 static void
 BM_CacheFillEvictByPolicy(benchmark::State &state)
 {
-    // The policy cost on the miss path: every fill past the first
+    // The policy cost on the miss path: every miss past the first
     // 16 ways of a set victimizes, exercising victim() (stamp scan,
     // S3FIFO queue rotation, SIEVE hand walk) plus onInsert. The
     // footprint is 4x the cache so each set thrashes.
@@ -271,8 +272,7 @@ BM_CacheFillEvictByPolicy(benchmark::State &state)
     const Addr span = 4 * p.sizeBytes;
     Addr addr = 0;
     for (auto _ : state) {
-        cache.fill(addr, 0xF);
-        benchmark::DoNotOptimize(cache);
+        benchmark::DoNotOptimize(cache.access(addr, 128, false));
         addr = (addr + 128) % span;
     }
     state.SetLabel(mem::policyName(

@@ -61,6 +61,41 @@ bits(std::uint64_t v, unsigned lo, unsigned len)
     return (v >> lo) & ((len >= 64 ? 0 : (std::uint64_t{1} << len)) - 1);
 }
 
+/**
+ * Division by a divisor fixed at construction, without a divide
+ * instruction per call. With m = floor((2^64 - 1) / d), the high half
+ * of n * m lies in (n/d - 1, n/d), so it is floor(n/d) or one less,
+ * and one compare of the remainder corrects it. Exact for every
+ * 64-bit n and every d >= 1.
+ */
+class ExactDivider
+{
+  public:
+    constexpr explicit ExactDivider(std::uint64_t d = 1)
+        : d(d), magic(~std::uint64_t{0} / d)
+    {
+    }
+
+    /** floor(n / d). */
+    constexpr std::uint64_t
+    quot(std::uint64_t n) const
+    {
+        auto q = static_cast<std::uint64_t>(
+            (static_cast<unsigned __int128>(n) * magic) >> 64);
+        return n - q * d >= d ? q + 1 : q;
+    }
+
+    /** n % d. */
+    constexpr std::uint64_t rem(std::uint64_t n) const
+    {
+        return n - quot(n) * d;
+    }
+
+  private:
+    std::uint64_t d;
+    std::uint64_t magic;
+};
+
 } // namespace shmgpu
 
 #endif // SHMGPU_COMMON_BITOPS_HH

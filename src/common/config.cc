@@ -1,5 +1,7 @@
 #include "common/config.hh"
 
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -19,6 +21,16 @@ trim(const std::string &s)
     if (b == std::string::npos)
         return "";
     return s.substr(b, e - b + 1);
+}
+
+/** Parse all of @p text as a T; false on anything left over. */
+template <typename T>
+bool
+parseWhole(const std::string &text, T *out)
+{
+    const char *end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+    return ec == std::errc() && ptr == end;
 }
 
 } // namespace
@@ -46,7 +58,7 @@ Config::fromStream(std::istream &in, const std::string &origin_name)
         if (cfg.values.contains(key))
             shm_fatal("{}:{}: duplicate key '{}'", origin_name, lineno,
                       key);
-        cfg.values[key] = value;
+        cfg.values[key] = {value, lineno};
     }
     return cfg;
 }
@@ -66,70 +78,77 @@ Config::has(const std::string &key) const
     return values.contains(key);
 }
 
-std::uint64_t
-Config::getU64(const std::string &key, std::uint64_t fallback)
+std::string
+Config::where(const std::string &key) const
 {
     auto it = values.find(key);
     if (it == values.end())
-        return fallback;
+        return origin;
+    return origin + ":" + std::to_string(it->second.line);
+}
+
+const Config::Entry *
+Config::consume(const std::string &key)
+{
+    auto it = values.find(key);
+    if (it == values.end())
+        return nullptr;
     consumed.insert(key);
-    try {
-        std::size_t used = 0;
-        std::uint64_t v = std::stoull(it->second, &used);
-        if (used != it->second.size())
-            throw std::invalid_argument(it->second);
-        return v;
-    } catch (const std::exception &) {
-        shm_fatal("{}: key '{}' has non-integer value '{}'", origin,
-                  key, it->second);
-    }
+    return &it->second;
+}
+
+std::uint64_t
+Config::getU64(const std::string &key, std::uint64_t fallback)
+{
+    const Entry *e = consume(key);
+    if (!e)
+        return fallback;
+    std::uint64_t v = 0;
+    if (!parseWhole(e->value, &v))
+        shm_fatal("{}: key '{}' has non-integer value '{}'", where(key),
+                  key, e->value);
+    return v;
 }
 
 double
 Config::getDouble(const std::string &key, double fallback)
 {
-    auto it = values.find(key);
-    if (it == values.end())
+    const Entry *e = consume(key);
+    if (!e)
         return fallback;
-    consumed.insert(key);
-    try {
-        return std::stod(it->second);
-    } catch (const std::exception &) {
-        shm_fatal("{}: key '{}' has non-numeric value '{}'", origin,
-                  key, it->second);
-    }
+    double v = 0;
+    if (!parseWhole(e->value, &v) || !std::isfinite(v))
+        shm_fatal("{}: key '{}' has non-numeric value '{}'", where(key),
+                  key, e->value);
+    return v;
 }
 
 bool
 Config::getBool(const std::string &key, bool fallback)
 {
-    auto it = values.find(key);
-    if (it == values.end())
+    const Entry *e = consume(key);
+    if (!e)
         return fallback;
-    consumed.insert(key);
-    if (it->second == "true" || it->second == "1")
+    if (e->value == "true" || e->value == "1")
         return true;
-    if (it->second == "false" || it->second == "0")
+    if (e->value == "false" || e->value == "0")
         return false;
-    shm_fatal("{}: key '{}' has non-boolean value '{}'", origin, key,
-              it->second);
+    shm_fatal("{}: key '{}' has non-boolean value '{}'", where(key), key,
+              e->value);
 }
 
 std::string
 Config::getString(const std::string &key, const std::string &fallback)
 {
-    auto it = values.find(key);
-    if (it == values.end())
-        return fallback;
-    consumed.insert(key);
-    return it->second;
+    const Entry *e = consume(key);
+    return e ? e->value : fallback;
 }
 
 std::vector<std::string>
 Config::unconsumedKeys() const
 {
     std::vector<std::string> keys;
-    for (const auto &[key, value] : values)
+    for (const auto &[key, entry] : values)
         if (!consumed.contains(key))
             keys.push_back(key);
     return keys;
@@ -140,7 +159,7 @@ Config::assertConsumed() const
 {
     for (const std::string &key : unconsumedKeys())
         shm_fatal("{}: unknown configuration key '{}' (possible typo)",
-                  origin, key);
+                  where(key), key);
 }
 
 } // namespace shmgpu

@@ -5,7 +5,7 @@
  * Simple "key = value" lines with '#' comments; consumers pull typed
  * values and finally call assertConsumed() so misspelled keys fail
  * loudly instead of being silently ignored (a classic simulator
- * foot-gun).
+ * foot-gun). Every error names the offending line as <origin>:<line>.
  */
 
 #ifndef SHMGPU_COMMON_CONFIG_HH
@@ -32,8 +32,8 @@ class Config
 
     bool has(const std::string &key) const;
 
-    /** @{ Typed getters; fatal on malformed values. The key is marked
-     *  consumed. */
+    /** @{ Typed getters; fatal on malformed values (numbers must be the
+     *  whole value, and finite). The key is marked consumed. */
     std::uint64_t getU64(const std::string &key,
                          std::uint64_t fallback);
     double getDouble(const std::string &key, double fallback);
@@ -41,6 +41,10 @@ class Config
     std::string getString(const std::string &key,
                           const std::string &fallback);
     /** @} */
+
+    /** "<origin>:<line>" of @p key's line, to locate an error about its
+     *  value ("<origin>" when the key is absent). */
+    std::string where(const std::string &key) const;
 
     /** Keys no getter has consumed yet, in sorted order. */
     std::vector<std::string> unconsumedKeys() const;
@@ -51,8 +55,17 @@ class Config
     std::size_t size() const { return values.size(); }
 
   private:
+    struct Entry
+    {
+        std::string value;
+        int line = 0;
+    };
+
+    /** The entry of @p key, marked consumed; null when absent. */
+    const Entry *consume(const std::string &key);
+
     std::string origin;
-    std::map<std::string, std::string> values;
+    std::map<std::string, Entry> values;
     std::set<std::string> consumed;
 };
 

@@ -3,7 +3,7 @@
  * Open-addressing hash map for the simulator's per-access hot paths.
  *
  * The per-cell simulation speed is bound by hash-table work on every
- * simulated memory access (MSHR tables, pending-write masks, metadata
+ * simulated memory access (tracker slots, chunk MAC states, metadata
  * tables). std::unordered_map pays a pointer chase per node plus a
  * prime-modulo per lookup; FlatMap stores slots contiguously in a
  * power-of-two table with linear probing, so the common hit costs one
@@ -11,7 +11,7 @@
  *
  * Keys are 64-bit integers (addresses and indices — every hot table in
  * the simulator keys on one). Deleted slots become tombstones that are
- * reused by later inserts, so erase/insert churn (MSHR alloc/free)
+ * reused by later inserts, so erase/insert churn (tracker alloc/free)
  * does not grow the table.
  *
  * Determinism: the table layout, and therefore iteration order, is a

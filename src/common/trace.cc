@@ -57,7 +57,7 @@ className(EventClass cls)
 }
 
 std::uint32_t
-parseClassMask(const std::string &csv)
+parseClassMask(const std::string &csv, const std::string &where)
 {
     std::uint32_t mask = 0;
     std::size_t pos = 0;
@@ -88,15 +88,17 @@ parseClassMask(const std::string &csv)
                     }
                 }
                 if (!found)
-                    shm_fatal("unknown trace event class '{}' (expected "
-                              "sm, txn, engine, l2, mee, detect, or all)",
-                              name);
+                    shm_fatal("{}unknown trace event class '{}' "
+                              "(expected sm, txn, engine, l2, mee, "
+                              "detect, or all)",
+                              locationPrefix(where), name);
             }
         }
         pos = comma + 1;
     }
     if (mask == 0)
-        shm_fatal("trace class filter '{}' selects no event classes", csv);
+        shm_fatal("{}trace class filter '{}' selects no event classes",
+                  locationPrefix(where), csv);
     return mask;
 }
 

@@ -107,9 +107,10 @@ const char *className(EventClass cls);
 /**
  * Parse a comma-separated class list ("sm,l2,detect", or "all") into
  * a class mask. Fatal on an unknown class name (user configuration
- * error).
+ * error), prefixed with @p where when given.
  */
-std::uint32_t parseClassMask(const std::string &csv);
+std::uint32_t parseClassMask(const std::string &csv,
+                             const std::string &where = "");
 
 /** One recorded event. Compact: still 24 bytes — the tenant id lives
  *  in what used to be struct padding. */

@@ -26,8 +26,9 @@ applyGpuOverrides(Config &config, gpu::GpuParams &p)
     p.victimMissRateThreshold = config.getDouble(
         "gpu.victim_threshold", p.victimMissRateThreshold);
     // Fatal on unknown names, listing the valid set.
-    p.l2Policy = mem::policyFromName(config.getString(
-        "cache.policy", mem::policyName(p.l2Policy)));
+    p.l2Policy = mem::policyFromName(
+        config.getString("cache.policy", mem::policyName(p.l2Policy)),
+        config.where("cache.policy"));
 
     p.dram.bytesPerCycle =
         config.getDouble("dram.bytes_per_cycle", p.dram.bytesPerCycle);
@@ -63,8 +64,9 @@ applyMeeOverrides(Config &config, mee::MeeParams &p)
     p.counterCache.sizeBytes = mdc;
     p.macCache.sizeBytes = mdc;
     p.bmtCache.sizeBytes = mdc;
-    p.mdcPolicy = mem::policyFromName(config.getString(
-        "mee.mdc_policy", mem::policyName(p.mdcPolicy)));
+    p.mdcPolicy = mem::policyFromName(
+        config.getString("mee.mdc_policy", mem::policyName(p.mdcPolicy)),
+        config.where("mee.mdc_policy"));
 
     p.streamDetector.trackers = static_cast<std::uint32_t>(
         config.getU64("mee.mats", p.streamDetector.trackers));
@@ -85,7 +87,26 @@ applyTraceOverrides(Config &config, trace::TraceParams &p)
 {
     std::string classes = config.getString("trace.classes", "");
     if (!classes.empty())
-        p.classMask = trace::parseClassMask(classes);
+        p.classMask =
+            trace::parseClassMask(classes, config.where("trace.classes"));
+}
+
+void
+applyCliOverrides(Config &config, gpu::GpuParams &gpu,
+                  trace::TraceParams &trace, mem::PolicyKind &mdc_policy)
+{
+    applyGpuOverrides(config, gpu);
+    applyTraceOverrides(config, trace);
+    mdc_policy = mem::policyFromName(
+        config.getString("mee.mdc_policy", mem::policyName(mdc_policy)),
+        config.where("mee.mdc_policy"));
+    for (const std::string &key : config.unconsumedKeys())
+        if (key.starts_with("mee."))
+            shm_fatal("{}: '{}' cannot be overridden here: the MEE "
+                      "structure comes from --scheme (the only MEE key "
+                      "accepted is mee.mdc_policy)",
+                      config.where(key), key);
+    config.assertConsumed();
 }
 
 void

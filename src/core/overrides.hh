@@ -54,6 +54,16 @@ void applyMeeOverrides(Config &config, mee::MeeParams &params);
 void applyTraceOverrides(Config &config, trace::TraceParams &params);
 
 /**
+ * The CLI's `--overrides` file: the gpu/cache/dram/trace keys and
+ * mee.mdc_policy. Every other mee.* key is fatal (the MEE structure
+ * comes from the scheme), and so is any unknown key; every error is
+ * located at <file>:<line>.
+ */
+void applyCliOverrides(Config &config, gpu::GpuParams &gpu,
+                       trace::TraceParams &trace,
+                       mem::PolicyKind &mdc_policy);
+
+/**
  * Apply everything from a file to both parameter sets and fail on
  * unknown keys.
  */

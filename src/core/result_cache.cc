@@ -34,8 +34,6 @@ addGpuParams(Fingerprint &h, const gpu::GpuParams &p)
     h.u64(p.l2BanksPerPartition);
     h.u64(p.l2BankBytes);
     h.u64(p.l2Assoc);
-    h.u64(p.l2Mshrs);
-    h.u64(p.l2MshrMerge);
     h.u64(p.l2HitLatency);
     h.str(mem::policyName(p.l2Policy));
     h.u64(p.icntLatency);
@@ -82,6 +80,18 @@ addRunOptions(Fingerprint &h, const RunOptions &o)
     // cache for identical results.
     h.boolean(o.collectAccuracy);
     h.str(mem::policyName(o.mdcPolicy));
+}
+
+/** The hex fingerprint of @p payload's compact serialization. */
+std::string
+payloadHash(const json::Value &payload)
+{
+    Fingerprint h;
+    h.str(payload.dump(0));
+    char hex[20];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(h.value()));
+    return hex;
 }
 
 } // namespace
@@ -184,17 +194,23 @@ ResultCache::loadValue(std::uint64_t key, const std::string &kind,
     json::Value doc;
     if (!json::Value::tryParse(text.str(), &doc))
         return false;
-    if (!doc.isObject() || !doc.contains("schemaVersion") ||
-        !doc.contains("key") || !doc.contains(kind))
+    auto stamp = [&](const char *member) -> const json::Value * {
+        return doc.contains(member) ? &doc.at(member) : nullptr;
+    };
+    if (!doc.isObject() || !doc.contains(kind))
         return false;
-    if (!doc.at("schemaVersion").isNumber() ||
-        doc.at("schemaVersion").asNumber() != kSchemaVersion)
+    const json::Value *version = stamp("schemaVersion");
+    const json::Value *name = stamp("key");
+    const json::Value *hash = stamp("payloadHash");
+    if (!version || !version->isNumber() ||
+        version->asNumber() != kSchemaVersion || !name ||
+        !name->isString() || name->asString() != fileName(key) || !hash ||
+        !hash->isString())
         return false;
-    // Past the stamps, the file is one storeValue() wrote: the
-    // payload parser may assume our own shape (and be fatal when it
-    // does not hold).
-    if (!doc.at("key").isString() ||
-        doc.at("key").asString() != fileName(key))
+    // The payload hash catches any corruption the parse survives (a
+    // flipped digit): past it, the payload is one storeValue() wrote,
+    // and the payload parser may assume our own shape.
+    if (hash->asString() != payloadHash(doc.at(kind)))
         return false;
     *out = doc.at(kind);
     return true;
@@ -211,6 +227,7 @@ ResultCache::storeValue(std::uint64_t key, const std::string &kind,
     // copies.
     doc["key"] = json::Value(fileName(key));
     doc["codeVersion"] = json::Value(codeVersion());
+    doc["payloadHash"] = json::Value(payloadHash(payload));
     doc[kind] = payload;
 
     const std::string final_path = dir + "/" + fileName(key);

@@ -102,8 +102,9 @@ class ResultCache
   public:
     /** Cell-file schema; bump when the serialized shape changes.
      *  v2: RunMetrics carries the adaptive-controller tallies.
-     *  v3: those tallies and the per-cell epoch are gone. */
-    static constexpr int kSchemaVersion = 3;
+     *  v3: those tallies and the per-cell epoch are gone.
+     *  v4: cells carry a payloadHash, so any corruption is a miss. */
+    static constexpr int kSchemaVersion = 4;
 
     /**
      * Open (creating if needed) the cache directory @p dir. Fatal
@@ -115,8 +116,9 @@ class ResultCache
     /**
      * Load the cell stored under @p key into @p out. Returns false —
      * a miss, never an error — when the file is absent, unparsable,
-     * from another schema version, or stamped with a different key
-     * (a hand-renamed file).
+     * from another schema version, stamped with a different key (a
+     * hand-renamed file), or its payload does not match the stored
+     * payload hash (truncation or corruption).
      */
     bool load(std::uint64_t key, ExperimentResult *out) const;
 

@@ -176,6 +176,12 @@ runScenarioCells(const gpu::GpuParams &gpu_params,
     SweepOptions pool;
     pool.jobs = options.jobs;
     pool.tally = options.tally;
+    std::vector<double> cost(cells.size(), 0.0);
+    for (std::size_t i = 0; i < cells.size(); ++i)
+        if (cells[i].scenario)
+            for (const workload::TenantSpec &t : cells[i].scenario->tenants)
+                cost[i] += estimateCellCost(t.workload,
+                                            gpu_params.maxCyclesPerKernel);
     std::vector<ScenarioExperimentResult> results(cells.size());
     runCellPool(cells.size(), pool, [&](std::size_t i) {
         shm_assert(cells[i].scenario != nullptr,
@@ -194,7 +200,7 @@ runScenarioCells(const gpu::GpuParams &gpu_params,
         if (options.cache)
             storeScenarioCell(*options.cache, key, results[i]);
         return false;
-    });
+    }, cost);
     return results;
 }
 

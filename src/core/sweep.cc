@@ -4,6 +4,7 @@
 #include <exception>
 #include <iterator>
 #include <map>
+#include <numeric>
 #include <ostream>
 #include <thread>
 
@@ -42,19 +43,48 @@ SweepRunner::run(const std::vector<schemes::Scheme> &schemes,
     return runCells(cells, options);
 }
 
+double
+estimateCellCost(const workload::WorkloadSpec &spec,
+                 Cycle max_cycles_per_kernel)
+{
+    double cost = 0;
+    for (const workload::KernelSpec &k : spec.kernels) {
+        double prob = 0;
+        for (const workload::StreamSpec &s : k.streams)
+            prob += s.prob;
+        cost += std::min(static_cast<double>(k.iterationsPerSm) * prob,
+                         static_cast<double>(max_cycles_per_kernel) /
+                             (k.computePerMem + 1.0));
+    }
+    return cost;
+}
+
 bool
 runCellPool(std::size_t n, const SweepOptions &options,
-            const std::function<bool(std::size_t)> &body)
+            const std::function<bool(std::size_t)> &body,
+            const std::vector<double> &cost)
 {
     if (n == 0)
         return false;
+    shm_assert(cost.empty() || cost.size() == n,
+               "{} cell costs for {} cells", cost.size(), n);
+
+    // The claim order: longest first, ties (and no estimate) in index
+    // order.
+    std::vector<std::size_t> order(n);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    if (!cost.empty())
+        std::stable_sort(order.begin(), order.end(),
+                         [&](std::size_t a, std::size_t b) {
+                             return cost[a] > cost[b];
+                         });
 
     unsigned jobs = options.jobs != 0
                         ? options.jobs
                         : std::max(1u, std::thread::hardware_concurrency());
     jobs = static_cast<unsigned>(std::min<std::size_t>(jobs, n));
 
-    std::atomic<std::size_t> next_cell{0};
+    std::atomic<std::size_t> next_claim{0};
     std::atomic<bool> stop{false};
     std::atomic<bool> auto_cancel{false};
     std::atomic<std::size_t> done{0};
@@ -69,9 +99,10 @@ runCellPool(std::size_t n, const SweepOptions &options,
 
     auto worker = [&] {
         while (true) {
-            const std::size_t i = next_cell.fetch_add(1);
-            if (i >= n || stop.load() || cancelled())
+            const std::size_t claim = next_claim.fetch_add(1);
+            if (claim >= n || stop.load() || cancelled())
                 return;
+            const std::size_t i = order[claim];
             try {
                 (body(i) ? n_cached : n_simulated).fetch_add(1);
                 const std::size_t completed = done.fetch_add(1) + 1;
@@ -122,6 +153,11 @@ SweepRunner::runCells(const std::vector<SweepCell> &cells,
     const Experiment experiment(baselines, energyConfig);
     const std::string &code_version = codeVersion();
     const crypto::Backend backend = crypto::activeBackend();
+    std::vector<double> cost(n, 0.0);
+    for (std::size_t i = 0; i < n; ++i)
+        if (cells[i].spec)
+            cost[i] = estimateCellCost(
+                *cells[i].spec, baselines->gpuParams().maxCyclesPerKernel);
 
     const bool cancelled = runCellPool(n, options, [&](std::size_t i) {
         std::uint64_t key = 0;
@@ -141,7 +177,7 @@ SweepRunner::runCells(const std::vector<SweepCell> &cells,
         }
         finished[i] = 1;
         return hit;
-    });
+    }, cost);
 
     if (cancelled) {
         // Hand the finished cells back (grid order, gaps removed):

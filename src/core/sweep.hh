@@ -117,6 +117,11 @@ struct SweepOptions
  * completion order, and returns true when the cell was loaded from a
  * cache rather than simulated (counted into options.tally).
  *
+ * Cells are claimed longest-first: in descending @p cost (one static
+ * estimate per cell, see estimateCellCost), ties in index order, so
+ * the longest cells start early instead of forming the pool's tail.
+ * An empty @p cost claims cells in index order.
+ *
  * The first failure stops workers from claiming further cells; once
  * the pool drains, the failure with the lowest index is rethrown, so
  * the caller sees the same error at any job count. options.cancel and
@@ -125,7 +130,19 @@ struct SweepOptions
  * options.cache are the body's business and are not read here.
  */
 bool runCellPool(std::size_t n, const SweepOptions &options,
-                 const std::function<bool(std::size_t)> &body);
+                 const std::function<bool(std::size_t)> &body,
+                 const std::vector<double> &cost = {});
+
+/**
+ * Static estimate of the simulation cost of @p spec, for longest-first
+ * dispatch: the sum over its kernels of
+ * min(iterationsPerSm x sum of stream probabilities,
+ *     max_cycles_per_kernel / (computePerMem + 1)),
+ * i.e. memory instructions per SM, capped by what the cycle budget
+ * can issue. Only the order it induces matters.
+ */
+double estimateCellCost(const workload::WorkloadSpec &spec,
+                        Cycle max_cycles_per_kernel);
 
 /** Thread-pool executor for experiment grids. */
 class SweepRunner

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/bitops.hh"
+
 namespace shmgpu::detect
 {
 
@@ -29,7 +31,9 @@ visitAscending(const std::vector<std::uint64_t> &ids, Fn &&fn)
 
 AccessProfile::PartitionProfile::PartitionProfile(
     std::size_t regions, std::size_t chunks, std::size_t cooldown_entries)
-    : regions(regions), chunks(chunks), cooldown(cooldown_entries)
+    : regionAccesses(regions), chunks(chunks),
+      writtenRegions((regions + 63) / 64), randomChunks((chunks + 63) / 64),
+      cooldown(cooldown_entries)
 {
 }
 
@@ -39,10 +43,18 @@ AccessProfile::AccessProfile(unsigned num_partitions,
                              std::uint64_t chunk_bytes,
                              std::uint32_t block_bytes)
     : spanBytes(partition_bytes), regionSize(region_bytes),
-      chunkSize(chunk_bytes), blockSize(block_bytes)
+      chunkSize(chunk_bytes)
 {
     shm_assert(num_partitions > 0, "need at least one partition");
+    shm_assert(isPowerOf2(region_bytes) && isPowerOf2(chunk_bytes) &&
+                   isPowerOf2(block_bytes),
+               "profile region ({}), chunk ({}) and block ({}) sizes "
+               "must be powers of two",
+               region_bytes, chunk_bytes, block_bytes);
     shm_assert(chunk_bytes >= block_bytes, "chunk smaller than block");
+    regionShift = floorLog2(region_bytes);
+    chunkShift = floorLog2(chunk_bytes);
+    blockShift = floorLog2(block_bytes);
     const std::uint64_t blocks_per_chunk = chunk_bytes / block_bytes;
     shm_assert(blocks_per_chunk <= 64, "access mask is 64 bits");
     fullMask = blocks_per_chunk >= 64 ? ~0ull
@@ -82,17 +94,18 @@ AccessProfile::recordAccess(PartitionId partition, LocalAddr addr,
                partition, now, prof.lastAccess);
     prof.lastAccess = now;
 
-    const std::uint64_t region = addr / regionSize;
-    RegionRecord &r = prof.regions[region];
-    if (r.accesses++ == 0)
+    const std::uint64_t region = addr >> regionShift;
+    if (prof.regionAccesses[region]++ == 0)
         prof.touchedRegions.push_back(region);
-    r.written |= is_write;
+    if (is_write)
+        prof.writtenRegions[region >> 6] |= 1ull << (region & 63);
 
-    const std::uint64_t chunk = addr / chunkSize;
+    const std::uint64_t chunk = addr >> chunkShift;
     ChunkRecord &c = prof.chunks[chunk];
     if (c.accesses++ == 0)
         prof.touchedChunks.push_back(chunk);
-    const std::uint64_t block = 1ull << ((addr % chunkSize) / blockSize);
+    const std::uint64_t block =
+        1ull << ((addr & (chunkSize - 1)) >> blockShift);
     c.touchedMask |= block;
 
     // The unlimited tracker: a timed-out phase closes as random (it
@@ -140,17 +153,13 @@ AccessProfile::finalize()
                 ++c.randomVotes;
                 c.live = false;
             }
+            const std::uint64_t bit = 1ull << (chunk & 63);
+            std::uint64_t &word = prof.randomChunks[chunk >> 6];
+            word = chunkStreamingRecord(c) ? word & ~bit : word | bit;
         }
         std::sort(prof.touchedRegions.begin(), prof.touchedRegions.end());
         std::sort(prof.touchedChunks.begin(), prof.touchedChunks.end());
     }
-}
-
-bool
-AccessProfile::regionReadOnly(PartitionId partition, LocalAddr addr) const
-{
-    checkAddr(addr);
-    return !partitions.at(partition).regions[addr / regionSize].written;
 }
 
 bool
@@ -161,16 +170,6 @@ AccessProfile::chunkStreamingRecord(const ChunkRecord &c) const
     // Too few accesses for any oracle phase to complete: fall back to
     // whole-run block coverage.
     return (c.touchedMask & fullMask) == fullMask;
-}
-
-bool
-AccessProfile::chunkStreaming(PartitionId partition, LocalAddr addr) const
-{
-    checkAddr(addr);
-    const ChunkRecord &c = partitions.at(partition).chunks[addr / chunkSize];
-    if (c.accesses == 0)
-        return true; // never profiled: keep the eager default
-    return chunkStreamingRecord(c);
 }
 
 void
@@ -191,7 +190,7 @@ AccessProfile::forEachWrittenRegion(
 {
     const PartitionProfile &prof = partitions.at(partition);
     visitAscending(prof.touchedRegions, [&](std::uint64_t region) {
-        if (prof.regions[region].written)
+        if (testBit(prof.writtenRegions, region))
             fn(region);
     });
 }
@@ -210,9 +209,8 @@ AccessProfile::accessRatios() const
                 streaming += c.accesses;
         }
         for (std::uint64_t region : prof.touchedRegions) {
-            const RegionRecord &rr = prof.regions[region];
-            if (!rr.written)
-                read_only += rr.accesses;
+            if (!testBit(prof.writtenRegions, region))
+                read_only += prof.regionAccesses[region];
         }
     }
     if (r.totalAccesses) {

@@ -21,13 +21,15 @@
  * comes next. The votes are the same as an eager expiry's: they are
  * counts, a timed-out phase never has full coverage (that would have
  * closed it) and never enters the cooldown ring, and `now` never goes
- * backwards within a partition (recordAccess asserts it). Queries are
- * therefore exact after finalize(); before it, phases that have timed
- * out but not been closed are not yet counted.
+ * backwards within a partition (recordAccess asserts it).
  *
- * Ground truth lives in two dense demand-zero arrays per partition, one
- * record per region and one per chunk of the partition's local span,
- * so the measured run's attribution lookups are direct indexing.
+ * Collection state lives in two dense demand-zero arrays per
+ * partition, one record per region and one per chunk of the
+ * partition's local span. What the measured run's attribution queries
+ * read is smaller: one bit per region (written, set as writes are
+ * recorded) and one bit per chunk (not streaming, rebuilt from the
+ * votes by each finalize()), so a query is a shift and a bit load.
+ * chunkStreaming() therefore answers as of the last finalize().
  */
 
 #ifndef SHMGPU_DETECT_ORACLE_HH
@@ -69,10 +71,24 @@ class AccessProfile
 
     /** @{ Query interface. */
     /** True when no kernel write ever touched the region of @p addr. */
-    bool regionReadOnly(PartitionId partition, LocalAddr addr) const;
+    bool
+    regionReadOnly(PartitionId partition, LocalAddr addr) const
+    {
+        checkAddr(addr);
+        return !testBit(partitions.at(partition).writtenRegions,
+                        addr >> regionShift);
+    }
 
-    /** Majority oracle classification of the chunk of @p addr. */
-    bool chunkStreaming(PartitionId partition, LocalAddr addr) const;
+    /** Majority oracle classification of the chunk of @p addr, as of
+     *  the last finalize() (chunks it never saw are streaming, the
+     *  eager default). */
+    bool
+    chunkStreaming(PartitionId partition, LocalAddr addr) const
+    {
+        checkAddr(addr);
+        return !testBit(partitions.at(partition).randomChunks,
+                        addr >> chunkShift);
+    }
 
     /**
      * Visit every profiled chunk in ascending chunk order (for
@@ -104,11 +120,14 @@ class AccessProfile
     std::uint64_t chunkBytes() const { return chunkSize; }
 
   private:
-    struct RegionRecord
+    /** One bit per id, zero until set. */
+    using BitArray = DemandZeroArray<std::uint64_t>;
+
+    static bool
+    testBit(const BitArray &bits, std::uint64_t id)
     {
-        std::uint64_t accesses;
-        bool written;
-    };
+        return (bits[id >> 6] >> (id & 63)) & 1;
+    }
 
     struct ChunkRecord
     {
@@ -135,8 +154,14 @@ class AccessProfile
         PartitionProfile(std::size_t regions, std::size_t chunks,
                          std::size_t cooldown_entries);
 
-        DemandZeroArray<RegionRecord> regions;
+        /** Accesses per region. */
+        DemandZeroArray<std::uint64_t> regionAccesses;
         DemandZeroArray<ChunkRecord> chunks;
+        /** Regions some write touched. */
+        BitArray writtenRegions;
+        /** Touched chunks whose verdict, at the last finalize(), was
+         *  not streaming. */
+        BitArray randomChunks;
         /** Ids with at least one access, in first-access order until
          *  finalize sorts them. */
         std::vector<std::uint64_t> touchedRegions;
@@ -163,7 +188,11 @@ class AccessProfile
     std::uint64_t spanBytes;
     std::uint64_t regionSize;
     std::uint64_t chunkSize;
-    std::uint32_t blockSize;
+    /** @{ log2 of the (power-of-two) region, chunk and block sizes. */
+    unsigned regionShift;
+    unsigned chunkShift;
+    unsigned blockShift;
+    /** @} */
     /** The unlimited tracker's phase rules (budget, timeout, cooldown). */
     StreamingDetectorParams phaseRules;
     std::uint64_t fullMask;

@@ -1,5 +1,6 @@
 #include "gpu/l2bank.hh"
 
+#include "common/bitops.hh"
 #include "common/logging.hh"
 
 namespace shmgpu::gpu
@@ -19,8 +20,6 @@ l2CacheParams(const GpuParams &params, PartitionId partition,
     cp.blockBytes = 128;
     cp.sectorBytes = 32;
     cp.assoc = params.l2Assoc;
-    cp.mshrs = params.l2Mshrs;
-    cp.mshrMergeMax = params.l2MshrMerge;
     cp.writeAllocate = true;
     cp.fetchOnWriteMiss = false; // GPU write-validate
     cp.policy = params.l2Policy;
@@ -37,63 +36,50 @@ l2CacheParams(const GpuParams &params, PartitionId partition,
 
 L2Bank::L2Bank(const GpuParams &params, PartitionId partition,
                std::uint32_t bank_index)
-    : config(params), storage(l2CacheParams(params, partition, bank_index))
+    : storage(l2CacheParams(params, partition, bank_index)),
+      sampleWarmup(params.victimSampleWarmup)
 {
+    shm_assert(isPowerOf2(params.victimSampleRatio),
+               "victimSampleRatio must be a power of two (got {})",
+               params.victimSampleRatio);
+    shm_assert(isPowerOf2(params.l2BanksPerPartition),
+               "l2BanksPerPartition must be a power of two (got {})",
+               params.l2BanksPerPartition);
+    // A line is sampled when its per-bank line index,
+    // local / blockBytes / banks, is a multiple of the ratio: its low
+    // log2(ratio) bits, above the block and bank bits, are zero.
+    sampleMask = (std::uint64_t{params.victimSampleRatio} - 1)
+                 << (floorLog2(storage.params().blockBytes) +
+                     floorLog2(params.l2BanksPerPartition));
 }
 
-L2AccessResult
+mem::CacheAccessResult
 L2Bank::accessData(LocalAddr local, bool is_write)
 {
     ++statAccesses;
-    L2AccessResult out;
 
     // Set-sampling monitor: a 1-in-N subset of sets stands in for the
     // whole bank's data miss rate (Qureshi & Patt-style sampling).
     // Blocks interleave across the partition's banks, so the sampled
     // subset is chosen on the per-bank line index or one bank would
     // never see a sample.
-    std::uint64_t bank_line = local / storage.params().blockBytes /
-                              config.l2BanksPerPartition;
-    bool sampled = (bank_line % config.victimSampleRatio) == 0;
+    bool sampled = (local & sampleMask) == 0;
 
     mem::CacheAccessResult res = storage.access(local, 32, is_write);
-    switch (res.outcome) {
-      case mem::CacheOutcome::Hit:
+    const bool hit = res.outcome == mem::CacheOutcome::Hit;
+    if (hit)
         ++statHits;
-        out.hit = true;
-        if (sampled) {
-            ++sampleAccesses;
-            ++sampleAccCum;
-        }
-        return out;
-      case mem::CacheOutcome::WriteNoFetch:
-        out.writeNoFetch = true;
-        out.writeback = storage.takeInsertWriteback();
-        if (out.writeback.valid)
-            ++statWritebacks;
-        if (sampled) {
-            ++sampleAccesses;
-            ++sampleMisses;
-            ++sampleAccCum;
-            ++sampleMissCum;
-        }
-        return out;
-      default:
-        break;
-    }
-
-    ++statMisses;
+    else if (res.outcome == mem::CacheOutcome::Miss)
+        ++statMisses;
+    if (res.writeback.valid)
+        ++statWritebacks;
     if (sampled) {
         ++sampleAccesses;
-        ++sampleMisses;
         ++sampleAccCum;
-        ++sampleMissCum;
+        if (!hit)
+            ++sampleMisses;
     }
-    out.fetchMask = res.fetchMask ? res.fetchMask : 1u;
-    out.writeback = storage.fill(local, out.fetchMask);
-    if (out.writeback.valid)
-        ++statWritebacks;
-    return out;
+    return res;
 }
 
 bool
@@ -126,7 +112,7 @@ L2Bank::sampledMissRate() const
 bool
 L2Bank::sampleWarm() const
 {
-    return sampleAccesses >= config.victimSampleWarmup;
+    return sampleAccesses >= sampleWarmup;
 }
 
 void

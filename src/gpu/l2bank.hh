@@ -18,17 +18,6 @@
 namespace shmgpu::gpu
 {
 
-/** Result of an L2 data access. */
-struct L2AccessResult
-{
-    bool hit = false;
-    bool writeNoFetch = false;
-    /** Sectors to fetch from DRAM (read misses). */
-    std::uint32_t fetchMask = 0;
-    /** Dirty eviction produced by this access/fill, if any. */
-    mem::Writeback writeback;
-};
-
 /** One L2 bank (the paper's baseline has two per partition). */
 class L2Bank
 {
@@ -37,11 +26,11 @@ class L2Bank
            std::uint32_t bank_index);
 
     /**
-     * Access a 32 B data sector at partition-local @p local. Read
-     * misses are filled immediately (completion time is tracked by the
+     * Access a 32 B data sector at partition-local @p local. Misses
+     * are filled immediately (completion time is tracked by the
      * caller); the eviction, if any, is returned for write-back.
      */
-    L2AccessResult accessData(LocalAddr local, bool is_write);
+    mem::CacheAccessResult accessData(LocalAddr local, bool is_write);
 
     /** @{ Victim-cache hooks (metadata lives above the data space). */
     bool probeVictim(Addr meta_addr);
@@ -69,16 +58,17 @@ class L2Bank
     /** @} */
 
   private:
-    GpuParams config;
     mem::SectoredCache storage;
+    /** Address bits that must be zero for a sampled line. */
+    std::uint64_t sampleMask = 0;
+    std::uint64_t sampleWarmup;
 
     std::uint64_t sampleAccesses = 0;
     std::uint64_t sampleMisses = 0;
 
   public:
-    /** Cumulative sampling counters (never reset; for debugging). */
+    /** Sampled accesses, never reset (for tests and debugging). */
     std::uint64_t sampleAccCum = 0;
-    std::uint64_t sampleMissCum = 0;
 
   private:
 

@@ -24,12 +24,10 @@ struct GpuParams
     std::uint32_t numSms = 30;
     std::uint32_t numPartitions = 12;
 
-    /** @{ L2: 2 banks/partition, 128 KB each, 192 MSHRs/bank. */
+    /** @{ L2: 2 banks/partition, 128 KB each. */
     std::uint32_t l2BanksPerPartition = 2;
     std::uint64_t l2BankBytes = 128 * 1024;
     std::uint32_t l2Assoc = 16;
-    std::uint32_t l2Mshrs = 192;
-    std::uint32_t l2MshrMerge = 16;
     Cycle l2HitLatency = 32;
     /** L2 line replacement (`cache.policy` / `--policy`). The victim
      *  miss-rate monitor is policy-agnostic, so the 90 % trigger works
@@ -62,7 +60,8 @@ struct GpuParams
 
     /** @{ L2-victim-cache controls (Section IV-D). */
     double victimMissRateThreshold = 0.90;
-    /** 1-in-N set sampling ratio for the data-miss-rate monitor. */
+    /** 1-in-N set sampling ratio for the data-miss-rate monitor (a
+     *  power of two: the sampled-set test is a mask). */
     std::uint32_t victimSampleRatio = 32;
     /** Minimum sampled accesses before the monitor may trigger. */
     std::uint64_t victimSampleWarmup = 64;

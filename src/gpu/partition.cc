@@ -71,16 +71,17 @@ Cycle
 Partition::read(LocalAddr local, Addr phys, Cycle now, MemSpace space)
 {
     L2Bank &b = *banks[bankOf(local)];
-    L2AccessResult res = b.accessData(local, false);
+    mem::CacheAccessResult res = b.accessData(local, false);
+    const bool hit = res.outcome == mem::CacheOutcome::Hit;
     if (tracer)
         tracer->record(partitionId,
-                       res.hit ? trace::EventKind::L2Hit
-                               : trace::EventKind::L2Miss,
+                       hit ? trace::EventKind::L2Hit
+                           : trace::EventKind::L2Miss,
                        now, static_cast<std::uint16_t>(partitionId),
                        local);
 
     Cycle ready;
-    if (res.hit) {
+    if (hit) {
         ready = now + gpuConfig.l2HitLatency;
     } else {
         std::uint32_t bytes =
@@ -119,11 +120,12 @@ Partition::write(LocalAddr local, Addr phys, Cycle now, MemSpace space)
     (void)phys;
     (void)space;
     L2Bank &b = *banks[bankOf(local)];
-    L2AccessResult res = b.accessData(local, true);
+    mem::CacheAccessResult res = b.accessData(local, true);
     if (tracer)
         tracer->record(partitionId,
-                       res.hit ? trace::EventKind::L2Hit
-                               : trace::EventKind::L2Miss,
+                       res.outcome == mem::CacheOutcome::Hit
+                           ? trace::EventKind::L2Hit
+                           : trace::EventKind::L2Miss,
                        now, static_cast<std::uint16_t>(partitionId),
                        local);
     handleWriteback(res.writeback, now);

@@ -13,11 +13,10 @@ namespace shmgpu::mee
 MeeParams::MeeParams()
 {
     // Table VI: 2 KB per metadata cache, 128 B blocks, 4-way,
-    // sectored, 256 MSHRs, write-allocate.
+    // sectored, write-allocate.
     counterCache.name = "counter_cache";
     counterCache.sizeBytes = 2048;
     counterCache.assoc = 4;
-    counterCache.mshrs = 256;
     counterCache.writeAllocate = true;
     counterCache.fetchOnWriteMiss = true; // counter increments are RMW
 
@@ -34,16 +33,17 @@ namespace
 {
 
 /**
- * Stamp the shared MDC policy into one metadata cache's params with a
- * per-partition, per-role random-stream seed (a function of position
- * only, so metadata replacement is identical across sweep job
- * placement).
+ * Stamp the shared MDC policy and the scheme's sector granularity into
+ * one metadata cache's params, with a per-partition, per-role
+ * random-stream seed (a function of position only, so metadata
+ * replacement is identical across sweep job placement).
  */
 mem::CacheParams
-withMdcPolicy(mem::CacheParams cp, mem::PolicyKind policy,
+mdcParams(mem::CacheParams cp, const MeeParams &params,
               PartitionId partition, std::uint64_t role)
 {
-    cp.policy = policy;
+    cp.policy = params.mdcPolicy;
+    cp.fetchWholeBlock = !params.sectoredMetadata;
     cp.policySeed ^= (static_cast<std::uint64_t>(partition) * 4 + role + 1) *
                      0xD6E8FEB86659FD93ull;
     return cp;
@@ -59,12 +59,9 @@ MeeEngine::MeeEngine(const MeeParams &params, PartitionId partition,
     : config(params), partitionId(partition), layout(meta_layout),
       router(dram_router), victim(victim_if), physMap(phys_map),
       commonTable(common_table),
-      ctrCache(withMdcPolicy(params.counterCache, params.mdcPolicy,
-                             partition, 0)),
-      macsCache(withMdcPolicy(params.macCache, params.mdcPolicy,
-                              partition, 1)),
-      treeCache(withMdcPolicy(params.bmtCache, params.mdcPolicy,
-                              partition, 2)),
+      ctrCache(mdcParams(params.counterCache, params, partition, 0)),
+      macsCache(mdcParams(params.macCache, params, partition, 1)),
+      treeCache(mdcParams(params.bmtCache, params, partition, 2)),
       roDetector(params.roDetector), streamDetector(params.streamDetector)
 {
     shm_assert(layout != nullptr, "MEE needs a metadata layout");
@@ -163,27 +160,18 @@ MeeEngine::metaAccess(mem::SectoredCache &cache, Addr meta_addr,
         ++activeTally->mdcAccesses;
 
     mem::CacheAccessResult res = cache.access(meta_addr, bytes, is_write);
-    switch (res.outcome) {
-      case mem::CacheOutcome::Hit:
+    if (res.outcome != mem::CacheOutcome::Miss) {
         if (activeTally)
             ++activeTally->mdcHits;
+        emitEviction(res.writeback, cls, now);
         return now + config.mdcHitLatency;
-      case mem::CacheOutcome::WriteNoFetch:
-        if (activeTally)
-            ++activeTally->mdcHits;
-        emitEviction(cache.takeInsertWriteback(), cls, now);
-        return now + config.mdcHitLatency;
-      default:
-        break;
     }
 
     if (was_miss)
         *was_miss = true;
 
-    std::uint32_t fill_mask = config.sectoredMetadata ? res.fetchMask : 0xFu;
-    if (fill_mask == 0)
-        fill_mask = 0xFu;
-
+    // The fetch goes out before the victim's write-back (which may
+    // recurse into the BMT cache): DRAM sees them in that order.
     Cycle ready;
     if (victim && config.victimL2 && victim->victimActive() &&
         victim->victimProbe(meta_addr)) {
@@ -195,9 +183,7 @@ MeeEngine::metaAccess(mem::SectoredCache &cache, Addr meta_addr,
         ready = now + victim->victimHitLatency();
     } else {
         std::uint32_t fetch_bytes =
-            config.sectoredMetadata
-                ? static_cast<std::uint32_t>(std::popcount(fill_mask)) * 32u
-                : 128u;
+            static_cast<std::uint32_t>(std::popcount(res.fetchMask)) * 32u;
         if (tracer)
             tracer->record(partitionId, fetchKindFor(cls), now,
                            static_cast<std::uint16_t>(partitionId),
@@ -205,7 +191,7 @@ MeeEngine::metaAccess(mem::SectoredCache &cache, Addr meta_addr,
         ready = routeMeta(meta_addr, fetch_bytes, mem::AccessType::Read,
                           cls, now);
     }
-    emitEviction(cache.fill(meta_addr, fill_mask), cls, now);
+    emitEviction(res.writeback, cls, now);
     return ready;
 }
 

@@ -1,6 +1,5 @@
 #include "mem/addr_map.hh"
 
-#include "common/bitops.hh"
 #include "common/logging.hh"
 
 namespace shmgpu::mem
@@ -13,11 +12,8 @@ AddressMap::AddressMap(unsigned num_partitions,
 {
     shm_assert(partitions > 0, "need at least one partition");
     shm_assert(stripeBytes > 0, "interleave granularity must be nonzero");
-    // Real stripe sizes are powers of two; take the shift/mask fast
-    // path in toLocal() when that holds (it always does today).
-    stripePow2 = isPowerOf2(stripeBytes);
-    stripeShift = stripePow2 ? floorLog2(stripeBytes) : 0;
-    stripeMask = stripePow2 ? stripeBytes - 1 : 0;
+    stripeDiv = ExactDivider(stripeBytes);
+    partitionDiv = ExactDivider(partitions);
 }
 
 std::uint64_t
@@ -28,22 +24,15 @@ AddressMap::swizzle(std::uint64_t super_index) const
     // Cheap multiplicative mix; only the residue mod partitions is used.
     std::uint64_t z = super_index * 0x9E3779B97F4A7C15ull;
     z ^= z >> 29;
-    return z % partitions;
+    return partitionDiv.rem(z);
 }
 
 PartitionAddr
 AddressMap::toLocal(Addr addr) const
 {
-    std::uint64_t stripe, offset;
-    if (stripePow2) {
-        stripe = addr >> stripeShift;
-        offset = addr & stripeMask;
-    } else {
-        stripe = addr / stripeBytes;
-        offset = addr % stripeBytes;
-    }
-    std::uint64_t super_index = stripe / partitions;
-    // stripe % partitions without a second divide.
+    std::uint64_t stripe = stripeDiv.quot(addr);
+    std::uint64_t offset = addr - stripe * stripeBytes;
+    std::uint64_t super_index = partitionDiv.quot(stripe);
     std::uint64_t lane = stripe - super_index * partitions;
 
     std::uint64_t selector = lane + swizzle(super_index);
@@ -61,11 +50,12 @@ AddressMap::toPhysical(PartitionId partition, LocalAddr local) const
 {
     shm_assert(partition < partitions, "partition {} out of range",
                partition);
-    std::uint64_t super_index = local / stripeBytes;
-    std::uint64_t offset = local % stripeBytes;
+    std::uint64_t super_index = stripeDiv.quot(local);
+    std::uint64_t offset = local - super_index * stripeBytes;
+    // Undo the swizzle: lane = (partition - swizzle) mod partitions.
     std::uint64_t sw = swizzle(super_index);
-    std::uint64_t lane = (partition + partitions - (sw % partitions)) %
-                         partitions;
+    std::uint64_t lane =
+        partition >= sw ? partition - sw : partition + partitions - sw;
     std::uint64_t stripe = super_index * partitions + lane;
     return stripe * stripeBytes + offset;
 }

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 
+#include "common/bitops.hh"
 #include "common/types.hh"
 
 namespace shmgpu::mem
@@ -35,6 +36,10 @@ struct PartitionAddr
  * rotate over the partitions; a XOR of higher "super-stripe" bits into
  * the partition selector breaks pathological strides (mirroring the
  * address hashing of real GDDR controllers).
+ *
+ * Both divisors (stripe size and partition count) are runtime values,
+ * so every division goes through a precomputed ExactDivider: mapping
+ * an address costs multiplies, never a divide instruction.
  */
 class AddressMap
 {
@@ -57,10 +62,8 @@ class AddressMap
     unsigned partitions;
     std::uint64_t stripeBytes;
     bool swizzleEnabled;
-    /** Shift/mask fast path for pow2 stripe sizes (the common case). */
-    bool stripePow2 = false;
-    unsigned stripeShift = 0;
-    std::uint64_t stripeMask = 0;
+    ExactDivider stripeDiv;    //!< / stripeBytes
+    ExactDivider partitionDiv; //!< / partitions
 };
 
 } // namespace shmgpu::mem

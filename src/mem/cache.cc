@@ -37,12 +37,13 @@ SectoredCache::SectoredCache(const CacheParams &params) : config(params)
     sectorShift = floorLog2(config.sectorBytes);
     blockAlignMask = ~(Addr{config.blockBytes} - 1);
     blockOffsetMask = config.blockBytes - 1;
+    fullSectorMask =
+        static_cast<std::uint32_t>((std::uint64_t{1} << sectorsPerBlock) -
+                                   1);
     setMask = numSets - 1;
 
     tags.assign(numSets * config.assoc, 0);
     lineState.assign(numSets * config.assoc, LineState{});
-    mshrTable.reserve(config.mshrs);
-    pendingWriteMask.reserve(config.mshrs);
 
     replacementRng = Rng(config.policySeed);
     setPolicies.reserve(numSets);
@@ -65,9 +66,9 @@ SectoredCache::sectorMaskFor(Addr addr, std::uint32_t bytes) const
 }
 
 std::size_t
-SectoredCache::findWay(Addr block_addr) const
+SectoredCache::findLine(std::size_t set, Addr block_addr) const
 {
-    std::size_t base = setIndex(block_addr) * config.assoc;
+    std::size_t base = setBase(set);
     Addr want = block_addr | 1;
     for (std::size_t w = 0; w < config.assoc; ++w) {
         if (tags[base + w] == want)
@@ -77,9 +78,10 @@ SectoredCache::findWay(Addr block_addr) const
 }
 
 std::size_t
-SectoredCache::victimWay(Addr block_addr, Writeback &wb)
+SectoredCache::allocateLine(std::size_t set, Addr block_addr,
+                            Writeback &wb)
 {
-    std::size_t base = setIndex(block_addr) * config.assoc;
+    std::size_t base = setBase(set);
     std::size_t victim = noWay;
 
     // Invalid lines take priority regardless of policy: first invalid
@@ -93,15 +95,7 @@ SectoredCache::victimWay(Addr block_addr, Writeback &wb)
         }
     }
     if (victim == noWay) {
-        std::uint64_t pending = 0;
-        for (std::size_t w = 0; w < config.assoc; ++w) {
-            if (lineState[base + w].pendingFill)
-                pending |= std::uint64_t{1} << w;
-        }
-        victim = base + setPolicies[base / config.assoc]->victim(pending);
-    }
-
-    if (tags[victim] != 0) {
+        victim = base + setPolicies[set]->victim();
         if (lineState[victim].dirtyMask != 0) {
             wb.valid = true;
             wb.blockAddr = lineTag(victim);
@@ -110,9 +104,7 @@ SectoredCache::victimWay(Addr block_addr, Writeback &wb)
         }
     }
     tags[victim] = block_addr | 1;
-    lineState[victim].validMask = 0;
-    lineState[victim].dirtyMask = 0;
-    lineState[victim].pendingFill = false;
+    lineState[victim] = LineState{};
     return victim;
 }
 
@@ -121,114 +113,62 @@ SectoredCache::access(Addr addr, std::uint32_t bytes, bool is_write)
 {
     ++statAccesses;
     Addr block = blockAlign(addr);
+    std::size_t set = setIndex(block);
     std::uint32_t want = sectorMaskFor(addr, bytes);
 
-    std::size_t way = findWay(block);
-    if (way != noWay && (lineState[way].validMask & want) == want) {
+    std::size_t line = findLine(set, block);
+    if (line != noWay && (lineState[line].validMask & want) == want) {
         // Full sector hit. What (if anything) this refreshes is the
         // policy's call: LRU bumps recency, FIFO/SIEVE/S3FIFO don't
         // reorder.
-        policyFor(way).onHit(localWay(way));
+        setPolicies[set]->onHit(
+            static_cast<std::uint32_t>(line - setBase(set)));
         if (is_write)
-            lineState[way].dirtyMask |= want;
+            lineState[line].dirtyMask |= want;
         ++statHits;
-        return {CacheOutcome::Hit, 0};
+        return {CacheOutcome::Hit, 0, {}};
     }
 
+    CacheAccessResult out;
     if (is_write && !config.fetchOnWriteMiss) {
         // Write-validate: install the written sectors without a fetch.
-        if (!config.writeAllocate) {
-            // Write-no-allocate without fetch: pass through; the owner
-            // sends the write straight to DRAM.
-            ++statWriteNoFetch;
-            return {CacheOutcome::WriteNoFetch, 0};
-        }
-        if (way == noWay) {
-            Writeback wb;
-            way = victimWay(block, wb);
-            // The eviction write-back is surfaced via pendingWriteback
-            // below; write-validate can evict.
-            pendingInsertWb = wb;
-        }
-        lineState[way].validMask |= want;
-        lineState[way].dirtyMask |= want;
-        policyFor(way).onInsert(localWay(way), block);
+        // Write-no-allocate without fetch passes through instead: the
+        // owner sends the write straight to DRAM.
         ++statWriteNoFetch;
-        return {CacheOutcome::WriteNoFetch, 0};
+        out.outcome = CacheOutcome::WriteNoFetch;
+        if (!config.writeAllocate)
+            return out;
+        if (line == noWay)
+            line = allocateLine(set, block, out.writeback);
+        lineState[line].validMask |= want;
+        lineState[line].dirtyMask |= want;
+        noteInsert(set, line, block);
+        return out;
     }
 
-    // Read miss (or RMW write miss): need sectors from DRAM.
-    std::uint32_t have = way != noWay ? lineState[way].validMask : 0;
-    std::uint32_t need = want & ~have;
-
-    if (MshrEntry *mshr = mshrTable.find(block)) {
-        if (mshr->merged >= config.mshrMergeMax) {
-            ++statNoMshr;
-            return {CacheOutcome::NoMshr, 0};
-        }
-        ++mshr->merged;
-        std::uint32_t newly = need & ~mshr->pendingMask;
-        mshr->pendingMask |= need;
-        ++statMerged;
-        if (is_write)
-            pendingWriteMask[block] |= want;
-        // Only sectors not already in flight go out to DRAM.
-        return {newly ? CacheOutcome::Miss : CacheOutcome::MshrMerged,
-                newly};
-    }
-
-    if (mshrTable.size() >= config.mshrs) {
-        ++statNoMshr;
-        return {CacheOutcome::NoMshr, 0};
-    }
-
-    mshrTable.emplace(block, MshrEntry{need, 1});
-    if (way != noWay)
-        lineState[way].pendingFill = true;
-    if (is_write)
-        pendingWriteMask[block] |= want;
+    // Read miss (or RMW write miss): the missing sectors (or, for a
+    // non-sectored cache, the whole block) come from DRAM, and are
+    // valid from now on; a write dirties what it writes.
     ++statMisses;
-    return {CacheOutcome::Miss, need};
-}
-
-Writeback
-SectoredCache::fill(Addr block_addr, std::uint32_t sector_mask)
-{
-    ++statFills;
-    Addr block = blockAlign(block_addr);
-    Writeback wb;
-
-    std::size_t way = findWay(block);
-    if (way == noWay)
-        way = victimWay(block, wb);
-    lineState[way].validMask |= sector_mask;
-    lineState[way].pendingFill = false;
-    policyFor(way).onInsert(localWay(way), block);
-
-    if (std::uint32_t *pending = pendingWriteMask.find(block)) {
-        lineState[way].validMask |= *pending;
-        lineState[way].dirtyMask |= *pending;
-        pendingWriteMask.erase(block);
-    }
-
-    mshrTable.erase(block);
-    return wb;
-}
-
-bool
-SectoredCache::mshrAvailable(Addr addr) const
-{
-    Addr block = blockAlign(addr);
-    if (const MshrEntry *mshr = mshrTable.find(block))
-        return mshr->merged < config.mshrMergeMax;
-    return mshrTable.size() < config.mshrs;
+    out.outcome = CacheOutcome::Miss;
+    if (line == noWay)
+        line = allocateLine(set, block, out.writeback);
+    out.fetchMask = config.fetchWholeBlock
+                        ? fullSectorMask
+                        : want & ~lineState[line].validMask;
+    lineState[line].validMask |= out.fetchMask | want;
+    if (is_write)
+        lineState[line].dirtyMask |= want;
+    noteInsert(set, line, block);
+    return out;
 }
 
 std::uint32_t
 SectoredCache::probe(Addr addr) const
 {
-    std::size_t way = findWay(blockAlign(addr));
-    return way != noWay ? lineState[way].validMask : 0;
+    Addr block = blockAlign(addr);
+    std::size_t line = findLine(setIndex(block), block);
+    return line != noWay ? lineState[line].validMask : 0;
 }
 
 Writeback
@@ -236,33 +176,40 @@ SectoredCache::insert(Addr block_addr, std::uint32_t valid_mask,
                       std::uint32_t dirty_mask)
 {
     Addr block = blockAlign(block_addr);
+    std::size_t set = setIndex(block);
     Writeback wb;
-    std::size_t way = findWay(block);
-    if (way == noWay)
-        way = victimWay(block, wb);
-    lineState[way].validMask |= valid_mask;
-    lineState[way].dirtyMask |= dirty_mask;
-    policyFor(way).onInsert(localWay(way), block);
+    std::size_t line = findLine(set, block);
+    if (line == noWay)
+        line = allocateLine(set, block, wb);
+    lineState[line].validMask |= valid_mask;
+    lineState[line].dirtyMask |= dirty_mask;
+    noteInsert(set, line, block);
+    return wb;
+}
+
+Writeback
+SectoredCache::dropLine(std::size_t set, std::size_t line)
+{
+    Writeback wb;
+    if (lineState[line].dirtyMask) {
+        wb.valid = true;
+        wb.blockAddr = lineTag(line);
+        wb.dirtyMask = lineState[line].dirtyMask;
+    }
+    setPolicies[set]->onEvict(
+        static_cast<std::uint32_t>(line - setBase(set)));
+    tags[line] = 0;
+    lineState[line] = LineState{};
     return wb;
 }
 
 Writeback
 SectoredCache::invalidate(Addr block_addr)
 {
-    Writeback wb;
-    std::size_t way = findWay(blockAlign(block_addr));
-    if (way != noWay) {
-        if (lineState[way].dirtyMask) {
-            wb.valid = true;
-            wb.blockAddr = lineTag(way);
-            wb.dirtyMask = lineState[way].dirtyMask;
-        }
-        policyFor(way).onEvict(localWay(way));
-        tags[way] = 0;
-        lineState[way].validMask = 0;
-        lineState[way].dirtyMask = 0;
-    }
-    return wb;
+    Addr block = blockAlign(block_addr);
+    std::size_t set = setIndex(block);
+    std::size_t line = findLine(set, block);
+    return line != noWay ? dropLine(set, line) : Writeback{};
 }
 
 void
@@ -279,28 +226,18 @@ SectoredCache::flushDirty(std::vector<Writeback> &out)
 void
 SectoredCache::invalidateAll(std::vector<Writeback> &out)
 {
-    for (std::size_t i = 0; i < tags.size(); ++i) {
-        if (tags[i] == 0)
-            continue;
-        if (lineState[i].dirtyMask) {
-            out.push_back({true, lineTag(i), lineState[i].dirtyMask});
-            ++statWritebacks;
+    for (std::size_t set = 0; set < numSets; ++set) {
+        for (std::size_t line = setBase(set);
+             line < setBase(set) + config.assoc; ++line) {
+            if (tags[line] == 0)
+                continue;
+            Writeback wb = dropLine(set, line);
+            if (wb.valid) {
+                out.push_back(wb);
+                ++statWritebacks;
+            }
         }
-        policyFor(i).onEvict(localWay(i));
-        tags[i] = 0;
-        lineState[i] = LineState{};
     }
-    mshrTable.clear();
-    pendingWriteMask.clear();
-    pendingInsertWb = Writeback{};
-}
-
-Writeback
-SectoredCache::takeInsertWriteback()
-{
-    Writeback wb = pendingInsertWb;
-    pendingInsertWb = Writeback{};
-    return wb;
 }
 
 void
@@ -309,14 +246,12 @@ SectoredCache::regStats(stats::StatGroup *parent)
     statGroup.attach(parent, config.name);
     statGroup.addScalar("accesses", &statAccesses, "total accesses");
     statGroup.addScalar("hits", &statHits, "full sector hits");
-    statGroup.addScalar("misses", &statMisses, "misses with new MSHR");
+    statGroup.addScalar("misses", &statMisses,
+                        "read and read-modify-write misses");
     statGroup.addScalar("write_no_fetch", &statWriteNoFetch,
                         "write-validate misses");
-    statGroup.addScalar("merged", &statMerged, "MSHR-merged misses");
-    statGroup.addScalar("no_mshr", &statNoMshr, "structural MSHR stalls");
     statGroup.addScalar("writebacks", &statWritebacks,
                         "dirty eviction write-backs");
-    statGroup.addScalar("fills", &statFills, "line fills");
 }
 
 } // namespace shmgpu::mem

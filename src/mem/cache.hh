@@ -1,12 +1,13 @@
 /**
  * @file
- * Generic sectored, set-associative, write-back cache with MSHRs.
+ * Generic sectored, set-associative, write-back cache.
  *
  * Used for the GPU L2 data banks and for the per-partition security
  * metadata caches (counter / MAC / BMT caches, Table VI of the paper).
- * The cache is a state model: it decides hit/miss/merge outcomes and
- * tracks line state, while the owning component provides timing and
- * issues the actual DRAM fills.
+ * The cache is a state model with immediate fills: a miss installs the
+ * line at once and reports which sectors the owner must fetch, while
+ * the owning component provides timing and issues the actual DRAM
+ * traffic (fetch and eviction write-back).
  */
 
 #ifndef SHMGPU_MEM_CACHE_HH
@@ -17,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "common/flat_map.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -34,8 +34,6 @@ struct CacheParams
     std::uint32_t blockBytes = 128;
     std::uint32_t sectorBytes = 32;
     std::uint32_t assoc = 4;
-    std::uint32_t mshrs = 256;
-    std::uint32_t mshrMergeMax = 16;
     /** Allocate a line on write miss (metadata caches use this). */
     bool writeAllocate = true;
     /**
@@ -45,6 +43,11 @@ struct CacheParams
      * write semantics, used by nothing today but kept for generality).
      */
     bool fetchOnWriteMiss = false;
+    /**
+     * When true, a miss fetches (and installs) every sector of the
+     * block, not just the missing ones (non-sectored metadata caches).
+     */
+    bool fetchWholeBlock = false;
     /** Line replacement policy (see mem/replacement.hh). */
     PolicyKind policy = PolicyKind::Lru;
     /**
@@ -61,10 +64,16 @@ struct CacheParams
 enum class CacheOutcome : std::uint8_t
 {
     Hit,        //!< all requested sectors present
-    Miss,       //!< fetch required; MSHR allocated
-    MshrMerged, //!< fetch already in flight; merged into existing MSHR
-    NoMshr,     //!< structural stall: no MSHR (or merge slots) available
+    Miss,       //!< sectors installed; the owner fetches fetchMask
     WriteNoFetch //!< write miss satisfied by write-validate (no DRAM read)
+};
+
+/** A dirty-line write-back produced by an eviction. */
+struct Writeback
+{
+    bool valid = false;
+    Addr blockAddr = 0;
+    std::uint32_t dirtyMask = 0;
 };
 
 /** Result of SectoredCache::access(). */
@@ -74,20 +83,14 @@ struct CacheAccessResult
     /** Sector mask (within the block) that must be fetched from DRAM.
      *  Nonzero only for outcome == Miss. */
     std::uint32_t fetchMask = 0;
-};
-
-/** A dirty-line write-back produced by a fill-time eviction. */
-struct Writeback
-{
-    bool valid = false;
-    Addr blockAddr = 0;
-    std::uint32_t dirtyMask = 0;
+    /** The dirty victim the install evicted, if any; the owner writes
+     *  it back after issuing the fetch. */
+    Writeback writeback;
 };
 
 /**
  * Sectored set-associative cache with pluggable replacement (per-set
- * ReplacementPolicy objects, LRU by default) and MSHR-based miss
- * tracking. Addresses are raw byte addresses; the cache never
+ * ReplacementPolicy objects, LRU by default). Addresses are raw byte addresses; the cache never
  * interprets them beyond index/tag extraction, so physical and
  * partition-local address spaces both work.
  */
@@ -98,19 +101,13 @@ class SectoredCache
 
     /**
      * Access @p bytes starting at @p addr (must not cross a block
-     * boundary; the caller splits larger accesses).
+     * boundary; the caller splits larger accesses). A miss installs
+     * the line immediately (choosing and evicting a victim if the
+     * block is not present): the fetched sectors become valid, and
+     * for a read-modify-write miss the written ones also dirty. The
+     * result carries the sectors to fetch and the eviction, if any.
      */
     CacheAccessResult access(Addr addr, std::uint32_t bytes, bool is_write);
-
-    /**
-     * Install fetched sectors for the block containing @p block_addr,
-     * choosing and evicting a victim if the line is not yet present.
-     * Frees the block's MSHR. Returns the eviction write-back, if any.
-     */
-    Writeback fill(Addr block_addr, std::uint32_t sector_mask);
-
-    /** True if an access to @p addr could obtain an MSHR right now. */
-    bool mshrAvailable(Addr addr) const;
 
     /** Presence probe without LRU update. Returns valid-sector mask. */
     std::uint32_t probe(Addr addr) const;
@@ -126,27 +123,17 @@ class SectoredCache
     /** Drop the block if present; returns its dirty write-back. */
     Writeback invalidate(Addr block_addr);
 
-    /**
-     * A write-validate access (outcome WriteNoFetch) can evict a dirty
-     * victim; the owner must collect that write-back with this call
-     * immediately after access().
-     */
-    Writeback takeInsertWriteback();
-
     /** Flush every dirty line (appends write-backs); leaves lines clean. */
     void flushDirty(std::vector<Writeback> &out);
 
     /**
      * Drop every line (appends dirty write-backs first). Replacement
-     * bookkeeping is notified per line (onEvict), and the MSHR and
-     * pending-write tables are cleared, so the cache is exactly as
-     * cold as a freshly built one. Context-switch MDC flushes use
-     * this; the write-backs become DRAM traffic at the owner's hands.
+     * bookkeeping is notified per line (onEvict), so the cache is
+     * exactly as cold as a freshly built one. Context-switch MDC
+     * flushes use this; the write-backs become DRAM traffic at the
+     * owner's hands.
      */
     void invalidateAll(std::vector<Writeback> &out);
-
-    /** Number of outstanding (allocated) MSHRs. */
-    std::size_t mshrsInUse() const { return mshrTable.size(); }
 
     const CacheParams &params() const { return config; }
 
@@ -171,13 +158,6 @@ class SectoredCache
     {
         std::uint32_t validMask = 0;
         std::uint32_t dirtyMask = 0;
-        bool pendingFill = false; //!< reserved by an in-flight MSHR
-    };
-
-    struct MshrEntry
-    {
-        std::uint32_t pendingMask = 0; //!< sectors being fetched
-        std::uint32_t merged = 0;      //!< merged request count
     };
 
     static constexpr std::size_t noWay = ~std::size_t{0};
@@ -188,22 +168,32 @@ class SectoredCache
     {
         return (block_addr >> blockShift) & setMask;
     }
+    /** Index of @p set's first line in the line arrays. */
+    std::size_t setBase(std::size_t set) const
+    {
+        return set * config.assoc;
+    }
     std::uint32_t sectorMaskFor(Addr addr, std::uint32_t bytes) const;
-    std::size_t findWay(Addr block_addr) const;
-    std::size_t victimWay(Addr block_addr, Writeback &wb);
-    /** The replacement policy owning line @p way's set. */
-    ReplacementPolicy &policyFor(std::size_t way)
+    /** Line index of @p block_addr within @p set, or noWay. */
+    std::size_t findLine(std::size_t set, Addr block_addr) const;
+    /**
+     * Claim a line of @p set for @p block_addr: the first invalid way,
+     * else the policy's victim, whose dirty sectors land in @p wb. The
+     * line comes back tagged with no sectors valid.
+     */
+    std::size_t allocateLine(std::size_t set, Addr block_addr,
+                             Writeback &wb);
+    /** Tell @p set's policy that @p line holds fresh contents. */
+    void noteInsert(std::size_t set, std::size_t line, Addr block_addr)
     {
-        return *setPolicies[way / config.assoc];
+        setPolicies[set]->onInsert(
+            static_cast<std::uint32_t>(line - setBase(set)), block_addr);
     }
-    /** Set-local way index of global line index @p way. */
-    std::uint32_t localWay(std::size_t way) const
-    {
-        return static_cast<std::uint32_t>(way % config.assoc);
-    }
+    /** Invalidate @p line of @p set (the policy hears onEvict);
+     *  returns its dirty write-back, if any. */
+    Writeback dropLine(std::size_t set, std::size_t line);
 
-    bool lineValid(std::size_t way) const { return tags[way] != 0; }
-    Addr lineTag(std::size_t way) const { return tags[way] & ~Addr{1}; }
+    Addr lineTag(std::size_t line) const { return tags[line] & ~Addr{1}; }
 
     CacheParams config;
     std::size_t numSets;
@@ -212,13 +202,10 @@ class SectoredCache
     unsigned sectorShift;     //!< log2(sectorBytes)
     Addr blockAlignMask;      //!< ~(blockBytes - 1)
     std::uint32_t blockOffsetMask; //!< blockBytes - 1
+    std::uint32_t fullSectorMask;  //!< every sector of a block
     std::size_t setMask;      //!< numSets - 1
     std::vector<Addr> tags;        //!< hot: tag|valid, numSets x assoc
     std::vector<LineState> lineState; //!< cold: masks/stamps, same layout
-    FlatMap<MshrEntry> mshrTable;
-    /** Sectors written while their block's fill is still in flight. */
-    FlatMap<std::uint32_t> pendingWriteMask;
-    Writeback pendingInsertWb;
     /** Cache-private replacement stream (random policy); seeded from
      *  CacheParams::policySeed, shared by all of this cache's sets. */
     Rng replacementRng;
@@ -229,10 +216,7 @@ class SectoredCache
     stats::Scalar statHits;
     stats::Scalar statMisses;
     stats::Scalar statWriteNoFetch;
-    stats::Scalar statMerged;
-    stats::Scalar statNoMshr;
     stats::Scalar statWritebacks;
-    stats::Scalar statFills;
 };
 
 } // namespace shmgpu::mem

@@ -13,11 +13,20 @@ DramChannel::DramChannel(const DramParams &params) : config(params)
 {
     shm_assert(config.bytesPerCycle > 0, "bandwidth must be positive");
     shm_assert(config.numBanks > 0, "need at least one bank");
+    shm_assert(config.rowBytes > 0, "row size must be nonzero");
     banks.resize(config.numBanks);
-    rowPow2 = isPowerOf2(config.rowBytes);
-    rowShift = rowPow2 ? floorLog2(config.rowBytes) : 0;
-    bankPow2 = isPowerOf2(config.numBanks);
-    bankMask = bankPow2 ? config.numBanks - 1 : 0;
+    rowDiv = ExactDivider(config.rowBytes);
+    bankDiv = ExactDivider(config.numBanks);
+    for (std::uint32_t bytes = 1; bytes <= tableBytes; ++bytes)
+        bursts[bytes] = computeBurst(bytes);
+}
+
+Cycle
+DramChannel::computeBurst(std::uint32_t bytes) const
+{
+    return std::max(static_cast<Cycle>(std::ceil(
+                        static_cast<double>(bytes) / config.bytesPerCycle)),
+                    config.minBurstCycles);
 }
 
 DramResult
@@ -26,9 +35,8 @@ DramChannel::enqueue(Cycle now, Addr addr, std::uint32_t bytes,
 {
     shm_assert(bytes > 0, "zero-byte DRAM transaction");
 
-    std::uint64_t row = rowPow2 ? addr >> rowShift : addr / config.rowBytes;
-    Bank &bank =
-        banks[bankPow2 ? row & bankMask : row % banks.size()];
+    std::uint64_t row = rowDiv.quot(addr);
+    Bank &bank = banks[bankDiv.rem(row)];
 
     // FR-FCFS row window: hit if the row was opened recently enough
     // for the scheduler to batch with it.
@@ -51,9 +59,7 @@ DramChannel::enqueue(Cycle now, Addr addr, std::uint32_t bytes,
                                config.rowHitLatency);
     bank.busyUntil = activate_done;
 
-    auto burst = static_cast<Cycle>(std::ceil(
-        static_cast<double>(bytes) / config.bytesPerCycle));
-    burst = std::max(burst, config.minBurstCycles);
+    const Cycle burst = burstCycles(bytes);
 
     // Read-priority scheduling: drain parked writes through any idle
     // bus window that has passed.

@@ -9,6 +9,11 @@
  * emerges from bus/bank busy intervals, which is the effect the paper
  * depends on: security-metadata traffic lengthens the queue seen by
  * regular data.
+ *
+ * The per-request arithmetic is division-free: row and bank come from
+ * precomputed ExactDividers, and burst lengths up to one cache block
+ * (every transfer the simulator issues) from a per-channel table built
+ * once from bytesPerCycle.
  */
 
 #ifndef SHMGPU_MEM_DRAM_HH
@@ -19,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bitops.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/request.hh"
@@ -89,6 +95,19 @@ class DramChannel
     /** Parked write backlog, in bus cycles (diagnostics). */
     Cycle pendingWrites() const { return pendingWriteCycles; }
 
+    /** Largest transfer with a precomputed burst: one 128 B block. */
+    static constexpr std::uint32_t tableBytes = 128;
+
+    /**
+     * Data-bus cycles of a @p bytes transfer:
+     * max(ceil(bytes / bytesPerCycle), minBurstCycles).
+     */
+    Cycle
+    burstCycles(std::uint32_t bytes) const
+    {
+        return bytes <= tableBytes ? bursts[bytes] : computeBurst(bytes);
+    }
+
     void regStats(stats::StatGroup *parent);
 
     const DramParams &params() const { return config; }
@@ -103,11 +122,13 @@ class DramChannel
 
     DramParams config;
     std::vector<Bank> banks;
-    /** Shift/mask fast path for pow2 row size / bank count. */
-    bool rowPow2 = false;
-    unsigned rowShift = 0;
-    bool bankPow2 = false;
-    std::uint64_t bankMask = 0;
+    ExactDivider rowDiv;  //!< / rowBytes
+    ExactDivider bankDiv; //!< / numBanks
+    /** The burst formula (table fill, and transfers above a block). */
+    Cycle computeBurst(std::uint32_t bytes) const;
+
+    /** burstCycles() by transfer size; entry 0 is unused. */
+    std::array<Cycle, tableBytes + 1> bursts{};
     Cycle busFreeAt = 0;
     Cycle busBusy = 0;
     /** Bus-cycles of parked write bursts (read-priority model). */

@@ -55,12 +55,13 @@ tryPolicyFromName(const std::string &name, PolicyKind *out)
 }
 
 PolicyKind
-policyFromName(const std::string &name)
+policyFromName(const std::string &name, const std::string &where)
 {
     PolicyKind kind;
     if (!tryPolicyFromName(name, &kind))
-        shm_fatal("unknown replacement policy '{}' (expected one of: {})",
-                  name, policyNameList());
+        shm_fatal("{}unknown replacement policy '{}' (expected one of: "
+                  "{})",
+                  locationPrefix(where), name, policyNameList());
     return kind;
 }
 
@@ -69,7 +70,7 @@ namespace
 
 /**
  * LRU and FIFO share the stamp machinery: a per-set monotone clock,
- * one stamp per way, victim = oldest stamp among un-reserved lines.
+ * one stamp per way, victim = oldest stamp.
  * They differ only in whether a hit refreshes the stamp. Stamps are
  * compared only within this set, so a per-set clock reproduces the
  * pre-refactor per-cache clock's decisions exactly (the relative
@@ -96,19 +97,13 @@ class StampPolicy : public ReplacementPolicy
     }
 
     std::uint32_t
-    victim(std::uint64_t pending_fill_mask) override
+    victim() override
     {
-        std::uint32_t best = noWay;
-        bool best_pending = false;
-        for (std::uint32_t w = 0; w < stamps.size(); ++w) {
-            bool pending = (pending_fill_mask >> w) & 1;
-            // Prefer lines without an in-flight fill; among those,
-            // the oldest stamp (first way wins ties).
-            if (best == noWay || (best_pending && !pending) ||
-                (best_pending == pending && stamps[w] < stamps[best])) {
+        // The oldest stamp; the first way wins ties.
+        std::uint32_t best = 0;
+        for (std::uint32_t w = 1; w < stamps.size(); ++w) {
+            if (stamps[w] < stamps[best])
                 best = w;
-                best_pending = pending;
-            }
         }
         return best;
     }
@@ -136,7 +131,7 @@ class RandomPolicy : public ReplacementPolicy
     void onInsert(std::uint32_t, Addr) override {}
 
     std::uint32_t
-    victim(std::uint64_t) override
+    victim() override
     {
         return static_cast<std::uint32_t>(stream->below(ways));
     }
@@ -207,7 +202,7 @@ class S3FifoPolicy : public ReplacementPolicy
     }
 
     std::uint32_t
-    victim(std::uint64_t) override
+    victim() override
     {
         while (true) {
             if (!smallQ.empty() &&
@@ -348,7 +343,7 @@ class SievePolicy : public ReplacementPolicy
     }
 
     std::uint32_t
-    victim(std::uint64_t) override
+    victim() override
     {
         std::uint32_t cand = hand != noWay ? hand : tail;
         while (visited[cand]) {

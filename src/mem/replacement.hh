@@ -28,7 +28,7 @@
  *    valid line, and the returned way is implicitly evicted — the
  *    policy drops its bookkeeping for it before returning;
  *  - onInsert() fires whenever the cache stamps a line with fresh
- *    contents: fills, direct inserts, and write-validate installs —
+ *    contents: miss installs, direct inserts, and write-validate installs —
  *    including re-fills of a line the policy already tracks (treated
  *    as a touch, never a duplicate queue entry);
  *  - onHit() fires on full-sector hits only (probe() never updates);
@@ -81,8 +81,9 @@ std::string policyNameList();
 bool tryPolicyFromName(const std::string &name, PolicyKind *out);
 
 /** Parse a config string; fatal on unknown names, listing the valid
- *  set in the error. */
-PolicyKind policyFromName(const std::string &name);
+ *  set in the error, prefixed with @p where when given. */
+PolicyKind policyFromName(const std::string &name,
+                          const std::string &where = "");
 
 /**
  * One set's replacement state. The cache owns one instance per set
@@ -108,14 +109,10 @@ class ReplacementPolicy
 
     /**
      * Choose the way to evict. Only called when every way is valid.
-     * Bit @p w of @p pending_fill_mask is set when way @p w is
-     * reserved by an in-flight MSHR fill; LRU and FIFO prefer
-     * unreserved lines (the pre-refactor tie-break), Random, S3FIFO
-     * and SIEVE ignore the mask (evicting a reserved line is legal —
-     * the fill re-allocates). The returned way is evicted: the policy
-     * forgets it before returning.
+     * The returned way is evicted: the policy forgets it before
+     * returning.
      */
-    virtual std::uint32_t victim(std::uint64_t pending_fill_mask) = 0;
+    virtual std::uint32_t victim() = 0;
 
     /** @p way was invalidated externally (victim-cache extraction). */
     virtual void onEvict(std::uint32_t way) = 0;

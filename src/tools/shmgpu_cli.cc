@@ -159,17 +159,7 @@ gpuParamsFrom(const Args &args, Options *opts = nullptr)
     std::string overrides = args.get("overrides");
     if (!overrides.empty()) {
         Config config = Config::fromFile(overrides);
-        core::applyGpuOverrides(config, gp);
-        core::applyTraceOverrides(config, o.traceParams);
-        o.mdcPolicy = mem::policyFromName(config.getString(
-            "mee.mdc_policy", mem::policyName(o.mdcPolicy)));
-        for (const std::string &key : config.unconsumedKeys())
-            if (key.starts_with("mee."))
-                shm_fatal("{}: '{}' cannot be overridden here: the MEE "
-                          "structure comes from --scheme (the only MEE "
-                          "key accepted is mee.mdc_policy)",
-                          overrides, key);
-        config.assertConsumed();
+        core::applyCliOverrides(config, gp, o.traceParams, o.mdcPolicy);
     }
     // --policy switches L2 and metadata caches together.
     std::string policy = args.get("policy");

@@ -14,7 +14,8 @@
  * finalize the two profiles must agree on regionReadOnly and
  * chunkStreaming for every region and chunk id of the span, touched
  * or not, on the forEachChunk and forEachWrittenRegion sequences, and
- * on accessRatios.
+ * on accessRatios; and the profile's query bits must answer every
+ * touched id as its own per-chunk records do.
  */
 
 #include <gtest/gtest.h>
@@ -89,6 +90,11 @@ class Pair
             ASSERT_EQ(dut_chunks, ref_chunks);
             for (const auto &[c, s] : ref_chunks)
                 (s ? streamingChunks : randomChunks) += 1;
+            // The query bits finalize() built answer every touched
+            // chunk as its vote record does.
+            for (const auto &[c, s] : dut_chunks)
+                ASSERT_EQ(dut.chunkStreaming(p, c * kChunkBytes), s)
+                    << "bit and record disagree on chunk " << c;
 
             std::vector<std::uint64_t> dut_regions, ref_regions;
             dut.forEachWrittenRegion(
@@ -97,6 +103,9 @@ class Pair
                 p, [&](std::uint64_t r) { ref_regions.push_back(r); });
             ASSERT_EQ(dut_regions, ref_regions);
             writtenRegions += ref_regions.size();
+            for (std::uint64_t r : dut_regions)
+                ASSERT_FALSE(dut.regionReadOnly(p, r * kRegionBytes))
+                    << "region " << r;
         }
 
         const AccessProfile::Ratios a = dut.accessRatios();

@@ -107,3 +107,83 @@ TEST(AddrMap, NoSwizzleKeepsRotation)
     for (unsigned s = 0; s < 64; ++s)
         EXPECT_EQ(map.toLocal(Addr{s} * 256).partition, s % 4);
 }
+
+namespace
+{
+
+/** The mapping written with plain / and %, as the reference. */
+struct NaiveMap
+{
+    std::uint64_t partitions;
+    std::uint64_t stripe;
+    bool swizzle;
+
+    std::uint64_t
+    sw(std::uint64_t super_index) const
+    {
+        if (!swizzle)
+            return 0;
+        std::uint64_t z = super_index * 0x9E3779B97F4A7C15ull;
+        z ^= z >> 29;
+        return z % partitions;
+    }
+
+    PartitionAddr
+    toLocal(Addr addr) const
+    {
+        std::uint64_t s = addr / stripe;
+        std::uint64_t super_index = s / partitions;
+        PartitionAddr out;
+        out.partition = static_cast<PartitionId>(
+            (s % partitions + sw(super_index)) % partitions);
+        out.local = super_index * stripe + addr % stripe;
+        return out;
+    }
+
+    Addr
+    toPhysical(PartitionId partition, LocalAddr local) const
+    {
+        std::uint64_t super_index = local / stripe;
+        std::uint64_t lane =
+            (partition + partitions - sw(super_index) % partitions) %
+            partitions;
+        return (super_index * partitions + lane) * stripe + local % stripe;
+    }
+};
+
+} // namespace
+
+TEST(AddrMap, MatchesNaiveDivisionForEveryPartitionCount)
+{
+    Rng rng(7);
+    for (unsigned partitions = 1; partitions <= 64; ++partitions) {
+        for (std::uint64_t stripe : {256ull, 384ull, 1ull}) {
+            for (bool swizzle : {true, false}) {
+                AddressMap map(partitions, stripe, swizzle);
+                NaiveMap ref{partitions, stripe, swizzle};
+                std::vector<Addr> addrs = {0, 1, stripe - 1, stripe,
+                                           partitions * stripe - 1,
+                                           partitions * stripe, ~0ull,
+                                           ~0ull - stripe};
+                for (int i = 0; i < 300; ++i) {
+                    addrs.push_back(rng.next());
+                    addrs.push_back(rng.below(1ull << 36));
+                }
+                for (Addr addr : addrs) {
+                    PartitionAddr got = map.toLocal(addr);
+                    ASSERT_EQ(got, ref.toLocal(addr))
+                        << partitions << " partitions, stripe " << stripe
+                        << ", addr " << addr;
+                    ASSERT_EQ(map.toPhysical(got.partition, got.local),
+                              addr);
+                    // toPhysical on its own, from an arbitrary local.
+                    PartitionId p = static_cast<PartitionId>(
+                        rng.below(partitions));
+                    LocalAddr local = addr / partitions;
+                    ASSERT_EQ(map.toPhysical(p, local),
+                              ref.toPhysical(p, local));
+                }
+            }
+        }
+    }
+}

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/bitops.hh"
+#include "common/rng.hh"
 
 using namespace shmgpu;
 
@@ -61,4 +64,36 @@ TEST(BitOps, Bits)
     EXPECT_EQ(bits(0xFF00, 8, 8), 0xFFu);
     EXPECT_EQ(bits(0xABCD, 0, 4), 0xDu);
     EXPECT_EQ(bits(~0ull, 0, 64), ~0ull);
+}
+
+TEST(BitOps, ExactDividerMatchesDivision)
+{
+    // Every divisor 1..64 plus large and extreme ones, against random
+    // full-range numerators and the edges around multiples of d.
+    std::vector<std::uint64_t> divisors;
+    for (std::uint64_t d = 1; d <= 64; ++d)
+        divisors.push_back(d);
+    for (std::uint64_t d : {1000ull, 4096ull, 0x9E3779B9ull,
+                            (1ull << 32) + 1, 1ull << 63,
+                            (1ull << 63) + 1, ~0ull - 1, ~0ull})
+        divisors.push_back(d);
+    Rng rng(2024);
+    for (std::uint64_t d : divisors) {
+        const ExactDivider div(d);
+        std::vector<std::uint64_t> ns = {0, 1, d - 1, d, d + 1,
+                                         ~0ull, ~0ull - 1, ~0ull - d};
+        const std::uint64_t top = ~0ull / d;
+        for (std::uint64_t k : {std::uint64_t{2}, top / 2, top}) {
+            ns.push_back(k * d - 1);
+            ns.push_back(k * d);
+        }
+        for (int i = 0; i < 2000; ++i) {
+            ns.push_back(rng.next());
+            ns.push_back(rng.next() >> rng.below(64));
+        }
+        for (std::uint64_t n : ns) {
+            ASSERT_EQ(div.quot(n), n / d) << n << " / " << d;
+            ASSERT_EQ(div.rem(n), n % d) << n << " % " << d;
+        }
+    }
 }

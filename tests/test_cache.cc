@@ -1,7 +1,7 @@
 /**
  * @file
- * Sectored cache tests: hits/misses, sector masks, LRU, MSHRs,
- * write-validate, evictions, victim insertion, flush.
+ * Sectored cache tests: hits/misses, sector masks, LRU, immediate
+ * fills, write-validate, evictions, victim insertion, flush.
  */
 
 #include <gtest/gtest.h>
@@ -23,8 +23,6 @@ smallParams()
     p.blockBytes = 128;
     p.sectorBytes = 32;
     p.assoc = 4; // 4 sets
-    p.mshrs = 8;
-    p.mshrMergeMax = 4;
     return p;
 }
 
@@ -36,21 +34,23 @@ TEST(Cache, ColdMissThenHitAfterFill)
     auto r = c.access(0x1000, 32, false);
     EXPECT_EQ(r.outcome, CacheOutcome::Miss);
     EXPECT_EQ(r.fetchMask, 0x1u);
+    EXPECT_FALSE(r.writeback.valid);
 
-    c.fill(0x1000, r.fetchMask);
+    // The miss installed the sector: the next access hits.
+    EXPECT_EQ(c.probe(0x1000), 0x1u);
     EXPECT_EQ(c.access(0x1000, 32, false).outcome, CacheOutcome::Hit);
 }
 
 TEST(Cache, SectorGranularity)
 {
     SectoredCache c(smallParams());
-    auto r = c.access(0x1000, 32, false);
-    c.fill(0x1000, r.fetchMask);
+    c.access(0x1000, 32, false);
 
     // Same block, different sector: sector miss.
     auto r2 = c.access(0x1000 + 64, 32, false);
     EXPECT_EQ(r2.outcome, CacheOutcome::Miss);
     EXPECT_EQ(r2.fetchMask, 0x4u);
+    EXPECT_EQ(c.probe(0x1000), 0x5u);
 }
 
 TEST(Cache, MultiSectorAccessMask)
@@ -58,8 +58,26 @@ TEST(Cache, MultiSectorAccessMask)
     SectoredCache c(smallParams());
     auto r = c.access(0x1000, 128, false);
     EXPECT_EQ(r.fetchMask, 0xFu);
-    auto r2 = c.access(0x1020, 64, false);
-    EXPECT_EQ(r2.outcome, CacheOutcome::MshrMerged);
+    // The whole block arrived with the first miss.
+    EXPECT_EQ(c.access(0x1020, 64, false).outcome, CacheOutcome::Hit);
+}
+
+TEST(Cache, WholeBlockFetchFillsEverySector)
+{
+    CacheParams p = smallParams();
+    p.fetchWholeBlock = true;
+    SectoredCache c(p);
+    auto r = c.access(0x1000 + 32, 8, false);
+    EXPECT_EQ(r.outcome, CacheOutcome::Miss);
+    EXPECT_EQ(r.fetchMask, 0xFu);
+    EXPECT_EQ(c.probe(0x1000), 0xFu);
+
+    // A write-validated sector leaves the rest of its line invalid; a
+    // later read of another sector refetches the whole block.
+    EXPECT_EQ(c.access(0x2000, 32, true).outcome,
+              CacheOutcome::WriteNoFetch);
+    EXPECT_EQ(c.access(0x2000 + 96, 32, false).fetchMask, 0xFu);
+    EXPECT_EQ(c.invalidate(0x2000).dirtyMask, 0x1u);
 }
 
 TEST(Cache, CrossBlockAccessPanics)
@@ -68,41 +86,12 @@ TEST(Cache, CrossBlockAccessPanics)
     EXPECT_DEATH(c.access(0x1000 + 96, 64, false), "block boundary");
 }
 
-TEST(Cache, MshrMergeAndExhaustion)
-{
-    SectoredCache c(smallParams());
-    // First miss allocates the MSHR.
-    EXPECT_EQ(c.access(0x2000, 32, false).outcome, CacheOutcome::Miss);
-    // Same sector again: merged, nothing new to fetch.
-    EXPECT_EQ(c.access(0x2000, 32, false).outcome,
-              CacheOutcome::MshrMerged);
-    EXPECT_EQ(c.access(0x2000, 32, false).outcome,
-              CacheOutcome::MshrMerged);
-    // Merge limit is 4 (1 primary + 3 merges): the next one stalls.
-    EXPECT_EQ(c.access(0x2000, 32, false).outcome,
-              CacheOutcome::MshrMerged);
-    EXPECT_EQ(c.access(0x2000, 32, false).outcome, CacheOutcome::NoMshr);
-}
-
-TEST(Cache, MshrTableExhaustion)
-{
-    CacheParams p = smallParams();
-    p.mshrs = 2;
-    SectoredCache c(p);
-    EXPECT_EQ(c.access(0x0000, 32, false).outcome, CacheOutcome::Miss);
-    EXPECT_EQ(c.access(0x1000, 32, false).outcome, CacheOutcome::Miss);
-    EXPECT_EQ(c.access(0x2000, 32, false).outcome, CacheOutcome::NoMshr);
-    EXPECT_FALSE(c.mshrAvailable(0x3000));
-    c.fill(0x0000, 0x1);
-    EXPECT_TRUE(c.mshrAvailable(0x3000));
-}
-
 TEST(Cache, WriteValidateAllocatesWithoutFetch)
 {
     SectoredCache c(smallParams());
     auto r = c.access(0x3000, 32, true);
     EXPECT_EQ(r.outcome, CacheOutcome::WriteNoFetch);
-    EXPECT_FALSE(c.takeInsertWriteback().valid);
+    EXPECT_FALSE(r.writeback.valid);
     // The written sector is now valid and dirty.
     EXPECT_EQ(c.access(0x3000, 32, false).outcome, CacheOutcome::Hit);
     Writeback wb = c.invalidate(0x3000);
@@ -118,8 +107,8 @@ TEST(Cache, RmwWriteMissFetches)
     auto r = c.access(0x3000, 32, true);
     EXPECT_EQ(r.outcome, CacheOutcome::Miss);
     EXPECT_EQ(r.fetchMask, 0x1u);
-    c.fill(0x3000, r.fetchMask);
-    // The pending write dirtied the sector at fill time.
+    // The miss installed the sector valid and dirty.
+    EXPECT_EQ(c.probe(0x3000), 0x1u);
     Writeback wb = c.invalidate(0x3000);
     EXPECT_TRUE(wb.valid);
     EXPECT_EQ(wb.dirtyMask, 0x1u);
@@ -132,11 +121,11 @@ TEST(Cache, LruEviction)
     p.sizeBytes = 2 * 128; // 1 set, 2 ways
     SectoredCache c(p);
 
-    c.fill(0x0000, 0xF);
-    c.fill(0x0080, 0xF);
+    c.access(0x0000, 128, false);
+    c.access(0x0080, 128, false);
     // Touch the first line so the second is LRU.
     EXPECT_EQ(c.access(0x0000, 32, false).outcome, CacheOutcome::Hit);
-    c.fill(0x0100, 0xF); // evicts 0x0080
+    c.access(0x0100, 128, false); // evicts 0x0080
     EXPECT_EQ(c.probe(0x0080), 0u);
     EXPECT_NE(c.probe(0x0000), 0u);
     EXPECT_NE(c.probe(0x0100), 0u);
@@ -150,7 +139,8 @@ TEST(Cache, DirtyEvictionProducesWriteback)
     SectoredCache c(p);
 
     c.access(0x0000, 32, true); // dirty via write-validate
-    Writeback wb = c.fill(0x1000, 0xF); // evicts the dirty line
+    // The miss evicts the dirty line.
+    Writeback wb = c.access(0x1000, 128, false).writeback;
     EXPECT_TRUE(wb.valid);
     EXPECT_EQ(wb.blockAddr, 0x0000u);
     EXPECT_EQ(wb.dirtyMask, 0x1u);
@@ -162,8 +152,8 @@ TEST(Cache, CleanEvictionSilent)
     p.assoc = 1;
     p.sizeBytes = 128;
     SectoredCache c(p);
-    c.fill(0x0000, 0xF);
-    EXPECT_FALSE(c.fill(0x1000, 0xF).valid);
+    c.access(0x0000, 128, false);
+    EXPECT_FALSE(c.access(0x1000, 128, false).writeback.valid);
 }
 
 TEST(Cache, InsertVictimPath)
@@ -181,7 +171,7 @@ TEST(Cache, FlushDirty)
     SectoredCache c(smallParams());
     c.access(0x0000, 32, true);
     c.access(0x1000, 32, true);
-    c.fill(0x2000, 0xF); // clean line
+    c.access(0x2000, 128, false); // clean line
 
     std::vector<Writeback> wbs;
     c.flushDirty(wbs);
@@ -216,14 +206,13 @@ TEST_P(CacheGeometry, FillThenHit)
     CacheParams p = smallParams();
     p.sizeBytes = size;
     p.assoc = assoc;
-    p.mshrs = 512;
     SectoredCache c(p);
 
     std::uint64_t lines = size / p.blockBytes;
     for (std::uint64_t i = 0; i < lines; ++i) {
         auto r = c.access(i * 128, 32, false);
         ASSERT_EQ(r.outcome, CacheOutcome::Miss);
-        c.fill(i * 128, r.fetchMask);
+        ASSERT_FALSE(r.writeback.valid);
     }
     // Everything fits: all hits.
     for (std::uint64_t i = 0; i < lines; ++i)
@@ -247,12 +236,12 @@ TEST(Cache, FifoIgnoresRecency)
     p.policy = PolicyKind::Fifo;
     SectoredCache c(p);
 
-    c.fill(0x0000, 0xF);
-    c.fill(0x0080, 0xF);
+    c.access(0x0000, 128, false);
+    c.access(0x0080, 128, false);
     // Touch the first line: under LRU this would protect it, under
     // FIFO it is still the oldest and gets evicted.
     c.access(0x0000, 32, false);
-    c.fill(0x0100, 0xF);
+    c.access(0x0100, 128, false);
     EXPECT_EQ(c.probe(0x0000), 0u);
     EXPECT_NE(c.probe(0x0080), 0u);
 }
@@ -267,8 +256,7 @@ TEST(Cache, RandomReplacementIsDeterministicAndValid)
         SectoredCache c(p);
         std::vector<Addr> evicted;
         for (int i = 0; i < 64; ++i) {
-            c.access(static_cast<Addr>(i) * 128, 32, true);
-            auto wb = c.takeInsertWriteback();
+            auto wb = c.access(static_cast<Addr>(i) * 128, 32, true).writeback;
             if (wb.valid)
                 evicted.push_back(wb.blockAddr);
         }
@@ -293,8 +281,7 @@ TEST(Cache, RandomStreamIsPerCacheSeeded)
     auto evictions = [](SectoredCache &c) {
         std::vector<Addr> out;
         for (int i = 0; i < 64; ++i) {
-            c.access(static_cast<Addr>(i) * 128, 32, true);
-            auto wb = c.takeInsertWriteback();
+            auto wb = c.access(static_cast<Addr>(i) * 128, 32, true).writeback;
             if (wb.valid)
                 out.push_back(wb.blockAddr);
         }
@@ -312,12 +299,10 @@ TEST(Cache, RandomStreamIsPerCacheSeeded)
     std::vector<Addr> ev_a;
     std::vector<Addr> ev_b;
     for (int i = 0; i < 64; ++i) {
-        a.access(static_cast<Addr>(i) * 128, 32, true);
-        auto wa = a.takeInsertWriteback();
+        auto wa = a.access(static_cast<Addr>(i) * 128, 32, true).writeback;
         if (wa.valid)
             ev_a.push_back(wa.blockAddr);
-        b.access(static_cast<Addr>(i) * 128, 32, true);
-        auto wb = b.takeInsertWriteback();
+        auto wb = b.access(static_cast<Addr>(i) * 128, 32, true).writeback;
         if (wb.valid)
             ev_b.push_back(wb.blockAddr);
     }

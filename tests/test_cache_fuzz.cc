@@ -3,14 +3,12 @@
  * Property-based cache fuzzing: under a long random access mix, the
  * cache must preserve the conservation invariants that the DRAM
  * accounting depends on — every dirty sector leaves the chip exactly
- * once, hits never materialize out of thin air, and the MSHR table
- * drains.
+ * once, and hits never materialize out of thin air.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <iterator>
 #include <map>
 #include <set>
 
@@ -46,7 +44,6 @@ TEST_P(CacheFuzz, ConservationInvariants)
     p.name = "fuzz";
     p.sizeBytes = size;
     p.assoc = assoc;
-    p.mshrs = 16;
     p.fetchOnWriteMiss = rmw;
     p.policy = policy;
     SectoredCache cache(p);
@@ -77,30 +74,15 @@ TEST_P(CacheFuzz, ConservationInvariants)
         bool is_write = rng.chance(0.4);
 
         auto res = cache.access(addr, 32, is_write);
-        switch (res.outcome) {
-          case CacheOutcome::Hit:
+        if (res.outcome == CacheOutcome::Hit) {
             EXPECT_TRUE(filled.contains(block))
                 << "hit on a block never filled";
-            if (is_write)
-                written[block] |= (1u << sector);
-            break;
-          case CacheOutcome::WriteNoFetch:
-            written[block] |= (1u << sector);
-            filled.insert(block);
-            on_writeback(cache.takeInsertWriteback());
-            break;
-          case CacheOutcome::Miss:
-            if (is_write)
-                written[block] |= (1u << sector);
-            on_writeback(cache.fill(block, res.fetchMask));
-            filled.insert(block);
-            break;
-          case CacheOutcome::MshrMerged:
-          case CacheOutcome::NoMshr:
-            // Immediate-fill usage never leaves MSHRs pending.
-            FAIL() << "unexpected outcome with immediate fills";
+        } else {
+            filled.insert(block); // immediate fill or write-validate
         }
-        EXPECT_EQ(cache.mshrsInUse(), 0u);
+        if (is_write)
+            written[block] |= (1u << sector);
+        on_writeback(res.writeback);
     }
 
     // Drain: flush everything and check total conservation — every
@@ -138,10 +120,10 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(4096ull, 2u, false, 13ull, PolicyKind::Random)));
 
 // ---------------------------------------------------------------------
-// Differential property test: SectoredCache (shift/mask indexing, flat
-// MSHR tables, hot/cold line split) against a naive reference model
-// written with division/modulo math and ordered maps. Every observable
-// — outcomes, fetch masks, write-backs, probes, MSHR occupancy, flush
+// Differential property test: SectoredCache (shift/mask indexing,
+// hot/cold line split, immediate fills) against a naive reference
+// model written with division/modulo math and ordered maps. Every
+// observable — outcomes, fetch masks, write-backs, probes, flush
 // order — must match on every step of a long random access mix.
 // ---------------------------------------------------------------------
 
@@ -150,9 +132,9 @@ namespace
 
 /**
  * Deliberately naive sectored cache with the documented semantics of
- * SectoredCache: div/mod indexing, per-set line vectors, ordered maps
- * for MSHRs, and tag-keyed (not way-keyed) replacement bookkeeping for
- * the queue policies. Shares no code with the real implementation.
+ * SectoredCache: div/mod indexing, per-set line vectors, and
+ * tag-keyed (not way-keyed) replacement bookkeeping for the queue
+ * policies. Shares no code with the real implementation.
  */
 class RefCache
 {
@@ -178,77 +160,34 @@ class RefCache
             onHit(block, line);
             if (is_write)
                 line->dirtyMask |= want;
-            return {CacheOutcome::Hit, 0};
+            return {CacheOutcome::Hit, 0, {}};
         }
 
+        CacheAccessResult out;
         if (is_write && !p.fetchOnWriteMiss) {
+            out.outcome = CacheOutcome::WriteNoFetch;
             if (!p.writeAllocate)
-                return {CacheOutcome::WriteNoFetch, 0};
-            if (!line) {
-                Writeback wb;
-                line = victim(block, wb);
-                pendingInsertWb = wb;
-            }
+                return out;
+            if (!line)
+                line = victim(block, out.writeback);
             line->validMask |= want;
             line->dirtyMask |= want;
             onInstall(block, line);
-            return {CacheOutcome::WriteNoFetch, 0};
+            return out;
         }
 
-        std::uint32_t have = line ? line->validMask : 0;
-        std::uint32_t need = want & ~have;
-
-        auto it = mshrs.find(block);
-        if (it != mshrs.end()) {
-            if (it->second.merged >= p.mshrMergeMax)
-                return {CacheOutcome::NoMshr, 0};
-            ++it->second.merged;
-            std::uint32_t newly = need & ~it->second.pendingMask;
-            it->second.pendingMask |= need;
-            if (is_write)
-                pendingWrites[block] |= want;
-            return {newly ? CacheOutcome::Miss : CacheOutcome::MshrMerged,
-                    newly};
-        }
-        if (mshrs.size() >= p.mshrs)
-            return {CacheOutcome::NoMshr, 0};
-        mshrs[block] = {need, 1};
-        if (line)
-            line->pendingFill = true;
-        if (is_write)
-            pendingWrites[block] |= want;
-        return {CacheOutcome::Miss, need};
-    }
-
-    Writeback
-    fill(Addr block_addr, std::uint32_t sector_mask)
-    {
-        Addr block = block_addr - block_addr % p.blockBytes;
-        Writeback wb;
-        RefLine *line = lookup(block);
+        // Miss: install now, fetch what was missing (or everything).
+        out.outcome = CacheOutcome::Miss;
         if (!line)
-            line = victim(block, wb);
-        line->validMask |= sector_mask;
-        line->pendingFill = false;
+            line = victim(block, out.writeback);
+        out.fetchMask = p.fetchWholeBlock
+                            ? (1u << sectorsPerBlock) - 1
+                            : want & ~line->validMask;
+        line->validMask |= out.fetchMask | want;
+        if (is_write)
+            line->dirtyMask |= want;
         onInstall(block, line);
-        auto pw = pendingWrites.find(block);
-        if (pw != pendingWrites.end()) {
-            line->validMask |= pw->second;
-            line->dirtyMask |= pw->second;
-            pendingWrites.erase(pw);
-        }
-        mshrs.erase(block);
-        return wb;
-    }
-
-    bool
-    mshrAvailable(Addr addr) const
-    {
-        Addr block = addr - addr % p.blockBytes;
-        auto it = mshrs.find(block);
-        if (it != mshrs.end())
-            return it->second.merged < p.mshrMergeMax;
-        return mshrs.size() < p.mshrs;
+        return out;
     }
 
     std::uint32_t
@@ -292,14 +231,6 @@ class RefCache
         return wb;
     }
 
-    Writeback
-    takeInsertWriteback()
-    {
-        Writeback wb = pendingInsertWb;
-        pendingInsertWb = Writeback{};
-        return wb;
-    }
-
     void
     flushDirty(std::vector<Writeback> &out)
     {
@@ -313,8 +244,6 @@ class RefCache
         }
     }
 
-    std::size_t mshrsInUse() const { return mshrs.size(); }
-
   private:
     struct RefLine
     {
@@ -323,13 +252,6 @@ class RefCache
         std::uint32_t validMask = 0;
         std::uint32_t dirtyMask = 0;
         std::uint64_t stamp = 0;
-        bool pendingFill = false;
-    };
-
-    struct RefMshr
-    {
-        std::uint32_t pendingMask = 0;
-        std::uint32_t merged = 0;
     };
 
     std::uint32_t
@@ -383,12 +305,8 @@ class RefCache
               case PolicyKind::Lru:
               case PolicyKind::Fifo:
                 for (auto &line : set) {
-                    if (!pick ||
-                        (pick->pendingFill && !line.pendingFill) ||
-                        (pick->pendingFill == line.pendingFill &&
-                         line.stamp < pick->stamp)) {
+                    if (!pick || line.stamp < pick->stamp)
                         pick = &line;
-                    }
                 }
                 break;
             }
@@ -614,9 +532,6 @@ class RefCache
     std::vector<std::vector<RefLine>> sets;
     std::vector<S3Set> s3;
     std::vector<SieveSet> sieve;
-    std::map<Addr, RefMshr> mshrs;
-    std::map<Addr, std::uint32_t> pendingWrites;
-    Writeback pendingInsertWb;
     std::uint64_t clock = 0;
     Rng rrng;
 };
@@ -643,97 +558,79 @@ class CacheDifferential
 TEST_P(CacheDifferential, MatchesNaiveReferenceModel)
 {
     auto [policy, write_allocate, rmw, seed] = GetParam();
-    CacheParams p;
-    p.name = "diff";
-    p.sizeBytes = 4096;
-    p.assoc = 4;
-    p.mshrs = 8;
-    p.mshrMergeMax = 4;
-    p.writeAllocate = write_allocate;
-    p.fetchOnWriteMiss = rmw;
-    p.policy = policy;
+    for (bool whole_block : {false, true}) {
+        SCOPED_TRACE(whole_block ? "whole-block fetch" : "sector fetch");
+        CacheParams p;
+        p.name = "diff";
+        p.sizeBytes = 4096;
+        p.assoc = 4;
+        p.writeAllocate = write_allocate;
+        p.fetchOnWriteMiss = rmw;
+        p.fetchWholeBlock = whole_block;
+        p.policy = policy;
 
-    SectoredCache cache(p);
-    RefCache ref(p);
-    Rng rng(seed);
+        SectoredCache cache(p);
+        RefCache ref(p);
+        Rng rng(seed);
 
-    constexpr int kBlocks = 96; // a few times the cache's 32 lines
-    // Blocks with an allocated MSHR -> accumulated fetch mask.
-    std::map<Addr, std::uint32_t> pending;
+        constexpr int kBlocks = 96; // a few times the cache's 32 lines
 
-    for (int step = 0; step < 30000; ++step) {
-        Addr block = rng.below(kBlocks) * 128;
-        std::uint64_t roll = rng.below(100);
+        for (int step = 0; step < 30000; ++step) {
+            Addr block = rng.below(kBlocks) * 128;
+            std::uint64_t roll = rng.below(100);
 
-        if (roll < 65) {
-            // Access: random sector span or a sub-sector sliver.
-            std::uint32_t first = static_cast<std::uint32_t>(rng.below(4));
-            std::uint32_t last =
-                first + static_cast<std::uint32_t>(rng.below(4 - first));
-            Addr addr = block + first * 32;
-            std::uint32_t bytes = (last - first + 1) * 32;
-            if (rng.chance(0.2)) {
-                addr += rng.below(24);
-                bytes = 1 + static_cast<std::uint32_t>(rng.below(8));
+            if (roll < 85) {
+                // Access: random sector span or a sub-sector sliver.
+                std::uint32_t first =
+                    static_cast<std::uint32_t>(rng.below(4));
+                std::uint32_t last =
+                    first +
+                    static_cast<std::uint32_t>(rng.below(4 - first));
+                Addr addr = block + first * 32;
+                std::uint32_t bytes = (last - first + 1) * 32;
+                if (rng.chance(0.2)) {
+                    addr += rng.below(24);
+                    bytes = 1 + static_cast<std::uint32_t>(rng.below(8));
+                }
+                bool is_write = rng.chance(0.4);
+
+                auto real = cache.access(addr, bytes, is_write);
+                auto want = ref.access(addr, bytes, is_write);
+                ASSERT_EQ(real.outcome, want.outcome)
+                    << "step " << step << " block " << block;
+                ASSERT_EQ(real.fetchMask, want.fetchMask)
+                    << "step " << step;
+                expectSameWriteback(real.writeback, want.writeback,
+                                    "access eviction");
+            } else if (roll < 90) {
+                Addr addr = block + rng.below(128);
+                ASSERT_EQ(cache.probe(addr), ref.probe(addr))
+                    << "probe mismatch at step " << step;
+            } else if (roll < 95) {
+                expectSameWriteback(cache.invalidate(block),
+                                    ref.invalidate(block), "invalidate");
+            } else {
+                std::uint32_t valid =
+                    static_cast<std::uint32_t>(rng.below(16)) | 1u;
+                std::uint32_t dirty =
+                    static_cast<std::uint32_t>(rng.below(16)) & valid;
+                expectSameWriteback(cache.insert(block, valid, dirty),
+                                    ref.insert(block, valid, dirty),
+                                    "insert eviction");
             }
-            bool is_write = rng.chance(0.4);
-
-            ASSERT_EQ(cache.mshrAvailable(addr), ref.mshrAvailable(addr));
-            auto real = cache.access(addr, bytes, is_write);
-            auto want = ref.access(addr, bytes, is_write);
-            ASSERT_EQ(real.outcome, want.outcome)
-                << "step " << step << " block " << block;
-            ASSERT_EQ(real.fetchMask, want.fetchMask) << "step " << step;
-            if (real.outcome == CacheOutcome::WriteNoFetch) {
-                expectSameWriteback(cache.takeInsertWriteback(),
-                                    ref.takeInsertWriteback(),
-                                    "write-validate eviction");
-            }
-            if (real.outcome == CacheOutcome::Miss ||
-                real.outcome == CacheOutcome::MshrMerged)
-                pending[block] |= real.fetchMask;
-        } else if (roll < 85 && !pending.empty()) {
-            // Fill one in-flight block.
-            auto it = pending.begin();
-            std::advance(it, rng.below(pending.size()));
-            expectSameWriteback(cache.fill(it->first, it->second),
-                                ref.fill(it->first, it->second),
-                                "fill eviction");
-            pending.erase(it);
-        } else if (roll < 90) {
-            Addr addr = block + rng.below(128);
-            ASSERT_EQ(cache.probe(addr), ref.probe(addr))
-                << "probe mismatch at step " << step;
-        } else if (roll < 95) {
-            expectSameWriteback(cache.invalidate(block),
-                                ref.invalidate(block), "invalidate");
-        } else {
-            std::uint32_t valid =
-                static_cast<std::uint32_t>(rng.below(16)) | 1u;
-            std::uint32_t dirty =
-                static_cast<std::uint32_t>(rng.below(16)) & valid;
-            expectSameWriteback(cache.insert(block, valid, dirty),
-                                ref.insert(block, valid, dirty),
-                                "insert eviction");
         }
-        ASSERT_EQ(cache.mshrsInUse(), ref.mshrsInUse())
-            << "MSHR occupancy diverged at step " << step;
-    }
 
-    // Drain in-flight fills, then the final flush must agree on
-    // content *and* order.
-    for (const auto &[block, mask] : pending)
-        expectSameWriteback(cache.fill(block, mask),
-                            ref.fill(block, mask), "drain fill");
-    std::vector<Writeback> real_flush;
-    std::vector<Writeback> ref_flush;
-    cache.flushDirty(real_flush);
-    ref.flushDirty(ref_flush);
-    ASSERT_EQ(real_flush.size(), ref_flush.size());
-    for (std::size_t i = 0; i < real_flush.size(); ++i) {
-        EXPECT_EQ(real_flush[i].blockAddr, ref_flush[i].blockAddr)
-            << "flush order diverged at entry " << i;
-        EXPECT_EQ(real_flush[i].dirtyMask, ref_flush[i].dirtyMask);
+        // The final flush must agree on content *and* order.
+        std::vector<Writeback> real_flush;
+        std::vector<Writeback> ref_flush;
+        cache.flushDirty(real_flush);
+        ref.flushDirty(ref_flush);
+        ASSERT_EQ(real_flush.size(), ref_flush.size());
+        for (std::size_t i = 0; i < real_flush.size(); ++i) {
+            EXPECT_EQ(real_flush[i].blockAddr, ref_flush[i].blockAddr)
+                << "flush order diverged at entry " << i;
+            EXPECT_EQ(real_flush[i].dirtyMask, ref_flush[i].dirtyMask);
+        }
     }
 }
 

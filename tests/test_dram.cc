@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <sstream>
 
 #include "mem/dram.hh"
@@ -213,4 +215,65 @@ TEST(Dram, FullWriteQueueBlocksReads)
                                  TrafficClass::Data)
                           .complete;
     EXPECT_GT(read_done, 64u * 2u - 16u);
+}
+
+TEST(Dram, BurstMatchesFormulaForEveryByteSize)
+{
+    // The per-channel burst table (and the formula above one block)
+    // against the division it replaces, at the default 16 B/cycle and
+    // at non-integral rates, including one below a byte per cycle.
+    for (double rate : {16.0, 18.6, 21.3, 0.7}) {
+        DramParams p = params();
+        p.bytesPerCycle = rate;
+        DramChannel ch(p);
+        for (std::uint32_t bytes = 1; bytes <= 4 * DramChannel::tableBytes;
+             ++bytes) {
+            Cycle want = std::max(
+                static_cast<Cycle>(std::ceil(static_cast<double>(bytes) /
+                                             rate)),
+                p.minBurstCycles);
+            ASSERT_EQ(ch.burstCycles(bytes), want)
+                << bytes << " B at " << rate << " B/cycle";
+        }
+        // enqueue() charges exactly that burst to the bus.
+        Cycle busy = 0;
+        for (std::uint32_t bytes : {1u, 32u, 96u, 128u, 129u}) {
+            ch.enqueue(0, 0, bytes, AccessType::Read, TrafficClass::Data);
+            busy += ch.burstCycles(bytes);
+            EXPECT_EQ(ch.busBusyCycles(), busy);
+        }
+    }
+}
+
+TEST(Dram, NonPowerOfTwoGeometryMatchesDivision)
+{
+    // Row and bank selection with a non-pow2 row size and bank count:
+    // two addresses share a row-buffer hit exactly when
+    // addr / rowBytes matches.
+    DramParams p = params();
+    p.rowBytes = 1536;
+    p.numBanks = 12;
+    p.schedulerRowWindow = 1;
+    DramChannel ch(p);
+    std::uint64_t hits = 0;
+    Addr prev_row_of_bank[12];
+    bool open[12] = {};
+    Cycle now = 0;
+    for (Addr addr = 0; addr < 400000; addr += 997) {
+        const std::uint64_t row = addr / p.rowBytes;
+        const std::size_t bank = row % p.numBanks;
+        if (open[bank] && prev_row_of_bank[bank] == row)
+            ++hits;
+        open[bank] = true;
+        prev_row_of_bank[bank] = row;
+        ch.enqueue(now += 1000, addr, 32, AccessType::Read,
+                   TrafficClass::Data);
+    }
+    stats::StatGroup root(nullptr, "root");
+    ch.regStats(&root);
+    bool found = false;
+    EXPECT_EQ(root.lookup("dram.row_hits", &found),
+              static_cast<double>(hits));
+    EXPECT_TRUE(found);
+    EXPECT_GT(hits, 0u);
 }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "gpu/l2bank.hh"
 
 using namespace shmgpu;
@@ -28,11 +29,11 @@ params()
 TEST(L2Bank, ReadMissThenHit)
 {
     L2Bank bank(params(), 0, 0);
-    L2AccessResult r = bank.accessData(0x100, false);
-    EXPECT_FALSE(r.hit);
+    mem::CacheAccessResult r = bank.accessData(0x100, false);
+    EXPECT_EQ(r.outcome, mem::CacheOutcome::Miss);
     EXPECT_NE(r.fetchMask, 0u);
     r = bank.accessData(0x100, false);
-    EXPECT_TRUE(r.hit);
+    EXPECT_EQ(r.outcome, mem::CacheOutcome::Hit);
     EXPECT_EQ(bank.accesses(), 2);
     EXPECT_EQ(bank.misses(), 1);
 }
@@ -40,9 +41,10 @@ TEST(L2Bank, ReadMissThenHit)
 TEST(L2Bank, WriteValidates)
 {
     L2Bank bank(params(), 0, 0);
-    L2AccessResult r = bank.accessData(0x200, true);
-    EXPECT_TRUE(r.writeNoFetch);
-    EXPECT_TRUE(bank.accessData(0x200, false).hit);
+    mem::CacheAccessResult r = bank.accessData(0x200, true);
+    EXPECT_EQ(r.outcome, mem::CacheOutcome::WriteNoFetch);
+    EXPECT_EQ(bank.accessData(0x200, false).outcome,
+              mem::CacheOutcome::Hit);
 }
 
 TEST(L2Bank, DirtyEvictionSurfacesWriteback)
@@ -93,4 +95,37 @@ TEST(L2Bank, SamplingSeesHits)
             bank.accessData(static_cast<LocalAddr>(i) * 128, false);
     EXPECT_TRUE(bank.sampleWarm());
     EXPECT_LT(bank.sampledMissRate(), 0.5);
+}
+
+TEST(L2Bank, SampledSetMatchesDivisionForm)
+{
+    // The sampled-set mask against the division it replaces: a line is
+    // sampled when local / blockBytes / banks is a multiple of the
+    // ratio. sampleAccCum counts sampled accesses.
+    Rng rng(5);
+    for (std::uint32_t banks : {1u, 2u, 4u}) {
+        for (std::uint32_t ratio : {1u, 2u, 4u, 32u, 64u}) {
+            GpuParams p = params();
+            p.l2BanksPerPartition = banks;
+            p.victimSampleRatio = ratio;
+            L2Bank bank(p, 0, 0);
+            for (int i = 0; i < 4000; ++i) {
+                LocalAddr local = i % 2 ? rng.next() & ~LocalAddr{31}
+                                        : rng.below(1 << 20) * 32;
+                bool want = (local / 128 / banks) % ratio == 0;
+                std::uint64_t before = bank.sampleAccCum;
+                bank.accessData(local, rng.chance(0.3));
+                ASSERT_EQ(bank.sampleAccCum - before, want ? 1u : 0u)
+                    << "banks " << banks << " ratio " << ratio
+                    << " local " << local;
+            }
+        }
+    }
+}
+
+TEST(L2Bank, NonPowerOfTwoSampleRatioPanics)
+{
+    GpuParams p = params();
+    p.victimSampleRatio = 3;
+    EXPECT_DEATH(L2Bank(p, 0, 0), "power of two");
 }

@@ -222,3 +222,27 @@ TEST(AccessProfile, TimeGoingBackwardsPanics)
     p.finalize();
     p.recordAccess(0, 4096, false, 100);
 }
+
+TEST(AccessProfile, ChunkVerdictsHoldUntilTheNextFinalize)
+{
+    // A chunk's streaming verdict is read from the bits finalize()
+    // builds: accesses recorded afterwards change it only at the next
+    // finalize. Region writes take effect as they are recorded.
+    AccessProfile p(1, kSpan);
+    Cycle now = 0;
+    for (int s = 0; s < 128; ++s)
+        p.recordAccess(0, static_cast<LocalAddr>(s) * 32, false, now++);
+    p.finalize();
+    EXPECT_TRUE(p.chunkStreaming(0, 0));
+
+    // Three sparse phases, each closed by the timeout: random wins the
+    // vote 3:1, but only once finalized.
+    for (int phase = 0; phase < 3; ++phase) {
+        p.recordAccess(0, 5 * 128, true, now);
+        now += 100000;
+    }
+    EXPECT_TRUE(p.chunkStreaming(0, 0));
+    EXPECT_FALSE(p.regionReadOnly(0, 0));
+    p.finalize();
+    EXPECT_FALSE(p.chunkStreaming(0, 0));
+}

@@ -1,8 +1,9 @@
 /**
  * @file
- * Fuzz of the .wl and .scn readers over the committed examples: every
- * line truncation and a seeded set of byte flips of each file must
- * either parse and validate, or exit through shm_fatal with a message
+ * Fuzz of the .wl and .scn readers and of the CLI's --overrides
+ * reader over the committed examples: every line truncation and a
+ * seeded set of byte flips of each file must either parse and
+ * validate (or apply), or exit through shm_fatal with a message
  * located at <file>:<line>. A panic, an uncaught exception or a signal
  * is a failure. Each input is parsed in a forked child, since a fatal
  * error ends the process.
@@ -22,7 +23,9 @@
 #include <string>
 #include <vector>
 
+#include "common/config.hh"
 #include "common/rng.hh"
+#include "core/overrides.hh"
 #include "workload/parser.hh"
 #include "workload/scenario.hh"
 
@@ -33,6 +36,37 @@ namespace
 
 /** Byte-flip trials per file. */
 constexpr int kFlipTrials = 64;
+
+/** What kind of file an input is. */
+enum class FileKind
+{
+    Workload,
+    Scenario,
+    Overrides,
+};
+
+/** Read @p in as a @p kind file named @p origin, all the way through
+ *  what the CLI does with it. */
+void
+readAs(FileKind kind, std::istream &in, const std::string &origin)
+{
+    switch (kind) {
+      case FileKind::Workload:
+        workload::parseWorkload(in, origin);
+        break;
+      case FileKind::Scenario:
+        workload::parseScenario(in, origin);
+        break;
+      case FileKind::Overrides: {
+        Config config = Config::fromStream(in, origin);
+        gpu::GpuParams gpu;
+        trace::TraceParams trace;
+        mem::PolicyKind mdc_policy = mem::PolicyKind::Lru;
+        core::applyCliOverrides(config, gpu, trace, mdc_policy);
+        break;
+      }
+    }
+}
 
 std::string
 readFile(const std::string &path)
@@ -84,7 +118,7 @@ fuzzInputs(const std::string &text, std::uint64_t seed)
  * means the property held, otherwise a description of the violation.
  */
 std::string
-checkInChild(bool scenario, const std::string &text,
+checkInChild(FileKind kind, const std::string &text,
              const std::string &origin)
 {
     int fds[2];
@@ -99,10 +133,7 @@ checkInChild(bool scenario, const std::string &text,
         close(fds[0]);
         close(fds[1]);
         std::istringstream in(text);
-        if (scenario)
-            workload::parseScenario(in, origin);
-        else
-            workload::parseWorkload(in, origin);
+        readAs(kind, in, origin);
         _exit(0);
     }
     close(fds[1]);
@@ -135,15 +166,15 @@ checkInChild(bool scenario, const std::string &text,
 }
 
 void
-fuzzFile(bool scenario, const std::string &path, std::uint64_t seed)
+fuzzFile(FileKind kind, const std::string &path, std::uint64_t seed)
 {
     const std::string text = readFile(path);
     ASSERT_FALSE(text.empty()) << path;
     // The intact file must parse: the fuzz mutates working input.
-    ASSERT_EQ(checkInChild(scenario, text, path), "") << path;
+    ASSERT_EQ(checkInChild(kind, text, path), "") << path;
     const auto inputs = fuzzInputs(text, seed);
     for (std::size_t i = 0; i < inputs.size(); ++i)
-        EXPECT_EQ(checkInChild(scenario, inputs[i], path), "")
+        EXPECT_EQ(checkInChild(kind, inputs[i], path), "")
             << path << " input " << i << ":\n"
             << inputs[i];
 }
@@ -163,10 +194,15 @@ TEST(ParserFuzz, WorkloadFilesFailLocatedOrParse)
     ASSERT_FALSE(paths.empty());
     std::uint64_t seed = 1;
     for (const auto &path : paths)
-        fuzzFile(false, path, seed++);
+        fuzzFile(FileKind::Workload, path, seed++);
 }
 
 TEST(ParserFuzz, ScenarioFileFailsLocatedOrParses)
 {
-    fuzzFile(true, kExamples + "/scenarios/mix2.scn", 7);
+    fuzzFile(FileKind::Scenario, kExamples + "/scenarios/mix2.scn", 7);
+}
+
+TEST(ParserFuzz, OverridesFileFailsLocatedOrApplies)
+{
+    fuzzFile(FileKind::Overrides, kExamples + "/overrides/turing.cfg", 11);
 }

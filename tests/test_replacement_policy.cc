@@ -55,15 +55,8 @@ class RefStamp
     void onInsert(Addr block) { touch(block); }
 
     Addr
-    victim(const std::vector<Addr> &pending_blocks)
+    victim()
     {
-        for (Addr block : order) {
-            if (std::find(pending_blocks.begin(), pending_blocks.end(),
-                          block) == pending_blocks.end()) {
-                drop(block);
-                return block;
-            }
-        }
         Addr block = order.front();
         drop(block);
         return block;
@@ -386,19 +379,8 @@ fuzzPolicy(PolicyKind kind, std::uint32_t assoc, std::uint32_t seed,
         }
 
         if (target == ReplacementPolicy::noWay) {
-            // All ways valid: consult the policy. LRU/FIFO get a
-            // random pending-fill mask to exercise the tie-break; the
-            // scan-resistant policies must ignore it.
-            std::uint64_t pending = 0;
-            if (assoc > 1 && rand_below(3) == 0)
-                pending = urbg() & ((1ull << assoc) - 1);
-            std::vector<Addr> pending_blocks;
-            for (std::uint32_t w = 0; w < assoc; ++w) {
-                if ((pending >> w) & 1)
-                    pending_blocks.push_back(way_block[w]);
-            }
-
-            std::uint32_t way = policy->victim(pending);
+            // All ways valid: consult the policy.
+            std::uint32_t way = policy->victim();
             EXPECT_LT(way, assoc);
             EXPECT_TRUE(way < assoc && way_valid[way]);
             if (way >= assoc || !way_valid[way])
@@ -408,8 +390,7 @@ fuzzPolicy(PolicyKind kind, std::uint32_t assoc, std::uint32_t seed,
             switch (kind) {
               case PolicyKind::Lru:
               case PolicyKind::Fifo:
-                EXPECT_EQ(way_block[way],
-                          ref_stamp.victim(pending_blocks))
+                EXPECT_EQ(way_block[way], ref_stamp.victim())
                     << "policy=" << mem::policyName(kind)
                     << " assoc=" << assoc << " step=" << step;
                 break;
@@ -487,7 +468,7 @@ TEST(ReplacementPolicy, SingleWayVictimIsAlwaysWayZero)
         auto policy = mem::makeReplacementPolicy(kind, 1, &rng);
         policy->onInsert(0, 0x40);
         for (int i = 0; i < 8; ++i) {
-            EXPECT_EQ(policy->victim(0), 0u) << mem::policyName(kind);
+            EXPECT_EQ(policy->victim(), 0u) << mem::policyName(kind);
             policy->onInsert(0, 0x80 + static_cast<Addr>(i));
         }
     }

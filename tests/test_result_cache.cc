@@ -3,7 +3,8 @@
  * ResultCache tests: cell-key sensitivity (every config axis moves
  * the key, equal configs agree), store/load byte round-trips,
  * corrupt-file tolerance, sweep resume equality (cancel at cell K,
- * resume, byte-diff the documents), and a key-collision fuzz pass.
+ * resume, byte-diff the documents), a key-collision fuzz pass, and a
+ * truncation / byte-flip fuzz of the cell loader.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +15,9 @@
 #include <sstream>
 #include <unistd.h>
 
+#include "common/rng.hh"
 #include "core/result_cache.hh"
+#include "core/scenario.hh"
 #include "core/sweep.hh"
 #include "workload/benchmarks.hh"
 
@@ -392,4 +395,113 @@ TEST(ResultCacheFuzz, StoredCellsSurviveRereadUnderEveryKey)
         ASSERT_TRUE(cache.load(k, &out));
         EXPECT_EQ(resultToJson(out).dump(2), resultToJson(r).dump(2));
     }
+}
+
+namespace
+{
+
+/**
+ * Truncate and byte-flip the cell file at @p path (as @p store left
+ * it) and call @p load on each mutation: a load must never crash, and
+ * a hit must return exactly what was stored (@p stored, as JSON
+ * text). Returns the number of mutations that loaded.
+ */
+template <typename LoadFn>
+std::size_t
+fuzzCellFile(const std::string &path, const std::string &stored,
+             LoadFn load)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream os;
+    os << in.rdbuf();
+    const std::string intact = os.str();
+    EXPECT_FALSE(intact.empty());
+
+    std::vector<std::string> inputs;
+    for (std::size_t n = 0; n < intact.size(); ++n)
+        inputs.push_back(intact.substr(0, n));
+    Rng rng(31);
+    for (int trial = 0; trial < 512; ++trial) {
+        std::string flipped = intact;
+        const int flips = 1 + static_cast<int>(rng.below(3));
+        for (int i = 0; i < flips; ++i)
+            flipped[rng.below(flipped.size())] ^=
+                static_cast<char>(1 + rng.below(255));
+        inputs.push_back(flipped);
+    }
+
+    std::size_t hits = 0;
+    for (const std::string &input : inputs) {
+        {
+            std::ofstream out(path, std::ios::binary | std::ios::trunc);
+            out << input;
+        }
+        std::string loaded;
+        if (load(&loaded)) {
+            ++hits;
+            EXPECT_EQ(loaded, stored) << "a mangled cell loaded wrong "
+                                         "data:\n"
+                                      << input;
+        }
+    }
+    return hits;
+}
+
+} // namespace
+
+TEST(ResultCacheFuzz, TruncatedOrGarbledCellsAreMisses)
+{
+    TempDir dir("garble");
+    ResultCache cache(dir.str());
+    const std::uint64_t key = 0x5eed;
+    const std::string path = dir.str() + "/" + ResultCache::fileName(key);
+
+    auto spec = workload::makeStreamingMicro();
+    Experiment exp(quickParams());
+    ExperimentResult r = exp.run(schemes::Scheme::Shm, spec, RunOptions{});
+    cache.store(key, r);
+    const std::string stored = resultToJson(r).dump(2);
+
+    // A flip inside the codeVersion stamp or whitespace may leave the
+    // payload intact (then it loads, unchanged); nothing else may.
+    std::size_t hits = fuzzCellFile(path, stored, [&](std::string *out) {
+        ExperimentResult loaded;
+        if (!cache.load(key, &loaded))
+            return false;
+        *out = resultToJson(loaded).dump(2);
+        return true;
+    });
+    EXPECT_LT(hits, 64u) << "most mutations must be misses";
+
+    // A scenario cell: same contract, other payload kind.
+    ScenarioExperimentResult sr;
+    sr.scenario = "mix2";
+    sr.scheme = "SHM";
+    sr.sharePolicy = "timeslice";
+    sr.quantumCycles = 10000;
+    sr.metrics.total = r.metrics;
+    sr.metrics.contextSwitches = 7;
+    sr.meanSlowdown = 1.25;
+    for (const char *name : {"atax", "bfs"}) {
+        ScenarioTenantResult t;
+        t.shared.name = name;
+        t.shared.instructions = 12345;
+        t.shared.ipc = 0.75;
+        t.soloIpc = 0.9;
+        t.slowdown = 1.2;
+        sr.tenants.push_back(t);
+        sr.metrics.tenants.push_back(t.shared);
+    }
+    const std::uint64_t skey = 0x5cea;
+    storeScenarioCell(cache, skey, sr);
+    hits = fuzzCellFile(
+        dir.str() + "/" + ResultCache::fileName(skey),
+        scenarioResultToJson(sr).dump(2), [&](std::string *out) {
+            ScenarioExperimentResult loaded;
+            if (!loadScenarioCell(cache, skey, &loaded))
+                return false;
+            *out = scenarioResultToJson(loaded).dump(2);
+            return true;
+        });
+    EXPECT_LT(hits, 64u);
 }

@@ -85,7 +85,6 @@ TEST(Schemes, TableVIMdcDefaults)
         EXPECT_EQ(cache->sizeBytes, 2048u);
         EXPECT_EQ(cache->blockBytes, 128u);
         EXPECT_EQ(cache->assoc, 4u);
-        EXPECT_EQ(cache->mshrs, 256u);
         EXPECT_TRUE(cache->writeAllocate);
     }
     EXPECT_EQ(p.hashLatency, 40u);

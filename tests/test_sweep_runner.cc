@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "core/sweep.hh"
 
@@ -260,4 +264,74 @@ TEST(SweepRunner, RunCellsSupportsRaggedGrids)
     EXPECT_EQ(results[0].scheme, "SHM");
     EXPECT_EQ(results[1].workload, "micro-mixed");
     EXPECT_EQ(results[1].scheme, "Naive");
+}
+
+namespace
+{
+
+/** Runner that logs the order in which cells start. */
+class OrderLoggingRunner : public SweepRunner
+{
+  public:
+    using SweepRunner::SweepRunner;
+    mutable std::mutex mutex;
+    mutable std::vector<std::string> started;
+
+  protected:
+    ExperimentResult
+    runCell(const Experiment &experiment, const SweepCell &cell,
+            const RunOptions &options) const override
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            started.push_back(cell.spec->name + "/" +
+                              schemes::schemeName(cell.scheme));
+        }
+        return SweepRunner::runCell(experiment, cell, options);
+    }
+};
+
+} // namespace
+
+TEST(SweepRunner, LongestFirstOrderKeepsGridResults)
+{
+    Grid grid;
+    const gpu::GpuParams gp = quickParams();
+
+    // The serial claim order: descending estimate, ties (the schemes
+    // of one workload) in grid order.
+    std::vector<std::pair<double, std::string>> expected;
+    for (const auto *w : grid.workloads)
+        for (auto s : grid.designs)
+            expected.emplace_back(
+                estimateCellCost(*w, gp.maxCyclesPerKernel),
+                w->name + "/" + schemes::schemeName(s));
+    std::stable_sort(expected.begin(), expected.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first > b.first;
+                     });
+    ASSERT_NE(expected.front().first, expected.back().first)
+        << "the micro workloads should differ in estimated cost";
+
+    OrderLoggingRunner serial_runner(gp);
+    SweepOptions opts;
+    opts.jobs = 1;
+    auto serial = serial_runner.run(grid.designs, grid.workloads, opts);
+    ASSERT_EQ(serial_runner.started.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i)
+        EXPECT_EQ(serial_runner.started[i], expected[i].second) << i;
+
+    // Results stay in grid order, identical at any job count.
+    OrderLoggingRunner parallel_runner(gp);
+    opts.jobs = 4;
+    auto parallel = parallel_runner.run(grid.designs, grid.workloads, opts);
+    ASSERT_EQ(serial.size(), 9u);
+    EXPECT_EQ(serial[0].workload, "micro-stream");
+    EXPECT_EQ(serial[0].scheme, "Naive");
+    EXPECT_EQ(serial[8].workload, "micro-mixed");
+    EXPECT_EQ(serial[8].scheme, "SHM");
+    std::ostringstream a, b;
+    writeSweepJson(a, serial);
+    writeSweepJson(b, parallel);
+    EXPECT_EQ(a.str(), b.str());
 }
