@@ -6,10 +6,11 @@
  * bound the functional-mode throughput (the timing model charges
  * fixed engine latencies instead).
  *
- * The *Batch benchmarks sweep batch size (1/4/8 blocks) on the AES
- * kernel this CPU dispatches to, named in each row's label; BM_Aes128Block
- * and BM_CtrModeCacheLine time the scalar reference cipher and the
- * dispatched single-line pad beside them.
+ * The *Batch benchmarks sweep batch size (1/4/8 blocks, or a 32-block
+ * read burst) on the AES or block-MAC kernel this CPU dispatches to,
+ * named in each row's label; BM_Aes128Block, BM_CtrModeCacheLine and
+ * BM_SipHashBlockMac time the scalar reference cipher, the dispatched
+ * single-line pad and one scalar block MAC beside them.
  */
 
 #include <benchmark/benchmark.h>
@@ -109,6 +110,56 @@ BM_SipHashBlockMac(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations()) * 128);
 }
 BENCHMARK(BM_SipHashBlockMac);
+
+static void
+BM_BlockMacBatch(benchmark::State &state)
+{
+    // A read burst's block MACs through the dispatched kernel (the
+    // AVX2 4-lane SipHash where the CPU has it), named in the label.
+    const auto n = static_cast<std::size_t>(state.range(0));
+    MacEngine engine(generateKeys(9).macKey);
+    std::vector<DataBlock> data(n);
+    std::vector<BlockMacInput> jobs(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        data[i].fill(static_cast<std::uint8_t>(i));
+        jobs[i] = {&data[i], 0x2000 + i * 128, 1, i, 0};
+    }
+    std::vector<Mac> tags(n);
+    for (auto _ : state) {
+        engine.blockMacBatch(jobs, tags.data());
+        benchmark::DoNotOptimize(tags.data());
+        benchmark::ClobberMemory();
+        ++jobs[0].minor;
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(n) * 128);
+    state.SetLabel(macKernelName(activeMacKernel()));
+}
+BENCHMARK(BM_BlockMacBatch)->Arg(32);
+
+static void
+BM_CtrTransformBatch(benchmark::State &state)
+{
+    // A burst's in-place CTR transform: seeds packed with word stores,
+    // pads generated and XORed in on-stack groups, on the dispatched
+    // AES kernel named in the label.
+    const auto n = static_cast<std::size_t>(state.range(0));
+    CtrModeEngine engine(generateKeys(10).encryptionKey);
+    std::vector<Seed> seeds(n);
+    std::vector<DataBlock> data(n);
+    std::uint64_t minor = 0;
+    for (auto _ : state) {
+        for (std::size_t i = 0; i < n; ++i)
+            seeds[i] = {0x1000 + i * 128, 1, minor++, 0};
+        engine.transformBatch(data.data(), seeds.data(), n);
+        benchmark::DoNotOptimize(data.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(n) * 128);
+    state.SetLabel(backendName(activeBackend()));
+}
+BENCHMARK(BM_CtrTransformBatch)->Arg(32);
 
 static void
 BM_MeeReadBurst(benchmark::State &state)
@@ -211,4 +262,21 @@ BM_BmtVerifyPath(benchmark::State &state)
 }
 BENCHMARK(BM_BmtVerifyPath);
 
-BENCHMARK_MAIN();
+int
+main(int argc, char **argv)
+{
+    // Stamp what the numbers depend on into the JSON context: the
+    // code's own build type (the context's "library_build_type"
+    // describes the google-benchmark library) and the dispatched
+    // kernels.
+    benchmark::AddCustomContext("shmgpu_build_type", SHMGPU_BUILD_TYPE);
+    benchmark::AddCustomContext("aes_kernel", backendName(activeBackend()));
+    benchmark::AddCustomContext("mac_kernel",
+                                macKernelName(activeMacKernel()));
+    benchmark::Initialize(&argc, argv);
+    if (benchmark::ReportUnrecognizedArguments(argc, argv))
+        return 1;
+    benchmark::RunSpecifiedBenchmarks();
+    benchmark::Shutdown();
+    return 0;
+}

@@ -1,30 +1,76 @@
 #include "core/overrides.hh"
 
+#include <cmath>
 #include <cstdio>
+#include <limits>
 
+#include "common/bitops.hh"
 #include "common/logging.hh"
 
 namespace shmgpu::core
 {
 
+namespace
+{
+
+/**
+ * A count key that the simulator divides by or sizes arrays with:
+ * fatal, located at the key's line, unless it lies in [1, 2^32 - 1].
+ */
+std::uint32_t
+getCount(Config &config, const std::string &key, std::uint32_t fallback)
+{
+    const std::uint64_t v = config.getU64(key, fallback);
+    if (v < 1 || v > std::numeric_limits<std::uint32_t>::max())
+        shm_fatal("{}: '{}' must be between 1 and {}, got {}",
+                  config.where(key), key,
+                  std::numeric_limits<std::uint32_t>::max(), v);
+    return static_cast<std::uint32_t>(v);
+}
+
+/** The location of whichever of @p a and @p b the file sets (@p a
+ *  when both or neither), for a rule that joins two keys. */
+std::string
+whereEither(const Config &config, const std::string &a,
+            const std::string &b)
+{
+    return config.has(a) || !config.has(b) ? config.where(a)
+                                           : config.where(b);
+}
+
+} // namespace
+
 void
 applyGpuOverrides(Config &config, gpu::GpuParams &p)
 {
-    p.numSms = static_cast<std::uint32_t>(
-        config.getU64("gpu.num_sms", p.numSms));
-    p.numPartitions = static_cast<std::uint32_t>(
-        config.getU64("gpu.num_partitions", p.numPartitions));
-    p.smWindow = static_cast<std::uint32_t>(
-        config.getU64("gpu.sm_window", p.smWindow));
+    p.numSms = getCount(config, "gpu.num_sms", p.numSms);
+    p.numPartitions =
+        getCount(config, "gpu.num_partitions", p.numPartitions);
+    p.smWindow = getCount(config, "gpu.sm_window", p.smWindow);
     p.maxCyclesPerKernel =
         config.getU64("gpu.max_cycles", p.maxCyclesPerKernel);
     p.l2BankBytes = config.getU64("gpu.l2_bank_bytes", p.l2BankBytes);
-    p.l2Assoc = static_cast<std::uint32_t>(
-        config.getU64("gpu.l2_assoc", p.l2Assoc));
+    const std::uint64_t assoc = config.getU64("gpu.l2_assoc", p.l2Assoc);
+    // The L2 bank's 128 B lines split into assoc-way sets, a power of
+    // two of them (mem/cache.cc).
+    const std::uint64_t sets = assoc == 0 ? 0 : p.l2BankBytes / 128 / assoc;
+    if (assoc > std::numeric_limits<std::uint32_t>::max() || sets < 1 ||
+        !isPowerOf2(sets))
+        shm_fatal("{}: 'gpu.l2_bank_bytes' / 128 / 'gpu.l2_assoc' must be "
+                  "a power of two of at least 1 (the L2 sets per bank), "
+                  "got {} / 128 / {}",
+                  whereEither(config, "gpu.l2_assoc", "gpu.l2_bank_bytes"),
+                  p.l2BankBytes, assoc);
+    p.l2Assoc = static_cast<std::uint32_t>(assoc);
     p.l2HitLatency = config.getU64("gpu.l2_hit_latency", p.l2HitLatency);
     p.icntLatency = config.getU64("gpu.icnt_latency", p.icntLatency);
     p.victimMissRateThreshold = config.getDouble(
         "gpu.victim_threshold", p.victimMissRateThreshold);
+    if (!(p.victimMissRateThreshold >= 0 && p.victimMissRateThreshold <= 1))
+        shm_fatal("{}: 'gpu.victim_threshold' is a miss rate in [0, 1], "
+                  "got {}",
+                  config.where("gpu.victim_threshold"),
+                  p.victimMissRateThreshold);
     // Fatal on unknown names, listing the valid set.
     p.l2Policy = mem::policyFromName(
         config.getString("cache.policy", mem::policyName(p.l2Policy)),
@@ -32,17 +78,27 @@ applyGpuOverrides(Config &config, gpu::GpuParams &p)
 
     p.dram.bytesPerCycle =
         config.getDouble("dram.bytes_per_cycle", p.dram.bytesPerCycle);
-    p.dram.numBanks = static_cast<unsigned>(
-        config.getU64("dram.banks", p.dram.numBanks));
+    if (!(std::isfinite(p.dram.bytesPerCycle) && p.dram.bytesPerCycle > 0))
+        shm_fatal("{}: 'dram.bytes_per_cycle' must be finite and greater "
+                  "than 0, got {}",
+                  config.where("dram.bytes_per_cycle"),
+                  p.dram.bytesPerCycle);
+    p.dram.numBanks = getCount(config, "dram.banks", p.dram.numBanks);
     p.dram.rowHitLatency =
         config.getU64("dram.row_hit_latency", p.dram.rowHitLatency);
     p.dram.rowMissLatency =
         config.getU64("dram.row_miss_latency", p.dram.rowMissLatency);
+    if (p.dram.rowMissLatency < p.dram.rowHitLatency)
+        shm_fatal("{}: 'dram.row_miss_latency' ({}) must be at least "
+                  "'dram.row_hit_latency' ({})",
+                  whereEither(config, "dram.row_miss_latency",
+                              "dram.row_hit_latency"),
+                  p.dram.rowMissLatency, p.dram.rowHitLatency);
     p.dram.writeQueueCycles =
         config.getU64("dram.write_queue_cycles",
                       p.dram.writeQueueCycles);
-    p.dram.schedulerRowWindow = static_cast<unsigned>(
-        config.getU64("dram.row_window", p.dram.schedulerRowWindow));
+    p.dram.schedulerRowWindow =
+        getCount(config, "dram.row_window", p.dram.schedulerRowWindow);
 }
 
 void

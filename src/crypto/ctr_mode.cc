@@ -1,6 +1,8 @@
 #include "crypto/ctr_mode.hh"
 
-#include <vector>
+#include <algorithm>
+#include <bit>
+#include <cstring>
 
 namespace shmgpu::crypto
 {
@@ -8,26 +10,47 @@ namespace shmgpu::crypto
 namespace
 {
 
-/**
- * Pack one chunk's AES input. The paper's layout (Fig. 3): address |
- * major | minor | CID, with the partition id folded into the top byte
- * of the CID word so identical local addresses in different
- * partitions still produce distinct pads.
- */
-Block16
-packChunkSeed(const Seed &seed, std::size_t chunk)
+/** Blocks whose pads one on-stack group holds (64 AES blocks, 1 KB). */
+constexpr std::size_t kGroupBlocks = 8;
+
+void
+storeLe64(std::uint8_t *p, std::uint64_t v)
 {
-    Block16 in;
-    std::uint64_t lo = seed.address;
-    std::uint64_t hi = (seed.major << 8) ^ (seed.minor << 40) ^
-                       (static_cast<std::uint64_t>(seed.partition)
-                        << 52) ^
-                       static_cast<std::uint64_t>(chunk);
-    for (int i = 0; i < 8; ++i) {
-        in[i] = static_cast<std::uint8_t>(lo >> (8 * i));
-        in[8 + i] = static_cast<std::uint8_t>(hi >> (8 * i));
+    if constexpr (std::endian::native == std::endian::big)
+        v = __builtin_bswap64(v);
+    std::memcpy(p, &v, sizeof(v));
+}
+
+/**
+ * Pack the eight AES inputs of one block's pad. The paper's layout
+ * (Fig. 3): address | major | minor | CID, with the partition id
+ * folded into the top byte of the CID word so identical local
+ * addresses in different partitions still produce distinct pads.
+ */
+void
+packSeed(const Seed &seed, Block16 *in)
+{
+    const std::uint64_t hi = (seed.major << 8) ^ (seed.minor << 40) ^
+                             (static_cast<std::uint64_t>(seed.partition)
+                              << 52);
+    for (std::size_t chunk = 0; chunk < chunksPerBlock; ++chunk) {
+        storeLe64(in[chunk].data(), seed.address);
+        storeLe64(in[chunk].data() + 8, hi ^ chunk);
     }
-    return in;
+}
+
+/** XOR the @p pads (eight AES blocks) into @p data. */
+void
+xorPad(DataBlock &data, const Block16 *pads)
+{
+    for (std::size_t i = 0; i < blockBytes; i += 8) {
+        std::uint64_t d, p;
+        std::memcpy(&d, data.data() + i, 8);
+        std::memcpy(&p, pads[i / aesChunkBytes].data() + i % aesChunkBytes,
+                    8);
+        d ^= p;
+        std::memcpy(data.data() + i, &d, 8);
+    }
 }
 
 } // namespace
@@ -39,17 +62,8 @@ CtrModeEngine::CtrModeEngine(const Block16 &key) : aes(key)
 DataBlock
 CtrModeEngine::generatePad(const Seed &seed) const
 {
-    // One cache line is eight chunk seeds — exactly the AES-NI
-    // kernel's pipeline depth.
-    std::array<Block16, chunksPerBlock> in, out;
-    for (std::size_t chunk = 0; chunk < chunksPerBlock; ++chunk)
-        in[chunk] = packChunkSeed(seed, chunk);
-    aes.encryptBlocks(in.data(), out.data(), chunksPerBlock);
-
     DataBlock pad;
-    for (std::size_t chunk = 0; chunk < chunksPerBlock; ++chunk)
-        for (std::size_t i = 0; i < aesChunkBytes; ++i)
-            pad[chunk * aesChunkBytes + i] = out[chunk][i];
+    generatePads(&seed, &pad, 1);
     return pad;
 }
 
@@ -57,37 +71,39 @@ void
 CtrModeEngine::generatePads(const Seed *seeds, DataBlock *pads,
                             std::size_t n) const
 {
-    std::vector<Block16> blocks(n * chunksPerBlock);
-    for (std::size_t b = 0; b < n; ++b)
-        for (std::size_t chunk = 0; chunk < chunksPerBlock; ++chunk)
-            blocks[b * chunksPerBlock + chunk] =
-                packChunkSeed(seeds[b], chunk);
-    aes.encryptBlocks(blocks.data(), blocks.data(),
-                      blocks.size());
-    for (std::size_t b = 0; b < n; ++b)
-        for (std::size_t chunk = 0; chunk < chunksPerBlock; ++chunk)
-            for (std::size_t i = 0; i < aesChunkBytes; ++i)
-                pads[b][chunk * aesChunkBytes + i] =
-                    blocks[b * chunksPerBlock + chunk][i];
+    std::array<Block16, kGroupBlocks * chunksPerBlock> group;
+    for (std::size_t b = 0; b < n; b += kGroupBlocks) {
+        const std::size_t m = std::min(kGroupBlocks, n - b);
+        for (std::size_t k = 0; k < m; ++k)
+            packSeed(seeds[b + k], group.data() + k * chunksPerBlock);
+        aes.encryptBlocks(group.data(), group.data(), m * chunksPerBlock);
+        for (std::size_t k = 0; k < m; ++k)
+            std::memcpy(pads[b + k].data(),
+                        group.data() + k * chunksPerBlock, blockBytes);
+    }
 }
 
 void
 CtrModeEngine::transform(DataBlock &data, const Seed &seed) const
 {
-    DataBlock pad = generatePad(seed);
-    for (std::size_t i = 0; i < blockBytes; ++i)
-        data[i] ^= pad[i];
+    transformBatch(&data, &seed, 1);
 }
 
 void
 CtrModeEngine::transformBatch(DataBlock *blocks, const Seed *seeds,
                               std::size_t n) const
 {
-    std::vector<DataBlock> pads(n);
-    generatePads(seeds, pads.data(), n);
-    for (std::size_t b = 0; b < n; ++b)
-        for (std::size_t i = 0; i < blockBytes; ++i)
-            blocks[b][i] ^= pads[b][i];
+    // Pads for up to kGroupBlocks blocks at a time, on the stack: one
+    // batched AES sweep per group, then XORed in place.
+    std::array<Block16, kGroupBlocks * chunksPerBlock> pads;
+    for (std::size_t b = 0; b < n; b += kGroupBlocks) {
+        const std::size_t m = std::min(kGroupBlocks, n - b);
+        for (std::size_t k = 0; k < m; ++k)
+            packSeed(seeds[b + k], pads.data() + k * chunksPerBlock);
+        aes.encryptBlocks(pads.data(), pads.data(), m * chunksPerBlock);
+        for (std::size_t k = 0; k < m; ++k)
+            xorPad(blocks[b + k], pads.data() + k * chunksPerBlock);
+    }
 }
 
 DataBlock

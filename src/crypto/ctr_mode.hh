@@ -68,14 +68,16 @@ class CtrModeEngine
     DataBlock transformed(const DataBlock &data, const Seed &seed) const;
 
     /**
-     * Pads for @p n seeds at once: all 8n chunk seeds are packed and
-     * encrypted through the batched AES backend in one sweep — the
-     * OTP-generation batch the MEE collects per epoch burst.
+     * Pads for @p n seeds at once — the OTP-generation batch the MEE
+     * collects per epoch burst. The chunk seeds are packed with word
+     * stores and encrypted through the batched AES backend in on-stack
+     * groups of eight blocks (64 AES blocks); nothing is allocated.
      */
     void generatePads(const Seed *seeds, DataBlock *pads,
                       std::size_t n) const;
 
-    /** In-place transform of @p n blocks, pads generated batched. */
+    /** In-place transform of @p n blocks: each group's pads are
+     *  generated as in generatePads() and XORed in place. */
     void transformBatch(DataBlock *blocks, const Seed *seeds,
                         std::size_t n) const;
 

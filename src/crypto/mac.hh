@@ -17,6 +17,7 @@
 
 #include "common/types.hh"
 #include "crypto/ctr_mode.hh"
+#include "crypto/dispatch.hh"
 #include "crypto/siphash.hh"
 
 namespace shmgpu::crypto
@@ -50,12 +51,23 @@ class MacEngine
                  std::uint32_t partition) const;
 
     /**
-     * Block MACs for a burst: @p out[i] = blockMac(jobs[i]...), one
-     * after another. The MEE paths hand over the sectors of one epoch
-     * or transaction burst at once.
+     * Block MACs for a burst: @p out[i] = blockMac(jobs[i]...). The
+     * MEE paths hand over the sectors of one epoch or transaction
+     * burst at once; activeMacKernel()'s kernel computes them.
      */
-    void blockMacBatch(std::span<const BlockMacInput> jobs,
-                       Mac *out) const;
+    void
+    blockMacBatch(std::span<const BlockMacInput> jobs, Mac *out) const
+    {
+        blockMacBatch(jobs, out, kernel);
+    }
+
+    /**
+     * blockMacBatch() through the named @p with kernel, so the
+     * differential tests run both on one host. MacKernel::Avx2 panics
+     * on a CPU without AVX2.
+     */
+    void blockMacBatch(std::span<const BlockMacInput> jobs, Mac *out,
+                       MacKernel with) const;
 
     /**
      * Per-chunk MAC: hash of the ordered block MACs of every block in
@@ -66,6 +78,7 @@ class MacEngine
 
   private:
     SipKey key;
+    MacKernel kernel;
 };
 
 } // namespace shmgpu::crypto

@@ -1,7 +1,9 @@
 #include "mee/functional.hh"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
+#include <span>
 
 #include "common/logging.hh"
 
@@ -22,7 +24,8 @@ SecureMemoryContext::SecureMemoryContext(
       ctrEngine(keys.encryptionKey), macEngine(keys.macKey),
       counterStore(metaLayout), macs(metaLayout),
       bmt(metaLayout, counterStore, keys.treeKey), roDetector(ro_params),
-      store(metaLayout.params().dataBytes)
+      store(metaLayout.params().dataBytes),
+      chunkScratch(metaLayout.params().chunkBytes / kBlock)
 {
 }
 
@@ -112,10 +115,10 @@ SecureMemoryContext::hostWriteRange(LocalAddr base, const void *data,
     const auto *src = static_cast<const std::uint8_t *>(data);
 
     // Batched fast path: when every block in the range would take the
-    // read-only shared-counter path, the whole copy is one crypto
-    // burst — encrypt all pads through the batched AES backend and
-    // recompute MACs through the interleaved SipHash batch, then
-    // refresh each covered chunk MAC once instead of once per block.
+    // read-only shared-counter path, the copy runs in crypto bursts —
+    // pads through the batched AES backend and MACs through the
+    // block-MAC batch kernel — then refreshes each covered chunk MAC
+    // once instead of once per block.
     // (Marking regions read-only never un-freshens a later block, so
     // the pre-check is equivalent to the sequential decision.)
     bool all_fresh = mark_read_only;
@@ -134,29 +137,32 @@ SecureMemoryContext::hostWriteRange(LocalAddr base, const void *data,
         return;
     }
 
-    std::size_t n = len / kBlock;
-    std::vector<crypto::DataBlock> blocks(n);
-    std::vector<crypto::Seed> seeds(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        LocalAddr b = base + i * kBlock;
-        roDetector.markInputRegion(b, kBlock);
+    roDetector.markInputRegion(base, len);
+    for (LocalAddr b = base; b < base + len;
+         b = regionBase(b) + roDetector.params().regionBytes)
         roRegionBases.insert(regionBase(b));
-        std::memcpy(blocks[i].data(), src + i * kBlock, kBlock);
-        seeds[i] = seedFor(b, true);
-    }
-    ctrEngine.transformBatch(blocks.data(), seeds.data(), n);
 
-    std::vector<crypto::BlockMacInput> jobs(n);
-    std::vector<crypto::Mac> tags(n);
-    for (std::size_t i = 0; i < n; ++i)
-        jobs[i] = {&blocks[i], seeds[i].address, seeds[i].major,
-                   seeds[i].minor, seeds[i].partition};
-    macEngine.blockMacBatch(jobs, tags.data());
-
-    for (std::size_t i = 0; i < n; ++i) {
-        LocalAddr b = base + i * kBlock;
-        store.writeBlock(b, blocks[i]);
-        macs.setBlockMac(b, tags[i]);
+    std::array<crypto::DataBlock, kBurstBlocks> blocks;
+    std::array<crypto::Seed, kBurstBlocks> seeds;
+    std::array<crypto::BlockMacInput, kBurstBlocks> jobs;
+    std::array<crypto::Mac, kBurstBlocks> tags;
+    const std::size_t n = len / kBlock;
+    for (std::size_t first = 0; first < n; first += kBurstBlocks) {
+        const std::size_t m = std::min(kBurstBlocks, n - first);
+        for (std::size_t k = 0; k < m; ++k) {
+            std::memcpy(blocks[k].data(), src + (first + k) * kBlock,
+                        kBlock);
+            seeds[k] = seedFor(base + (first + k) * kBlock, true);
+        }
+        ctrEngine.transformBatch(blocks.data(), seeds.data(), m);
+        for (std::size_t k = 0; k < m; ++k)
+            jobs[k] = {&blocks[k], seeds[k].address, seeds[k].major,
+                       seeds[k].minor, seeds[k].partition};
+        macEngine.blockMacBatch(std::span(jobs).first(m), tags.data());
+        for (std::size_t k = 0; k < m; ++k) {
+            store.writeBlock(seeds[k].address, blocks[k]);
+            macs.setBlockMac(seeds[k].address, tags[k]);
+        }
     }
     std::uint64_t chunk_bytes = metaLayout.params().chunkBytes;
     for (LocalAddr c = base / chunk_bytes * chunk_bytes; c < base + len;
@@ -240,38 +246,49 @@ SecureMemoryContext::reencryptRegion(LocalAddr addr)
                                         metaLayout.params().dataBytes);
     std::size_t n = (end - base) / kBlock;
 
-    // Decrypt the whole region under its current counters, all pads
-    // generated in one batched AES sweep.
-    std::vector<crypto::DataBlock> blocks(n);
-    std::vector<crypto::Seed> seeds(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        LocalAddr b = base + i * kBlock;
-        blocks[i] = store.readBlock(b);
-        seeds[i] = seedFor(b, false);
+    // Every block moves from its current counters to (major+1, 0),
+    // a burst at a time: one decrypt and one encrypt AES sweep and one
+    // block-MAC batch per burst. The counters are bumped afterwards,
+    // so each burst still reads the old ones.
+    const std::uint64_t next_major = counterStore.read(base).major + 1;
+    std::array<crypto::Seed, kBurstBlocks> from, to;
+    for (std::size_t first = 0; first < n; first += kBurstBlocks) {
+        const std::size_t m = std::min(kBurstBlocks, n - first);
+        for (std::size_t k = 0; k < m; ++k) {
+            const LocalAddr b = base + (first + k) * kBlock;
+            from[k] = seedFor(b, false);
+            to[k] = {b, next_major, 0, tenantTag};
+        }
+        rekeyBlocks(from.data(), to.data(), m);
     }
-    ctrEngine.transformBatch(blocks.data(), seeds.data(), n);
-
     counterStore.bumpMajor(base);
     bmt.updatePath(metaLayout.counterBlockIndex(base));
 
-    // Re-encrypt everything under (major+1, 0) and refresh MACs, again
-    // as one encrypt burst plus one interleaved-SipHash MAC burst.
-    std::vector<crypto::BlockMacInput> jobs(n);
-    std::vector<crypto::Mac> tags(n);
-    for (std::size_t i = 0; i < n; ++i)
-        seeds[i] = seedFor(base + i * kBlock, false);
-    ctrEngine.transformBatch(blocks.data(), seeds.data(), n);
-    for (std::size_t i = 0; i < n; ++i)
-        jobs[i] = {&blocks[i], seeds[i].address, seeds[i].major,
-                   seeds[i].minor, seeds[i].partition};
-    macEngine.blockMacBatch(jobs, tags.data());
-    for (std::size_t i = 0; i < n; ++i) {
-        store.writeBlock(base + i * kBlock, blocks[i]);
-        macs.setBlockMac(base + i * kBlock, tags[i]);
-    }
     std::uint64_t chunk_bytes = metaLayout.params().chunkBytes;
     for (LocalAddr c = base; c < end; c += chunk_bytes)
         refreshChunkMac(c);
+}
+
+void
+SecureMemoryContext::rekeyBlocks(const crypto::Seed *from,
+                                 const crypto::Seed *to, std::size_t n)
+{
+    shm_assert(n <= kBurstBlocks, "rekey burst of {} blocks", n);
+    std::array<crypto::DataBlock, kBurstBlocks> blocks;
+    std::array<crypto::BlockMacInput, kBurstBlocks> jobs;
+    std::array<crypto::Mac, kBurstBlocks> tags;
+    for (std::size_t k = 0; k < n; ++k)
+        blocks[k] = store.readBlock(to[k].address);
+    ctrEngine.transformBatch(blocks.data(), from, n);
+    ctrEngine.transformBatch(blocks.data(), to, n);
+    for (std::size_t k = 0; k < n; ++k)
+        jobs[k] = {&blocks[k], to[k].address, to[k].major, to[k].minor,
+                   to[k].partition};
+    macEngine.blockMacBatch(std::span(jobs).first(n), tags.data());
+    for (std::size_t k = 0; k < n; ++k) {
+        store.writeBlock(to[k].address, blocks[k]);
+        macs.setBlockMac(to[k].address, tags[k]);
+    }
 }
 
 FunctionalReadResult
@@ -309,50 +326,63 @@ SecureMemoryContext::deviceReadBatch(const LocalAddr *addrs,
                                      std::size_t n)
 {
     // Reads have no off-chip side effects (beyond lazy MAC init), so
-    // the burst can be verified and decrypted in two batched sweeps:
-    // one interleaved-SipHash pass recomputing every expected MAC, and
-    // one batched-AES pass generating pads for the lanes that passed.
-    std::vector<crypto::DataBlock> ciphers(n);
-    std::vector<crypto::Seed> seeds(n);
-    std::vector<crypto::BlockMacInput> jobs(n);
-    std::vector<crypto::Mac> expected(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        LocalAddr block = addrs[i] / kBlock * kBlock;
-        bool ro = roDetector.isReadOnly(block);
-        ciphers[i] = store.readBlock(block);
-        seeds[i] = seedFor(block, ro);
-        jobs[i] = {&ciphers[i], seeds[i].address, seeds[i].major,
-                   seeds[i].minor, seeds[i].partition};
-    }
-    macEngine.blockMacBatch(jobs, expected.data());
-
-    std::vector<std::size_t> pass;
-    pass.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        LocalAddr block = addrs[i] / kBlock * kBlock;
-        out[i] = FunctionalReadResult{};
-        if (expected[i] != storedBlockMacOrInit(block)) {
-            out[i].status = VerifyStatus::MacMismatch;
-            continue;
+    // each burst of up to kBurstBlocks is verified and decrypted in
+    // two batched sweeps: one block-MAC batch recomputing every
+    // expected MAC, and one batched-AES pass generating pads for the
+    // lanes that passed.
+    std::array<crypto::DataBlock, kBurstBlocks> ciphers;
+    std::array<crypto::Seed, kBurstBlocks> seeds;
+    std::array<crypto::BlockMacInput, kBurstBlocks> jobs;
+    std::array<crypto::Mac, kBurstBlocks> expected;
+    std::array<std::size_t, kBurstBlocks> pass;
+    std::array<bool, kBurstBlocks> read_only;
+    for (std::size_t first = 0; first < n; first += kBurstBlocks) {
+        const std::size_t m = std::min(kBurstBlocks, n - first);
+        for (std::size_t k = 0; k < m; ++k) {
+            LocalAddr block = addrs[first + k] / kBlock * kBlock;
+            read_only[k] = roDetector.isReadOnly(block);
+            ciphers[k] = store.readBlock(block);
+            seeds[k] = seedFor(block, read_only[k]);
+            jobs[k] = {&ciphers[k], seeds[k].address, seeds[k].major,
+                       seeds[k].minor, seeds[k].partition};
         }
-        if (!roDetector.isReadOnly(block) &&
-            !bmt.verifyPath(metaLayout.counterBlockIndex(block)).ok) {
-            out[i].status = VerifyStatus::BmtMismatch;
-            continue;
-        }
-        pass.push_back(i);
-    }
+        macEngine.blockMacBatch(std::span(jobs).first(m), expected.data());
 
-    std::vector<crypto::DataBlock> plains(pass.size());
-    std::vector<crypto::Seed> pass_seeds(pass.size());
-    for (std::size_t p = 0; p < pass.size(); ++p) {
-        plains[p] = ciphers[pass[p]];
-        pass_seeds[p] = seeds[pass[p]];
+        // Compact the lanes that verified to the front, then decrypt
+        // them in place. Nothing here changes the counters or the
+        // tree, so lanes in one counter block share a path verdict.
+        std::size_t passed = 0;
+        std::uint64_t verified_idx = ~std::uint64_t{0};
+        bool verified_ok = false;
+        for (std::size_t k = 0; k < m; ++k) {
+            LocalAddr block = seeds[k].address;
+            FunctionalReadResult &res = out[first + k];
+            res = FunctionalReadResult{};
+            if (expected[k] != storedBlockMacOrInit(block)) {
+                res.status = VerifyStatus::MacMismatch;
+                continue;
+            }
+            if (!read_only[k]) {
+                const std::uint64_t idx = metaLayout.counterBlockIndex(block);
+                if (idx != verified_idx) {
+                    verified_idx = idx;
+                    verified_ok = bmt.verifyPath(idx).ok;
+                }
+                if (!verified_ok) {
+                    res.status = VerifyStatus::BmtMismatch;
+                    continue;
+                }
+            }
+            if (passed != k) {
+                ciphers[passed] = ciphers[k];
+                seeds[passed] = seeds[k];
+            }
+            pass[passed++] = first + k;
+        }
+        ctrEngine.transformBatch(ciphers.data(), seeds.data(), passed);
+        for (std::size_t p = 0; p < passed; ++p)
+            out[pass[p]].data = ciphers[p];
     }
-    ctrEngine.transformBatch(plains.data(), pass_seeds.data(),
-                             pass.size());
-    for (std::size_t p = 0; p < pass.size(); ++p)
-        out[pass[p]].data = plains[p];
 }
 
 void
@@ -364,29 +394,16 @@ SecureMemoryContext::reencryptSharedRegion(LocalAddr region_base,
         metaLayout.params().dataBytes);
     std::size_t n = (end - region_base) / kBlock;
 
-    // Old-pad decrypt and new-pad encrypt are each one batched AES
-    // sweep over the region; the MAC refresh is one SipHash batch.
-    std::vector<crypto::DataBlock> blocks(n);
-    std::vector<crypto::Seed> seeds(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        LocalAddr b = region_base + i * kBlock;
-        blocks[i] = store.readBlock(b);
-        seeds[i] = crypto::Seed{b, old_shared, 0, tenantTag};
-    }
-    ctrEngine.transformBatch(blocks.data(), seeds.data(), n);
-    for (std::size_t i = 0; i < n; ++i)
-        seeds[i].major = shared.value();
-    ctrEngine.transformBatch(blocks.data(), seeds.data(), n);
-
-    std::vector<crypto::BlockMacInput> jobs(n);
-    std::vector<crypto::Mac> tags(n);
-    for (std::size_t i = 0; i < n; ++i)
-        jobs[i] = {&blocks[i], seeds[i].address, seeds[i].major, 0,
-                   seeds[i].partition};
-    macEngine.blockMacBatch(jobs, tags.data());
-    for (std::size_t i = 0; i < n; ++i) {
-        store.writeBlock(region_base + i * kBlock, blocks[i]);
-        macs.setBlockMac(region_base + i * kBlock, tags[i]);
+    // From (old shared, 0) to (shared, 0), a burst at a time.
+    std::array<crypto::Seed, kBurstBlocks> from, to;
+    for (std::size_t first = 0; first < n; first += kBurstBlocks) {
+        const std::size_t m = std::min(kBurstBlocks, n - first);
+        for (std::size_t k = 0; k < m; ++k) {
+            const LocalAddr b = region_base + (first + k) * kBlock;
+            from[k] = {b, old_shared, 0, tenantTag};
+            to[k] = {b, shared.value(), 0, tenantTag};
+        }
+        rekeyBlocks(from.data(), to.data(), m);
     }
     std::uint64_t chunk_bytes = metaLayout.params().chunkBytes;
     for (LocalAddr c = region_base; c < end; c += chunk_bytes)
@@ -416,35 +433,21 @@ SecureMemoryContext::inputReadOnlyReset(LocalAddr base,
                                         metaLayout.params().dataBytes);
     if (reencrypt) {
         // Also bring the target range (possibly under per-block
-        // counters after kernel writes) to the new shared value.
-        std::vector<LocalAddr> todo;
+        // counters after kernel writes) to the new shared value,
+        // skipping the regions already re-encrypted above.
+        std::array<crypto::Seed, kBurstBlocks> from, to;
+        std::size_t m = 0;
         for (LocalAddr b = base; b < end; b += kBlock) {
             if (roRegionBases.contains(regionBase(b)))
-                continue; // already re-encrypted above
-            todo.push_back(b);
+                continue;
+            from[m] = seedFor(b, false);
+            to[m++] = {b, shared.value(), 0, tenantTag};
+            if (m == kBurstBlocks) {
+                rekeyBlocks(from.data(), to.data(), m);
+                m = 0;
+            }
         }
-        std::size_t n = todo.size();
-        std::vector<crypto::DataBlock> blocks(n);
-        std::vector<crypto::Seed> seeds(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            blocks[i] = store.readBlock(todo[i]);
-            seeds[i] = seedFor(todo[i], false);
-        }
-        ctrEngine.transformBatch(blocks.data(), seeds.data(), n);
-        for (std::size_t i = 0; i < n; ++i)
-            seeds[i] = crypto::Seed{todo[i], shared.value(), 0, tenantTag};
-        ctrEngine.transformBatch(blocks.data(), seeds.data(), n);
-
-        std::vector<crypto::BlockMacInput> jobs(n);
-        std::vector<crypto::Mac> tags(n);
-        for (std::size_t i = 0; i < n; ++i)
-            jobs[i] = {&blocks[i], seeds[i].address, seeds[i].major, 0,
-                       seeds[i].partition};
-        macEngine.blockMacBatch(jobs, tags.data());
-        for (std::size_t i = 0; i < n; ++i) {
-            store.writeBlock(todo[i], blocks[i]);
-            macs.setBlockMac(todo[i], tags[i]);
-        }
+        rekeyBlocks(from.data(), to.data(), m);
         std::uint64_t chunk_bytes = metaLayout.params().chunkBytes;
         for (LocalAddr c = base / chunk_bytes * chunk_bytes; c < end;
              c += chunk_bytes)
@@ -466,29 +469,33 @@ SecureMemoryContext::verifyChunk(LocalAddr chunk_base)
     LocalAddr end = std::min<LocalAddr>(base + chunk_bytes,
                                         metaLayout.params().dataBytes);
 
-    // Recompute every block MAC of the chunk in one interleaved
-    // SipHash batch — the coarse-grain verification burst.
-    std::size_t n = (end - base) / kBlock;
-    std::vector<crypto::DataBlock> ciphers(n);
-    std::vector<crypto::BlockMacInput> jobs(n);
-    std::vector<crypto::Mac> block_macs(n);
+    // Recompute every block MAC of the chunk, a burst at a time — the
+    // coarse-grain verification sweep.
+    const std::size_t n = (end - base) / kBlock;
+    std::array<crypto::DataBlock, kBurstBlocks> ciphers;
+    std::array<crypto::BlockMacInput, kBurstBlocks> jobs;
     bool any_not_ro = false;
-    for (std::size_t i = 0; i < n; ++i) {
-        LocalAddr b = base + i * kBlock;
-        bool ro = roDetector.isReadOnly(b);
-        any_not_ro |= !ro;
-        ciphers[i] = store.readBlock(b);
-        crypto::Seed s = seedFor(b, ro);
-        jobs[i] = {&ciphers[i], s.address, s.major, s.minor,
-                   s.partition};
+    for (std::size_t first = 0; first < n; first += kBurstBlocks) {
+        const std::size_t m = std::min(kBurstBlocks, n - first);
+        for (std::size_t k = 0; k < m; ++k) {
+            LocalAddr b = base + (first + k) * kBlock;
+            bool ro = roDetector.isReadOnly(b);
+            any_not_ro |= !ro;
+            ciphers[k] = store.readBlock(b);
+            crypto::Seed s = seedFor(b, ro);
+            jobs[k] = {&ciphers[k], s.address, s.major, s.minor,
+                       s.partition};
+        }
+        macEngine.blockMacBatch(std::span(jobs).first(m),
+                                chunkScratch.data() + first);
     }
-    macEngine.blockMacBatch(jobs, block_macs.data());
     auto stored = macs.chunkMac(base);
     if (!stored) {
         refreshChunkMac(base);
         stored = macs.chunkMac(base);
     }
-    if (macEngine.chunkMac(block_macs, base, tenantTag) != *stored)
+    if (macEngine.chunkMac(std::span(chunkScratch).first(n), base,
+                           tenantTag) != *stored)
         return VerifyStatus::MacMismatch;
 
     if (any_not_ro) {

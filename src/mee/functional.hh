@@ -90,9 +90,10 @@ class SecureMemoryContext
     /**
      * Verified load of @p n blocks — the value-level analogue of one
      * epoch's transaction burst. MAC recomputation runs through the
-     * interleaved SipHash batch and OTP generation through the batched
-     * AES backend; results are identical to @p n sequential
-     * deviceRead() calls.
+     * block-MAC batch kernel and OTP generation through the batched
+     * AES backend, kBurstBlocks at a time, and lanes in one counter
+     * block share one BMT path verification; results are identical to
+     * @p n sequential deviceRead() calls.
      */
     void deviceReadBatch(const LocalAddr *addrs,
                          FunctionalReadResult *out, std::size_t n);
@@ -152,6 +153,10 @@ class SecureMemoryContext
     /** @} */
 
   private:
+    /** Blocks the batch paths run through the crypto kernels at once,
+     *  in on-stack arrays. */
+    static constexpr std::size_t kBurstBlocks = 32;
+
     LocalAddr
     regionBase(LocalAddr addr) const
     {
@@ -163,6 +168,15 @@ class SecureMemoryContext
      *  the current one (keeps all RO data readable across raises). */
     void reencryptSharedRegion(LocalAddr region_base,
                                std::uint64_t old_shared);
+
+    /**
+     * Move @p n blocks (at most kBurstBlocks) from seeds @p from to
+     * seeds @p to (block i at to[i].address): decrypt, re-encrypt,
+     * and store each ciphertext with its new block MAC. The caller
+     * refreshes the chunk MACs.
+     */
+    void rekeyBlocks(const crypto::Seed *from, const crypto::Seed *to,
+                     std::size_t n);
 
     crypto::Seed seedFor(LocalAddr addr, bool read_only) const;
     crypto::Mac macFor(const crypto::DataBlock &ciphertext, LocalAddr addr,
@@ -199,6 +213,8 @@ class SecureMemoryContext
      * the paper's option (b) applied to every affected region.
      */
     std::set<LocalAddr> roRegionBases;
+    /** verifyChunk's recomputed block MACs, one chunk's worth. */
+    std::vector<crypto::Mac> chunkScratch;
 };
 
 } // namespace shmgpu::mee

@@ -1,136 +1,140 @@
 #include "meta/bmt.hh"
 
+#include "common/bitops.hh"
 #include "common/logging.hh"
 
 namespace shmgpu::meta
 {
+
+BonsaiTree::Level::Level(std::uint64_t entries, unsigned arity,
+                         std::uint64_t default_digest)
+    : size(entries), fallback(default_digest),
+      digests(divCeil(entries, arity) * arity),
+      stored(divCeil(entries, arity) * arity)
+{
+}
 
 BonsaiTree::BonsaiTree(const MetadataLayout &meta_layout,
                        const CounterStore &counter_store,
                        const crypto::SipKey &tree_key)
     : layout(meta_layout), counters(counter_store), key(tree_key)
 {
-    nodes.resize(layout.bmtLevels());
+    const unsigned arity = layout.params().bmtArity;
+    levels.reserve(layout.bmtLevels() + 1);
 
     // Default digests for untouched (all-zero) counter state, so the
-    // tree is lazily materialized.
-    const CounterStore::CounterBlockImage zero_block{};
-    defaultLeaf = crypto::siphash24(key, zero_block.data(),
-                                    zero_block.size());
-
-    std::uint64_t below = defaultLeaf;
-    std::array<std::uint64_t, kMaxBmtArity> kids{};
+    // tree is lazily materialized: a default node hashes default
+    // children.
+    levels.emplace_back(layout.numCounterBlocks(), arity,
+                        leafDigest(CounterStore::CounterBlockImage{}));
     for (unsigned level = 0; level < layout.bmtLevels(); ++level) {
-        kids.fill(below);
-        below = hashChildren(
-            std::span(kids).first(layout.params().bmtArity), level);
-        defaultNode.push_back(below);
+        // The level below is still all default, so this hashes
+        // default children.
+        levels.emplace_back(layout.bmtNodesAt(level), arity,
+                            nodeDigestOf(level, 0));
     }
-    rootDigest = rootOf(defaultNode.back());
+    rootDigest = rootOf(levels.back().fallback);
+}
+
+void
+BonsaiTree::store(unsigned l, std::uint64_t idx, std::uint64_t digest)
+{
+    Level &lv = levels[l];
+    storedDigests += !lv.stored[idx];
+    lv.stored[idx] = true;
+    lv.digests[idx] = digest ^ lv.fallback;
+}
+
+void
+BonsaiTree::checkIndex(unsigned l, std::uint64_t idx) const
+{
+    if (l == 0)
+        shm_assert(idx < levels[0].size, "BMT leaf {} beyond the {} leaves",
+                   idx, levels[0].size);
+    else
+        shm_assert(idx < levels[l].size,
+                   "BMT node {} beyond stored level {}'s {} nodes", idx,
+                   l - 1, levels[l].size);
 }
 
 std::uint64_t
 BonsaiTree::rootOf(std::uint64_t top) const
 {
-    crypto::SipHasher h(key);
-    h.updateU64(top);
-    h.updateU64(0xB047ull); // root domain separator
-    return h.digest();
+    crypto::SipState s(key);
+    s.word(top);
+    s.word(0xB047ull); // root domain separator
+    return s.finish(16);
 }
 
 std::uint64_t
-BonsaiTree::hashChildren(std::span<const std::uint64_t> kids,
-                         unsigned level) const
+BonsaiTree::nodeDigestOf(unsigned level, std::uint64_t node_idx) const
 {
-    crypto::SipHasher h(key);
-    for (std::uint64_t kid : kids)
-        h.updateU64(kid);
-    h.updateU64(level);
-    return h.digest();
+    // The children are one contiguous run of the level below; past
+    // its end the padding reads as the default digest.
+    const unsigned arity = layout.params().bmtArity;
+    const Level &kids = levels[level];
+    const std::uint64_t *run = kids.digests.data() + node_idx * arity;
+    crypto::SipState s(key);
+    for (unsigned k = 0; k < arity; ++k)
+        s.word(run[k] ^ kids.fallback);
+    s.word(level);
+    return s.finish(8 * (arity + 1));
+}
+
+std::uint64_t
+BonsaiTree::leafDigest(const CounterStore::CounterBlockImage &image) const
+{
+    // The 72-byte image is nine whole words.
+    static_assert(sizeof(image) % 8 == 0);
+    crypto::SipState s(key);
+    for (std::size_t i = 0; i < image.size(); i += 8)
+        s.word(crypto::loadLe64(image.data() + i));
+    return s.finish(image.size());
 }
 
 std::uint64_t
 BonsaiTree::leafDigestOf(std::uint64_t counter_block_idx) const
 {
-    const CounterStore::CounterBlockImage bytes =
-        counters.serializeCounterBlock(counter_block_idx);
-    return crypto::siphash24(key, bytes.data(), bytes.size());
-}
-
-std::uint64_t
-BonsaiTree::storedLeaf(std::uint64_t idx) const
-{
-    const std::uint64_t *digest = leafDigests.find(idx);
-    return digest ? *digest : defaultLeaf;
-}
-
-std::uint64_t
-BonsaiTree::storedNode(unsigned level, std::uint64_t idx) const
-{
-    shm_assert(level < nodes.size(), "BMT level {} out of range", level);
-    const std::uint64_t *digest = nodes[level].find(idx);
-    return digest ? *digest : defaultNode[level];
-}
-
-std::span<const std::uint64_t>
-BonsaiTree::gatherChildren(
-    unsigned level, std::uint64_t node_idx,
-    std::array<std::uint64_t, kMaxBmtArity> &kids) const
-{
-    const unsigned arity = layout.params().bmtArity;
-    for (unsigned k = 0; k < arity; ++k) {
-        std::uint64_t kid = node_idx * arity + k;
-        if (level == 0) {
-            kids[k] = kid < layout.numCounterBlocks() ? storedLeaf(kid)
-                                                      : defaultLeaf;
-        } else {
-            kids[k] = kid < layout.bmtNodesAt(level - 1)
-                          ? storedNode(level - 1, kid)
-                          : defaultNode[level - 1];
-        }
-    }
-    return std::span(kids).first(arity);
+    return leafDigest(counters.serializeCounterBlock(counter_block_idx));
 }
 
 void
 BonsaiTree::updatePath(std::uint64_t counter_block_idx)
 {
+    checkIndex(0, counter_block_idx);
     const unsigned arity = layout.params().bmtArity;
-    leafDigests[counter_block_idx] = leafDigestOf(counter_block_idx);
+    store(0, counter_block_idx, leafDigestOf(counter_block_idx));
 
-    std::array<std::uint64_t, kMaxBmtArity> kids{};
     std::uint64_t child_idx = counter_block_idx;
     for (unsigned level = 0; level < layout.bmtLevels(); ++level) {
         std::uint64_t node_idx = child_idx / arity;
-        nodes[level][node_idx] =
-            hashChildren(gatherChildren(level, node_idx, kids), level);
+        store(level + 1, node_idx, nodeDigestOf(level, node_idx));
         child_idx = node_idx;
     }
-    rootDigest = rootOf(storedNode(layout.bmtLevels() - 1, 0));
+    rootDigest = rootOf(digestAt(layout.bmtLevels(), 0));
 }
 
 BmtVerifyResult
 BonsaiTree::verifyPath(std::uint64_t counter_block_idx) const
 {
+    checkIndex(0, counter_block_idx);
     const unsigned arity = layout.params().bmtArity;
 
     // Depth 0: the leaf digest must match the counter block content.
-    if (leafDigestOf(counter_block_idx) != storedLeaf(counter_block_idx))
+    if (leafDigestOf(counter_block_idx) != digestAt(0, counter_block_idx))
         return {false, 0};
 
     // Depths 1..L: each stored node must hash its stored children.
-    std::array<std::uint64_t, kMaxBmtArity> kids{};
     std::uint64_t child_idx = counter_block_idx;
     for (unsigned level = 0; level < layout.bmtLevels(); ++level) {
         std::uint64_t node_idx = child_idx / arity;
-        if (hashChildren(gatherChildren(level, node_idx, kids), level) !=
-            storedNode(level, node_idx))
+        if (nodeDigestOf(level, node_idx) != digestAt(level + 1, node_idx))
             return {false, level + 1};
         child_idx = node_idx;
     }
 
     // Depth L+1: the on-chip root covers the top stored node.
-    if (rootOf(storedNode(layout.bmtLevels() - 1, 0)) != rootDigest)
+    if (rootOf(digestAt(layout.bmtLevels(), 0)) != rootDigest)
         return {false, layout.bmtLevels() + 1};
 
     return {true, 0};
@@ -140,25 +144,18 @@ void
 BonsaiTree::corruptStoredNode(unsigned level, std::uint64_t node_idx,
                               std::uint64_t xor_mask)
 {
-    shm_assert(level < nodes.size(), "BMT level {} out of range", level);
-    nodes[level][node_idx] = storedNode(level, node_idx) ^ xor_mask;
+    shm_assert(level < layout.bmtLevels(), "BMT level {} out of range",
+               level);
+    checkIndex(level + 1, node_idx);
+    store(level + 1, node_idx, digestAt(level + 1, node_idx) ^ xor_mask);
 }
 
 void
 BonsaiTree::corruptLeafDigest(std::uint64_t counter_block_idx,
                               std::uint64_t xor_mask)
 {
-    leafDigests[counter_block_idx] =
-        storedLeaf(counter_block_idx) ^ xor_mask;
-}
-
-std::size_t
-BonsaiTree::materializedNodes() const
-{
-    std::size_t n = leafDigests.size();
-    for (const auto &level : nodes)
-        n += level.size();
-    return n;
+    checkIndex(0, counter_block_idx);
+    store(0, counter_block_idx, digestAt(0, counter_block_idx) ^ xor_mask);
 }
 
 } // namespace shmgpu::meta

@@ -16,12 +16,10 @@
 #ifndef SHMGPU_META_BMT_HH
 #define SHMGPU_META_BMT_HH
 
-#include <array>
 #include <cstdint>
-#include <span>
 #include <vector>
 
-#include "common/flat_map.hh"
+#include "common/demand_zero.hh"
 #include "crypto/siphash.hh"
 #include "meta/counters.hh"
 #include "meta/layout.hh"
@@ -41,7 +39,17 @@ struct BmtVerifyResult
     unsigned failedLevel = 0;
 };
 
-/** Functional 64-bit-digest Bonsai Merkle Tree over a CounterStore. */
+/**
+ * Functional 64-bit-digest Bonsai Merkle Tree over a CounterStore.
+ *
+ * Every level (the leaf digests, then each stored node level) is one
+ * dense demand-zero array holding each digest XORed with the level's
+ * default digest, so an untouched entry reads as the default and a
+ * node's children are one contiguous run; the array is padded to a
+ * whole number of parents, so a ragged last node's missing children
+ * read as defaults too. A stored flag per entry keeps
+ * materializedNodes() counting the digests written.
+ */
 class BonsaiTree
 {
   public:
@@ -60,6 +68,7 @@ class BonsaiTree
     /**
      * Attack surface for tests: flip bits in a *stored* (off-chip)
      * node digest. The on-chip root cannot be corrupted this way.
+     * Panics unless @p node_idx lies inside stored level @p level.
      */
     void corruptStoredNode(unsigned level, std::uint64_t node_idx,
                            std::uint64_t xor_mask);
@@ -69,19 +78,41 @@ class BonsaiTree
                            std::uint64_t xor_mask);
 
     /** Number of materialized (non-default) stored digests. */
-    std::size_t materializedNodes() const;
+    std::size_t materializedNodes() const { return storedDigests; }
 
   private:
+    /** One level of stored digests: the leaves, or a node level. */
+    struct Level
+    {
+        Level(std::uint64_t entries, unsigned arity,
+              std::uint64_t default_digest);
+
+        /** Entries that exist (the array is padded past them). */
+        std::uint64_t size;
+        /** The digest of an untouched entry. */
+        std::uint64_t fallback;
+        /** digest ^ fallback per entry. */
+        DemandZeroArray<std::uint64_t> digests;
+        DemandZeroArray<bool> stored;
+    };
+
+    /** Stored digest @p idx of level @p l (0 = leaves). */
+    std::uint64_t
+    digestAt(unsigned l, std::uint64_t idx) const
+    {
+        return levels[l].digests[idx] ^ levels[l].fallback;
+    }
+    /** Overwrite digest @p idx of level @p l, marking it stored. */
+    void store(unsigned l, std::uint64_t idx, std::uint64_t digest);
+    /** Panic unless @p idx lies inside level @p l. */
+    void checkIndex(unsigned l, std::uint64_t idx) const;
+
+    std::uint64_t
+    leafDigest(const CounterStore::CounterBlockImage &image) const;
     std::uint64_t leafDigestOf(std::uint64_t counter_block_idx) const;
-    std::uint64_t storedLeaf(std::uint64_t idx) const;
-    std::uint64_t storedNode(unsigned level, std::uint64_t idx) const;
-    /** The stored digests of node @p node_idx's children at stored
-     *  level @p level, in order (defaults past the level's end). */
-    std::span<const std::uint64_t>
-    gatherChildren(unsigned level, std::uint64_t node_idx,
-                   std::array<std::uint64_t, kMaxBmtArity> &kids) const;
-    std::uint64_t hashChildren(std::span<const std::uint64_t> kids,
-                               unsigned level) const;
+    /** The digest of node @p node_idx at stored level @p level over
+     *  its stored children. */
+    std::uint64_t nodeDigestOf(unsigned level, std::uint64_t node_idx) const;
     /** The on-chip root over the top stored node. */
     std::uint64_t rootOf(std::uint64_t top) const;
 
@@ -89,13 +120,9 @@ class BonsaiTree
     const CounterStore &counters;
     crypto::SipKey key;
 
-    /** Stored (off-chip) leaf digests, one per counter block. */
-    FlatMap<std::uint64_t> leafDigests;
-    /** Stored (off-chip) internal digests per level. */
-    std::vector<FlatMap<std::uint64_t>> nodes;
-
-    std::uint64_t defaultLeaf;
-    std::vector<std::uint64_t> defaultNode; //!< per stored level
+    /** [0] the leaf digests, [l + 1] stored node level l. */
+    std::vector<Level> levels;
+    std::size_t storedDigests = 0;
     std::uint64_t rootDigest;
 };
 

@@ -8,39 +8,34 @@ namespace shmgpu::meta
 {
 
 CounterStore::CounterStore(const MetadataLayout &meta_layout)
-    : layout(meta_layout)
+    : layout(meta_layout), blocks(layout.numCounterBlocks()),
+      stored(layout.numCounterBlocks())
 {
 }
 
-const CounterStore::CounterBlock *
-CounterStore::find(std::uint64_t idx) const
+const CounterStore::CounterBlock &
+CounterStore::block(std::uint64_t idx) const
 {
-    return table.find(idx);
+    shm_assert(idx < blocks.size(),
+               "counter block {} beyond the {} counter blocks", idx,
+               blocks.size());
+    return blocks[idx];
 }
 
 CounterStore::CounterBlock &
-CounterStore::materialize(std::uint64_t idx)
+CounterStore::materialize(LocalAddr data_addr)
 {
-    return table[idx];
-}
-
-CounterValue
-CounterStore::read(LocalAddr data_addr) const
-{
-    std::uint64_t idx = layout.counterBlockIndex(data_addr);
-    std::uint32_t slot = layout.minorSlot(data_addr);
-    const CounterBlock *blk = find(idx);
-    if (!blk)
-        return {0, 0};
-    return {blk->major, blk->minors[slot]};
+    const std::uint64_t idx = layout.counterBlockIndex(data_addr);
+    storedBlocks += !stored[idx];
+    stored[idx] = true;
+    return blocks[idx];
 }
 
 IncrementResult
 CounterStore::increment(LocalAddr data_addr)
 {
-    std::uint64_t idx = layout.counterBlockIndex(data_addr);
     std::uint32_t slot = layout.minorSlot(data_addr);
-    CounterBlock &blk = materialize(idx);
+    CounterBlock &blk = materialize(data_addr);
 
     IncrementResult res;
     if (blk.minors[slot] + 1ull >= minorMax) {
@@ -61,9 +56,8 @@ IncrementResult
 CounterStore::devolveFromShared(LocalAddr data_addr,
                                 std::uint64_t shared_value)
 {
-    std::uint64_t idx = layout.counterBlockIndex(data_addr);
     std::uint32_t slot = layout.minorSlot(data_addr);
-    CounterBlock &blk = materialize(idx);
+    CounterBlock &blk = materialize(data_addr);
 
     blk.major = shared_value;
     blk.minors.fill(0); // the padding value
@@ -83,17 +77,16 @@ CounterStore::maxMajor(LocalAddr base, std::uint64_t bytes) const
     std::uint64_t max_major = 0;
     LocalAddr end = std::min<std::uint64_t>(base + bytes,
                                             layout.params().dataBytes);
-    for (LocalAddr a = base; a < end; a += region_bytes) {
-        if (const CounterBlock *blk = find(layout.counterBlockIndex(a)))
-            max_major = std::max(max_major, blk->major);
-    }
+    for (LocalAddr a = base; a < end; a += region_bytes)
+        max_major = std::max(max_major,
+                             blocks[layout.counterBlockIndex(a)].major);
     return max_major;
 }
 
 void
 CounterStore::setRegionMajor(LocalAddr data_addr, std::uint64_t major)
 {
-    CounterBlock &blk = materialize(layout.counterBlockIndex(data_addr));
+    CounterBlock &blk = materialize(data_addr);
     blk.major = major;
     blk.minors.fill(0);
 }
@@ -101,7 +94,7 @@ CounterStore::setRegionMajor(LocalAddr data_addr, std::uint64_t major)
 void
 CounterStore::bumpMajor(LocalAddr data_addr)
 {
-    CounterBlock &blk = materialize(layout.counterBlockIndex(data_addr));
+    CounterBlock &blk = materialize(data_addr);
     ++blk.major;
     blk.minors.fill(0);
 }
@@ -109,7 +102,7 @@ CounterStore::bumpMajor(LocalAddr data_addr)
 void
 CounterStore::restore(LocalAddr data_addr, const CounterValue &value)
 {
-    CounterBlock &blk = materialize(layout.counterBlockIndex(data_addr));
+    CounterBlock &blk = materialize(data_addr);
     blk.major = value.major;
     blk.minors[layout.minorSlot(data_addr)] =
         static_cast<std::uint8_t>(value.minor);
@@ -118,14 +111,11 @@ CounterStore::restore(LocalAddr data_addr, const CounterValue &value)
 CounterStore::CounterBlockImage
 CounterStore::serializeCounterBlock(std::uint64_t counter_block_idx) const
 {
+    const CounterBlock &blk = block(counter_block_idx);
     CounterBlockImage out;
-    const CounterBlock *blk = find(counter_block_idx);
-    CounterBlock zero;
-    if (!blk)
-        blk = &zero;
     for (int i = 0; i < 8; ++i)
-        out[i] = static_cast<std::uint8_t>(blk->major >> (8 * i));
-    std::copy(blk->minors.begin(), blk->minors.end(), out.begin() + 8);
+        out[i] = static_cast<std::uint8_t>(blk.major >> (8 * i));
+    std::copy(blk.minors.begin(), blk.minors.end(), out.begin() + 8);
     return out;
 }
 

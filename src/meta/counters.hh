@@ -21,6 +21,7 @@
 #include <array>
 #include <cstdint>
 
+#include "common/demand_zero.hh"
 #include "common/flat_map.hh"
 #include "common/types.hh"
 #include "meta/layout.hh"
@@ -44,14 +45,25 @@ struct IncrementResult
     bool minorOverflow = false; //!< the whole region must re-encrypt
 };
 
-/** Functional storage for split counters over one protected space. */
+/**
+ * Functional storage for split counters over one protected space: a
+ * dense demand-zero array of counter blocks, each with a stored flag
+ * (set by every write, so an untouched block reads as the default
+ * all-zero state and does not count as materialized).
+ */
 class CounterStore
 {
   public:
     explicit CounterStore(const MetadataLayout &layout);
 
     /** Read the counter pair for the data block at @p data_addr. */
-    CounterValue read(LocalAddr data_addr) const;
+    CounterValue
+    read(LocalAddr data_addr) const
+    {
+        const CounterBlock &blk =
+            blocks[layout.counterBlockIndex(data_addr)];
+        return {blk.major, blk.minors[layout.minorSlot(data_addr)]};
+    }
 
     /** Increment the minor counter for a write-back to @p data_addr. */
     IncrementResult increment(LocalAddr data_addr);
@@ -97,12 +109,12 @@ class CounterStore
      *  the 64 minors. */
     using CounterBlockImage = std::array<std::uint8_t, 8 + 64>;
 
-    /** Serialize one counter block to bytes (for BMT leaf hashing). */
+    /** Serialize one counter block to bytes (the BMT leaf message). */
     CounterBlockImage
     serializeCounterBlock(std::uint64_t counter_block_idx) const;
 
-    /** Number of materialized (non-default) counter blocks. */
-    std::size_t materializedBlocks() const { return table.size(); }
+    /** Number of materialized (written) counter blocks. */
+    std::size_t materializedBlocks() const { return storedBlocks; }
 
     std::uint64_t minorLimit() const { return minorMax; }
 
@@ -113,11 +125,15 @@ class CounterStore
         std::array<std::uint8_t, 64> minors{};
     };
 
-    const CounterBlock *find(std::uint64_t idx) const;
-    CounterBlock &materialize(std::uint64_t idx);
+    /** The counter block at @p idx; panics past the last one. */
+    const CounterBlock &block(std::uint64_t idx) const;
+    /** The counter block of @p data_addr, marked stored. */
+    CounterBlock &materialize(LocalAddr data_addr);
 
     const MetadataLayout &layout;
-    FlatMap<CounterBlock> table;
+    DemandZeroArray<CounterBlock> blocks;
+    DemandZeroArray<bool> stored;
+    std::size_t storedBlocks = 0;
     /** 7-bit minor counters overflow at 128. */
     static constexpr std::uint64_t minorMax = 128;
 };

@@ -29,8 +29,8 @@
 namespace shmgpu::meta
 {
 
-/** Largest BMT arity a layout accepts (the functional tree gathers a
- *  node's children on the stack). */
+/** Largest BMT arity a layout accepts (a node holds at most 64 child
+ *  digests). */
 constexpr std::uint32_t kMaxBmtArity = 64;
 
 /** Static geometry parameters of the metadata layout. */

@@ -2,13 +2,17 @@
 
 #include <algorithm>
 
+#include "common/bitops.hh"
 #include "common/logging.hh"
 
 namespace shmgpu::meta
 {
 
 MacStore::MacStore(const MetadataLayout &meta_layout)
-    : layout(meta_layout), blockMacs(layout.numBlocks()),
+    : layout(meta_layout),
+      blockShift(floorLog2(layout.params().blockBytes)),
+      chunkShift(floorLog2(layout.params().chunkBytes)),
+      blockMacs(layout.numBlocks()),
       blockStored(layout.numBlocks()), chunkMacs(layout.numChunks()),
       chunkStored(layout.numChunks())
 {

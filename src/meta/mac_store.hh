@@ -79,17 +79,21 @@ class MacStore
     blockIndex(LocalAddr data_addr) const
     {
         checkAddr(data_addr);
-        return data_addr / layout.params().blockBytes;
+        return data_addr >> blockShift;
     }
 
     std::uint64_t
     chunkIndex(LocalAddr data_addr) const
     {
         checkAddr(data_addr);
-        return data_addr / layout.params().chunkBytes;
+        return data_addr >> chunkShift;
     }
 
     const MetadataLayout &layout;
+    /** log2 of the block and chunk sizes (powers of two, as the
+     *  layout asserts). */
+    unsigned blockShift;
+    unsigned chunkShift;
     DemandZeroArray<crypto::Mac> blockMacs;
     DemandZeroArray<bool> blockStored;
     DemandZeroArray<crypto::Mac> chunkMacs;

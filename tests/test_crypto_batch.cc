@@ -3,15 +3,18 @@
  * Differential fuzz of the dispatched crypto paths against the scalar
  * references.
  *
- * The AES-NI kernel and the burst entry points (Aes128Batch,
- * CtrModeEngine::transformBatch, MacEngine::blockMacBatch, the MEE's
- * range and batch paths) exist purely for software speed: the
- * contract is that each is *byte-identical* to the portable scalar
- * implementations (Aes128, blockMac, the per-block MEE operations) for
- * random keys, counters and batch sizes — including ragged tails that
- * don't fill a 4/8-lane group. The tests run the path this CPU
- * dispatches to (activeBackend()); on a host without AES-NI that is
- * the scalar loop, so the suite stays meaningful on non-x86 CI too.
+ * The AES-NI kernel, the AVX2 block-MAC lanes and the burst entry
+ * points (Aes128Batch, CtrModeEngine::transformBatch,
+ * MacEngine::blockMacBatch, the MEE's range and batch paths) exist
+ * purely for software speed: the contract is that each is
+ * *byte-identical* to the portable scalar implementations (Aes128,
+ * blockMac, the per-block MEE operations) for random keys, counters
+ * and batch sizes — including ragged tails that don't fill a 4/8-lane
+ * group. The tests run the paths this CPU dispatches to
+ * (activeBackend(), activeMacKernel()); on a host without AES-NI or
+ * AVX2 that is the scalar loop, so the suite stays meaningful on
+ * non-x86 CI too. The block-MAC tests also call the scalar kernel by
+ * name, so an AVX2 host runs both.
  * These tests carry the fuzz label and run under ASan/UBSan in the
  * sanitize tier.
  */
@@ -19,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "common/rng.hh"
@@ -110,6 +114,12 @@ TEST(CryptoDispatch, ProbeAndNames)
     EXPECT_TRUE(probed == Backend::Scalar || probed == Backend::AesNi);
     EXPECT_STREQ(backendName(Backend::Scalar), "scalar");
     EXPECT_STREQ(backendName(Backend::AesNi), "aesni");
+
+    MacKernel lanes = activeMacKernel();
+    EXPECT_EQ(activeMacKernel(), lanes);
+    EXPECT_TRUE(lanes == MacKernel::Scalar || lanes == MacKernel::Avx2);
+    EXPECT_STREQ(macKernelName(MacKernel::Scalar), "scalar");
+    EXPECT_STREQ(macKernelName(MacKernel::Avx2), "avx2x4");
 }
 
 TEST(CryptoBatchFuzz, AesBatchMatchesScalar)
@@ -214,6 +224,99 @@ TEST(CryptoBatchFuzz, BlockMacBatchMatchesScalar)
                                    jobs[i].partition))
                 << "n=" << n << " i=" << i;
     }
+}
+
+TEST(CryptoBatchFuzz, BlockMacLanesMatchScalarAtEveryBatchSize)
+{
+    // Every batch size 0-67 (each ragged tail after whole 4-lane
+    // groups), fresh random keys, ciphertexts and fields. The scalar
+    // kernel is called by name, so on an AVX2 host both kernels run;
+    // the dispatched batch must equal a blockMac loop either way, and
+    // no kernel writes past the batch.
+    constexpr Mac sentinel = 0x5e5e5e5e5e5e5e5eull;
+    Rng rng(0x51a9a7e5);
+    for (std::size_t n = 0; n <= 67; ++n) {
+        MacEngine eng(SipKey{rng.next(), rng.next()});
+        std::vector<DataBlock> cts(n);
+        std::vector<BlockMacInput> jobs(n);
+        std::vector<Mac> want(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            cts[i] = randomData(rng);
+            jobs[i] = {&cts[i], rng.next(), rng.next(), rng.next(),
+                       static_cast<std::uint32_t>(rng.next())};
+            want[i] = eng.blockMac(cts[i], jobs[i].addr, jobs[i].major,
+                                   jobs[i].minor, jobs[i].partition);
+        }
+        std::vector<Mac> out(n + 1, sentinel);
+        eng.blockMacBatch(jobs, out.data(), MacKernel::Scalar);
+        EXPECT_EQ(std::vector<Mac>(out.begin(), out.end() - 1), want)
+            << "scalar, n=" << n;
+        EXPECT_EQ(out[n], sentinel) << "scalar, n=" << n;
+
+        if (activeMacKernel() == MacKernel::Avx2) {
+            out.assign(n + 1, sentinel);
+            eng.blockMacBatch(jobs, out.data(), MacKernel::Avx2);
+            EXPECT_EQ(std::vector<Mac>(out.begin(), out.end() - 1), want)
+                << "avx2, n=" << n;
+            EXPECT_EQ(out[n], sentinel) << "avx2, n=" << n;
+        }
+
+        out.assign(n + 1, sentinel);
+        eng.blockMacBatch(jobs, out.data());
+        EXPECT_EQ(std::vector<Mac>(out.begin(), out.end() - 1), want)
+            << macKernelName(activeMacKernel()) << ", n=" << n;
+    }
+}
+
+TEST(CryptoBatchFuzz, BlockMacIsSipHashOfItsMessage)
+{
+    // The word-path blockMac is SipHash-2-4 of the 160-byte message
+    // ciphertext || addr || major || minor || partition (each a
+    // little-endian word) through the byte-buffered hasher; chunkMac
+    // likewise over its block MACs, chunk address and partition.
+    Rng rng(0x3e55a9e);
+    for (int rep = 0; rep < 64; ++rep) {
+        const SipKey key{rng.next(), rng.next()};
+        MacEngine eng(key);
+        const DataBlock ct = randomData(rng);
+        const std::uint64_t fields[4] = {rng.next(), rng.next(), rng.next(),
+                                         rng.next() & 0xffffffffu};
+        SipHasher h(key);
+        h.update(ct.data(), ct.size());
+        for (std::uint64_t f : fields)
+            for (int b = 0; b < 8; ++b) {
+                const auto byte = static_cast<std::uint8_t>(f >> (8 * b));
+                h.update(&byte, 1);
+            }
+        EXPECT_EQ(eng.blockMac(ct, fields[0], fields[1], fields[2],
+                               static_cast<std::uint32_t>(fields[3])),
+                  h.digest());
+
+        std::vector<Mac> macs(rng.below(40));
+        for (Mac &m : macs)
+            m = rng.next();
+        SipHasher c(key);
+        for (Mac m : macs)
+            c.updateU64(m);
+        c.updateU64(fields[0]);
+        c.updateU64(fields[3]);
+        EXPECT_EQ(eng.chunkMac(macs, fields[0],
+                               static_cast<std::uint32_t>(fields[3])),
+                  c.digest());
+    }
+}
+
+TEST(CryptoBatchFuzz, UnavailableLaneKernelPanics)
+{
+    if (activeMacKernel() == MacKernel::Avx2)
+        GTEST_SKIP() << "this CPU runs the AVX2 kernel";
+    MacEngine eng(SipKey{1, 2});
+    DataBlock ct{};
+    const BlockMacInput job{&ct, 0, 0, 0, 0};
+    Mac out = 0;
+    EXPECT_DEATH(eng.blockMacBatch(std::span(&job, 1), &out,
+                                   MacKernel::Avx2),
+                 "needs a CPU with AVX2");
 }
 
 // The MEE-level batch paths must be bit-identical to their sequential

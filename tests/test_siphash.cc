@@ -137,9 +137,21 @@ TEST(SipHash, ReferenceVectors)
     for (int i = 0; i < 16; ++i)
         data[i] = static_cast<std::uint8_t>(i);
 
-    for (std::size_t len = 0; len < std::size(expected); ++len)
+    for (std::size_t len = 0; len < std::size(expected); ++len) {
+        // The byte path...
         EXPECT_EQ(siphash24(referenceKey(), data, len), expected[len])
             << "length " << len;
+        // ...and the word path: whole words, then the 0-7 tail bytes
+        // in the length block.
+        SipState words(referenceKey());
+        std::size_t off = 0;
+        for (; off + 8 <= len; off += 8)
+            words.word(loadLe64(data + off));
+        std::uint8_t tail[8] = {};
+        std::memcpy(tail, data + off, len - off);
+        EXPECT_EQ(words.finish(len, loadLe64(tail)), expected[len])
+            << "length " << len << ", word path";
+    }
 }
 
 TEST(SipHash, IncrementalMatchesOneShot)
