@@ -19,6 +19,7 @@
 #include "core/result_cache.hh"
 #include "core/scenario.hh"
 #include "core/sweep.hh"
+#include "gpu/presets.hh"
 #include "workload/benchmarks.hh"
 
 using namespace shmgpu;
@@ -119,6 +120,51 @@ TEST(CellKey, EveryAxisMovesTheKey)
                       schemes::Scheme::Shm, crypto::Backend::Scalar,
                       "v-other"),
               base);
+}
+
+// Literal keys of fixed configurations: a refactor that moves any of
+// them orphans every results directory, and must bump
+// ResultCache::kSchemaVersion instead of passing silently. The code
+// version is explicit so the build stamp never moves the values.
+TEST(CellKey, PinnedValues)
+{
+    RunOptions accuracy;
+    accuracy.collectAccuracy = true;
+    accuracy.mdcPolicy = mem::PolicyKind::Sieve;
+    gpu::GpuParams sieve = gpu::testConfig();
+    sieve.l2Policy = mem::PolicyKind::Sieve;
+    EXPECT_EQ(cellKey(quickParams(), gpu::EnergyParams{}, RunOptions{},
+                      schemes::Scheme::Shm, workload::makeStreamingMicro(),
+                      crypto::Backend::Scalar, "v-pin"),
+              0x66e3905e558b8b69ull);
+    EXPECT_EQ(cellKey(sieve, gpu::EnergyParams{}, accuracy,
+                      schemes::Scheme::Naive, workload::findWorkload("bfs"),
+                      crypto::Backend::AesNi, "v-pin-2"),
+              0xdc272053b78f7e5cull);
+
+    workload::ScenarioSpec split;
+    split.name = "split";
+    split.policy = workload::SharePolicy::Partitioned;
+    split.keySeed = 7;
+    split.tenants.push_back(
+        {"stream", workload::makeStreamingMicro(), 0, nullptr});
+    split.tenants.push_back(
+        {"random", workload::makeRandomMicro(), 3000, nullptr});
+    EXPECT_EQ(scenarioCellKey(quickParams(), gpu::EnergyParams{}, true,
+                              mem::PolicyKind::Lru, schemes::Scheme::Shm,
+                              workload::singleTenantScenario(
+                                  workload::makeMixedMicro()),
+                              crypto::Backend::Scalar, "v-pin"),
+              0xbe7c94774a5f012dull);
+    EXPECT_EQ(scenarioCellKey(sieve, gpu::EnergyParams{}, false,
+                              mem::PolicyKind::S3Fifo,
+                              schemes::Scheme::ShmUpperBound, split,
+                              crypto::Backend::AesNi, "v-pin-2"),
+              0x3a25046c717ead21ull);
+
+    EXPECT_EQ(ResultCache::fileName(0x0123456789abcdefull),
+              "cell-0123456789abcdef.json");
+    EXPECT_EQ(ResultCache::fileName(0x2a), "cell-000000000000002a.json");
 }
 
 TEST(CellKey, TraceOptionsDoNotSplitTheCache)
