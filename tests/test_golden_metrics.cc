@@ -19,6 +19,8 @@
 #include <fstream>
 
 #include "core/sweep.hh"
+#include "golden_document.hh"
+#include "gpu/presets.hh"
 #include "mem/replacement.hh"
 
 using namespace shmgpu;
@@ -286,6 +288,25 @@ TEST(GoldenMetrics, UpperBoundAndAccuracyMatchesGoldenFile)
     }
 
     expectMatchesGoldenFile(results, goldenUpperBoundPath(), false, true);
+}
+
+// The whole --out document of a small --accuracy grid: every member
+// of every record, in order, not just the headline metrics above.
+TEST(GoldenMetrics, AccuracySweepDocumentMatchesGoldenFile)
+{
+    gpu::GpuParams params = gpu::testConfig();
+    params.maxCyclesPerKernel = 10000;
+    SweepOptions options;
+    options.run.collectAccuracy = true;
+    SweepRunner runner(params);
+    const auto results =
+        runner.run({schemes::Scheme::Naive, schemes::Scheme::Shm},
+                   {&workload::findWorkload("atax"),
+                    &workload::findWorkload("bfs")},
+                   options);
+    golden::expectMatchesGoldenDocument(
+        sweepToJson(results),
+        std::string(SHMGPU_GOLDEN_DIR) + "/golden_sweep_document.json");
 }
 
 TEST(GoldenMetrics, GoldenFileIsSelfConsistent)

@@ -20,6 +20,7 @@
 #include <fstream>
 
 #include "core/scenario.hh"
+#include "golden_document.hh"
 #include "gpu/presets.hh"
 #include "workload/benchmarks.hh"
 
@@ -28,6 +29,9 @@ using namespace shmgpu::core;
 
 #ifndef SHMGPU_GOLDEN_DIR
 #error "build must define SHMGPU_GOLDEN_DIR"
+#endif
+#ifndef SHMGPU_EXAMPLES_DIR
+#error "build must define SHMGPU_EXAMPLES_DIR"
 #endif
 
 namespace
@@ -201,6 +205,26 @@ TEST(GoldenScenarios, PinnedGridMatchesGoldenFile)
     }
 
     expectMatchesGolden(results);
+}
+
+// The whole --out document of the committed mix2 example with solo
+// references: every member of every cell and tenant, in order.
+TEST(GoldenScenarios, Mix2SweepDocumentMatchesGoldenFile)
+{
+    gpu::GpuParams gp = gpu::testConfig();
+    gp.maxCyclesPerKernel = 10000;
+    const workload::ScenarioSpec scn = workload::parseScenarioFile(
+        std::string(SHMGPU_EXAMPLES_DIR) + "/scenarios/mix2.scn");
+    ScenarioSoloCache solos(gp);
+    ScenarioRunOptions opts;
+    opts.soloCache = &solos;
+    std::vector<ScenarioExperimentResult> results;
+    for (auto scheme :
+         {schemes::Scheme::Shm, schemes::Scheme::ShmUpperBound})
+        results.push_back(runScenarioExperiment(gp, scheme, scn, opts));
+    golden::expectMatchesGoldenDocument(
+        scenarioSweepToJson(results),
+        std::string(SHMGPU_GOLDEN_DIR) + "/golden_scenario_document.json");
 }
 
 TEST(GoldenScenarios, GoldenFileIsSelfConsistent)
