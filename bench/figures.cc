@@ -4,7 +4,7 @@
  * declaration that requests its cells, prints its tables and judges
  * its claims. Declarations run twice: a planning pass collects the
  * requests, then every distinct cell is simulated once on
- * core::runCellPool (one BaselineCache per GPU preset) and the second
+ * core::runCellPool (one RunMemo per GPU preset) and the second
  * pass prints; the output is bit-identical at any --jobs.
  *
  * --quick caps kernels at 25k cycles instead of 100k; --out writes one
@@ -181,12 +181,12 @@ struct Plan
         return planning ? &placeholder : slot.get();
     }
 
-    std::shared_ptr<core::BaselineCache>
+    std::shared_ptr<core::RunMemo>
     base(const std::string &preset)
     {
         auto &cache = caches[preset];
         if (!cache)
-            cache = std::make_shared<core::BaselineCache>(gpu(preset));
+            cache = std::make_shared<core::RunMemo>(gpu(preset));
         return cache;
     }
 
@@ -198,7 +198,7 @@ struct Plan
     Cells sunk; //!< what --out writes (grid figures)
     /** Read while planning; unit normalized values keep its math sound. */
     CellResult placeholder{{"", "", "", "", {}, {}, 1, 1}, {}};
-    std::map<std::string, std::shared_ptr<core::BaselineCache>> caches;
+    std::map<std::string, std::shared_ptr<core::RunMemo>> caches;
     std::map<std::string, std::unique_ptr<CellResult>> cells;
     std::vector<std::pair<CellResult *, std::function<void(CellResult &)>>>
         pending;

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <optional>
 
+#include "common/fingerprint.hh"
 #include "common/logging.hh"
 #include "detect/oracle.hh"
 #include "gpu/simulator.hh"
@@ -10,33 +11,56 @@
 namespace shmgpu::core
 {
 
-BaselineCache::BaselineCache(const gpu::GpuParams &gpu_params)
-    : gpuConfig(gpu_params)
+RunMemo::RunMemo(const gpu::GpuParams &gpu_params) : gpuConfig(gpu_params)
 {
 }
 
-const gpu::RunMetrics &
-BaselineCache::metricsFor(const workload::WorkloadSpec &spec)
+const gpu::ScenarioMetrics &
+RunMemo::lookup(schemes::Scheme scheme,
+                const workload::ScenarioSpec &scenario,
+                const RunOptions &options)
 {
-    return entries.get(workload::contentHash(spec), [&] {
-        return measure(gpuConfig, schemes::Scheme::Baseline,
-                       workload::singleTenantScenario(spec))
-            .total;
+    Fingerprint key;
+    key.str(schemes::schemeName(scheme));
+    key.u64(workload::contentHash(scenario));
+    key.str(mem::policyName(options.mdcPolicy));
+    key.boolean(options.collectAccuracy);
+    return entries.get(key.value(), [&] {
+        return measure(gpuConfig, scheme, scenario, options);
     });
+}
+
+const gpu::RunMetrics &
+RunMemo::metricsFor(const workload::WorkloadSpec &spec)
+{
+    return lookup(schemes::Scheme::Baseline,
+                  workload::singleTenantScenario(spec), {})
+        .total;
+}
+
+const gpu::TenantRunMetrics &
+RunMemo::soloFor(schemes::Scheme scheme, const workload::WorkloadSpec &spec,
+                 std::uint64_t key_seed, mem::PolicyKind mdc_policy)
+{
+    workload::ScenarioSpec solo = workload::singleTenantScenario(spec);
+    solo.keySeed = key_seed;
+    return lookup(scheme, solo,
+                  {.collectAccuracy = true, .mdcPolicy = mdc_policy})
+        .tenants.at(0);
 }
 
 Experiment::Experiment(const gpu::GpuParams &gpu_params,
                        const gpu::EnergyParams &energy_params)
     : energyConfig(energy_params),
-      baselines(std::make_shared<BaselineCache>(gpu_params))
+      baselines(std::make_shared<RunMemo>(gpu_params))
 {
 }
 
-Experiment::Experiment(std::shared_ptr<BaselineCache> baseline_cache,
+Experiment::Experiment(std::shared_ptr<RunMemo> memo,
                        const gpu::EnergyParams &energy_params)
-    : energyConfig(energy_params), baselines(std::move(baseline_cache))
+    : energyConfig(energy_params), baselines(std::move(memo))
 {
-    shm_assert(baselines != nullptr, "Experiment needs a baseline cache");
+    shm_assert(baselines != nullptr, "Experiment needs a run memo");
 }
 
 const gpu::RunMetrics &
@@ -47,8 +71,8 @@ Experiment::baselineFor(const workload::WorkloadSpec &spec) const
 
 gpu::ScenarioMetrics
 measure(const gpu::GpuParams &gpu_params, schemes::Scheme scheme,
-        const workload::ScenarioSpec &scenario,
-        const MeasureOptions &options)
+        const workload::ScenarioSpec &scenario, const RunOptions &options,
+        const SimulatorHook &inspect)
 {
     mee::MeeParams mee_params = schemes::makeMeeParams(scheme);
     mee_params.mdcPolicy = options.mdcPolicy;
@@ -60,7 +84,7 @@ measure(const gpu::GpuParams &gpu_params, schemes::Scheme scheme,
     // every tenant's truth at once.
     const bool prime = schemes::needsProfilePass(scheme);
     std::optional<detect::AccessProfile> truth;
-    if (options.attribute || prime) {
+    if (options.collectAccuracy || prime) {
         truth.emplace(gpu_params.numPartitions,
                       gpu_params.protectedBytesPerPartition,
                       mee_params.roDetector.regionBytes,
@@ -93,8 +117,8 @@ measure(const gpu::GpuParams &gpu_params, schemes::Scheme scheme,
     if (tracer)
         trace::exportTrace(*tracer, options.tracePath,
                            options.traceTextPath);
-    if (options.inspect)
-        options.inspect(sim);
+    if (inspect)
+        inspect(sim);
     return metrics;
 }
 
@@ -110,20 +134,9 @@ Experiment::run(schemes::Scheme scheme,
     result.l2Policy = mem::policyName(gpuParams().l2Policy);
     result.mdcPolicy = mem::policyName(options.mdcPolicy);
     result.baseline = baselineFor(spec);
-
-    MeasureOptions measured;
-    measured.attribute = options.collectAccuracy;
-    measured.mdcPolicy = options.mdcPolicy;
-    measured.tracePath = options.tracePath;
-    if (measured.tracePath.empty() && !options.traceDir.empty())
-        measured.tracePath = options.traceDir + "/" + result.workload +
-                             "_" + result.scheme + ".trace.json";
-    measured.traceTextPath = options.traceTextPath;
-    measured.traceParams = options.traceParams;
-    measured.inspect = inspect;
     result.metrics = measure(gpuParams(), scheme,
-                             workload::singleTenantScenario(spec),
-                             measured)
+                             workload::singleTenantScenario(spec), options,
+                             inspect)
                          .total;
 
     result.normalizedIpc =

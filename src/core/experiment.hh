@@ -11,10 +11,10 @@
  *   std::cout << r.normalizedIpc << "\n";
  * @endcode
  *
- * Experiment itself holds no per-run state beyond the shared
- * BaselineCache, so one instance may be used from many threads at
- * once (core::SweepRunner does exactly that), and several instances
- * constructed with the same cache share baseline simulations.
+ * Experiment itself holds no per-run state beyond the shared RunMemo,
+ * so one instance may be used from many threads at once
+ * (core::SweepRunner does exactly that), and several instances
+ * constructed with the same memo share baseline simulations.
  */
 
 #ifndef SHMGPU_CORE_EXPERIMENT_HH
@@ -45,8 +45,18 @@ namespace shmgpu::core
  *  tree. */
 using SimulatorHook = std::function<void(gpu::GpuSimulator &)>;
 
-/** How one measured simulation is set up and observed. */
-struct MeasureOptions
+class RunMemo;
+
+/**
+ * How one measured run is set up and observed: a workload cell
+ * (Experiment::run) or a scenario (runScenarioExperiment). Scenario
+ * runs always attribute, since detector accuracy is their headline,
+ * so collectAccuracy only steers workload runs; withSolo and
+ * soloCache only steer scenario runs. The trace exports observe the
+ * measured run only (never a truth pass or a reference run) and never
+ * enter a cache key.
+ */
+struct RunOptions
 {
     /**
      * Run a Baseline truth pass over the same scenario first and
@@ -54,77 +64,45 @@ struct MeasureOptions
      * Schemes that prime from a profile (SHM_upper_bound) run the
      * pass regardless.
      */
-    bool attribute = false;
-    /** Replacement policy of the measured run's metadata caches. */
+    bool collectAccuracy = false;
+    /**
+     * Replacement policy of the measured run's metadata caches
+     * (`mee.mdc_policy` / `--policy`). Carried here rather than in
+     * GpuParams because the scheme registry owns MeeParams
+     * construction; reference runs without metadata caches ignore it.
+     */
     mem::PolicyKind mdcPolicy = mem::PolicyKind::Lru;
-    /** @{ Trace exports of the measured run (never the truth pass);
-     *  an empty path skips that format. */
+    /** @{ Chrome trace_event JSON / line-per-event text exports; an
+     *  empty path skips that format. A scenario's events carry their
+     *  owning tenant. */
     std::string tracePath;
     std::string traceTextPath;
     trace::TraceParams traceParams;
     /** @} */
-    /** Called with the finished simulator. */
-    SimulatorHook inspect;
+    /** Run each distinct tenant workload solo for the interference
+     *  deltas. Off leaves the solo fields zero (cheaper). */
+    bool withSolo = true;
+    /** The memo the solo references come from (not owned; must
+     *  outlive the run). Without one they are memoized within the
+     *  single experiment only. */
+    RunMemo *soloCache = nullptr;
 };
 
 /**
  * The one measured-run path: simulate @p scenario under @p scheme —
  * after the Baseline truth pass when attribution or priming needs it,
  * with the tracer attached when an export is requested — and return
- * its metrics. A single workload or trace is the one-tenant scenario
+ * its metrics; @p inspect sees the finished simulator. A single
+ * workload or trace is the one-tenant scenario
  * (workload::singleTenantScenario). Every experiment entry point
- * (Experiment::run, BaselineCache, runScenarioExperiment and its solo
- * references) and the CLI's trace replay go through here.
+ * (Experiment::run, RunMemo, runScenarioExperiment) and the CLI's
+ * trace replay go through here.
  */
 gpu::ScenarioMetrics measure(const gpu::GpuParams &gpu_params,
                              schemes::Scheme scheme,
                              const workload::ScenarioSpec &scenario,
-                             const MeasureOptions &options = {});
-
-/** Options for one experiment run. */
-struct RunOptions
-{
-    /**
-     * Run a profiling pass first and attribute every prediction
-     * against its ground truth (enables the Fig. 10/11 tallies).
-     * Implied for SHM_upper_bound.
-     */
-    bool collectAccuracy = false;
-
-    /**
-     * When non-empty, attach a tracer to the measured simulation
-     * (never the profile or baseline passes) and export a Chrome
-     * trace_event JSON file to this path.
-     */
-    std::string tracePath;
-
-    /**
-     * When non-empty, export one trace per cell to
-     * <traceDir>/<workload>_<scheme>.trace.json. Used by the sweep
-     * runner, where a single tracePath would be overwritten by every
-     * grid cell.
-     */
-    std::string traceDir;
-
-    /**
-     * When non-empty, also export the deterministic line-per-event
-     * text dump to this path (diff-friendly A/B format).
-     */
-    std::string traceTextPath;
-
-    /** Tracer configuration (event-class filter, ring capacity). */
-    trace::TraceParams traceParams;
-
-    /**
-     * Replacement policy for the MEE metadata caches (`mee.mdc_policy`
-     * / `--policy`). Carried in RunOptions rather than GpuParams
-     * because the scheme registry owns MeeParams construction: the
-     * experiment stamps this into whatever makeMeeParams returns, for
-     * the measured pass only (baseline and profile passes have no
-     * metadata caches to steer).
-     */
-    mem::PolicyKind mdcPolicy = mem::PolicyKind::Lru;
-};
+                             const RunOptions &options = {},
+                             const SimulatorHook &inspect = {});
 
 /** One (scheme, workload) result, normalized to the baseline. */
 struct ExperimentResult
@@ -146,39 +124,55 @@ struct ExperimentResult
 };
 
 /**
- * Thread-safe store of no-security baseline metrics, keyed by
- * workload::contentHash so distinct specs sharing a name (regenerated
- * parameter sweeps) never alias. Each unique spec is simulated
- * exactly once even under concurrent lookups (a OnceMap).
+ * The one memo of measured reference runs, shared by every cell of a
+ * grid: the no-security Baseline each workload cell normalizes
+ * against, and the solo run each scenario tenant is judged against.
+ * Both are "the same measured run under another scheme", so one
+ * OnceMap of gpu::ScenarioMetrics holds them, keyed by scheme,
+ * workload::contentHash of the scenario (never a name, so regenerated
+ * specs sharing one cannot alias), MDC policy and whether the run
+ * attributes. Each key is simulated exactly once even under
+ * concurrent lookups; returned references stay valid for the memo's
+ * lifetime.
  */
-class BaselineCache
+class RunMemo
 {
   public:
-    explicit BaselineCache(const gpu::GpuParams &gpu_params);
+    explicit RunMemo(const gpu::GpuParams &gpu_params);
 
-    /** Metrics for @p spec, simulating on first use. The returned
-     *  reference stays valid for the cache's lifetime. */
+    /** The Baseline run of @p spec alone (unattributed). */
     const gpu::RunMetrics &metricsFor(const workload::WorkloadSpec &spec);
 
-    /** Number of distinct specs simulated so far. */
+    /** The solo reference of a tenant running @p spec: the same
+     *  workload alone on the whole GPU under @p scheme, @p key_seed
+     *  and @p mdc_policy, attributed. */
+    const gpu::TenantRunMetrics &
+    soloFor(schemes::Scheme scheme, const workload::WorkloadSpec &spec,
+            std::uint64_t key_seed, mem::PolicyKind mdc_policy);
+
+    /** Number of distinct runs simulated so far. */
     std::size_t size() const { return entries.size(); }
 
     const gpu::GpuParams &gpuParams() const { return gpuConfig; }
 
   private:
+    const gpu::ScenarioMetrics &lookup(schemes::Scheme scheme,
+                                       const workload::ScenarioSpec &scenario,
+                                       const RunOptions &options);
+
     gpu::GpuParams gpuConfig;
-    OnceMap<gpu::RunMetrics> entries;
+    OnceMap<gpu::ScenarioMetrics> entries;
 };
 
-/** Runs experiments against a (possibly shared) baseline cache. */
+/** Runs experiments against a (possibly shared) run memo. */
 class Experiment
 {
   public:
     explicit Experiment(const gpu::GpuParams &gpu_params = {},
                         const gpu::EnergyParams &energy_params = {});
 
-    /** Share @p baselines (GPU parameters come from the cache). */
-    Experiment(std::shared_ptr<BaselineCache> baselines,
+    /** Share @p memo (GPU parameters come from the memo). */
+    Experiment(std::shared_ptr<RunMemo> memo,
                const gpu::EnergyParams &energy_params = {});
 
     /** Simulate @p scheme on @p spec (baseline simulated on demand);
@@ -196,15 +190,14 @@ class Experiment
     {
         return baselines->gpuParams();
     }
-    const gpu::EnergyParams &energyParams() const { return energyConfig; }
-    const std::shared_ptr<BaselineCache> &baselineCache() const
+    const std::shared_ptr<RunMemo> &baselineCache() const
     {
         return baselines;
     }
 
   private:
     gpu::EnergyParams energyConfig;
-    std::shared_ptr<BaselineCache> baselines;
+    std::shared_ptr<RunMemo> baselines;
 };
 
 /** Geometric mean helper for per-workload normalized series. */

@@ -49,6 +49,9 @@ applyGpuOverrides(Config &config, gpu::GpuParams &p)
     p.smWindow = getCount(config, "gpu.sm_window", p.smWindow);
     p.maxCyclesPerKernel =
         config.getU64("gpu.max_cycles", p.maxCyclesPerKernel);
+    if (p.maxCyclesPerKernel == 0)
+        shm_fatal("{}: 'gpu.max_cycles' must be positive",
+                  config.where("gpu.max_cycles"));
     p.l2BankBytes = config.getU64("gpu.l2_bank_bytes", p.l2BankBytes);
     const std::uint64_t assoc = config.getU64("gpu.l2_assoc", p.l2Assoc);
     // The L2 bank's 128 B lines split into assoc-way sets, a power of
@@ -162,18 +165,6 @@ applyCliOverrides(Config &config, gpu::GpuParams &gpu,
                       "structure comes from --scheme (the only MEE key "
                       "accepted is mee.mdc_policy)",
                       config.where(key), key);
-    config.assertConsumed();
-}
-
-void
-applyOverridesFile(const std::string &path, gpu::GpuParams &gpu,
-                   mee::MeeParams &mee)
-{
-    Config config = Config::fromFile(path);
-    applyGpuOverrides(config, gpu);
-    applyMeeOverrides(config, mee);
-    trace::TraceParams scratch;
-    applyTraceOverrides(config, scratch);
     config.assertConsumed();
 }
 

@@ -63,13 +63,6 @@ void applyCliOverrides(Config &config, gpu::GpuParams &gpu,
                        trace::TraceParams &trace,
                        mem::PolicyKind &mdc_policy);
 
-/**
- * Apply everything from a file to both parameter sets and fail on
- * unknown keys.
- */
-void applyOverridesFile(const std::string &path, gpu::GpuParams &gpu,
-                        mee::MeeParams &mee);
-
 } // namespace shmgpu::core
 
 #endif // SHMGPU_CORE_OVERRIDES_HH

@@ -7,6 +7,7 @@
 
 #include "common/fingerprint.hh"
 #include "common/logging.hh"
+#include "core/scenario.hh"
 #include "core/sweep.hh"
 
 #ifndef SHMGPU_CODE_VERSION
@@ -70,16 +71,31 @@ addEnergyParams(Fingerprint &h, const gpu::EnergyParams &p)
     h.f64(p.perHash);
 }
 
-void
-addRunOptions(Fingerprint &h, const RunOptions &o)
+/**
+ * The one cell-key body: the stamp, the machine, then the run's
+ * metrics-relevant options and content. @p flag is collectAccuracy
+ * for workload cells and withSolo for scenario cells; trace options
+ * are never hashed (they observe a run without perturbing it).
+ */
+std::uint64_t
+keyOf(const std::string &code_version, const char *domain,
+      const gpu::GpuParams &gpu, const gpu::EnergyParams &energy, bool flag,
+      mem::PolicyKind mdc_policy, schemes::Scheme scheme,
+      crypto::Backend backend, std::uint64_t content)
 {
-    // Only the metrics-relevant members: collectAccuracy switches the
-    // profiling/attribution pass on (moving the Fig. 10/11 tallies),
-    // mdcPolicy steers the metadata caches. Trace settings observe a
-    // run without perturbing it, so hashing them would only split the
-    // cache for identical results.
-    h.boolean(o.collectAccuracy);
-    h.str(mem::policyName(o.mdcPolicy));
+    Fingerprint h;
+    h.str(code_version);
+    h.u64(static_cast<std::uint64_t>(ResultCache::kSchemaVersion));
+    if (domain)
+        h.str(domain);
+    addGpuParams(h, gpu);
+    addEnergyParams(h, energy);
+    h.boolean(flag);
+    h.str(mem::policyName(mdc_policy));
+    h.str(schemes::schemeName(scheme));
+    h.str(crypto::backendName(backend));
+    h.u64(content);
+    return h.value();
 }
 
 /** The hex fingerprint of @p payload's compact serialization. */
@@ -102,16 +118,9 @@ cellKey(const gpu::GpuParams &gpu, const gpu::EnergyParams &energy,
         const workload::WorkloadSpec &spec, crypto::Backend backend,
         const std::string &code_version)
 {
-    Fingerprint h;
-    h.str(code_version);
-    h.u64(static_cast<std::uint64_t>(ResultCache::kSchemaVersion));
-    addGpuParams(h, gpu);
-    addEnergyParams(h, energy);
-    addRunOptions(h, options);
-    h.str(schemes::schemeName(scheme));
-    h.str(crypto::backendName(backend));
-    h.u64(workload::contentHash(spec));
-    return h.value();
+    return keyOf(code_version, nullptr, gpu, energy, options.collectAccuracy,
+                 options.mdcPolicy, scheme, backend,
+                 workload::contentHash(spec));
 }
 
 std::uint64_t
@@ -121,20 +130,11 @@ scenarioCellKey(const gpu::GpuParams &gpu, const gpu::EnergyParams &energy,
                 const workload::ScenarioSpec &scenario,
                 crypto::Backend backend, const std::string &code_version)
 {
-    Fingerprint h;
-    h.str(code_version);
-    h.u64(static_cast<std::uint64_t>(ResultCache::kSchemaVersion));
     // Domain tag: a scenario cell never aliases a single-workload
     // cell that happens to share every other fingerprint input.
-    h.str("scenario");
-    addGpuParams(h, gpu);
-    addEnergyParams(h, energy);
-    h.boolean(with_solo);
-    h.str(mem::policyName(mdc_policy));
-    h.str(schemes::schemeName(scheme));
-    h.str(crypto::backendName(backend));
-    h.u64(workload::contentHash(scenario));
-    return h.value();
+    return keyOf(code_version, "scenario", gpu, energy, with_solo,
+                 mdc_policy, scheme, backend,
+                 workload::contentHash(scenario));
 }
 
 std::string
@@ -169,17 +169,34 @@ ResultCache::load(std::uint64_t key, ExperimentResult *out) const
     return true;
 }
 
+bool
+ResultCache::load(std::uint64_t key, ScenarioExperimentResult *out) const
+{
+    shm_assert(out != nullptr, "load needs a destination");
+    json::Value payload;
+    if (!loadValue(key, "scenarioResult", &payload))
+        return false;
+    *out = scenarioResultFromJson(payload);
+    return true;
+}
+
 void
 ResultCache::store(std::uint64_t key, const ExperimentResult &result) const
 {
     storeValue(key, "result", resultToJson(result));
 }
 
+void
+ResultCache::store(std::uint64_t key,
+                   const ScenarioExperimentResult &result) const
+{
+    storeValue(key, "scenarioResult", scenarioResultToJson(result));
+}
+
 bool
 ResultCache::loadValue(std::uint64_t key, const std::string &kind,
                        json::Value *out) const
 {
-    shm_assert(out != nullptr, "load needs a destination");
     const std::string path = dir + "/" + fileName(key);
     std::ifstream in(path, std::ios::binary);
     if (!in)
@@ -249,68 +266,6 @@ ResultCache::storeValue(std::uint64_t key, const std::string &kind,
     if (ec)
         shm_fatal("cannot publish result cell '{}': {}", final_path,
                   ec.message());
-}
-
-void
-runMetricsFromJson(const json::Value &v, gpu::RunMetrics *m)
-{
-    auto u64 = [&](const char *key) {
-        return static_cast<std::uint64_t>(v.at(key).asNumber());
-    };
-    m->cycles = static_cast<Cycle>(u64("cycles"));
-    m->instructions = u64("instructions");
-    m->ipc = v.at("ipc").asNumber();
-    m->bytesData = u64("bytesData");
-    m->bytesCounter = u64("bytesCounter");
-    m->bytesMac = u64("bytesMac");
-    m->bytesBmt = u64("bytesBmt");
-    m->bytesExtra = u64("bytesExtra");
-    m->bandwidthUtilization = v.at("bandwidthUtilization").asNumber();
-    m->l2MissRate = v.at("l2MissRate").asNumber();
-    m->roCorrect = v.at("roCorrect").asNumber();
-    m->roMpInit = v.at("roMpInit").asNumber();
-    m->roMpAliasing = v.at("roMpAliasing").asNumber();
-    m->strCorrect = v.at("strCorrect").asNumber();
-    m->strMpInit = v.at("strMpInit").asNumber();
-    m->strMpAliasing = v.at("strMpAliasing").asNumber();
-    m->strMpRuntimeRo = v.at("strMpRuntimeRo").asNumber();
-    m->strMpRuntimeNonRo = v.at("strMpRuntimeNonRo").asNumber();
-    m->sharedCtrReads = v.at("sharedCtrReads").asNumber();
-    m->commonCtrHits = v.at("commonCtrHits").asNumber();
-    m->roTransitions = v.at("roTransitions").asNumber();
-    m->chunkMacAccesses = v.at("chunkMacAccesses").asNumber();
-    m->blockMacAccesses = v.at("blockMacAccesses").asNumber();
-    m->dualMacFallbacks = v.at("dualMacFallbacks").asNumber();
-    m->victimHits = v.at("victimHits").asNumber();
-    m->victimInserts = v.at("victimInserts").asNumber();
-
-    const json::Value &e = v.at("energy");
-    auto eu64 = [&](const char *key) {
-        return static_cast<std::uint64_t>(e.at(key).asNumber());
-    };
-    m->energy.cycles = static_cast<Cycle>(eu64("cycles"));
-    m->energy.instructions = eu64("instructions");
-    m->energy.l2Accesses = eu64("l2Accesses");
-    m->energy.dramBytes = eu64("dramBytes");
-    m->energy.mdcAccesses = eu64("mdcAccesses");
-    m->energy.aesBlocks = eu64("aesBlocks");
-    m->energy.hashes = eu64("hashes");
-}
-
-ExperimentResult
-resultFromJson(const json::Value &v)
-{
-    ExperimentResult r;
-    r.workload = v.at("workload").asString();
-    r.scheme = v.at("scheme").asString();
-    r.l2Policy = v.at("l2Policy").asString();
-    r.mdcPolicy = v.at("mdcPolicy").asString();
-    r.normalizedIpc = v.at("normalizedIpc").asNumber();
-    r.normalizedEnergyPerInstr =
-        v.at("normalizedEnergyPerInstr").asNumber();
-    runMetricsFromJson(v.at("metrics"), &r.metrics);
-    runMetricsFromJson(v.at("baseline"), &r.baseline);
-    return r;
 }
 
 } // namespace shmgpu::core

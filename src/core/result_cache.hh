@@ -4,8 +4,8 @@
  * memoization layer that makes grid reruns and interrupted sweeps
  * cheap (ROADMAP "sweep-at-scale", docs/SWEEP.md).
  *
- * Every grid cell is keyed by a 64-bit fingerprint of *everything*
- * that can move its RunMetrics:
+ * Every grid cell, workload or scenario, is keyed by a 64-bit
+ * fingerprint of *everything* that can move its metrics:
  *
  *   - the full effective gpu::GpuParams (every field, nested
  *     interconnect/DRAM structures included) and gpu::EnergyParams,
@@ -24,13 +24,13 @@
  *
  * Cells serialize one-per-file as
  * `<dir>/cell-<16-hex-key>.json` containing the same JSON object the
- * sweep sink emits for that cell; writes go to a temp name in the
- * same directory and are renamed into place, so readers (and resumed
- * sweeps racing a dying one) only ever see whole files. Loading a
- * cell reproduces the fresh ExperimentResult byte-for-byte through
- * the JSON sink (shortest-round-trip doubles both ways), which is
- * what lets `--resume` output promise bit-identity with an
- * uninterrupted run.
+ * sweep sink emits for that cell, under a member naming its kind;
+ * writes go to a temp name in the same directory and are renamed into
+ * place, so readers (and resumed sweeps racing a dying one) only ever
+ * see whole files. Loading a cell reproduces the fresh result
+ * byte-for-byte through the JSON sink (shortest-round-trip doubles
+ * both ways), which is what lets `--resume` output promise
+ * bit-identity with an uninterrupted run.
  *
  * Extending the key inputs (a new GpuParams field, a new RunOptions
  * knob) means feeding the new field into cellKey unconditionally and
@@ -53,6 +53,8 @@
 
 namespace shmgpu::core
 {
+
+struct ScenarioExperimentResult;
 
 /**
  * The code-version stamp compiled into this binary (from the build
@@ -114,37 +116,26 @@ class ResultCache
     explicit ResultCache(std::string dir);
 
     /**
-     * Load the cell stored under @p key into @p out. Returns false —
-     * a miss, never an error — when the file is absent, unparsable,
+     * @{ Load the cell stored under @p key into @p out. Returns false
+     * — a miss, never an error — when the file is absent, unparsable,
      * from another schema version, stamped with a different key (a
-     * hand-renamed file), or its payload does not match the stored
-     * payload hash (truncation or corruption).
+     * hand-renamed file), of the other cell kind, or its payload does
+     * not match the stored payload hash (truncation or corruption).
      */
     bool load(std::uint64_t key, ExperimentResult *out) const;
+    bool load(std::uint64_t key, ScenarioExperimentResult *out) const;
+    /** @} */
 
     /**
-     * Persist @p result under @p key: serialize to a temp file in the
-     * cache directory, then atomically rename into place. Safe to
+     * @{ Persist @p result under @p key: serialize to a temp file in
+     * the cache directory, then atomically rename into place. Safe to
      * call from concurrent sweep workers (distinct cells have
      * distinct keys; same-key writers are idempotent byte-for-byte).
      */
     void store(std::uint64_t key, const ExperimentResult &result) const;
-
-    /**
-     * Generic kind-tagged cell storage, the layer load()/store() are
-     * built on. @p kind names the payload member inside the cell file
-     * ("result" for sweep cells, "scenarioResult" for scenario cells),
-     * so a loader can never misinterpret a cell of another kind: a
-     * file whose payload member does not match @p kind is a miss.
-     * Distinct kinds also hash distinct key domains (cellKey vs
-     * scenarioCellKey), so they never collide on file names either.
-     */
-    bool loadValue(std::uint64_t key, const std::string &kind,
-                   json::Value *out) const;
-    /** Persist @p payload under @p key with the @p kind tag (same
-     *  temp-file-then-rename publication as store()). */
-    void storeValue(std::uint64_t key, const std::string &kind,
-                    const json::Value &payload) const;
+    void store(std::uint64_t key,
+               const ScenarioExperimentResult &result) const;
+    /** @} */
 
     /** The on-disk file name for @p key ("cell-<16 hex>.json"). */
     static std::string fileName(std::uint64_t key);
@@ -152,21 +143,21 @@ class ResultCache
     const std::string &directory() const { return dir; }
 
   private:
+    /**
+     * Kind-tagged cell storage under load()/store(). @p kind names the
+     * payload member inside the cell file ("result" for sweep cells,
+     * "scenarioResult" for scenario cells), so a file whose payload
+     * member does not match is a miss. Distinct kinds also hash
+     * distinct key domains (cellKey vs scenarioCellKey), so they never
+     * collide on file names either.
+     */
+    bool loadValue(std::uint64_t key, const std::string &kind,
+                   json::Value *out) const;
+    void storeValue(std::uint64_t key, const std::string &kind,
+                    const json::Value &payload) const;
+
     std::string dir;
 };
-
-/**
- * Rebuild an ExperimentResult from resultToJson output. The inverse
- * is exact: resultToJson(resultFromJson(v)) serializes to the same
- * bytes as v (numbers are shortest-round-trip both ways). Fatal on
- * missing members — cell files are validated by ResultCache::load
- * before they reach this.
- */
-ExperimentResult resultFromJson(const json::Value &v);
-
-/** Rebuild a RunMetrics from runMetricsToJson output (exact inverse;
- *  fatal on missing members). */
-void runMetricsFromJson(const json::Value &v, gpu::RunMetrics *metrics);
 
 } // namespace shmgpu::core
 

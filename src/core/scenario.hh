@@ -7,17 +7,18 @@
  * what happens to detector accuracy, metadata-cache locality and
  * per-tenant throughput when N mutually-distrusting tenants share one
  * GPU. runScenarioExperiment() measures the shared run (core::measure),
- * then (per distinct tenant workload) runs the same workload
+ * then (per distinct tenant workload) looks up the same workload run
  * *solo* on the whole GPU under the same scheme and key seed — the
- * interference-free reference — and reports the deltas: ANTT-style
- * slowdown, read-only/streaming accuracy loss, and MDC hit-rate loss.
+ * interference-free reference, memoized in a RunMemo like the
+ * workload baselines — and reports the deltas: ANTT-style slowdown,
+ * read-only/streaming accuracy loss, and MDC hit-rate loss.
  *
- * Scenario cells flow through the same persistence machinery as sweep
- * cells: scenarioCellKey (core/result_cache.hh) fingerprints the full
- * configuration plus workload::contentHash(scenario), and
- * load/storeScenarioCell round-trip results byte-exactly through the
- * JSON sink, so quantum sweeps are incremental and resumable exactly
- * like workload sweeps.
+ * Scenario grids run on core::SweepRunner like workload grids, through
+ * the same pool and persistence machinery: scenarioCellKey
+ * (core/result_cache.hh) fingerprints the full configuration plus
+ * workload::contentHash(scenario), and ResultCache::load/store
+ * round-trip results byte-exactly through the JSON sink, so quantum
+ * sweeps are incremental and resumable exactly like workload sweeps.
  *
  * Determinism contract: a scenario cell's bytes depend only on its
  * fingerprint inputs — never on --jobs (slot-indexed results, solo
@@ -32,16 +33,12 @@
 #include <vector>
 
 #include "common/json.hh"
-#include "common/once_map.hh"
-#include "common/trace.hh"
 #include "core/experiment.hh"
 #include "core/sweep.hh"
 #include "workload/scenario.hh"
 
 namespace shmgpu::core
 {
-
-class ResultCache;
 
 /** One tenant's share of a scenario run plus its solo reference. */
 struct ScenarioTenantResult
@@ -88,60 +85,20 @@ struct ScenarioExperimentResult
     double meanSlowdown = 0;
 };
 
+/** @{ The names scenario code knew the merged types by. */
+using ScenarioSoloCache = RunMemo;
+using ScenarioRunOptions = RunOptions;
+/** @} */
+
 /**
- * Memoized solo references shared across scenario cells: one
- * whole-GPU single-tenant scenario experiment per distinct (scheme,
- * workload content hash, key seed, MDC policy), simulated exactly
- * once even under concurrent lookups (a OnceMap, as BaselineCache).
- * A quantum sweep over one scenario re-uses its tenants' solo runs
- * across every cell.
+ * Fatal unless @p scheme can run @p scenario on @p gpu_params: the
+ * scenario must be valid (workload::validateScenario), and a
+ * partitioned split needs local metadata addressing and at least one
+ * SM and one memory partition per tenant. Grids run it on every cell
+ * before any simulates.
  */
-class ScenarioSoloCache
-{
-  public:
-    explicit ScenarioSoloCache(const gpu::GpuParams &gpu_params);
-
-    /** The solo reference for @p tenant's workload; simulated on
-     *  first use. Valid for the cache's lifetime. */
-    const gpu::TenantRunMetrics &
-    soloFor(schemes::Scheme scheme, const workload::WorkloadSpec &spec,
-            std::uint64_t key_seed, mem::PolicyKind mdc_policy);
-
-    /** Number of distinct solo references simulated so far. */
-    std::size_t size() const { return entries.size(); }
-
-    const gpu::GpuParams &gpuParams() const { return gpuConfig; }
-
-  private:
-    gpu::GpuParams gpuConfig;
-    OnceMap<gpu::TenantRunMetrics> entries;
-};
-
-/** Options for one scenario experiment. */
-struct ScenarioRunOptions
-{
-    /** Run each distinct tenant workload solo for the interference
-     *  deltas. Off leaves the solo/delta fields zero (cheaper; used
-     *  by timing benchmarks). */
-    bool withSolo = true;
-
-    /** Replacement policy for the MEE metadata caches (matches
-     *  RunOptions::mdcPolicy). */
-    mem::PolicyKind mdcPolicy = mem::PolicyKind::Lru;
-
-    /** Optional shared solo-reference store (not owned; must outlive
-     *  the call). Without one, solo runs are memoized only within the
-     *  single experiment. */
-    ScenarioSoloCache *soloCache = nullptr;
-
-    /** @{ Observation-only trace exports (never in the cache key):
-     *  Chrome JSON / text dump of the *shared* run, with every event
-     *  stamped with its owning tenant. */
-    std::string tracePath;
-    std::string traceTextPath;
-    trace::TraceParams traceParams;
-    /** @} */
-};
+void checkScenario(const gpu::GpuParams &gpu_params, schemes::Scheme scheme,
+                   const workload::ScenarioSpec &scenario);
 
 /**
  * Simulate @p scenario under @p scheme and attribute the result per
@@ -152,42 +109,8 @@ ScenarioExperimentResult
 runScenarioExperiment(const gpu::GpuParams &gpu_params,
                       schemes::Scheme scheme,
                       const workload::ScenarioSpec &scenario,
-                      const ScenarioRunOptions &options = {},
+                      const RunOptions &options = {},
                       const SimulatorHook &inspect = {});
-
-/** One scenario grid cell. */
-struct ScenarioCell
-{
-    schemes::Scheme scheme = schemes::Scheme::Shm;
-    /** Not owned; must outlive the sweep. */
-    const workload::ScenarioSpec *scenario = nullptr;
-};
-
-/** Options for a scenario grid. */
-struct ScenarioSweepOptions
-{
-    /** Worker threads; 0 means std::thread::hardware_concurrency(). */
-    unsigned jobs = 1;
-    /** Per-cell run options (a shared ScenarioSoloCache is installed
-     *  automatically when run.soloCache is null). */
-    ScenarioRunOptions run;
-    /** Optional persistent cell store (not owned); hits load instead
-     *  of simulating, fresh cells are stored on completion. */
-    ResultCache *cache = nullptr;
-    /** Optional tally sink (not owned). */
-    SweepTally *tally = nullptr;
-};
-
-/**
- * Run a list of scenario cells on the sweep worker pool
- * (runCellPool). Results are in cell order regardless of the job
- * count, and bit-identical for any --jobs value. The first cell
- * failure is rethrown after the pool drains.
- */
-std::vector<ScenarioExperimentResult>
-runScenarioCells(const gpu::GpuParams &gpu_params,
-                 const std::vector<ScenarioCell> &cells,
-                 const ScenarioSweepOptions &options = {});
 
 /** One scenario result as JSON (fixed member order; exact round-trip
  *  with scenarioResultFromJson). */
@@ -204,15 +127,6 @@ ScenarioExperimentResult scenarioResultFromJson(const json::Value &v);
  */
 json::Value
 scenarioSweepToJson(const std::vector<ScenarioExperimentResult> &results);
-
-/** @{ Scenario cells in a ResultCache (key from scenarioCellKey);
- *  same miss-never-error and atomic-publish semantics as the sweep
- *  cell load/store. */
-bool loadScenarioCell(const ResultCache &cache, std::uint64_t key,
-                      ScenarioExperimentResult *out);
-void storeScenarioCell(const ResultCache &cache, std::uint64_t key,
-                       const ScenarioExperimentResult &result);
-/** @} */
 
 } // namespace shmgpu::core
 

@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <exception>
 #include <iterator>
-#include <map>
 #include <numeric>
-#include <ostream>
 #include <thread>
 
 #include "common/logging.hh"
 #include "core/result_cache.hh"
+#include "core/scenario.hh"
 
 namespace shmgpu::core
 {
@@ -17,7 +16,7 @@ namespace shmgpu::core
 SweepRunner::SweepRunner(const gpu::GpuParams &gpu_params,
                          const gpu::EnergyParams &energy_params)
     : energyConfig(energy_params),
-      baselines(std::make_shared<BaselineCache>(gpu_params))
+      memo(std::make_shared<RunMemo>(gpu_params))
 {
 }
 
@@ -141,6 +140,37 @@ runCellPool(std::size_t n, const SweepOptions &options,
     return cancelled();
 }
 
+namespace
+{
+
+/**
+ * The cache-or-simulate body both grid kinds run per cell: slot i of
+ * @p results is loaded from options.cache under key(i) when there,
+ * else simulated by simulate(i) and published the moment it finishes
+ * (a sweep killed one cell later resumes from there). The body
+ * returns true on a cache hit, as runCellPool expects.
+ */
+template <typename Result, typename Key, typename Simulate>
+auto
+cacheOrSimulate(std::vector<Result> &results, const SweepOptions &options,
+                Key key, Simulate simulate)
+{
+    return [&results, &options, key, simulate](std::size_t i) {
+        std::uint64_t k = 0;
+        if (options.cache) {
+            k = key(i);
+            if (options.cache->load(k, &results[i]))
+                return true;
+        }
+        results[i] = simulate(i);
+        if (options.cache)
+            options.cache->store(k, results[i]);
+        return false;
+    };
+}
+
+} // namespace
+
 std::vector<ExperimentResult>
 SweepRunner::runCells(const std::vector<SweepCell> &cells,
                       const SweepOptions &options) const
@@ -150,31 +180,33 @@ SweepRunner::runCells(const std::vector<SweepCell> &cells,
     // Which slots hold finished results — what SweepCancelled keeps.
     // One writer per slot; read only after the pool has joined.
     std::vector<char> finished(n, 0);
-    const Experiment experiment(baselines, energyConfig);
+    const Experiment experiment(memo, energyConfig);
     const std::string &code_version = codeVersion();
     const crypto::Backend backend = crypto::activeBackend();
     std::vector<double> cost(n, 0.0);
     for (std::size_t i = 0; i < n; ++i)
         if (cells[i].spec)
-            cost[i] = estimateCellCost(
-                *cells[i].spec, baselines->gpuParams().maxCyclesPerKernel);
+            cost[i] = estimateCellCost(*cells[i].spec,
+                                       gpuParams().maxCyclesPerKernel);
 
+    auto body = cacheOrSimulate(
+        results, options,
+        [&](std::size_t i) {
+            return cellKey(gpuParams(), energyConfig, options.run,
+                           cells[i].scheme, *cells[i].spec, backend,
+                           code_version);
+        },
+        [&](std::size_t i) {
+            if (options.traceDir.empty())
+                return runCell(experiment, cells[i], options.run);
+            RunOptions traced = options.run;
+            traced.tracePath = options.traceDir + "/" + cells[i].spec->name +
+                               "_" + schemes::schemeName(cells[i].scheme) +
+                               ".trace.json";
+            return runCell(experiment, cells[i], traced);
+        });
     const bool cancelled = runCellPool(n, options, [&](std::size_t i) {
-        std::uint64_t key = 0;
-        bool hit = false;
-        if (options.cache) {
-            key = cellKey(baselines->gpuParams(), energyConfig,
-                          options.run, cells[i].scheme, *cells[i].spec,
-                          backend, code_version);
-            hit = options.cache->load(key, &results[i]);
-        }
-        if (!hit) {
-            results[i] = runCell(experiment, cells[i], options.run);
-            // Publish the moment the cell finishes: a sweep killed one
-            // cell later resumes from here.
-            if (options.cache)
-                options.cache->store(key, results[i]);
-        }
+        const bool hit = body(i);
         finished[i] = 1;
         return hit;
     }, cost);
@@ -192,6 +224,52 @@ SweepRunner::runCells(const std::vector<SweepCell> &cells,
         }
         throw ex;
     }
+    return results;
+}
+
+std::vector<ScenarioExperimentResult>
+SweepRunner::run(const std::vector<ScenarioCell> &cells,
+                 const SweepOptions &options) const
+{
+    shm_assert(!options.cancel && options.cancelAfter == 0 &&
+                   options.traceDir.empty(),
+               "scenario grids take no cancel token, cancel point or "
+               "trace directory");
+    // Reject unsupported combinations before any cell simulates.
+    std::vector<double> cost(cells.size(), 0.0);
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        shm_assert(cells[i].scenario != nullptr,
+                   "scenario cell without a scenario");
+        checkScenario(gpuParams(), cells[i].scheme, *cells[i].scenario);
+        for (const workload::TenantSpec &t : cells[i].scenario->tenants)
+            cost[i] += estimateCellCost(t.workload,
+                                        gpuParams().maxCyclesPerKernel);
+    }
+    // Solo references are shared across the whole grid: a quantum
+    // sweep over one scenario pays for each tenant's solo run once.
+    RunOptions run = options.run;
+    if (run.soloCache == nullptr)
+        run.soloCache = memo.get();
+    const std::string &code_version = codeVersion();
+    const crypto::Backend backend = crypto::activeBackend();
+
+    std::vector<ScenarioExperimentResult> results(cells.size());
+    runCellPool(cells.size(), options,
+                cacheOrSimulate(
+                    results, options,
+                    [&](std::size_t i) {
+                        return scenarioCellKey(
+                            gpuParams(), energyConfig, run.withSolo,
+                            run.mdcPolicy, cells[i].scheme,
+                            *cells[i].scenario, backend, code_version);
+                    },
+                    [&](std::size_t i) {
+                        return runScenarioExperiment(gpuParams(),
+                                                     cells[i].scheme,
+                                                     *cells[i].scenario,
+                                                     run);
+                    }),
+                cost);
     return results;
 }
 
@@ -215,110 +293,6 @@ runPolicyGrid(const gpu::GpuParams &base,
                    std::make_move_iterator(results.end()));
     }
     return all;
-}
-
-json::Value
-runMetricsToJson(const gpu::RunMetrics &m)
-{
-    json::Value v = json::Value::object();
-    v["cycles"] = json::Value(static_cast<std::uint64_t>(m.cycles));
-    v["instructions"] = json::Value(m.instructions);
-    v["ipc"] = json::Value(m.ipc);
-    v["bytesData"] = json::Value(m.bytesData);
-    v["bytesCounter"] = json::Value(m.bytesCounter);
-    v["bytesMac"] = json::Value(m.bytesMac);
-    v["bytesBmt"] = json::Value(m.bytesBmt);
-    v["bytesExtra"] = json::Value(m.bytesExtra);
-    v["metadataOverhead"] = json::Value(m.metadataOverhead());
-    v["bandwidthUtilization"] = json::Value(m.bandwidthUtilization);
-    v["l2MissRate"] = json::Value(m.l2MissRate);
-    v["roCorrect"] = json::Value(m.roCorrect);
-    v["roMpInit"] = json::Value(m.roMpInit);
-    v["roMpAliasing"] = json::Value(m.roMpAliasing);
-    v["strCorrect"] = json::Value(m.strCorrect);
-    v["strMpInit"] = json::Value(m.strMpInit);
-    v["strMpAliasing"] = json::Value(m.strMpAliasing);
-    v["strMpRuntimeRo"] = json::Value(m.strMpRuntimeRo);
-    v["strMpRuntimeNonRo"] = json::Value(m.strMpRuntimeNonRo);
-    v["sharedCtrReads"] = json::Value(m.sharedCtrReads);
-    v["commonCtrHits"] = json::Value(m.commonCtrHits);
-    v["roTransitions"] = json::Value(m.roTransitions);
-    v["chunkMacAccesses"] = json::Value(m.chunkMacAccesses);
-    v["blockMacAccesses"] = json::Value(m.blockMacAccesses);
-    v["dualMacFallbacks"] = json::Value(m.dualMacFallbacks);
-    v["victimHits"] = json::Value(m.victimHits);
-    v["victimInserts"] = json::Value(m.victimInserts);
-
-    json::Value energy = json::Value::object();
-    energy["cycles"] =
-        json::Value(static_cast<std::uint64_t>(m.energy.cycles));
-    energy["instructions"] = json::Value(m.energy.instructions);
-    energy["l2Accesses"] = json::Value(m.energy.l2Accesses);
-    energy["dramBytes"] = json::Value(m.energy.dramBytes);
-    energy["mdcAccesses"] = json::Value(m.energy.mdcAccesses);
-    energy["aesBlocks"] = json::Value(m.energy.aesBlocks);
-    energy["hashes"] = json::Value(m.energy.hashes);
-    v["energy"] = std::move(energy);
-    return v;
-}
-
-json::Value
-resultToJson(const ExperimentResult &result)
-{
-    json::Value v = json::Value::object();
-    v["workload"] = json::Value(result.workload);
-    v["scheme"] = json::Value(result.scheme);
-    v["l2Policy"] = json::Value(result.l2Policy);
-    v["mdcPolicy"] = json::Value(result.mdcPolicy);
-    v["normalizedIpc"] = json::Value(result.normalizedIpc);
-    v["overhead"] = json::Value(result.overhead());
-    v["normalizedEnergyPerInstr"] =
-        json::Value(result.normalizedEnergyPerInstr);
-    v["metrics"] = runMetricsToJson(result.metrics);
-    v["baseline"] = runMetricsToJson(result.baseline);
-    return v;
-}
-
-json::Value
-sweepToJson(const std::vector<ExperimentResult> &results)
-{
-    json::Value doc = json::Value::object();
-    // v2: results carry "l2Policy"/"mdcPolicy" (replacement-policy axis).
-    doc["schemaVersion"] = json::Value(2);
-    doc["cells"] = json::Value(results.size());
-
-    json::Value arr = json::Value::array();
-    for (const auto &r : results)
-        arr.append(resultToJson(r));
-    doc["results"] = std::move(arr);
-
-    // Per-scheme geomean summary in first-appearance order (the
-    // figure footer rows). Skips non-positive values the way the
-    // benches never produce but a truncated run might.
-    std::vector<std::string> scheme_order;
-    std::map<std::string, std::vector<double>> ipc_by_scheme;
-    for (const auto &r : results) {
-        if (!ipc_by_scheme.contains(r.scheme))
-            scheme_order.push_back(r.scheme);
-        if (r.normalizedIpc > 0)
-            ipc_by_scheme[r.scheme].push_back(r.normalizedIpc);
-    }
-    json::Value summary = json::Value::object();
-    for (const auto &scheme : scheme_order) {
-        const auto &vals = ipc_by_scheme[scheme];
-        summary[scheme] = json::Value(
-            vals.empty() ? 0.0 : geomean(vals));
-    }
-    doc["geomeanNormalizedIpc"] = std::move(summary);
-    return doc;
-}
-
-void
-writeSweepJson(std::ostream &os,
-               const std::vector<ExperimentResult> &results)
-{
-    sweepToJson(results).write(os, 2);
-    os << "\n";
 }
 
 } // namespace shmgpu::core

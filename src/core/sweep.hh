@@ -2,16 +2,18 @@
  * @file
  * core::SweepRunner — the parallel (scheme x workload) grid executor.
  *
- * Every paper figure is a grid of independent Experiment cells; this
- * runner executes them on a pool of worker threads while guaranteeing
- * *bit-identical* results at any job count:
+ * Every paper figure is a grid of independent Experiment cells, and a
+ * scenario sweep a grid of scenario cells; this runner executes either
+ * kind on one pool of worker threads, through one cache-or-simulate
+ * body, while guaranteeing *bit-identical* results at any job count:
  *
  *  - each cell builds its own GpuSimulator whose RNG streams are
  *    seeded only from the workload spec, never from thread identity
  *    or scheduling order;
- *  - all workers share one BaselineCache, so each unique workload's
- *    no-security baseline is simulated exactly once (call_once) and
- *    every cell normalizes against the same bits;
+ *  - all workers share one RunMemo, so each unique workload's
+ *    no-security baseline and each tenant's solo reference is
+ *    simulated exactly once (call_once) and every cell compares
+ *    against the same bits;
  *  - results land in a pre-sized vector slot per cell, so the output
  *    order is the grid order regardless of completion order.
  *
@@ -38,6 +40,7 @@ namespace shmgpu::core
 {
 
 class ResultCache;
+struct ScenarioExperimentResult;
 
 /** One grid cell: simulate @p scheme on @p spec. */
 struct SweepCell
@@ -45,6 +48,14 @@ struct SweepCell
     schemes::Scheme scheme = schemes::Scheme::Baseline;
     /** Not owned; must outlive the sweep. */
     const workload::WorkloadSpec *spec = nullptr;
+};
+
+/** One scenario grid cell (core/scenario.hh). */
+struct ScenarioCell
+{
+    schemes::Scheme scheme = schemes::Scheme::Shm;
+    /** Not owned; must outlive the sweep. */
+    const workload::ScenarioSpec *scenario = nullptr;
 };
 
 /**
@@ -64,7 +75,7 @@ class SweepCancelled : public std::runtime_error
     std::size_t totalCells = 0;
 };
 
-/** How a sweep's cells were satisfied (an output of runCells). */
+/** How a sweep's cells were satisfied (an output of a grid run). */
 struct SweepTally
 {
     /** Cells actually simulated this run. */
@@ -73,17 +84,26 @@ struct SweepTally
     std::size_t cached = 0;
 };
 
-/** Options for one sweep. */
+/** Options for one sweep, of either grid kind. */
 struct SweepOptions
 {
     /** Worker threads; 0 means std::thread::hardware_concurrency(). */
     unsigned jobs = 1;
-    /** Per-cell run options (accuracy collection etc.). */
+    /** Per-cell run options (accuracy collection etc.). A scenario
+     *  grid without a soloCache takes its solo references from the
+     *  runner's memo. */
     RunOptions run;
+    /**
+     * When non-empty, each workload cell exports its trace to
+     * <traceDir>/<workload>_<scheme>.trace.json, where one tracePath
+     * would be overwritten by every cell. Workload grids only.
+     */
+    std::string traceDir;
     /**
      * Optional cooperative cancel token. Setting it true stops
      * workers at the next cell boundary and makes run() throw
-     * SweepCancelled (in-flight cells finish first).
+     * SweepCancelled (in-flight cells finish first). Workload grids
+     * only, as is cancelAfter.
      */
     std::shared_ptr<std::atomic<bool>> cancel;
     /**
@@ -97,8 +117,8 @@ struct SweepOptions
     ResultCache *cache = nullptr;
     /**
      * Optional tally sink (not owned); filled with the number of
-     * simulated vs cache-loaded cells when run()/runCells() returns
-     * or throws SweepCancelled.
+     * simulated vs cache-loaded cells when a grid run returns or
+     * throws SweepCancelled.
      */
     SweepTally *tally = nullptr;
     /**
@@ -110,8 +130,8 @@ struct SweepOptions
 };
 
 /**
- * The worker pool behind every grid (SweepRunner::runCells and
- * runScenarioCells): run @p body(i) for each cell index i < @p n on
+ * The worker pool behind every grid (both SweepRunner grid kinds and
+ * the figures driver): run @p body(i) for each cell index i < @p n on
  * options.jobs threads. The body fills slot i of the caller's
  * pre-sized result vector, so results land in cell order whatever the
  * completion order, and returns true when the cell was loaded from a
@@ -170,14 +190,20 @@ class SweepRunner
     runCells(const std::vector<SweepCell> &cells,
              const SweepOptions &options = {}) const;
 
-    const gpu::GpuParams &gpuParams() const
-    {
-        return baselines->gpuParams();
-    }
-    const std::shared_ptr<BaselineCache> &baselineCache() const
-    {
-        return baselines;
-    }
+    /**
+     * Run a scenario grid through the same pool and cache-or-simulate
+     * body: results in cell order, bit-identical for any job count.
+     * Every cell's scenario is checked (core::checkScenario) before
+     * any cell simulates. options.cancel, options.cancelAfter and
+     * options.traceDir must be unset.
+     */
+    std::vector<ScenarioExperimentResult>
+    run(const std::vector<ScenarioCell> &cells,
+        const SweepOptions &options = {}) const;
+
+    const gpu::GpuParams &gpuParams() const { return memo->gpuParams(); }
+    /** The memo of every reference run (baselines and solos). */
+    const std::shared_ptr<RunMemo> &baselineCache() const { return memo; }
 
   protected:
     /** Seam for tests (exception injection); default delegates to
@@ -188,7 +214,7 @@ class SweepRunner
 
   private:
     gpu::EnergyParams energyConfig;
-    std::shared_ptr<BaselineCache> baselines;
+    std::shared_ptr<RunMemo> memo;
 };
 
 /**
@@ -198,7 +224,7 @@ class SweepRunner
  * (all cells of policies[0] first), each annotated with its policy
  * names for the JSON sink.
  *
- * A fresh SweepRunner (and thus BaselineCache) is built per policy:
+ * A fresh SweepRunner (and thus RunMemo) is built per policy:
  * the L2 policy changes the no-security baseline IPC, so cells must
  * normalize against a baseline running under the *same* policy or the
  * overhead numbers would mix machines.
@@ -213,10 +239,14 @@ runPolicyGrid(const gpu::GpuParams &base,
 /** One result as a JSON object (all metrics, fixed member order). */
 json::Value resultToJson(const ExperimentResult &result);
 
-/** One RunMetrics as a JSON object (fixed member order; shared by the
- *  sweep and scenario sinks — exact round-trip with
- *  runMetricsFromJson). */
-json::Value runMetricsToJson(const gpu::RunMetrics &metrics);
+/**
+ * Rebuild an ExperimentResult from resultToJson output. The inverse
+ * is exact: resultToJson(resultFromJson(v)) serializes to the same
+ * bytes as v (numbers are shortest-round-trip both ways). Fatal on
+ * missing members — cell files are validated by ResultCache::load
+ * before they reach this.
+ */
+ExperimentResult resultFromJson(const json::Value &v);
 
 /**
  * The full results document: {"schemaVersion", "results": [...]}

@@ -16,6 +16,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/args.hh"
@@ -143,33 +144,37 @@ cmdList()
 /**
  * The one config builder behind every simulating subcommand: the --gpu
  * preset (turing when absent), then the --overrides file, then the
- * flags, which win over the file.
- * @p opts (core::RunOptions or core::ScenarioRunOptions) receives the
- * per-run knobs the file or the flags set: trace classes and the
- * metadata-cache policy. The rest of the MEE comes from --scheme, so
- * the file's other mee.* keys are fatal.
+ * flags, which win over the file. @p opts receives the per-run knobs
+ * the file or the flags set: trace classes, the metadata-cache policy,
+ * and whichever of --accuracy, --no-solo, --trace and --trace-text the
+ * mode accepts. The rest of the MEE comes from --scheme, so the file's
+ * other mee.* keys are fatal.
  */
-template <typename Options = core::RunOptions>
 gpu::GpuParams
-gpuParamsFrom(const Args &args, Options *opts = nullptr)
+configFrom(const Args &args, core::RunOptions &opts)
 {
     gpu::GpuParams gp = gpu::presetByName(args.get("gpu", "turing"));
-    Options scratch;
-    Options &o = opts ? *opts : scratch;
     std::string overrides = args.get("overrides");
     if (!overrides.empty()) {
         Config config = Config::fromFile(overrides);
-        core::applyCliOverrides(config, gp, o.traceParams, o.mdcPolicy);
+        core::applyCliOverrides(config, gp, opts.traceParams,
+                                opts.mdcPolicy);
     }
     // --policy switches L2 and metadata caches together.
     std::string policy = args.get("policy");
     if (!policy.empty()) {
         mem::PolicyKind kind = mem::policyFromName(policy);
         gpu::applyCachePolicy(gp, kind);
-        o.mdcPolicy = kind;
+        opts.mdcPolicy = kind;
     }
     gp.maxCyclesPerKernel =
         args.number<Cycle>("cycles", gp.maxCyclesPerKernel);
+    if (gp.maxCyclesPerKernel == 0)
+        shm_fatal("--cycles must be positive (in '{}')", args.command());
+    opts.collectAccuracy = args.has("accuracy");
+    opts.withSolo = !args.has("no-solo");
+    opts.tracePath = args.get("trace");
+    opts.traceTextPath = args.get("trace-text");
     return gp;
 }
 
@@ -228,83 +233,65 @@ printScenario(const core::ScenarioExperimentResult &r)
     }
 }
 
+/**
+ * Both run modes: one workload (--workload or --spec) or one
+ * --scenario, configured by configFrom. --stats dumps the measured
+ * run itself (primed and attributed exactly as the result printed);
+ * --json is its stats tree as JSON, or under --scenario the structured
+ * result (per-tenant metrics and interference deltas).
+ */
 int
-cmdRunScenario(const Args &args)
+cmdRun(const Args &args, bool scenario)
 {
-    workload::ScenarioSpec scn =
-        workload::parseScenarioFile(args.get("scenario"));
-    auto scheme = schemes::schemeFromName(args.get("scheme", "SHM"));
-
-    core::ScenarioRunOptions opts;
-    gpu::GpuParams gp = gpuParamsFrom(args, &opts);
-    opts.withSolo = !args.has("no-solo");
-    opts.tracePath = args.get("trace");
-    opts.traceTextPath = args.get("trace-text");
-
-    // --stats gets the full stats tree of the measured shared run
-    // (the determinism byte-compare vehicle); --json the structured
-    // scenario result (per-tenant metrics and interference deltas).
-    auto r = core::runScenarioExperiment(
-        gp, scheme, scn, opts, [&](gpu::GpuSimulator &sim) {
-            if (args.has("stats"))
-                writeStats(sim, args.get("stats"), false);
-        });
-    if (!opts.tracePath.empty())
-        std::printf("trace written to %s\n", opts.tracePath.c_str());
-    printScenario(r);
-
-    if (args.has("json")) {
-        writeJsonFile(args.get("json"), core::scenarioResultToJson(r));
-        std::printf("scenario json written to %s\n",
-                    args.get("json").c_str());
-    }
-    if (args.has("stats"))
-        std::printf("stats written to %s\n", args.get("stats").c_str());
-    return 0;
-}
-
-int
-cmdRun(const Args &args)
-{
-    std::string workload_name = args.get("workload");
-    std::string spec_file = args.get("spec");
-    if (workload_name.empty() && spec_file.empty())
+    workload::ScenarioSpec scn;
+    workload::WorkloadSpec spec;
+    if (scenario) {
+        scn = workload::parseScenarioFile(args.get("scenario"));
+    } else if (!args.get("spec").empty()) {
+        spec = workload::parseWorkloadFile(args.get("spec"));
+    } else if (!args.get("workload").empty()) {
+        spec = workload::findWorkload(args.get("workload"));
+    } else {
         shm_fatal("run needs --workload, --spec or --scenario "
                   "(see 'shmgpu list')");
-    workload::WorkloadSpec parsed;
-    if (!spec_file.empty())
-        parsed = workload::parseWorkloadFile(spec_file);
-    const auto &w = spec_file.empty()
-                        ? workload::findWorkload(workload_name)
-                        : parsed;
+    }
     auto scheme = schemes::schemeFromName(args.get("scheme", "SHM"));
-
     if (args.has("profile")) {
         profile::setEnabled(true);
         profile::reset();
     }
 
     core::RunOptions opts;
-    gpu::GpuParams gp = gpuParamsFrom(args, &opts);
-    core::Experiment exp(gp);
-    opts.collectAccuracy = args.has("accuracy");
-    opts.tracePath = args.get("trace");
-    opts.traceTextPath = args.get("trace-text");
-    // Stats dumps are of the measured run itself (primed and
-    // attributed exactly as the result printed below).
-    auto r = exp.run(scheme, w, opts, [&](gpu::GpuSimulator &sim) {
+    const gpu::GpuParams gp = configFrom(args, opts);
+    const bool json_stats = args.has("json") && !scenario;
+    const core::SimulatorHook dump = [&](gpu::GpuSimulator &sim) {
         if (args.has("stats"))
             writeStats(sim, args.get("stats"), false);
-        if (args.has("json"))
+        if (json_stats)
             writeStats(sim, args.get("json"), true);
-    });
+    };
+    core::ScenarioExperimentResult shared;
+    core::ExperimentResult r;
+    if (scenario)
+        shared = core::runScenarioExperiment(gp, scheme, scn, opts, dump);
+    else
+        r = core::Experiment(gp).run(scheme, spec, opts, dump);
     if (!opts.tracePath.empty())
         std::printf("trace written to %s\n", opts.tracePath.c_str());
-    printSummary(r);
 
+    if (scenario) {
+        printScenario(shared);
+        if (args.has("json")) {
+            writeJsonFile(args.get("json"),
+                          core::scenarioResultToJson(shared));
+            std::printf("scenario json written to %s\n",
+                        args.get("json").c_str());
+        }
+    } else {
+        printSummary(r);
+    }
     if (args.has("profile"))
         profile::report(std::cout);
-
     if (opts.collectAccuracy) {
         double ro_total = r.metrics.roCorrect + r.metrics.roMpInit +
                           r.metrics.roMpAliasing;
@@ -321,7 +308,7 @@ cmdRun(const Args &args)
     }
     if (args.has("stats"))
         std::printf("stats written to %s\n", args.get("stats").c_str());
-    if (args.has("json"))
+    if (json_stats)
         std::printf("json stats written to %s\n",
                     args.get("json").c_str());
     return 0;
@@ -380,11 +367,12 @@ scenarioVariant(const workload::ScenarioSpec &base,
 /**
  * The scenario sweep: a (share x quantum x tenant-count x scheme)
  * grid over one base scenario file, with the quantum axis collapsing
- * for partitioned cells (no context switches there). Cells flow
- * through the same ResultCache machinery as workload sweeps.
+ * for partitioned cells (no context switches there). Returns the --out
+ * document.
  */
-int
-cmdSweepScenario(const Args &args)
+json::Value
+sweepScenarios(const Args &args, const gpu::GpuParams &gp,
+               const core::SweepOptions &opts)
 {
     const workload::ScenarioSpec base =
         workload::parseScenarioFile(args.get("scenario"));
@@ -404,14 +392,6 @@ cmdSweepScenario(const Args &args)
         if (n == 0)
             shm_fatal("--tenants needs positive counts");
 
-    if (args.has("quiet"))
-        log_detail::setVerbose(false);
-
-    core::ScenarioSweepOptions opts;
-    opts.jobs = args.number<unsigned>("jobs", 1);
-    opts.run.withSolo = !args.has("no-solo");
-    gpu::GpuParams gp = gpuParamsFrom(args, &opts.run);
-
     // Owned variant storage, fully built before cells take pointers.
     std::vector<workload::ScenarioSpec> variants;
     for (auto share : shares) {
@@ -430,36 +410,19 @@ cmdSweepScenario(const Args &args)
         for (auto scheme : designs)
             cells.push_back({scheme, &v});
 
-    std::unique_ptr<core::ResultCache> cache;
-    std::string results_dir = args.get("results-dir");
-    if (!results_dir.empty()) {
-        cache = std::make_unique<core::ResultCache>(results_dir);
-        opts.cache = cache.get();
-    }
-    core::SweepTally tally;
-    opts.tally = &tally;
-
-    auto results = core::runScenarioCells(gp, cells, opts);
-
+    auto results = core::SweepRunner(gp).run(cells, opts);
     if (!args.has("quiet")) {
         for (const auto &r : results)
             printScenario(r);
     }
-    if (cache)
-        std::printf("cells: %zu simulated, %zu loaded from %s\n",
-                    tally.simulated, tally.cached, results_dir.c_str());
-
-    std::string out = args.get("out");
-    if (!out.empty()) {
-        writeJsonFile(out, core::scenarioSweepToJson(results));
-        std::printf("scenario sweep results written to %s (%zu cells)\n",
-                    out.c_str(), results.size());
-    }
-    return 0;
+    return core::scenarioSweepToJson(results);
 }
 
-int
-cmdSweep(const Args &args)
+/** The workload sweep; returns the --out document. Throws
+ *  core::SweepCancelled when --cancel-after fires. */
+json::Value
+sweepWorkloads(const Args &args, const gpu::GpuParams &gp,
+               const core::SweepOptions &opts)
 {
     // Owned storage for the generated Zipf axes; fully built before
     // any pointer is taken so `workloads` never dangles.
@@ -484,54 +447,77 @@ cmdSweep(const Args &args)
 
     const std::vector<schemes::Scheme> designs = schemeList(args, "all");
 
-    core::SweepOptions sweep_opts;
-    sweep_opts.jobs = args.number<unsigned>("jobs", 1);
-    sweep_opts.run.collectAccuracy = args.has("accuracy");
-    sweep_opts.run.traceDir = args.get("trace");
+    std::vector<core::ExperimentResult> results;
+    std::string policy_list = args.get("policies");
+    if (!policy_list.empty()) {
+        // Policy-major third grid axis; a fresh runner (and baseline)
+        // per policy, since the L2 policy moves the baseline IPC.
+        std::vector<mem::PolicyKind> policies;
+        if (policy_list == "all") {
+            policies = mem::allPolicies();
+        } else {
+            for (const auto &name : splitList(policy_list))
+                policies.push_back(mem::policyFromName(name));
+        }
+        if (policies.empty())
+            shm_fatal("sweep selects no policies");
+        results =
+            core::runPolicyGrid(gp, policies, designs, workloads, opts);
+    } else {
+        results = core::SweepRunner(gp).run(designs, workloads, opts);
+    }
 
+    if (!args.has("quiet")) {
+        for (const auto &r : results)
+            printSummary(r);
+        std::map<std::string, std::vector<double>> by_scheme;
+        for (const auto &r : results)
+            by_scheme[r.scheme].push_back(r.normalizedIpc);
+        for (auto s : designs) {
+            const auto &col = by_scheme[schemes::schemeName(s)];
+            std::printf("geomean %-16s normIPC=%.3f\n",
+                        schemes::schemeName(s), core::geomean(col));
+        }
+    }
+    return core::sweepToJson(results);
+}
+
+/**
+ * Both sweep modes: the shared config, the --results-dir cell store
+ * and its tally around the grid, then the tally line and --out.
+ */
+int
+cmdSweep(const Args &args, bool scenario)
+{
+    core::SweepOptions opts;
+    const gpu::GpuParams gp = configFrom(args, opts.run);
+    opts.jobs = args.number<unsigned>("jobs", 1);
+    // The workload sweep's --trace names a directory of per-cell
+    // exports, not one file.
+    opts.traceDir = std::exchange(opts.run.tracePath, {});
+    opts.cancelAfter = args.number<std::size_t>("cancel-after", 0);
     if (args.has("quiet"))
         log_detail::setVerbose(false);
-
-    gpu::GpuParams gp = gpuParamsFrom(args, &sweep_opts.run);
 
     // Persistent cell store: cells load instead of simulating on key
     // hits and flush to disk the moment they finish, which is what
     // makes interrupted sweeps resumable.
     std::unique_ptr<core::ResultCache> cache;
-    std::string results_dir = args.get("results-dir");
+    const std::string results_dir = args.get("results-dir");
     if (args.has("resume") && results_dir.empty())
         shm_fatal("--resume needs --results-dir DIR (the cell store "
                   "the interrupted sweep wrote)");
     if (!results_dir.empty()) {
         cache = std::make_unique<core::ResultCache>(results_dir);
-        sweep_opts.cache = cache.get();
+        opts.cache = cache.get();
     }
     core::SweepTally tally;
-    sweep_opts.tally = &tally;
-    sweep_opts.cancelAfter = args.number<std::size_t>("cancel-after", 0);
+    opts.tally = &tally;
 
-    std::vector<core::ExperimentResult> results;
-    std::string policy_list = args.get("policies");
+    json::Value doc;
     try {
-        if (!policy_list.empty()) {
-            // Policy-major third grid axis; a fresh runner (and
-            // baseline) per policy, since the L2 policy moves the
-            // baseline IPC.
-            std::vector<mem::PolicyKind> policies;
-            if (policy_list == "all") {
-                policies = mem::allPolicies();
-            } else {
-                for (const auto &name : splitList(policy_list))
-                    policies.push_back(mem::policyFromName(name));
-            }
-            if (policies.empty())
-                shm_fatal("sweep selects no policies");
-            results = core::runPolicyGrid(gp, policies, designs,
-                                          workloads, sweep_opts);
-        } else {
-            core::SweepRunner runner(gp);
-            results = runner.run(designs, workloads, sweep_opts);
-        }
+        doc = scenario ? sweepScenarios(args, gp, opts)
+                       : sweepWorkloads(args, gp, opts);
     } catch (const core::SweepCancelled &cancelled) {
         // Completed cells are kept, not discarded: with a results dir
         // they are already on disk and the sweep is resumable.
@@ -551,32 +537,19 @@ cmdSweep(const Args &args)
         return 3;
     }
 
-    if (!args.has("quiet")) {
-        for (const auto &r : results)
-            printSummary(r);
-        std::map<std::string, std::vector<double>> by_scheme;
-        for (const auto &r : results)
-            by_scheme[r.scheme].push_back(r.normalizedIpc);
-        for (auto s : designs) {
-            const auto &col = by_scheme[schemes::schemeName(s)];
-            std::printf("geomean %-16s normIPC=%.3f\n",
-                        schemes::schemeName(s), core::geomean(col));
-        }
-    }
-
     if (cache)
         std::printf("cells: %zu simulated, %zu loaded from %s\n",
                     tally.simulated, tally.cached, results_dir.c_str());
-
     std::string out = args.get("out");
     if (!out.empty()) {
-        writeJsonFile(out, core::sweepToJson(results));
-        std::printf("sweep results written to %s (%zu cells)\n",
-                    out.c_str(), results.size());
+        writeJsonFile(out, doc);
+        std::printf("%s results written to %s (%zu cells)\n",
+                    scenario ? "scenario sweep" : "sweep", out.c_str(),
+                    doc.at("results").size());
     }
-    if (!sweep_opts.run.traceDir.empty())
+    if (!opts.traceDir.empty())
         std::printf("per-cell traces written to %s/\n",
-                    sweep_opts.run.traceDir.c_str());
+                    opts.traceDir.c_str());
     return 0;
 }
 
@@ -695,6 +668,8 @@ cmdTraceRecord(const Args &args)
         shm_fatal("trace record needs --workload and --out");
     const auto &w = workload::findWorkload(workload_name);
     const auto sms = args.number<std::uint32_t>("sms", 30);
+    if (sms == 0)
+        shm_fatal("--sms must be positive (in '{}')", args.command());
     workload::Trace trace = workload::generateTrace(w, sms);
     workload::writeTrace(trace, out);
     std::printf("recorded %llu ops over %zu kernels (%u SMs) to %s\n",
@@ -723,13 +698,15 @@ cmdTraceRun(const Args &args)
     auto trace = std::make_shared<const workload::Trace>(
         workload::readTrace(args.get("in")));
     auto scheme = schemes::schemeFromName(args.get("scheme", "SHM"));
-    gpu::GpuParams gp = gpuParamsFrom(args);
+    core::RunOptions opts;
+    gpu::GpuParams gp = configFrom(args, opts);
     gp.numSms = trace->numSms;
 
     // The same measured-run path as a workload: SHM_upper_bound is
     // primed from a Baseline pass over the trace itself.
     const gpu::RunMetrics m =
-        core::measure(gp, scheme, workload::singleTenantScenario(trace))
+        core::measure(gp, scheme, workload::singleTenantScenario(trace),
+                      opts)
             .total;
     std::printf("trace replay under %s: cycles=%llu ipc=%.2f "
                 "util=%.1f%% mdOverhead=%.2f%%\n",
@@ -747,20 +724,18 @@ main(int argc, char **argv)
     if (argc < 2)
         return usage();
     const std::string cmd = argv[1];
-    auto args = [&](std::initializer_list<const char *> allowed) {
-        return Args(argc, argv, 2, "shmgpu " + cmd, allowed);
-    };
     // run and sweep each have a workload mode and a scenario mode,
     // told apart before any flag is parsed so each mode accepts only
     // the flags it reads.
     bool scenario = false;
-    for (int i = 2; i < argc; ++i) {
+    for (int i = 2; i < argc && (cmd == "run" || cmd == "sweep"); ++i) {
         const std::string_view arg = argv[i];
         scenario = scenario || arg == "--scenario" ||
                    arg.starts_with("--scenario=");
     }
-    auto scenarioArgs = [&](std::initializer_list<const char *> allowed) {
-        return Args(argc, argv, 2, "shmgpu " + cmd + " --scenario",
+    auto args = [&](std::initializer_list<const char *> allowed) {
+        return Args(argc, argv, 2,
+                    "shmgpu " + cmd + (scenario ? " --scenario" : ""),
                     allowed);
     };
 
@@ -769,25 +744,25 @@ main(int argc, char **argv)
         return cmdList();
     }
     if (cmd == "run" && scenario)
-        return cmdRunScenario(scenarioArgs(
+        return cmdRun(args(
             {"scenario", "scheme", "gpu", "cycles", "policy", "overrides",
-             "stats", "json", "no-solo", "trace", "trace-text"}));
+             "stats", "json", "no-solo", "trace", "trace-text"}), true);
     if (cmd == "run")
         return cmdRun(args(
             {"workload", "spec", "scheme", "gpu", "cycles", "policy",
              "overrides", "stats", "json", "accuracy", "profile", "trace",
-             "trace-text"}));
+             "trace-text"}), false);
     if (cmd == "sweep" && scenario)
-        return cmdSweepScenario(scenarioArgs(
+        return cmdSweep(args(
             {"scenario", "schemes", "quantums", "share", "tenants",
              "no-solo", "jobs", "gpu", "cycles", "policy", "results-dir",
-             "overrides", "out", "quiet"}));
+             "overrides", "out", "quiet"}), true);
     if (cmd == "sweep")
         return cmdSweep(args(
             {"workloads", "schemes", "jobs", "gpu", "cycles", "policy",
              "policies", "zipf-footprints", "zipf-alphas", "results-dir",
              "resume", "cancel-after", "overrides", "out", "quiet",
-             "accuracy", "trace"}));
+             "accuracy", "trace"}), false);
     // Check before "trace": that prefix names the workload-trace
     // subcommands, while trace-info summarizes a --trace export.
     if (cmd == "trace-info")

@@ -78,7 +78,7 @@ TEST(Experiment, ContentEqualSpecsShareABaselineWhateverTheObject)
 
 TEST(Experiment, SharedBaselineCacheSpansExperiments)
 {
-    auto cache = std::make_shared<BaselineCache>(quickParams());
+    auto cache = std::make_shared<RunMemo>(quickParams());
     Experiment exp1(cache);
     Experiment exp2(cache);
     auto w = workload::makeRandomMicro();

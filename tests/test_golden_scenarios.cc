@@ -79,8 +79,6 @@ runPinnedGrid()
     scenarios.push_back(workload::singleTenantScenario(
         workload::makeMixedMicro()));
 
-    ScenarioSweepOptions opts;
-    opts.jobs = 1;
     std::vector<ScenarioCell> cells;
     for (const auto &scn : scenarios)
         for (auto scheme :
@@ -92,7 +90,7 @@ runPinnedGrid()
                 continue;
             cells.push_back({scheme, &scn});
         }
-    return runScenarioCells(gp, cells, opts);
+    return SweepRunner(gp).run(cells);
 }
 
 json::Value

@@ -174,7 +174,7 @@ TEST(CellKey, TraceOptionsDoNotSplitTheCache)
     auto spec = workload::makeStreamingMicro();
     RunOptions traced;
     traced.tracePath = "/tmp/evtrace.json";
-    traced.traceDir = "/tmp/traces";
+    traced.traceTextPath = "/tmp/evtrace.txt";
     EXPECT_EQ(keyWith(quickParams(), traced, spec),
               keyWith(quickParams(), RunOptions{}, spec));
 }
@@ -539,12 +539,12 @@ TEST(ResultCacheFuzz, TruncatedOrGarbledCellsAreMisses)
         sr.metrics.tenants.push_back(t.shared);
     }
     const std::uint64_t skey = 0x5cea;
-    storeScenarioCell(cache, skey, sr);
+    cache.store(skey, sr);
     hits = fuzzCellFile(
         dir.str() + "/" + ResultCache::fileName(skey),
         scenarioResultToJson(sr).dump(2), [&](std::string *out) {
             ScenarioExperimentResult loaded;
-            if (!loadScenarioCell(cache, skey, &loaded))
+            if (!cache.load(skey, &loaded))
                 return false;
             *out = scenarioResultToJson(loaded).dump(2);
             return true;

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <memory>
 #include <sstream>
+#include <thread>
 #include <unistd.h>
 
 #include "core/result_cache.hh"
@@ -301,17 +302,18 @@ TEST(ScenarioExperiment, CellsRoundTripThroughResultCache)
         {schemes::Scheme::Naive, &scn},
     };
 
-    ScenarioSweepOptions opts;
+    const SweepRunner runner(gp);
+    SweepOptions opts;
     opts.cache = &cache;
     SweepTally cold;
     opts.tally = &cold;
-    auto first = runScenarioCells(gp, cells, opts);
+    auto first = runner.run(cells, opts);
     EXPECT_EQ(cold.simulated, 2u);
     EXPECT_EQ(cold.cached, 0u);
 
     SweepTally warm;
     opts.tally = &warm;
-    auto second = runScenarioCells(gp, cells, opts);
+    auto second = runner.run(cells, opts);
     EXPECT_EQ(warm.simulated, 0u);
     EXPECT_EQ(warm.cached, 2u);
 
@@ -328,7 +330,7 @@ TEST(ScenarioExperiment, CellsRoundTripThroughResultCache)
         {schemes::Scheme::Shm, &other}};
     SweepTally miss;
     opts.tally = &miss;
-    runScenarioCells(gp, other_cells, opts);
+    runner.run(other_cells, opts);
     EXPECT_EQ(miss.simulated, 1u);
 }
 
@@ -347,13 +349,13 @@ TEST(ScenarioExperiment, JobCountDoesNotChangeResults)
         {schemes::Scheme::Shm, &part},
     };
 
-    ScenarioSweepOptions serial;
+    SweepOptions serial;
     serial.jobs = 1;
-    auto want = runScenarioCells(gp, cells, serial);
+    auto want = SweepRunner(gp).run(cells, serial);
 
-    ScenarioSweepOptions wide;
+    SweepOptions wide;
     wide.jobs = 4;
-    auto got = runScenarioCells(gp, cells, wide);
+    auto got = SweepRunner(gp).run(cells, wide);
 
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t i = 0; i < want.size(); ++i)
@@ -377,10 +379,10 @@ TEST(ScenarioExperiment, SharedSoloCacheSimulatesEachSoloOnce)
 
     for (unsigned jobs : {1u, 4u}) {
         ScenarioSoloCache solos(gp);
-        ScenarioSweepOptions opts;
+        SweepOptions opts;
         opts.jobs = jobs;
         opts.run.soloCache = &solos;
-        auto results = runScenarioCells(gp, cells, opts);
+        auto results = SweepRunner(gp).run(cells, opts);
         EXPECT_EQ(solos.size(), 2u) << "jobs " << jobs;
 
         ASSERT_EQ(results.size(), 3u);
@@ -396,12 +398,52 @@ TEST(ScenarioExperiment, SharedSoloCacheSimulatesEachSoloOnce)
     }
 }
 
+// One memo serves a parallel scenario grid's solo references while
+// other threads look up Baselines in it: each distinct tenant's solo
+// run is simulated once, and the results equal a serial grid's.
+TEST(SweepRunner, ScenarioGridSharesItsMemoWithBaselineLookups)
+{
+    const gpu::GpuParams gp = scnConfig();
+    std::vector<workload::ScenarioSpec> grid;
+    for (Cycle q : {1000, 2000, 4000})
+        grid.push_back(twoTenantMix(workload::SharePolicy::TimeSliced, q));
+    grid.push_back(twoTenantMix(workload::SharePolicy::Partitioned, 2000));
+    std::vector<ScenarioCell> cells;
+    for (const auto &scn : grid)
+        cells.push_back({schemes::Scheme::Shm, &scn});
+    const std::vector<workload::WorkloadSpec> specs = {
+        workload::makeStreamingMicro(), workload::makeRandomMicro(),
+        workload::makeMixedMicro()};
+
+    const SweepRunner runner(gp);
+    std::vector<std::thread> lookups;
+    for (const auto &spec : specs)
+        lookups.emplace_back(
+            [&] { runner.baselineCache()->metricsFor(spec); });
+    SweepOptions wide;
+    wide.jobs = 4;
+    const auto got = runner.run(cells, wide);
+    for (auto &t : lookups)
+        t.join();
+    // Two distinct tenants' solo runs beside the three Baselines.
+    EXPECT_EQ(runner.baselineCache()->size(), 2u + specs.size());
+
+    const SweepRunner serial(gp);
+    const auto want = serial.run(cells);
+    EXPECT_EQ(serial.baselineCache()->size(), 2u);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i)
+        EXPECT_EQ(dumpJson(scenarioResultToJson(got[i])),
+                  dumpJson(scenarioResultToJson(want[i])))
+            << "cell " << i;
+}
+
 TEST(ScenarioExperiment, SweepDocumentIsDeterministic)
 {
     const auto scn =
         twoTenantMix(workload::SharePolicy::TimeSliced, 2000);
     std::vector<ScenarioCell> cells = {{schemes::Scheme::Shm, &scn}};
-    auto results = runScenarioCells(scnConfig(), cells, {});
+    auto results = SweepRunner(scnConfig()).run(cells);
     json::Value doc = scenarioSweepToJson(results);
     EXPECT_EQ(doc.at("kind").asString(), "scenario-sweep");
     EXPECT_EQ(doc.at("results").size(), 1u);
