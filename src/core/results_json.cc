@@ -7,6 +7,7 @@
  */
 
 #include <map>
+#include <numeric>
 #include <ostream>
 #include <type_traits>
 
@@ -207,20 +208,17 @@ resultsDocument(json::Value doc, const std::vector<Result> &results,
 {
     doc["cells"] = json::Value(results.size());
     doc["results"] = toJson(results);
-    std::vector<std::string> scheme_order;
+    // Members keep insertion order, so the first write of each scheme
+    // fixes its place.
+    json::Value summary = json::Value::object();
     std::map<std::string, std::vector<double>> by_scheme;
     for (const auto &r : results) {
-        if (!by_scheme.contains(r.scheme))
-            scheme_order.push_back(r.scheme);
-        auto &vals = by_scheme[r.scheme];
+        summary[r.scheme] = json::Value(0.0);
         if (value(r) > 0)
-            vals.push_back(value(r));
+            by_scheme[r.scheme].push_back(value(r));
     }
-    json::Value summary = json::Value::object();
-    for (const auto &scheme : scheme_order) {
-        const auto &vals = by_scheme[scheme];
-        summary[scheme] = json::Value(vals.empty() ? 0.0 : reduce(vals));
-    }
+    for (const auto &[scheme, vals] : by_scheme)
+        summary[scheme] = json::Value(reduce(vals));
     doc[summary_name] = std::move(summary);
     return doc;
 }
@@ -288,10 +286,8 @@ scenarioSweepToJson(const std::vector<ScenarioExperimentResult> &results)
         std::move(doc), results, "meanSlowdownByScheme",
         [](const ScenarioExperimentResult &r) { return r.meanSlowdown; },
         [](const std::vector<double> &vals) {
-            double sum = 0;
-            for (double s : vals)
-                sum += s;
-            return sum / static_cast<double>(vals.size());
+            return std::accumulate(vals.begin(), vals.end(), 0.0) /
+                   static_cast<double>(vals.size());
         });
 }
 

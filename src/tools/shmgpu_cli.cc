@@ -16,7 +16,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "common/args.hh"
@@ -146,9 +145,9 @@ cmdList()
  * preset (turing when absent), then the --overrides file, then the
  * flags, which win over the file. @p opts receives the per-run knobs
  * the file or the flags set: trace classes, the metadata-cache policy,
- * and whichever of --accuracy, --no-solo, --trace and --trace-text the
- * mode accepts. The rest of the MEE comes from --scheme, so the file's
- * other mee.* keys are fatal.
+ * and --accuracy or --no-solo where the mode accepts them. The rest of
+ * the MEE comes from --scheme, so the file's other mee.* keys are
+ * fatal.
  */
 gpu::GpuParams
 configFrom(const Args &args, core::RunOptions &opts)
@@ -173,8 +172,6 @@ configFrom(const Args &args, core::RunOptions &opts)
         shm_fatal("--cycles must be positive (in '{}')", args.command());
     opts.collectAccuracy = args.has("accuracy");
     opts.withSolo = !args.has("no-solo");
-    opts.tracePath = args.get("trace");
-    opts.traceTextPath = args.get("trace-text");
     return gp;
 }
 
@@ -263,6 +260,8 @@ cmdRun(const Args &args, bool scenario)
 
     core::RunOptions opts;
     const gpu::GpuParams gp = configFrom(args, opts);
+    opts.tracePath = args.get("trace");
+    opts.traceTextPath = args.get("trace-text");
     const bool json_stats = args.has("json") && !scenario;
     const core::SimulatorHook dump = [&](gpu::GpuSimulator &sim) {
         if (args.has("stats"))
@@ -492,9 +491,7 @@ cmdSweep(const Args &args, bool scenario)
     core::SweepOptions opts;
     const gpu::GpuParams gp = configFrom(args, opts.run);
     opts.jobs = args.number<unsigned>("jobs", 1);
-    // The workload sweep's --trace names a directory of per-cell
-    // exports, not one file.
-    opts.traceDir = std::exchange(opts.run.tracePath, {});
+    opts.traceDir = args.get("trace");
     opts.cancelAfter = args.number<std::size_t>("cancel-after", 0);
     if (args.has("quiet"))
         log_detail::setVerbose(false);
