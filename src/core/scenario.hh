@@ -85,7 +85,8 @@ struct ScenarioExperimentResult
     double meanSlowdown = 0;
 };
 
-/** @{ The names scenario code knew the merged types by. */
+/** @{ The scenario-role names of RunMemo and RunOptions, which
+ *  perfbench uses. */
 using ScenarioSoloCache = RunMemo;
 using ScenarioRunOptions = RunOptions;
 /** @} */
