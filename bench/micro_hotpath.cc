@@ -208,7 +208,7 @@ BENCHMARK(BM_AddressMapToLocal);
 static void
 BM_CacheAccessHitHot(benchmark::State &state)
 {
-    // Pure tag-scan hit path over the split hot/cold line metadata.
+    // Pure tag-scan hit path over the flat per-cache line arrays.
     mem::CacheParams p;
     p.sizeBytes = 128 * 1024;
     p.assoc = 16;
@@ -243,9 +243,9 @@ policyBenchParams(std::int64_t policy_index)
 static void
 BM_CacheHitByPolicy(benchmark::State &state)
 {
-    // The policy cost on the hit path: one virtual onHit per access
-    // (LRU bumps a stamp, SIEVE sets a bit, FIFO/Random do nothing).
-    // Arg is the index into mem::allPolicies().
+    // The policy cost on the hit path: one onHit per access (LRU
+    // bumps a stamp, SIEVE sets a bit, FIFO/Random do nothing). Arg
+    // is the index into mem::allPolicies().
     mem::SectoredCache cache(policyBenchParams(state.range(0)));
     for (Addr a = 0; a < 64 * 128; a += 128)
         cache.insert(a, 0xF, 0);
@@ -264,9 +264,10 @@ static void
 BM_CacheFillEvictByPolicy(benchmark::State &state)
 {
     // The policy cost on the miss path: every miss past the first
-    // 16 ways of a set victimizes, exercising victim() (stamp scan,
-    // S3FIFO queue rotation, SIEVE hand walk) plus onInsert. The
-    // footprint is 4x the cache so each set thrashes.
+    // 16 ways of a set victimizes, exercising the victim pick (the
+    // set scan's oldest stamp, S3FIFO queue rotation, SIEVE hand
+    // walk) plus onInsert. The footprint is 4x the cache so each set
+    // thrashes.
     mem::CacheParams p = policyBenchParams(state.range(0));
     mem::SectoredCache cache(p);
     const Addr span = 4 * p.sizeBytes;

@@ -44,9 +44,10 @@ RunMemo::soloFor(schemes::Scheme scheme, const workload::WorkloadSpec &spec,
 {
     workload::ScenarioSpec solo = workload::singleTenantScenario(spec);
     solo.keySeed = key_seed;
-    return lookup(scheme, solo,
-                  {.collectAccuracy = true, .mdcPolicy = mdc_policy})
-        .tenants.at(0);
+    RunOptions options;
+    options.collectAccuracy = true;
+    options.mdcPolicy = mdc_policy;
+    return lookup(scheme, solo, options).tenants.at(0);
 }
 
 Experiment::Experiment(const gpu::GpuParams &gpu_params,

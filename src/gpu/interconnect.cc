@@ -15,18 +15,26 @@ Interconnect::Interconnect(const InterconnectParams &params,
 {
     shm_assert(num_partitions > 0, "need at least one partition");
     shm_assert(config.bytesPerCycle > 0, "link bandwidth must be > 0");
+    for (std::uint32_t bytes = 0; bytes <= tableBytes; ++bytes)
+        serialize[bytes] = computeSerialize(bytes);
+}
+
+Cycle
+Interconnect::computeSerialize(std::uint32_t bytes) const
+{
+    return std::max<Cycle>(static_cast<Cycle>(std::ceil(
+                               static_cast<double>(bytes) /
+                               config.bytesPerCycle)),
+                           1);
 }
 
 Cycle
 Interconnect::traverse(Link &link, std::uint32_t bytes, Cycle now)
 {
-    auto serialize = static_cast<Cycle>(std::ceil(
-        static_cast<double>(bytes) / config.bytesPerCycle));
-    serialize = std::max<Cycle>(serialize, 1);
-
+    Cycle cycles = serializeCycles(bytes);
     Cycle start = std::max(now, link.busyUntil);
-    link.busyUntil = start + serialize;
-    return start + serialize + config.latency;
+    link.busyUntil = start + cycles;
+    return start + cycles + config.latency;
 }
 
 Cycle

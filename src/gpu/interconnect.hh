@@ -17,6 +17,7 @@
 #ifndef SHMGPU_GPU_INTERCONNECT_HH
 #define SHMGPU_GPU_INTERCONNECT_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -84,6 +85,21 @@ class Interconnect
 
     const InterconnectParams &params() const { return config; }
 
+    /** Largest message with a precomputed serialization: a request
+     *  header plus one block, with room to spare. */
+    static constexpr std::uint32_t tableBytes = 256;
+
+    /**
+     * Link cycles to serialize a @p bytes message:
+     * max(ceil(bytes / bytesPerCycle), 1).
+     */
+    Cycle
+    serializeCycles(std::uint32_t bytes) const
+    {
+        return bytes <= tableBytes ? serialize[bytes]
+                                   : computeSerialize(bytes);
+    }
+
   private:
     struct Link
     {
@@ -91,6 +107,8 @@ class Interconnect
     };
 
     Cycle traverse(Link &link, std::uint32_t bytes, Cycle now);
+    /** The serialization formula (table fill, and larger messages). */
+    Cycle computeSerialize(std::uint32_t bytes) const;
 
     static std::uint64_t
     txnPayload(const mem::Transaction &t)
@@ -102,6 +120,8 @@ class Interconnect
     }
 
     InterconnectParams config;
+    /** serializeCycles() by message size. */
+    std::array<Cycle, tableBytes + 1> serialize{};
     std::vector<Link> toPartition;
     std::vector<Link> toSm;
 

@@ -6,7 +6,12 @@
 namespace shmgpu::mem
 {
 
-SectoredCache::SectoredCache(const CacheParams &params) : config(params)
+namespace
+{
+
+/** The set count of @p config, after checking its geometry. */
+std::size_t
+checkedSetCount(const CacheParams &config)
 {
     // Every piece of index math below is shift/mask; a non-pow2
     // geometry would silently index the wrong set, so fail loudly.
@@ -19,20 +24,28 @@ SectoredCache::SectoredCache(const CacheParams &params) : config(params)
     shm_assert(config.sectorBytes <= config.blockBytes,
                "sector larger than block");
     shm_assert(config.assoc > 0, "associativity must be nonzero");
-
-    sectorsPerBlock = config.blockBytes / config.sectorBytes;
-    shm_assert(sectorsPerBlock <= 32, "sector mask is 32 bits");
+    shm_assert(config.blockBytes / config.sectorBytes <= 32,
+               "sector mask is 32 bits");
 
     std::uint64_t num_blocks = config.sizeBytes / config.blockBytes;
     shm_assert(num_blocks >= config.assoc,
                "cache '{}' too small for its associativity", config.name);
-    numSets = num_blocks / config.assoc;
-    shm_assert(isPowerOf2(numSets),
+    std::size_t num_sets = num_blocks / config.assoc;
+    shm_assert(isPowerOf2(num_sets),
                "cache '{}': number of sets must be a power of two "
                "(got {}; pick sizeBytes/blockBytes/assoc so that "
                "sizeBytes / blockBytes / assoc is pow2)",
-               config.name, numSets);
+               config.name, num_sets);
+    return num_sets;
+}
 
+} // namespace
+
+SectoredCache::SectoredCache(const CacheParams &params)
+    : config(params), numSets(checkedSetCount(params)),
+      replacement(params.policy, numSets, params.assoc, params.policySeed)
+{
+    sectorsPerBlock = config.blockBytes / config.sectorBytes;
     blockShift = floorLog2(config.blockBytes);
     sectorShift = floorLog2(config.sectorBytes);
     blockAlignMask = ~(Addr{config.blockBytes} - 1);
@@ -44,13 +57,19 @@ SectoredCache::SectoredCache(const CacheParams &params) : config(params)
 
     tags.assign(numSets * config.assoc, 0);
     lineState.assign(numSets * config.assoc, LineState{});
-
-    replacementRng = Rng(config.policySeed);
-    setPolicies.reserve(numSets);
-    for (std::size_t s = 0; s < numSets; ++s)
-        setPolicies.push_back(makeReplacementPolicy(
-            config.policy, config.assoc, &replacementRng));
 }
+
+namespace
+{
+
+/** Out of line, so the check in sectorMaskFor() inlines into access(). */
+[[noreturn, gnu::cold, gnu::noinline]] void
+panicBlockCrossing(Addr addr, std::uint32_t bytes)
+{
+    shm_panic("access at {} (+{}) crosses a block boundary", addr, bytes);
+}
+
+} // namespace
 
 std::uint32_t
 SectoredCache::sectorMaskFor(Addr addr, std::uint32_t bytes) const
@@ -59,8 +78,8 @@ SectoredCache::sectorMaskFor(Addr addr, std::uint32_t bytes) const
                            blockOffsetMask;
     std::uint32_t first = offset >> sectorShift;
     std::uint32_t last = (offset + bytes - 1) >> sectorShift;
-    shm_assert(last < sectorsPerBlock,
-               "access at {} (+{}) crosses a block boundary", addr, bytes);
+    if (last >= sectorsPerBlock)
+        panicBlockCrossing(addr, bytes);
     return static_cast<std::uint32_t>((2ull << last) - 1ull) &
            ~((1u << first) - 1u);
 }
@@ -77,31 +96,54 @@ SectoredCache::findLine(std::size_t set, Addr block_addr) const
     return noWay;
 }
 
-std::size_t
-SectoredCache::allocateLine(std::size_t set, Addr block_addr,
-                            Writeback &wb)
+template <bool Stamped>
+SectoredCache::SetScan
+SectoredCache::scanSet(std::size_t set, Addr block_addr) const
 {
     std::size_t base = setBase(set);
-    std::size_t victim = noWay;
+    Addr want = block_addr | 1;
+    SetScan found;
+    // Invalid lines carry stamp 0 and valid ones a clock value of at
+    // least 1, so the first minimum stamp is the first invalid way if
+    // there is one, else the oldest line.
+    std::uint64_t oldest = ~std::uint64_t{0};
+    for (std::size_t line = base; line < base + config.assoc; ++line) {
+        Addr tag = tags[line];
+        if (tag == want) {
+            found.hit = line;
+            break;
+        }
+        if constexpr (Stamped) {
+            // Selects, not a branch: which way is older is a coin flip
+            // to the branch predictor.
+            std::uint64_t stamp = replacement.stamp(line);
+            bool older = stamp < oldest;
+            oldest = older ? stamp : oldest;
+            found.victim = older ? line : found.victim;
+        } else if (tag == 0 && found.victim == noWay) {
+            found.victim = line;
+        }
+    }
+    return found;
+}
 
+std::size_t
+SectoredCache::allocateLine(std::size_t set, const SetScan &found,
+                            Addr block_addr, Writeback &wb)
+{
     // Invalid lines take priority regardless of policy: first invalid
     // way in way order. The policy is only consulted when the set is
     // full, and its pick is implicitly evicted (the policy forgets the
-    // way before returning; see mem/replacement.hh).
-    for (std::size_t w = 0; w < config.assoc; ++w) {
-        if (tags[base + w] == 0) {
-            victim = base + w;
-            break;
-        }
-    }
-    if (victim == noWay) {
-        victim = base + setPolicies[set]->victim();
-        if (lineState[victim].dirtyMask != 0) {
-            wb.valid = true;
-            wb.blockAddr = lineTag(victim);
-            wb.dirtyMask = lineState[victim].dirtyMask;
-            ++statWritebacks;
-        }
+    // way before returning; see mem/replacement.hh). LRU/FIFO's pick
+    // came with the scan. An invalid line has no dirty sectors.
+    std::size_t victim = found.victim != noWay
+                             ? found.victim
+                             : setBase(set) + replacement.victim(set);
+    if (lineState[victim].dirtyMask != 0) {
+        wb.valid = true;
+        wb.blockAddr = lineTag(victim);
+        wb.dirtyMask = lineState[victim].dirtyMask;
+        ++statWritebacks;
     }
     tags[victim] = block_addr | 1;
     lineState[victim] = LineState{};
@@ -116,13 +158,13 @@ SectoredCache::access(Addr addr, std::uint32_t bytes, bool is_write)
     std::size_t set = setIndex(block);
     std::uint32_t want = sectorMaskFor(addr, bytes);
 
-    std::size_t line = findLine(set, block);
+    SetScan found = scan(set, block);
+    std::size_t line = found.hit;
     if (line != noWay && (lineState[line].validMask & want) == want) {
         // Full sector hit. What (if anything) this refreshes is the
         // policy's call: LRU bumps recency, FIFO/SIEVE/S3FIFO don't
         // reorder.
-        setPolicies[set]->onHit(
-            static_cast<std::uint32_t>(line - setBase(set)));
+        replacement.onHit(set, wayOf(set, line));
         if (is_write)
             lineState[line].dirtyMask |= want;
         ++statHits;
@@ -139,7 +181,7 @@ SectoredCache::access(Addr addr, std::uint32_t bytes, bool is_write)
         if (!config.writeAllocate)
             return out;
         if (line == noWay)
-            line = allocateLine(set, block, out.writeback);
+            line = allocateLine(set, found, block, out.writeback);
         lineState[line].validMask |= want;
         lineState[line].dirtyMask |= want;
         noteInsert(set, line, block);
@@ -152,7 +194,7 @@ SectoredCache::access(Addr addr, std::uint32_t bytes, bool is_write)
     ++statMisses;
     out.outcome = CacheOutcome::Miss;
     if (line == noWay)
-        line = allocateLine(set, block, out.writeback);
+        line = allocateLine(set, found, block, out.writeback);
     out.fetchMask = config.fetchWholeBlock
                         ? fullSectorMask
                         : want & ~lineState[line].validMask;
@@ -178,9 +220,10 @@ SectoredCache::insert(Addr block_addr, std::uint32_t valid_mask,
     Addr block = blockAlign(block_addr);
     std::size_t set = setIndex(block);
     Writeback wb;
-    std::size_t line = findLine(set, block);
+    SetScan found = scan(set, block);
+    std::size_t line = found.hit;
     if (line == noWay)
-        line = allocateLine(set, block, wb);
+        line = allocateLine(set, found, block, wb);
     lineState[line].validMask |= valid_mask;
     lineState[line].dirtyMask |= dirty_mask;
     noteInsert(set, line, block);
@@ -196,8 +239,7 @@ SectoredCache::dropLine(std::size_t set, std::size_t line)
         wb.blockAddr = lineTag(line);
         wb.dirtyMask = lineState[line].dirtyMask;
     }
-    setPolicies[set]->onEvict(
-        static_cast<std::uint32_t>(line - setBase(set)));
+    replacement.onEvict(set, wayOf(set, line));
     tags[line] = 0;
     lineState[line] = LineState{};
     return wb;

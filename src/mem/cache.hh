@@ -8,17 +8,20 @@
  * line at once and reports which sectors the owner must fetch, while
  * the owning component provides timing and issues the actual DRAM
  * traffic (fetch and eviction write-back).
+ *
+ * All line state is held in a fixed number of flat per-cache arrays
+ * (tags, sector masks, replacement state), and one pass over the set
+ * answers an access: the hit way, the first invalid way and, under
+ * LRU/FIFO, the victim.
  */
 
 #ifndef SHMGPU_MEM_CACHE_HH
 #define SHMGPU_MEM_CACHE_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/replacement.hh"
@@ -89,10 +92,11 @@ struct CacheAccessResult
 };
 
 /**
- * Sectored set-associative cache with pluggable replacement (per-set
- * ReplacementPolicy objects, LRU by default). Addresses are raw byte addresses; the cache never
- * interprets them beyond index/tag extraction, so physical and
- * partition-local address spaces both work.
+ * Sectored set-associative cache with pluggable replacement (one
+ * ReplacementState per cache, LRU by default). Addresses are raw byte
+ * addresses; the cache never interprets them beyond index/tag
+ * extraction, so physical and partition-local address spaces both
+ * work.
  */
 class SectoredCache
 {
@@ -127,11 +131,12 @@ class SectoredCache
     void flushDirty(std::vector<Writeback> &out);
 
     /**
-     * Drop every line (appends dirty write-backs first). Replacement
-     * bookkeeping is notified per line (onEvict), so the cache is
-     * exactly as cold as a freshly built one. Context-switch MDC
-     * flushes use this; the write-backs become DRAM traffic at the
-     * owner's hands.
+     * Drop every line (appends dirty write-backs first), set by set in
+     * way order. Replacement bookkeeping is notified per line
+     * (onEvict), so no line stays tracked; S3FIFO's ghost FIFOs and
+     * Random's stream position are kept. Context-switch MDC flushes
+     * use this; the write-backs become DRAM traffic at the owner's
+     * hands.
      */
     void invalidateAll(std::vector<Writeback> &out);
 
@@ -148,11 +153,12 @@ class SectoredCache
 
   private:
     /**
-     * Line state is split hot/cold for the way scan: `tags` holds one
-     * word per line — the block address with bit 0 set when valid, 0
-     * when invalid (block addresses are block-aligned, so bit 0 is
-     * free) — and a set's ways are contiguous, so a lookup touches one
-     * or two cache lines regardless of the per-line state size below.
+     * Line state lives in flat per-cache arrays, a set's ways
+     * contiguous: `tags` holds one word per line — the block address
+     * with bit 0 set when valid, 0 when invalid (block addresses are
+     * block-aligned, so bit 0 is free) — `lineState` the sector masks,
+     * and the replacement state its own per-line arrays (LRU/FIFO
+     * stamps, S3FIFO/SIEVE queues).
      */
     struct LineState
     {
@@ -161,6 +167,15 @@ class SectoredCache
     };
 
     static constexpr std::size_t noWay = ~std::size_t{0};
+
+    /** What one pass over a set finds (line indices or noWay). */
+    struct SetScan
+    {
+        std::size_t hit = noWay; //!< the line holding the block
+        /** The line an install claims: the first invalid one, else,
+         *  under LRU/FIFO, the oldest; noWay asks the policy. */
+        std::size_t victim = noWay;
+    };
 
     /** All index math is shift/mask; the constructor asserts pow2. */
     Addr blockAlign(Addr addr) const { return addr & blockAlignMask; }
@@ -173,21 +188,34 @@ class SectoredCache
     {
         return set * config.assoc;
     }
+    std::uint32_t wayOf(std::size_t set, std::size_t line) const
+    {
+        return static_cast<std::uint32_t>(line - setBase(set));
+    }
     std::uint32_t sectorMaskFor(Addr addr, std::uint32_t bytes) const;
     /** Line index of @p block_addr within @p set, or noWay. */
     std::size_t findLine(std::size_t set, Addr block_addr) const;
+    /** One pass over @p set for @p block_addr; Stamped picks the
+     *  victim by stamp. */
+    template <bool Stamped>
+    SetScan scanSet(std::size_t set, Addr block_addr) const;
+    SetScan
+    scan(std::size_t set, Addr block_addr) const
+    {
+        return replacement.stampOrdered() ? scanSet<true>(set, block_addr)
+                                          : scanSet<false>(set, block_addr);
+    }
     /**
-     * Claim a line of @p set for @p block_addr: the first invalid way,
-     * else the policy's victim, whose dirty sectors land in @p wb. The
-     * line comes back tagged with no sectors valid.
+     * Claim a line of @p set for @p block_addr: the scan's victim, or
+     * else the policy's; an evicted line's dirty sectors land in
+     * @p wb. The line comes back tagged with no sectors valid.
      */
-    std::size_t allocateLine(std::size_t set, Addr block_addr,
-                             Writeback &wb);
-    /** Tell @p set's policy that @p line holds fresh contents. */
+    std::size_t allocateLine(std::size_t set, const SetScan &found,
+                             Addr block_addr, Writeback &wb);
+    /** Tell the policy that @p line of @p set holds fresh contents. */
     void noteInsert(std::size_t set, std::size_t line, Addr block_addr)
     {
-        setPolicies[set]->onInsert(
-            static_cast<std::uint32_t>(line - setBase(set)), block_addr);
+        replacement.onInsert(set, wayOf(set, line), block_addr);
     }
     /** Invalidate @p line of @p set (the policy hears onEvict);
      *  returns its dirty write-back, if any. */
@@ -204,12 +232,9 @@ class SectoredCache
     std::uint32_t blockOffsetMask; //!< blockBytes - 1
     std::uint32_t fullSectorMask;  //!< every sector of a block
     std::size_t setMask;      //!< numSets - 1
-    std::vector<Addr> tags;        //!< hot: tag|valid, numSets x assoc
-    std::vector<LineState> lineState; //!< cold: masks/stamps, same layout
-    /** Cache-private replacement stream (random policy); seeded from
-     *  CacheParams::policySeed, shared by all of this cache's sets. */
-    Rng replacementRng;
-    std::vector<std::unique_ptr<ReplacementPolicy>> setPolicies;
+    std::vector<Addr> tags;        //!< tag|valid, numSets x assoc
+    std::vector<LineState> lineState; //!< sector masks, same layout
+    ReplacementState replacement;
 
     stats::StatGroup statGroup;
     stats::Scalar statAccesses;

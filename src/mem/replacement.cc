@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/flat_map.hh"
 #include "common/logging.hh"
 
 namespace shmgpu::mem
@@ -68,238 +67,206 @@ policyFromName(const std::string &name, const std::string &where)
 namespace
 {
 
-/**
- * LRU and FIFO share the stamp machinery: a per-set monotone clock,
- * one stamp per way, victim = oldest stamp.
- * They differ only in whether a hit refreshes the stamp. Stamps are
- * compared only within this set, so a per-set clock reproduces the
- * pre-refactor per-cache clock's decisions exactly (the relative
- * order of updates within one set is the same under either clock).
- */
-class StampPolicy : public ReplacementPolicy
+/** Remove entry @p i of the @p len-entry slice at @p q, shifting the
+ *  newer entries forward. */
+template <typename T>
+void
+eraseAt(T *q, std::uint8_t &len, std::size_t i)
 {
-  public:
-    StampPolicy(std::uint32_t assoc, bool refresh_on_hit)
-        : stamps(assoc, 0), refreshOnHit(refresh_on_hit)
-    {
-    }
+    std::copy(q + i + 1, q + len, q + i);
+    --len;
+}
 
-    void
-    onHit(std::uint32_t way) override
-    {
-        if (refreshOnHit)
-            stamps[way] = ++clock;
-    }
+/** Index of @p value in the @p len-entry slice at @p q, or @p len. */
+template <typename T>
+std::size_t
+indexIn(const T *q, std::uint8_t len, T value)
+{
+    std::size_t i = 0;
+    while (i < len && q[i] != value)
+        ++i;
+    return i;
+}
 
-    void onInsert(std::uint32_t way, Addr) override
-    {
-        stamps[way] = ++clock;
-    }
+} // namespace
 
-    std::uint32_t
-    victim() override
-    {
+ReplacementState::ReplacementState(PolicyKind kind, std::size_t num_sets,
+                                   std::uint32_t assoc, std::uint64_t seed)
+    : policy(kind), ways(assoc), stream(seed)
+{
+    shm_assert(assoc > 0 && assoc <= 64,
+               "replacement policies support 1..64 ways (got {})", assoc);
+    std::size_t lines = num_sets * assoc;
+    switch (kind) {
+      case PolicyKind::Lru:
+      case PolicyKind::Fifo:
+        stamps.assign(lines, 0);
+        break;
+      case PolicyKind::Random:
+        break;
+      case PolicyKind::S3Fifo:
+        s3Block.assign(lines, 0);
+        s3Freq.assign(lines, 0);
+        s3Where.assign(lines, Queue::None);
+        s3SmallQ.assign(lines, 0);
+        s3MainQ.assign(lines, 0);
+        s3Ghost.assign(lines, 0);
+        s3Sets.assign(num_sets, S3FifoSet{});
+        s3SmallTarget = std::max(1u, assoc / 8);
+        break;
+      case PolicyKind::Sieve:
+        sieveNewer.assign(lines, noSlot);
+        sieveOlder.assign(lines, noSlot);
+        sieveVisited.assign(lines, 0);
+        sieveTracked.assign(lines, 0);
+        sieveSets.assign(num_sets, SieveSet{});
+        break;
+      default:
+        shm_fatal("invalid PolicyKind {}", static_cast<int>(kind));
+    }
+}
+
+std::uint32_t
+ReplacementState::victim(std::size_t set)
+{
+    switch (policy) {
+      case PolicyKind::Lru:
+      case PolicyKind::Fifo: {
         // The oldest stamp; the first way wins ties.
+        const std::uint64_t *s = &stamps[set * ways];
         std::uint32_t best = 0;
-        for (std::uint32_t w = 1; w < stamps.size(); ++w) {
-            if (stamps[w] < stamps[best])
+        for (std::uint32_t w = 1; w < ways; ++w) {
+            if (s[w] < s[best])
                 best = w;
         }
         return best;
+      }
+      case PolicyKind::Random:
+        return static_cast<std::uint32_t>(stream.below(ways));
+      case PolicyKind::S3Fifo:
+        return victimS3Fifo(set);
+      case PolicyKind::Sieve:
+        return victimSieve(set);
     }
+    shm_fatal("invalid PolicyKind {}", static_cast<int>(policy));
+}
 
-    void onEvict(std::uint32_t) override {}
-
-  private:
-    std::vector<std::uint64_t> stamps;
-    std::uint64_t clock = 0;
-    bool refreshOnHit;
-};
-
-/** Uniform pick from the cache's shared seeded stream. */
-class RandomPolicy : public ReplacementPolicy
-{
-  public:
-    RandomPolicy(std::uint32_t assoc, Rng *rng)
-        : ways(assoc), stream(rng)
-    {
-        shm_assert(stream != nullptr,
-                   "random replacement needs the cache's Rng stream");
-    }
-
-    void onHit(std::uint32_t) override {}
-    void onInsert(std::uint32_t, Addr) override {}
-
-    std::uint32_t
-    victim() override
-    {
-        return static_cast<std::uint32_t>(stream->below(ways));
-    }
-
-    void onEvict(std::uint32_t) override {}
-
-  private:
-    std::uint64_t ways;
-    Rng *stream;
-};
-
-/**
+/*
  * S3FIFO (Yang et al., SOSP'23) on one set. Ways are threaded through
- * two logical FIFO queues — a small probationary queue sized
- * max(1, assoc/8) and a main queue — plus a ghost table remembering
- * the last `assoc` blocks evicted from the small queue:
+ * two FIFO queues — a small probationary queue sized max(1, assoc/8)
+ * and a main queue — plus a ghost FIFO remembering the last `assoc`
+ * blocks evicted from the small queue:
  *
  *  - a new block enters the small queue, unless its address is in the
- *    ghost table (a recent quick-demotion casualty), in which case it
+ *    ghost FIFO (a recent quick-demotion casualty), in which case it
  *    enters main directly;
  *  - eviction drains the small queue first (once it is at target
  *    size): a small-queue block referenced again since insertion
  *    promotes to main, an untouched one is evicted and remembered in
- *    the ghost table;
+ *    the ghost FIFO;
  *  - main evicts FIFO with lazy promotion — a referenced head is
  *    reinserted with its reference count decayed.
  *
  * Reference counts saturate at 3, as in the reference implementation.
  */
-class S3FifoPolicy : public ReplacementPolicy
+void
+ReplacementState::insertS3Fifo(std::size_t set, std::uint32_t way,
+                               Addr block)
 {
-  public:
-    explicit S3FifoPolicy(std::uint32_t assoc)
-        : blockOf(assoc, 0), freq(assoc, 0), where(assoc, Queue::None),
-          smallTarget(std::max(1u, assoc / 8))
-    {
-        smallQ.reserve(assoc);
-        mainQ.reserve(assoc);
-        ghostOrder.reserve(assoc);
-        ghost.reserve(assoc);
+    std::size_t line = set * ways + way;
+    if (s3Where[line] != Queue::None) {
+        // Refresh of a tracked line (re-fill / write-validate on a
+        // partially valid line): count it as a reference.
+        touchS3Fifo(line);
+        return;
     }
-
-    void
-    onHit(std::uint32_t way) override
-    {
-        freq[way] = std::min<std::uint8_t>(freq[way] + 1, 3);
+    S3FifoSet &s = s3Sets[set];
+    std::size_t base = set * ways;
+    s3Block[line] = block;
+    s3Freq[line] = 0;
+    Addr *ghost = &s3Ghost[base];
+    std::size_t g = indexIn<Addr>(ghost, s.ghostLen, block);
+    if (g < s.ghostLen) {
+        // A recent quick-demotion casualty: straight to main.
+        eraseAt(ghost, s.ghostLen, g);
+        s3MainQ[base + s.mainLen++] = static_cast<std::uint8_t>(way);
+        s3Where[line] = Queue::Main;
+    } else {
+        s3SmallQ[base + s.smallLen++] = static_cast<std::uint8_t>(way);
+        s3Where[line] = Queue::Small;
     }
+}
 
-    void
-    onInsert(std::uint32_t way, Addr block) override
-    {
-        if (where[way] != Queue::None) {
-            // Refresh of a tracked line (re-fill / write-validate on
-            // a partially valid line): count it as a reference.
-            freq[way] = std::min<std::uint8_t>(freq[way] + 1, 3);
-            return;
-        }
-        blockOf[way] = block;
-        freq[way] = 0;
-        if (ghost.find(block)) {
-            ghostErase(block);
-            mainQ.push_back(way);
-            where[way] = Queue::Main;
-        } else {
-            smallQ.push_back(way);
-            where[way] = Queue::Small;
-        }
-    }
-
-    std::uint32_t
-    victim() override
-    {
-        while (true) {
-            if (!smallQ.empty() &&
-                (smallQ.size() >= smallTarget || mainQ.empty())) {
-                std::uint32_t w = smallQ.front();
-                smallQ.erase(smallQ.begin());
-                if (freq[w] > 0) {
-                    // Re-referenced while probationary: promote.
-                    mainQ.push_back(w);
-                    where[w] = Queue::Main;
-                    freq[w] = 0;
-                    continue;
-                }
-                where[w] = Queue::None;
-                ghostInsert(blockOf[w]);
-                return w;
-            }
-            std::uint32_t w = mainQ.front();
-            mainQ.erase(mainQ.begin());
-            if (freq[w] > 0) {
-                // Lazy promotion: decay and give it another lap.
-                --freq[w];
-                mainQ.push_back(w);
+std::uint32_t
+ReplacementState::victimS3Fifo(std::size_t set)
+{
+    S3FifoSet &s = s3Sets[set];
+    std::size_t base = set * ways;
+    std::uint8_t *small_q = &s3SmallQ[base];
+    std::uint8_t *main_q = &s3MainQ[base];
+    while (true) {
+        if (s.smallLen != 0 &&
+            (s.smallLen >= s3SmallTarget || s.mainLen == 0)) {
+            std::uint32_t w = small_q[0];
+            eraseAt(small_q, s.smallLen, 0);
+            std::size_t line = base + w;
+            if (s3Freq[line] > 0) {
+                // Re-referenced while probationary: promote.
+                main_q[s.mainLen++] = static_cast<std::uint8_t>(w);
+                s3Where[line] = Queue::Main;
+                s3Freq[line] = 0;
                 continue;
             }
-            where[w] = Queue::None;
+            s3Where[line] = Queue::None;
+            rememberGhost(set, s3Block[line]);
             return w;
         }
-    }
-
-    void
-    onEvict(std::uint32_t way) override
-    {
-        if (where[way] == Queue::None)
-            return;
-        auto &q = where[way] == Queue::Small ? smallQ : mainQ;
-        for (std::size_t i = 0; i < q.size(); ++i) {
-            if (q[i] == way) {
-                q.erase(q.begin() + static_cast<std::ptrdiff_t>(i));
-                break;
-            }
+        std::uint32_t w = main_q[0];
+        eraseAt(main_q, s.mainLen, 0);
+        std::size_t line = base + w;
+        if (s3Freq[line] > 0) {
+            // Lazy promotion: decay and give it another lap.
+            --s3Freq[line];
+            main_q[s.mainLen++] = static_cast<std::uint8_t>(w);
+            continue;
         }
-        where[way] = Queue::None;
+        s3Where[line] = Queue::None;
+        return w;
     }
+}
 
-  private:
-    enum class Queue : std::uint8_t { None, Small, Main };
+void
+ReplacementState::rememberGhost(std::size_t set, Addr block)
+{
+    S3FifoSet &s = s3Sets[set];
+    Addr *ghost = &s3Ghost[set * ways];
+    std::size_t g = indexIn<Addr>(ghost, s.ghostLen, block);
+    if (g < s.ghostLen)
+        eraseAt(ghost, s.ghostLen, g); // refresh: move to the back
+    else if (s.ghostLen >= ways)
+        eraseAt(ghost, s.ghostLen, 0); // full: forget the oldest
+    ghost[s.ghostLen++] = block;
+}
 
-    void
-    ghostInsert(Addr block)
-    {
-        if (ghost.find(block)) {
-            // Refresh: move to the back of the ghost FIFO.
-            ghostEraseOrder(block);
-        } else {
-            if (ghostOrder.size() >= ghostCap()) {
-                ghost.erase(ghostOrder.front());
-                ghostOrder.erase(ghostOrder.begin());
-            }
-            ghost.emplace(block, 1);
-        }
-        ghostOrder.push_back(block);
-    }
+void
+ReplacementState::evictS3Fifo(std::size_t set, std::uint32_t way)
+{
+    std::size_t base = set * ways;
+    std::size_t line = base + way;
+    if (s3Where[line] == Queue::None)
+        return;
+    S3FifoSet &s = s3Sets[set];
+    bool in_small = s3Where[line] == Queue::Small;
+    std::uint8_t *q = in_small ? &s3SmallQ[base] : &s3MainQ[base];
+    std::uint8_t &len = in_small ? s.smallLen : s.mainLen;
+    std::size_t i =
+        indexIn<std::uint8_t>(q, len, static_cast<std::uint8_t>(way));
+    if (i < len)
+        eraseAt(q, len, i);
+    s3Where[line] = Queue::None;
+}
 
-    void
-    ghostErase(Addr block)
-    {
-        ghost.erase(block);
-        ghostEraseOrder(block);
-    }
-
-    void
-    ghostEraseOrder(Addr block)
-    {
-        for (std::size_t i = 0; i < ghostOrder.size(); ++i) {
-            if (ghostOrder[i] == block) {
-                ghostOrder.erase(ghostOrder.begin() +
-                                 static_cast<std::ptrdiff_t>(i));
-                return;
-            }
-        }
-    }
-
-    std::size_t ghostCap() const { return blockOf.size(); }
-
-    std::vector<Addr> blockOf;
-    std::vector<std::uint8_t> freq;
-    std::vector<Queue> where;
-    std::vector<std::uint32_t> smallQ; //!< front = oldest
-    std::vector<std::uint32_t> mainQ;  //!< front = oldest
-    /** Ghost FIFO: membership in the FlatMap, order in the vector. */
-    FlatMap<std::uint8_t> ghost;
-    std::vector<Addr> ghostOrder;
-    std::size_t smallTarget;
-};
-
-/**
+/*
  * SIEVE (Zhang et al., NSDI'24) on one set: a single FIFO ordered
  * newest (head) to oldest (tail), one visited bit per way, and a hand
  * that survives evictions. The hand sweeps from the tail toward the
@@ -307,110 +274,76 @@ class S3FifoPolicy : public ReplacementPolicy
  * the first unvisited line is evicted and the hand rests on its
  * next-newer neighbour (wrapping to the tail after the head).
  */
-class SievePolicy : public ReplacementPolicy
+void
+ReplacementState::insertSieve(std::size_t set, std::uint32_t way)
 {
-  public:
-    explicit SievePolicy(std::uint32_t assoc)
-        : newer(assoc, noWay), older(assoc, noWay),
-          visited(assoc, 0), tracked(assoc, 0)
-    {
+    std::size_t line = set * ways + way;
+    if (sieveTracked[line]) {
+        // Refresh of a tracked line counts as a reference; SIEVE never
+        // reorders on access.
+        sieveVisited[line] = 1;
+        return;
     }
+    SieveSet &s = sieveSets[set];
+    std::size_t base = set * ways;
+    sieveNewer[line] = noSlot;
+    sieveOlder[line] = s.head;
+    if (s.head != noSlot)
+        sieveNewer[base + s.head] = static_cast<std::uint8_t>(way);
+    s.head = static_cast<std::uint8_t>(way);
+    if (s.tail == noSlot)
+        s.tail = static_cast<std::uint8_t>(way);
+    sieveVisited[line] = 0;
+    sieveTracked[line] = 1;
+}
 
-    void
-    onHit(std::uint32_t way) override
-    {
-        visited[way] = 1;
-    }
-
-    void
-    onInsert(std::uint32_t way, Addr) override
-    {
-        if (tracked[way]) {
-            // Refresh of a tracked line counts as a reference; SIEVE
-            // never reorders on access.
-            visited[way] = 1;
-            return;
-        }
-        newer[way] = noWay;
-        older[way] = head;
-        if (head != noWay)
-            newer[head] = way;
-        head = way;
-        if (tail == noWay)
-            tail = way;
-        visited[way] = 0;
-        tracked[way] = 1;
-    }
-
-    std::uint32_t
-    victim() override
-    {
-        std::uint32_t cand = hand != noWay ? hand : tail;
-        while (visited[cand]) {
-            visited[cand] = 0;
-            cand = newer[cand] != noWay ? newer[cand] : tail;
-        }
-        hand = newer[cand]; // may be noWay: next sweep restarts at tail
-        unlink(cand);
-        return cand;
-    }
-
-    void
-    onEvict(std::uint32_t way) override
-    {
-        if (!tracked[way])
-            return;
-        if (hand == way)
-            hand = newer[way];
-        unlink(way);
-    }
-
-  private:
-    void
-    unlink(std::uint32_t way)
-    {
-        if (newer[way] != noWay)
-            older[newer[way]] = older[way];
-        else
-            head = older[way];
-        if (older[way] != noWay)
-            newer[older[way]] = newer[way];
-        else
-            tail = newer[way];
-        newer[way] = older[way] = noWay;
-        tracked[way] = 0;
-        visited[way] = 0;
-    }
-
-    std::vector<std::uint32_t> newer; //!< toward the head (insertions)
-    std::vector<std::uint32_t> older; //!< toward the tail (evictions)
-    std::vector<std::uint8_t> visited;
-    std::vector<std::uint8_t> tracked;
-    std::uint32_t head = noWay;
-    std::uint32_t tail = noWay;
-    std::uint32_t hand = noWay;
-};
-
-} // namespace
-
-std::unique_ptr<ReplacementPolicy>
-makeReplacementPolicy(PolicyKind kind, std::uint32_t assoc, Rng *rng)
+std::uint32_t
+ReplacementState::victimSieve(std::size_t set)
 {
-    shm_assert(assoc > 0 && assoc <= 64,
-               "replacement policies support 1..64 ways (got {})", assoc);
-    switch (kind) {
-      case PolicyKind::Lru:
-        return std::make_unique<StampPolicy>(assoc, true);
-      case PolicyKind::Fifo:
-        return std::make_unique<StampPolicy>(assoc, false);
-      case PolicyKind::Random:
-        return std::make_unique<RandomPolicy>(assoc, rng);
-      case PolicyKind::S3Fifo:
-        return std::make_unique<S3FifoPolicy>(assoc);
-      case PolicyKind::Sieve:
-        return std::make_unique<SievePolicy>(assoc);
+    SieveSet &s = sieveSets[set];
+    std::size_t base = set * ways;
+    std::uint8_t cand = s.hand != noSlot ? s.hand : s.tail;
+    while (sieveVisited[base + cand]) {
+        sieveVisited[base + cand] = 0;
+        std::uint8_t next = sieveNewer[base + cand];
+        cand = next != noSlot ? next : s.tail;
     }
-    shm_fatal("invalid PolicyKind {}", static_cast<int>(kind));
+    s.hand = sieveNewer[base + cand]; // noSlot: next sweep starts at tail
+    unlinkSieve(set, cand);
+    return cand;
+}
+
+void
+ReplacementState::evictSieve(std::size_t set, std::uint32_t way)
+{
+    std::size_t line = set * ways + way;
+    if (!sieveTracked[line])
+        return;
+    SieveSet &s = sieveSets[set];
+    if (s.hand == way)
+        s.hand = sieveNewer[line];
+    unlinkSieve(set, way);
+}
+
+void
+ReplacementState::unlinkSieve(std::size_t set, std::uint32_t way)
+{
+    SieveSet &s = sieveSets[set];
+    std::size_t base = set * ways;
+    std::size_t line = base + way;
+    std::uint8_t newer = sieveNewer[line];
+    std::uint8_t older = sieveOlder[line];
+    if (newer != noSlot)
+        sieveOlder[base + newer] = older;
+    else
+        s.head = older;
+    if (older != noSlot)
+        sieveNewer[base + older] = newer;
+    else
+        s.tail = newer;
+    sieveNewer[line] = sieveOlder[line] = noSlot;
+    sieveTracked[line] = 0;
+    sieveVisited[line] = 0;
 }
 
 } // namespace shmgpu::mem

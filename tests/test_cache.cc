@@ -6,10 +6,46 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
 #include "mem/cache.hh"
 
 using namespace shmgpu;
 using namespace shmgpu::mem;
+
+namespace
+{
+
+/** Every operator new in this binary, for the allocation-count test. */
+std::atomic<long> heapAllocations{0};
+
+} // namespace
+
+// The replacements stay out of line, so the compiler does not pair an
+// inlined malloc() or free() with a caller's new- or delete-expression
+// (-Wmismatched-new-delete).
+[[gnu::noinline]] void *
+operator new(std::size_t bytes)
+{
+    ++heapAllocations;
+    if (void *p = std::malloc(bytes != 0 ? bytes : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace
 {
@@ -309,4 +345,23 @@ TEST(Cache, RandomStreamIsPerCacheSeeded)
     EXPECT_EQ(ev_a, baseline)
         << "interleaved instance perturbed the stream: global state?";
     EXPECT_NE(ev_b, baseline) << "policySeed must select the stream";
+}
+
+TEST(Cache, AllocationsDoNotGrowWithSetCount)
+{
+    // Line and replacement state live in flat per-cache arrays: one L2
+    // bank (64 sets) and a 4096-set cache allocate equally often.
+    for (PolicyKind kind : allPolicies()) {
+        auto allocations = [kind](std::uint64_t size_bytes) {
+            CacheParams p = smallParams();
+            p.sizeBytes = size_bytes;
+            p.assoc = 16;
+            p.policy = kind;
+            long before = heapAllocations.load();
+            SectoredCache cache(p);
+            return heapAllocations.load() - before;
+        };
+        EXPECT_EQ(allocations(128 * 1024), allocations(8 * 1024 * 1024))
+            << policyName(kind);
+    }
 }

@@ -231,6 +231,22 @@ class RefCache
         return wb;
     }
 
+    /** Drop every line, set by set in way order, appending dirty
+     *  write-backs; the policy models hear each drop. */
+    void
+    invalidateAll(std::vector<Writeback> &out)
+    {
+        for (auto &set : sets) {
+            for (auto &line : set) {
+                if (!line.valid)
+                    continue;
+                Writeback wb = invalidate(line.tag);
+                if (wb.valid)
+                    out.push_back(wb);
+            }
+        }
+    }
+
     void
     flushDirty(std::vector<Writeback> &out)
     {
@@ -547,39 +563,42 @@ expectSameWriteback(const Writeback &real, const Writeback &ref,
     }
 }
 
-} // namespace
-
-class CacheDifferential
-    : public ::testing::TestWithParam<
-          std::tuple<PolicyKind, bool, bool, std::uint64_t>>
+void
+expectSameWritebacks(const std::vector<Writeback> &real,
+                     const std::vector<Writeback> &ref, const char *what)
 {
-};
+    ASSERT_EQ(real.size(), ref.size()) << what;
+    for (std::size_t i = 0; i < real.size(); ++i) {
+        EXPECT_EQ(real[i].blockAddr, ref[i].blockAddr)
+            << what << ": order diverged at entry " << i;
+        EXPECT_EQ(real[i].dirtyMask, ref[i].dirtyMask) << what;
+    }
+}
 
-TEST_P(CacheDifferential, MatchesNaiveReferenceModel)
+/**
+ * Drive @p p's SectoredCache and the reference model through @p steps
+ * random operations over @p blocks distinct blocks — accesses, probes,
+ * invalidations, direct inserts and, rarely, a whole-cache flushDirty
+ * or invalidateAll — with sector and whole-block fetch, comparing
+ * every observable after every step, then the final flush.
+ */
+void
+runDifferential(CacheParams p, std::uint64_t seed, std::uint64_t blocks,
+                int steps)
 {
-    auto [policy, write_allocate, rmw, seed] = GetParam();
     for (bool whole_block : {false, true}) {
         SCOPED_TRACE(whole_block ? "whole-block fetch" : "sector fetch");
-        CacheParams p;
-        p.name = "diff";
-        p.sizeBytes = 4096;
-        p.assoc = 4;
-        p.writeAllocate = write_allocate;
-        p.fetchOnWriteMiss = rmw;
         p.fetchWholeBlock = whole_block;
-        p.policy = policy;
 
         SectoredCache cache(p);
         RefCache ref(p);
         Rng rng(seed);
 
-        constexpr int kBlocks = 96; // a few times the cache's 32 lines
+        for (int step = 0; step < steps; ++step) {
+            Addr block = rng.below(blocks) * 128;
+            std::uint64_t roll = rng.below(10000);
 
-        for (int step = 0; step < 30000; ++step) {
-            Addr block = rng.below(kBlocks) * 128;
-            std::uint64_t roll = rng.below(100);
-
-            if (roll < 85) {
+            if (roll < 8500) {
                 // Access: random sector span or a sub-sector sliver.
                 std::uint32_t first =
                     static_cast<std::uint32_t>(rng.below(4));
@@ -602,14 +621,14 @@ TEST_P(CacheDifferential, MatchesNaiveReferenceModel)
                     << "step " << step;
                 expectSameWriteback(real.writeback, want.writeback,
                                     "access eviction");
-            } else if (roll < 90) {
+            } else if (roll < 9000) {
                 Addr addr = block + rng.below(128);
                 ASSERT_EQ(cache.probe(addr), ref.probe(addr))
                     << "probe mismatch at step " << step;
-            } else if (roll < 95) {
+            } else if (roll < 9490) {
                 expectSameWriteback(cache.invalidate(block),
                                     ref.invalidate(block), "invalidate");
-            } else {
+            } else if (roll < 9990) {
                 std::uint32_t valid =
                     static_cast<std::uint32_t>(rng.below(16)) | 1u;
                 std::uint32_t dirty =
@@ -617,6 +636,22 @@ TEST_P(CacheDifferential, MatchesNaiveReferenceModel)
                 expectSameWriteback(cache.insert(block, valid, dirty),
                                     ref.insert(block, valid, dirty),
                                     "insert eviction");
+            } else {
+                // Whole-cache operations: content *and* order.
+                std::vector<Writeback> real_out;
+                std::vector<Writeback> ref_out;
+                if (roll < 9998) {
+                    cache.flushDirty(real_out);
+                    ref.flushDirty(ref_out);
+                    expectSameWritebacks(real_out, ref_out, "flushDirty");
+                } else {
+                    cache.invalidateAll(real_out);
+                    ref.invalidateAll(ref_out);
+                    expectSameWritebacks(real_out, ref_out,
+                                         "invalidateAll");
+                }
+                if (::testing::Test::HasFatalFailure())
+                    return;
             }
         }
 
@@ -625,13 +660,48 @@ TEST_P(CacheDifferential, MatchesNaiveReferenceModel)
         std::vector<Writeback> ref_flush;
         cache.flushDirty(real_flush);
         ref.flushDirty(ref_flush);
-        ASSERT_EQ(real_flush.size(), ref_flush.size());
-        for (std::size_t i = 0; i < real_flush.size(); ++i) {
-            EXPECT_EQ(real_flush[i].blockAddr, ref_flush[i].blockAddr)
-                << "flush order diverged at entry " << i;
-            EXPECT_EQ(real_flush[i].dirtyMask, ref_flush[i].dirtyMask);
-        }
+        expectSameWritebacks(real_flush, ref_flush, "final flush");
     }
+}
+
+} // namespace
+
+class CacheDifferential
+    : public ::testing::TestWithParam<
+          std::tuple<PolicyKind, bool, bool, std::uint64_t>>
+{
+  protected:
+    CacheParams
+    params() const
+    {
+        auto [policy, write_allocate, rmw, seed] = GetParam();
+        CacheParams p;
+        p.name = "diff";
+        p.writeAllocate = write_allocate;
+        p.fetchOnWriteMiss = rmw;
+        p.policy = policy;
+        return p;
+    }
+};
+
+TEST_P(CacheDifferential, MatchesNaiveReferenceModel)
+{
+    // A metadata-cache-sized geometry: 4 KiB, 4-way, 8 sets, and a
+    // few times its 32 lines in distinct blocks.
+    CacheParams p = params();
+    p.sizeBytes = 4096;
+    p.assoc = 4;
+    runDifferential(p, std::get<3>(GetParam()), 96, 30000);
+}
+
+TEST_P(CacheDifferential, L2GeometryMatchesNaiveReferenceModel)
+{
+    // One L2 bank: 128 KiB, 16-way, 64 sets, over three times its
+    // 1024 lines, so every set fills, thrashes and is invalidated.
+    CacheParams p = params();
+    p.sizeBytes = 128 * 1024;
+    p.assoc = 16;
+    runDifferential(p, std::get<3>(GetParam()) + 1000, 3072, 60000);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -196,8 +196,9 @@ TEST(FlatMap, FuzzAgainstUnorderedMap)
             const std::uint64_t *found = map.find(key);
             auto it = ref.find(key);
             ASSERT_EQ(found != nullptr, it != ref.end());
-            if (found)
+            if (found) {
                 ASSERT_EQ(*found, it->second);
+            }
             break;
         }
         ASSERT_EQ(map.size(), ref.size());

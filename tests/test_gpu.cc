@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <sstream>
 
@@ -292,6 +294,34 @@ TEST(Interconnect, LatencyAndSerialization)
     Cycle second = icnt.reply(0, 128, 200);
     EXPECT_EQ(first, 200u + 4 + 20);
     EXPECT_EQ(second, first + 4);
+}
+
+TEST(Interconnect, SerializationMatchesFormulaForEveryByteSize)
+{
+    // The per-interconnect serialization table (and the formula above
+    // it) against the division it replaces, at the default 32 B/cycle
+    // and at non-integral rates, including one below a byte per cycle.
+    for (double rate : {32.0, 18.6, 0.7}) {
+        InterconnectParams p;
+        p.latency = 20;
+        p.bytesPerCycle = rate;
+        Interconnect icnt(p, 1);
+        for (std::uint32_t bytes = 1; bytes <= 512; ++bytes) {
+            Cycle want = std::max<Cycle>(
+                static_cast<Cycle>(
+                    std::ceil(static_cast<double>(bytes) / rate)),
+                1);
+            ASSERT_EQ(icnt.serializeCycles(bytes), want)
+                << bytes << " B at " << rate << " B/cycle";
+        }
+        // A traversal charges exactly that serialization to the link.
+        Cycle free_at = 0;
+        for (std::uint32_t bytes : {1u, 16u, 144u, 256u, 257u, 512u}) {
+            Cycle arrive = icnt.reply(0, bytes, 0);
+            free_at += icnt.serializeCycles(bytes);
+            EXPECT_EQ(arrive, free_at + p.latency) << bytes << " B";
+        }
+    }
 }
 
 TEST(Interconnect, ReplyContentionThrottlesHotPartition)

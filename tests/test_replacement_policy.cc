@@ -1,14 +1,16 @@
 /**
  * @file
- * Model-differential fuzz for mem::ReplacementPolicy.
+ * Model-differential fuzz for mem::ReplacementState.
  *
- * Each policy object is driven directly (no SectoredCache in the
- * loop) against an independent naive reference model keyed by block
- * address instead of way index. The driver generates randomized
- * access strings honoring the cache<->policy contract — installs into
- * the first invalid way, victim() only with every way valid, onEvict
+ * One cache's replacement state is driven directly (no SectoredCache
+ * in the loop) through its (set, way) hooks, against one independent
+ * naive reference model per set keyed by block address instead of way
+ * index. The fuzz loop interleaves randomized access strings over several
+ * sets, honoring the cache<->policy contract — installs into the first
+ * invalid way, victim() only with every way of the set valid, onEvict
  * tombstones followed by reuse of the freed way — and checks that the
- * policy and the model evict the same block at every decision point.
+ * state and the models evict the same block at every decision point,
+ * so a slice that leaks into a neighbouring set shows too.
  *
  * The reference models are deliberately naive (std::map state, linear
  * scans, queues of block addresses) so a bookkeeping bug in the real
@@ -30,12 +32,14 @@
 
 using namespace shmgpu;
 using mem::PolicyKind;
-using mem::ReplacementPolicy;
 
 namespace
 {
 
 constexpr std::uint64_t testSeed = 0xA5A5F00Dull;
+constexpr std::uint32_t noWay = ~0u;
+/** Sets per fuzzed state; each gets its own model and access string. */
+constexpr std::size_t fuzzSets = 3;
 
 /** Stamp-order reference shared by LRU and FIFO: a block list in
  *  stamp order (front = oldest). onInsert always refreshes (matching
@@ -267,26 +271,37 @@ class RefSieve
     bool handValid = false;
 };
 
+/** One set's reference models and way contents. */
+struct RefSet
+{
+    RefSet(PolicyKind kind, std::uint32_t assoc)
+        : stamp(kind == PolicyKind::Lru), s3(assoc),
+          wayBlock(assoc, 0), wayValid(assoc, false)
+    {
+    }
+
+    RefStamp stamp;
+    RefS3Fifo s3;
+    RefSieve sieve;
+    std::vector<Addr> wayBlock;
+    std::vector<bool> wayValid;
+};
+
 /**
- * Drives one policy instance and its reference model through a
- * randomized access string, checking every victim() decision. Returns
- * the decision log (victim way per eviction) so callers can compare
- * reruns for determinism.
+ * Drives one cache's replacement state and a reference model per set
+ * through a randomized access string of @p steps per set, checking
+ * every victim() decision. Returns the decision log (victim line,
+ * set * assoc + way, per eviction) so callers can compare reruns for
+ * determinism.
  */
 std::vector<std::uint32_t>
 fuzzPolicy(PolicyKind kind, std::uint32_t assoc, std::uint32_t seed,
            std::size_t steps)
 {
-    Rng policy_rng(testSeed);
     Rng reference_rng(testSeed);
-    auto policy = mem::makeReplacementPolicy(kind, assoc, &policy_rng);
+    mem::ReplacementState state(kind, fuzzSets, assoc, testSeed);
 
-    RefStamp ref_stamp(kind == PolicyKind::Lru);
-    RefS3Fifo ref_s3(assoc);
-    RefSieve ref_sieve;
-
-    std::vector<Addr> way_block(assoc, 0);
-    std::vector<bool> way_valid(assoc, false);
+    std::vector<RefSet> sets(fuzzSets, RefSet(kind, assoc));
     std::vector<std::uint32_t> decisions;
 
     std::mt19937 urbg(seed);
@@ -299,17 +314,22 @@ fuzzPolicy(PolicyKind kind, std::uint32_t assoc, std::uint32_t seed,
     // empty slot.
     const std::uint32_t pool = 3 * assoc + 2;
 
-    auto ref_insert = [&](Addr block, bool tracked) {
+    auto ref_insert = [&](RefSet &ref, Addr block, bool tracked) {
         switch (kind) {
           case PolicyKind::Lru:
-          case PolicyKind::Fifo: ref_stamp.onInsert(block); break;
+          case PolicyKind::Fifo: ref.stamp.onInsert(block); break;
           case PolicyKind::Random: break;
-          case PolicyKind::S3Fifo: ref_s3.onInsert(block, tracked); break;
-          case PolicyKind::Sieve: ref_sieve.onInsert(block, tracked); break;
+          case PolicyKind::S3Fifo: ref.s3.onInsert(block, tracked); break;
+          case PolicyKind::Sieve: ref.sieve.onInsert(block, tracked); break;
         }
     };
 
-    for (std::size_t step = 0; step < steps; ++step) {
+    for (std::size_t step = 0; step < steps * fuzzSets; ++step) {
+        std::size_t set = rand_below(fuzzSets);
+        RefSet &ref = sets[set];
+        std::vector<Addr> &way_block = ref.wayBlock;
+        std::vector<bool> &way_valid = ref.wayValid;
+
         // Tombstone: external invalidation of a random valid way,
         // whose slot a later install must be able to reuse.
         if (rand_below(10) == 0) {
@@ -322,18 +342,18 @@ fuzzPolicy(PolicyKind kind, std::uint32_t assoc, std::uint32_t seed,
                 std::uint32_t w =
                     valid_ways[rand_below(static_cast<std::uint32_t>(
                         valid_ways.size()))];
-                policy->onEvict(w);
+                state.onEvict(set, w);
                 switch (kind) {
                   case PolicyKind::Lru:
                   case PolicyKind::Fifo:
-                    ref_stamp.onEvict(way_block[w]);
+                    ref.stamp.onEvict(way_block[w]);
                     break;
                   case PolicyKind::Random: break;
                   case PolicyKind::S3Fifo:
-                    ref_s3.onEvict(way_block[w]);
+                    ref.s3.onEvict(way_block[w]);
                     break;
                   case PolicyKind::Sieve:
-                    ref_sieve.onEvict(way_block[w]);
+                    ref.sieve.onEvict(way_block[w]);
                     break;
                 }
                 way_valid[w] = false;
@@ -344,33 +364,33 @@ fuzzPolicy(PolicyKind kind, std::uint32_t assoc, std::uint32_t seed,
         Addr block = 1 + rand_below(pool);
 
         // Hit or refresh of a resident block.
-        std::uint32_t hit_way = ReplacementPolicy::noWay;
+        std::uint32_t hit_way = noWay;
         for (std::uint32_t w = 0; w < assoc; ++w) {
             if (way_valid[w] && way_block[w] == block) {
                 hit_way = w;
                 break;
             }
         }
-        if (hit_way != ReplacementPolicy::noWay) {
+        if (hit_way != noWay) {
             if (rand_below(5) == 0) {
                 // Refresh (re-fill / write-validate of a tracked way).
-                policy->onInsert(hit_way, block);
-                ref_insert(block, true);
+                state.onInsert(set, hit_way, block);
+                ref_insert(ref, block, true);
             } else {
-                policy->onHit(hit_way);
+                state.onHit(set, hit_way);
                 switch (kind) {
                   case PolicyKind::Lru:
-                  case PolicyKind::Fifo: ref_stamp.onHit(block); break;
+                  case PolicyKind::Fifo: ref.stamp.onHit(block); break;
                   case PolicyKind::Random: break;
-                  case PolicyKind::S3Fifo: ref_s3.onHit(block); break;
-                  case PolicyKind::Sieve: ref_sieve.onHit(block); break;
+                  case PolicyKind::S3Fifo: ref.s3.onHit(block); break;
+                  case PolicyKind::Sieve: ref.sieve.onHit(block); break;
                 }
             }
             continue;
         }
 
         // Miss: first invalid way in way order, like the cache scan.
-        std::uint32_t target = ReplacementPolicy::noWay;
+        std::uint32_t target = noWay;
         for (std::uint32_t w = 0; w < assoc; ++w) {
             if (!way_valid[w]) {
                 target = w;
@@ -378,42 +398,48 @@ fuzzPolicy(PolicyKind kind, std::uint32_t assoc, std::uint32_t seed,
             }
         }
 
-        if (target == ReplacementPolicy::noWay) {
+        if (target == noWay) {
             // All ways valid: consult the policy.
-            std::uint32_t way = policy->victim();
+            std::uint32_t way = state.victim(set);
             EXPECT_LT(way, assoc);
             EXPECT_TRUE(way < assoc && way_valid[way]);
             if (way >= assoc || !way_valid[way])
                 return decisions; // state diverged; stop this string
-            decisions.push_back(way);
+            decisions.push_back(static_cast<std::uint32_t>(set) * assoc +
+                                way);
 
             switch (kind) {
               case PolicyKind::Lru:
               case PolicyKind::Fifo:
-                EXPECT_EQ(way_block[way], ref_stamp.victim())
+                EXPECT_EQ(way_block[way], ref.stamp.victim())
                     << "policy=" << mem::policyName(kind)
-                    << " assoc=" << assoc << " step=" << step;
+                    << " assoc=" << assoc << " set=" << set
+                    << " step=" << step;
                 break;
               case PolicyKind::Random:
+                // One stream per cache: draws follow the victim calls
+                // across all sets.
                 EXPECT_EQ(way, static_cast<std::uint32_t>(
                                    reference_rng.below(assoc)))
                     << "assoc=" << assoc << " step=" << step;
                 break;
               case PolicyKind::S3Fifo:
-                EXPECT_EQ(way_block[way], ref_s3.victim())
-                    << "assoc=" << assoc << " step=" << step;
+                EXPECT_EQ(way_block[way], ref.s3.victim())
+                    << "assoc=" << assoc << " set=" << set
+                    << " step=" << step;
                 break;
               case PolicyKind::Sieve:
-                EXPECT_EQ(way_block[way], ref_sieve.victim())
-                    << "assoc=" << assoc << " step=" << step;
+                EXPECT_EQ(way_block[way], ref.sieve.victim())
+                    << "assoc=" << assoc << " set=" << set
+                    << " step=" << step;
                 break;
             }
             target = way;
             way_valid[target] = false;
         }
 
-        policy->onInsert(target, block);
-        ref_insert(block, false);
+        state.onInsert(set, target, block);
+        ref_insert(ref, block, false);
         way_valid[target] = true;
         way_block[target] = block;
     }
@@ -464,12 +490,16 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ReplacementPolicy, SingleWayVictimIsAlwaysWayZero)
 {
     for (PolicyKind kind : mem::allPolicies()) {
-        Rng rng(testSeed);
-        auto policy = mem::makeReplacementPolicy(kind, 1, &rng);
-        policy->onInsert(0, 0x40);
+        mem::ReplacementState state(kind, fuzzSets, 1, testSeed);
+        for (std::size_t set = 0; set < fuzzSets; ++set)
+            state.onInsert(set, 0, 0x40 + static_cast<Addr>(set));
         for (int i = 0; i < 8; ++i) {
-            EXPECT_EQ(policy->victim(), 0u) << mem::policyName(kind);
-            policy->onInsert(0, 0x80 + static_cast<Addr>(i));
+            for (std::size_t set = 0; set < fuzzSets; ++set) {
+                EXPECT_EQ(state.victim(set), 0u)
+                    << mem::policyName(kind) << " set " << set;
+                state.onInsert(set, 0,
+                               0x80 + static_cast<Addr>(8 * set + i));
+            }
         }
     }
 }
