@@ -123,20 +123,6 @@ Config::getDouble(const std::string &key, double fallback)
     return v;
 }
 
-bool
-Config::getBool(const std::string &key, bool fallback)
-{
-    const Entry *e = consume(key);
-    if (!e)
-        return fallback;
-    if (e->value == "true" || e->value == "1")
-        return true;
-    if (e->value == "false" || e->value == "0")
-        return false;
-    shm_fatal("{}: key '{}' has non-boolean value '{}'", where(key), key,
-              e->value);
-}
-
 std::string
 Config::getString(const std::string &key, const std::string &fallback)
 {

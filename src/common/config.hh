@@ -37,7 +37,6 @@ class Config
     std::uint64_t getU64(const std::string &key,
                          std::uint64_t fallback);
     double getDouble(const std::string &key, double fallback);
-    bool getBool(const std::string &key, bool fallback);
     std::string getString(const std::string &key,
                           const std::string &fallback);
     /** @} */

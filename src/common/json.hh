@@ -53,7 +53,6 @@ class Value
     bool isArray() const { return kind_ == Kind::Array; }
     bool isNumber() const { return kind_ == Kind::Number; }
     bool isString() const { return kind_ == Kind::String; }
-    bool isBool() const { return kind_ == Kind::Bool; }
 
     /** @{ Typed accessors; fatal when the kind does not match. */
     bool asBool() const;

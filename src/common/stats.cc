@@ -58,17 +58,6 @@ StatGroup::addHistogram(const std::string &stat_name, Histogram *h,
 }
 
 void
-StatGroup::resetAll()
-{
-    for (auto &[n, e] : scalars)
-        e.stat->reset();
-    for (auto &[n, e] : histograms)
-        e.stat->reset();
-    for (auto *child : children)
-        child->resetAll();
-}
-
-void
 StatGroup::dump(std::ostream &os, const std::string &prefix) const
 {
     std::string path = prefix.empty() ? groupName : prefix + "." + groupName;

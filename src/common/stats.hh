@@ -64,15 +64,6 @@ class Histogram
     double mean() const { return count ? total / count : 0; }
     const std::vector<std::uint64_t> &data() const { return buckets; }
 
-    void
-    reset()
-    {
-        for (auto &b : buckets)
-            b = 0;
-        count = 0;
-        total = 0;
-    }
-
   private:
     double lo = 0;
     double hi = 1;
@@ -107,9 +98,6 @@ class StatGroup
                    const std::string &desc = "");
     void addHistogram(const std::string &stat_name, Histogram *h,
                       const std::string &desc = "");
-
-    /** Reset every statistic in this group and its children. */
-    void resetAll();
 
     /** Write "path.name value # desc" lines to @p os. */
     void dump(std::ostream &os, const std::string &prefix = "") const;

@@ -3,19 +3,6 @@
 namespace shmgpu
 {
 
-const char *
-memSpaceName(MemSpace space)
-{
-    switch (space) {
-      case MemSpace::Global: return "global";
-      case MemSpace::Local: return "local";
-      case MemSpace::Constant: return "constant";
-      case MemSpace::Texture: return "texture";
-      case MemSpace::Instruction: return "instruction";
-    }
-    return "unknown";
-}
-
 Guarantees
 requiredGuarantees(MemSpace space, bool read_only)
 {

@@ -61,9 +61,6 @@ enum class MemSpace : std::uint8_t
     Instruction //!< application code: read-only, needs C+I
 };
 
-/** Human-readable name for a memory space. */
-const char *memSpaceName(MemSpace space);
-
 /** Security guarantees required for a memory access (Table I/II). */
 struct Guarantees
 {

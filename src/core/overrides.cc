@@ -38,8 +38,7 @@ whereEither(const Config &config, const std::string &a,
                                            : config.where(b);
 }
 
-} // namespace
-
+/** Apply the "gpu.*", "cache.*" and "dram.*" keys to @p p. */
 void
 applyGpuOverrides(Config &config, gpu::GpuParams &p)
 {
@@ -104,43 +103,8 @@ applyGpuOverrides(Config &config, gpu::GpuParams &p)
         getCount(config, "dram.row_window", p.dram.schedulerRowWindow);
 }
 
-void
-applyMeeOverrides(Config &config, mee::MeeParams &p)
-{
-    p.aesLatency = config.getU64("mee.aes_latency", p.aesLatency);
-    p.hashLatency = config.getU64("mee.hash_latency", p.hashLatency);
-    p.bmtArity = static_cast<std::uint32_t>(
-        config.getU64("mee.bmt_arity", p.bmtArity));
-    p.macBytes = static_cast<std::uint32_t>(
-        config.getU64("mee.mac_bytes", p.macBytes));
-    p.staticSpaceHints =
-        config.getBool("mee.static_space_hints", p.staticSpaceHints);
-    p.programmingModelHints = config.getBool(
-        "mee.programming_model_hints", p.programmingModelHints);
-
-    std::uint64_t mdc = config.getU64("mee.mdc_bytes",
-                                      p.counterCache.sizeBytes);
-    p.counterCache.sizeBytes = mdc;
-    p.macCache.sizeBytes = mdc;
-    p.bmtCache.sizeBytes = mdc;
-    p.mdcPolicy = mem::policyFromName(
-        config.getString("mee.mdc_policy", mem::policyName(p.mdcPolicy)),
-        config.where("mee.mdc_policy"));
-
-    p.streamDetector.trackers = static_cast<std::uint32_t>(
-        config.getU64("mee.mats", p.streamDetector.trackers));
-    p.streamDetector.chunkBytes =
-        config.getU64("mee.chunk_bytes", p.streamDetector.chunkBytes);
-    p.streamDetector.entries = static_cast<std::uint32_t>(
-        config.getU64("mee.stream_entries", p.streamDetector.entries));
-    p.streamDetector.timeoutCycles = config.getU64(
-        "mee.mat_timeout", p.streamDetector.timeoutCycles);
-    p.roDetector.entries = static_cast<std::uint32_t>(
-        config.getU64("mee.ro_entries", p.roDetector.entries));
-    p.roDetector.regionBytes =
-        config.getU64("mee.ro_region_bytes", p.roDetector.regionBytes);
-}
-
+/** Apply "trace.classes" (sm,txn,engine,l2,mee,detect or "all") to
+ *  @p p. */
 void
 applyTraceOverrides(Config &config, trace::TraceParams &p)
 {
@@ -149,6 +113,8 @@ applyTraceOverrides(Config &config, trace::TraceParams &p)
         p.classMask =
             trace::parseClassMask(classes, config.where("trace.classes"));
 }
+
+} // namespace
 
 void
 applyCliOverrides(Config &config, gpu::GpuParams &gpu,

@@ -139,16 +139,6 @@ class Partition : public mee::VictimCacheIf
     stats::Scalar statReadMissLatency;
     stats::Scalar statReadMisses;
     stats::Histogram statReadLatencyHist;
-
-  public:
-    /** Average read-miss service latency (cycles), for diagnostics. */
-    double
-    avgReadMissLatency() const
-    {
-        return statReadMisses.value()
-                   ? statReadMissLatency.value() / statReadMisses.value()
-                   : 0;
-    }
 };
 
 } // namespace shmgpu::gpu

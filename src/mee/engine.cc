@@ -456,8 +456,7 @@ MeeEngine::onRead(LocalAddr local, Addr phys, Cycle now, MemSpace space)
         if (config.sectoredMetadata)
             ctr_entry += (layout->minorSlot(key) / 16) * 32;
         bool miss = false;
-        ctr_ready = metaAccess(ctrCache, ctr_entry,
-                               config.sectoredMetadata ? 32u : 128u,
+        ctr_ready = metaAccess(ctrCache, ctr_entry, metaFetchBytes(),
                                false, mem::TrafficClass::Counter, now,
                                &miss);
         if (miss) {
@@ -557,8 +556,7 @@ MeeEngine::onWrite(LocalAddr local, Addr phys, Cycle now, MemSpace space)
         Addr ctr_entry = layout->counterAddr(key);
         if (config.sectoredMetadata)
             ctr_entry += (layout->minorSlot(key) / 16) * 32;
-        metaAccess(ctrCache, ctr_entry,
-                   config.sectoredMetadata ? 32u : 128u, true,
+        metaAccess(ctrCache, ctr_entry, metaFetchBytes(), true,
                    mem::TrafficClass::Counter, now);
         // The BMT leaf update is deferred until the dirty counter
         // line is evicted (lazy propagation, see emitEviction).

@@ -99,7 +99,8 @@ struct MeeParams
     /**
      * Stored MAC width in bytes. The paper's default is 8 B; PSSM
      * truncates to 4 B, which Section III-C argues falls below the
-     * birthday bound for a 4 GB device (see crypto::minimumMacBits).
+     * birthday bound for a 4 GB device (pinned by
+     * MacTruncation.BirthdayBoundMatchesPaper in tests/test_mac.cc).
      */
     std::uint32_t macBytes = 8;
 
@@ -318,6 +319,8 @@ class MeeEngine
         return config.localMetadataAddressing ? local : phys;
     }
 
+    /** Bytes one metadata fetch moves: a 32 B sector when metadata
+     *  is sectored, else the whole 128 B line. */
     std::uint32_t metaFetchBytes() const
     {
         return config.sectoredMetadata ? 32u : 128u;

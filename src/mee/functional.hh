@@ -149,7 +149,6 @@ class SecureMemoryContext
     {
         return roDetector.isReadOnly(addr);
     }
-    std::uint32_t tenantId() const { return tenantTag >> 16; }
     /** @} */
 
   private:

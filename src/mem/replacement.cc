@@ -218,7 +218,12 @@ ReplacementState::victimS3Fifo(std::size_t set)
                 continue;
             }
             s3Where[line] = Queue::None;
-            rememberGhost(set, s3Block[line]);
+            // Remember the casualty. It is not in the ghost FIFO yet:
+            // a block leaves the FIFO when it is installed again.
+            Addr *ghost = &s3Ghost[base];
+            if (s.ghostLen >= ways)
+                eraseAt(ghost, s.ghostLen, 0); // full: forget the oldest
+            ghost[s.ghostLen++] = s3Block[line];
             return w;
         }
         std::uint32_t w = main_q[0];
@@ -233,19 +238,6 @@ ReplacementState::victimS3Fifo(std::size_t set)
         s3Where[line] = Queue::None;
         return w;
     }
-}
-
-void
-ReplacementState::rememberGhost(std::size_t set, Addr block)
-{
-    S3FifoSet &s = s3Sets[set];
-    Addr *ghost = &s3Ghost[set * ways];
-    std::size_t g = indexIn<Addr>(ghost, s.ghostLen, block);
-    if (g < s.ghostLen)
-        eraseAt(ghost, s.ghostLen, g); // refresh: move to the back
-    else if (s.ghostLen >= ways)
-        eraseAt(ghost, s.ghostLen, 0); // full: forget the oldest
-    ghost[s.ghostLen++] = block;
 }
 
 void

@@ -207,7 +207,6 @@ class ReplacementState
     std::uint32_t victimSieve(std::size_t set);
     void evictS3Fifo(std::size_t set, std::uint32_t way);
     void evictSieve(std::size_t set, std::uint32_t way);
-    void rememberGhost(std::size_t set, Addr block);
     void unlinkSieve(std::size_t set, std::uint32_t way);
 
     PolicyKind policy;

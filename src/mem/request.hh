@@ -31,9 +31,6 @@ enum class TrafficClass : std::uint8_t
     NumClasses
 };
 
-/** Human-readable name of a traffic class. */
-const char *trafficClassName(TrafficClass c);
-
 /**
  * One SM-side memory operation as an explicit message to a partition.
  *

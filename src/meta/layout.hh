@@ -116,9 +116,6 @@ class MetadataLayout
     /** Total metadata footprint in bytes (for space accounting). */
     std::uint64_t metadataBytes() const;
 
-    /** End of the highest metadata region (address-space size used). */
-    LocalAddr addressSpaceEnd() const { return spaceEnd; }
-
   private:
     LayoutParams config;
     std::uint64_t blocks;

@@ -41,7 +41,6 @@ void
 MacStore::setChunkMac(LocalAddr data_addr, crypto::Mac mac)
 {
     const std::uint64_t i = chunkIndex(data_addr);
-    chunksStored += !chunkStored[i];
     chunkStored[i] = true;
     chunkMacs[i] = mac;
 }

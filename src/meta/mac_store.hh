@@ -62,7 +62,6 @@ class MacStore
     void corruptChunkMac(LocalAddr data_addr, std::uint64_t xor_mask);
 
     std::size_t blockMacsStored() const { return blocksStored; }
-    std::size_t chunkMacsStored() const { return chunksStored; }
 
   private:
     /** Panic unless @p data_addr lies in the protected space. */
@@ -99,7 +98,6 @@ class MacStore
     DemandZeroArray<crypto::Mac> chunkMacs;
     DemandZeroArray<bool> chunkStored;
     std::size_t blocksStored = 0;
-    std::size_t chunksStored = 0;
 };
 
 } // namespace shmgpu::meta

@@ -213,8 +213,8 @@ TEST(GoldenScenarios, Mix2SweepDocumentMatchesGoldenFile)
     gp.maxCyclesPerKernel = 10000;
     const workload::ScenarioSpec scn = workload::parseScenarioFile(
         std::string(SHMGPU_EXAMPLES_DIR) + "/scenarios/mix2.scn");
-    ScenarioSoloCache solos(gp);
-    ScenarioRunOptions opts;
+    RunMemo solos(gp);
+    RunOptions opts;
     opts.soloCache = &solos;
     std::vector<ScenarioExperimentResult> results;
     for (auto scheme :

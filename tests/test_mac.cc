@@ -1,14 +1,17 @@
 /**
  * @file
- * Stateful block-/chunk-MAC tests: every bound input must matter.
+ * Stateful block-/chunk-MAC tests: every bound input must matter, and
+ * the configured MAC width clears the paper's birthday bound.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <vector>
 
 #include "crypto/keygen.hh"
 #include "crypto/mac.hh"
+#include "mee/engine.hh"
 
 using namespace shmgpu::crypto;
 
@@ -94,4 +97,18 @@ TEST_F(MacTest, ChunkMacAddressBound)
     std::vector<Mac> macs = {1, 2, 3, 4};
     EXPECT_NE(engine.chunkMac(macs, 0x1000, 0),
               engine.chunkMac(macs, 0x2000, 0));
+}
+
+// Section III-C: a 4 GiB device holds 2^25 blocks of 128 B, and a
+// b-bit MAC collides after about 2^(b/2) writes, so the MAC needs at
+// least 2 * 25 = 50 bits. The default 8 B MAC clears the bound; the
+// 4 B PSSM-style width of the short-MAC ablation
+// (ablation_extensions.short_macs_save in bench/figures.cc) does not.
+TEST(MacTruncation, BirthdayBoundMatchesPaper)
+{
+    constexpr std::uint64_t blocks = (4ull << 30) / 128;
+    constexpr unsigned min_bits = 2 * std::countr_zero(blocks);
+    static_assert(std::has_single_bit(blocks) && min_bits == 50);
+    EXPECT_GE(shmgpu::mee::MeeParams{}.macBytes * 8, min_bits);
+    EXPECT_LT(4u * 8, min_bits);
 }

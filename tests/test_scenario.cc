@@ -264,7 +264,7 @@ TEST(ScenarioExperiment, UpperBoundStaysPrimedAcrossSwitches)
 
 TEST(ScenarioExperiment, WithoutSoloLeavesDeltasZero)
 {
-    ScenarioRunOptions opts;
+    RunOptions opts;
     opts.withSolo = false;
     ScenarioExperimentResult r = runScenarioExperiment(
         scnConfig(), schemes::Scheme::Shm,
@@ -378,7 +378,7 @@ TEST(ScenarioExperiment, SharedSoloCacheSimulatesEachSoloOnce)
         cells.push_back({schemes::Scheme::Shm, &scn});
 
     for (unsigned jobs : {1u, 4u}) {
-        ScenarioSoloCache solos(gp);
+        RunMemo solos(gp);
         SweepOptions opts;
         opts.jobs = jobs;
         opts.run.soloCache = &solos;

@@ -81,20 +81,6 @@ TEST(Stats, Lookup)
     EXPECT_FALSE(found);
 }
 
-TEST(Stats, ResetAllRecurses)
-{
-    StatGroup root(nullptr, "root");
-    StatGroup child(&root, "child");
-    Scalar a, b;
-    a += 1;
-    b += 1;
-    root.addScalar("a", &a);
-    child.addScalar("b", &b);
-    root.resetAll();
-    EXPECT_EQ(a.value(), 0);
-    EXPECT_EQ(b.value(), 0);
-}
-
 TEST(Stats, LateAttach)
 {
     StatGroup root(nullptr, "root");
