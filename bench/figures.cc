@@ -5,7 +5,9 @@
  * its claims. Declarations run twice: a planning pass collects the
  * requests, then every distinct cell is simulated once on
  * core::runCellPool (one RunMemo per GPU preset) and the second
- * pass prints; the output is bit-identical at any --jobs.
+ * pass prints; the output is bit-identical at any --jobs. A workload
+ * whose truth profile some cell reads has one Baseline run, which
+ * carries the truth and normalizes every cell of the workload.
  *
  * --quick caps kernels at 25k cycles instead of 100k; --out writes one
  * grid figure's cells as a sweep JSON document. A failing claim (over
@@ -32,7 +34,6 @@
 #include "detect/readonly.hh"
 #include "detect/streaming.hh"
 #include "gpu/presets.hh"
-#include "gpu/simulator.hh"
 
 using namespace shmgpu;
 
@@ -81,11 +82,13 @@ struct Plan
     scheme(const workload::WorkloadSpec &w, Scheme s, bool accuracy = false,
            const std::string &preset = "turing")
     {
+        core::RunOptions options;
+        options.collectAccuracy = accuracy;
+        if (core::readsTruth(s, options))
+            base(preset)->shareTruth(w, schemes::makeMeeParams(s));
         return cell(preset + "/" + w.name + "/" + schemes::schemeName(s) +
                         (accuracy ? "/accuracy" : ""),
-                    [&w, s, accuracy, base = base(preset)](CellResult &c) {
-                        core::RunOptions options;
-                        options.collectAccuracy = accuracy;
+                    [&w, s, options, base = base(preset)](CellResult &c) {
                         c.result = core::Experiment(base).run(s, w, options);
                     });
     }
@@ -108,32 +111,31 @@ struct Plan
             for (auto &k : spec.kernels)
                 for (auto &copy : k.preCopies)
                     copy.declaredReadOnly |= mp.programmingModelHints;
-            gpu::GpuSimulator sim(gpu(), mp,
-                                  workload::singleTenantScenario(spec));
-            c.result.metrics = sim.run().total;
+            c.result.metrics =
+                core::measure(gpu(), s, mp,
+                              workload::singleTenantScenario(spec))
+                    .total;
             c.result.baseline = base->metricsFor(w);
             c.result.normalizedIpc =
                 c.result.metrics.ipc / c.result.baseline.ipc;
         });
     }
 
-    /** Per workload, a Baseline run collecting the Fig.-5 profile. */
+    /** Per workload, the Baseline run carrying its Fig.-5 profile. */
     Cells
     profiles(const Workloads &ws)
     {
         Cells out;
-        for (const auto *w : ws)
+        for (const auto *w : ws) {
+            base("turing")->shareTruth(*w, mee::MeeParams{});
             out.push_back(cell("turing/" + w->name + "/profile",
-                               [this, w](auto &c) {
-                detect::AccessProfile profile(
-                    gpu().numPartitions, gpu().protectedBytesPerPartition);
-                gpu::GpuSimulator sim(gpu(),
-                                      schemes::makeMeeParams(Scheme::Baseline),
-                                      workload::singleTenantScenario(*w));
-                sim.collectProfile(&profile);
-                c.result.metrics = sim.run().total;
-                c.ratios = profile.accessRatios();
+                               [w, base = base("turing")](auto &c) {
+                const core::MemoRun &run = base->truthFor(
+                    workload::singleTenantScenario(*w), mee::MeeParams{});
+                c.result.metrics = run.metrics.total;
+                c.ratios = run.truth->accessRatios();
             }));
+        }
         return out;
     }
 

@@ -1,5 +1,7 @@
 #include "core/scenario.hh"
 
+#include <optional>
+
 #include "common/logging.hh"
 
 namespace shmgpu::core
@@ -48,17 +50,20 @@ runScenarioExperiment(const gpu::GpuParams &gpu_params,
     r.quantumCycles = scenario.quantumCycles;
     r.flushMdcOnSwitch = scenario.flushMdcOnSwitch;
 
+    // The truth and the solo references come from one memo: one run
+    // per distinct workload (tenants often share a spec). A
+    // caller-provided memo extends the memoization across cells of a
+    // sweep, so every scheme's cell reads one truth of the scenario.
+    std::optional<RunMemo> local;
+    RunMemo *solos = options.soloCache ? options.soloCache
+                                       : &local.emplace(gpu_params);
+
     // Detector accuracy is the scenario headline, so attribution is
     // always on.
     RunOptions measured = options;
     measured.collectAccuracy = true;
+    measured.soloCache = solos;
     r.metrics = measure(gpu_params, scheme, scenario, measured, inspect);
-
-    // Solo references: one run per distinct workload (tenants often
-    // share a spec). A caller-provided memo extends the memoization
-    // across cells of a sweep.
-    RunMemo local(gpu_params);
-    RunMemo *solos = options.soloCache ? options.soloCache : &local;
 
     double slowdown_sum = 0;
     r.tenants.reserve(scenario.tenants.size());

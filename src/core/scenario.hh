@@ -11,7 +11,10 @@
  * *solo* on the whole GPU under the same scheme and key seed — the
  * interference-free reference, memoized in a RunMemo like the
  * workload baselines — and reports the deltas: ANTT-style slowdown,
- * read-only/streaming accuracy loss, and MDC hit-rate loss.
+ * read-only/streaming accuracy loss, and MDC hit-rate loss. The
+ * shared run and each solo attribute against the truth profile of
+ * their scenario's Baseline run, kept in the same memo, so a grid
+ * simulates one Baseline per scenario whatever its schemes.
  *
  * Scenario grids run on core::SweepRunner like workload grids, through
  * the same pool and persistence machinery: scenarioCellKey

@@ -184,10 +184,18 @@ SweepRunner::runCells(const std::vector<SweepCell> &cells,
     const std::string &code_version = codeVersion();
     const crypto::Backend backend = crypto::activeBackend();
     std::vector<double> cost(n, 0.0);
-    for (std::size_t i = 0; i < n; ++i)
-        if (cells[i].spec)
-            cost[i] = estimateCellCost(*cells[i].spec,
-                                       gpuParams().maxCyclesPerKernel);
+    for (std::size_t i = 0; i < n; ++i) {
+        if (!cells[i].spec)
+            continue;
+        cost[i] = estimateCellCost(*cells[i].spec,
+                                   gpuParams().maxCyclesPerKernel);
+        // One Baseline run per workload: where a cell reads the truth,
+        // every cell of that workload normalizes against the run that
+        // carries it.
+        if (readsTruth(cells[i].scheme, options.run))
+            memo->shareTruth(*cells[i].spec,
+                             schemes::makeMeeParams(cells[i].scheme));
+    }
 
     auto body = cacheOrSimulate(
         results, options,

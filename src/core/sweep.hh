@@ -11,9 +11,12 @@
  *    seeded only from the workload spec, never from thread identity
  *    or scheduling order;
  *  - all workers share one RunMemo, so each unique workload's
- *    no-security baseline and each tenant's solo reference is
- *    simulated exactly once (call_once) and every cell compares
- *    against the same bits;
+ *    no-security baseline, each scenario's Baseline truth profile
+ *    and each tenant's solo reference is simulated exactly once
+ *    (call_once) and every cell compares against the same bits. A
+ *    workload whose truth some cell reads (--accuracy,
+ *    SHM_upper_bound) has one Baseline run, which carries the truth
+ *    and serves every cell's normalization;
  *  - results land in a pre-sized vector slot per cell, so the output
  *    order is the grid order regardless of completion order.
  *
@@ -90,8 +93,8 @@ struct SweepOptions
     /** Worker threads; 0 means std::thread::hardware_concurrency(). */
     unsigned jobs = 1;
     /** Per-cell run options (accuracy collection etc.). A scenario
-     *  grid without a soloCache takes its solo references from the
-     *  runner's memo. */
+     *  grid without a soloCache takes its truths and solo references
+     *  from the runner's memo; a workload grid always does. */
     RunOptions run;
     /**
      * When non-empty, each workload cell exports its trace to

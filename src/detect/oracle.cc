@@ -1,6 +1,7 @@
 #include "detect/oracle.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/bitops.hh"
 
@@ -93,6 +94,7 @@ AccessProfile::recordAccess(PartitionId partition, LocalAddr addr,
                "oracle phases expire lazily and need monotone time",
                partition, now, prof.lastAccess);
     prof.lastAccess = now;
+    finalized = false;
 
     const std::uint64_t region = addr >> regionShift;
     if (prof.regionAccesses[region]++ == 0)
@@ -160,6 +162,37 @@ AccessProfile::finalize()
         std::sort(prof.touchedRegions.begin(), prof.touchedRegions.end());
         std::sort(prof.touchedChunks.begin(), prof.touchedChunks.end());
     }
+    finalized = true;
+}
+
+TruthProfile
+AccessProfile::truth() const
+{
+    shm_assert(finalized, "truth profile taken with accesses recorded "
+                          "since the last finalize()");
+    // The bits up to the word of the highest id in @p ids, which
+    // finalize() sorted: the retained query bits of a profile never
+    // reach past its touched ids.
+    auto prefix = [](const BitArray &bits,
+                     const std::vector<std::uint64_t> &ids) {
+        const std::size_t words = ids.empty() ? 0 : (ids.back() >> 6) + 1;
+        return TruthProfile::Bits(bits.data(), bits.data() + words);
+    };
+    TruthProfile t;
+    t.spanBytes = spanBytes;
+    t.regionShift = regionShift;
+    t.chunkShift = chunkShift;
+    t.ratios = accessRatios();
+    t.partitions.reserve(partitions.size());
+    for (const PartitionProfile &prof : partitions) {
+        TruthProfile::PartitionTruth &pt = t.partitions.emplace_back();
+        pt.writtenRegions = prefix(prof.writtenRegions, prof.touchedRegions);
+        pt.randomChunks = prefix(prof.randomChunks, prof.touchedChunks);
+        pt.touchedChunks.resize(pt.randomChunks.size());
+        for (std::uint64_t chunk : prof.touchedChunks)
+            pt.touchedChunks[chunk >> 6] |= 1ull << (chunk & 63);
+    }
+    return t;
 }
 
 bool
@@ -220,6 +253,40 @@ AccessProfile::accessRatios() const
                      static_cast<double>(r.totalAccesses);
     }
     return r;
+}
+
+namespace
+{
+
+/** Call @p fn on each set bit's id of @p bits in ascending order. */
+template <typename Fn>
+void
+visitBits(const std::vector<std::uint64_t> &bits, Fn &&fn)
+{
+    for (std::size_t w = 0; w < bits.size(); ++w)
+        for (std::uint64_t word = bits[w]; word; word &= word - 1)
+            fn(w * 64 + static_cast<std::uint64_t>(std::countr_zero(word)));
+}
+
+} // namespace
+
+void
+TruthProfile::forEachChunk(
+    PartitionId partition,
+    const std::function<void(std::uint64_t, bool)> &fn) const
+{
+    const PartitionTruth &pt = partitions.at(partition);
+    visitBits(pt.touchedChunks, [&](std::uint64_t chunk) {
+        fn(chunk, !testBit(pt.randomChunks, chunk));
+    });
+}
+
+void
+TruthProfile::forEachWrittenRegion(
+    PartitionId partition,
+    const std::function<void(std::uint64_t)> &fn) const
+{
+    visitBits(partitions.at(partition).writtenRegions, fn);
 }
 
 } // namespace shmgpu::detect

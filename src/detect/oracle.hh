@@ -30,6 +30,11 @@
  * recorded) and one bit per chunk (not streaming, rebuilt from the
  * votes by each finalize()), so a query is a shift and a bit load.
  * chunkStreaming() therefore answers as of the last finalize().
+ *
+ * A finished profile is kept as its TruthProfile (truth()): the same
+ * answers from bit vectors sized to the ids the run touched, a few
+ * hundred bytes per partition instead of the span-sized records, which
+ * is what a memo of reference runs (core::RunMemo) holds on to.
  */
 
 #ifndef SHMGPU_DETECT_ORACLE_HH
@@ -46,6 +51,8 @@
 
 namespace shmgpu::detect
 {
+
+class TruthProfile;
 
 /** Ground-truth profile of one workload execution. */
 class AccessProfile
@@ -65,9 +72,15 @@ class AccessProfile
     /** @p now must not go backwards within a partition. */
     void recordAccess(PartitionId partition, LocalAddr addr, bool is_write,
                       Cycle now);
-    /** Close every open oracle phase as timed out (end of the run). */
+    /** Close every open oracle phase as timed out (end of the run).
+     *  Repeatable: recording may go on, and a later finalize()
+     *  rebuilds the verdicts. */
     void finalize();
     /** @} */
+
+    /** The query half as of the last finalize(); fatal if accesses
+     *  were recorded since. */
+    TruthProfile truth() const;
 
     /** @{ Query interface. */
     /** True when no kernel write ever touched the region of @p addr. */
@@ -198,6 +211,85 @@ class AccessProfile
     std::uint64_t fullMask;
     std::uint32_t accessBudget;
     std::vector<PartitionProfile> partitions;
+    /** No access recorded since the last finalize(). */
+    bool finalized = true;
+};
+
+/**
+ * What attribution and priming read of a finalized AccessProfile,
+ * without its per-region and per-chunk records: per partition, one
+ * bit per written region, per touched chunk and per touched chunk
+ * that is not streaming, each vector only as long as the highest
+ * touched id needs, plus the whole-run access ratios. Every query
+ * answers as the profile it came from did at its last finalize().
+ */
+class TruthProfile
+{
+  public:
+    /** @copydoc AccessProfile::regionReadOnly */
+    bool
+    regionReadOnly(PartitionId partition, LocalAddr addr) const
+    {
+        checkAddr(addr);
+        return !testBit(partitions.at(partition).writtenRegions,
+                        addr >> regionShift);
+    }
+
+    /** @copydoc AccessProfile::chunkStreaming */
+    bool
+    chunkStreaming(PartitionId partition, LocalAddr addr) const
+    {
+        checkAddr(addr);
+        return !testBit(partitions.at(partition).randomChunks,
+                        addr >> chunkShift);
+    }
+
+    /** @copydoc AccessProfile::forEachChunk */
+    void forEachChunk(
+        PartitionId partition,
+        const std::function<void(std::uint64_t chunk, bool streaming)> &fn)
+        const;
+
+    /** @copydoc AccessProfile::forEachWrittenRegion */
+    void forEachWrittenRegion(
+        PartitionId partition,
+        const std::function<void(std::uint64_t region)> &fn) const;
+
+    AccessProfile::Ratios accessRatios() const { return ratios; }
+
+  private:
+    friend class AccessProfile;
+
+    /** Bits of one id set, as long as its highest id needs. */
+    using Bits = std::vector<std::uint64_t>;
+
+    static bool
+    testBit(const Bits &bits, std::uint64_t id)
+    {
+        const std::uint64_t word = id >> 6;
+        return word < bits.size() && ((bits[word] >> (id & 63)) & 1);
+    }
+
+    void
+    checkAddr(LocalAddr addr) const
+    {
+        shm_assert(addr < spanBytes,
+                   "profiled address {} at or beyond the {}-byte "
+                   "partition span", addr, spanBytes);
+    }
+
+    struct PartitionTruth
+    {
+        Bits writtenRegions;
+        Bits touchedChunks;
+        Bits randomChunks;
+    };
+
+    std::uint64_t spanBytes = 0;
+    unsigned regionShift = 0;
+    unsigned chunkShift = 0;
+    std::vector<PartitionTruth> partitions;
+    AccessProfile::Ratios ratios;
 };
 
 } // namespace shmgpu::detect

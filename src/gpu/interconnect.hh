@@ -40,6 +40,8 @@ struct InterconnectParams
      *  DRAM data, so the crossbar only binds under reply bursts. */
     double bytesPerCycle = 32.0;
     std::uint32_t requestBytes = 16; //!< header cost of a request
+
+    bool operator==(const InterconnectParams &) const = default;
 };
 
 /** Crossbar between the SMs and the memory partitions. */

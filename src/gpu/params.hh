@@ -66,6 +66,8 @@ struct GpuParams
     /** Minimum sampled accesses before the monitor may trigger. */
     std::uint64_t victimSampleWarmup = 64;
     /** @} */
+
+    bool operator==(const GpuParams &) const = default;
 };
 
 } // namespace shmgpu::gpu

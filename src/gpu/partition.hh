@@ -71,7 +71,7 @@ class Partition : public mee::VictimCacheIf
 
     /** Attach a profile collector (pass 1) or truth profile. */
     void collectInto(detect::AccessProfile *profile) { collector = profile; }
-    void setTruthProfile(const detect::AccessProfile *profile)
+    void setTruthProfile(const detect::TruthProfile *profile)
     {
         engine.setProfile(profile);
     }

@@ -1,5 +1,7 @@
 #include "gpu/presets.hh"
 
+#include <utility>
+
 #include "common/logging.hh"
 
 namespace shmgpu::gpu
@@ -33,24 +35,45 @@ testConfig()
     return p;
 }
 
+namespace
+{
+
+/** Every preset by name: what presetByName resolves and presetNames
+ *  lists. */
+const std::vector<std::pair<std::string, GpuParams (*)()>> &
+presets()
+{
+    static const std::vector<std::pair<std::string, GpuParams (*)()>>
+        table = {{"turing", turingConfig},
+                 {"big", bigConfig},
+                 {"test", testConfig}};
+    return table;
+}
+
+} // namespace
+
 GpuParams
 presetByName(const std::string &name)
 {
-    if (name == "turing")
-        return turingConfig();
-    if (name == "big")
-        return bigConfig();
-    if (name == "test")
-        return testConfig();
-    shm_fatal("unknown GPU preset '{}' (expected turing/big/test)",
-              name);
+    for (const auto &[preset, make] : presets())
+        if (name == preset)
+            return make();
+    // Name the valid set, like schemeFromName does.
+    std::string known;
+    for (const std::string &preset : presetNames())
+        known += (known.empty() ? "" : ", ") + preset;
+    shm_fatal("unknown GPU preset '{}' (expected one of: {})", name, known);
 }
 
 const std::vector<std::string> &
 presetNames()
 {
-    static const std::vector<std::string> names = {"turing", "big",
-                                                   "test"};
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> out;
+        for (const auto &preset : presets())
+            out.push_back(preset.first);
+        return out;
+    }();
     return names;
 }
 

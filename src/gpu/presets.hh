@@ -31,10 +31,11 @@ GpuParams bigConfig();
 /** A deliberately tiny machine for fast unit/integration tests. */
 GpuParams testConfig();
 
-/** Look up a preset by name ("turing", "big", "test"); fatal else. */
+/** Look up a preset by name (one of presetNames()); fatal else,
+ *  naming the valid set. */
 GpuParams presetByName(const std::string &name);
 
-/** Names accepted by presetByName. */
+/** Names accepted by presetByName, in table order. */
 const std::vector<std::string> &presetNames();
 
 /**

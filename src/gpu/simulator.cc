@@ -147,14 +147,14 @@ GpuSimulator::collectProfile(detect::AccessProfile *profile)
 }
 
 void
-GpuSimulator::attributeAgainst(const detect::AccessProfile *profile)
+GpuSimulator::attributeAgainst(const detect::TruthProfile *profile)
 {
     for (auto &p : partitions)
         p->setTruthProfile(profile);
 }
 
 void
-GpuSimulator::primeFromProfile(const detect::AccessProfile &profile)
+GpuSimulator::primeFromProfile(const detect::TruthProfile &profile)
 {
     primedProfile = &profile;
     for (auto &p : partitions)

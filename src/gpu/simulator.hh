@@ -68,10 +68,10 @@ class GpuSimulator : public mee::DramRouter
     void collectProfile(detect::AccessProfile *profile);
 
     /** Attach truth for Fig. 10/11 misprediction attribution. */
-    void attributeAgainst(const detect::AccessProfile *profile);
+    void attributeAgainst(const detect::TruthProfile *profile);
 
     /** Prime detectors from a profile (SHM_upper_bound). */
-    void primeFromProfile(const detect::AccessProfile &profile);
+    void primeFromProfile(const detect::TruthProfile &profile);
 
     /**
      * Attach a flight recorder (see common/trace.hh). The tracer must
@@ -328,7 +328,7 @@ class GpuSimulator : public mee::DramRouter
      *  partitions after the switch-time detector flush (otherwise
      *  SHM_upper_bound degrades to learned-from-scratch after the
      *  first quantum). Owned by the caller, outlives the run. */
-    const detect::AccessProfile *primedProfile = nullptr;
+    const detect::TruthProfile *primedProfile = nullptr;
 
     stats::StatGroup rootStats;
     stats::Scalar statCycles;

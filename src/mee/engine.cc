@@ -679,7 +679,7 @@ MeeEngine::contextSwitch(Cycle now, bool flush_mdc)
 }
 
 void
-MeeEngine::primeFromProfile(const detect::AccessProfile &profile)
+MeeEngine::primeFromProfile(const detect::TruthProfile &profile)
 {
     profile.forEachChunk(partitionId,
                          [this](std::uint64_t chunk, bool streaming) {

@@ -85,8 +85,10 @@ struct MeeParams
     detect::ReadOnlyDetectorParams roDetector;
     detect::StreamingDetectorParams streamDetector;
 
-    Cycle hashLatency = 40; //!< MAC/hash engine latency (Table VI)
-    Cycle aesLatency = 40;  //!< pipelined AES latency
+    /** Pipelined AES latency (Table VI), added to every secure read
+     *  miss on its return path; no separate MAC/hash latency is
+     *  charged. */
+    Cycle aesLatency = 40;
     Cycle mdcHitLatency = 2;
 
     /**
@@ -256,11 +258,11 @@ class MeeEngine
     }
     /** @} */
 
-    /** Prime detectors from a profiling pass (SHM_upper_bound). */
-    void primeFromProfile(const detect::AccessProfile &profile);
+    /** Prime detectors from the Baseline truth (SHM_upper_bound). */
+    void primeFromProfile(const detect::TruthProfile &profile);
 
     /** Attach ground truth for Fig. 10/11 accuracy attribution. */
-    void setProfile(const detect::AccessProfile *profile)
+    void setProfile(const detect::TruthProfile *profile)
     {
         truthProfile = profile;
     }
@@ -374,7 +376,7 @@ class MeeEngine
     VictimCacheIf *victim;
     const mem::AddressMap *physMap;
     meta::CommonCounterTable *commonTable;
-    const detect::AccessProfile *truthProfile = nullptr;
+    const detect::TruthProfile *truthProfile = nullptr;
     trace::Tracer *tracer = nullptr;
 
     mem::SectoredCache ctrCache;

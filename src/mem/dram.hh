@@ -58,6 +58,8 @@ struct DramParams
      * bursts at 2 cycles each.
      */
     Cycle writeQueueCycles = 128;
+
+    bool operator==(const DramParams &) const = default;
 };
 
 /** Completion info for an enqueued DRAM transaction. */

@@ -42,7 +42,8 @@ const std::vector<Scheme> &allSchemes();
 /** Build the MEE configuration for a scheme. */
 mee::MeeParams makeMeeParams(Scheme scheme);
 
-/** True when the scheme needs a profiling pass before the real run. */
+/** True when the scheme primes its predictors from the Baseline truth
+ *  profile before the run (and after every context switch). */
 bool needsProfilePass(Scheme scheme);
 
 } // namespace shmgpu::schemes

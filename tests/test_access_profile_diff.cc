@@ -14,8 +14,10 @@
  * finalize the two profiles must agree on regionReadOnly and
  * chunkStreaming for every region and chunk id of the span, touched
  * or not, on the forEachChunk and forEachWrittenRegion sequences, and
- * on accessRatios; and the profile's query bits must answer every
- * touched id as its own per-chunk records do.
+ * on accessRatios; the profile's query bits must answer every
+ * touched id as its own per-chunk records do; and the TruthProfile
+ * it retains must answer every one of those queries exactly as the
+ * full profile does.
  */
 
 #include <gtest/gtest.h>
@@ -68,6 +70,9 @@ class Pair
         dut.finalize();
         ref.finalize(now);
         ++finalizes;
+        compareRetained(dut.truth());
+        if (::testing::Test::HasFatalFailure())
+            return;
 
         for (PartitionId p = 0; p < kPartitions; ++p) {
             SCOPED_TRACE(p);
@@ -110,6 +115,44 @@ class Pair
 
         const AccessProfile::Ratios a = dut.accessRatios();
         const AccessProfile::Ratios b = ref.accessRatios();
+        ASSERT_EQ(a.totalAccesses, b.totalAccesses);
+        ASSERT_EQ(a.streaming, b.streaming);
+        ASSERT_EQ(a.readOnly, b.readOnly);
+    }
+
+    /** The retained truth against the full profile, query by query. */
+    void
+    compareRetained(const TruthProfile &truth) const
+    {
+        for (PartitionId p = 0; p < kPartitions; ++p) {
+            SCOPED_TRACE(p);
+            for (std::uint64_t c = 0; c < kChunks; ++c)
+                ASSERT_EQ(truth.chunkStreaming(p, c * kChunkBytes),
+                          dut.chunkStreaming(p, c * kChunkBytes))
+                    << "retained chunk " << c;
+            for (LocalAddr a = 0; a < kSpanBytes; a += kRegionBytes)
+                ASSERT_EQ(truth.regionReadOnly(p, a),
+                          dut.regionReadOnly(p, a))
+                    << "retained region " << a / kRegionBytes;
+
+            ChunkSeq full_chunks, kept_chunks;
+            dut.forEachChunk(p, [&](std::uint64_t c, bool s) {
+                full_chunks.emplace_back(c, s);
+            });
+            truth.forEachChunk(p, [&](std::uint64_t c, bool s) {
+                kept_chunks.emplace_back(c, s);
+            });
+            ASSERT_EQ(kept_chunks, full_chunks);
+
+            std::vector<std::uint64_t> full_regions, kept_regions;
+            dut.forEachWrittenRegion(
+                p, [&](std::uint64_t r) { full_regions.push_back(r); });
+            truth.forEachWrittenRegion(
+                p, [&](std::uint64_t r) { kept_regions.push_back(r); });
+            ASSERT_EQ(kept_regions, full_regions);
+        }
+        const AccessProfile::Ratios a = truth.accessRatios();
+        const AccessProfile::Ratios b = dut.accessRatios();
         ASSERT_EQ(a.totalAccesses, b.totalAccesses);
         ASSERT_EQ(a.streaming, b.streaming);
         ASSERT_EQ(a.readOnly, b.readOnly);

@@ -146,6 +146,44 @@ TEST(Experiment, UpperBoundRunsProfilePassAutomatically)
     EXPECT_GT(r.normalizedIpc, 0.0);
 }
 
+// A cell that reads the truth normalizes against the Baseline run that
+// carries it: one Baseline simulation, whose metrics are the plain
+// Baseline's bits.
+TEST(Experiment, TruthReadingCellSimulatesOneBaseline)
+{
+    auto w = workload::makeMixedMicro();
+    const gpu::RunMetrics plain = Experiment(quickParams()).baselineFor(w);
+    for (bool accuracy : {true, false}) {
+        Experiment exp(quickParams());
+        RunOptions opts;
+        opts.collectAccuracy = accuracy;
+        const auto scheme = accuracy ? schemes::Scheme::Shm
+                                     : schemes::Scheme::ShmUpperBound;
+        const auto r = exp.run(scheme, w, opts);
+        EXPECT_EQ(exp.baselineCache()->size(), 1u) << accuracy;
+        EXPECT_EQ(r.baseline.cycles, plain.cycles);
+        EXPECT_EQ(r.baseline.ipc, plain.ipc);
+        EXPECT_EQ(r.baseline.bytesData, plain.bytesData);
+        EXPECT_EQ(r.baseline.energy.dramBytes, plain.energy.dramBytes);
+    }
+}
+
+TEST(Experiment, MeasureRefusesAMemoOfAnotherGpu)
+{
+    // A truth collected on another machine would attribute against
+    // the wrong partitions.
+    RunMemo memo(quickParams());
+    gpu::GpuParams other = quickParams();
+    other.numSms = 8;
+    RunOptions opts;
+    opts.collectAccuracy = true;
+    opts.soloCache = &memo;
+    const auto scenario =
+        workload::singleTenantScenario(workload::makeMixedMicro());
+    EXPECT_DEATH(measure(other, schemes::Scheme::Shm, scenario, opts),
+                 "the run memo simulates another GPU");
+}
+
 TEST(Geomean, MatchesHandComputation)
 {
     EXPECT_DOUBLE_EQ(geomean({4.0}), 4.0);

@@ -189,8 +189,9 @@ TEST(GpuSimulator, UpperBoundPrimingWorks)
                      schemes::makeMeeParams(
                          schemes::Scheme::ShmUpperBound),
                      workload::singleTenantScenario(w));
-    sim.primeFromProfile(profile);
-    sim.attributeAgainst(&profile);
+    const detect::TruthProfile truth = profile.truth();
+    sim.primeFromProfile(truth);
+    sim.attributeAgainst(&truth);
     RunMetrics m = sim.run().total;
     // Primed predictors on a random workload: block MACs dominate.
     EXPECT_GT(m.blockMacAccesses, m.chunkMacAccesses);
@@ -352,8 +353,13 @@ TEST(GpuPresets, NamedConfigsAreConsistent)
 
     GpuParams tiny = presetByName("test");
     EXPECT_LT(tiny.numSms, turing.numSms);
-    EXPECT_DEATH(presetByName("hopper"), "unknown GPU preset");
-    EXPECT_EQ(presetNames().size(), 3u);
+    EXPECT_DEATH(presetByName("hopper"),
+                 "unknown GPU preset 'hopper' \\(expected one of: "
+                 "turing, big, test\\)");
+    EXPECT_EQ(presetNames(),
+              (std::vector<std::string>{"turing", "big", "test"}));
+    EXPECT_TRUE(presetByName("test") == testConfig());
+    EXPECT_TRUE(presetByName("big") == bigConfig());
 }
 
 TEST(GpuPresets, TestConfigRunsQuickly)

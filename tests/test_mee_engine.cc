@@ -418,7 +418,8 @@ TEST_F(MeeEngineTest, PredictionAccuracyAttribution)
         profile.recordAccess(0, static_cast<LocalAddr>(s) * 32, false,
                              static_cast<Cycle>(s));
     profile.finalize();
-    mee.setProfile(&profile);
+    const detect::TruthProfile truth = profile.truth();
+    mee.setProfile(&truth);
 
     mee.hostCopy(0, 16 * 1024);
     mee.onRead(0, 0, 100);
@@ -602,8 +603,8 @@ TEST_F(MeeEngineTest, AliasedPrimingIsInsertionOrderIndependent)
     params.streamDetector.entries = 4;
     auto up = makeEngine(params);
     auto down = makeEngine(params);
-    up->primeFromProfile(*profile(true));
-    down->primeFromProfile(*profile(false));
+    up->primeFromProfile(profile(true)->truth());
+    down->primeFromProfile(profile(false)->truth());
 
     const auto &a = up->streamingDetector();
     const auto &b = down->streamingDetector();

@@ -246,3 +246,20 @@ TEST(AccessProfile, ChunkVerdictsHoldUntilTheNextFinalize)
     p.finalize();
     EXPECT_FALSE(p.chunkStreaming(0, 0));
 }
+
+TEST(AccessProfile, RetainedTruthNeedsAFinalize)
+{
+    // The retained truth is the profile as of its last finalize(), so
+    // taking it with accesses recorded since is a caller bug. It keeps
+    // the span check, and ids past its right-sized bits read as never
+    // written and streaming.
+    AccessProfile p(1, 1 << 20);
+    p.recordAccess(0, 0, true, 0);
+    EXPECT_DEATH(p.truth(), "recorded since the last finalize");
+    p.finalize();
+    const TruthProfile t = p.truth();
+    EXPECT_FALSE(t.regionReadOnly(0, 0));
+    EXPECT_TRUE(t.regionReadOnly(0, (1 << 20) - 1));
+    EXPECT_TRUE(t.chunkStreaming(0, (1 << 20) - 1));
+    EXPECT_DEATH(t.chunkStreaming(0, 1 << 20), "partition span");
+}

@@ -377,13 +377,16 @@ TEST(ScenarioExperiment, SharedSoloCacheSimulatesEachSoloOnce)
     for (const auto &scn : grid)
         cells.push_back({schemes::Scheme::Shm, &scn});
 
+    // Two solo runs, the Baseline truth of each solo workload, and
+    // one Baseline truth per scenario.
+    const std::size_t memoized = 2 + 2 + grid.size();
     for (unsigned jobs : {1u, 4u}) {
         RunMemo solos(gp);
         SweepOptions opts;
         opts.jobs = jobs;
         opts.run.soloCache = &solos;
         auto results = SweepRunner(gp).run(cells, opts);
-        EXPECT_EQ(solos.size(), 2u) << "jobs " << jobs;
+        EXPECT_EQ(solos.size(), memoized) << "jobs " << jobs;
 
         ASSERT_EQ(results.size(), 3u);
         for (std::size_t t = 0; t < 2; ++t) {
@@ -394,8 +397,30 @@ TEST(ScenarioExperiment, SharedSoloCacheSimulatesEachSoloOnce)
                 EXPECT_EQ(r.tenants.at(t).soloIpc, solo.ipc)
                     << "jobs " << jobs << " tenant " << t;
         }
-        EXPECT_EQ(solos.size(), 2u) << "jobs " << jobs;
+        EXPECT_EQ(solos.size(), memoized) << "jobs " << jobs;
     }
+}
+
+// Every scheme's cell of a scenario reads the same truth: a
+// two-scheme grid simulates one Baseline per distinct scenario.
+TEST(SweepRunner, ScenarioGridSimulatesOneTruthPerScenario)
+{
+    const gpu::GpuParams gp = scnConfig();
+    std::vector<workload::ScenarioSpec> grid;
+    for (Cycle q : {1000, 4000})
+        grid.push_back(twoTenantMix(workload::SharePolicy::TimeSliced, q));
+    grid.push_back(twoTenantMix(workload::SharePolicy::Partitioned, 2000));
+    std::vector<ScenarioCell> cells;
+    for (const auto &scn : grid)
+        for (auto scheme : {schemes::Scheme::Pssm, schemes::Scheme::Shm})
+            cells.push_back({scheme, &scn});
+
+    const SweepRunner runner(gp);
+    SweepOptions opts;
+    opts.jobs = 4;
+    opts.run.withSolo = false;
+    runner.run(cells, opts);
+    EXPECT_EQ(runner.baselineCache()->size(), grid.size());
 }
 
 // One memo serves a parallel scenario grid's solo references while
@@ -425,12 +450,14 @@ TEST(SweepRunner, ScenarioGridSharesItsMemoWithBaselineLookups)
     const auto got = runner.run(cells, wide);
     for (auto &t : lookups)
         t.join();
-    // Two distinct tenants' solo runs beside the three Baselines.
-    EXPECT_EQ(runner.baselineCache()->size(), 2u + specs.size());
+    // Two distinct tenants' solo runs and their Baseline truths, one
+    // Baseline truth per scenario, beside the three plain Baselines.
+    const std::size_t grid_entries = 2 + 2 + grid.size();
+    EXPECT_EQ(runner.baselineCache()->size(), grid_entries + specs.size());
 
     const SweepRunner serial(gp);
     const auto want = serial.run(cells);
-    EXPECT_EQ(serial.baselineCache()->size(), 2u);
+    EXPECT_EQ(serial.baselineCache()->size(), grid_entries);
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t i = 0; i < want.size(); ++i)
         EXPECT_EQ(dumpJson(scenarioResultToJson(got[i])),

@@ -87,5 +87,4 @@ TEST(Schemes, TableVIMdcDefaults)
         EXPECT_EQ(cache->assoc, 4u);
         EXPECT_TRUE(cache->writeAllocate);
     }
-    EXPECT_EQ(p.hashLatency, 40u);
 }

@@ -128,6 +128,42 @@ TEST(SweepRunner, SharedBaselineCacheSimulatesEachSpecOnce)
     EXPECT_EQ(runner.baselineCache()->size(), 3u);
 }
 
+// A grid that reads the Baseline truth (--accuracy, or a primed
+// SHM_upper_bound cell beside plain ones) simulates one Baseline per
+// workload: the memo holds nothing else, measure() runs no Baseline
+// of its own, and every cell normalizes against the plain Baseline's
+// bits.
+TEST(SweepRunner, TruthReadingGridsSimulateOneBaselinePerWorkload)
+{
+    using schemes::Scheme;
+    struct Case
+    {
+        const char *name;
+        std::vector<Scheme> designs;
+        bool accuracy;
+    };
+    const std::vector<Case> cases = {
+        {"accuracy", {Scheme::Naive, Scheme::Pssm, Scheme::Shm}, true},
+        {"upper bound", {Scheme::Shm, Scheme::ShmUpperBound}, false}};
+    Grid grid;
+    const SweepRunner plain(quickParams());
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        SweepRunner runner(quickParams());
+        SweepOptions opts;
+        opts.jobs = 4;
+        opts.run.collectAccuracy = c.accuracy;
+        const auto results = runner.run(c.designs, grid.workloads, opts);
+        EXPECT_EQ(runner.baselineCache()->size(), grid.workloads.size());
+        ASSERT_EQ(results.size(), c.designs.size() * grid.workloads.size());
+        for (std::size_t i = 0; i < results.size(); ++i)
+            expectMetricsIdentical(
+                results[i].baseline,
+                plain.baselineCache()->metricsFor(
+                    *grid.workloads[i / c.designs.size()]));
+    }
+}
+
 TEST(SweepRunner, MatchesDirectExperimentRuns)
 {
     Grid grid;
