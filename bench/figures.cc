@@ -812,7 +812,6 @@ main(int argc, char **argv)
         declare(plan);
     if (!out.empty() && (chosen.size() != 1 || plan.sunk.empty()))
         shm_fatal("--out needs one grid figure (fig10-fig16)");
-    log_detail::setVerbose(false); // the tables speak for themselves
     plan.run(args.number<unsigned>("jobs", 0));
     for (auto declare : chosen)
         declare(plan);

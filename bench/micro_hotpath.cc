@@ -1,95 +1,32 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the hot-path containers and
- * index math introduced by the performance rework: FlatMap vs.
- * std::unordered_map on an insert/find/erase churn pattern (the
- * streaming detector's chunk-to-tracker slots), DaryHeap vs.
+ * index math introduced by the performance rework: DaryHeap vs.
  * std::priority_queue on the completion-retirement pattern, the
  * timing-wheel CalendarQueue vs. DaryHeap on the kernel engine's SM
  * ready-event pattern, the division-free address mapping, the
- * unlimited-MAT oracle detector at growing tracker pools, and the
- * profiling pass's per-chunk oracle on the same stream. These
- * isolate the per-structure wins (and costs) that perfbench's
- * paper-grid workload measures end to end.
+ * sectored cache per replacement policy, the unlimited-MAT oracle
+ * detector at growing tracker pools, and the profiling pass's
+ * per-chunk oracle on the same stream. These isolate the
+ * per-structure wins (and costs) that perfbench's paper-grid
+ * workload measures end to end.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <queue>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/calendar_queue.hh"
 #include "common/dary_heap.hh"
-#include "common/flat_map.hh"
 #include "detect/oracle.hh"
 #include "detect/streaming.hh"
 #include "mem/addr_map.hh"
 #include "mem/cache.hh"
 
 using namespace shmgpu;
-
-namespace
-{
-
-/** A slot's lifecycle: insert, a few finds, erase. */
-struct ChurnEntry
-{
-    std::uint32_t slot = 0;
-    std::uint32_t touches = 0;
-};
-
-constexpr std::size_t liveEntries = 256; // a tracker pool's worth
-
-} // namespace
-
-static void
-BM_FlatMapChurn(benchmark::State &state)
-{
-    FlatMap<ChurnEntry> table;
-    table.reserve(liveEntries);
-    std::uint64_t key = 0;
-    for (auto _ : state) {
-        table.emplace(key, ChurnEntry{0xF, 1});
-        for (int probe = 0; probe < 4; ++probe)
-            benchmark::DoNotOptimize(table.find(key));
-        table.erase(key);
-        key += 128;
-    }
-}
-BENCHMARK(BM_FlatMapChurn);
-
-static void
-BM_UnorderedMapChurn(benchmark::State &state)
-{
-    std::unordered_map<std::uint64_t, ChurnEntry> table;
-    table.reserve(liveEntries);
-    std::uint64_t key = 0;
-    for (auto _ : state) {
-        table.emplace(key, ChurnEntry{0xF, 1});
-        for (int probe = 0; probe < 4; ++probe)
-            benchmark::DoNotOptimize(table.find(key));
-        table.erase(key);
-        key += 128;
-    }
-}
-BENCHMARK(BM_UnorderedMapChurn);
-
-static void
-BM_FlatMapHitLookup(benchmark::State &state)
-{
-    FlatMap<std::uint32_t> table;
-    for (std::uint64_t k = 0; k < liveEntries; ++k)
-        table.emplace(k * 128, static_cast<std::uint32_t>(k));
-    std::uint64_t key = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(table.find(key % (liveEntries * 128)));
-        key += 128;
-    }
-}
-BENCHMARK(BM_FlatMapHitLookup);
 
 static void
 BM_DaryHeapCompletions(benchmark::State &state)

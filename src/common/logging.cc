@@ -9,8 +9,7 @@ namespace log_detail
 
 namespace
 {
-// Atomic: SweepRunner worker threads inform() concurrently with a
-// driver toggling verbosity.
+// Atomic: a driver may toggle it while sweep workers run.
 std::atomic<bool> verboseFlag{true};
 } // namespace
 
@@ -38,19 +37,6 @@ fatalImpl(const char *file, int line, const std::string &msg)
 {
     std::fprintf(stderr, "fatal: %s\n  at %s:%d\n", msg.c_str(), file, line);
     std::exit(1);
-}
-
-void
-warnImpl(const std::string &msg)
-{
-    std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-void
-informImpl(const std::string &msg)
-{
-    if (verbose())
-        std::fprintf(stderr, "info: %s\n", msg.c_str());
 }
 
 } // namespace log_detail

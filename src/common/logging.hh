@@ -1,13 +1,11 @@
 /**
  * @file
- * gem5-style status/error reporting: panic, fatal, warn, inform.
+ * gem5-style error reporting: panic and fatal.
  *
  * panic()  — a simulator bug: something that should never happen
  *            regardless of user input. Aborts.
  * fatal()  — a user error (bad configuration, invalid arguments).
  *            Exits with an error code.
- * warn()   — functionality that may not behave as the user expects.
- * inform() — plain status messages.
  */
 
 #ifndef SHMGPU_COMMON_LOGGING_HH
@@ -49,10 +47,9 @@ format(std::ostringstream &os, const char *fmt, T &&value, Args &&...rest)
                             const std::string &msg);
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
-void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
 
-/** Enable/disable inform() output (benches silence it). */
+/** Set the verbosity flag. Nothing in the simulator reads it; the
+ *  perfbench driver still sets it. */
 void setVerbose(bool verbose);
 bool verbose();
 
@@ -83,14 +80,6 @@ locationPrefix(const std::string &where)
 #define shm_fatal(...)                                                      \
     ::shmgpu::log_detail::fatalImpl(                                        \
         __FILE__, __LINE__, ::shmgpu::log_detail::formatStr(__VA_ARGS__))
-
-#define shm_warn(...)                                                       \
-    ::shmgpu::log_detail::warnImpl(                                         \
-        ::shmgpu::log_detail::formatStr(__VA_ARGS__))
-
-#define shm_inform(...)                                                     \
-    ::shmgpu::log_detail::informImpl(                                       \
-        ::shmgpu::log_detail::formatStr(__VA_ARGS__))
 
 /** Always-on invariant check with formatted message. */
 #define shm_assert(cond, ...)                                               \

@@ -41,7 +41,7 @@ StreamingDetector::confirmedStreaming(LocalAddr addr, Cycle now) const
     // to the detection event — with the Table III/IV costs if the
     // phase turns out random.
     if (oracle())
-        return liveSlot.contains(chunk);
+        return liveSlotOf(chunk) != 0;
     for (const auto &t : trackers)
         if (t.valid && t.chunk == chunk)
             return true;
@@ -67,7 +67,7 @@ StreamingDetector::finalize(Tracker &t, std::vector<DetectionEvent> &events,
                       t.writeFlag, t.accessMask, exit});
     t.valid = false;
     if (oracle()) {
-        liveSlot.erase(t.chunk);
+        liveSlot[t.chunk] = 0;
         freeSlots.push(static_cast<std::uint32_t>(&t - trackers.data()));
         ++t.generation;
     }
@@ -94,8 +94,8 @@ StreamingDetector::Tracker *
 StreamingDetector::findTracker(std::uint64_t chunk)
 {
     if (oracle()) {
-        const std::uint32_t *slot = liveSlot.find(chunk);
-        return slot ? &trackers[*slot] : nullptr;
+        std::uint32_t slot = liveSlotOf(chunk);
+        return slot ? &trackers[slot - 1] : nullptr;
     }
     for (auto &t : trackers)
         if (t.valid && t.chunk == chunk)
@@ -117,7 +117,9 @@ StreamingDetector::allocTracker(std::uint64_t chunk, Cycle now,
             slot = freeSlots.top();
             freeSlots.pop();
         }
-        liveSlot[chunk] = slot;
+        if (chunk >= liveSlot.size())
+            liveSlot.resize(chunk + 1);
+        liveSlot[chunk] = slot + 1;
         deadlines.push({now + config.timeoutCycles, slot,
                         trackers[slot].generation});
         return &trackers[slot];

@@ -20,7 +20,7 @@
  * to thousands of live trackers. That mode now serves SHM_upper_bound's
  * own MEE only, which consumes its ordered events; the profiling pass
  * (detect/oracle.hh) keeps each chunk's phase inline instead. Oracle
- * mode indexes the pool: a chunk -> slot map, a
+ * mode indexes the pool: an array from chunk id to slot, a
  * min-heap of free slots (allocation takes the lowest, as a scan
  * would) and a deadline heap for lazy timeout expiry. Phases that
  * expire together finalize in ascending slot order, so the event
@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "common/dary_heap.hh"
-#include "common/flat_map.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -224,6 +223,13 @@ class StreamingDetector
 
     bool oracle() const { return config.trackers == 0; }
 
+    /** Oracle-mode slot of @p chunk's live tracker plus one; 0 when
+     *  no tracker monitors it. */
+    std::uint32_t liveSlotOf(std::uint64_t chunk) const
+    {
+        return chunk < liveSlot.size() ? liveSlot[chunk] : 0;
+    }
+
     void finalize(Tracker &t, std::vector<DetectionEvent> &events,
                   Cycle now, PhaseExit exit);
     Tracker *findTracker(std::uint64_t chunk);
@@ -247,7 +253,7 @@ class StreamingDetector
     std::uint32_t remonitorTick = 0; //!< random-chunk re-monitor pacing
 
     /** @{ Oracle-mode indexes over `trackers` (empty when bounded). */
-    FlatMap<std::uint32_t> liveSlot;  //!< chunk -> slot of its tracker
+    std::vector<std::uint32_t> liveSlot; //!< chunk -> slot + 1, 0: none
     DaryHeap<std::uint32_t> freeSlots; //!< invalid slots, lowest on top
     DaryHeap<Deadline> deadlines;      //!< may hold retired entries
     std::vector<std::uint32_t> expiredSlots; //!< scratch for access()

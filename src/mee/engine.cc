@@ -49,6 +49,17 @@ mdcParams(mem::CacheParams cp, const MeeParams &params,
     return cp;
 }
 
+/** Entries of the chunk-MAC freshness array: one per chunk of the
+ *  layout's data span, none without dual-granularity MACs. */
+std::size_t
+chunkMacEntries(const MeeParams &params, const meta::MetadataLayout *layout)
+{
+    if (!params.dualGranularityMac || !layout)
+        return 0;
+    return divCeil(layout->params().dataBytes,
+                   params.streamDetector.chunkBytes);
+}
+
 } // namespace
 
 MeeEngine::MeeEngine(const MeeParams &params, PartitionId partition,
@@ -62,7 +73,8 @@ MeeEngine::MeeEngine(const MeeParams &params, PartitionId partition,
       ctrCache(mdcParams(params.counterCache, params, partition, 0)),
       macsCache(mdcParams(params.macCache, params, partition, 1)),
       treeCache(mdcParams(params.bmtCache, params, partition, 2)),
-      roDetector(params.roDetector), streamDetector(params.streamDetector)
+      roDetector(params.roDetector), streamDetector(params.streamDetector),
+      chunkMacStates(chunkMacEntries(params, meta_layout))
 {
     shm_assert(layout != nullptr, "MEE needs a metadata layout");
     shm_assert(router != nullptr, "MEE needs a DRAM router");
@@ -288,7 +300,7 @@ MeeEngine::handleDetection(const detect::DetectionEvent &ev, Cycle now)
             // chunk-level MAC (Table IV, first row).
             metaAccess(macsCache, layout->chunkMacAddr(chunk_base), 8,
                        true, mem::TrafficClass::Mac, now);
-            st.chunkFresh = true;
+            st.chunkStale = false;
         }
         return;
     }
@@ -319,7 +331,7 @@ MeeEngine::handleDetection(const detect::DetectionEvent &ev, Cycle now)
                           mem::TrafficClass::Extra, now);
             }
             st.staleBlockMask = 0; // block MACs rebuilt
-            st.chunkFresh = false;
+            st.chunkStale = true;
         } else {
             // Table III row 3: re-fetch the data blocks of the chunk
             // to (re)produce the per-block MACs. Only blocks whose
@@ -336,7 +348,7 @@ MeeEngine::handleDetection(const detect::DetectionEvent &ev, Cycle now)
                           mem::TrafficClass::Extra, now);
             }
             st.staleBlockMask = 0; // block MACs rebuilt
-            st.chunkFresh = false;
+            st.chunkStale = true;
         }
     } else {
         // Random mispredicted; chunk is actually streaming.
@@ -345,14 +357,14 @@ MeeEngine::handleDetection(const detect::DetectionEvent &ev, Cycle now)
             // produce and update the chunk MAC. No refetch.
             metaAccess(macsCache, layout->chunkMacAddr(chunk_base), 8,
                        true, mem::TrafficClass::Mac, now);
-            st.chunkFresh = true;
+            st.chunkStale = false;
         } else if (!ro) {
             // Table III row 6: re-fetch and re-produce the chunk MAC.
             statMispredBytes += 32.0;
             routeMeta(layout->chunkMacAddr(chunk_base), 32,
                       mem::AccessType::Read, mem::TrafficClass::Extra,
                       now);
-            st.chunkFresh = true;
+            st.chunkStale = false;
         }
         // Table III row 5 (read-only): zero overhead.
     }
@@ -496,7 +508,7 @@ MeeEngine::onRead(LocalAddr local, Addr phys, Cycle now, MemSpace space)
         std::uint64_t block_bit =
             1ull << ((local % config.streamDetector.chunkBytes) /
                      layout->params().blockBytes);
-        bool fresh = use_chunk ? st.chunkFresh
+        bool fresh = use_chunk ? !st.chunkStale
                                : !(st.staleBlockMask & block_bit);
         if (!fresh) {
             ++statDualMacFallback;
@@ -547,47 +559,45 @@ MeeEngine::onWrite(LocalAddr local, Addr phys, Cycle now, MemSpace space)
     }
 
     // --- Counter increment ---
-    bool covered = false;
-    if (config.commonCounters && commonTable->recordWrite(key)) {
-        covered = true;
-        ++statCommonCtrHits;
-    }
-    if (!covered) {
-        Addr ctr_entry = layout->counterAddr(key);
-        if (config.sectoredMetadata)
-            ctr_entry += (layout->minorSlot(key) / 16) * 32;
-        metaAccess(ctrCache, ctr_entry, metaFetchBytes(), true,
-                   mem::TrafficClass::Counter, now);
-        // The BMT leaf update is deferred until the dirty counter
-        // line is evicted (lazy propagation, see emitEviction).
-    }
+    // A write always persists its counter, even under common counters
+    // (the write devolves its region to per-block state).
+    if (config.commonCounters)
+        commonTable->recordWrite(key);
+    Addr ctr_entry = layout->counterAddr(key);
+    if (config.sectoredMetadata)
+        ctr_entry += (layout->minorSlot(key) / 16) * 32;
+    metaAccess(ctrCache, ctr_entry, metaFetchBytes(), true,
+               mem::TrafficClass::Counter, now);
+    // The BMT leaf update is deferred until the dirty counter line is
+    // evicted (lazy propagation, see emitEviction).
 
     // --- MAC production ---
     bool use_chunk = config.dualGranularityMac &&
                      streamDetector.predictStreaming(local) &&
                      streamDetector.confirmedStreaming(local, now);
-    ChunkMacState &st = chunkState(streamDetector.chunkOf(local));
-    std::uint64_t block_bit =
-        1ull << ((local % config.streamDetector.chunkBytes) /
-                 layout->params().blockBytes);
     if (use_chunk) {
         // The block MAC is produced into the MAC cache but marked not
         // dirty; the chunk MAC carries the persistent state.
         metaAccess(macsCache, layout->chunkMacAddr(key),
                    layout->params().macBytes, true,
                    mem::TrafficClass::Mac, now);
-        st.staleBlockMask |= block_bit;
-        st.chunkFresh = true;
         ++statChunkMacAccesses;
     } else {
         metaAccess(macsCache, layout->blockMacAddr(key),
                    layout->params().macBytes, true,
                    mem::TrafficClass::Mac, now);
-        if (config.dualGranularityMac) {
-            st.staleBlockMask &= ~block_bit;
-            st.chunkFresh = false;
-        }
         ++statBlockMacAccesses;
+    }
+    if (config.dualGranularityMac) {
+        ChunkMacState &st = chunkState(streamDetector.chunkOf(local));
+        std::uint64_t block_bit =
+            1ull << ((local % config.streamDetector.chunkBytes) /
+                     layout->params().blockBytes);
+        if (use_chunk)
+            st.staleBlockMask |= block_bit;
+        else
+            st.staleBlockMask &= ~block_bit;
+        st.chunkStale = !use_chunk;
     }
 }
 
@@ -617,8 +627,6 @@ MeeEngine::kernelBoundary(Cycle now)
             handleDetection(ev, now);
         eventScratch.clear();
     }
-    if (config.commonCounters)
-        commonTable->kernelBoundary();
 }
 
 std::uint64_t
@@ -639,8 +647,6 @@ MeeEngine::contextSwitch(Cycle now, bool flush_mdc)
     }
     if (config.readOnlyOpt)
         roDetector.reset();
-    if (config.commonCounters)
-        commonTable->kernelBoundary();
 
     std::uint64_t flushed = 0;
     if (flush_mdc) {

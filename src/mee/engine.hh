@@ -22,7 +22,7 @@
 #include <cstdint>
 #include <memory>
 
-#include "common/flat_map.hh"
+#include "common/demand_zero.hh"
 #include "common/stats.hh"
 #include "common/trace.hh"
 #include "common/types.hh"
@@ -305,11 +305,12 @@ class MeeEngine
     /** @} */
 
   private:
-    /** Freshness of the two MAC granularities of one chunk. */
+    /** Freshness of the two MAC granularities of one chunk; zero
+     *  bytes are the initial state (both MACs fresh). */
     struct ChunkMacState
     {
-        /** The stored chunk MAC reflects the current contents. */
-        bool chunkFresh = true;
+        /** The stored chunk MAC no longer reflects the contents. */
+        bool chunkStale = false;
         /** Blocks whose stored block MAC is stale (written while the
          *  chunk was in streaming mode). */
         std::uint64_t staleBlockMask = 0;
@@ -364,8 +365,12 @@ class MeeEngine
     void attributeRoPrediction(LocalAddr local, bool predicted_ro);
     void attributeStreamPrediction(LocalAddr local, bool predicted_str);
 
+    /** MAC freshness of @p chunk (dual-granularity schemes only). */
     ChunkMacState &chunkState(std::uint64_t chunk)
     {
+        shm_assert(chunk < chunkMacStates.size(),
+                   "chunk {} beyond the {} chunks of the data span", chunk,
+                   chunkMacStates.size());
         return chunkMacStates[chunk];
     }
 
@@ -385,7 +390,9 @@ class MeeEngine
     detect::ReadOnlyDetector roDetector;
     detect::StreamingDetector streamDetector;
     std::vector<detect::DetectionEvent> eventScratch;
-    FlatMap<ChunkMacState> chunkMacStates;
+    /** One entry per chunk of the layout's data span; empty unless
+     *  dualGranularityMac. */
+    DemandZeroArray<ChunkMacState> chunkMacStates;
 
     /** Scenario-mode shadow tallies; empty outside scenario runs. */
     std::vector<TenantMeeTally> tenantTallies;

@@ -50,20 +50,6 @@ struct Transaction
     MemSpace space = MemSpace::Global;
 };
 
-/**
- * A memory request as seen below the L2: an L2 miss (read) or an L2
- * write-back, addressed by physical address before partition mapping.
- */
-struct MemRequest
-{
-    Addr addr = 0;              //!< physical byte address (block-aligned)
-    std::uint32_t bytes = 0;    //!< transfer size
-    AccessType type = AccessType::Read;
-    MemSpace space = MemSpace::Global;
-    SmId requester = 0;         //!< originating SM (for reply routing)
-    Cycle issued = 0;           //!< cycle the request entered the system
-};
-
 } // namespace shmgpu::mem
 
 #endif // SHMGPU_MEM_REQUEST_HH

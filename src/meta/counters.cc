@@ -126,50 +126,18 @@ SharedCounter::raiseAbove(std::uint64_t max_major_scanned)
 }
 
 CommonCounterTable::CommonCounterTable(const MetadataLayout &meta_layout)
-    : layout(meta_layout)
+    : layout(meta_layout), devolved(layout.numCounterBlocks())
 {
 }
 
-bool
-CommonCounterTable::isCommon(LocalAddr data_addr) const
+std::uint64_t
+CommonCounterTable::regionOf(LocalAddr data_addr) const
 {
-    const Region *region = regions.find(layout.counterBlockIndex(data_addr));
-    return !region || region->common;
-}
-
-bool
-CommonCounterTable::recordWrite(LocalAddr data_addr)
-{
-    Region &region = regions[layout.counterBlockIndex(data_addr)];
-    if (region.common) {
-        // Any kernel write leaves the region's counters non-uniform
-        // with the initialization value: the region devolves to
-        // per-block state. Compression therefore effectively covers
-        // reads of regions that still hold their host-copied contents.
-        region.common = false;
-        ++devolved;
-    }
-    return false;
-}
-
-void
-CommonCounterTable::kernelBoundary()
-{
-    // Devolution is permanent in this conservative model; the hook is
-    // kept so schemes treat all counter tables uniformly.
-}
-
-double
-CommonCounterTable::commonFraction() const
-{
-    if (regions.empty())
-        return 1.0;
-    std::size_t common = 0;
-    for (const auto &[idx, region] : regions)
-        if (region.common)
-            ++common;
-    return static_cast<double>(common) /
-           static_cast<double>(regions.size());
+    std::uint64_t idx = layout.counterBlockIndex(data_addr);
+    shm_assert(idx < devolved.size(),
+               "counter block {} beyond the {} counter blocks", idx,
+               devolved.size());
+    return idx;
 }
 
 } // namespace shmgpu::meta

@@ -20,9 +20,9 @@
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
 #include "common/demand_zero.hh"
-#include "common/flat_map.hh"
 #include "common/types.hh"
 #include "meta/layout.hh"
 
@@ -177,10 +177,10 @@ class SharedCounter
  * still equals the common initialization value. Reads in a common
  * region need no counter fetch (and hence no BMT traversal). Writes
  * always persist their counters off-chip and devolve their region to
- * per-block state. This models the compression conservatively; the
- * full HPCA'21 design also re-compresses uniformly-written output
- * buffers, which Fig. 13 of the SHM paper shows is worth only ~1%
- * on top of PSSM.
+ * per-block state for good. This models the compression
+ * conservatively; the full HPCA'21 design also re-compresses
+ * uniformly-written output buffers, which Fig. 13 of the SHM paper
+ * shows is worth only ~1% on top of PSSM.
  */
 class CommonCounterTable
 {
@@ -188,30 +188,28 @@ class CommonCounterTable
     explicit CommonCounterTable(const MetadataLayout &layout);
 
     /** True if reads of @p data_addr can skip the counter fetch. */
-    bool isCommon(LocalAddr data_addr) const;
+    bool isCommon(LocalAddr data_addr) const
+    {
+        return !devolved[regionOf(data_addr)];
+    }
 
     /**
-     * Record a write-back to @p data_addr. Writes always persist
-     * their counter off-chip (so this returns false) and devolve the
-     * region to per-block state.
+     * Record a write-back to @p data_addr: its region devolves to
+     * per-block state. The write's counter is persisted off-chip
+     * either way.
      */
-    bool recordWrite(LocalAddr data_addr);
-
-    /** Kernel boundary (no-op hook kept for scheme symmetry). */
-    void kernelBoundary();
-
-    /** Fraction of regions still in common state (for stats). */
-    double commonFraction() const;
+    void recordWrite(LocalAddr data_addr)
+    {
+        devolved[regionOf(data_addr)] = true;
+    }
 
   private:
-    struct Region
-    {
-        bool common = true;
-    };
+    /** Counter-block index of @p data_addr; panics past the span. */
+    std::uint64_t regionOf(LocalAddr data_addr) const;
 
     const MetadataLayout &layout;
-    mutable FlatMap<Region> regions;
-    std::uint64_t devolved = 0;
+    /** One bit per counter block: set once a write devolved it. */
+    std::vector<bool> devolved;
 };
 
 } // namespace shmgpu::meta

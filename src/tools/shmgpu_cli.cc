@@ -493,8 +493,6 @@ cmdSweep(const Args &args, bool scenario)
     opts.jobs = args.number<unsigned>("jobs", 1);
     opts.traceDir = args.get("trace");
     opts.cancelAfter = args.number<std::size_t>("cancel-after", 0);
-    if (args.has("quiet"))
-        log_detail::setVerbose(false);
 
     // Persistent cell store: cells load instead of simulating on key
     // hits and flush to disk the moment they finish, which is what

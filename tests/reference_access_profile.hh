@@ -19,9 +19,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
-#include "common/flat_map.hh"
 #include "common/logging.hh"
 #include "common/types.hh"
 #include "detect/oracle.hh"
@@ -95,11 +95,11 @@ class ReferenceAccessProfile
     bool
     chunkStreaming(PartitionId partition, LocalAddr addr) const
     {
-        const ChunkStats *cs =
-            partitions.at(partition).chunks.find(addr / chunkSize);
-        if (!cs)
+        const auto &chunks = partitions.at(partition).chunks;
+        auto it = chunks.find(addr / chunkSize);
+        if (it == chunks.end())
             return true; // never profiled: keep the eager default
-        return chunkStreamingStats(*cs);
+        return chunkStreamingStats(it->second);
     }
 
     void
@@ -108,7 +108,7 @@ class ReferenceAccessProfile
     {
         const auto &chunks = partitions.at(partition).chunks;
         for (std::uint64_t chunk : sortedKeys(chunks))
-            fn(chunk, chunkStreamingStats(*chunks.find(chunk)));
+            fn(chunk, chunkStreamingStats(chunks.at(chunk)));
     }
 
     void
@@ -157,15 +157,15 @@ class ReferenceAccessProfile
 
     struct PartitionProfile
     {
-        FlatMap<bool> regionWritten;
-        FlatMap<std::uint64_t> regionAccesses;
-        FlatMap<ChunkStats> chunks;
+        std::unordered_map<std::uint64_t, bool> regionWritten;
+        std::unordered_map<std::uint64_t, std::uint64_t> regionAccesses;
+        std::unordered_map<std::uint64_t, ChunkStats> chunks;
         std::vector<detect::DetectionEvent> events;
     };
 
     template <typename V>
     static std::vector<std::uint64_t>
-    sortedKeys(const FlatMap<V> &map)
+    sortedKeys(const std::unordered_map<std::uint64_t, V> &map)
     {
         std::vector<std::uint64_t> keys;
         keys.reserve(map.size());

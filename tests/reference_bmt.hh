@@ -4,8 +4,8 @@
  * for meta::BonsaiTree's dense per-level arrays.
  *
  * This is the tree as it was before it went dense: stored digests
- * live in one FlatMap per level, an absent entry reads as the level's
- * default digest, and a node's children are gathered one probe at a
+ * live in one std::unordered_map per level, an absent entry reads as
+ * the level's default digest, and a node's children are gathered one probe at a
  * time (defaults past the level's end). Leaves hash the serialized
  * counter-block bytes through the byte-buffered SipHasher, nodes and
  * the root hash words through it, so the reference also checks the
@@ -19,9 +19,9 @@
 #include <array>
 #include <cstdint>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
-#include "common/flat_map.hh"
 #include "common/logging.hh"
 #include "crypto/siphash.hh"
 #include "meta/bmt.hh"
@@ -128,8 +128,8 @@ class ReferenceBonsaiTree
     std::uint64_t
     storedLeaf(std::uint64_t idx) const
     {
-        const std::uint64_t *digest = leafDigests.find(idx);
-        return digest ? *digest : defaultLeaf;
+        auto it = leafDigests.find(idx);
+        return it != leafDigests.end() ? it->second : defaultLeaf;
     }
 
     std::uint64_t
@@ -137,8 +137,8 @@ class ReferenceBonsaiTree
     {
         shm_assert(level < nodes.size(), "BMT level {} out of range",
                    level);
-        const std::uint64_t *digest = nodes[level].find(idx);
-        return digest ? *digest : defaultNode[level];
+        auto it = nodes[level].find(idx);
+        return it != nodes[level].end() ? it->second : defaultNode[level];
     }
 
     std::span<const std::uint64_t>
@@ -181,8 +181,10 @@ class ReferenceBonsaiTree
     const meta::MetadataLayout &layout;
     const ReferenceCounterStore &counters;
     crypto::SipKey key;
-    FlatMap<std::uint64_t> leafDigests;
-    std::vector<FlatMap<std::uint64_t>> nodes;
+    using DigestMap = std::unordered_map<std::uint64_t, std::uint64_t>;
+
+    DigestMap leafDigests;
+    std::vector<DigestMap> nodes;
     std::uint64_t defaultLeaf;
     std::vector<std::uint64_t> defaultNode;
     std::uint64_t rootDigest;

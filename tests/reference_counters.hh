@@ -4,7 +4,7 @@
  * meta::CounterStore's dense demand-zero array.
  *
  * This is the store as it was before it went dense: counter blocks
- * live in a FlatMap keyed by counter-block index and are materialized
+ * live in a hash map keyed by counter-block index and are materialized
  * by the first write, so an absent block reads as all zero.
  * tests/test_meta_store_diff.cc holds the two equal after every
  * operation.
@@ -16,8 +16,8 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <unordered_map>
 
-#include "common/flat_map.hh"
 #include "common/types.hh"
 #include "meta/counters.hh"
 #include "meta/layout.hh"
@@ -36,8 +36,7 @@ class ReferenceCounterStore
     meta::CounterValue
     read(LocalAddr data_addr) const
     {
-        const CounterBlock *blk =
-            table.find(layout.counterBlockIndex(data_addr));
+        const CounterBlock *blk = find(layout.counterBlockIndex(data_addr));
         if (!blk)
             return {0, 0};
         return {blk->major, blk->minors[layout.minorSlot(data_addr)]};
@@ -85,8 +84,7 @@ class ReferenceCounterStore
         const LocalAddr end =
             std::min<std::uint64_t>(base + bytes, layout.params().dataBytes);
         for (LocalAddr a = base; a < end; a += region_bytes)
-            if (const CounterBlock *blk =
-                    table.find(layout.counterBlockIndex(a)))
+            if (const CounterBlock *blk = find(layout.counterBlockIndex(a)))
                 max_major = std::max(max_major, blk->major);
         return max_major;
     }
@@ -120,7 +118,7 @@ class ReferenceCounterStore
     serializeCounterBlock(std::uint64_t counter_block_idx) const
     {
         meta::CounterStore::CounterBlockImage out;
-        const CounterBlock *blk = table.find(counter_block_idx);
+        const CounterBlock *blk = find(counter_block_idx);
         const CounterBlock zero;
         if (!blk)
             blk = &zero;
@@ -141,8 +139,16 @@ class ReferenceCounterStore
 
     static constexpr std::uint64_t minorMax = 128;
 
+    /** The block at @p idx, or nullptr before its first write. */
+    const CounterBlock *
+    find(std::uint64_t idx) const
+    {
+        auto it = table.find(idx);
+        return it == table.end() ? nullptr : &it->second;
+    }
+
     const meta::MetadataLayout &layout;
-    FlatMap<CounterBlock> table;
+    std::unordered_map<std::uint64_t, CounterBlock> table;
 };
 
 } // namespace shmgpu::test

@@ -36,13 +36,12 @@ TEST_F(CommonCounterTest, InitiallyCommonEverywhere)
 {
     EXPECT_TRUE(table.isCommon(0));
     EXPECT_TRUE(table.isCommon(512 * 1024));
-    EXPECT_DOUBLE_EQ(table.commonFraction(), 1.0);
 }
 
 TEST_F(CommonCounterTest, WritesAreNeverCoveredAndDevolve)
 {
     // Writes persist their counters; the touched region devolves.
-    EXPECT_FALSE(table.recordWrite(0));
+    table.recordWrite(0);
     EXPECT_FALSE(table.isCommon(0));
     // Only that 8 KB region devolves.
     EXPECT_TRUE(table.isCommon(8 * 1024));
@@ -51,9 +50,9 @@ TEST_F(CommonCounterTest, WritesAreNeverCoveredAndDevolve)
 TEST_F(CommonCounterTest, DevolvedRegionStaysPerBlock)
 {
     table.recordWrite(0);
-    table.kernelBoundary();
     EXPECT_FALSE(table.isCommon(0));
-    EXPECT_FALSE(table.recordWrite(128));
+    table.recordWrite(128);
+    EXPECT_FALSE(table.isCommon(0));
 }
 
 TEST_F(CommonCounterTest, ReadsOfUntouchedRegionsStayCovered)
@@ -62,9 +61,24 @@ TEST_F(CommonCounterTest, ReadsOfUntouchedRegionsStayCovered)
     EXPECT_TRUE(table.isCommon(512 * 1024));
 }
 
-TEST_F(CommonCounterTest, CommonFractionTracksDevolution)
+TEST_F(CommonCounterTest, EachWriteDevolvesOnlyItsRegion)
 {
     table.recordWrite(0);          // region 0 devolves
     table.recordWrite(8 * 1024);   // region 1 devolves
-    EXPECT_NEAR(table.commonFraction(), 0.0, 1e-9);
+    EXPECT_FALSE(table.isCommon(0));
+    EXPECT_FALSE(table.isCommon(8 * 1024));
+    EXPECT_TRUE(table.isCommon(16 * 1024));
+}
+
+TEST_F(CommonCounterTest, LastCounterBlockOfTheSpanDevolves)
+{
+    // The table holds one bit per counter block: the last 8 KB region
+    // of the layout is its last entry.
+    const LocalAddr last = layout.params().dataBytes - 128;
+    ASSERT_EQ(layout.counterBlockIndex(last),
+              layout.numCounterBlocks() - 1);
+    EXPECT_TRUE(table.isCommon(last));
+    table.recordWrite(last);
+    EXPECT_FALSE(table.isCommon(last));
+    EXPECT_TRUE(table.isCommon(last - 8 * 1024));
 }

@@ -15,6 +15,7 @@
 #include "mem/addr_map.hh"
 #include "meta/counters.hh"
 #include "meta/layout.hh"
+#include "schemes/schemes.hh"
 
 using namespace shmgpu;
 using namespace shmgpu::mee;
@@ -361,6 +362,41 @@ TEST_F(MeeEngineTest, DualMacStaleFallback)
     // Reading a block of chunk 0 now uses the block MAC, which is
     // stale: the engine falls back to the chunk MAC (remedy #2).
     mee.onRead(5 * 128, 5 * 128, 60100);
+    EXPECT_EQ(mee.dualMacFallbacks(), 1);
+}
+
+TEST_F(MeeEngineTest, ShmTracksMacFreshnessOfTheLastBlock)
+{
+    // SHM keeps one MAC-freshness entry per chunk of the data span:
+    // the last 128 B block lies in its last entry.
+    MeeParams p = schemes::makeMeeParams(schemes::Scheme::Shm);
+    auto mee_ptr = makeEngine(p);
+    MeeEngine &mee = *mee_ptr;
+    const std::uint64_t chunk_bytes = p.streamDetector.chunkBytes;
+    const LocalAddr last = layout.params().dataBytes - 128;
+    const std::uint64_t chunk = last / chunk_bytes;
+    ASSERT_EQ(chunk + 1, layout.params().dataBytes / chunk_bytes);
+    const LocalAddr base = chunk * chunk_bytes;
+
+    // Stream-write the last chunk: its chunk MAC carries the state
+    // and its stored block MACs are stale.
+    for (LocalAddr a = base; a <= last; a += 128)
+        mee.onWrite(a, a, 100 + a / 128 - base / 128);
+    ASSERT_TRUE(mee.streamingDetector().predictStreaming(last));
+
+    // A sparse phase on the chunk sharing its predictor entry flips
+    // the prediction, so the last block is read by its block MAC.
+    const LocalAddr alias = base - p.streamDetector.entries * chunk_bytes;
+    mee.onRead(alias, alias, 300);
+    mee.onRead(alias + 5 * 128, alias + 5 * 128, 301);
+    mee.onRead(0, 0, 60000); // expiry trigger
+    ASSERT_FALSE(mee.streamingDetector().predictStreaming(last));
+
+    mee.onRead(last, last, 60100);
+    EXPECT_EQ(mee.dualMacFallbacks(), 1) << "stale block MAC";
+    // Writing the block by its block MAC makes that MAC fresh.
+    mee.onWrite(last, last, 60200);
+    mee.onRead(last, last, 60300);
     EXPECT_EQ(mee.dualMacFallbacks(), 1);
 }
 

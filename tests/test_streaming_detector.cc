@@ -209,6 +209,32 @@ TEST(StreamingDetector, OracleModeTracksEverything)
     EXPECT_EQ(streaming, 20);
 }
 
+TEST(StreamingDetector, OraclePhaseOnTheHighestChunkAfterReset)
+{
+    StreamingDetectorParams p = params();
+    p.trackers = 0; // unlimited: trackers are indexed by chunk id
+    StreamingDetector d(p);
+    std::vector<DetectionEvent> events;
+    Cycle now = 0;
+    d.access(0, false, now++, events); // a phase reset() drops
+    d.reset();
+    EXPECT_FALSE(d.confirmedStreaming(0, now));
+
+    // The last chunk of a default 320 MB partition, far above every
+    // chunk id the detector has seen.
+    const std::uint64_t top = (320ull << 20) / 4096 - 1;
+    EXPECT_FALSE(d.confirmedStreaming(top * 4096, now));
+    d.access(top * 4096, false, now++, events);
+    EXPECT_TRUE(d.confirmedStreaming(top * 4096, now))
+        << "the new phase is found by its chunk id";
+    sweepChunk(d, top, now, events);
+    ASSERT_EQ(events.size(), 1u) << "one phase, not one per access";
+    EXPECT_EQ(events[0].chunk, top);
+    EXPECT_TRUE(events[0].detectedStreaming);
+    EXPECT_EQ(events[0].exit, PhaseExit::Coverage);
+    EXPECT_FALSE(d.confirmedStreaming(0, now));
+}
+
 TEST(StreamingDetector, HardwareBitsMatchTableIX)
 {
     StreamingDetector d(params());
