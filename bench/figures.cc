@@ -782,8 +782,8 @@ int
 main(int argc, char **argv)
 {
     const Args args(argc, argv, 1, "figures",
-                    {"figure", "all", "list", "quick", "csv", "workload",
-                     "jobs", "out", "help"});
+                    {"figure", "all!", "list!", "quick!", "csv!",
+                     "workload", "jobs", "out", "help!"});
     std::vector<void (*)(Plan &)> chosen;
     for (const auto &[name, declare] : figures) {
         if (args.has("list"))

@@ -1,6 +1,7 @@
 #include "common/args.hh"
 
 #include <algorithm>
+#include <string_view>
 
 namespace shmgpu
 {
@@ -29,22 +30,28 @@ Args::Args(int argc, char **argv, int start, std::string command,
         std::string arg = argv[i];
         if (arg.rfind("--", 0) != 0)
             shm_fatal("unexpected argument '{}'", arg);
-        std::string key, value = "1";
-        auto eq = arg.find('=');
-        if (eq != std::string::npos) {
-            key = arg.substr(2, eq - 2);
-            value = arg.substr(eq + 1);
-        } else {
-            key = arg.substr(2);
-            if (i + 1 < argc && argv[i + 1][0] != '-')
-                value = argv[++i];
-        }
-        if (std::find_if(allowed.begin(), allowed.end(),
-                         [&](const char *f) { return key == f; }) ==
-            allowed.end())
+        const auto eq = arg.find('=');
+        const std::string key =
+            arg.substr(2, eq == std::string::npos ? eq : eq - 2);
+        const auto flag = std::find_if(
+            allowed.begin(), allowed.end(), [&](std::string_view f) {
+                return f.substr(0, f.find('!')) == key;
+            });
+        if (flag == allowed.end())
             shm_fatal("unknown flag '--{}' for '{}' (run '{}' for the "
                       "usage)",
                       key, mode, mode.substr(0, mode.find(' ')));
+        const bool is_switch = std::string_view(*flag).ends_with('!');
+        std::string value;
+        if (eq != std::string::npos) {
+            if (is_switch)
+                shm_fatal("'--{}' takes no value (in '{}')", key, mode);
+            value = arg.substr(eq + 1);
+        } else if (!is_switch) {
+            if (i + 1 == argc || argv[i + 1][0] == '-')
+                shm_fatal("'--{}' needs a value (in '{}')", key, mode);
+            value = argv[++i];
+        }
         values[key] = value;
     }
 }

@@ -1,12 +1,15 @@
 /**
  * @file
  * The command-line flag parser shared by the shmgpu CLI and the
- * figures driver: --flag=value / --flag value / bare --flag.
+ * figures driver: value flags (--flag=value / --flag value) and
+ * switches (bare --flag).
  *
- * Each command declares the flags its usage line lists; any other
- * flag is fatal, naming the flag and the command, so a typo never runs
- * silently. Numeric getters must consume the whole token, so '10k' is
- * an error rather than 10.
+ * Each command declares the flags its usage line lists, a switch with
+ * a trailing '!' ("quiet!"); any other flag is fatal, naming the flag
+ * and the command, so a typo never runs silently. So is a value flag
+ * without its value, and a switch given one (--quiet=x); a switch
+ * never takes the next word. Numeric getters must consume the whole
+ * token, so '10k' is an error rather than 10.
  */
 
 #ifndef SHMGPU_COMMON_ARGS_HH
@@ -33,7 +36,8 @@ class Args
     /**
      * Parse argv[start..argc) for @p command ("shmgpu sweep",
      * "figures"); its first word names the program whose bare
-     * invocation prints the usage.
+     * invocation prints the usage. @p allowed names the flags, the
+     * switches marked with a trailing '!'.
      */
     Args(int argc, char **argv, int start, std::string command,
          std::initializer_list<const char *> allowed);

@@ -1,27 +1,9 @@
 #include "common/stats.hh"
 
-#include <cmath>
-
 #include "common/logging.hh"
 
 namespace shmgpu::stats
 {
-
-void
-Histogram::sample(double v)
-{
-    shm_assert(!buckets.empty(), "histogram sampled before init()");
-    double span = hi - lo;
-    auto idx = static_cast<std::int64_t>((v - lo) / span *
-                                         static_cast<double>(buckets.size()));
-    if (idx < 0)
-        idx = 0;
-    if (idx >= static_cast<std::int64_t>(buckets.size()))
-        idx = static_cast<std::int64_t>(buckets.size()) - 1;
-    ++buckets[static_cast<std::size_t>(idx)];
-    ++count;
-    total += v;
-}
 
 StatGroup::StatGroup(StatGroup *parent_group, std::string group_name)
     : groupName(std::move(group_name)), parent(parent_group)
@@ -49,15 +31,6 @@ StatGroup::addScalar(const std::string &stat_name, Scalar *s,
 }
 
 void
-StatGroup::addHistogram(const std::string &stat_name, Histogram *h,
-                        const std::string &desc)
-{
-    shm_assert(!histograms.contains(stat_name), "duplicate stat {}",
-               stat_name);
-    histograms[stat_name] = {h, desc};
-}
-
-void
 StatGroup::dump(std::ostream &os, const std::string &prefix) const
 {
     std::string path = prefix.empty() ? groupName : prefix + "." + groupName;
@@ -68,10 +41,6 @@ StatGroup::dump(std::ostream &os, const std::string &prefix) const
         if (!e.desc.empty())
             os << " # " << e.desc;
         os << "\n";
-    }
-    for (const auto &[n, e] : histograms) {
-        os << path << "." << n << ".samples " << e.stat->samples() << "\n";
-        os << path << "." << n << ".mean " << e.stat->mean() << "\n";
     }
     for (const auto *child : children)
         child->dump(os, path);
@@ -97,12 +66,6 @@ StatGroup::dumpJson(std::ostream &os, int indent) const
         sep();
         pad(2);
         os << '"' << n << "\": " << e.stat->value();
-    }
-    for (const auto &[n, e] : histograms) {
-        sep();
-        pad(2);
-        os << '"' << n << "\": {\"samples\": " << e.stat->samples()
-           << ", \"mean\": " << e.stat->mean() << '}';
     }
     for (const auto *child : children) {
         sep();

@@ -2,8 +2,7 @@
  * @file
  * Lightweight statistics framework.
  *
- * Components register named Scalar / Histogram statistics in a
- * StatGroup. Groups can be nested; dumping a group produces a flat,
+ * Components register named Scalar statistics in a StatGroup. Groups can be nested; dumping a group produces a flat,
  * stable "path.name value" listing that tests and benches consume.
  *
  * Thread-safety contract: a stats tree belongs to one simulator
@@ -42,36 +41,6 @@ class Scalar
     double val = 0;
 };
 
-/** A fixed-bucket histogram statistic. */
-class Histogram
-{
-  public:
-    /** Configure @p nbuckets buckets over [lo, hi); out-of-range values
-     *  clamp into the first/last bucket. */
-    void
-    init(double lo_bound, double hi_bound, std::size_t nbuckets)
-    {
-        lo = lo_bound;
-        hi = hi_bound;
-        buckets.assign(nbuckets, 0);
-        count = 0;
-        total = 0;
-    }
-
-    void sample(double v);
-
-    std::uint64_t samples() const { return count; }
-    double mean() const { return count ? total / count : 0; }
-    const std::vector<std::uint64_t> &data() const { return buckets; }
-
-  private:
-    double lo = 0;
-    double hi = 1;
-    std::vector<std::uint64_t> buckets;
-    std::uint64_t count = 0;
-    double total = 0;
-};
-
 /**
  * A named collection of statistics. Children register themselves in a
  * parent to form a tree; dump() walks the tree.
@@ -96,8 +65,6 @@ class StatGroup
      *  and must outlive this group. */
     void addScalar(const std::string &stat_name, Scalar *s,
                    const std::string &desc = "");
-    void addHistogram(const std::string &stat_name, Histogram *h,
-                      const std::string &desc = "");
 
     /** Write "path.name value # desc" lines to @p os. */
     void dump(std::ostream &os, const std::string &prefix = "") const;
@@ -113,12 +80,10 @@ class StatGroup
 
   private:
     struct ScalarEntry { Scalar *stat; std::string desc; };
-    struct HistEntry { Histogram *stat; std::string desc; };
 
     std::string groupName;
     StatGroup *parent = nullptr;
     std::map<std::string, ScalarEntry> scalars;
-    std::map<std::string, HistEntry> histograms;
     std::vector<StatGroup *> children;
 };
 

@@ -1,6 +1,7 @@
 #include "core/sweep.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
 #include <iterator>
 #include <numeric>
@@ -85,21 +86,16 @@ runCellPool(std::size_t n, const SweepOptions &options,
 
     std::atomic<std::size_t> next_claim{0};
     std::atomic<bool> stop{false};
-    std::atomic<bool> auto_cancel{false};
+    std::atomic<bool> cancelled{false};
     std::atomic<std::size_t> done{0};
     std::atomic<std::size_t> n_simulated{0};
     std::atomic<std::size_t> n_cached{0};
     std::vector<std::exception_ptr> errors(n);
 
-    auto cancelled = [&] {
-        return (options.cancel && options.cancel->load()) ||
-               auto_cancel.load();
-    };
-
     auto worker = [&] {
         while (true) {
             const std::size_t claim = next_claim.fetch_add(1);
-            if (claim >= n || stop.load() || cancelled())
+            if (claim >= n || stop.load() || cancelled.load())
                 return;
             const std::size_t i = order[claim];
             try {
@@ -107,7 +103,7 @@ runCellPool(std::size_t n, const SweepOptions &options,
                 const std::size_t completed = done.fetch_add(1) + 1;
                 if (options.cancelAfter != 0 &&
                     completed >= options.cancelAfter)
-                    auto_cancel.store(true);
+                    cancelled.store(true);
             } catch (...) {
                 errors[i] = std::current_exception();
                 stop.store(true); // abandon unstarted cells
@@ -137,7 +133,7 @@ runCellPool(std::size_t n, const SweepOptions &options,
         if (err)
             std::rethrow_exception(err);
     }
-    return cancelled();
+    return cancelled.load();
 }
 
 namespace
@@ -239,10 +235,8 @@ std::vector<ScenarioExperimentResult>
 SweepRunner::run(const std::vector<ScenarioCell> &cells,
                  const SweepOptions &options) const
 {
-    shm_assert(!options.cancel && options.cancelAfter == 0 &&
-                   options.traceDir.empty(),
-               "scenario grids take no cancel token, cancel point or "
-               "trace directory");
+    shm_assert(options.cancelAfter == 0 && options.traceDir.empty(),
+               "scenario grids take no cancel point or trace directory");
     // Reject unsupported combinations before any cell simulates.
     std::vector<double> cost(cells.size(), 0.0);
     for (std::size_t i = 0; i < cells.size(); ++i) {

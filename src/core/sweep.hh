@@ -29,7 +29,6 @@
 #ifndef SHMGPU_CORE_SWEEP_HH
 #define SHMGPU_CORE_SWEEP_HH
 
-#include <atomic>
 #include <functional>
 #include <iosfwd>
 #include <memory>
@@ -62,7 +61,7 @@ struct ScenarioCell
 };
 
 /**
- * Thrown by SweepRunner::run when the cancel token fires. Carries the
+ * Thrown by SweepRunner::run when options.cancelAfter fires. Carries the
  * cells that *did* finish (grid order, gaps removed) so the caller can
  * report a partial, resumable sweep instead of discarding paid-for
  * work — with a ResultCache attached those cells are already on disk.
@@ -103,13 +102,6 @@ struct SweepOptions
      */
     std::string traceDir;
     /**
-     * Optional cooperative cancel token. Setting it true stops
-     * workers at the next cell boundary and makes run() throw
-     * SweepCancelled (in-flight cells finish first). Workload grids
-     * only, as is cancelAfter.
-     */
-    std::shared_ptr<std::atomic<bool>> cancel;
-    /**
      * Optional persistent cell store (not owned; must outlive the
      * sweep). When set, each cell's key is looked up before
      * simulating — a hit is returned as-is (bit-identical to a fresh
@@ -125,9 +117,10 @@ struct SweepOptions
      */
     SweepTally *tally = nullptr;
     /**
-     * Testing/CI knob: fire the cancel path after this many cells
-     * have completed (0 = never). Gives a deterministic way to
-     * interrupt a sweep mid-grid and exercise resume.
+     * Stop workers at the next cell boundary once this many cells
+     * have completed (0 = never) and make run() throw SweepCancelled
+     * (in-flight cells finish first). A deterministic way to interrupt
+     * a sweep mid-grid and exercise resume. Workload grids only.
      */
     std::size_t cancelAfter = 0;
 };
@@ -147,9 +140,9 @@ struct SweepOptions
  *
  * The first failure stops workers from claiming further cells; once
  * the pool drains, the failure with the lowest index is rethrown, so
- * the caller sees the same error at any job count. options.cancel and
- * options.cancelAfter stop workers at the next cell boundary (cells in
- * flight finish); the return value is then true. options.run and
+ * the caller sees the same error at any job count. options.cancelAfter
+ * stops workers at the next cell boundary (cells in flight finish);
+ * the return value is then true. options.run and
  * options.cache are the body's business and are not read here.
  */
 bool runCellPool(std::size_t n, const SweepOptions &options,
@@ -197,8 +190,8 @@ class SweepRunner
      * Run a scenario grid through the same pool and cache-or-simulate
      * body: results in cell order, bit-identical for any job count.
      * Every cell's scenario is checked (core::checkScenario) before
-     * any cell simulates. options.cancel, options.cancelAfter and
-     * options.traceDir must be unset.
+     * any cell simulates. options.cancelAfter and options.traceDir
+     * must be unset.
      */
     std::vector<ScenarioExperimentResult>
     run(const std::vector<ScenarioCell> &cells,

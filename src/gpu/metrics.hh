@@ -92,8 +92,8 @@ struct TenantRunMetrics
     /** Turnaround IPC: instructions over (finish - arrival). */
     double ipc = 0;
 
-    /** @{ MEE activity attributed while the tenant owned the engine
-     *  (summed over its partitions' shadow tallies). */
+    /** @{ MEE activity attributed to the tenant: the change in its
+     *  partitions' own counters over the spans it owned them. */
     std::uint64_t memReads = 0;
     std::uint64_t memWrites = 0;
     std::uint64_t mdcAccesses = 0;

@@ -39,7 +39,6 @@ Partition::Partition(const GpuParams &gpu_params,
                id, gpu_params.l2BanksPerPartition);
     for (std::uint32_t b = 0; b < gpu_params.l2BanksPerPartition; ++b)
         banks.push_back(std::make_unique<L2Bank>(gpu_params, id, b));
-    statReadLatencyHist.init(0, 4096, 32);
 }
 
 void
@@ -99,7 +98,6 @@ Partition::read(LocalAddr local, Addr phys, Cycle now, MemSpace space)
             ready += meeConfig.aesLatency; // decrypt on the return path
         statReadMissLatency += static_cast<double>(ready - now);
         ++statReadMisses;
-        statReadLatencyHist.sample(static_cast<double>(ready - now));
     }
     handleWriteback(res.writeback, now);
     return ready;
@@ -198,8 +196,6 @@ Partition::regStats(stats::StatGroup *parent)
                         "sum of read-miss service latencies");
     statGroup.addScalar("read_misses", &statReadMisses,
                         "L2 read misses serviced");
-    statGroup.addHistogram("read_miss_latency", &statReadLatencyHist,
-                           "read-miss service latency (cycles)");
     dram.regStats(&statGroup);
     engine.regStats(&statGroup);
     for (auto &b : banks)

@@ -138,7 +138,6 @@ class Partition : public mee::VictimCacheIf
     stats::StatGroup statGroup;
     stats::Scalar statReadMissLatency;
     stats::Scalar statReadMisses;
-    stats::Histogram statReadLatencyHist;
 };
 
 } // namespace shmgpu::gpu

@@ -24,6 +24,13 @@
  * spaces — and with local metadata addressing, the metadata
  * geometries — are fully disjoint.
  *
+ * The MEE does not know which tenant issued an access. A tenant's MEE
+ * counts (TenantRunMetrics) are windows of its partitions' own
+ * counters: it takes the partitions when dispatched and gives them
+ * back when switched out (after the switch flush, whose detector
+ * finalizations are still its activity) or at the end of the run;
+ * a partitioned tenant owns its slice for the whole run.
+ *
  * Every tenant drives its kernels through the kernel engine
  * (simulator.cc: beginKernel, stepSmEvent, drainCalendar, kernelTail)
  * over the KernelContext embedded in its TenantContext, so a kernel
@@ -68,9 +75,6 @@ GpuSimulator::initScenario()
         shm_assert(trace->numSms == gpuConfig.numSms,
                    "trace was recorded for {} SMs, GPU has {}",
                    trace->numSms, gpuConfig.numSms);
-
-    for (auto &p : partitions)
-        p->mee().enableTenantTallies(n);
 
     tenants = std::vector<TenantContext>(n);
     for (std::uint32_t i = 0; i < n; ++i) {
@@ -120,10 +124,6 @@ GpuSimulator::initScenario()
                        t.spec->name, footprint);
             for (std::uint32_t s = k.smLo; s < k.smHi; ++s)
                 tenantOfSm[s] = t.id;
-            // Static ownership: stamp the tenant once so the shadow
-            // tallies attribute every access for the whole run.
-            for (PartitionId p = k.partLo; p < t.partHi; ++p)
-                partitions[p]->mee().setActiveTenant(t.id);
         }
         return;
     }
@@ -171,6 +171,16 @@ GpuSimulator::run()
         runPartitioned<workload::TraceReplay>();
     else
         runPartitioned<workload::KernelTrace>();
+
+    // Give back what is still held: the last dispatched tenant's
+    // partitions (time-sliced), or every tenant's static slice
+    // (partitioned, which owns its partitions from cycle 0).
+    if (scenario.policy == workload::SharePolicy::Partitioned)
+        for (auto &t : tenants)
+            chargeTenant(t, true);
+    else if (activeTenant >= 0)
+        chargeTenant(tenants[static_cast<std::uint32_t>(activeTenant)],
+                     true);
 
     if (collector)
         collector->finalize();
@@ -406,9 +416,10 @@ GpuSimulator::advanceTenantKernel(TenantContext &t, Cycle at)
 
 /**
  * Switch the GPU from the active tenant (if any) to @p pick at @p now:
- * flush the detectors (and optionally the MDCs), save the outgoing
- * context, restore the incoming one, point the MEE tallies and the
- * tracer at the new owner, and re-arm its read-only input regions.
+ * flush the detectors (and optionally the MDCs), hand the partitions
+ * from the outgoing tenant's share to the incoming one's, swap the
+ * saved contexts, point the tracer at the new owner, and re-arm its
+ * read-only input regions.
  */
 void
 GpuSimulator::contextSwitchTo(std::uint32_t pick, Cycle now)
@@ -423,6 +434,7 @@ GpuSimulator::contextSwitchTo(std::uint32_t pick, Cycle now)
 
         TenantContext &old = tenants[static_cast<std::uint32_t>(
             activeTenant)];
+        chargeTenant(old, true);
         old.savedSms.swap(sms);
         old.savedEvents.clear();
         while (!calendar.empty()) {
@@ -447,8 +459,7 @@ GpuSimulator::contextSwitchTo(std::uint32_t pick, Cycle now)
 
     activeTenant = static_cast<int>(pick);
     ++t.dispatches;
-    for (auto &p : partitions)
-        p->mee().setActiveTenant(t.id);
+    chargeTenant(t, false);
     if (tracer)
         tracer->setActiveTenant(t.id);
 
@@ -466,6 +477,39 @@ GpuSimulator::contextSwitchTo(std::uint32_t pick, Cycle now)
     if (primedProfile)
         for (PartitionId p = t.kernel.partLo; p < t.partHi; ++p)
             partitions[p]->mee().primeFromProfile(*primedProfile);
+}
+
+void
+GpuSimulator::chargeTenant(TenantContext &t, bool give_back)
+{
+    // Unsigned wrap-around: a take's negative partial sum is made
+    // whole by the matching give-back.
+    const auto charge = [give_back](std::uint64_t &field, double count) {
+        const auto n = static_cast<std::uint64_t>(count);
+        field += give_back ? n : 0 - n;
+    };
+    TenantRunMetrics &s = t.share;
+    for (PartitionId p = t.kernel.partLo; p < t.partHi; ++p) {
+        const mee::MeeEngine &mee = partitions[p]->mee();
+        const mee::PredictionStats &ps = mee.predictionStats();
+        const mem::SectoredCache *mdcs[] = {
+            &mee.counterCache(), &mee.macCache(), &mee.bmtCache()};
+        charge(s.memReads, mee.reads());
+        charge(s.memWrites, mee.writes());
+        for (const mem::SectoredCache *c : mdcs) {
+            charge(s.mdcAccesses, c->accesses());
+            // Hits and write-validates: everything but a fetching miss.
+            charge(s.mdcHits, c->accesses() - c->misses());
+        }
+        charge(s.roCorrect, ps.roCorrect.value());
+        charge(s.roMispredicts,
+               ps.roMpInit.value() + ps.roMpAliasing.value());
+        charge(s.strCorrect, ps.strCorrect.value());
+        charge(s.strMispredicts,
+               ps.strMpInit.value() + ps.strMpAliasing.value() +
+                   ps.strMpRuntimeRo.value() +
+                   ps.strMpRuntimeNonRo.value());
+    }
 }
 
 void
@@ -573,7 +617,7 @@ GpuSimulator::gatherMetrics() const
 
     sm.tenants.reserve(tenants.size());
     for (const auto &t : tenants) {
-        TenantRunMetrics tm;
+        TenantRunMetrics tm = t.share;
         tm.name = t.spec->name;
         tm.arrivalCycle = t.spec->arrivalCycle;
         tm.startCycle = t.startCycle;
@@ -589,18 +633,6 @@ GpuSimulator::gatherMetrics() const
                             static_cast<double>(span)
                       : 0;
 
-        for (PartitionId p = t.kernel.partLo; p < t.partHi; ++p) {
-            const mee::TenantMeeTally &tally =
-                partitions[p]->mee().tenantTally(t.id);
-            tm.memReads += tally.reads;
-            tm.memWrites += tally.writes;
-            tm.mdcAccesses += tally.mdcAccesses;
-            tm.mdcHits += tally.mdcHits;
-            tm.roCorrect += tally.roCorrect;
-            tm.roMispredicts += tally.roMispredicts;
-            tm.strCorrect += tally.strCorrect;
-            tm.strMispredicts += tally.strMispredicts;
-        }
         tm.mdcHitRate =
             tm.mdcAccesses ? static_cast<double>(tm.mdcHits) /
                                  static_cast<double>(tm.mdcAccesses)

@@ -206,6 +206,9 @@ class GpuSimulator : public mee::DramRouter
         std::uint64_t windowStalls = 0;
         std::uint64_t kernelsRun = 0;
         std::uint64_t dispatches = 0;
+        /** MEE counts charged to the tenant (only the MEE fields of
+         *  TenantRunMetrics accumulate here; see chargeTenant). */
+        TenantRunMetrics share;
         /** @} */
 
         std::uint32_t numParts() const
@@ -283,6 +286,11 @@ class GpuSimulator : public mee::DramRouter
     void startTenantKernel(TenantContext &t, Cycle at);
     void advanceTenantKernel(TenantContext &t, Cycle at);
     void contextSwitchTo(std::uint32_t pick, Cycle now);
+    /** A tenant takes its partitions (@p give_back false) by
+     *  subtracting their running MEE counters from its share, and gives
+     *  them back by adding them: its share is their change over the
+     *  spans it owned them. */
+    void chargeTenant(TenantContext &t, bool give_back);
     ScenarioMetrics gatherMetrics() const;
     /** @} */
 

@@ -168,13 +168,9 @@ MeeEngine::metaAccess(mem::SectoredCache &cache, Addr meta_addr,
 {
     if (was_miss)
         *was_miss = false;
-    if (activeTally)
-        ++activeTally->mdcAccesses;
 
     mem::CacheAccessResult res = cache.access(meta_addr, bytes, is_write);
     if (res.outcome != mem::CacheOutcome::Miss) {
-        if (activeTally)
-            ++activeTally->mdcHits;
         emitEviction(res.writeback, cls, now);
         return now + config.mdcHitLatency;
     }
@@ -378,12 +374,8 @@ MeeEngine::attributeRoPrediction(LocalAddr local, bool predicted_ro)
     bool truth = truthProfile->regionReadOnly(partitionId, local);
     if (predicted_ro == truth) {
         ++predStats.roCorrect;
-        if (activeTally)
-            ++activeTally->roCorrect;
         return;
     }
-    if (activeTally)
-        ++activeTally->roMispredicts;
     switch (roDetector.causeFor(local)) {
       case detect::NotReadOnlyCause::WrittenAlias:
         ++predStats.roMpAliasing;
@@ -404,12 +396,8 @@ MeeEngine::attributeStreamPrediction(LocalAddr local, bool predicted_str)
     bool truth = truthProfile->chunkStreaming(partitionId, local);
     if (predicted_str == truth) {
         ++predStats.strCorrect;
-        if (activeTally)
-            ++activeTally->strCorrect;
         return;
     }
-    if (activeTally)
-        ++activeTally->strMispredicts;
     std::uint64_t chunk = streamDetector.chunkOf(local);
     if (streamDetector.entryNeverUpdated(chunk)) {
         ++predStats.strMpInit;
@@ -427,8 +415,6 @@ MeeEngine::onRead(LocalAddr local, Addr phys, Cycle now, MemSpace space)
 {
     profile::ScopedTimer timer(profile::Phase::MetaPath);
     ++statReads;
-    if (activeTally)
-        ++activeTally->reads;
     if (!config.secure)
         return now;
 
@@ -529,8 +515,6 @@ MeeEngine::onWrite(LocalAddr local, Addr phys, Cycle now, MemSpace space)
 
     profile::ScopedTimer timer(profile::Phase::MetaPath);
     ++statWrites;
-    if (activeTally)
-        ++activeTally->writes;
     if (!config.secure)
         return;
 

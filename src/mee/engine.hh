@@ -148,25 +148,6 @@ class VictimCacheIf
     virtual Cycle victimHitLatency() const = 0;
 };
 
-/**
- * Per-tenant shadow counters for scenario runs. Incremented beside
- * the engine's regular statistics for whichever tenant is active
- * (setActiveTenant); plain integers because the scenario engine is
- * serial.
- */
-struct TenantMeeTally
-{
-    std::uint64_t reads = 0;
-    std::uint64_t writes = 0;
-    std::uint64_t mdcAccesses = 0;
-    std::uint64_t mdcHits = 0;
-    /** Detector-accuracy attribution (needs a truth profile). */
-    std::uint64_t roCorrect = 0;
-    std::uint64_t roMispredicts = 0;
-    std::uint64_t strCorrect = 0;
-    std::uint64_t strMispredicts = 0;
-};
-
 /** Per-access prediction-accuracy tallies (Figs. 10 and 11). */
 struct PredictionStats
 {
@@ -240,24 +221,6 @@ class MeeEngine
      */
     std::uint64_t contextSwitch(Cycle now, bool flush_mdc);
 
-    /** @{ Per-tenant shadow tallies for scenario runs. */
-    void enableTenantTallies(std::size_t tenants)
-    {
-        tenantTallies.assign(tenants, TenantMeeTally{});
-    }
-    /** Route subsequent accounting to tenant @p id (invalidAddr-like
-     *  sentinel: pass tenantTallies.size()==0 state to disable). */
-    void setActiveTenant(std::size_t id)
-    {
-        activeTally = id < tenantTallies.size() ? &tenantTallies[id]
-                                                : nullptr;
-    }
-    const TenantMeeTally &tenantTally(std::size_t id) const
-    {
-        return tenantTallies.at(id);
-    }
-    /** @} */
-
     /** Prime detectors from the Baseline truth (SHM_upper_bound). */
     void primeFromProfile(const detect::TruthProfile &profile);
 
@@ -288,6 +251,8 @@ class MeeEngine
     const mem::SectoredCache &macCache() const { return macsCache; }
     const mem::SectoredCache &bmtCache() const { return treeCache; }
     const PredictionStats &predictionStats() const { return predStats; }
+    double reads() const { return statReads.value(); }
+    double writes() const { return statWrites.value(); }
     double sharedCounterReads() const
     {
         return statSharedCtrReads.value();
@@ -393,10 +358,6 @@ class MeeEngine
     /** One entry per chunk of the layout's data span; empty unless
      *  dualGranularityMac. */
     DemandZeroArray<ChunkMacState> chunkMacStates;
-
-    /** Scenario-mode shadow tallies; empty outside scenario runs. */
-    std::vector<TenantMeeTally> tenantTallies;
-    TenantMeeTally *activeTally = nullptr;
 
     stats::StatGroup statGroup;
     PredictionStats predStats;

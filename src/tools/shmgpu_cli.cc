@@ -741,23 +741,23 @@ main(int argc, char **argv)
     if (cmd == "run" && scenario)
         return cmdRun(args(
             {"scenario", "scheme", "gpu", "cycles", "policy", "overrides",
-             "stats", "json", "no-solo", "trace", "trace-text"}), true);
+             "stats", "json", "no-solo!", "trace", "trace-text"}), true);
     if (cmd == "run")
         return cmdRun(args(
             {"workload", "spec", "scheme", "gpu", "cycles", "policy",
-             "overrides", "stats", "json", "accuracy", "profile", "trace",
+             "overrides", "stats", "json", "accuracy!", "profile!", "trace",
              "trace-text"}), false);
     if (cmd == "sweep" && scenario)
         return cmdSweep(args(
             {"scenario", "schemes", "quantums", "share", "tenants",
-             "no-solo", "jobs", "gpu", "cycles", "policy", "results-dir",
-             "overrides", "out", "quiet"}), true);
+             "no-solo!", "jobs", "gpu", "cycles", "policy", "results-dir",
+             "overrides", "out", "quiet!"}), true);
     if (cmd == "sweep")
         return cmdSweep(args(
             {"workloads", "schemes", "jobs", "gpu", "cycles", "policy",
              "policies", "zipf-footprints", "zipf-alphas", "results-dir",
-             "resume", "cancel-after", "overrides", "out", "quiet",
-             "accuracy", "trace"}), false);
+             "resume!", "cancel-after", "overrides", "out", "quiet!",
+             "accuracy!", "trace"}), false);
     // Check before "trace": that prefix names the workload-trace
     // subcommands, while trace-info summarizes a --trace export.
     if (cmd == "trace-info")

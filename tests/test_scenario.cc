@@ -234,6 +234,118 @@ TEST(ScenarioExperiment, AttributionAndSoloReferences)
     }
 }
 
+namespace
+{
+
+/** What a run's tenant shares must add up to and the run's metrics
+ *  do not carry: its partitions' MEE stats, summed. */
+struct MeeStatTotals
+{
+    std::uint64_t reads = 0;
+    std::uint64_t writes = 0;
+    std::uint64_t mdcHits = 0; //!< full hits plus write-validates
+};
+
+/** Measure @p scn under @p scheme with accuracy attribution, and sum
+ *  the finished run's MEE stats into @p totals. */
+gpu::ScenarioMetrics
+measureWithStats(const gpu::GpuParams &gp, schemes::Scheme scheme,
+                 const workload::ScenarioSpec &scn, MeeStatTotals &totals)
+{
+    RunOptions opts;
+    opts.collectAccuracy = true;
+    return measure(gp, scheme, scn, opts, [&](gpu::GpuSimulator &sim) {
+        auto stat = [&](const std::string &path) {
+            bool found = false;
+            const double v = sim.statsRoot().lookup(path, &found);
+            EXPECT_TRUE(found) << path;
+            return static_cast<std::uint64_t>(v);
+        };
+        for (std::uint32_t p = 0; p < gp.numPartitions; ++p) {
+            const std::string mee = "p" + std::to_string(p) + ".mee.";
+            totals.reads += stat(mee + "reads");
+            totals.writes += stat(mee + "writes");
+            for (const char *mdc :
+                 {"counter_cache.", "mac_cache.", "bmt_cache."})
+                totals.mdcHits += stat(mee + mdc + "hits") +
+                                  stat(mee + mdc + "write_no_fetch");
+        }
+    });
+}
+
+/** Every MEE count charged to the tenants adds up to the run's. */
+void
+expectTenantSharesSumToTotals(const gpu::ScenarioMetrics &m,
+                              const MeeStatTotals &stats)
+{
+    gpu::TenantRunMetrics sum;
+    for (const auto &t : m.tenants) {
+        sum.memReads += t.memReads;
+        sum.memWrites += t.memWrites;
+        sum.mdcAccesses += t.mdcAccesses;
+        sum.mdcHits += t.mdcHits;
+        sum.roCorrect += t.roCorrect;
+        sum.roMispredicts += t.roMispredicts;
+        sum.strCorrect += t.strCorrect;
+        sum.strMispredicts += t.strMispredicts;
+    }
+    const gpu::RunMetrics &total = m.total;
+    EXPECT_GT(sum.memReads, 0u);
+    EXPECT_GT(sum.roCorrect + sum.roMispredicts, 0u);
+    EXPECT_GT(sum.strCorrect + sum.strMispredicts, 0u);
+    EXPECT_EQ(sum.memReads, stats.reads);
+    EXPECT_EQ(sum.memWrites, stats.writes);
+    EXPECT_EQ(sum.mdcAccesses, total.energy.mdcAccesses);
+    EXPECT_EQ(sum.mdcHits, stats.mdcHits);
+    EXPECT_EQ(sum.roCorrect, total.roCorrect);
+    EXPECT_EQ(sum.roMispredicts, total.roMpInit + total.roMpAliasing);
+    EXPECT_EQ(sum.strCorrect, total.strCorrect);
+    EXPECT_EQ(sum.strMispredicts,
+              total.strMpInit + total.strMpAliasing +
+                  total.strMpRuntimeRo + total.strMpRuntimeNonRo);
+}
+
+} // namespace
+
+// Per-tenant MEE counts partition the run's: whatever a tenant is
+// charged at a switch or over its static slice, nothing is counted
+// twice or dropped, with several tenants and switches or with one.
+TEST(ScenarioAttribution, TenantSharesSumToRunTotals)
+{
+    gpu::GpuParams gp = scnConfig();
+    gp.maxCyclesPerKernel = 10000;
+    // mix2 grown to three tenants, as `--tenants 3` does.
+    workload::ScenarioSpec scn = workload::parseScenarioFile(
+        std::string(SHMGPU_EXAMPLES_DIR) + "/scenarios/mix2.scn");
+    scn.tenants.push_back(scn.tenants[0]);
+    scn.tenants.back().name += "#2";
+    scn.quantumCycles = 2000;
+
+    MeeStatTotals sliced;
+    const gpu::ScenarioMetrics ts =
+        measureWithStats(gp, schemes::Scheme::Shm, scn, sliced);
+    ASSERT_EQ(ts.tenants.size(), 3u);
+    EXPECT_GE(ts.contextSwitches, 3u);
+    expectTenantSharesSumToTotals(ts, sliced);
+
+    scn.policy = workload::SharePolicy::Partitioned;
+    MeeStatTotals split;
+    const gpu::ScenarioMetrics pt =
+        measureWithStats(gp, schemes::Scheme::Shm, scn, split);
+    ASSERT_EQ(pt.tenants.size(), 3u);
+    EXPECT_EQ(pt.contextSwitches, 0u);
+    expectTenantSharesSumToTotals(pt, split);
+
+    // One tenant: its share is the whole run.
+    MeeStatTotals solo;
+    const gpu::ScenarioMetrics one = measureWithStats(
+        gp, schemes::Scheme::Shm,
+        workload::singleTenantScenario(workload::findWorkload("bfs")),
+        solo);
+    ASSERT_EQ(one.tenants.size(), 1u);
+    expectTenantSharesSumToTotals(one, solo);
+}
+
 // Regression for the ROADMAP item-1 leftover: the switch-time
 // detector flush used to also drop SHM_upper_bound's profile-primed
 // predictions, degrading the oracle to learned-from-scratch after the

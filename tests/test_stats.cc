@@ -23,29 +23,6 @@ TEST(Stats, ScalarAccumulates)
     EXPECT_EQ(s.value(), 0);
 }
 
-TEST(Stats, HistogramBuckets)
-{
-    Histogram h;
-    h.init(0, 10, 5);
-    h.sample(0.5);  // bucket 0
-    h.sample(9.5);  // bucket 4
-    h.sample(-3);   // clamps to bucket 0
-    h.sample(40);   // clamps to bucket 4
-    EXPECT_EQ(h.samples(), 4u);
-    EXPECT_EQ(h.data()[0], 2u);
-    EXPECT_EQ(h.data()[4], 2u);
-    EXPECT_EQ(h.data()[2], 0u);
-}
-
-TEST(Stats, HistogramMean)
-{
-    Histogram h;
-    h.init(0, 100, 10);
-    h.sample(10);
-    h.sample(30);
-    EXPECT_DOUBLE_EQ(h.mean(), 20);
-}
-
 TEST(Stats, GroupDumpPaths)
 {
     StatGroup root(nullptr, "root");

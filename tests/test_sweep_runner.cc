@@ -230,50 +230,14 @@ TEST(SweepRunner, FirstFailureAbandonsUnstartedCells)
     EXPECT_EQ(runner.cellsRun.load(), 1);
 }
 
-TEST(SweepRunner, CancelTokenStopsTheSweep)
-{
-    Grid grid;
-    SweepRunner runner(quickParams());
-    SweepOptions opts;
-    opts.jobs = 2;
-    opts.cancel = std::make_shared<std::atomic<bool>>(true);
-    EXPECT_THROW(runner.run(grid.designs, grid.workloads, opts),
-                 SweepCancelled);
-}
-
-namespace
-{
-
-/** Runner that flips the cancel token after the first cell. */
-class SelfCancellingRunner : public SweepRunner
-{
-  public:
-    using SweepRunner::SweepRunner;
-    std::shared_ptr<std::atomic<bool>> token =
-        std::make_shared<std::atomic<bool>>(false);
-    mutable std::atomic<int> cellsRun{0};
-
-  protected:
-    ExperimentResult
-    runCell(const Experiment &experiment, const SweepCell &cell,
-            const RunOptions &options) const override
-    {
-        ++cellsRun;
-        auto r = SweepRunner::runCell(experiment, cell, options);
-        token->store(true);
-        return r;
-    }
-};
-
-} // namespace
-
 TEST(SweepRunner, MidSweepCancellationAbandonsRemainingCells)
 {
     Grid grid;
-    SelfCancellingRunner runner(quickParams());
+    ThrowingRunner runner(quickParams());
+    runner.poison = schemes::Scheme::ShmUpperBound; // not in the grid
     SweepOptions opts;
     opts.jobs = 1;
-    opts.cancel = runner.token;
+    opts.cancelAfter = 1;
     EXPECT_THROW(runner.run(grid.designs, grid.workloads, opts),
                  SweepCancelled);
     EXPECT_EQ(runner.cellsRun.load(), 1);
