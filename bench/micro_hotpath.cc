@@ -1,8 +1,9 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the hot-path containers and
- * index math introduced by the performance rework: DaryHeap vs.
- * std::priority_queue on the completion-retirement pattern, the
+ * index math introduced by the performance rework: per-event heap
+ * retirement vs. the lazy flat completion array on one SM's load
+ * window, op generation over every Table VII kernel, the
  * timing-wheel CalendarQueue vs. DaryHeap on the kernel engine's SM
  * ready-event pattern, the division-free address mapping, the
  * sectored cache per replacement policy, the unlimited-MAT oracle
@@ -14,8 +15,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -25,47 +26,154 @@
 #include "detect/streaming.hh"
 #include "mem/addr_map.hh"
 #include "mem/cache.hh"
+#include "workload/benchmarks.hh"
+#include "workload/trace.hh"
 
 using namespace shmgpu;
 
-static void
-BM_DaryHeapCompletions(benchmark::State &state)
+namespace
 {
-    // The SM completion pattern: a window of in-flight loads, push one
-    // and pop the earliest each step.
-    using Completion = std::pair<Cycle, SmId>;
-    DaryHeap<Completion> heap;
-    heap.reserve(1024);
+
+/**
+ * One SM's load window on the kernel engine's pattern: each op is a
+ * fetch event, then an issue event 4 compute cycles later that sends
+ * a load, or stalls until the earliest completion while the window
+ * (32 loads, a typical Table VII kernel's) is full. Round trips are
+ * range(0) plus 0-255 cycles: the larger the base, the more issues
+ * find the window full. `Window` decides when completions retire.
+ */
+template <typename Window>
+void
+completionWindowPattern(benchmark::State &state, Window &window)
+{
+    constexpr std::uint32_t kWindow = 32;
+    const auto base_latency = static_cast<Cycle>(state.range(0));
     Cycle now = 0;
-    for (SmId sm = 0; sm < 30; ++sm)
-        heap.emplace(now + 100 + sm * 7, sm);
+    std::uint64_t step = 0;
     for (auto _ : state) {
+        window.fetchEvent(now);
+        now += 4;
+        Cycle retry;
+        while (!window.tryIssue(now, kWindow, retry))
+            now = retry;
+        window.issue(now + base_latency + (step++ * 37) % 256);
         ++now;
-        heap.emplace(now + 100 + now % 97, static_cast<SmId>(now % 30));
-        benchmark::DoNotOptimize(heap.top());
-        heap.pop();
     }
+    benchmark::DoNotOptimize(now);
 }
-BENCHMARK(BM_DaryHeapCompletions);
+
+/** Per-event retirement from a completion heap (the engine before
+ *  lazy retirement): every event pops the completions <= now. */
+struct HeapWindow
+{
+    DaryHeap<Cycle> heap;
+
+    void
+    retire(Cycle now)
+    {
+        while (!heap.empty() && heap.top() <= now)
+            heap.pop();
+    }
+    void fetchEvent(Cycle now) { retire(now); }
+    bool
+    tryIssue(Cycle now, std::uint32_t limit, Cycle &retry)
+    {
+        retire(now);
+        if (heap.size() < limit)
+            return true;
+        retry = heap.top();
+        return false;
+    }
+    void issue(Cycle complete) { heap.push(complete); }
+};
+
+/** Lazy retirement over a flat array (GpuSimulator::retireLoads):
+ *  nothing per event, one compaction pass when the window looks full. */
+struct FlatWindow
+{
+    std::vector<Cycle> inflight = std::vector<Cycle>(32);
+    std::uint32_t outstanding = 0;
+    std::uint64_t scans = 0;
+
+    void fetchEvent(Cycle) {}
+    bool
+    tryIssue(Cycle now, std::uint32_t limit, Cycle &retry)
+    {
+        if (outstanding < limit)
+            return true;
+        ++scans;
+        Cycle earliest = invalidCycle;
+        std::uint32_t live = 0;
+        for (std::uint32_t i = 0; i < outstanding; ++i) {
+            if (inflight[i] > now) {
+                inflight[live++] = inflight[i];
+                earliest = std::min(earliest, inflight[i]);
+            }
+        }
+        outstanding = live;
+        retry = earliest;
+        return outstanding < limit;
+    }
+    void issue(Cycle complete) { inflight[outstanding++] = complete; }
+};
+
+} // namespace
 
 static void
-BM_PriorityQueueCompletions(benchmark::State &state)
+BM_CompletionWindowHeap(benchmark::State &state)
 {
-    using Completion = std::pair<Cycle, SmId>;
-    std::priority_queue<Completion, std::vector<Completion>,
-                        std::greater<>>
-        heap;
-    Cycle now = 0;
-    for (SmId sm = 0; sm < 30; ++sm)
-        heap.emplace(now + 100 + sm * 7, sm);
-    for (auto _ : state) {
-        ++now;
-        heap.emplace(now + 100 + now % 97, static_cast<SmId>(now % 30));
-        benchmark::DoNotOptimize(heap.top());
-        heap.pop();
-    }
+    HeapWindow window;
+    window.heap.reserve(32);
+    completionWindowPattern(state, window);
 }
-BENCHMARK(BM_PriorityQueueCompletions);
+BENCHMARK(BM_CompletionWindowHeap)->Arg(0)->Arg(50)->Arg(100)->Arg(300);
+
+static void
+BM_CompletionWindowFlat(benchmark::State &state)
+{
+    // scans_per_op: compaction passes per load issued (the engine
+    // averaged 0.37 on paper-grid's workloads, ~28 entries a pass).
+    FlatWindow window;
+    completionWindowPattern(state, window);
+    state.counters["scans_per_op"] = benchmark::Counter(
+        static_cast<double>(window.scans),
+        benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_CompletionWindowFlat)->Arg(0)->Arg(50)->Arg(100)->Arg(300);
+
+static void
+BM_KernelTraceNext(benchmark::State &state)
+{
+    // Op generation alone: every kernel of every Table VII workload
+    // drained on 30 SMs, the SMs drawing round robin. One iteration is
+    // the whole set; time_per_op is the cost of one KernelTrace::next.
+    constexpr std::uint32_t kSms = 30;
+    std::vector<std::vector<Addr>> bases;
+    for (const workload::WorkloadSpec &w : workload::allWorkloads())
+        bases.push_back(workload::layoutBuffers(w));
+    std::uint64_t ops = 0;
+    for (auto _ : state) {
+        for (std::size_t i = 0; i < bases.size(); ++i) {
+            const workload::WorkloadSpec &w = workload::allWorkloads()[i];
+            for (std::uint32_t k = 0; k < w.kernels.size(); ++k) {
+                workload::KernelTrace trace(w, bases[i], k, kSms);
+                workload::TraceOp op;
+                while (!trace.done())
+                    for (SmId sm = 0; sm < kSms; ++sm)
+                        if (trace.next(sm, op)) {
+                            benchmark::DoNotOptimize(op.addr);
+                            ++ops;
+                        }
+            }
+        }
+    }
+    state.counters["ops"] = benchmark::Counter(
+        static_cast<double>(ops), benchmark::Counter::kAvgIterations);
+    state.counters["time_per_op"] = benchmark::Counter(
+        static_cast<double>(ops),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_KernelTraceNext)->Unit(benchmark::kMillisecond);
 
 namespace
 {

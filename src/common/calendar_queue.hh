@@ -12,17 +12,18 @@
  * every hop; this structure is a timing wheel instead:
  *
  *   - the near future is a 64-slot ring, one cycle per slot, each
- *     slot a bitmask of ready ids — push is two OR instructions and
- *     popMin is a rotate + count-trailing-zeros on the slot-occupancy
+ *     slot a bitmask of ready ids — push is two OR instructions and a
+ *     pop is a rotate + count-trailing-zeros on the slot-occupancy
  *     summary word, then a ctz inside the slot;
  *   - events at or beyond `cursor + 64` wait in a d-ary overflow heap
  *     and migrate into the ring as the cursor reaches them.
  *
- * Determinism contract: popMin returns events in lexicographic
- * (cycle, id) order — same-cycle events pop in ascending id, which is
- * exactly the SM-id issue order of the per-cycle reference loop. Time
- * never flows backwards: a pushed cycle must be >= the cycle returned
- * by the most recent popMin (>= the clear() start before any pop).
+ * Determinism contract: popMin and popBefore return events in
+ * lexicographic (cycle, id) order — same-cycle events pop in ascending
+ * id, which is exactly the SM-id issue order of the per-cycle reference
+ * loop. Time never flows backwards: a pushed cycle must be >= the cycle
+ * of the most recent pop (>= the clear() start before any pop); a
+ * popBefore that returns false moves no clock.
  * Each id may have at most one pending event (slots are bitsets, so a
  * duplicate (cycle, id) would coalesce and desynchronize size()); the
  * kernel engine schedules exactly one event per SM, which satisfies
@@ -100,17 +101,66 @@ class CalendarQueue
     popMin()
     {
         shm_assert(count > 0, "popMin on an empty calendar");
+        if (occupied == 0)
+            jumpToOverflow();
+        advanceToEarliestSlot();
+        return {cursor, takeLowestId()};
+    }
+
+    /**
+     * Remove the minimum (cycle, id) event into @p at and @p id if its
+     * cycle is before @p limit; return false (and leave the queue as it
+     * was) if the queue is empty or its earliest event is at or past
+     * @p limit. A drain loop that stops at a time slice boundary or a
+     * tenant wakeup thus finds the earliest slot once per event.
+     */
+    bool
+    popBefore(Cycle limit, Cycle &at, std::uint32_t &id)
+    {
         if (occupied == 0) {
-            // Nothing within a wheel turn: jump to the overflow's
-            // earliest event. (cursor, not cursor+1, so the migrated
-            // event lands in the ring's current slot.)
-            cursor = overflow.top().first;
-            migrateOverflow();
+            // Overflow events lie at or beyond cursor + 64, so with an
+            // empty ring the overflow's top is the minimum.
+            if (count == 0 || overflow.top().first >= limit)
+                return false;
+            jumpToOverflow();
+        } else if (cursor + earliestSlotDelta() >= limit) {
+            // Every ring event precedes every overflow event.
+            return false;
         }
-        // The earliest occupied slot, counted from the cursor's slot.
-        std::uint32_t base = cursor & slotMask;
-        std::uint32_t delta = static_cast<std::uint32_t>(
-            std::countr_zero(std::rotr(occupied, base)));
+        advanceToEarliestSlot();
+        at = cursor;
+        id = takeLowestId();
+        return true;
+    }
+
+  private:
+    static constexpr std::uint32_t wheelSlots = 64;
+    static constexpr std::uint32_t slotMask = wheelSlots - 1;
+
+    /** Cycles from the cursor to the earliest occupied ring slot
+     *  (the ring must not be empty). */
+    std::uint32_t
+    earliestSlotDelta() const
+    {
+        return static_cast<std::uint32_t>(
+            std::countr_zero(std::rotr(occupied, cursor & slotMask)));
+    }
+
+    /** Nothing within a wheel turn: jump to the overflow's earliest
+     *  event. (cursor, not cursor+1, so the migrated event lands in the
+     *  ring's current slot.) */
+    void
+    jumpToOverflow()
+    {
+        cursor = overflow.top().first;
+        migrateOverflow();
+    }
+
+    /** Move the cursor to the earliest occupied ring slot. */
+    void
+    advanceToEarliestSlot()
+    {
+        const std::uint32_t delta = earliestSlotDelta();
         if (delta > 0) {
             cursor += delta;
             // The window [cursor, cursor+64) grew: events parked in
@@ -119,46 +169,28 @@ class CalendarQueue
             // still in the slot we just advanced to.
             migrateOverflow();
         }
-        std::uint32_t slot = cursor & slotMask;
+    }
+
+    /** Remove and return the lowest id of the cursor's (non-empty)
+     *  slot. */
+    std::uint32_t
+    takeLowestId()
+    {
+        const std::uint32_t slot = cursor & slotMask;
         std::uint64_t *slot_words = &ring[slot * words];
         for (std::uint32_t w = 0;; ++w) {
             if (slot_words[w] == 0)
                 continue;
-            std::uint32_t id =
+            const std::uint32_t id =
                 w * 64 + static_cast<std::uint32_t>(
                              std::countr_zero(slot_words[w]));
             slot_words[w] &= slot_words[w] - 1; // clear lowest set bit
             if (slotEmpty(slot_words))
                 occupied &= ~(std::uint64_t{1} << slot);
             --count;
-            return {cursor, id};
+            return id;
         }
     }
-
-    /**
-     * The cycle of the earliest pending event, without removing it.
-     * The queue must not be empty. Used to stop a drain at a time
-     * slice boundary.
-     */
-    Cycle
-    minCycle() const
-    {
-        shm_assert(count > 0, "minCycle on an empty calendar");
-        Cycle best = invalidCycle;
-        if (occupied != 0) {
-            std::uint32_t base = cursor & slotMask;
-            std::uint32_t delta = static_cast<std::uint32_t>(
-                std::countr_zero(std::rotr(occupied, base)));
-            best = cursor + delta;
-        }
-        if (!overflow.empty())
-            best = std::min(best, overflow.top().first);
-        return best;
-    }
-
-  private:
-    static constexpr std::uint32_t wheelSlots = 64;
-    static constexpr std::uint32_t slotMask = wheelSlots - 1;
 
     bool
     slotEmpty(const std::uint64_t *slot_words) const

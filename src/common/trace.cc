@@ -117,15 +117,6 @@ Tracer::setLaneName(std::uint32_t lane, std::string name)
     lanes[lane].name = std::move(name);
 }
 
-std::uint64_t
-Tracer::totalRecorded() const
-{
-    std::uint64_t total = 0;
-    for (const Lane &lane : lanes)
-        total += lane.events.size();
-    return total;
-}
-
 namespace
 {
 

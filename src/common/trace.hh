@@ -163,9 +163,6 @@ class Tracer
             {cycle, payload, component, kind, activeTenant});
     }
 
-    /** Events accumulated so far. */
-    std::uint64_t totalRecorded() const;
-
     /**
      * All events, lane-major then stable-sorted by cycle — the
      * deterministic export order.

@@ -158,7 +158,7 @@ GpuSimulator::initScenario()
         base = roundUpTo(end, align);
         t.savedSms.resize(gpuConfig.numSms);
         for (auto &u : t.savedSms)
-            u.inflight.reserve(gpuConfig.smWindow);
+            u.inflight.resize(gpuConfig.smWindow);
     }
 }
 
@@ -266,28 +266,29 @@ GpuSimulator::runPartitioned()
          i < static_cast<std::uint32_t>(tenants.size()); ++i)
         wakes.emplace_back(tenants[i].spec->arrivalCycle, i);
 
-    while (!wakes.empty() || !calendar.empty()) {
-        if (!wakes.empty()) {
-            auto it = std::min_element(wakes.begin(), wakes.end());
-            const Cycle next_event =
-                calendar.empty() ? invalidCycle : calendar.minCycle();
-            if (it->first <= next_event) {
-                const auto [at, i] = *it;
-                wakes.erase(it);
-                TenantContext &t = tenants[i];
-                if (t.state == State::NotArrived) {
-                    t.state = State::Running;
-                    t.startCycle = at;
-                    ++t.dispatches;
-                    startTenantKernel(t, at);
-                } else {
-                    advanceTenantKernel(t, at);
-                }
-                continue;
+    for (;;) {
+        // Calendar events strictly before the earliest wakeup go first.
+        const auto it = std::min_element(wakes.begin(), wakes.end());
+        const Cycle next_wake = it == wakes.end() ? invalidCycle : it->first;
+        Cycle now;
+        std::uint32_t sm;
+        if (!calendar.popBefore(next_wake, now, sm)) {
+            if (it == wakes.end())
+                break; // no wakeup left and the calendar is empty
+            const auto [at, i] = *it;
+            wakes.erase(it);
+            TenantContext &t = tenants[i];
+            if (t.state == State::NotArrived) {
+                t.state = State::Running;
+                t.startCycle = at;
+                ++t.dispatches;
+                startTenantKernel(t, at);
+            } else {
+                advanceTenantKernel(t, at);
             }
+            continue;
         }
 
-        const auto [now, sm] = calendar.popMin();
         TenantContext &t = tenants[tenantOfSm[sm]];
         if (tracer)
             tracer->setActiveTenant(t.id);

@@ -82,7 +82,7 @@ GpuSimulator::init()
 
     sms.resize(gpuConfig.numSms);
     for (auto &u : sms)
-        u.inflight.reserve(gpuConfig.smWindow);
+        u.inflight.resize(gpuConfig.smWindow);
     calendar = CalendarQueue(gpuConfig.numSms);
     calendar.reserve(gpuConfig.numSms); // each SM has at most one event
 
@@ -209,7 +209,7 @@ GpuSimulator::closeKernel(PartitionId lo, PartitionId hi, Cycle at,
  * system, MEE, and detectors are all access-driven (every call takes
  * `now`) — so instead of ticking every SM every cycle, each SM carries
  * a next-ready cycle in a calendar and the loop jumps straight from
- * one event to the next:
+ * one event to the next, one calendar pop per event:
  *
  *   - op fetch at cycle c with N compute instructions retires the
  *     whole batch at once and schedules the memory issue at c + N;
@@ -219,13 +219,24 @@ GpuSimulator::closeKernel(PartitionId lo, PartitionId hi, Cycle at,
  *   - an issued memory op schedules the next fetch at c + 1
  *     (back-to-back issue).
  *
+ * Loads retire lazily. A per-cycle loop retires every completed load
+ * before it ticks the SMs, but retirement only shrinks an SM's
+ * `outstanding`, and only a read's window check reads that. So the
+ * engine retires nothing per event: `outstanding` counts the loads
+ * issued since the last retirement, an upper bound on the loads in
+ * flight. Only when that bound reaches the window does retireLoads
+ * compact the SM's completion array, retiring every completion
+ * <= now and finding the earliest one left. A bound below the window
+ * means the true count is below it too, so the read issues as the
+ * per-cycle loop's would; otherwise the check sees the exact count
+ * the loop sees, and a stall retries at the same earliest completion.
+ * The issue/stall decision and the retry cycle are unchanged.
+ *
  * This is bit-identical to ticking every SM every cycle: the calendar
  * pops events in (cycle, SM-id) order — a per-cycle loop's SM
  * iteration order — every icnt/partition call receives the same `now`
- * it would have received there, and completions retire before the
- * owning SM's window check (retirement has no cross-SM effect, so
- * per-SM lazy retirement is equivalent to a global retire-before-issue
- * phase). tests/test_kernel_loop_diff.cc holds the engine equal to the
+ * it would have received there, and every window decision is the
+ * loop's. tests/test_kernel_loop_diff.cc holds the engine equal to the
  * per-cycle oracle in tests/reference_kernel_loop.hh on randomized
  * workloads.
  */
@@ -244,7 +255,7 @@ GpuSimulator::beginKernel(KernelContext &k, Cycle at, std::uint32_t window)
     for (std::uint32_t s = k.smLo; s < k.smHi; ++s) {
         SmUnit &u = sms[s];
         u.hasOp = false;
-        shm_assert(u.inflight.empty(), "in-flight loads across kernels");
+        shm_assert(u.outstanding == 0, "in-flight loads across kernels");
         calendar.push(at, s);
         ++k.eventsPending;
     }
@@ -263,19 +274,28 @@ GpuSimulator::noteEvent(KernelContext &k, Cycle now, std::uint32_t sm)
     ++k.busyCycles;
 }
 
+Cycle
+GpuSimulator::retireLoads(SmUnit &u, Cycle now)
+{
+    Cycle earliest = invalidCycle;
+    std::uint32_t live = 0;
+    for (std::uint32_t i = 0; i < u.outstanding; ++i) {
+        const Cycle complete = u.inflight[i];
+        if (complete > now) {
+            u.inflight[live++] = complete;
+            earliest = std::min(earliest, complete);
+        }
+    }
+    u.outstanding = live;
+    return earliest;
+}
+
 template <typename Source>
 void
 GpuSimulator::stepSmEvent(KernelContext &k, Source &source, SmId sm,
                           Cycle now)
 {
     SmUnit &u = sms[sm];
-
-    // Retire this SM's completed loads before its window check.
-    while (!u.inflight.empty() && u.inflight.top() <= now) {
-        u.inflight.pop();
-        shm_assert(u.outstanding > 0, "spurious completion");
-        --u.outstanding;
-    }
 
     if (!u.hasOp) {
         if (!source.next(static_cast<SmId>(sm - k.smLo), u.op)) {
@@ -313,25 +333,32 @@ GpuSimulator::stepSmEvent(KernelContext &k, Source &source, SmId sm,
 
     if (u.op.type == mem::AccessType::Read) {
         if (u.outstanding >= k.window) {
-            // Window full: a per-cycle loop burns one stall per cycle
-            // until this SM's earliest completion retires (nothing
-            // else shrinks its window). A zero window never unstalls —
-            // it spins to the cap.
-            Cycle retry = u.inflight.empty() ? k.capEnd : u.inflight.top();
-            u.windowStalls += std::min(retry, k.capEnd) - now;
-            if (retry < k.capEnd) {
-                calendar.push(retry, sm);
-                ++k.eventsPending;
+            // The upper bound reached the window: retire what completed
+            // by now and check again with the exact count.
+            const Cycle retry = retireLoads(u, now);
+            if (u.outstanding >= k.window) {
+                // Window full: a per-cycle loop burns one stall per
+                // cycle until this SM's earliest completion retires
+                // (nothing else shrinks its window). A zero window
+                // never unstalls — it spins to the cap.
+                u.windowStalls += std::min(retry, k.capEnd) - now;
+                if (retry < k.capEnd) {
+                    calendar.push(retry, sm);
+                    ++k.eventsPending;
+                }
+                return;
             }
-            return;
         }
         if (tracer)
             tracer->record(smLane, trace::EventKind::SmIssue, now,
                            static_cast<std::uint16_t>(sm), u.op.addr);
         Cycle complete = icnt.serveNow(makeTxn(u.op, pa, sm, now), part);
-        u.inflight.push(complete);
+        shm_assert(u.outstanding < u.inflight.size(),
+                   "SM {} issued a load past its {}-entry completion "
+                   "array",
+                   sm, u.inflight.size());
+        u.inflight[u.outstanding++] = complete;
         k.maxCompletion = std::max(k.maxCompletion, complete);
-        ++u.outstanding;
     } else {
         if (tracer)
             tracer->record(smLane, trace::EventKind::SmIssue, now,
@@ -351,8 +378,9 @@ template <typename Source>
 void
 GpuSimulator::drainCalendar(KernelContext &k, Source &source, Cycle limit)
 {
-    while (!calendar.empty() && calendar.minCycle() < limit) {
-        const auto [now, sm] = calendar.popMin();
+    Cycle now;
+    std::uint32_t sm;
+    while (calendar.popBefore(limit, now, sm)) {
         noteEvent(k, now, sm);
         stepSmEvent(k, source, static_cast<SmId>(sm), now);
     }
@@ -389,13 +417,10 @@ GpuSimulator::kernelTail(KernelContext &k)
     if (cap_hit)
         ++statCycleCapHits;
     // On a cap hit the outstanding loads are abandoned; on a normal
-    // exit every completion is <= final_cycle but was never lazily
-    // popped if its SM drained first — either way the heaps end the
-    // kernel empty.
-    for (std::uint32_t s = k.smLo; s < k.smHi; ++s) {
-        sms[s].inflight.clear();
+    // exit every completion is <= final_cycle but retires lazily, at a
+    // full window only — either way the kernel ends with none.
+    for (std::uint32_t s = k.smLo; s < k.smHi; ++s)
         sms[s].outstanding = 0;
-    }
 
     const std::uint64_t advanced = final_cycle - k.kernelStart;
     cyclesSkipped += advanced - k.busyCycles;

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "common/calendar_queue.hh"
-#include "common/dary_heap.hh"
 #include "common/stats.hh"
 #include "common/trace.hh"
 #include "detect/oracle.hh"
@@ -104,12 +103,15 @@ class GpuSimulator : public mee::DramRouter
          *  window-stall retries do not redo the address math. */
         mem::PartitionAddr pa;
         bool hasOp = false;
+        /** Loads issued and not yet retired. Retirement is lazy (see
+         *  retireLoads), so between window checks this is an upper
+         *  bound on the loads still in flight. */
         std::uint32_t outstanding = 0;
         std::uint64_t instructions = 0;
         std::uint64_t windowStalls = 0;
-        /** Completion cycles of this SM's in-flight loads; the
-         *  earliest one is a stalled SM's retry cycle. */
-        DaryHeap<Cycle> inflight;
+        /** Completion cycles of the outstanding loads, unordered, in
+         *  inflight[0, outstanding); sized to the GPU's window once. */
+        std::vector<Cycle> inflight;
     };
 
     /**
@@ -249,8 +251,12 @@ class GpuSimulator : public mee::DramRouter
     void beginKernel(KernelContext &k, Cycle at, std::uint32_t window);
     /** Account one popped calendar event of @p k's kernel. */
     void noteEvent(KernelContext &k, Cycle now, std::uint32_t sm);
-    /** One calendar event for one SM: retire its completed loads,
-     *  then fetch, batch compute, stall or issue one memory op. */
+    /** Retire @p u's loads completed by @p now in one compaction pass
+     *  over its completion array; return the earliest completion left
+     *  (invalidCycle if none). */
+    static Cycle retireLoads(SmUnit &u, Cycle now);
+    /** One calendar event for one SM: fetch, batch compute, stall or
+     *  issue one memory op. */
     template <typename Source>
     void stepSmEvent(KernelContext &k, Source &source, SmId sm,
                      Cycle now);

@@ -16,35 +16,6 @@ AddressMap::AddressMap(unsigned num_partitions,
     partitionDiv = ExactDivider(partitions);
 }
 
-std::uint64_t
-AddressMap::swizzle(std::uint64_t super_index) const
-{
-    if (!swizzleEnabled)
-        return 0;
-    // Cheap multiplicative mix; only the residue mod partitions is used.
-    std::uint64_t z = super_index * 0x9E3779B97F4A7C15ull;
-    z ^= z >> 29;
-    return partitionDiv.rem(z);
-}
-
-PartitionAddr
-AddressMap::toLocal(Addr addr) const
-{
-    std::uint64_t stripe = stripeDiv.quot(addr);
-    std::uint64_t offset = addr - stripe * stripeBytes;
-    std::uint64_t super_index = partitionDiv.quot(stripe);
-    std::uint64_t lane = stripe - super_index * partitions;
-
-    std::uint64_t selector = lane + swizzle(super_index);
-    if (selector >= partitions)
-        selector -= partitions;
-
-    PartitionAddr out;
-    out.partition = static_cast<PartitionId>(selector);
-    out.local = super_index * stripeBytes + offset;
-    return out;
-}
-
 Addr
 AddressMap::toPhysical(PartitionId partition, LocalAddr local) const
 {

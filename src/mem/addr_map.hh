@@ -47,8 +47,22 @@ class AddressMap
     AddressMap(unsigned num_partitions, std::uint64_t interleave_bytes,
                bool xor_swizzle = true);
 
-    /** Map a physical address to (partition, local offset). */
-    PartitionAddr toLocal(Addr addr) const;
+    /** Map a physical address to (partition, local offset). Inline:
+     *  the kernel engine maps every SM op at fetch. */
+    PartitionAddr
+    toLocal(Addr addr) const
+    {
+        const std::uint64_t stripe = stripeDiv.quot(addr);
+        const std::uint64_t offset = addr - stripe * stripeBytes;
+        const std::uint64_t super_index = partitionDiv.quot(stripe);
+        const std::uint64_t lane = stripe - super_index * partitions;
+
+        std::uint64_t selector = lane + swizzle(super_index);
+        if (selector >= partitions)
+            selector -= partitions;
+        return {.partition = static_cast<PartitionId>(selector),
+                .local = super_index * stripeBytes + offset};
+    }
 
     /** Invert the mapping: reconstruct the physical address. */
     Addr toPhysical(PartitionId partition, LocalAddr local) const;
@@ -57,7 +71,17 @@ class AddressMap
     std::uint64_t interleaveBytes() const { return stripeBytes; }
 
   private:
-    std::uint64_t swizzle(std::uint64_t stripe_index) const;
+    std::uint64_t
+    swizzle(std::uint64_t super_index) const
+    {
+        if (!swizzleEnabled)
+            return 0;
+        // Cheap multiplicative mix; only the residue mod partitions is
+        // used.
+        std::uint64_t z = super_index * 0x9E3779B97F4A7C15ull;
+        z ^= z >> 29;
+        return partitionDiv.rem(z);
+    }
 
     unsigned partitions;
     std::uint64_t stripeBytes;

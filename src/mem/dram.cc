@@ -113,15 +113,6 @@ DramChannel::bytesMoved(TrafficClass cls) const
     return classBytes[static_cast<std::size_t>(cls)];
 }
 
-std::uint64_t
-DramChannel::totalBytes() const
-{
-    std::uint64_t total = 0;
-    for (auto b : classBytes)
-        total += b;
-    return total;
-}
-
 void
 DramChannel::regStats(stats::StatGroup *parent)
 {

@@ -85,9 +85,6 @@ class DramChannel
     /** Total bytes moved for a traffic class. */
     std::uint64_t bytesMoved(TrafficClass cls) const;
 
-    /** Total bytes moved over all classes. */
-    std::uint64_t totalBytes() const;
-
     /** Cycles the data bus was occupied (for utilization). */
     Cycle busBusyCycles() const { return busBusy; }
 

@@ -1,155 +1,63 @@
 #include "workload/trace.hh"
 
-#include <cmath>
-
-#include "common/bitops.hh"
-#include "common/logging.hh"
-
 namespace shmgpu::workload
 {
 
-KernelTrace::KernelTrace(const WorkloadSpec &workload_spec,
+KernelTrace::KernelTrace(const WorkloadSpec &spec,
                          const std::vector<Addr> &buffer_bases,
                          std::uint32_t kernel_idx, std::uint32_t num_sms)
-    : spec(workload_spec), kernelSpec(spec.kernels.at(kernel_idx)),
-      bases(buffer_bases), numSms(num_sms), liveSms(num_sms)
+    : numSms(num_sms), liveSms(num_sms)
 {
+    const KernelSpec &kernel = spec.kernels.at(kernel_idx);
     shm_assert(numSms > 0, "need at least one SM");
-    shm_assert(!kernelSpec.streams.empty(),
-               "kernel '{}' has no streams", kernelSpec.name);
-    smStates.resize(numSms);
-    streamTickets.assign(kernelSpec.streams.size(), 0);
-    zipfConsts.resize(kernelSpec.streams.size());
-    for (std::size_t i = 0; i < kernelSpec.streams.size(); ++i) {
-        const StreamSpec &st = kernelSpec.streams[i];
-        if (st.pattern != Pattern::Zipf)
-            continue;
-        const BufferSpec &buf = spec.buffers.at(st.buffer);
-        double n = static_cast<double>(buf.bytes / sectorBytes);
-        ZipfConst &zc = zipfConsts[i];
-        if (std::abs(st.zipfAlpha - 1.0) < 1e-9) {
-            zc.scale = std::log(n + 1.0);
-            zc.invExp = 0; // log path
-        } else {
-            zc.scale = std::pow(n + 1.0, 1.0 - st.zipfAlpha) - 1.0;
-            zc.invExp = 1.0 / (1.0 - st.zipfAlpha);
+    shm_assert(!kernel.streams.empty(), "kernel '{}' has no streams",
+               kernel.name);
+    iterationsPerSm = kernel.iterationsPerSm;
+    computePerMem = kernel.computePerMem;
+
+    streams.reserve(kernel.streams.size());
+    for (const StreamSpec &ss : kernel.streams) {
+        const BufferSpec &buffer = spec.buffers.at(ss.buffer);
+        Stream &s = streams.emplace_back();
+        s.base = buffer_bases.at(ss.buffer);
+        s.sectors = buffer.bytes / sectorBytes;
+        shm_assert(s.sectors > 0, "buffer '{}' smaller than a sector",
+                   buffer.name);
+        s.pattern = ss.pattern;
+        s.write = ss.write;
+        s.space = buffer.space;
+        s.prob = ss.prob;
+        if (ss.pattern == Pattern::RandomHot) {
+            s.hot = std::max<std::uint64_t>(
+                static_cast<std::uint64_t>(
+                    static_cast<double>(s.sectors) * ss.hotFraction),
+                1);
+            s.hotProb = ss.hotProb;
+        } else if (ss.pattern == Pattern::Strided) {
+            const std::uint64_t stride =
+                std::max<std::uint64_t>(ss.strideSectors, 1);
+            s.strideStep = stride % s.sectors;
+            s.perSweep = std::max<std::uint64_t>(s.sectors / stride, 1);
+        } else if (ss.pattern == Pattern::Zipf) {
+            const double n = static_cast<double>(s.sectors);
+            if (std::abs(ss.zipfAlpha - 1.0) < 1e-9) {
+                s.zipfScale = std::log(n + 1.0);
+                s.zipfInvExp = 0; // log path
+            } else {
+                s.zipfScale = std::pow(n + 1.0, 1.0 - ss.zipfAlpha) - 1.0;
+                s.zipfInvExp = 1.0 / (1.0 - ss.zipfAlpha);
+            }
         }
     }
+
+    smStates.resize(numSms);
     for (std::uint32_t sm = 0; sm < numSms; ++sm) {
         SmState &st = smStates[sm];
         st.rng = Rng(spec.seed * 0x1000193u + kernel_idx * 131u + sm);
-        st.finished = kernelSpec.iterationsPerSm == 0;
+        st.finished = iterationsPerSm == 0;
     }
-    if (kernelSpec.iterationsPerSm == 0)
+    if (iterationsPerSm == 0)
         liveSms = 0;
-}
-
-Addr
-KernelTrace::streamAddr(SmId sm, std::uint32_t stream_idx)
-{
-    const StreamSpec &stream = kernelSpec.streams[stream_idx];
-    const BufferSpec &buffer = spec.buffers.at(stream.buffer);
-    SmState &st = smStates[sm];
-
-    std::uint64_t sectors = buffer.bytes / sectorBytes;
-    shm_assert(sectors > 0, "buffer '{}' smaller than a sector",
-               buffer.name);
-
-    std::uint64_t sector = 0;
-    switch (stream.pattern) {
-      case Pattern::Streaming:
-        // Global ticket: the machine-wide front sweeps the buffer
-        // densely and in order (see streamTickets).
-        sector = streamTickets[stream_idx]++ % sectors;
-        break;
-      case Pattern::Random:
-        sector = st.rng.below(sectors);
-        break;
-      case Pattern::RandomHot: {
-        std::uint64_t hot = std::max<std::uint64_t>(
-            static_cast<std::uint64_t>(
-                static_cast<double>(sectors) * stream.hotFraction), 1);
-        if (st.rng.chance(stream.hotProb))
-            sector = st.rng.below(hot);
-        else
-            sector = st.rng.below(sectors);
-        break;
-      }
-      case Pattern::Zipf: {
-        // Inverse CDF of the truncated continuous power law with
-        // density ~ x^-alpha over x in [1, n+1): rank
-        //   x = (1 + u * ((n+1)^(1-a) - 1))^(1/(1-a))        (a != 1)
-        //   x = e^(u * ln(n+1))                              (a == 1)
-        // mapped to sector rank-1. Low sectors form the hot head
-        // (rank 1 is the hottest), alpha=0 degenerates to uniform.
-        // One pow per sample; the buffer-dependent constants are
-        // precomputed in the constructor.
-        const ZipfConst &zc = zipfConsts[stream_idx];
-        double u = st.rng.uniform();
-        double x = zc.invExp == 0
-                       ? std::exp(u * zc.scale)
-                       : std::pow(1.0 + u * zc.scale, zc.invExp);
-        std::uint64_t rank = static_cast<std::uint64_t>(x);
-        if (rank < 1)
-            rank = 1;
-        sector = std::min<std::uint64_t>(rank - 1, sectors - 1);
-        break;
-      }
-      case Pattern::Strided: {
-        // Global ticket walked at a fixed sector stride, wrapping
-        // with a +1 phase shift so successive sweeps cover the gaps
-        // (column-major matrix walk).
-        std::uint64_t ticket = streamTickets[stream_idx]++;
-        std::uint64_t stride = std::max<std::uint64_t>(
-            stream.strideSectors, 1);
-        std::uint64_t per_sweep = sectors / stride;
-        if (per_sweep == 0)
-            per_sweep = 1;
-        std::uint64_t sweep = ticket / per_sweep;
-        std::uint64_t step = ticket % per_sweep;
-        sector = (step * stride + sweep) % sectors;
-        break;
-      }
-    }
-    return bases.at(stream.buffer) + sector * sectorBytes;
-}
-
-bool
-KernelTrace::next(SmId sm, TraceOp &op)
-{
-    shm_assert(sm < numSms, "SM {} out of range", sm);
-    SmState &st = smStates[sm];
-    if (st.finished)
-        return false;
-
-    while (true) {
-        if (st.streamCursor >= kernelSpec.streams.size()) {
-            st.streamCursor = 0;
-            if (++st.iteration >= kernelSpec.iterationsPerSm) {
-                st.finished = true;
-                --liveSms;
-                return false;
-            }
-        }
-        std::uint32_t idx = st.streamCursor++;
-        const StreamSpec &stream = kernelSpec.streams[idx];
-        if (stream.prob < 1.0 && !st.rng.chance(stream.prob))
-            continue;
-
-        op.computeInstrs = kernelSpec.computePerMem;
-        op.type = stream.write ? mem::AccessType::Write
-                               : mem::AccessType::Read;
-        op.space = spec.buffers.at(stream.buffer).space;
-        op.addr = streamAddr(sm, idx);
-        op.bytes = sectorBytes;
-        return true;
-    }
-}
-
-bool
-KernelTrace::done() const
-{
-    return liveSms == 0;
 }
 
 } // namespace shmgpu::workload

@@ -1,8 +1,9 @@
 /**
  * @file
  * CalendarQueue unit tests: the (cycle, id) pop-order contract, the
- * 64-slot wheel/overflow boundary, rebasing via clear(), and a
- * randomized comparison against a sorted-multiset reference model.
+ * 64-slot wheel/overflow boundary, rebasing via clear(), popBefore's
+ * limit, and randomized comparisons against a sorted-set reference
+ * model.
  */
 
 #include <gtest/gtest.h>
@@ -157,4 +158,105 @@ TEST(CalendarQueue, MatchesReferenceModelOnRandomTraffic)
             idle.push_back(got.second);
         }
     }
+}
+
+TEST(CalendarQueue, PopBeforeOnAnEmptyQueueReturnsFalse)
+{
+    CalendarQueue q(4);
+    q.clear(0);
+    Cycle at = 7;
+    std::uint32_t id = 3;
+    EXPECT_FALSE(q.popBefore(invalidCycle, at, id));
+    EXPECT_EQ(at, 7u); // untouched
+    EXPECT_EQ(id, 3u);
+    q.push(0, 1);
+    EXPECT_TRUE(q.popBefore(1, at, id));
+    EXPECT_EQ(Event(at, id), Event(0, 1));
+    EXPECT_FALSE(q.popBefore(invalidCycle, at, id));
+}
+
+TEST(CalendarQueue, PopBeforeStopsAtTheLimitAroundAnOverflowEvent)
+{
+    // A lone overflow event at 1000: limits at, just below and just
+    // past it. A refused pop moves no clock, so a push earlier than
+    // the refused event stays legal and pops first.
+    CalendarQueue q(8);
+    q.clear(0);
+    q.push(1000, 2);
+    Cycle at = 0;
+    std::uint32_t id = 0;
+    EXPECT_FALSE(q.popBefore(999, at, id));
+    EXPECT_FALSE(q.popBefore(1000, at, id));
+    q.push(10, 5);
+    EXPECT_FALSE(q.popBefore(10, at, id));
+    ASSERT_TRUE(q.popBefore(11, at, id));
+    EXPECT_EQ(Event(at, id), Event(10, 5));
+    EXPECT_FALSE(q.popBefore(1000, at, id));
+    ASSERT_TRUE(q.popBefore(1001, at, id));
+    EXPECT_EQ(Event(at, id), Event(1000, 2));
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(CalendarQueue, PopBeforeMatchesPeekThenPopMin)
+{
+    // Two queues fed the same pushes: one drained by popBefore, the
+    // other by the peek-then-pop it replaces (the model's minimum
+    // stands in for the peek). Limits fall on, just below and just
+    // past the next event, or at random; pushes cross the 64-slot
+    // wheel into the overflow heap.
+    Rng rng(0xB0F0E5u);
+    CalendarQueue lazy(70), eager(70);
+    std::set<Event> model;
+    std::vector<std::uint32_t> idle;
+    lazy.clear(0);
+    eager.clear(0);
+    Cycle clock = 0;
+    for (std::uint32_t id = 0; id < 70; ++id)
+        idle.push_back(id);
+
+    static constexpr Cycle deltas[] = {0, 1, 3, 63, 64, 65, 200, 5000};
+    std::uint64_t pops = 0, refusals = 0;
+    for (int step = 0; step < 40000; ++step) {
+        ASSERT_EQ(lazy.size(), model.size());
+        if (!idle.empty() && (model.empty() || rng.below(2) == 0)) {
+            std::size_t pick = rng.below(idle.size());
+            std::uint32_t id = idle[pick];
+            idle[pick] = idle.back();
+            idle.pop_back();
+            Cycle at = clock + deltas[rng.below(8)];
+            lazy.push(at, id);
+            eager.push(at, id);
+            model.emplace(at, id);
+            continue;
+        }
+        Cycle limit;
+        if (model.empty()) {
+            limit = rng.below(2) ? invalidCycle : clock + 10;
+        } else {
+            const Cycle next = model.begin()->first;
+            switch (rng.below(4)) {
+              case 0: limit = next; break;
+              case 1: limit = next > 0 ? next - 1 : 0; break;
+              case 2: limit = next + 1; break;
+              default: limit = clock + rng.below(300); break;
+            }
+        }
+        const bool want = !model.empty() && model.begin()->first < limit;
+        Cycle at = 0;
+        std::uint32_t id = 0;
+        ASSERT_EQ(lazy.popBefore(limit, at, id), want) << "step " << step;
+        if (!want) {
+            ++refusals;
+            continue;
+        }
+        ++pops;
+        const Event got(at, id);
+        ASSERT_EQ(got, *model.begin()) << "step " << step;
+        ASSERT_EQ(got, eager.popMin()) << "step " << step;
+        model.erase(model.begin());
+        clock = at;
+        idle.push_back(id);
+    }
+    EXPECT_GT(pops, 5000u);
+    EXPECT_GT(refusals, 5000u);
 }

@@ -120,7 +120,6 @@ TEST(Dram, TrafficClassAccounting)
     EXPECT_EQ(ch.bytesMoved(TrafficClass::Mac), 32u);
     EXPECT_EQ(ch.bytesMoved(TrafficClass::Bmt), 32u);
     EXPECT_EQ(ch.bytesMoved(TrafficClass::Extra), 32u);
-    EXPECT_EQ(ch.totalBytes(), 192u);
 }
 
 TEST(Dram, CompletionsAreMonotonicInQueueOrder)
