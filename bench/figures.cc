@@ -462,12 +462,13 @@ predictions(Plan &p, bool streaming)
 {
     using M = gpu::RunMetrics;
     const auto tallies =
-        streaming ? std::vector<double M::*>{&M::strCorrect, &M::strMpInit,
-                                             &M::strMpRuntimeRo,
-                                             &M::strMpRuntimeNonRo,
-                                             &M::strMpAliasing}
-                  : std::vector<double M::*>{&M::roCorrect, &M::roMpInit,
-                                             &M::roMpAliasing};
+        streaming
+            ? std::vector<std::uint64_t M::*>{&M::strCorrect, &M::strMpInit,
+                                              &M::strMpRuntimeRo,
+                                              &M::strMpRuntimeNonRo,
+                                              &M::strMpAliasing}
+            : std::vector<std::uint64_t M::*>{&M::roCorrect, &M::roMpInit,
+                                              &M::roMpAliasing};
     const std::string fig = streaming ? "fig11" : "fig10";
     TextTable table(streaming ? Strings{"workload", "Correct-Prediction",
                                         "MP_Init", "MP_Runtime_Read_Only",
@@ -483,7 +484,8 @@ predictions(Plan &p, bool streaming)
         std::vector<double> v;
         double total = 0;
         for (auto tally : tallies)
-            total += v.emplace_back(cells[r]->result.metrics.*tally);
+            total += v.emplace_back(
+                static_cast<double>(cells[r]->result.metrics.*tally));
         Strings row = {ws[r]->name};
         for (double &x : v)
             row.push_back(pct(x /= total == 0 ? 1 : total));
@@ -607,8 +609,8 @@ fig16(Plan &p)
         table.addRow({ws[r]->name, num(shm.normalizedIpc),
                       num(vl2.normalizedIpc),
                       pct(vl2.normalizedIpc - shm.normalizedIpc),
-                      TextTable::num(vl2.metrics.victimHits, 0),
-                      TextTable::num(vl2.metrics.victimInserts, 0)});
+                      std::to_string(vl2.metrics.victimHits),
+                      std::to_string(vl2.metrics.victimInserts)});
     }
     const auto g = means(c, 2, ipc);
     table.addRow({"geomean", num(g[0]), num(g[1]), pct(g[1] - g[0])});

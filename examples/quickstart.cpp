@@ -51,9 +51,11 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(r.metrics.bytesBmt));
     std::printf("  mispred refetch  : %10llu B\n",
                 static_cast<unsigned long long>(r.metrics.bytesExtra));
-    std::printf("shared-ctr reads   : %.0f\n", r.metrics.sharedCtrReads);
-    std::printf("chunk-MAC accesses : %.0f (vs %.0f block-MAC)\n",
-                r.metrics.chunkMacAccesses, r.metrics.blockMacAccesses);
+    std::printf("shared-ctr reads   : %llu\n",
+                static_cast<unsigned long long>(r.metrics.sharedCtrReads));
+    std::printf("chunk-MAC accesses : %llu (vs %llu block-MAC)\n",
+                static_cast<unsigned long long>(r.metrics.chunkMacAccesses),
+                static_cast<unsigned long long>(r.metrics.blockMacAccesses));
     std::printf("energy/instr       : %.3fx baseline\n",
                 r.normalizedEnergyPerInstr);
     return 0;

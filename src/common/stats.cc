@@ -78,28 +78,4 @@ StatGroup::dumpJson(std::ostream &os, int indent) const
     os << '}';
 }
 
-double
-StatGroup::lookup(const std::string &path, bool *found) const
-{
-    auto dot = path.find('.');
-    if (dot == std::string::npos) {
-        auto it = scalars.find(path);
-        if (it != scalars.end()) {
-            if (found)
-                *found = true;
-            return it->second.stat->value();
-        }
-    } else {
-        std::string head = path.substr(0, dot);
-        std::string tail = path.substr(dot + 1);
-        for (const auto *child : children) {
-            if (child->name() == head)
-                return child->lookup(tail, found);
-        }
-    }
-    if (found)
-        *found = false;
-    return 0;
-}
-
 } // namespace shmgpu::stats

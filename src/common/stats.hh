@@ -2,8 +2,9 @@
  * @file
  * Lightweight statistics framework.
  *
- * Components register named Scalar statistics in a StatGroup. Groups can be nested; dumping a group produces a flat,
- * stable "path.name value" listing that tests and benches consume.
+ * Components register named Scalar counts in a StatGroup. Groups can
+ * be nested; dumping a group produces a flat, stable "path.name value"
+ * listing (or one JSON object) with every count printed exactly.
  *
  * Thread-safety contract: a stats tree belongs to one simulator
  * instance and is confined to the thread driving that simulator.
@@ -24,21 +25,21 @@
 namespace shmgpu::stats
 {
 
-/** A monotonically accumulating scalar statistic. */
+/** A monotonically accumulating integer count. */
 class Scalar
 {
   public:
     Scalar() = default;
 
     Scalar &operator++() { ++val; return *this; }
-    Scalar &operator+=(double v) { val += v; return *this; }
+    Scalar &operator+=(std::uint64_t v) { val += v; return *this; }
 
-    void set(double v) { val = v; }
-    double value() const { return val; }
+    void set(std::uint64_t v) { val = v; }
+    std::uint64_t value() const { return val; }
     void reset() { val = 0; }
 
   private:
-    double val = 0;
+    std::uint64_t val = 0;
 };
 
 /**
@@ -71,10 +72,6 @@ class StatGroup
 
     /** Write the whole tree as one JSON object. */
     void dumpJson(std::ostream &os, int indent = 0) const;
-
-    /** Fetch a scalar's value by dotted path relative to this group;
-     *  returns 0 and sets found=false when absent. */
-    double lookup(const std::string &path, bool *found = nullptr) const;
 
     const std::string &name() const { return groupName; }
 

@@ -53,8 +53,8 @@ class L2Bank
     void regStats(stats::StatGroup *parent);
 
     /** @{ Aggregate counters for metrics. */
-    double accesses() const { return statAccesses.value(); }
-    double misses() const { return statMisses.value(); }
+    std::uint64_t accesses() const { return statAccesses.value(); }
+    std::uint64_t misses() const { return statMisses.value(); }
     /** @} */
 
   private:

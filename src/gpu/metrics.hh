@@ -50,28 +50,28 @@ struct RunMetrics
     double l2MissRate = 0;
 
     /** @{ Fig. 10 tallies. */
-    double roCorrect = 0;
-    double roMpInit = 0;
-    double roMpAliasing = 0;
+    std::uint64_t roCorrect = 0;
+    std::uint64_t roMpInit = 0;
+    std::uint64_t roMpAliasing = 0;
     /** @} */
 
     /** @{ Fig. 11 tallies. */
-    double strCorrect = 0;
-    double strMpInit = 0;
-    double strMpAliasing = 0;
-    double strMpRuntimeRo = 0;
-    double strMpRuntimeNonRo = 0;
+    std::uint64_t strCorrect = 0;
+    std::uint64_t strMpInit = 0;
+    std::uint64_t strMpAliasing = 0;
+    std::uint64_t strMpRuntimeRo = 0;
+    std::uint64_t strMpRuntimeNonRo = 0;
     /** @} */
 
     /** @{ MEE activity. */
-    double sharedCtrReads = 0;
-    double commonCtrHits = 0;
-    double roTransitions = 0;
-    double chunkMacAccesses = 0;
-    double blockMacAccesses = 0;
-    double dualMacFallbacks = 0;
-    double victimHits = 0;
-    double victimInserts = 0;
+    std::uint64_t sharedCtrReads = 0;
+    std::uint64_t commonCtrHits = 0;
+    std::uint64_t roTransitions = 0;
+    std::uint64_t chunkMacAccesses = 0;
+    std::uint64_t blockMacAccesses = 0;
+    std::uint64_t dualMacFallbacks = 0;
+    std::uint64_t victimHits = 0;
+    std::uint64_t victimInserts = 0;
     /** @} */
 
     EnergyActivity energy;

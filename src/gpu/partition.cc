@@ -96,7 +96,7 @@ Partition::read(LocalAddr local, Addr phys, Cycle now, MemSpace space)
         ready = std::max(data_done, ctr_ready);
         if (meeConfig.secure)
             ready += meeConfig.aesLatency; // decrypt on the return path
-        statReadMissLatency += static_cast<double>(ready - now);
+        statReadMissLatency += ready - now;
         ++statReadMisses;
     }
     handleWriteback(res.writeback, now);

@@ -186,13 +186,13 @@ GpuSimulator::run()
         collector->finalize();
 
     const ScenarioMetrics metrics = gatherMetrics();
-    statCycles.set(static_cast<double>(currentCycle));
-    statInstructions.set(static_cast<double>(metrics.total.instructions));
+    statCycles.set(currentCycle);
+    statInstructions.set(metrics.total.instructions);
     std::uint64_t window_stalls = 0;
     for (const auto &t : tenants)
         window_stalls += t.windowStalls;
-    statWindowStalls.set(static_cast<double>(window_stalls));
-    statCyclesSkipped.set(static_cast<double>(cyclesSkipped));
+    statWindowStalls.set(window_stalls);
+    statCyclesSkipped.set(cyclesSkipped);
     return metrics;
 }
 
@@ -485,8 +485,8 @@ GpuSimulator::chargeTenant(TenantContext &t, bool give_back)
 {
     // Unsigned wrap-around: a take's negative partial sum is made
     // whole by the matching give-back.
-    const auto charge = [give_back](std::uint64_t &field, double count) {
-        const auto n = static_cast<std::uint64_t>(count);
+    const auto charge = [give_back](std::uint64_t &field,
+                                    std::uint64_t n) {
         field += give_back ? n : 0 - n;
     };
     TenantRunMetrics &s = t.share;
@@ -556,8 +556,8 @@ GpuSimulator::gatherMetrics() const
                            static_cast<double>(m.cycles)
                      : 0;
 
-    double l2_accesses = 0;
-    double l2_misses = 0;
+    std::uint64_t l2_accesses = 0;
+    std::uint64_t l2_misses = 0;
     for (const auto &p : partitions) {
         const auto &ch = p->channel();
         m.bytesData += ch.bytesMoved(mem::TrafficClass::Data);
@@ -585,13 +585,13 @@ GpuSimulator::gatherMetrics() const
         m.victimHits += mee.victimHits();
         m.victimInserts += mee.victimInserts();
 
-        m.energy.mdcAccesses += static_cast<std::uint64_t>(
-            mee.counterCache().accesses() + mee.macCache().accesses() +
-            mee.bmtCache().accesses());
-        m.energy.aesBlocks += static_cast<std::uint64_t>(
-            meeConfig.secure ? mee.counterCache().accesses() : 0);
-        m.energy.hashes += static_cast<std::uint64_t>(
-            mee.chunkMacAccesses() + mee.blockMacAccesses());
+        m.energy.mdcAccesses += mee.counterCache().accesses() +
+                                mee.macCache().accesses() +
+                                mee.bmtCache().accesses();
+        if (meeConfig.secure)
+            m.energy.aesBlocks += mee.counterCache().accesses();
+        m.energy.hashes +=
+            mee.chunkMacAccesses() + mee.blockMacAccesses();
 
         for (std::uint32_t b = 0; b < gpuConfig.l2BanksPerPartition;
              ++b) {
@@ -606,11 +606,13 @@ GpuSimulator::gatherMetrics() const
                   static_cast<double>(m.cycles);
     m.bandwidthUtilization =
         peak > 0 ? static_cast<double>(total_bytes) / peak : 0;
-    m.l2MissRate = l2_accesses > 0 ? l2_misses / l2_accesses : 0;
+    m.l2MissRate = l2_accesses ? static_cast<double>(l2_misses) /
+                                     static_cast<double>(l2_accesses)
+                               : 0;
 
     m.energy.cycles = m.cycles;
     m.energy.instructions = m.instructions;
-    m.energy.l2Accesses = static_cast<std::uint64_t>(l2_accesses);
+    m.energy.l2Accesses = l2_accesses;
     m.energy.dramBytes = total_bytes;
 
     sm.contextSwitches = scenarioSwitches;

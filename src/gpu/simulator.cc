@@ -182,8 +182,7 @@ GpuSimulator::kernelWindow(std::uint32_t max_outstanding) const
 std::uint64_t
 GpuSimulator::openKernel(Cycle at)
 {
-    const auto kernel_idx =
-        static_cast<std::uint64_t>(statKernelsRun.value());
+    const std::uint64_t kernel_idx = statKernelsRun.value();
     if (tracer)
         tracer->record(smLane, trace::EventKind::KernelBegin, at, 0,
                        kernel_idx);

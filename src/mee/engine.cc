@@ -309,7 +309,7 @@ MeeEngine::handleDetection(const detect::DetectionEvent &ev, Cycle now)
             std::uint64_t mac_bytes =
                 (chunk_bytes / layout->params().blockBytes) *
                 layout->params().macBytes;
-            statMispredBytes += static_cast<double>(mac_bytes);
+            statMispredBytes += mac_bytes;
             routeMeta(layout->blockMacAddr(chunk_base),
                       static_cast<std::uint32_t>(mac_bytes),
                       mem::AccessType::Read, mem::TrafficClass::Extra,
@@ -322,7 +322,7 @@ MeeEngine::handleDetection(const detect::DetectionEvent &ev, Cycle now)
                 std::popcount(ev.accessMask | st.staleBlockMask));
             std::uint32_t bytes = blocks * layout->params().blockBytes;
             if (bytes > 0) {
-                statMispredBytes += static_cast<double>(bytes);
+                statMispredBytes += bytes;
                 routeMeta(chunk_base, bytes, mem::AccessType::Read,
                           mem::TrafficClass::Extra, now);
             }
@@ -339,7 +339,7 @@ MeeEngine::handleDetection(const detect::DetectionEvent &ev, Cycle now)
                 std::popcount(st.staleBlockMask));
             std::uint32_t bytes = blocks * layout->params().blockBytes;
             if (bytes > 0) {
-                statMispredBytes += static_cast<double>(bytes);
+                statMispredBytes += bytes;
                 routeMeta(chunk_base, bytes, mem::AccessType::Read,
                           mem::TrafficClass::Extra, now);
             }
@@ -356,7 +356,7 @@ MeeEngine::handleDetection(const detect::DetectionEvent &ev, Cycle now)
             st.chunkStale = false;
         } else if (!ro) {
             // Table III row 6: re-fetch and re-produce the chunk MAC.
-            statMispredBytes += 32.0;
+            statMispredBytes += 32;
             routeMeta(layout->chunkMacAddr(chunk_base), 32,
                       mem::AccessType::Read, mem::TrafficClass::Extra,
                       now);

@@ -251,22 +251,28 @@ class MeeEngine
     const mem::SectoredCache &macCache() const { return macsCache; }
     const mem::SectoredCache &bmtCache() const { return treeCache; }
     const PredictionStats &predictionStats() const { return predStats; }
-    double reads() const { return statReads.value(); }
-    double writes() const { return statWrites.value(); }
-    double sharedCounterReads() const
+    std::uint64_t reads() const { return statReads.value(); }
+    std::uint64_t writes() const { return statWrites.value(); }
+    std::uint64_t sharedCounterReads() const
     {
         return statSharedCtrReads.value();
     }
-    double roTransitions() const { return statRoTransitions.value(); }
-    double dualMacFallbacks() const
+    std::uint64_t roTransitions() const { return statRoTransitions.value(); }
+    std::uint64_t dualMacFallbacks() const
     {
         return statDualMacFallback.value();
     }
-    double chunkMacAccesses() const { return statChunkMacAccesses.value(); }
-    double blockMacAccesses() const { return statBlockMacAccesses.value(); }
-    double commonCtrHits() const { return statCommonCtrHits.value(); }
-    double victimHits() const { return statVictimHits.value(); }
-    double victimInserts() const { return statVictimInserts.value(); }
+    std::uint64_t chunkMacAccesses() const
+    {
+        return statChunkMacAccesses.value();
+    }
+    std::uint64_t blockMacAccesses() const
+    {
+        return statBlockMacAccesses.value();
+    }
+    std::uint64_t commonCtrHits() const { return statCommonCtrHits.value(); }
+    std::uint64_t victimHits() const { return statVictimHits.value(); }
+    std::uint64_t victimInserts() const { return statVictimInserts.value(); }
     /** @} */
 
   private:

@@ -146,9 +146,8 @@ class SectoredCache
     void regStats(stats::StatGroup *parent);
 
     /** @{ Raw statistic accessors for harness code. */
-    double hits() const { return statHits.value(); }
-    double misses() const { return statMisses.value(); }
-    double accesses() const { return statAccesses.value(); }
+    std::uint64_t misses() const { return statMisses.value(); }
+    std::uint64_t accesses() const { return statAccesses.value(); }
     /** @} */
 
   private:

@@ -292,18 +292,20 @@ cmdRun(const Args &args, bool scenario)
     if (args.has("profile"))
         profile::report(std::cout);
     if (opts.collectAccuracy) {
-        double ro_total = r.metrics.roCorrect + r.metrics.roMpInit +
-                          r.metrics.roMpAliasing;
-        double str_total = r.metrics.strCorrect + r.metrics.strMpInit +
-                           r.metrics.strMpAliasing +
-                           r.metrics.strMpRuntimeRo +
-                           r.metrics.strMpRuntimeNonRo;
+        const gpu::RunMetrics &m = r.metrics;
+        const std::uint64_t ro_total =
+            m.roCorrect + m.roMpInit + m.roMpAliasing;
+        const std::uint64_t str_total = m.strCorrect + m.strMpInit +
+                                        m.strMpAliasing + m.strMpRuntimeRo +
+                                        m.strMpRuntimeNonRo;
         if (ro_total > 0)
             std::printf("read-only prediction accuracy : %.2f%%\n",
-                        100 * r.metrics.roCorrect / ro_total);
+                        100.0 * static_cast<double>(m.roCorrect) /
+                            static_cast<double>(ro_total));
         if (str_total > 0)
             std::printf("streaming prediction accuracy : %.2f%%\n",
-                        100 * r.metrics.strCorrect / str_total);
+                        100.0 * static_cast<double>(m.strCorrect) /
+                            static_cast<double>(str_total));
     }
     if (args.has("stats"))
         std::printf("stats written to %s\n", args.get("stats").c_str());

@@ -11,6 +11,7 @@
 #include <new>
 
 #include "mem/cache.hh"
+#include "stats_lookup.hh"
 
 using namespace shmgpu;
 using namespace shmgpu::mem;
@@ -225,7 +226,7 @@ TEST(Cache, StatsRegistration)
     c.regStats(&root);
     c.access(0x0000, 32, false);
     bool found = false;
-    EXPECT_EQ(root.lookup("test.misses", &found), 1);
+    EXPECT_EQ(stats::lookupStat(root, "test.misses", &found), 1u);
     EXPECT_TRUE(found);
 }
 

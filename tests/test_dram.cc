@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "mem/dram.hh"
+#include "stats_lookup.hh"
 
 using namespace shmgpu;
 using namespace shmgpu::mem;
@@ -101,9 +102,9 @@ TEST(Dram, SchedulerRowWindowToleratesInterleavedStreams)
                    32, AccessType::Read, TrafficClass::Data);
     }
     bool found = false;
-    EXPECT_EQ(root.lookup("dram.row_misses", &found), 2);
+    EXPECT_EQ(stats::lookupStat(root, "dram.row_misses", &found), 2u);
     EXPECT_TRUE(found);
-    EXPECT_EQ(root.lookup("dram.row_hits", &found), 30);
+    EXPECT_EQ(stats::lookupStat(root, "dram.row_hits", &found), 30u);
 }
 
 TEST(Dram, TrafficClassAccounting)
@@ -166,9 +167,9 @@ TEST(Dram, StatsRegistration)
     ch.regStats(&root);
     ch.enqueue(0, 0, 32, AccessType::Read, TrafficClass::Data);
     bool found = false;
-    EXPECT_EQ(root.lookup("dram.reads", &found), 1);
+    EXPECT_EQ(stats::lookupStat(root, "dram.reads", &found), 1u);
     EXPECT_TRUE(found);
-    EXPECT_EQ(root.lookup("dram.bytes", &found), 32);
+    EXPECT_EQ(stats::lookupStat(root, "dram.bytes", &found), 32u);
 }
 
 TEST(Dram, WritesAreParkedBehindReads)
@@ -271,8 +272,7 @@ TEST(Dram, NonPowerOfTwoGeometryMatchesDivision)
     stats::StatGroup root(nullptr, "root");
     ch.regStats(&root);
     bool found = false;
-    EXPECT_EQ(root.lookup("dram.row_hits", &found),
-              static_cast<double>(hits));
+    EXPECT_EQ(stats::lookupStat(root, "dram.row_hits", &found), hits);
     EXPECT_TRUE(found);
     EXPECT_GT(hits, 0u);
 }

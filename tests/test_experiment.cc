@@ -133,9 +133,9 @@ TEST(Experiment, AccuracyCollectionFillsPredictionStats)
     RunOptions opts;
     opts.collectAccuracy = true;
     auto r = exp.run(schemes::Scheme::Shm, w, opts);
-    double ro_total = r.metrics.roCorrect + r.metrics.roMpInit +
-                      r.metrics.roMpAliasing;
-    EXPECT_GT(ro_total, 0.0);
+    EXPECT_GT(r.metrics.roCorrect + r.metrics.roMpInit +
+                  r.metrics.roMpAliasing,
+              0u);
 }
 
 TEST(Experiment, UpperBoundRunsProfilePassAutomatically)

@@ -59,7 +59,7 @@ constexpr const char *kAccuracyMetrics[] = {
     "strCorrect",     "strMpInit",      "strMpAliasing",
     "strMpRuntimeRo", "strMpRuntimeNonRo"};
 
-double
+std::uint64_t
 accuracyMetric(const gpu::RunMetrics &m, const std::string &name)
 {
     if (name == "roCorrect")

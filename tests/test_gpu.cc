@@ -14,6 +14,7 @@
 #include "gpu/presets.hh"
 #include "gpu/simulator.hh"
 #include "schemes/schemes.hh"
+#include "stats_lookup.hh"
 #include "workload/benchmarks.hh"
 
 using namespace shmgpu;
@@ -104,7 +105,7 @@ TEST(GpuSimulator, SharedCounterServesReadOnlyStreams)
 {
     auto w = workload::makeStreamingMicro(4 << 20, 2048);
     RunMetrics m = runScheme(schemes::Scheme::Shm, w);
-    EXPECT_GT(m.sharedCtrReads, 0.0);
+    EXPECT_GT(m.sharedCtrReads, 0u);
     EXPECT_GT(m.chunkMacAccesses, m.blockMacAccesses);
 }
 
@@ -112,7 +113,7 @@ TEST(GpuSimulator, RandomWorkloadDevolvesToBlockMacs)
 {
     auto w = workload::makeRandomMicro(4 << 20, 2048);
     RunMetrics m = runScheme(schemes::Scheme::Shm, w);
-    EXPECT_GT(m.blockMacAccesses, 0.0);
+    EXPECT_GT(m.blockMacAccesses, 0u);
 }
 
 TEST(GpuSimulator, MultiKernelHostCopiesRearmReadOnly)
@@ -121,8 +122,8 @@ TEST(GpuSimulator, MultiKernelHostCopiesRearmReadOnly)
     RunMetrics m = runScheme(schemes::Scheme::Shm, w);
     // Kernel 1 reads 'in' (read-only), writes 'mid' (transitions);
     // kernel 2 reads 'mid'; kernel 3 re-reads refreshed 'in'.
-    EXPECT_GT(m.sharedCtrReads, 0.0);
-    EXPECT_GT(m.roTransitions, 0.0);
+    EXPECT_GT(m.sharedCtrReads, 0u);
+    EXPECT_GT(m.roTransitions, 0u);
 }
 
 TEST(GpuSimulator, ProfileCollectionSeesTraffic)
@@ -196,10 +197,13 @@ TEST(GpuSimulator, UpperBoundPrimingWorks)
     // Primed predictors on a random workload: block MACs dominate.
     EXPECT_GT(m.blockMacAccesses, m.chunkMacAccesses);
     // And the accuracy tallies are populated.
-    double total = m.strCorrect + m.strMpInit + m.strMpAliasing +
-                   m.strMpRuntimeRo + m.strMpRuntimeNonRo;
-    EXPECT_GT(total, 0.0);
-    EXPECT_GT(m.strCorrect / total, 0.9);
+    const std::uint64_t total = m.strCorrect + m.strMpInit +
+                                m.strMpAliasing + m.strMpRuntimeRo +
+                                m.strMpRuntimeNonRo;
+    EXPECT_GT(total, 0u);
+    EXPECT_GT(static_cast<double>(m.strCorrect) /
+                  static_cast<double>(total),
+              0.9);
 }
 
 TEST(GpuSimulator, VictimCacheEngagesOnThrashingL2)
@@ -208,7 +212,7 @@ TEST(GpuSimulator, VictimCacheEngagesOnThrashingL2)
     // victim-cache monitor.
     auto w = workload::makeStreamingMicro(8 << 20, 4096);
     RunMetrics m = runScheme(schemes::Scheme::ShmVL2, w);
-    EXPECT_GT(m.victimInserts + m.victimHits, 0.0);
+    EXPECT_GT(m.victimInserts + m.victimHits, 0u);
 }
 
 TEST(GpuSimulator, BandwidthUtilizationIsSane)
@@ -381,9 +385,9 @@ TEST(Interconnect, StatsRegistration)
     icnt.request(0, 16, 0);
     icnt.reply(1, 32, 0);
     bool found = false;
-    EXPECT_EQ(root.lookup("icnt.requests", &found), 1);
+    EXPECT_EQ(stats::lookupStat(root, "icnt.requests", &found), 1u);
     EXPECT_TRUE(found);
-    EXPECT_EQ(root.lookup("icnt.reply_bytes", &found), 32);
+    EXPECT_EQ(stats::lookupStat(root, "icnt.reply_bytes", &found), 32u);
 }
 
 TEST(GpuSimulator, HostCopyPastProtectedSpaceIsClamped)

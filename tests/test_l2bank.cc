@@ -34,8 +34,8 @@ TEST(L2Bank, ReadMissThenHit)
     EXPECT_NE(r.fetchMask, 0u);
     r = bank.accessData(0x100, false);
     EXPECT_EQ(r.outcome, mem::CacheOutcome::Hit);
-    EXPECT_EQ(bank.accesses(), 2);
-    EXPECT_EQ(bank.misses(), 1);
+    EXPECT_EQ(bank.accesses(), 2u);
+    EXPECT_EQ(bank.misses(), 1u);
 }
 
 TEST(L2Bank, WriteValidates)

@@ -190,7 +190,7 @@ TEST_F(MeeEngineTest, ReadOnlyRegionSkipsCounterAndBmt)
     EXPECT_EQ(router.bytesOf(mem::TrafficClass::Bmt), 0u);
     EXPECT_EQ(router.bytesOf(mem::TrafficClass::Mac), 32u)
         << "integrity still needs the MAC";
-    EXPECT_EQ(mee.sharedCounterReads(), 1);
+    EXPECT_EQ(mee.sharedCounterReads(), 1u);
 }
 
 TEST_F(MeeEngineTest, WriteTransitionPropagatesCounters)
@@ -202,11 +202,11 @@ TEST_F(MeeEngineTest, WriteTransitionPropagatesCounters)
     mee.hostCopy(0, 1 << 20);
 
     mee.onWrite(0, 0, 100);
-    EXPECT_EQ(mee.roTransitions(), 1);
+    EXPECT_EQ(mee.roTransitions(), 1u);
     // Subsequent reads in the region use per-block counters again.
     router.txns.clear();
     mee.onRead(256, 256, 200);
-    EXPECT_EQ(mee.sharedCounterReads(), 0);
+    EXPECT_EQ(mee.sharedCounterReads(), 0u);
 }
 
 TEST_F(MeeEngineTest, CommonCountersCoverUniformTraffic)
@@ -219,21 +219,21 @@ TEST_F(MeeEngineTest, CommonCountersCoverUniformTraffic)
     mee.onRead(0, 0, 100);
     EXPECT_EQ(router.bytesOf(mem::TrafficClass::Counter), 0u);
     EXPECT_EQ(router.bytesOf(mem::TrafficClass::Bmt), 0u);
-    EXPECT_EQ(mee.commonCtrHits(), 1);
+    EXPECT_EQ(mee.commonCtrHits(), 1u);
 
     // Writes always persist their counters off-chip and devolve the
     // region for subsequent reads.
     mee.onWrite(128, 128, 110);
     EXPECT_GT(router.bytesOf(mem::TrafficClass::Counter), 0u);
     mee.onRead(256, 256, 120);
-    EXPECT_EQ(mee.commonCtrHits(), 1)
+    EXPECT_EQ(mee.commonCtrHits(), 1u)
         << "the devolved region no longer counts as common";
 
     // Untouched regions stay covered.
     router.txns.clear();
     mee.onRead(1 << 20, 1 << 20, 130);
     EXPECT_EQ(router.bytesOf(mem::TrafficClass::Counter), 0u);
-    EXPECT_EQ(mee.commonCtrHits(), 2);
+    EXPECT_EQ(mee.commonCtrHits(), 2u);
 }
 
 TEST_F(MeeEngineTest, DualGranularityMacUsesChunkMacWhenStreaming)
@@ -244,8 +244,8 @@ TEST_F(MeeEngineTest, DualGranularityMacUsesChunkMacWhenStreaming)
     MeeEngine &mee = *mee_ptr;
 
     mee.onRead(0, 0, 100);
-    EXPECT_EQ(mee.chunkMacAccesses(), 1);
-    EXPECT_EQ(mee.blockMacAccesses(), 0);
+    EXPECT_EQ(mee.chunkMacAccesses(), 1u);
+    EXPECT_EQ(mee.blockMacAccesses(), 0u);
 }
 
 TEST_F(MeeEngineTest, DetectedRandomChunkSwitchesToBlockMacs)
@@ -263,7 +263,7 @@ TEST_F(MeeEngineTest, DetectedRandomChunkSwitchesToBlockMacs)
     router.txns.clear();
 
     mee.onRead(5 * 128, 5 * 128, 50001);
-    EXPECT_GT(mee.blockMacAccesses(), 0);
+    EXPECT_GT(mee.blockMacAccesses(), 0u);
 }
 
 TEST_F(MeeEngineTest, StreamMispredictedAsRandomChargesRefetch)
@@ -362,7 +362,7 @@ TEST_F(MeeEngineTest, DualMacStaleFallback)
     // Reading a block of chunk 0 now uses the block MAC, which is
     // stale: the engine falls back to the chunk MAC (remedy #2).
     mee.onRead(5 * 128, 5 * 128, 60100);
-    EXPECT_EQ(mee.dualMacFallbacks(), 1);
+    EXPECT_EQ(mee.dualMacFallbacks(), 1u);
 }
 
 TEST_F(MeeEngineTest, ShmTracksMacFreshnessOfTheLastBlock)
@@ -393,11 +393,11 @@ TEST_F(MeeEngineTest, ShmTracksMacFreshnessOfTheLastBlock)
     ASSERT_FALSE(mee.streamingDetector().predictStreaming(last));
 
     mee.onRead(last, last, 60100);
-    EXPECT_EQ(mee.dualMacFallbacks(), 1) << "stale block MAC";
+    EXPECT_EQ(mee.dualMacFallbacks(), 1u) << "stale block MAC";
     // Writing the block by its block MAC makes that MAC fresh.
     mee.onWrite(last, last, 60200);
     mee.onRead(last, last, 60300);
-    EXPECT_EQ(mee.dualMacFallbacks(), 1);
+    EXPECT_EQ(mee.dualMacFallbacks(), 1u);
 }
 
 TEST_F(MeeEngineTest, VictimCachePathUsedWhenActive)
@@ -460,13 +460,13 @@ TEST_F(MeeEngineTest, PredictionAccuracyAttribution)
     mee.hostCopy(0, 16 * 1024);
     mee.onRead(0, 0, 100);
     const auto &ps = mee.predictionStats();
-    EXPECT_EQ(ps.roCorrect.value(), 1);
-    EXPECT_EQ(ps.strCorrect.value(), 1);
+    EXPECT_EQ(ps.roCorrect.value(), 1u);
+    EXPECT_EQ(ps.strCorrect.value(), 1u);
 
     // A region never host-copied but truly read-only: MP_Init.
     profile.recordAccess(0, 64 * 1024, false, 20000);
     mee.onRead(64 * 1024, 64 * 1024, 20001);
-    EXPECT_EQ(ps.roMpInit.value(), 1);
+    EXPECT_EQ(ps.roMpInit.value(), 1u);
 }
 
 TEST_F(MeeEngineTest, StaticSpaceHintsServeTextureFromSharedCounter)
@@ -482,7 +482,7 @@ TEST_F(MeeEngineTest, StaticSpaceHintsServeTextureFromSharedCounter)
     mee.onRead(0, 0, 100, MemSpace::Texture);
     EXPECT_EQ(router.bytesOf(mem::TrafficClass::Counter), 0u);
     EXPECT_EQ(router.bytesOf(mem::TrafficClass::Bmt), 0u);
-    EXPECT_EQ(mee.sharedCounterReads(), 1);
+    EXPECT_EQ(mee.sharedCounterReads(), 1u);
 
     // Global memory without a marking still uses per-block counters.
     mee.onRead(64 * 1024, 64 * 1024, 200, MemSpace::Global);
@@ -499,7 +499,7 @@ TEST_F(MeeEngineTest, ProgrammingModelHintMarksWithoutCopy)
 
     mee.hostCopy(0, 16 * 1024, /*declared_read_only=*/true);
     mee.onRead(0, 0, 100);
-    EXPECT_EQ(mee.sharedCounterReads(), 1);
+    EXPECT_EQ(mee.sharedCounterReads(), 1u);
 }
 
 TEST_F(MeeEngineTest, LazyBmtPropagationOnCounterEviction)
@@ -533,16 +533,16 @@ TEST_F(MeeEngineTest, CombinedReadOnlyAndCommonCounters)
     mee.hostCopy(0, 16 * 1024);
 
     mee.onRead(0, 0, 100); // read-only -> shared counter
-    EXPECT_EQ(mee.sharedCounterReads(), 1);
-    EXPECT_EQ(mee.commonCtrHits(), 0);
+    EXPECT_EQ(mee.sharedCounterReads(), 1u);
+    EXPECT_EQ(mee.commonCtrHits(), 0u);
 
     mee.onRead(64 * 1024, 64 * 1024, 110); // unmarked -> common
-    EXPECT_EQ(mee.commonCtrHits(), 1);
+    EXPECT_EQ(mee.commonCtrHits(), 1u);
 
     mee.onWrite(64 * 1024, 64 * 1024, 120); // devolves the region
     router.txns.clear();
     mee.onRead(64 * 1024 + 128, 64 * 1024 + 128, 130);
-    EXPECT_EQ(mee.commonCtrHits(), 1) << "devolved region not covered";
+    EXPECT_EQ(mee.commonCtrHits(), 1u) << "devolved region not covered";
 }
 
 TEST_F(MeeEngineTest, LazyBmtPropagationClimbsOnNodeEviction)

@@ -120,8 +120,7 @@ TEST_F(PartitionTest, WritebacksReachTheMee)
         part->write(i * 128, i * 128, 100 + i);
     EXPECT_GT(part->channel().bytesMoved(mem::TrafficClass::Counter), 0u)
         << "evicted dirty data triggered counter RMWs";
-    double writes = part->mee().counterCache().accesses();
-    EXPECT_GT(writes, 0);
+    EXPECT_GT(part->mee().counterCache().accesses(), 0u);
 }
 
 TEST_F(PartitionTest, HostCopyEnablesSharedCounterReads)
@@ -129,7 +128,7 @@ TEST_F(PartitionTest, HostCopyEnablesSharedCounterReads)
     make(schemes::Scheme::Shm);
     part->hostCopy(0, 1 << 20);
     part->read(0x2000, 0x2000, 100);
-    EXPECT_EQ(part->mee().sharedCounterReads(), 1);
+    EXPECT_EQ(part->mee().sharedCounterReads(), 1u);
     EXPECT_EQ(part->channel().bytesMoved(mem::TrafficClass::Counter), 0u);
 }
 
@@ -142,14 +141,14 @@ TEST_F(PartitionTest, MetadataVictimLinesDoNotReenterTheMee)
     Addr meta_addr = gp.protectedBytesPerPartition + 4096;
     part->victimInsert(meta_addr, 0xF, 0xF, mem::TrafficClass::Mac, 100);
     EXPECT_TRUE(part->victimProbe(meta_addr));
-    double mee_writes_before = part->mee().counterCache().accesses();
+    const std::uint64_t mee_writes_before =
+        part->mee().counterCache().accesses();
     // Evict it by flooding the same set region with data.
     for (int i = 0; i < 64; ++i)
         part->write(meta_addr % (1 << 20) +
                         static_cast<LocalAddr>(i) * 128 * 64,
                     0, 200 + i);
-    double mee_writes_after = part->mee().counterCache().accesses();
-    EXPECT_GE(mee_writes_after, mee_writes_before);
+    EXPECT_GE(part->mee().counterCache().accesses(), mee_writes_before);
 }
 
 TEST_F(PartitionTest, KernelBoundaryResetsSampling)

@@ -19,6 +19,7 @@
 #include "gpu/presets.hh"
 #include "gpu/simulator.hh"
 #include "schemes/schemes.hh"
+#include "stats_lookup.hh"
 #include "workload/benchmarks.hh"
 #include "workload/scenario.hh"
 #include "workload/trace_file.hh"
@@ -257,9 +258,10 @@ measureWithStats(const gpu::GpuParams &gp, schemes::Scheme scheme,
     return measure(gp, scheme, scn, opts, [&](gpu::GpuSimulator &sim) {
         auto stat = [&](const std::string &path) {
             bool found = false;
-            const double v = sim.statsRoot().lookup(path, &found);
+            const std::uint64_t v =
+                stats::lookupStat(sim.statsRoot(), path, &found);
             EXPECT_TRUE(found) << path;
-            return static_cast<std::uint64_t>(v);
+            return v;
         };
         for (std::uint32_t p = 0; p < gp.numPartitions; ++p) {
             const std::string mee = "p" + std::to_string(p) + ".mee.";

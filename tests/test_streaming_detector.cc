@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "detect/streaming.hh"
+#include "stats_lookup.hh"
 
 using namespace shmgpu;
 using namespace shmgpu::detect;
@@ -308,11 +309,14 @@ TEST(StreamingDetector, ObservabilityStats)
     d.access(31 * 128, false, now + 1, events); // cooldown straggler
 
     bool found = false;
-    EXPECT_EQ(root.lookup("stream_detector.phases_started", &found), 1);
+    const auto stat = [&](const char *name) {
+        return stats::lookupStat(root, std::string("stream_detector.") + name,
+                                 &found);
+    };
+    EXPECT_EQ(stat("phases_started"), 1u);
     EXPECT_TRUE(found);
-    EXPECT_EQ(root.lookup("stream_detector.coverage_exits", &found), 1);
+    EXPECT_EQ(stat("coverage_exits"), 1u);
     // The sweep's own tail sectors (after early coverage-finalize)
     // plus the explicit straggler are all absorbed.
-    EXPECT_GE(root.lookup("stream_detector.cooldown_absorbed", &found),
-              1);
+    EXPECT_GE(stat("cooldown_absorbed"), 1u);
 }

@@ -148,7 +148,7 @@ TEST_F(TraceFileTest, TraceDrivenSimulationMatchesTraceVolume)
         gpu::RunMetrics m = sim.run().total;
         EXPECT_GT(m.cycles, 0u);
         EXPECT_EQ(m.instructions, expected) << sharePolicyName(policy);
-        EXPECT_GT(m.sharedCtrReads, 0.0)
+        EXPECT_GT(m.sharedCtrReads, 0u)
             << "host copies were replayed under "
             << sharePolicyName(policy);
     }
